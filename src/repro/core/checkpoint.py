@@ -3,36 +3,37 @@
 The build iterates over dimension partitions ``Di``; each iteration is a
 natural consistency point: the partition has been globally sorted, its
 ``Ti`` pipes executed and its Procedure-3 merge completed, so each rank
-holds a finished piece of every view of that partition.  With a
-checkpoint directory configured, every rank persists exactly that state
-after each iteration:
-
-* the iteration's merged view pieces (``ViewData`` per view),
-* the current ``Di``-root (what ``incremental_roots`` derives the next
-  root from) and its dimension index,
-* rank 0's merge report and schedule tree for the iteration,
-* a meter snapshot (disk counters, modelled-work seconds, phase label) —
-  the rank-local clock state, kept for diagnostics and recovery tests.
+holds a finished piece of every view of that partition.  Step 3 charges
+those pieces one durable write (the final materialisation); with a
+checkpoint directory configured :meth:`RankCheckpoint.save` *is* that
+write, so a checkpoint is a seal over the materialised views, not a
+second copy of them.
 
 Layout (one sub-directory per rank, mirroring the shared-nothing model —
 a rank checkpoints to *its own* local disk)::
 
     <checkpoint_dir>/rank03/
-        manifest.json        ordered entries {ordinal, dim, file, crc, rows, meters}
-        iter000.ckpt         pickled payload for iteration ordinal 0
-        ...
+        manifest.json   {"version": 3}, then one appended JSON line per
+                        save: {ordinal, dim, file, crc, rows, meters}
+        iter000.seal    u64 header length | pickled header (piece orders
+        ...             and row counts, root index, rank 0's merge report
+                        and schedule tree) | pad to 8 | every piece's
+                        int64 keys | every piece's float64 measures
 
-Integrity: every payload file's CRC-32 is recorded in the manifest and
-re-verified on load; the manifest itself is written atomically
-(tmp + rename) in a line-oriented format (one JSON header line + one JSON
-line per iteration) parsed *tolerantly*: a torn or corrupted tail line
-truncates the chain at the last intact entry instead of discarding the
-whole manifest.  A damaged or missing entry likewise truncates the usable
-chain — :meth:`RankCheckpoint.last_complete` never returns an ordinal
-whose predecessors are not all loadable.  The recovery driver then agrees
-a *global* resume point via an ``allreduce(min)`` across ranks, so every
-rank skips the same prefix of iterations and the collective schedule
-stays aligned.
+The pieces are the iteration's merged views plus, when the build derives
+roots incrementally, the ``Di``-root the next iteration starts from.
+Arrays stream to the file as they are under an incremental CRC-32; the
+file is fsynced and renamed into place *before* the manifest line naming
+it is appended, so the manifest never runs ahead of durable data.  The
+manifest is read tolerantly: unparseable lines are skipped (records are
+written newline-first, so a torn tail cannot swallow the next append), a
+line for ordinal ``k`` supersedes ``k`` and everything after it (a retry
+redoing the iteration it crashed in), and any other format is an empty
+chain.  A file failing its CRC truncates the usable chain:
+:meth:`RankCheckpoint.last_complete` never returns an ordinal whose
+predecessors are not all loadable.  The recovery driver then agrees a
+*global* resume point via an ``allreduce(min)`` across ranks, so every
+rank skips the same prefix and the collective schedule stays aligned.
 
 Degraded-mode recovery adds :class:`ReshardPlan`: when a rank is lost
 permanently, its checkpoint *directory* survives (the shared-nothing
@@ -54,12 +55,13 @@ from typing import Any, Sequence
 
 import numpy as np
 
+from repro.core.viewdata import ViewData
 from repro.mpi.errors import CheckpointError
 
 __all__ = ["RankCheckpoint", "ReshardPlan", "share_bounds"]
 
 _MANIFEST = "manifest.json"
-_VERSION = 2
+_VERSION = 3
 
 
 class RankCheckpoint:
@@ -69,6 +71,11 @@ class RankCheckpoint:
         self.rank = rank
         self.dir = os.path.join(root, f"rank{rank:02d}")
         os.makedirs(self.dir, exist_ok=True)
+        #: Manifest entries by ordinal: parsed on demand, dropped by save.
+        self._entries: list[dict[str, Any]] | None = None
+        #: Payloads :meth:`last_complete` verified, handed over by
+        #: :meth:`load` so a resume reads and CRCs each file once.
+        self._verified: dict[int, dict[str, Any]] = {}
 
     # -- manifest ----------------------------------------------------------
 
@@ -76,56 +83,26 @@ class RankCheckpoint:
         return os.path.join(self.dir, _MANIFEST)
 
     def _read_manifest(self) -> list[dict[str, Any]]:
-        """Parse the manifest tolerantly: stop at the first damaged line.
-
-        The v2 format is line-oriented (a JSON header line, then one JSON
-        object per iteration), so a torn tail — a partially flushed write,
-        appended garbage, a half-truncated last line — loses only the
-        entries at and after the damage, never the intact prefix.  The
-        legacy v1 single-document format is still readable (all-or-
-        nothing, as before).
-        """
+        """The chain the manifest describes, entry ``k`` at index ``k``."""
         try:
             with open(self._manifest_path(), "r", encoding="utf-8") as fh:
-                lines = fh.read().splitlines()
-        except OSError:
-            return []
-        if not lines:
-            return []
-        try:
-            head = json.loads(lines[0])
-        except json.JSONDecodeError:
-            return []
-        if not isinstance(head, dict):
-            return []
-        if head.get("version") == 1:
-            entries = head.get("iterations", [])
-            return entries if isinstance(entries, list) else []
-        if head.get("version") != _VERSION:
-            return []
-        entries = []
-        for line in lines[1:]:
-            line = line.strip()
-            if not line:
-                break
+                head, *lines = fh.read().splitlines()
+            if json.loads(head)["version"] != _VERSION:
+                return []
+        except (OSError, ValueError, TypeError, KeyError):
+            return []  # missing, empty, or not a manifest of this format
+        entries: list[dict[str, Any]] = []
+        for line in lines:
             try:
                 entry = json.loads(line)
-            except json.JSONDecodeError:
-                break  # torn tail: keep the intact prefix
-            if not isinstance(entry, dict):
+                ordinal = entry["ordinal"]
+            except (ValueError, TypeError, KeyError):
+                continue  # blank separator or torn append
+            if not (isinstance(ordinal, int) and 0 <= ordinal <= len(entries)):
                 break
+            del entries[ordinal:]
             entries.append(entry)
         return entries
-
-    def _write_manifest(self, entries: list[dict[str, Any]]) -> None:
-        tmp = self._manifest_path() + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps({"version": _VERSION}) + "\n")
-            for entry in entries:
-                fh.write(json.dumps(entry) + "\n")
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, self._manifest_path())
 
     # -- chain state -------------------------------------------------------
 
@@ -134,24 +111,21 @@ class RankCheckpoint:
         present and pass their CRC checks; ``-1`` for an empty/damaged
         chain.  Damage mid-chain truncates (later entries are unusable —
         the build could not have produced them without the earlier state)."""
-        entries = self._read_manifest()
-        last = -1
-        for expected, entry in enumerate(entries):
-            if entry.get("ordinal") != expected:
-                break
+        self._entries = self._read_manifest()
+        self._verified = {}
+        for ordinal, entry in enumerate(self._entries):
             try:
-                self._verified_bytes(entry)
+                self._verified[ordinal] = self._read_payload(entry)
             except CheckpointError:
-                break
-            last = expected
-        return last
+                return ordinal - 1
+        return len(self._entries) - 1
 
     def entry(self, ordinal: int) -> dict[str, Any] | None:
         """The manifest entry for one iteration (meters included)."""
-        for e in self._read_manifest():
-            if e.get("ordinal") == ordinal:
-                return e
-        return None
+        if self._entries is None:
+            self._entries = self._read_manifest()
+        chain = self._entries
+        return chain[ordinal] if 0 <= ordinal < len(chain) else None
 
     # -- save / load -------------------------------------------------------
 
@@ -162,37 +136,61 @@ class RankCheckpoint:
         payload: dict[str, Any],
         meters: dict[str, Any] | None = None,
     ) -> int:
-        """Persist one completed iteration; returns the row count saved
-        (the caller charges it to the rank's disk meter, so checkpoint
-        I/O is an honest part of simulated time).
+        """Persist one completed iteration; returns the rows written (of
+        which the caller charges to its disk meter those the build has not
+        already charged as step 3's final materialisation).
 
         Re-saving an ordinal (a recovery attempt redoing the iteration it
-        crashed in) overwrites the entry and truncates anything after it.
+        crashed in) supersedes the entry and everything after it.
         """
-        blob = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
-        fname = f"iter{ordinal:03d}.ckpt"
+        root = payload.get("root")
+        pieces = [*payload["views"].values(), *([] if root is None else [root])]
+        meta = {k: payload.get(k) for k in ("root_i", "report", "tree")}
+        meta["pieces"] = [(p.order, p.nrows) for p in pieces]
+        meta["has_root"] = root is not None
+        head = pickle.dumps(meta, protocol=pickle.HIGHEST_PROTOCOL)
+        fname = f"iter{ordinal:03d}.seal"
         tmp = os.path.join(self.dir, fname + ".tmp")
+        crc = 0
         with open(tmp, "wb") as fh:
-            fh.write(blob)
+            for chunk in (
+                len(head).to_bytes(8, "little"),
+                head,
+                bytes(-len(head) % 8),
+                *(np.ascontiguousarray(p.keys) for p in pieces),
+                *(np.ascontiguousarray(p.measure) for p in pieces),
+            ):
+                fh.write(chunk)
+                crc = zlib.crc32(chunk, crc)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, os.path.join(self.dir, fname))
-        rows = _payload_rows(payload)
-        entries = [
-            e for e in self._read_manifest() if e.get("ordinal", -1) < ordinal
-        ]
-        entries.append(
+        rows = sum(p.nrows for p in pieces)
+        self._append_manifest(
             {
                 "ordinal": ordinal,
                 "dim": dim,
                 "file": fname,
-                "crc": zlib.crc32(blob),
+                "crc": crc,
                 "rows": rows,
                 "meters": meters or {},
             }
         )
-        self._write_manifest(entries)
         return rows
+
+    def _append_manifest(self, entry: dict[str, Any]) -> None:
+        """Append one entry; ordinal 0 starts the manifest afresh."""
+        fresh = entry["ordinal"] == 0
+        with open(
+            self._manifest_path(), "w" if fresh else "a", encoding="utf-8"
+        ) as fh:
+            if fresh:
+                fh.write(json.dumps({"version": _VERSION}))
+            fh.write("\n" + json.dumps(entry) + "\n")
+            fh.flush()
+            os.fsync(fh.fileno())
+        self._entries = None
+        self._verified.clear()
 
     def load(self, ordinal: int) -> tuple[dict[str, Any], int]:
         """Load one iteration's payload; returns ``(payload, rows)``.
@@ -205,25 +203,40 @@ class RankCheckpoint:
             raise CheckpointError(
                 f"rank {self.rank}: no checkpoint for iteration {ordinal}"
             )
-        blob = self._verified_bytes(entry)
-        return pickle.loads(blob), int(entry.get("rows", 0))
+        payload = self._verified.pop(ordinal, None)
+        if payload is None:
+            payload = self._read_payload(entry)
+        return payload, int(entry.get("rows", 0))
 
-    def _verified_bytes(self, entry: dict[str, Any]) -> bytes:
-        path = os.path.join(self.dir, str(entry.get("file", "")))
+    def _read_payload(self, entry: dict[str, Any]) -> dict[str, Any]:
+        """Read one chain file in a single pass, check its CRC and wrap
+        the arrays where they were read (no unpickle copy)."""
+        fname = str(entry.get("file", ""))
         try:
-            with open(path, "rb") as fh:
-                blob = fh.read()
+            buf = np.fromfile(os.path.join(self.dir, fname), np.uint8)
         except OSError:
             raise CheckpointError(
-                f"rank {self.rank}: checkpoint file {entry.get('file')!r} "
-                "unreadable"
+                f"rank {self.rank}: checkpoint file {fname!r} unreadable"
             ) from None
-        if zlib.crc32(blob) != entry.get("crc"):
+        if zlib.crc32(buf) != entry.get("crc"):
             raise CheckpointError(
-                f"rank {self.rank}: checkpoint file {entry.get('file')!r} "
+                f"rank {self.rank}: checkpoint file {fname!r} "
                 "failed its CRC check"
             )
-        return blob
+        start = 8 + int.from_bytes(buf[:8].tobytes(), "little")
+        head = pickle.loads(buf[8:start].tobytes())
+        start += -start % 8
+        specs = head.pop("pieces")
+        total = sum(rows for _, rows in specs)
+        keys = np.frombuffer(buf, np.int64, total, start)
+        measure = np.frombuffer(buf, np.float64, total, start + 8 * total)
+        pieces, lo = [], 0
+        for order, rows in specs:
+            hi = lo + rows
+            pieces.append(ViewData(order, keys[lo:hi], measure[lo:hi]))
+            lo = hi
+        root = pieces.pop() if head.pop("has_root") else None
+        return {**head, "views": {p.view: p for p in pieces}, "root": root}
 
 
 # ---------------------------------------------------------------------------
@@ -351,13 +364,3 @@ def share_bounds(
     lo = 0 if index == 0 else int(cuts[index - 1])
     hi = int(cuts[index])
     return lo, hi
-
-
-def _payload_rows(payload: dict[str, Any]) -> int:
-    rows = 0
-    for data in payload.get("views", {}).values():
-        rows += data.nrows
-    root = payload.get("root")
-    if root is not None:
-        rows += root.nrows
-    return rows

@@ -24,6 +24,7 @@ benchmark harness turns into the paper's figures.
 from __future__ import annotations
 
 import os
+import traceback
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -190,6 +191,7 @@ def _rank_program(
     # with zero collectives, so the superstep schedule stays aligned.
     ckpt: RankCheckpoint | None = None
     resume = -1
+    resharded: dict[int, dict] = {}
     if checkpoint_root is not None:
         ckpt = RankCheckpoint(checkpoint_root, comm.rank)
         comm.set_phase("recovery")
@@ -199,15 +201,18 @@ def _rank_program(
             # Degraded continuation: fold the dead ranks' checkpointed
             # state into this (new-numbering) rank's chain first, then
             # agree on the resume point as usual.
-            resume = _reshard_resume(comm, ckpt, reshard)
+            resume, resharded = _reshard_resume(comm, ckpt, reshard)
 
     for ordinal, (i, root, pviews) in enumerate(partition_all(d, selected)):
         if ckpt is not None and ordinal <= resume:
-            payload, rows = ckpt.load(ordinal)
-            # Replaying the checkpoint is a real local-disk read; charge
-            # it so recovery cost shows up in simulated time.
-            comm.disk.charge_scan(rows)
-            comm.disk.work.charge_scan(rows)
+            # What the reshard just wrote is still in memory; anything
+            # else replays with a real local-disk read, charged so that
+            # recovery cost shows up in simulated time.
+            payload = resharded.pop(ordinal, None)
+            if payload is None:
+                payload, rows = ckpt.load(ordinal)
+                comm.disk.charge_scan(rows)
+                comm.disk.work.charge_scan(rows)
             out_views.update(payload["views"])
             reports.append(payload["report"])
             trees.append(payload["tree"])
@@ -304,16 +309,17 @@ def _rank_program(
 
         if ckpt is not None:
             # The Di iteration is a consistency point: partition sorted,
-            # Ti pipes run, Procedure-3 merge done.  Persist this rank's
-            # piece + meter snapshot so a failed later iteration resumes
-            # here instead of from the raw data.
+            # Ti pipes run, Procedure-3 merge done.  Sealing it performs
+            # the materialisation charged just above, so only the Di-root
+            # (kept for incremental_roots alone) is a further write.
             comm.set_phase(f"checkpoint[{i}]")
-            saved = ckpt.save(
+            root = prev_root if config.incremental_roots else None
+            ckpt.save(
                 ordinal,
                 i,
                 {
                     "views": merged,
-                    "root": prev_root,
+                    "root": root,
                     "root_i": prev_i,
                     "report": report,
                     "tree": tree,
@@ -324,8 +330,8 @@ def _rank_program(
                     "phase": f"checkpoint[{i}]",
                 },
             )
-            comm.disk.charge_store(saved)
-            comm.disk.work.charge_scan(saved)
+            if root is not None:
+                comm.disk.charge_store(root.nrows)
 
     speed_dict = (
         hetero.model.to_dict()
@@ -342,30 +348,31 @@ def _rank_program(
 
 def _reshard_resume(
     comm: Comm, ckpt: RankCheckpoint, plan: ReshardPlan
-) -> int:
+) -> tuple[int, dict[int, dict]]:
     """Materialise this rank's resharded checkpoint prefix; return the
-    global resume ordinal.
+    global resume ordinal and the payloads resharded here, by ordinal.
 
     Every new rank adopts one survivor chain from the failed epoch and a
     contiguous share of each dead rank's chain (the dead node's *disk*
     survived — disk-attached recovery).  The combined payloads are
-    re-saved into this epoch's chain, so after this prologue the normal
-    replay loop needs no knowledge of the reshard at all, and the next
-    failure (of either kind) reshards from *this* epoch without touching
-    the old one.  Idempotent: ordinals already present in the target
-    chain are kept, and re-running the prologue reproduces identical
-    payloads (pure slicing + deterministic merge).
+    re-saved into this epoch's chain, so the next failure (of either
+    kind) reshards from *this* epoch without touching the old one, and
+    handed to the replay loop, which then need not read them back.
+    Idempotent: ordinals already present in the target chain are kept,
+    and re-running the prologue reproduces identical payloads (pure
+    slicing + deterministic merge).
     """
     own_src = RankCheckpoint(plan.source_root, plan.survivors[comm.rank])
     dead_chains = [RankCheckpoint(plan.source_root, r) for r in plan.dead]
-    source_last = own_src.last_complete()
-    for chain in dead_chains:
-        source_last = min(source_last, chain.last_complete())
-    local = max(ckpt.last_complete(), source_last)
-    resume = int(comm.allreduce(local, "min"))
-    for ordinal in range(ckpt.last_complete() + 1, resume + 1):
-        _reshard_iteration(comm, ckpt, own_src, dead_chains, plan, ordinal)
-    return resume
+    source_last = min(c.last_complete() for c in (own_src, *dead_chains))
+    own_last = ckpt.last_complete()
+    resume = int(comm.allreduce(max(own_last, source_last), "min"))
+    resharded = {}
+    for ordinal in range(own_last + 1, resume + 1):
+        resharded[ordinal] = _reshard_iteration(
+            comm, ckpt, own_src, dead_chains, plan, ordinal
+        )
+    return resume, resharded
 
 
 def _reshard_iteration(
@@ -375,7 +382,7 @@ def _reshard_iteration(
     dead_chains: list[RankCheckpoint],
     plan: ReshardPlan,
     ordinal: int,
-) -> None:
+) -> dict:
     """Re-save one iteration: survivor payload + dead-rank shares.
 
     All reads and the re-save are charged to this rank's disk meter —
@@ -416,20 +423,11 @@ def _reshard_iteration(
         root = _merge_sorted_pieces([root, *root_extra])
     entry = own_src.entry(ordinal)
     dim = int(entry.get("dim", 0)) if entry else 0
-    saved = ckpt.save(
-        ordinal,
-        dim,
-        {
-            "views": merged,
-            "root": root,
-            "root_i": payload.get("root_i"),
-            "report": payload.get("report"),
-            "tree": payload.get("tree"),
-        },
-        meters={"phase": f"reshard[{dim}]"},
+    payload = {**payload, "views": merged, "root": root}
+    comm.disk.charge_store(
+        ckpt.save(ordinal, dim, payload, meters={"phase": f"reshard[{dim}]"})
     )
-    comm.disk.charge_store(saved)
-    comm.disk.work.charge_scan(saved)
+    return payload
 
 
 def _share_slice(
@@ -919,6 +917,11 @@ def build_data_cube(
             if transient_streak > recovery.max_retries:
                 raise exc
         recovered_seconds += recovery.backoff_for(attempt, seed=spec.seed)
+        # Let go of the failed attempt before the retry runs: its
+        # traceback pins every rank frame's view pieces, and its cluster
+        # the disks and meters, for as long as these names stay bound.
+        traceback.clear_frames(exc.__traceback__)
+        del cluster, exc
     cube = _assemble(
         result,
         cards,

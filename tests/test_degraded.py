@@ -393,7 +393,7 @@ def _seed_chain(root, rank, n=3):
 class TestChainDamage:
     def test_torn_payload_truncates(self, tmp_path):
         ckpt = _seed_chain(tmp_path, 0)
-        path = os.path.join(ckpt.dir, "iter002.ckpt")
+        path = os.path.join(ckpt.dir, "iter002.seal")
         blob = open(path, "rb").read()
         with open(path, "wb") as fh:
             fh.write(blob[: len(blob) // 2])  # torn write
@@ -416,21 +416,24 @@ class TestChainDamage:
 
     def test_crc_mismatch_mid_chain_truncates(self, tmp_path):
         ckpt = _seed_chain(tmp_path, 0)
-        path = os.path.join(ckpt.dir, "iter001.ckpt")
+        path = os.path.join(ckpt.dir, "iter001.seal")
         blob = bytearray(open(path, "rb").read())
         blob[len(blob) // 2] ^= 0xFF
         open(path, "wb").write(bytes(blob))
         # Damage at ordinal 1 makes ordinal 2 unusable too.
         assert ckpt.last_complete() == 0
 
-    def test_legacy_v1_manifest_still_readable(self, tmp_path):
-        import json
-
+    @pytest.mark.parametrize(
+        "head", ['{"version": 2}', '{"version": 1, "iterations": []}', "[3]", ""]
+    )
+    def test_unknown_format_reads_as_empty(self, tmp_path, head):
+        """A chain this version did not write means restart, never raise."""
         ckpt = _seed_chain(tmp_path, 0)
-        entries = ckpt._read_manifest()
+        lines = open(ckpt._manifest_path(), encoding="utf-8").read().split("\n")
         with open(ckpt._manifest_path(), "w", encoding="utf-8") as fh:
-            json.dump({"version": 1, "iterations": entries}, fh)
-        assert ckpt.last_complete() == 2
+            fh.write("\n".join([head, *lines[1:]]))
+        assert ckpt.last_complete() == -1
+        assert ckpt.entry(0) is None
 
     def test_damaged_chain_resume_end_to_end(self, relation, tmp_path):
         """A damaged tail truncates the resume point; the rebuild replays
@@ -445,7 +448,7 @@ class TestChainDamage:
         ckpt = RankCheckpoint(str(tmp_path), 1)
         last = ckpt.last_complete()
         assert last >= 1
-        path = os.path.join(ckpt.dir, f"iter{last:03d}.ckpt")
+        path = os.path.join(ckpt.dir, f"iter{last:03d}.seal")
         blob = open(path, "rb").read()
         open(path, "wb").write(blob[: len(blob) // 2])
         assert ckpt.last_complete() == last - 1

@@ -11,9 +11,14 @@ on both backends.
 
 from __future__ import annotations
 
+import gc
 import hashlib
+import json
 import multiprocessing
 import os
+import threading
+import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -21,6 +26,7 @@ import pytest
 from repro.config import CubeConfig, MachineSpec, RecoveryPolicy
 from repro.core.checkpoint import RankCheckpoint
 from repro.core.cube import build_data_cube
+from repro.mpi.comm import Comm
 from repro.mpi.errors import (
     CheckpointError,
     CollectiveMisuse,
@@ -31,6 +37,7 @@ from repro.mpi.errors import (
     RankFailure,
 )
 from repro.mpi.faults import FaultPlan
+from repro.storage.disk import DiskStats
 
 from .conftest import make_relation
 
@@ -100,6 +107,52 @@ class TestRankCheckpoint:
             payload["views"][(0,)].measure, np.full(4, 2.0)
         )
         assert ck.entry(0)["meters"] == {"phase": "x"}
+        # Arrays come back in place over the read buffer, still writable.
+        payload["root"].measure[0] = 7.0
+        assert payload["root_i"] == 0
+
+    def test_root_is_optional(self, tmp_path):
+        ck = RankCheckpoint(str(tmp_path), rank=0)
+        assert ck.save(0, 0, {**self._payload(1), "root": None}) == 4
+        payload, rows = RankCheckpoint(str(tmp_path), rank=0).load(0)
+        assert rows == 4 and payload["root"] is None
+        np.testing.assert_array_equal(
+            payload["views"][(0,)].keys, np.arange(4)
+        )
+
+    def test_last_complete_hands_verified_payloads_to_load(
+        self, tmp_path, monkeypatch
+    ):
+        ck = RankCheckpoint(str(tmp_path), rank=0)
+        for ordinal in range(3):
+            ck.save(ordinal, ordinal, self._payload(ordinal))
+        reads = []
+        original = RankCheckpoint._read_payload
+
+        def counting(self, entry):
+            reads.append(entry["file"])
+            return original(self, entry)
+
+        monkeypatch.setattr(RankCheckpoint, "_read_payload", counting)
+        fresh = RankCheckpoint(str(tmp_path), rank=0)
+        assert fresh.last_complete() == 2
+        for ordinal in range(3):
+            payload, _ = fresh.load(ordinal)
+            assert payload["views"][(0,)].measure[0] == float(ordinal)
+        # A resume reads and CRCs each chain file exactly once.
+        assert sorted(reads) == ["iter000.seal", "iter001.seal", "iter002.seal"]
+
+    def test_manifest_is_append_only(self, tmp_path):
+        ck = RankCheckpoint(str(tmp_path), rank=0)
+        sizes = []
+        for ordinal in range(3):
+            ck.save(ordinal, ordinal, self._payload(ordinal))
+            sizes.append(os.path.getsize(ck._manifest_path()))
+        head = open(ck._manifest_path(), "rb").read()[: sizes[0]]
+        ck.save(1, 1, self._payload(9))  # a re-save appends too
+        raw = open(ck._manifest_path(), "rb").read()
+        assert raw[: sizes[0]] == head and len(raw) > sizes[2]
+        assert json.loads(raw.splitlines()[0]) == {"version": 3}
 
     def test_resave_truncates_suffix(self, tmp_path):
         ck = RankCheckpoint(str(tmp_path), rank=0)
@@ -113,7 +166,7 @@ class TestRankCheckpoint:
         ck = RankCheckpoint(str(tmp_path), rank=0)
         for ordinal in range(3):
             ck.save(ordinal, ordinal, self._payload(ordinal))
-        target = os.path.join(ck.dir, "iter001.ckpt")
+        target = os.path.join(ck.dir, "iter001.seal")
         blob = bytearray(open(target, "rb").read())
         blob[len(blob) // 2] ^= 0xFF
         with open(target, "wb") as fh:
@@ -126,7 +179,7 @@ class TestRankCheckpoint:
     def test_missing_file(self, tmp_path):
         ck = RankCheckpoint(str(tmp_path), rank=0)
         ck.save(0, 0, self._payload(0))
-        os.unlink(os.path.join(ck.dir, "iter000.ckpt"))
+        os.unlink(os.path.join(ck.dir, "iter000.seal"))
         assert ck.last_complete() == -1
         with pytest.raises(CheckpointError, match="unreadable"):
             ck.load(0)
@@ -237,14 +290,35 @@ class TestRecoveryWithCheckpoint:
         ck = RankCheckpoint(str(tmp_path), rank=0)
         assert ck.last_complete() >= 0
 
+    def test_resume_restores_the_incremental_root(self, relation, tmp_path):
+        """With ``incremental_roots`` the next root derives from the saved
+        one, so the seal must carry it through the resume."""
+        args = (relation, CARDS, det_spec("thread"))
+        config = CubeConfig(incremental_roots=True)
+        base = build_data_cube(*args, config)
+        res = build_data_cube(
+            *args,
+            config,
+            faults=FaultPlan.parse("crash@r1s22"),
+            checkpoint_dir=str(tmp_path),
+            recovery=RecoveryPolicy(max_retries=2),
+        )
+        assert res.metrics.attempts == 2
+        assert RankCheckpoint(str(tmp_path), 0).load(0)[0]["root"] is not None
+        assert fingerprint(res) == fingerprint(base)
+
     def test_checkpoint_io_is_metered(self, relation, tmp_path):
         plain = build(relation, "thread")
         ckpt = build(relation, "thread", checkpoint_dir=str(tmp_path))
         assert fingerprint(ckpt) == fingerprint(plain)
-        # Writing checkpoints costs disk blocks and simulated time.
-        assert ckpt.metrics.disk_blocks > plain.metrics.disk_blocks
+        # The checkpoint seals the one write step 3 already charges, so
+        # it adds no disk blocks; what is left is the resume-point
+        # allreduce of the prologue.
+        assert ckpt.metrics.disk_blocks == plain.metrics.disk_blocks
         assert (
-            ckpt.metrics.simulated_seconds > plain.metrics.simulated_seconds
+            plain.metrics.simulated_seconds
+            <= ckpt.metrics.simulated_seconds
+            <= 1.02 * plain.metrics.simulated_seconds
         )
 
     def test_fresh_checkpointed_build_matches(self, relation, tmp_path):
@@ -253,6 +327,177 @@ class TestRecoveryWithCheckpoint:
         a = build(relation, "thread")
         b = build(relation, "thread", checkpoint_dir=str(tmp_path))
         assert fingerprint(a) == fingerprint(b)
+
+
+def _file_rows(root, rank):
+    """Rows physically in one rank's chain files: after the header every
+    row is an int64 key and a float64 measure, and nothing else is there."""
+    rank_dir = os.path.join(str(root), f"rank{rank:02d}")
+    rows = 0
+    for name in os.listdir(rank_dir):
+        if name.endswith(".seal"):
+            path = os.path.join(rank_dir, name)
+            with open(path, "rb") as fh:
+                head = int.from_bytes(fh.read(8), "little")
+            body = os.path.getsize(path) - (8 + head + -head % 8)
+            assert body % 16 == 0
+            rows += body // 16
+    return rows
+
+
+@pytest.fixture
+def charged(monkeypatch):
+    """Rows the model charges, keyed ``(rank, phase kind, "r"|"w")``.
+
+    Thread backend only: every rank is a thread, so the phase a charge
+    falls in is the one its thread set last."""
+    here = threading.local()
+    rows = Counter()
+    set_phase = Comm.set_phase
+
+    def tracking_set_phase(self, phase):
+        here.key = (self.rank, phase.split("[")[0])
+        return set_phase(self, phase)
+
+    def tracking(direction, original):
+        def charge(self, n, block_size):
+            key = getattr(here, "key", None)
+            if key is not None:
+                rows[key + (direction,)] += n
+            return original(self, n, block_size)
+
+        return charge
+
+    monkeypatch.setattr(Comm, "set_phase", tracking_set_phase)
+    monkeypatch.setattr(
+        DiskStats, "charge_read", tracking("r", DiskStats.charge_read)
+    )
+    monkeypatch.setattr(
+        DiskStats, "charge_write", tracking("w", DiskStats.charge_write)
+    )
+    return rows
+
+
+class TestWriteOnceAccounting:
+    """The model charges exactly the rows the chain physically holds."""
+
+    @pytest.mark.parametrize("incremental", [False, True])
+    def test_rows_charged_equal_rows_written(
+        self, relation, tmp_path, charged, incremental
+    ):
+        build_data_cube(
+            relation,
+            CARDS,
+            det_spec("thread"),
+            CubeConfig(incremental_roots=incremental),
+            checkpoint_dir=str(tmp_path),
+        )
+        for rank in range(2):
+            written = (
+                charged[rank, "merge", "w"] + charged[rank, "checkpoint", "w"]
+            )
+            assert written == _file_rows(tmp_path, rank) > 0
+            assert bool(charged[rank, "checkpoint", "w"]) == incremental
+
+    def test_rows_charged_equal_rows_resumed(
+        self, relation, tmp_path, charged
+    ):
+        first = build(relation, "thread", checkpoint_dir=str(tmp_path))
+        on_disk = [_file_rows(tmp_path, rank) for rank in range(2)]
+        charged.clear()
+        again = build(relation, "thread", checkpoint_dir=str(tmp_path))
+        assert fingerprint(again) == fingerprint(first)
+        for rank in range(2):
+            # The whole chain replays: read once, nothing rewritten.
+            assert charged[rank, "recovery", "r"] == on_disk[rank]
+            assert charged[rank, "recovery", "w"] == 0
+            assert charged[rank, "merge", "w"] == 0
+
+
+def _kill_while_sealing(marker, rank, ordinal, before_dying):
+    """A ``RankCheckpoint._append_manifest`` that, the first time ``rank``
+    seals ``ordinal``, runs ``before_dying`` in place of the append, notes
+    in ``marker`` where the chain then ends, and kills the rank.  The
+    marker is a file so that the once-flag survives forked ranks."""
+    append = RankCheckpoint._append_manifest
+
+    def patched(self, entry):
+        mine = (self.rank, entry["ordinal"]) == (rank, ordinal)
+        if not mine or os.path.exists(marker):
+            return append(self, entry)
+        before_dying(self, entry)
+        assert os.path.exists(os.path.join(self.dir, entry["file"]))
+        chain = RankCheckpoint(os.path.dirname(self.dir), rank)
+        with open(marker, "w") as fh:
+            fh.write(str(chain.last_complete()))
+        raise InjectedFault("killed while sealing", rank=rank)
+
+    return patched
+
+
+def _tear_line(ckpt, entry):
+    with open(ckpt._manifest_path(), "a", encoding="utf-8") as fh:
+        fh.write("\n" + json.dumps(entry)[:40])
+
+
+class TestSealCrashPoints:
+    """Kill a rank between the two durable steps of a seal: the data
+    file is in place, the manifest line naming it missing or torn."""
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize(
+        "before_dying",
+        [lambda ckpt, entry: None, _tear_line],
+        ids=["before-manifest-append", "torn-manifest-line"],
+    )
+    def test_resume_point_stays_behind(
+        self, relation, backend, before_dying, tmp_path, monkeypatch
+    ):
+        base = build(relation, backend)
+        marker = str(tmp_path / "fired")
+        monkeypatch.setattr(
+            RankCheckpoint,
+            "_append_manifest",
+            _kill_while_sealing(marker, 1, 1, before_dying),
+        )
+        res = build(
+            relation,
+            backend,
+            checkpoint_dir=str(tmp_path),
+            recovery=RecoveryPolicy(max_retries=2),
+        )
+        # Killed sealing ordinal 1, the chain still ended at ordinal 0.
+        assert open(marker).read() == "0"
+        assert res.metrics.attempts == 2
+        assert fingerprint(res) == fingerprint(base)
+        # The retry appended after the torn line and the chain healed.
+        assert RankCheckpoint(str(tmp_path), 1).last_complete() == len(CARDS) - 1
+
+
+class TestFailedAttemptIsReleased:
+    def test_retry_runs_without_the_failed_cluster(self, relation, monkeypatch):
+        from repro.core import cube as cube_mod
+
+        born, alive_at_retry = [], []
+
+        class SpyCluster(cube_mod.Cluster):
+            def run(self, *args, **kw):
+                gc.collect()
+                alive_at_retry.extend(ref() is not None for ref in born)
+                born.append(weakref.ref(self))
+                return super().run(*args, **kw)
+
+        monkeypatch.setattr(cube_mod, "Cluster", SpyCluster)
+        res = build(
+            relation,
+            "thread",
+            faults=FaultPlan.parse("crash@r1s6"),
+            recovery=RecoveryPolicy(max_retries=2),
+        )
+        assert res.metrics.attempts == 2
+        # The failed attempt's cluster (and with it every rank frame its
+        # traceback pinned) was collectable before the retry started.
+        assert alive_at_retry == [False]
 
 
 CHAOS_PLANS = {
