@@ -183,6 +183,10 @@ def run_hetero(n: int | None = None, p: int | None = None) -> dict:
         "python": platform.python_version(),
         "results": [row],
     }
+    # bench_fig11_balance.py read-modify-writes its section into this file.
+    previous = json.loads(JSON_PATH.read_text()) if JSON_PATH.exists() else {}
+    if "fig11_rank_spread" in previous:
+        report["fig11_rank_spread"] = previous["fig11_rank_spread"]
     JSON_PATH.write_text(json.dumps(report, indent=2) + "\n")
     print(f"wrote {JSON_PATH}")
     return report

@@ -46,7 +46,7 @@ from repro.mpi.engine import Cluster, ClusterResult
 from repro.mpi.errors import MPIError, RankHung, classify_failure
 from repro.mpi.speed import HeteroState, RankSpeedModel
 from repro.storage.external_sort import external_sort
-from repro.storage.scan import aggregate_sorted_keys
+from repro.storage.scan import aggregate_sorted_keys, merge_runs
 from repro.storage.table import Relation
 
 __all__ = ["CubeResult", "build_data_cube", "build_partial_cube", "split_even"]
@@ -450,14 +450,8 @@ def _merge_sorted_pieces(pieces: list[ViewData]) -> ViewData:
     the merge is a pure reorder — no aggregation — and is exact for every
     aggregate function.
     """
-    head = pieces[0]
-    live = [p for p in pieces if p.nrows]
-    if len(live) <= 1:
-        return live[0] if live else head
-    keys = np.concatenate([p.keys for p in live])
-    measure = np.concatenate([p.measure for p in live])
-    order = np.argsort(keys, kind="stable")
-    return ViewData(head.order, keys[order], measure[order])
+    keys, measure = merge_runs([(p.keys, p.measure) for p in pieces])
+    return ViewData(pieces[0].order, keys, measure)
 
 
 def _to_canonical_order(

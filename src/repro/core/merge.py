@@ -27,8 +27,9 @@ view spread evenly across ranks:
 
 * **Case 3 — non-prefix views, imbalanced.**  Routing by last-key
   boundaries would leave the distribution lopsided, so the view is
-  globally re-sorted with Adaptive-Sample-Sort (γ = 3%) and aggregated;
-  a boundary fix-up handles keys split by the sorter's global shift.
+  globally re-sorted with Adaptive-Sample-Sort (γ = 3%) and aggregated.
+  The pieces are key-sorted Pipesort output, so Procedure 2 runs from
+  step 2 (a sample-*merge*): no rank sorts anything in this phase.
 
 Batching: collectives are shared across all views of the partition — one
 boundary gather/scatter covers every case-1 view, one metadata allgather
@@ -44,7 +45,6 @@ broadcast.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
 
 import numpy as np
 
@@ -57,7 +57,7 @@ from repro.core.sampling import decimation_sample, estimate_range_count
 from repro.core.viewdata import ViewData
 from repro.core.views import View, is_prefix
 from repro.mpi.comm import Comm
-from repro.storage.scan import aggregate_sorted_keys, merge_sorted
+from repro.storage.scan import aggregate_sorted_keys, merge_runs
 
 __all__ = ["MergeReport", "merge_partitions"]
 
@@ -114,7 +114,8 @@ def merge_partitions(
         if not force_nonprefix
         and is_prefix(local_views[v].order, root_order)
     ]
-    nonprefix = [v for v in ordered if v not in set(prefix)]
+    prefix_set = set(prefix)
+    nonprefix = [v for v in ordered if v not in prefix_set]
 
     # ---- Case 1 batch ---------------------------------------------------
     fixed = _batch_boundary_merge(
@@ -195,11 +196,9 @@ def merge_partitions(
         # generic PSRS offset.  agg=...: collapse before the balance test,
         # so γ bounds the *stored* rows of each view and the positional
         # shift can never split a group (see sample_sort module docs).
-        # kernel="presorted": each item is a sorted view piece, so the
-        # local-sort step degenerates to one early-exit sortedness scan.
         outcomes = batched_sample_sort(
             comm, items, config.gamma_merge, pivot_offset=0,
-            agg=config.agg, kernel="presorted", speed=speed,
+            agg=config.agg, speed=speed,
         )
         for idx, outcome in zip(case3_idx, outcomes):
             view = nonprefix[idx]
@@ -376,23 +375,10 @@ def _batch_route(
     comm.disk.work.charge_scan(sum(rk.shape[0] for rk, _, _ in received))
     offsets = [np.concatenate(([0], np.cumsum(counts))) for _, _, counts in received]
     for item in range(n_items):
-        pieces = []
-        for j in range(p):
-            rkeys, rmeas, _ = received[j]
-            lo, hi = offsets[j][item], offsets[j][item + 1]
-            if hi > lo:
-                pieces.append((rkeys[lo:hi], rmeas[lo:hi]))
-        if pieces:
-            keys, measure = reduce(
-                lambda acc, piece: merge_sorted(
-                    acc[0], acc[1], piece[0], piece[1]
-                ),
-                pieces[1:],
-                pieces[0],
-            )
-            keys, measure = aggregate_sorted_keys(keys, measure, agg)
-        else:
-            keys = np.empty(0, dtype=np.int64)
-            measure = np.empty(0, dtype=np.float64)
+        pieces = [
+            (rk[off[item] : off[item + 1]], rm[off[item] : off[item + 1]])
+            for (rk, rm, _), off in zip(received, offsets)
+        ]
+        keys, measure = aggregate_sorted_keys(*merge_runs(pieces), agg)
         out.append(ViewData(datas[item].order, keys, measure))
     return out

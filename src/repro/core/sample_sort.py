@@ -23,7 +23,6 @@ as the paper's pipeline does.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
@@ -31,8 +30,8 @@ from repro.mpi.comm import Comm
 from repro.mpi.speed import HeteroState, RankSpeedModel
 from repro.storage.disk import LocalDisk
 from repro.storage.external_sort import external_sort
-from repro.storage.scan import aggregate_sorted_keys, merge_sorted
-from repro.storage.sortkernels import sort_pairs
+from repro.storage.scan import aggregate_sorted_keys, merge_runs
+from repro.storage.sortkernels import is_sorted_int64, sort_pairs
 
 __all__ = ["SortOutcome", "adaptive_sample_sort", "relative_imbalance"]
 
@@ -208,18 +207,8 @@ def adaptive_sample_sort(
     received = comm.alltoall(lanes)
 
     # Step 5: local p-way merge of the received sorted pieces.
-    pieces = [(rk, rm) for rk, rm in received if rk.shape[0]]
-    comm.disk.work.charge_scan(sum(rk.shape[0] for rk, _ in pieces))
-    if pieces:
-        keys, measure = reduce(
-            lambda acc, piece: merge_sorted(acc[0], acc[1], piece[0], piece[1]),
-            pieces[1:],
-            pieces[0],
-        )
-        keys = np.ascontiguousarray(keys)
-        measure = np.ascontiguousarray(measure)
-    else:
-        keys, measure = keys[:0], measure[:0]
+    comm.disk.work.charge_scan(sum(rk.shape[0] for rk, _ in received))
+    keys, measure = merge_runs(received)
 
     # Step 6: imbalance check (against uniform or speed-proportional
     # targets) and optional global shift.
@@ -239,12 +228,18 @@ def batched_sample_sort(
     gamma: float,
     pivot_offset: int | None = None,
     agg: str | None = None,
-    kernel: str | None = None,
     speed: RankSpeedModel | None = None,
 ) -> list[SortOutcome]:
-    """Adaptive-Sample-Sort of many independent arrays in one superstep set.
+    """Sample-merge of many independent key-sorted runs in one superstep set.
 
-    Runs Procedure 2 for every ``(keys, measure)`` item *simultaneously*:
+    Every ``(keys, measure)`` item must already be key-sorted on every
+    rank (the merge phase's case-3 pieces are Pipesort output), so
+    Procedure 2 starts at step 2: one early-exit scan per item verifies
+    the order — an unsorted item raises ``ValueError`` naming it — and the
+    p local pivots are read straight off the run.  Nothing is sorted or
+    copied and the clock is charged that scan, not a sort.
+
+    Steps 2-6 then run for every item *simultaneously*:
     each item keeps its own pivots, its own imbalance test and its own
     (optional) global shift, but all items share the same five collectives
     — one pivot gather, one pivot broadcast, one data h-relation, one size
@@ -260,10 +255,6 @@ def batched_sample_sort(
     Value-bucketing guarantees each key lives on one rank at that point,
     so the positional shift can never split a group.
 
-    ``kernel`` forces the local-sort kernel for every item — the merge's
-    case-3 caller passes ``"presorted"`` because its pieces are sorted
-    view slices, turning step 1 into a single early-exit scan per item.
-
     ``speed`` applies an already-published
     :class:`~repro.mpi.speed.RankSpeedModel` to every item's pivots and
     balance targets (no probing here: the batched call rides inside the
@@ -275,16 +266,20 @@ def batched_sample_sort(
         return []
     shares = None if speed is None else np.asarray(speed.shares)
 
-    # Step 1: local sorts + per-item local pivots.
+    # Step 1 is the caller's: verify each sorted run, read its pivots.
     sorted_items: list[tuple[np.ndarray, np.ndarray]] = []
     pivot_lists: list[np.ndarray] = []
-    for keys, measure in items:
+    for item, (keys, measure) in enumerate(items):
         keys = np.ascontiguousarray(keys, dtype=np.int64)
         measure = np.ascontiguousarray(measure, dtype=np.float64)
-        comm.disk.work.charge_sort(keys.shape[0])
-        keys, measure = sort_pairs(keys, measure, kernel)
-        sorted_items.append((keys, measure))
         n_local = keys.shape[0]
+        comm.disk.work.charge_scan(n_local)
+        if keys.shape != measure.shape or not is_sorted_int64(keys):
+            raise ValueError(
+                f"batched_sample_sort: item {item} on rank {comm.rank} is "
+                "not a key-sorted run with a parallel measure array"
+            )
+        sorted_items.append((keys, measure))
         if n_local:
             idx = (np.arange(p, dtype=np.int64) * n_local) // p
             pivot_lists.append(keys[idx])
@@ -320,29 +315,12 @@ def batched_sample_sort(
     # Step 5: per-item local merge; one allgather of all sizes.
     merged: list[tuple[np.ndarray, np.ndarray]] = []
     for item in range(n_items):
-        pieces = [
-            received[j][item]
-            for j in range(p)
-            if received[j][item][0].shape[0]
-        ]
+        pieces = [received[j][item] for j in range(p)]
         comm.disk.work.charge_scan(sum(k.shape[0] for k, _ in pieces))
-        if pieces:
-            keys, measure = reduce(
-                lambda acc, piece: merge_sorted(
-                    acc[0], acc[1], piece[0], piece[1]
-                ),
-                pieces[1:],
-                pieces[0],
-            )
-            keys = np.ascontiguousarray(keys)
-            measure = np.ascontiguousarray(measure)
-            if agg is not None:
-                keys, measure = aggregate_sorted_keys(keys, measure, agg)
-            merged.append((keys, measure))
-        else:
-            merged.append(
-                (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64))
-            )
+        keys, measure = merge_runs(pieces)
+        if agg is not None:
+            keys, measure = aggregate_sorted_keys(keys, measure, agg)
+        merged.append((keys, measure))
     my_sizes = np.array([k.shape[0] for k, _ in merged], dtype=np.int64)
     all_sizes = np.vstack(comm.allgather(my_sizes))  # (p, n_items)
 
@@ -360,7 +338,6 @@ def batched_sample_sort(
         for item in range(n_items)
     ]
     need_shift = [item for item in range(n_items) if imbalances[item] > gamma]
-    outcomes: list[SortOutcome | None] = [None] * n_items
     if need_shift:
         shift_lanes: list[list[tuple[np.ndarray, np.ndarray]]] = [
             [] for _ in range(p)
@@ -394,12 +371,11 @@ def batched_sample_sort(
                 [shifted_in[j][slot][1] for j in range(p)]
             )
             merged[item] = (keys, measure)
-    for item in range(n_items):
-        keys, measure = merged[item]
-        outcomes[item] = SortOutcome(
-            keys, measure, imbalances[item], item in set(need_shift)
-        )
-    return outcomes  # type: ignore[return-value]
+    shifted = set(need_shift)
+    return [
+        SortOutcome(keys, measure, imbalances[item], item in shifted)
+        for item, (keys, measure) in enumerate(merged)
+    ]
 
 
 def _global_shift(

@@ -16,6 +16,7 @@ benchmark harness can opt into real files.
 from __future__ import annotations
 
 import io
+import math
 import os
 import threading
 from dataclasses import dataclass, field
@@ -59,8 +60,6 @@ class WorkMeter:
         """Account for a comparison sort of ``rows`` rows."""
         if rows <= 0:
             return
-        import math
-
         levels = max(1.0, math.log2(rows))
         self.seconds += self.sort_sec_per_row_level * rows * levels
         self.rows_sorted += rows

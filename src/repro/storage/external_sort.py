@@ -14,7 +14,7 @@ Structure
   ``ceil(log_k(#runs))``, exactly the textbook envelope.
 
 Runs are merged with the vectorised ``searchsorted`` interleave
-(:func:`repro.storage.scan.merge_sorted`) rather than a per-row heap; on a
+(:func:`repro.storage.scan.merge_runs`) rather than a per-row heap; on a
 real machine the merge would stream block-by-block, and the disk accounting
 here charges precisely that traffic (one read per run row, one write per
 output row, in units of ``B``), while the in-memory compute stays NumPy-fast.
@@ -22,12 +22,10 @@ output row, in units of ``B``), while the in-memory compute stays NumPy-fast.
 
 from __future__ import annotations
 
-from functools import reduce
-
 import numpy as np
 
 from repro.storage.disk import LocalDisk
-from repro.storage.scan import merge_sorted
+from repro.storage.scan import merge_runs
 from repro.storage.sortkernels import sort_pairs
 from repro.storage.table import Relation
 
@@ -146,12 +144,8 @@ def external_sort(
                 merged_k, merged_v = streaming_merge(disk, group, group_rows)
             else:
                 loaded = [disk.load(tok) for tok in group]
-                merged_k, merged_v = reduce(
-                    lambda acc, run: merge_sorted(
-                        acc[0], acc[1], run.dims[:, 0], run.measure
-                    ),
-                    loaded[1:],
-                    (loaded[0].dims[:, 0], loaded[0].measure),
+                merged_k, merged_v = merge_runs(
+                    [(run.dims[:, 0], run.measure) for run in loaded]
                 )
             for tok in group:
                 disk.delete(tok)

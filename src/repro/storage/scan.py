@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["aggregate_sorted_keys", "collapse_adjacent", "merge_sorted"]
+__all__ = [
+    "aggregate_sorted_keys", "collapse_adjacent", "merge_runs", "merge_sorted",
+]
 
 _REDUCERS = {
     "sum": np.add,
@@ -97,3 +99,25 @@ def merge_sorted(
     out_vals[pos_a] = vals_a
     out_vals[pos_b] = vals_b
     return out_keys, out_vals
+
+
+def merge_runs(
+    pieces: list[tuple[np.ndarray, np.ndarray]],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Stable k-way merge of key-sorted ``(keys, values)`` runs.
+
+    Equal keys keep the earlier run's rows first.  Adjacent runs are
+    merged pairwise with :func:`merge_sorted` in a balanced tree, so every
+    row is moved ``ceil(log2 k)`` times rather than up to ``k - 1`` times
+    by a left fold.  No runs (or only empty ones) give empty int64/float64
+    arrays; a single run is returned as is.
+    """
+    runs = [piece for piece in pieces if len(piece[0])]
+    if not runs:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
+    while len(runs) > 1:
+        runs = [
+            merge_sorted(*runs[i], *runs[i + 1]) if i + 1 < len(runs) else runs[i]
+            for i in range(0, len(runs), 2)
+        ]
+    return runs[0]

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro.baselines.reference import reference_cube
 from repro.config import CubeConfig, MachineSpec
+from repro.core.audit import audit_cube
 from repro.core.cube import build_data_cube, build_partial_cube, split_even
 from repro.core.views import all_views
 from repro.storage.table import Relation
@@ -135,13 +136,18 @@ class TestFullCube:
         for view, w in want.items():
             assert cube.view_relation(view).same_content(w)
 
-    def test_skewed_data(self):
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    @pytest.mark.parametrize("p", [2, 4])
+    def test_skewed_data(self, p, backend):
         cards = (16, 8, 4)
         rel = make_relation(3000, cards, seed=3, alphas=(3.0, 1.0, 0.0))
-        cube = build_data_cube(rel, cards, MachineSpec(p=4))
+        cube = build_data_cube(rel, cards, MachineSpec(p=p, backend=backend))
+        # skew must drive at least one view through the case-3 sample-merge
+        assert sum(r.count("case3") for r in cube.merge_reports) >= 1
         want = reference_cube(rel, cards)
         for view, w in want.items():
             assert cube.view_relation(view).same_content(w), view
+        assert audit_cube(cube, relation=rel).ok
 
     def test_gamma_affects_merge_cases(self, dataset):
         tight = build_data_cube(

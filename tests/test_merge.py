@@ -214,6 +214,69 @@ class TestMergePartitions:
         assert merged0[(1,)].nrows == 0
         assert len(report.cases) == 2
 
+    def test_merge_phase_sorts_nothing(self, monkeypatch):
+        """One call through all three cases: no rank is charged a sort,
+        and the case-3 path is charged one scan of the rows it verifies
+        plus one of the rows it receives."""
+        import repro.core.merge as merge_mod
+
+        real = merge_mod.batched_sample_sort
+        case3_scans = {}
+
+        def metered(comm, items, *args, **kwargs):
+            work = comm.disk.work
+            before = work.rows_scanned
+            outcomes = real(comm, items, *args, **kwargs)
+            # keys are distinct across ranks and nothing shifts, so the
+            # rows a rank ends up with are the rows it received
+            assert not any(o.shifted for o in outcomes)
+            case3_scans[comm.rank] = (
+                work.rows_scanned - before,
+                sum(k.shape[0] for k, _ in items),
+                sum(o.keys.shape[0] for o in outcomes),
+            )
+            return outcomes
+
+        monkeypatch.setattr(merge_mod, "batched_sample_sort", metered)
+        ones = [1.0] * 101
+        pieces = [
+            [  # (0,): prefix; (1,): mild overlap; (2,): huge last keys
+                ([1, 5], [1.0, 2.0]),
+                (list(range(0, 50)), [1.0] * 50),
+                (list(range(0, 100)) + [10**6], ones),
+            ],
+            [
+                ([5, 9], [3.0, 4.0]),
+                (list(range(45, 95)), [1.0] * 50),
+                (list(range(100, 200)) + [10**6 + 1], ones),
+            ],
+        ]
+        orders = [(0,), (1,), (2,)]
+
+        def prog(comm):
+            local = {
+                order: ViewData(order, *map(np.asarray, piece))
+                for order, piece in zip(orders, pieces[comm.rank])
+            }
+            before = comm.disk.work.rows_sorted
+            _, report = merge_partitions(
+                comm, local, ScheduleTree((0, 1, 2), (0, 1, 2)),
+                CubeConfig(gamma_merge=0.3), 1 << 16,
+            )
+            return report, comm.disk.work.rows_sorted - before
+
+        res = run_spmd(prog, MachineSpec(p=2))
+        for report, rows_sorted in res.rank_results:
+            assert report.cases == {
+                (0,): "case1", (1,): "case2", (2,): "case3"
+            }
+            assert rows_sorted == 0
+        assert sorted(case3_scans) == [0, 1]
+        for scanned, verified, received in case3_scans.values():
+            assert verified == 101
+            assert scanned == verified + received
+        assert sum(r for _, _, r in case3_scans.values()) == 202
+
     def test_report_counts(self):
         report = MergeReport(cases={(0,): "case1", (1,): "case3"})
         assert report.count("case1") == 1

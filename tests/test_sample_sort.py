@@ -173,10 +173,13 @@ class TestAdaptiveSampleSort:
 
 
 class TestBatchedSampleSort:
+    """The batched call takes key-sorted runs (round-robin slices of a
+    sorted array are sorted), and matches the sorting single call."""
+
     def test_matches_individual_sorts(self):
         rng = np.random.default_rng(3)
         arrays = [
-            rng.integers(0, 10**5, n).astype(np.int64)
+            np.sort(rng.integers(0, 10**5, n).astype(np.int64))
             for n in (500, 1200, 3, 0, 77)
         ]
 
@@ -208,7 +211,7 @@ class TestBatchedSampleSort:
         def prog(comm, n_items):
             rng = np.random.default_rng(comm.rank)
             items = [
-                (rng.integers(0, 100, 50).astype(np.int64), np.ones(50))
+                (np.sort(rng.integers(0, 100, 50)).astype(np.int64), np.ones(50))
                 for _ in range(n_items)
             ]
             batched_sample_sort(comm, items, 0.03)
@@ -232,3 +235,26 @@ class TestBatchedSampleSort:
         assert relative_imbalance(sizes0) <= 0.03
         assert res.rank_results[0][0].shifted
         assert not res.rank_results[0][1].shifted
+
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_unsorted_item_raises_naming_item_and_rank(self, backend):
+        """Item 1 is unsorted on rank 1 only: that rank raises, nobody
+        gets a silently sorted result.  Under the process backend the
+        items are read-only zero-copy views of the sender's shm segment."""
+        good = np.arange(64, dtype=np.int64)
+        bad = good[::-1].copy()
+
+        def prog(comm):
+            mine = [good, bad if comm.rank == 1 else good]
+            # One h-relation so every rank's inputs arrive through the
+            # transport: each rank keeps the lane it sent to itself.
+            items = [
+                (keys, keys.astype(float))
+                for keys in comm.alltoall([mine] * comm.size)[comm.rank]
+            ]
+            if backend == "process":
+                assert not items[1][0].flags.writeable
+            return batched_sample_sort(comm, items, 0.03, pivot_offset=0)
+
+        with pytest.raises(ValueError, match=r"item 1 on rank 1 .*key-sorted"):
+            run_spmd(prog, MachineSpec(p=2, backend=backend))

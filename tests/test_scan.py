@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.storage.scan import aggregate_sorted_keys, merge_sorted
+from repro.storage.scan import aggregate_sorted_keys, merge_runs, merge_sorted
 
 
 class TestAggregateSortedKeys:
@@ -112,3 +112,34 @@ class TestMergeSorted:
                 np.concatenate([va, vb]).tolist())
         )
         assert got == want
+
+
+class TestMergeRuns:
+    @given(
+        st.lists(
+            st.lists(st.integers(-8, 8), max_size=12), max_size=17
+        )
+    )
+    def test_equals_stable_sort_of_concatenation(self, runs):
+        """Any number of runs (none, one, empty ones, equal keys across
+        runs): values tag their source position, so equality with the
+        stable sort of the concatenation proves ties keep the earlier
+        run first."""
+        keys = [np.sort(np.array(r, dtype=np.int64)) for r in runs]
+        vals = [
+            np.arange(len(k), dtype=np.float64) + 100.0 * i
+            for i, k in enumerate(keys)
+        ]
+        k, v = merge_runs(list(zip(keys, vals)))
+        assert k.dtype == np.int64 and v.dtype == np.float64
+        all_k = np.concatenate(keys) if keys else np.empty(0, np.int64)
+        all_v = np.concatenate(vals) if vals else np.empty(0)
+        order = np.argsort(all_k, kind="stable")
+        assert np.array_equal(k, all_k[order])
+        assert np.array_equal(v, all_v[order])
+
+    def test_single_run_is_returned_uncopied(self):
+        keys, vals = np.array([1, 2], dtype=np.int64), np.array([1.0, 2.0])
+        empty = (keys[:0], vals[:0])
+        k, v = merge_runs([empty, (keys, vals), empty])
+        assert k is keys and v is vals
