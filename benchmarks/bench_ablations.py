@@ -26,6 +26,15 @@ def test_ablation_merge_cases(benchmark, scale, results_dir):
     assert at("always re-sort (case 3)").comm_mb > at("adaptive (paper)").comm_mb
     # Never re-sorting is the comm floor.
     assert at("never re-sort (case 2)").comm_mb <= at("adaptive (paper)").comm_mb * 1.05
+    # Section 2.3's point: on uniform data at small p most non-prefix views
+    # are nearly in place, and re-sorting (so rewriting) all of them costs
+    # far more than splicing the overlaps.
+    for adaptive, resort in zip(
+        by_label["adaptive (paper)"].points,
+        by_label["always re-sort (case 3)"].points,
+    ):
+        if adaptive.x <= 4:
+            assert resort.seconds >= 1.2 * adaptive.seconds, adaptive.x
 
 
 def test_ablation_onedim(benchmark, scale, results_dir):

@@ -14,10 +14,13 @@ permanently mid-build and finishes the cube four ways:
 All runs use ``compute_scale=0.0`` so the simulated clock is
 deterministic.  The report asserts the degraded-mode contract — every
 degraded cube matches the clean row count, finishes at width ``p - 1``
-with rank 1 on the blacklist and a clean audit, and resuming beats
-restarting, row against row: the resumed final attempt (reshard +
-recomputed tail) undercuts the clean ``p - 1`` build a restart has to
-run, and checkpointing costs the lost attempt next to nothing.
+with rank 1 on the blacklist and a clean audit, a restart's final
+attempt costs exactly one clean ``p - 1`` build, and the resumed final
+attempt (reshard + recomputed tail) undercuts the clean checkpointed
+``p - 1`` build.  Whole runs are reported, not gated: a resume pays for a
+sealed second copy of every iteration (a plain build writes back only
+the rows its merges rewrote), so resume against restart is a break-even
+in ``p`` (``resume_over_restart`` per row), not an invariant.
 
 Writes ``BENCH_degraded.json`` at the repository root.  Runnable
 standalone (``python benchmarks/bench_degraded.py``) or under pytest.
@@ -118,12 +121,18 @@ def run_degraded(n: int | None = None, processors=None) -> dict:
                 "degrade_resume",
             )
         }
+        row["resume_over_restart"] = round(
+            row["degrade_resume"]["simulated_seconds"]
+            / row["degrade_restart"]["simulated_seconds"],
+            4,
+        )
         results.append(row)
         print(
             f"  p={p}  clean {base:8.3f} s   "
             + "   ".join(
                 f"{k} x{v:.3f}" for k, v in row["overhead"].items()
             )
+            + f"   resume/restart x{row['resume_over_restart']:.3f}"
         )
     report = {
         "bench": "degraded",
@@ -175,8 +184,8 @@ def check_report(report: dict) -> None:
             f"{row['clean_p_minus_1']['simulated_seconds']}"
         )
         # The headline: resharding the dead rank's checkpoints and
-        # continuing beats rebuilding at p-1 — the resumed attempt takes
-        # over saved iterations instead of re-running their collectives.
+        # continuing beats a checkpointed rebuild at p-1 — the resumed
+        # attempt takes over saved iterations instead of re-running them.
         resume_final = (
             row["degrade_resume"]["simulated_seconds"]
             - row["degrade_resume"]["recovered_seconds"]
@@ -185,15 +194,6 @@ def check_report(report: dict) -> None:
             resume_final
             < row["clean_p_minus_1_ckpt"]["simulated_seconds"]
         ), f"p={row['p']}: resumed attempt did not skip any work"
-        assert (
-            row["degrade_resume"]["simulated_seconds"]
-            < row["degrade_restart"]["simulated_seconds"]
-        ), (
-            f"p={row['p']}: degraded resume "
-            f"{row['degrade_resume']['simulated_seconds']:.3f} s did not "
-            f"beat degraded restart "
-            f"{row['degrade_restart']['simulated_seconds']:.3f} s"
-        )
 
 
 def test_degraded_overhead():

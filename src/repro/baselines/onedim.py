@@ -83,6 +83,7 @@ def _onedim_program(
     comm.disk.work.charge_scan(keys.shape[0])
     keys, measure = aggregate_sorted_keys(keys, measure, agg)
     root_data = ViewData(root, keys, measure)
+    comm.disk.charge_store(root_data.nrows)  # Pipesort writes only children
     views = all_views(d)
     estimates = estimate_view_sizes(
         codec.unpack(keys), cards, views, method=estimate_method
@@ -121,7 +122,7 @@ def _onedim_program(
                 # the positional global shift can split a key across ranks
                 result = _merge_prefix_view(comm, result, agg)
             merged[view] = result
-        comm.disk.charge_store(merged[view].nrows)
+            comm.disk.charge_store(result.nrows)  # the global sort rewrote it
     return merged
 
 

@@ -51,6 +51,8 @@ def _seq_program(
     comm.disk.work.charge_scan(keys.shape[0])
     keys, measure = aggregate_sorted_keys(keys, measure, config.agg)
     root_data = ViewData(root, keys, measure)
+    if selected is None or root in selected:  # as build_data_cube's step 3
+        comm.disk.charge_store(root_data.nrows)  # Pipesort writes only children
 
     comm.set_phase("seq-schedule")
     views = all_views(d)
@@ -75,8 +77,6 @@ def _seq_program(
     )
     if selected is not None:
         out = {v: data for v, data in out.items() if v in set(selected)}
-    for data in out.values():
-        comm.disk.charge_store(data.nrows)
     return out, [], [tree]
 
 

@@ -302,7 +302,11 @@ def _rank_program(
             speed=None if hetero is None else hetero.model,
         )
         for v, data in merged.items():
-            comm.disk.charge_store(data.nrows)  # final materialisation
+            # Write back what the merge rewrote.  Two pieces are written
+            # whole: the root (Pipesort writes only the children it makes)
+            # and, sealed in a checkpoint, a self-contained copy of any.
+            whole = v == root or ckpt is not None
+            comm.disk.charge_store(data.nrows if whole else report.rewritten[v])
             out_views[v] = data
         reports.append(report)
         trees.append(tree)

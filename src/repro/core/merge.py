@@ -22,8 +22,8 @@ view spread evenly across ranks:
   rank slices in ascending key order.  Expected post-routing sizes are
   estimated from the 100·p decimation samples (Section 2.4) — only the
   estimated *counts* travel, never the samples; if the relative imbalance
-  is within γ, one h-relation routes the overlap and each rank merges
-  locally.
+  is within γ, one h-relation routes the overlap and each rank splices
+  what it receives into the tail zone of the slice it already owns.
 
 * **Case 3 — non-prefix views, imbalanced.**  Routing by last-key
   boundaries would leave the distribution lopsided, so the view is
@@ -57,7 +57,7 @@ from repro.core.sampling import decimation_sample, estimate_range_count
 from repro.core.viewdata import ViewData
 from repro.core.views import View, is_prefix
 from repro.mpi.comm import Comm
-from repro.storage.scan import aggregate_sorted_keys, merge_runs
+from repro.storage.scan import aggregate_sorted_keys, merge_runs, merge_sorted
 
 __all__ = ["MergeReport", "merge_partitions"]
 
@@ -70,6 +70,9 @@ class MergeReport:
     cases: dict[View, str] = field(default_factory=dict)
     #: view -> estimated post-overlap imbalance (non-prefix views only)
     imbalance: dict[View, float] = field(default_factory=dict)
+    #: view -> rows of *this rank's* piece the merge rewrote: the row that
+    #: absorbed a straddling group, the spliced zone, the whole piece.
+    rewritten: dict[View, int] = field(default_factory=dict)
 
     def count(self, case: str) -> int:
         return sum(1 for c in self.cases.values() if c == case)
@@ -121,9 +124,10 @@ def merge_partitions(
     fixed = _batch_boundary_merge(
         comm, [local_views[v] for v in prefix], config.agg
     )
-    for view, data in zip(prefix, fixed):
+    for view, (data, rows) in zip(prefix, fixed):
         merged[view] = data
         report.cases[view] = "case1"
+        report.rewritten[view] = rows
     if not nonprefix:
         return merged, report
 
@@ -182,8 +186,9 @@ def merge_partitions(
         [boundaries[:, i] for i in case2_idx],
         config.agg,
     )
-    for idx, data in zip(case2_idx, routed):
+    for idx, (data, rows) in zip(case2_idx, routed):
         merged[nonprefix[idx]] = data
+        report.rewritten[nonprefix[idx]] = rows
 
     # ---- Case 3 batch: one joint Adaptive-Sample-Sort --------------------
     if case3_idx:
@@ -205,6 +210,7 @@ def merge_partitions(
             merged[view] = ViewData(
                 local_views[view].order, outcome.keys, outcome.measure
             )
+            report.rewritten[view] = merged[view].nrows
     return merged, report
 
 
@@ -215,11 +221,13 @@ def merge_partitions(
 
 def _batch_boundary_merge(
     comm: Comm, datas: list[ViewData], agg: str
-) -> list[ViewData]:
+) -> list[tuple[ViewData, int]]:
     """Agglomerate boundary-straddling keys of globally sorted views.
 
     One gather + one scatter covers all ``datas``; P0 resolves the straddle
-    chains of every view independently.
+    chains of every view independently.  Returns each piece with the rows
+    it rewrote: 1 if its last row absorbed a straddling group (dropping a
+    first row or a whole piece moves a bound, not data).
     """
     if not datas:
         # Every rank must still participate in the two collectives only if
@@ -266,13 +274,13 @@ def _batch_boundary_merge(
                 measure[-1] = set_last
             if drop_first:
                 keys, measure = keys[1:], measure[1:]
-        out.append(ViewData(data.order, keys, measure))
+        out.append((ViewData(data.order, keys, measure), int(set_last is not None)))
     return out
 
 
 def _merge_prefix_view(comm: Comm, data: ViewData, agg: str) -> ViewData:
     """Single-view convenience wrapper over the batched boundary merge."""
-    return _batch_boundary_merge(comm, [data], agg)[0]
+    return _batch_boundary_merge(comm, [data], agg)[0][0]
 
 
 def _resolve_boundary_chains(
@@ -338,47 +346,54 @@ def _batch_route(
     datas: list[ViewData],
     boundaries: list[np.ndarray],
     agg: str,
-) -> list[ViewData]:
-    """Route every case-2 view to its owners in one h-relation.
+) -> list[tuple[ViewData, int]]:
+    """Splice every case-2 view into its owners' pieces in one h-relation.
 
     Each lane carries one concatenated key array, one concatenated measure
     array and the per-view row counts, so the payload stays a handful of
-    large buffers regardless of how many views are in flight.
+    large buffers regardless of how many views are in flight.  The slice a
+    rank owns itself never leaves home (the self lane is empty), and only
+    the zone at or after the smallest foreign key is merged and collapsed:
+    own rows first, then sources by rank.  A piece that receives nothing is
+    a slice of its input.  Returns each piece with the rows of that zone.
     """
     if not datas:
         return []
-    p = comm.size
-    n_items = len(datas)
-    # per destination rank: slices of every view
-    lane_keys: list[list[np.ndarray]] = [[] for _ in range(p)]
-    lane_meas: list[list[np.ndarray]] = [[] for _ in range(p)]
-    lane_counts = np.zeros((p, n_items), dtype=np.int64)
-    for item, (data, bounds_v) in enumerate(zip(datas, boundaries)):
-        cuts = np.searchsorted(data.keys, bounds_v, side="right")
-        bounds = np.concatenate(([0], cuts, [data.nrows]))
-        for k in range(p):
-            lane_keys[k].append(data.keys[bounds[k] : bounds[k + 1]])
-            lane_meas[k].append(data.measure[bounds[k] : bounds[k + 1]])
-            lane_counts[k, item] = bounds[k + 1] - bounds[k]
-    lanes = [
-        (
-            np.concatenate(lane_keys[k]) if lane_keys[k] else np.empty(0, np.int64),
-            np.concatenate(lane_meas[k]) if lane_meas[k] else np.empty(0, np.float64),
-            lane_counts[k],
-        )
-        for k in range(p)
+    cuts = [
+        np.concatenate(([0], np.searchsorted(d.keys, b, side="right"), [d.nrows]))
+        for d, b in zip(datas, boundaries)
     ]
-    received = comm.alltoall(lanes)
 
-    out = []
-    # reassemble: for each item, merge the p received slices
-    comm.disk.work.charge_scan(sum(rk.shape[0] for rk, _, _ in received))
-    offsets = [np.concatenate(([0], np.cumsum(counts))) for _, _, counts in received]
-    for item in range(n_items):
-        pieces = [
-            (rk[off[item] : off[item + 1]], rm[off[item] : off[item + 1]])
-            for (rk, rm, _), off in zip(received, offsets)
+    def owned_by(k: int) -> list[tuple[np.ndarray, np.ndarray]]:
+        return [
+            (d.keys[c[k] : c[k + 1]], d.measure[c[k] : c[k + 1]])
+            for d, c in zip(datas, cuts)
         ]
-        keys, measure = aggregate_sorted_keys(*merge_runs(pieces), agg)
-        out.append(ViewData(datas[item].order, keys, measure))
+
+    lanes: list = [None] * comm.size
+    for k in set(range(comm.size)) - {comm.rank}:
+        keys, meas = zip(*owned_by(k))
+        counts = np.array([len(x) for x in keys], dtype=np.int64)
+        lanes[k] = (np.concatenate(keys), np.concatenate(meas), counts)
+    foreign = []  # per source rank, in rank order: its rows of every view
+    for rk, rm, counts in filter(None, comm.alltoall(lanes)):
+        ends = np.cumsum(counts)[:-1]
+        foreign.append(list(zip(np.split(rk, ends), np.split(rm, ends))))
+
+    out, scanned = [], 0
+    for item, (keys, measure) in enumerate(owned_by(comm.rank)):
+        zone_keys, zone_meas = merge_runs([source[item] for source in foreign])
+        if zone_keys.shape[0]:  # the zone takes in own rows from `start` on
+            start = np.searchsorted(keys, zone_keys[0], side="left")
+            scanned += keys.shape[0] - start + zone_keys.shape[0]
+            zone_keys, zone_meas = aggregate_sorted_keys(
+                *merge_sorted(keys[start:], measure[start:], zone_keys, zone_meas),
+                agg,
+            )
+            keys = np.concatenate((keys[:start], zone_keys))
+            measure = np.concatenate((measure[:start], zone_meas))
+        out.append(
+            (ViewData(datas[item].order, keys, measure), zone_keys.shape[0])
+        )
+    comm.disk.work.charge_scan(scanned)
     return out

@@ -151,6 +151,11 @@ def adaptive_sample_sort(
     if keys.shape != measure.shape:
         raise ValueError("keys and measure must be parallel arrays")
     n_input = keys.shape[0]
+    if hetero is not None:
+        # Close the caller's open segment first: it still holds the tail
+        # of the previous iteration (its step-3 write), which is not
+        # proportional to the rows sorted here and would skew the probe.
+        comm.barrier()
     busy0 = comm.clock.rank_busy[comm.rank] if hetero is not None else 0.0
 
     # Step 1: local sort + p local pivots at ranks 0, n/p, ..., (p-1)n/p.

@@ -58,6 +58,7 @@ class WorkMeter:
 
     def charge_sort(self, rows: int) -> None:
         """Account for a comparison sort of ``rows`` rows."""
+        rows = int(rows)  # counters stay plain ints/floats whatever is passed
         if rows <= 0:
             return
         levels = max(1.0, math.log2(rows))
@@ -66,6 +67,7 @@ class WorkMeter:
 
     def charge_scan(self, rows: int) -> None:
         """Account for streaming work over ``rows`` rows."""
+        rows = int(rows)
         if rows <= 0:
             return
         self.seconds += self.scan_sec_per_row * rows
@@ -90,6 +92,7 @@ class DiskStats:
 
     def charge_read(self, rows: int, block_size: int) -> None:
         """Account for reading ``rows`` rows in blocks of ``block_size``."""
+        rows = int(rows)  # snapshot() goes into JSON manifests: no NumPy ints
         blocks = _blocks(rows, block_size)
         with self.lock:
             self.rows_read += rows
@@ -97,6 +100,7 @@ class DiskStats:
 
     def charge_write(self, rows: int, block_size: int) -> None:
         """Account for writing ``rows`` rows in blocks of ``block_size``."""
+        rows = int(rows)
         blocks = _blocks(rows, block_size)
         with self.lock:
             self.rows_written += rows

@@ -2,11 +2,17 @@
 
 from __future__ import annotations
 
+import threading
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
 from repro.config import MachineSpec
+from repro.core import cube as cube_mod
+from repro.mpi.comm import Comm
+from repro.storage.disk import DiskStats
 from repro.storage.table import Relation
 
 # The cube pipeline spawns threads; generous deadlines keep hypothesis
@@ -45,3 +51,56 @@ def make_relation(
     return generate_dataset(
         DatasetSpec(n=n, cardinalities=cards, alphas=alphas, seed=seed)
     )
+
+
+@pytest.fixture
+def charged(monkeypatch):
+    """Rows the model charges, keyed ``(rank, phase kind, "r"|"w")``.
+
+    Thread backend only: every rank is a thread, so the phase a charge
+    falls in is the one its thread set last."""
+    here = threading.local()
+    rows = Counter()
+    set_phase = Comm.set_phase
+
+    def tracking_set_phase(self, phase):
+        here.key = (self.rank, phase.split("[")[0])
+        return set_phase(self, phase)
+
+    def tracking(direction, original):
+        def charge(self, n, block_size):
+            key = getattr(here, "key", None)
+            if key is not None:
+                rows[key + (direction,)] += n
+            return original(self, n, block_size)
+
+        return charge
+
+    monkeypatch.setattr(Comm, "set_phase", tracking_set_phase)
+    monkeypatch.setattr(
+        DiskStats, "charge_read", tracking("r", DiskStats.charge_read)
+    )
+    monkeypatch.setattr(
+        DiskStats, "charge_write", tracking("w", DiskStats.charge_write)
+    )
+    return rows
+
+
+@pytest.fixture
+def merge_calls(monkeypatch):
+    """Every ``merge_partitions`` call ``build_data_cube`` makes, as
+    ``(rank, pieces in, pieces out, report, rows the call sorted)``."""
+    calls = []
+    real = cube_mod.merge_partitions
+
+    def spy(comm, local_views, *args, **kw):
+        sorted_before = comm.disk.work.rows_sorted
+        merged, report = real(comm, local_views, *args, **kw)
+        calls.append((
+            comm.rank, dict(local_views), merged, report,
+            comm.disk.work.rows_sorted - sorted_before,
+        ))
+        return merged, report
+
+    monkeypatch.setattr(cube_mod, "merge_partitions", spy)
+    return calls

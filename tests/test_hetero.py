@@ -262,9 +262,14 @@ class TestSlowMetering:
         )
 
     def test_slow_doubles_the_victims_busy_time(self, relation):
+        # Against the same rank of an unslowed run: ranks do unequal merge
+        # work (the last one never owns an overlap), so a peer is no
+        # yardstick for the victim.
+        base = build(relation, "thread").metrics.rank_busy_seconds
         cube = self._slow_run(relation, "thread")
         busy = cube.metrics.rank_busy_seconds
-        assert busy[0] / busy[1] == pytest.approx(2.0, rel=0.05)
+        assert busy[0] / base[0] == pytest.approx(2.0, rel=0.05)
+        assert busy[1:] == pytest.approx(base[1:])
         assert cube.metrics.audit["ok"]
 
     def test_slow_is_deterministic(self, relation):
@@ -391,6 +396,13 @@ class TestHeteroBuild:
         assert len(m["speeds"]) == 3
         assert np.mean(m["speeds"]) == pytest.approx(1.0)
         assert len(hetero.metrics.rank_busy_seconds) == 3
+
+    def test_homogeneous_ranks_measure_equal_shares(self, relation):
+        """The probe times the local sort alone: ranks of one speed get
+        one share, however unequal the merge work of the iteration before
+        (its step-3 write sits in the segment the probe must not see)."""
+        m = build(relation, "thread", p=4, hetero=True).metrics.speed_model
+        assert m["shares"] == pytest.approx([0.25] * 4, abs=1e-3)
 
     def test_uniform_build_publishes_no_model(self, relation):
         assert build(relation, "thread").metrics.speed_model is None

@@ -1,9 +1,12 @@
 """Tests for Procedure 3: Merge-Partitions (cases 1, 2 and 3)."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from repro.config import CubeConfig, MachineSpec
+from repro.core.cube import build_data_cube
 from repro.core.merge import (
     MergeReport,
     _resolve_boundary_chains,
@@ -12,6 +15,8 @@ from repro.core.merge import (
 from repro.core.pipesort import ScheduleTree
 from repro.core.viewdata import ViewData
 from repro.mpi.engine import run_spmd
+
+from .conftest import make_relation
 
 
 class TestBoundaryChains:
@@ -282,3 +287,80 @@ class TestMergePartitions:
         assert report.count("case1") == 1
         assert report.count("case2") == 0
         assert report.count("case3") == 1
+
+
+def rows_from_first_change(before: ViewData, after: ViewData) -> int:
+    """Rows of ``after`` from the first one that is not the matching row
+    of ``before``.  Rows of ``before`` below the first key of ``after``
+    were shipped to their owner or dropped as a duplicate: a moved bound,
+    not a rewritten row."""
+    if after.nrows == 0:
+        return 0
+    skip = np.searchsorted(before.keys, after.keys[0], side="left")
+    keys, measure = before.keys[skip:], before.measure[skip:]
+    n = min(keys.shape[0], after.nrows)
+    same = (keys[:n] == after.keys[:n]) & (measure[:n] == after.measure[:n])
+    return after.nrows - (n if same.all() else int(np.argmin(same)))
+
+
+class TestRewrittenRows:
+    """``MergeReport.rewritten`` is what the merge changed on this rank,
+    and the step-3 write is charged for exactly that."""
+
+    def test_untouched_case2_piece_is_a_slice_of_its_input(self):
+        # rank 1 ships keys 45..49 to their owner and receives nothing
+        pieces = [
+            (np.arange(0, 50), np.ones(50)),
+            (np.arange(45, 95), np.ones(50)),
+        ]
+
+        def prog(comm):
+            keys, vals = pieces[comm.rank]
+            data = ViewData((1,), keys, vals)
+            merged, report = merge_partitions(
+                comm, {(1,): data}, ScheduleTree((0, 1), (0, 1)),
+                CubeConfig(gamma_merge=0.3), 1 << 16,
+            )
+            out = merged[(1,)]
+            return (
+                report.cases[(1,)],
+                report.rewritten[(1,)],
+                out.keys.tolist(),
+                np.shares_memory(out.keys, data.keys)
+                and np.shares_memory(out.measure, data.measure),
+            )
+
+        res = run_spmd(prog, MachineSpec(p=2))
+        # rank 0 re-merges only the zone from the smallest foreign key on
+        assert res.rank_results[0] == ("case2", 5, list(range(50)), False)
+        assert res.rank_results[1] == ("case2", 0, list(range(50, 95)), True)
+
+    def test_step3_writes_what_each_case_rewrote(self, charged, merge_calls):
+        cards = (16, 12, 8, 6, 4)
+        build_data_cube(
+            make_relation(6000, cards, seed=1), cards, MachineSpec(p=3)
+        )
+        seen = Counter()
+        written = Counter()
+        for rank, before, after, report, rows_sorted in merge_calls:
+            assert rows_sorted == 0
+            root = max(after, key=len)
+            for view, out in after.items():
+                case = report.cases[view]
+                changed = (
+                    out.nrows
+                    if case == "case3"
+                    else rows_from_first_change(before[view], out)
+                )
+                assert report.rewritten[view] == changed, (rank, view, case)
+                seen[case] += changed > 0
+                # the root is written whole: Pipesort wrote only children
+                written[rank] += out.nrows if view == root else changed
+        # every case rewrote something somewhere, and far from everything
+        assert min(seen[c] for c in ("case1", "case2", "case3")) > 0
+        for rank in range(3):
+            assert charged[rank, "merge", "w"] == written[rank] > 0
+            assert written[rank] < sum(
+                out.nrows for r, _, after, _, _ in merge_calls if r == rank
+                for out in after.values()
+            )

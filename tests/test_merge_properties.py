@@ -8,7 +8,7 @@ checked against a brute-force combine.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.config import CubeConfig, MachineSpec
@@ -169,3 +169,77 @@ class TestMergeFuzz:
         total_val = sum(g.measure.sum() for g in got)
         assert total_rows == 1
         assert total_val == pytest.approx(float(p))
+
+
+@st.composite
+def unique_key_layouts(draw):
+    """p in {2, 3, 4} sorted key-unique pieces, any cross-rank layout:
+    empty ranks, one-row pieces, foreign rows below a whole own piece.
+    Sevenths make the order of every addition visible in the last bit."""
+    p = draw(st.integers(2, 4))
+    pieces = []
+    for _ in range(p):
+        keys = sorted(draw(st.sets(st.integers(0, 30), max_size=10)))
+        vals = [draw(st.integers(1, 99)) / 7.0 for _ in keys]
+        pieces.append((np.array(keys, dtype=np.int64),
+                       np.array(vals, dtype=np.float64)))
+    return pieces
+
+
+def ownership_oracle(pieces, agg):
+    """Case 2 by definition: every rank's rows in rank order, stably
+    sorted and collapsed, then cut by ``owner(K) = min{j : K <= B_j}`` with
+    ``B_j`` the running maximum of the last keys of ranks ``0..j`` and the
+    last rank unbounded."""
+    keys, vals = brute_force(pieces, agg)
+    last = [int(k[-1]) if k.size else -1 for k, _ in pieces]
+    bounds = np.maximum.accumulate(last)[:-1]
+    cuts = [0, *np.searchsorted(keys, bounds, side="right"), keys.size]
+    return [
+        (keys[lo:hi], vals[lo:hi]) for lo, hi in zip(cuts[:-1], cuts[1:])
+    ]
+
+
+class TestSpliceEqualsOracle:
+    @settings(max_examples=60)
+    @given(
+        unique_key_layouts(),
+        st.sampled_from(["sum", "min", "max"]),
+        st.booleans(),
+    )
+    @example(  # rank 1's key 5 sorts before the whole of its owner's piece
+        [(np.array([10, 50]), np.array([1 / 7, 2 / 7])),
+         (np.array([5, 60]), np.array([3 / 7, 4 / 7]))],
+        "sum", False,
+    )
+    @example(  # an empty owner, a one-row piece, a key held by every rank
+        [(np.array([], dtype=np.int64), np.array([])),
+         (np.array([4]), np.array([1 / 7])),
+         (np.array([4, 9]), np.array([2 / 7, 3 / 7])),
+         (np.array([2, 4]), np.array([4 / 7, 5 / 7]))],
+        "sum", True,
+    )
+    def test_case2_is_the_ownership_cut_bit_for_bit(
+        self, pieces, agg, force_nonprefix
+    ):
+        # The non-prefix machinery is reached either by a view order that
+        # is no prefix of the root order, or by force on one that is.
+        order = (0,) if force_nonprefix else (1,)
+
+        def prog(comm):
+            keys, vals = pieces[comm.rank]
+            merged, report = merge_partitions(
+                comm, {order: ViewData(order, keys, vals)},
+                ScheduleTree((0, 1), (0, 1)),
+                CubeConfig(agg=agg, merge_policy="never_resort"),
+                1 << 16, force_nonprefix=force_nonprefix,
+            )
+            return merged[order], report
+
+        res = run_spmd(prog, MachineSpec(p=len(pieces)))
+        want = ownership_oracle(pieces, agg)
+        for (got, report), (keys, vals) in zip(res.rank_results, want):
+            assert report.cases[order] == "case2"
+            assert got.keys.tobytes() == keys.tobytes()
+            assert got.measure.tobytes() == vals.tobytes()
+            assert 0 <= report.rewritten[order] <= got.nrows
