@@ -127,50 +127,3 @@ def test_molap_space_argument(benchmark, scale, results_dir):
         format_kv_block("ROLAP linear space vs dense MOLAP arrays", pairs),
     )
     assert molap_total > rolap_total  # the sparse regime of the paper
-
-
-def test_ablation_incremental_roots(benchmark, scale, results_dir):
-    """Extension beyond the paper: derive each Di-root from the previous
-    root instead of re-sorting the raw chunk (Procedure 1 step 1a).  On
-    reducing (skewed) data the roots shrink, so the partition phase gets
-    cheaper; results are bit-identical."""
-    from repro.bench.harness import dataset_for
-    from repro.bench.reporting import format_kv_block
-    from repro.config import CubeConfig, MachineSpec
-    from repro.core.cube import build_data_cube
-    from repro.data.generator import paper_preset
-
-    def run():
-        spec_data = paper_preset(scale.n_base, alpha=1.0, seed=2)
-        data = dataset_for(spec_data)
-        p = max(scale.processors)
-        machine = MachineSpec(p=p)
-        base = build_data_cube(data, spec_data.cardinalities, machine)
-        inc = build_data_cube(
-            data, spec_data.cardinalities, machine,
-            CubeConfig(incremental_roots=True),
-        )
-        assert inc.metrics.output_rows == base.metrics.output_rows
-        return base.metrics, inc.metrics, p
-
-    base, inc, p = benchmark.pedantic(run, rounds=1, iterations=1)
-
-    def partition_secs(metrics):
-        return sum(
-            v for k, v in metrics.phase_seconds.items()
-            if "partition-sort" in k
-        )
-
-    pairs = [
-        (f"partition phase p={p}, from raw (paper)",
-         f"{partition_secs(base):.2f} s"),
-        (f"partition phase p={p}, incremental roots",
-         f"{partition_secs(inc):.2f} s"),
-        ("total, from raw", f"{base.simulated_seconds:.2f} s"),
-        ("total, incremental", f"{inc.simulated_seconds:.2f} s"),
-    ]
-    record(
-        results_dir, "incremental_roots",
-        format_kv_block("Ablation: incremental Di-roots", pairs),
-    )
-    assert partition_secs(inc) <= partition_secs(base) * 1.05

@@ -108,7 +108,7 @@ def _one(
         data,
         cards,
         machine,
-        CubeConfig(hetero=hetero, incremental_roots=True),
+        CubeConfig(hetero=hetero),
         faults=FaultPlan.parse(faults) if faults else None,
         checkpoint_dir=ckpt,
         recovery=recovery,
@@ -218,6 +218,12 @@ def check_report(report: dict) -> None:
         assert row["clean_overhead"] <= OVERHEAD_GATE, (
             f"hetero overhead on a homogeneous cluster is "
             f"x{row['clean_overhead']}, gate is x{OVERHEAD_GATE}"
+        )
+        # Equal ranks measure equal: the probe's work/busy sample does not
+        # depend on how many rows a rank's root piece happens to hold.
+        shares = row["hetero_clean"]["speed_model"]["shares"]
+        assert max(abs(s - 1.0 / row["p"]) for s in shares) <= 1e-4, (
+            f"homogeneous cluster measured unequal shares {shares}"
         )
         # The hetero build actually measured the skew: the slow rank's
         # modelled speed must sit below every healthy rank's.

@@ -15,10 +15,14 @@ count, recovery always costs simulated time, a from-scratch retry costs
 exactly one fault-free build, a fault-free checkpointed build writes at
 most one extra copy of the cube (each seal is a self-contained copy of
 its views, where a plain build writes back only the rows its merges
-rewrote; the premium is reported, not gated), a resumed crash beats a
-restarted one, and a checkpointed retry costs *less* than a full
-checkpointed build (it skips the iterations the checkpoint already
-holds).
+rewrote; the premium is reported, not gated), a checkpointed retry costs
+*less* than a full checkpointed build (it skips the iterations the
+checkpoint already holds), and resuming never loses more against
+restarting than the seals of a whole build cost.  Whether the resume
+*wins* is reported per p (``resume_over_restart``), not gated: with the
+crash a third of the way in and derived ``Di``-roots making the redone
+iterations cheap, a restart redoes less than the full-copy seals of the
+whole build cost at small p.
 
 Writes ``BENCH_recovery.json`` at the repository root.  Runnable
 standalone (``python benchmarks/bench_recovery.py``) or under pytest.
@@ -104,12 +108,18 @@ def run_recovery(n: int | None = None, processors=None) -> dict:
             variant: round(row[variant]["simulated_seconds"] / base, 4)
             for variant in ("checkpointed", "crash_restart", "crash_resume")
         }
+        row["resume_over_restart"] = round(
+            row["crash_resume"]["simulated_seconds"]
+            / row["crash_restart"]["simulated_seconds"],
+            4,
+        )
         results.append(row)
         print(
             f"  p={p}  fault-free {base:8.3f} s   "
             + "   ".join(
                 f"{k} x{v:.3f}" for k, v in row["overhead"].items()
             )
+            + f"   resume/restart {row['resume_over_restart']:.3f}"
         )
     report = {
         "bench": "recovery",
@@ -141,10 +151,21 @@ def check_report(report: dict) -> None:
             f"p={row['p']}: checkpointing cost {extra} extra blocks, one "
             f"full write of the cube is {row['full_write_blocks']}"
         )
-        assert (
+        # Resuming may lose to restarting (the seals of the whole build
+        # against redoing a third of it), but never by more than those
+        # seals cost a fault-free build.
+        premium = (
+            row["checkpointed"]["simulated_seconds"]
+            - base["simulated_seconds"]
+        )
+        lost = (
             row["crash_resume"]["simulated_seconds"]
-            < row["crash_restart"]["simulated_seconds"]
-        ), f"p={row['p']}: resuming the crash did not beat restarting"
+            - row["crash_restart"]["simulated_seconds"]
+        )
+        assert lost <= premium, (
+            f"p={row['p']}: resuming lost {lost:.3f} s to restarting, the "
+            f"seals cost only {premium:.3f} s"
+        )
         # A recovered crash costs time, honestly accounted.
         for variant in ("crash_restart", "crash_resume"):
             assert row[variant]["attempts"] == 2

@@ -102,19 +102,22 @@ def _onedim_program(
             merged[view] = data  # D0 views are disjoint across ranks
         else:
             canon = data.view
+            vkeys, vmeasure = data.keys, data.measure
             if tuple(data.order) != canon:
-                # bring to a common order before the global sort
+                # bring to a common order before the global sort; only a
+                # re-packed piece is out of key order and pays a sort
                 view_codec = KeyCodec([cards[i] for i in data.order])
                 dims = view_codec.unpack(data.keys)
                 col_of = {dim: pos for pos, dim in enumerate(data.order)}
                 cols = [col_of[dim] for dim in canon]
                 canon_codec = KeyCodec([cards[i] for i in canon])
                 vkeys = canon_codec.pack(dims[:, cols]) if cols else data.keys * 0
-            else:
-                vkeys = data.keys
-            comm.disk.work.charge_scan(data.nrows)
+                comm.disk.work.charge_scan(data.nrows)
+                vkeys, vmeasure = external_sort(
+                    vkeys, vmeasure, comm.disk, memory_budget
+                )
             outcome = adaptive_sample_sort(
-                comm, vkeys, data.measure, config.gamma_merge
+                comm, vkeys, vmeasure, config.gamma_merge
             )
             mk, mm = aggregate_sorted_keys(outcome.keys, outcome.measure, agg)
             result = ViewData(canon, mk, mm)

@@ -227,19 +227,6 @@ class CubeConfig:
     #: routing regardless of imbalance) — the latter two exist for the
     #: ablation benchmarks.
     merge_policy: str = "adaptive"
-    #: Derive each Di-root from the (already aggregated, already locally
-    #: present) D(i-1)-root instead of re-sorting the raw chunk — an
-    #: optimisation beyond the paper (its Procedure 1 step 1a always
-    #: starts from the raw subset).  Aggregation is associative, so the
-    #: result is identical; the sort input shrinks from n/p raw rows to
-    #: the previous root's (smaller) row count.
-    incremental_roots: bool = False
-    #: Give Pipesort phase 1's ``sort_cost`` a shared-prefix discount so
-    #: the matcher prefers sort parents whose order shares a leading
-    #: prefix with the child — exactly the re-sorts the segmented kernel
-    #: accelerates.  On by default; disable for the paper-faithful cost
-    #: model (the paper's Pipesort has no such term).
-    sort_prefix_discount: bool = True
     #: Aggregate function applied to the measure column.
     agg: str = "sum"
     #: Heterogeneity-aware partitioning: meter per-rank throughput during

@@ -13,15 +13,15 @@ Layout (one sub-directory per rank, mirroring the shared-nothing model —
 a rank checkpoints to *its own* local disk)::
 
     <checkpoint_dir>/rank03/
-        manifest.json   {"version": 3}, then one appended JSON line per
+        manifest.json   {"version": 4}, then one appended JSON line per
                         save: {ordinal, dim, file, crc, rows, meters}
         iter000.seal    u64 header length | pickled header (piece orders
-        ...             and row counts, root index, rank 0's merge report
-                        and schedule tree) | pad to 8 | every piece's
+        ...             and row counts, rank 0's merge report and
+                        schedule tree) | pad to 8 | every piece's
                         int64 keys | every piece's float64 measures
 
-The pieces are the iteration's merged views plus, when the build derives
-roots incrementally, the ``Di``-root the next iteration starts from.
+The pieces are the iteration's merged views and nothing else: the next
+iteration derives its ``Di``-root from the merged root view among them.
 Arrays stream to the file as they are under an incremental CRC-32; the
 file is fsynced and renamed into place *before* the manifest line naming
 it is appended, so the manifest never runs ahead of durable data.  The
@@ -61,7 +61,7 @@ from repro.mpi.errors import CheckpointError
 __all__ = ["RankCheckpoint", "ReshardPlan", "share_bounds"]
 
 _MANIFEST = "manifest.json"
-_VERSION = 3
+_VERSION = 4  # 3 could carry a Di-root copy as one more piece
 
 
 class RankCheckpoint:
@@ -143,11 +143,9 @@ class RankCheckpoint:
         Re-saving an ordinal (a recovery attempt redoing the iteration it
         crashed in) supersedes the entry and everything after it.
         """
-        root = payload.get("root")
-        pieces = [*payload["views"].values(), *([] if root is None else [root])]
-        meta = {k: payload.get(k) for k in ("root_i", "report", "tree")}
+        pieces = list(payload["views"].values())
+        meta = {k: payload.get(k) for k in ("report", "tree")}
         meta["pieces"] = [(p.order, p.nrows) for p in pieces]
-        meta["has_root"] = root is not None
         head = pickle.dumps(meta, protocol=pickle.HIGHEST_PROTOCOL)
         fname = f"iter{ordinal:03d}.seal"
         tmp = os.path.join(self.dir, fname + ".tmp")
@@ -235,8 +233,7 @@ class RankCheckpoint:
             hi = lo + rows
             pieces.append(ViewData(order, keys[lo:hi], measure[lo:hi]))
             lo = hi
-        root = pieces.pop() if head.pop("has_root") else None
-        return {**head, "views": {p.view: p for p in pieces}, "root": root}
+        return {**head, "views": {p.view: p for p in pieces}}
 
 
 # ---------------------------------------------------------------------------

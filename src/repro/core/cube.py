@@ -3,9 +3,11 @@
 :func:`build_data_cube` runs the paper's three-phase algorithm over the
 simulated cluster, one ``Di``-partition at a time:
 
-1. **Data partitioning** — each rank aggregates its raw chunk to the local
-   ``Di``-root, all ranks globally sort the roots with Adaptive-Sample-Sort
-   (γ = 1%), then re-aggregate locally.
+1. **Data partitioning** — each rank sorts and aggregates its local piece
+   of the ``Di``-root (from its raw chunk in iteration 0, from its piece of
+   the previous partition's merged root view after that), all ranks
+   globally sort those runs with Adaptive-Sample-Sort (γ = 1%), then
+   re-aggregate locally.
 2. **Local partition computation** — rank 0 builds the partition's schedule
    tree from view-size estimates on *its* chunk and broadcasts it (the
    paper's winning *global schedule tree* strategy; pass
@@ -162,8 +164,7 @@ def _rank_program(
     reports: list[MergeReport] = []
     trees: list[ScheduleTree] = []
     selected_set = None if selected is None else set(selected)
-    prev_root: ViewData | None = None
-    prev_i: int | None = None
+    prev_root: View | None = None
 
     # Heterogeneity-aware partitioning: every iteration's sample sort
     # doubles as a throughput probe and refreshes the shared speed model;
@@ -216,44 +217,39 @@ def _rank_program(
             out_views.update(payload["views"])
             reports.append(payload["report"])
             trees.append(payload["tree"])
-            prev_root, prev_i = payload["root"], payload["root_i"]
+            prev_root = root
             continue
         root_order = tuple(range(i, d))
 
         # ---- Step 1: data partitioning -------------------------------
         comm.set_phase(f"partition-sort[{i}]")
-        if (
-            config.incremental_roots
-            and prev_root is not None
-            and prev_i is not None
-            and prev_i < i
-        ):
-            # Optimisation beyond the paper: this rank already holds a
-            # piece of the global D(prev_i)-root; dropping its leading
-            # dims and re-aggregating yields a valid local piece of the
-            # Di-root (aggregation is associative), from far fewer rows
-            # than the raw chunk.  remap() projects the packed keys in
-            # pure int64 arithmetic — no (n, d) code materialisation.
-            prev_codec = codec_for_order(prev_root.order, cards)
-            codec = codec_for_order(root_order, cards)
-            keys, _ = prev_codec.remap(
-                prev_root.keys, prev_root.order, root_order
-            )
-            comm.disk.charge_scan(prev_root.nrows)
-            comm.disk.work.charge_scan(prev_root.nrows)
-            keys, measure = external_sort(
-                keys, prev_root.measure, comm.disk, memory_budget,
-                key_bound=codec.capacity,
-            )
+        # Step 1a starts from the previous partition's merged root view
+        # (a deviation from the paper, whose step 1a always re-reads the
+        # raw subset): this rank's piece of it, leading dims dropped and
+        # re-aggregated, is a valid local piece of the Di-root because
+        # aggregation is associative, and it is far fewer rows.  out_views
+        # holds exactly the selected views of the iterations done, whether
+        # computed or replayed from their seals, so the source depends on
+        # the inputs alone: iteration 0, and a partial cube that did not
+        # select that root, read the raw chunk on every attempt.
+        source = out_views.get(prev_root)
+        if hetero is not None:
+            hetero.open_probe(comm)  # times step 1a: read, sort, aggregate
+        codec = codec_for_order(root_order, cards)
+        if source is None:
+            keys, measure = codec.pack(raw.dims[:, i:d]), raw.measure
         else:
-            codec = codec_for_order(root_order, cards)
-            keys = codec.pack(raw.dims[:, i:d])
-            comm.disk.charge_scan(raw.nrows)  # read the raw chunk
-            comm.disk.work.charge_scan(raw.nrows)  # pack
-            keys, measure = external_sort(
-                keys, raw.measure, comm.disk, memory_budget,
-                key_bound=codec.capacity,
+            # remap() projects the packed keys in pure int64 arithmetic —
+            # no (n, d) code materialisation.
+            keys, _ = codec_for_order(source.order, cards).remap(
+                source.keys, source.order, root_order
             )
+            measure = source.measure
+        comm.disk.charge_scan(keys.shape[0])  # read the source rows
+        comm.disk.work.charge_scan(keys.shape[0])  # pack / project
+        keys, measure = external_sort(
+            keys, measure, comm.disk, memory_budget, key_bound=codec.capacity
+        )
         comm.disk.work.charge_scan(keys.shape[0])
         keys, measure = aggregate_sorted_keys(keys, measure, agg)  # 1a
         outcome = adaptive_sample_sort(  # 1b
@@ -264,7 +260,7 @@ def _rank_program(
             outcome.keys, outcome.measure, agg
         )
         root_data = ViewData(root_order, keys, measure)
-        prev_root, prev_i = root_data, i
+        prev_root = root
 
         # ---- Step 2: local Di-partition computation -------------------
         comm.set_phase(f"compute[{i}]")
@@ -314,28 +310,18 @@ def _rank_program(
         if ckpt is not None:
             # The Di iteration is a consistency point: partition sorted,
             # Ti pipes run, Procedure-3 merge done.  Sealing it performs
-            # the materialisation charged just above, so only the Di-root
-            # (kept for incremental_roots alone) is a further write.
+            # the materialisation charged just above.
             comm.set_phase(f"checkpoint[{i}]")
-            root = prev_root if config.incremental_roots else None
             ckpt.save(
                 ordinal,
                 i,
-                {
-                    "views": merged,
-                    "root": root,
-                    "root_i": prev_i,
-                    "report": report,
-                    "tree": tree,
-                },
+                {"views": merged, "report": report, "tree": tree},
                 meters={
                     "disk": comm.disk.stats.snapshot(),
                     "work_seconds": comm.disk.work.seconds,
                     "phase": f"checkpoint[{i}]",
                 },
             )
-            if root is not None:
-                comm.disk.charge_store(root.nrows)
 
     speed_dict = (
         hetero.model.to_dict()
@@ -400,7 +386,6 @@ def _reshard_iteration(
     comm.disk.work.charge_scan(rows)
     views = dict(payload["views"])
     extra: dict[View, list[ViewData]] = {}
-    root_extra: list[ViewData] = []
     for chain in dead_chains:
         dead_payload, dead_rows = chain.load(ordinal)
         comm.disk.charge_scan(dead_rows)
@@ -411,23 +396,13 @@ def _reshard_iteration(
             )
             if piece.nrows:
                 extra.setdefault(v, []).append(piece)
-        dead_root = dead_payload.get("root")
-        if dead_root is not None:
-            piece = _share_slice(
-                dead_root, comm.rank, plan.new_width, plan.weights
-            )
-            if piece.nrows:
-                root_extra.append(piece)
     merged = {
         v: _merge_sorted_pieces([data, *extra.get(v, [])])
         for v, data in views.items()
     }
-    root = payload.get("root")
-    if root is not None and root_extra:
-        root = _merge_sorted_pieces([root, *root_extra])
     entry = own_src.entry(ordinal)
     dim = int(entry.get("dim", 0)) if entry else 0
-    payload = {**payload, "views": merged, "root": root}
+    payload = {**payload, "views": merged}
     comm.disk.charge_store(
         ckpt.save(ordinal, dim, payload, meters={"phase": f"reshard[{dim}]"})
     )
@@ -519,10 +494,7 @@ def _build_tree(
                 root_data, root_order, cards, pviews, comm.size,
                 estimate_method,
             )
-            tree = build_schedule_tree(
-                pviews, root, estimates, root_order,
-                prefix_discount=config.sort_prefix_discount,
-            )
+            tree = build_schedule_tree(pviews, root, estimates, root_order)
         else:
             # Partial cube (Section 3): the scheduler of [4] produces
             # either a subtree of the full-cube Pipesort tree or a tree
@@ -539,8 +511,7 @@ def _build_tree(
                 wanted, root, estimates, root_order
             )
             full_tree = build_schedule_tree(
-                full_views, root, estimates, root_order,
-                prefix_discount=config.sort_prefix_discount,
+                full_views, root, estimates, root_order
             )
             pruned = prune_full_tree(full_tree, wanted)
             tree = min(

@@ -68,20 +68,10 @@ def scan_cost(parent_size: float) -> float:
     return max(parent_size, 1.0)
 
 
-def sort_cost(parent_size: float, prefix_segments: float | None = None) -> float:
-    """Cost of re-sorting ``parent`` to produce a child: ``s·(1+log2 s)``.
-
-    ``prefix_segments`` is the estimated number of equal-shared-prefix
-    segments when the child's target order shares a leading prefix with
-    the parent's order.  The parent is then already clustered into that
-    many independently sortable runs, so the comparison term drops from
-    ``log2 s`` to ``log2 (s/segments)`` — the discount the segmented
-    sort kernel realises at execution time.
-    """
+def sort_cost(parent_size: float) -> float:
+    """Cost of re-sorting ``parent`` to produce a child: ``s·(1+log2 s)``."""
     s = max(parent_size, 1.0)
-    if prefix_segments is None or prefix_segments <= 1.0:
-        return s * (1.0 + math.log2(max(s, 2.0)))
-    return s * (1.0 + math.log2(max(s / prefix_segments, 2.0)))
+    return s * (1.0 + math.log2(max(s, 2.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +274,6 @@ def build_schedule_tree(
     root: View,
     estimates: Mapping[View, float],
     root_order: tuple[int, ...] | None = None,
-    prefix_discount: bool = False,
 ) -> ScheduleTree:
     """Pipesort phase 1 over a *level-complete* view set.
 
@@ -301,12 +290,6 @@ def build_schedule_tree(
         Estimated row counts per view (drives edge costs only).
     root_order:
         The root's fixed sort order; defaults to its canonical order.
-    prefix_discount:
-        Discount sort edges whose child order shares a leading prefix
-        with the (predicted) parent order, steering the matcher toward
-        parents the segmented sort kernel can exploit.  Off by default —
-        the paper's cost model has no such term; cube builds switch it
-        on via ``CubeConfig.sort_prefix_discount``.
     """
     root = canonical_view(root)
     if root_order is None:
@@ -336,36 +319,10 @@ def build_schedule_tree(
                 f"level {k} views have no level-{k + 1} parents; "
                 "use repro.core.partial for gappy view sets"
             )
-        _match_level(
-            tree, children, parents, estimates, pinned, prefix_discount
-        )
+        _match_level(tree, children, parents, estimates, pinned)
 
     tree.assign_orders()
     return tree
-
-
-def _prefix_segments(
-    child: View,
-    parent: View,
-    pinned: dict[View, tuple[int, ...]],
-    estimates: Mapping[View, float],
-) -> float | None:
-    """Predicted equal-prefix segment count for sorting ``parent → child``.
-
-    The matcher runs before orders are assigned, so it predicts: the
-    parent keeps its pinned order (root chain) or its canonical order,
-    and a sort child is produced in its canonical order.  The number of
-    segments the segmented kernel would see is the row count of the view
-    over the shared leading dims — exactly what ``estimates`` holds.
-    """
-    parent_order = pinned.get(parent, parent)
-    k = 0
-    limit = min(len(child), len(parent_order))
-    while k < limit and child[k] == parent_order[k]:
-        k += 1
-    if k == 0:
-        return None
-    return estimates.get(child[:k])
 
 
 def _match_level(
@@ -374,7 +331,6 @@ def _match_level(
     parents: Sequence[View],
     estimates: Mapping[View, float],
     pinned: dict[View, tuple[int, ...]],
-    prefix_discount: bool = False,
 ) -> None:
     """Assign every child a parent + mode via the scan-saving matching."""
     n_c, n_p = len(children), len(parents)
@@ -388,14 +344,7 @@ def _match_level(
     for ci, vset in enumerate(child_sets):
         for pi, uset in enumerate(parent_sets):
             if vset < uset:
-                segments = (
-                    _prefix_segments(
-                        children[ci], parents[pi], pinned, estimates
-                    )
-                    if prefix_discount
-                    else None
-                )
-                cost = sort_cost(psize[pi], segments)
+                cost = sort_cost(psize[pi])
                 if cost < base_cost[ci]:
                     base_cost[ci] = cost
                     base_parent[ci] = pi

@@ -28,10 +28,8 @@ import numpy as np
 
 from repro.mpi.comm import Comm
 from repro.mpi.speed import HeteroState, RankSpeedModel
-from repro.storage.disk import LocalDisk
-from repro.storage.external_sort import external_sort
 from repro.storage.scan import aggregate_sorted_keys, merge_runs
-from repro.storage.sortkernels import is_sorted_int64, sort_pairs
+from repro.storage.sortkernels import is_sorted_int64
 
 __all__ = ["SortOutcome", "adaptive_sample_sort", "relative_imbalance"]
 
@@ -88,6 +86,29 @@ def _select_pivots(
     return pool[idx]
 
 
+def _sorted_run(
+    comm: Comm, keys: np.ndarray, measure: np.ndarray, what: str
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Procedure 2's step 1 when the caller has already sorted: verify
+    the run with one early-exit scan (charged as a scan; an unsorted run
+    raises naming ``what`` and the rank, it is never silently sorted) and
+    read the p local pivots at ranks 0, n/p, ..., (p-1)n/p straight off
+    it.  Returns ``(keys, measure, local_pivots)``; nothing is copied."""
+    keys = np.ascontiguousarray(keys, dtype=np.int64)
+    measure = np.ascontiguousarray(measure, dtype=np.float64)
+    n_local = keys.shape[0]
+    comm.disk.work.charge_scan(n_local)
+    if keys.shape != measure.shape or not is_sorted_int64(keys):
+        raise ValueError(
+            f"{what} on rank {comm.rank} is not a key-sorted run with a "
+            "parallel measure array"
+        )
+    if not n_local:
+        return keys, measure, keys[:0]
+    idx = (np.arange(comm.size, dtype=np.int64) * n_local) // comm.size
+    return keys, measure, keys[idx]
+
+
 @dataclass
 class SortOutcome:
     """Result of one Adaptive-Sample-Sort call on one rank."""
@@ -107,20 +128,18 @@ def adaptive_sample_sort(
     keys: np.ndarray,
     measure: np.ndarray,
     gamma: float,
-    disk: LocalDisk | None = None,
-    memory_budget: int | None = None,
     pivot_offset: int | None = None,
-    kernel: str | None = None,
-    key_bound: int | None = None,
     hetero: HeteroState | None = None,
 ) -> SortOutcome:
-    """Globally sort ``(keys, measure)`` rows across all ranks.
+    """Globally sort the ranks' key-sorted ``(keys, measure)`` runs.
 
-    Every rank passes its local rows and receives its slice of the global
-    key order; slices are contiguous and ascending with rank.  When
-    ``disk``/``memory_budget`` are given, the initial local sort runs
-    through the external-memory sorter (charging block I/O); otherwise it
-    sorts in memory.
+    Every rank passes a run it has already sorted by key (Procedure 1
+    sorts and aggregates the local ``Di``-root in step 1a, so Procedure 2
+    starts at its step 2) and receives its slice of the global key order;
+    slices are contiguous and ascending with rank.  One early-exit scan
+    verifies the order — an unsorted run raises ``ValueError`` naming the
+    rank, it is never silently sorted — and the clock is charged that
+    scan, not a sort.
 
     Follows Procedure 2 step by step; see the module docstring for the
     duplicate-key bucketing contract.
@@ -129,63 +148,32 @@ def adaptive_sample_sort(
     sorted p² sample pool.  ``None`` uses the paper's ``⌊p/2⌋`` (the PSRS
     worst-case-centering choice, right for arbitrary input such as the
     data-partitioning phase).  Pass ``0`` when the input is already nearly
-    globally sorted — the merge phase's case-3 re-sorts — because the
-    ``⌊p/2⌋`` offset then lands every pivot mid-bucket and needlessly moves
-    ~half of all rows between ranks.
+    globally sorted, because the ``⌊p/2⌋`` offset then lands every pivot
+    mid-bucket and needlessly moves ~half of all rows between ranks.
 
-    ``kernel``/``key_bound`` are forwarded to the local-sort kernel
-    (:func:`repro.storage.sortkernels.sort_pairs`); they change host
-    wall-clock only — output and metering are kernel-invariant.
-
-    ``hetero`` enables heterogeneity-aware partitioning: the local-sort
-    phase doubles as a throughput probe (rows processed over the rank's
-    busy seconds since its last collective), the per-rank samples are
-    allgathered so every rank derives the identical updated
-    :class:`~repro.mpi.speed.RankSpeedModel`, and the global pivots /
-    balance targets shift to that model's clamped speed-proportional
-    shares instead of uniform ``n/p``.
+    ``hetero`` enables heterogeneity-aware partitioning.  The caller has
+    opened the throughput probe in front of the local sort
+    (:meth:`~repro.mpi.speed.HeteroState.open_probe`); it is closed here,
+    the per-rank samples are allgathered so every rank derives the
+    identical updated :class:`~repro.mpi.speed.RankSpeedModel`, and the
+    global pivots / balance targets shift to that model's clamped
+    speed-proportional shares instead of uniform ``n/p``.
     """
     p = comm.size
-    keys = np.ascontiguousarray(keys, dtype=np.int64)
-    measure = np.ascontiguousarray(measure, dtype=np.float64)
-    if keys.shape != measure.shape:
-        raise ValueError("keys and measure must be parallel arrays")
-    n_input = keys.shape[0]
-    if hetero is not None:
-        # Close the caller's open segment first: it still holds the tail
-        # of the previous iteration (its step-3 write), which is not
-        # proportional to the rows sorted here and would skew the probe.
-        comm.barrier()
-    busy0 = comm.clock.rank_busy[comm.rank] if hetero is not None else 0.0
-
-    # Step 1: local sort + p local pivots at ranks 0, n/p, ..., (p-1)n/p.
-    if disk is not None and memory_budget is not None:
-        keys, measure = external_sort(
-            keys, measure, disk, memory_budget,
-            kernel=kernel, key_bound=key_bound,
-        )
-    else:
-        comm.disk.work.charge_sort(keys.shape[0])
-        keys, measure = sort_pairs(keys, measure, kernel, key_bound=key_bound)
+    keys, measure, local_pivots = _sorted_run(
+        comm, keys, measure, "adaptive_sample_sort: the input"
+    )
     n_local = keys.shape[0]
-    if n_local:
-        pivot_idx = (np.arange(p, dtype=np.int64) * n_local) // p
-        local_pivots = keys[pivot_idx]
-    else:
-        local_pivots = keys[:0]
     gathered = comm.gather(local_pivots, root=0)
 
     # Throughput probe: the pivot gather's superstep commit has folded
-    # the local-sort segment into rank_busy, so the delta since call
-    # entry is this rank's busy time for ~n_input rows of local work.
-    # One extra cheap allgather publishes every rank's sample; all ranks
-    # fold them into the same model, so the pivot targets below agree
-    # everywhere without further coordination.
+    # the caller's local-sort segment into rank_busy.  One extra cheap
+    # allgather publishes every rank's sample; all ranks fold them into
+    # the same model, so the pivot targets below agree everywhere without
+    # further coordination.
     speed: RankSpeedModel | None = None
     if hetero is not None:
-        busy = comm.clock.rank_busy[comm.rank] - busy0
-        samples = comm.allgather((int(n_input), float(busy)))
-        speed = hetero.observe(samples)
+        speed = hetero.observe(comm.allgather(hetero.close_probe(comm)))
     shares = None if speed is None else np.asarray(speed.shares)
 
     # Step 2: P0 sorts the <= p^2 pivots and picks p-1 regularly spaced
@@ -275,21 +263,11 @@ def batched_sample_sort(
     sorted_items: list[tuple[np.ndarray, np.ndarray]] = []
     pivot_lists: list[np.ndarray] = []
     for item, (keys, measure) in enumerate(items):
-        keys = np.ascontiguousarray(keys, dtype=np.int64)
-        measure = np.ascontiguousarray(measure, dtype=np.float64)
-        n_local = keys.shape[0]
-        comm.disk.work.charge_scan(n_local)
-        if keys.shape != measure.shape or not is_sorted_int64(keys):
-            raise ValueError(
-                f"batched_sample_sort: item {item} on rank {comm.rank} is "
-                "not a key-sorted run with a parallel measure array"
-            )
+        keys, measure, pivots = _sorted_run(
+            comm, keys, measure, f"batched_sample_sort: item {item}"
+        )
         sorted_items.append((keys, measure))
-        if n_local:
-            idx = (np.arange(p, dtype=np.int64) * n_local) // p
-            pivot_lists.append(keys[idx])
-        else:
-            pivot_lists.append(keys[:0])
+        pivot_lists.append(pivots)
     gathered = comm.gather(pivot_lists, root=0)
 
     # Step 2: per-item global pivots at P0, one broadcast.

@@ -102,16 +102,11 @@ class BSPClock:
         phase so that phases without their own collectives still show up
         in the breakdown."""
         self._accrue(rank)
-        if io_blocks is not None:
-            blocks = io_blocks - self._io_mark[rank]
-            self._io_mark[rank] = io_blocks
-            self._phase_accrual[rank][self._phase[rank]] += (
-                blocks * self.spec.effective_disk_sec_per_block
-            )
-        if work_seconds is not None:
-            work = work_seconds - self._work_mark[rank]
-            self._work_mark[rank] = work_seconds
-            self._phase_accrual[rank][self._phase[rank]] += work
+        if io_blocks is None:
+            io_blocks = self._io_mark[rank]
+        if work_seconds is None:
+            work_seconds = self._work_mark[rank]
+        self._bank_modelled(rank, io_blocks, work_seconds)
         self._phase[rank] = phase
 
     def _accrue(self, rank: int) -> float:
@@ -124,6 +119,25 @@ class BSPClock:
         self._phase_accrual[rank][self._phase[rank]] += cpu
         return cpu
 
+    def modelled_seconds(self, io_blocks: int, work_seconds: float) -> float:
+        """What the cost model charges for ``io_blocks`` block transfers
+        and ``work_seconds`` of per-row CPU work: the modelled part of a
+        segment.  Linear, so it prices counter totals and their deltas
+        alike; the one place a segment's modelled terms are priced."""
+        return io_blocks * self.spec.effective_disk_sec_per_block + work_seconds
+
+    def _bank_modelled(
+        self, rank: int, io_blocks: int, work_seconds: float
+    ) -> None:
+        """Bank the modelled cost since the rank's last mark under its
+        current phase and advance the marks to the given counters."""
+        self._phase_accrual[rank][self._phase[rank]] += self.modelled_seconds(
+            io_blocks - self._io_mark[rank],
+            work_seconds - self._work_mark[rank],
+        )
+        self._io_mark[rank] = io_blocks
+        self._work_mark[rank] = work_seconds
+
     def mark_segment(
         self, rank: int, io_blocks: int, work_seconds: float = 0.0
     ) -> None:
@@ -134,16 +148,10 @@ class BSPClock:
         time + modelled per-row CPU work.
         """
         self._accrue(rank)
-        blocks = io_blocks - self._io_mark[rank]
-        work = work_seconds - self._work_mark[rank]
-        self._io_mark[rank] = io_blocks
-        self._work_mark[rank] = work_seconds
         # Modelled disk + work join the accrual under the *current* phase
         # (they are not split across a mid-segment phase change; phases
         # that matter set their label before doing their work).
-        self._phase_accrual[rank][self._phase[rank]] += (
-            blocks * self.spec.effective_disk_sec_per_block + work
-        )
+        self._bank_modelled(rank, io_blocks, work_seconds)
         self._pending_segment[rank] = sum(
             self._phase_accrual[rank].values()
         )

@@ -16,7 +16,7 @@ solves for the unique scaling of the raw proportional shares whose
 clipped sum is 1 (monotone in the scale factor, found by bisection).
 
 :class:`HeteroState` is the per-run tracker: each cube iteration's
-sample-sort phase observes fresh ``(rows, busy-seconds)`` samples from
+partitioning phase observes fresh ``(work, busy-seconds)`` samples from
 every rank (allgathered, so all ranks derive an identical model) and
 blends them into the running model with an exponential moving average.
 """
@@ -201,15 +201,47 @@ class HeteroState:
         self.ceil = ceil
         self.blend = blend
         self.model = prior
+        self._probe: tuple[float, float] | None = None
+
+    def open_probe(self, comm) -> None:
+        """Start timing this rank's local work.
+
+        The barrier closes the open segment first: it still holds the
+        tail of the previous iteration (its step-3 write), which the
+        sample must not see.
+        """
+        comm.barrier()
+        self._probe = (_charged_work(comm), comm.clock.rank_busy[comm.rank])
+
+    def close_probe(self, comm) -> tuple[float, float]:
+        """This rank's ``(work, busy_seconds)`` sample since
+        :meth:`open_probe`; call right after a collective, whose superstep
+        commit has folded the timed segment into ``rank_busy``.
+
+        ``work`` is what the cost model charged for the bracket, in
+        seconds at nominal speed, not its row count: ranks time inputs of
+        different sizes, and a block-rounded read plus an ``n log n`` sort
+        is not linear in rows.
+        """
+        if self._probe is None:
+            raise RuntimeError(
+                f"close_probe on rank {comm.rank} without an open_probe: "
+                "the sample would cover the whole run"
+            )
+        (work0, busy0), self._probe = self._probe, None
+        return (
+            _charged_work(comm) - work0,
+            float(comm.clock.rank_busy[comm.rank] - busy0),
+        )
 
     def observe(
-        self, samples: Sequence[tuple[int, float]]
+        self, samples: Sequence[tuple[float, float]]
     ) -> RankSpeedModel:
-        """Fold one round of per-rank ``(rows, busy_seconds)`` samples
+        """Fold one round of per-rank ``(work, busy_seconds)`` samples
         into the model and return the updated model."""
-        rows = np.asarray([s[0] for s in samples], dtype=np.float64)
+        work = np.asarray([s[0] for s in samples], dtype=np.float64)
         busy = np.asarray([s[1] for s in samples], dtype=np.float64)
-        rates = throughput_rates(rows, busy)
+        rates = throughput_rates(work, busy)
         if self.model is None:
             self.model = RankSpeedModel.from_rates(
                 rates, self.floor, self.ceil
@@ -217,3 +249,11 @@ class HeteroState:
         else:
             self.model = self.model.blend(rates, self.blend)
         return self.model
+
+
+def _charged_work(comm) -> float:
+    """Modelled seconds of local work charged to this rank so far, priced
+    by the clock exactly as it prices a superstep segment."""
+    return comm.clock.modelled_seconds(
+        comm.disk.stats.blocks_total, comm.disk.work.seconds
+    )

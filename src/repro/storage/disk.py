@@ -16,7 +16,6 @@ benchmark harness can opt into real files.
 from __future__ import annotations
 
 import io
-import math
 import os
 import threading
 from dataclasses import dataclass, field
@@ -41,7 +40,8 @@ class WorkMeter:
     constants are wildly unlike the modelled 2003-era machine.  Kernels
     charge the classic sort/scan work terms at their call sites:
 
-    * ``charge_sort(n)``  →  ``a · n · max(1, log2 n)`` seconds,
+    * ``charge_sort(n)``  →  ``a · n · max(1, log2 n)`` seconds, summed
+      over the segments when ``n`` is an array of segment lengths,
     * ``charge_scan(n)``  →  ``b · n`` seconds.
     """
 
@@ -56,14 +56,19 @@ class WorkMeter:
         self.rows_sorted = 0
         self.rows_scanned = 0
 
-    def charge_sort(self, rows: int) -> None:
-        """Account for a comparison sort of ``rows`` rows."""
-        rows = int(rows)  # counters stay plain ints/floats whatever is passed
-        if rows <= 0:
+    def charge_sort(self, rows: int | np.ndarray) -> None:
+        """Account for comparison-sorting ``rows`` rows — or, given an
+        array of lengths, each of those segments independently (rows
+        already clustered by a shared sort prefix pay only for the order
+        inside each cluster)."""
+        lengths = np.atleast_1d(np.asarray(rows, dtype=np.int64))
+        lengths = lengths[lengths > 0]
+        if lengths.size == 0:
             return
-        levels = max(1.0, math.log2(rows))
-        self.seconds += self.sort_sec_per_row_level * rows * levels
-        self.rows_sorted += rows
+        row_levels = lengths * np.maximum(1.0, np.log2(lengths))
+        # counters stay plain ints/floats whatever is passed
+        self.seconds += self.sort_sec_per_row_level * float(row_levels.sum())
+        self.rows_sorted += int(lengths.sum())
 
     def charge_scan(self, rows: int) -> None:
         """Account for streaming work over ``rows`` rows."""

@@ -26,7 +26,7 @@ import numpy as np
 
 from repro.storage.disk import LocalDisk
 from repro.storage.scan import merge_runs
-from repro.storage.sortkernels import sort_pairs
+from repro.storage.sortkernels import segment_runs, sort_pairs
 from repro.storage.table import Relation
 
 __all__ = ["external_sort", "merge_fanin", "sort_cost_blocks"]
@@ -65,8 +65,6 @@ def external_sort(
     measure: np.ndarray,
     disk: LocalDisk,
     memory_budget: int,
-    streaming: bool = False,
-    kernel: str | None = None,
     key_bound: int | None = None,
     seg_divisor: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -80,19 +78,18 @@ def external_sort(
         The owning rank's local disk (accounting + spill space).
     memory_budget:
         Maximum rows the modelled machine can hold in memory.
-    streaming:
-        Use the block-streaming k-way merge (:mod:`repro.storage.runs`)
-        instead of whole-run loads during merge passes.  Identical output
-        and near-identical block accounting; memory held during a merge
-        stays at one block per input run.
-    kernel, key_bound, seg_divisor:
-        Sort-kernel hint and key-structure hints forwarded to
-        :func:`repro.storage.sortkernels.sort_pairs`.  Kernels only
-        change host wall-clock: the output, the ``charge_sort`` metering
-        and the block accounting are identical for every kernel (run
-        formation spills the same runs either way; a ``seg_divisor``
-        clustering promise holds on every contiguous slice of the
-        input, so run-formation chunks inherit it).
+    key_bound, seg_divisor:
+        Key-structure hints forwarded to
+        :func:`repro.storage.sortkernels.sort_pairs`.  Which kernel then
+        runs changes host wall-clock only: the output, the ``charge_sort``
+        metering and the block accounting are identical for every kernel.
+        ``seg_divisor`` promises rows clustered into non-decreasing runs of
+        equal ``key // seg_divisor`` (the source was sorted under an order
+        sharing that prefix).  An in-memory sort whose promise checks out
+        is charged for its segments, each sorted on its own; a broken
+        promise, and any sort that spills (run formation cuts segments and
+        the merge passes compare across them), pays the flat
+        ``n · log2 n``.
 
     Returns
     -------
@@ -106,55 +103,45 @@ def external_sort(
             f"and {measure.shape}"
         )
     n = keys.shape[0]
-    disk.work.charge_sort(n)
     if n <= memory_budget:
+        runs = segment_runs(keys, int(seg_divisor)) if seg_divisor else None
+        disk.work.charge_sort(n if runs is None else np.bincount(runs[1]))
         return sort_pairs(
-            keys, measure, kernel,
-            key_bound=key_bound, seg_divisor=seg_divisor,
+            keys, measure, key_bound=key_bound,
+            seg_divisor=None if runs is None else seg_divisor, runs=runs,
         )
+    disk.work.charge_sort(n)
 
     # Run formation: m-row sorted runs spilled to local disk.
     tokens: list[str] = []
-    rows: list[int] = []
     for start in range(0, n, memory_budget):
         stop = min(start + memory_budget, n)
         run_keys, run_measure = sort_pairs(
-            keys[start:stop], measure[start:stop], kernel,
+            keys[start:stop], measure[start:stop],
             key_bound=key_bound, seg_divisor=seg_divisor,
         )
         run = Relation(run_keys[:, None], run_measure)
         tokens.append(disk.spill(run, hint="sortrun"))
-        rows.append(stop - start)
 
     # Merge passes with fan-in k.
     k = merge_fanin(memory_budget, disk.block_size)
     while len(tokens) > 1:
         next_tokens: list[str] = []
-        next_rows: list[int] = []
         for g in range(0, len(tokens), k):
             group = tokens[g : g + k]
-            group_rows = rows[g : g + k]
             if len(group) == 1:
                 next_tokens.append(group[0])
-                next_rows.append(group_rows[0])
                 continue
-            if streaming:
-                from repro.storage.runs import streaming_merge
-
-                merged_k, merged_v = streaming_merge(disk, group, group_rows)
-            else:
-                loaded = [disk.load(tok) for tok in group]
-                merged_k, merged_v = merge_runs(
-                    [(run.dims[:, 0], run.measure) for run in loaded]
-                )
+            loaded = [disk.load(tok) for tok in group]
+            merged_k, merged_v = merge_runs(
+                [(run.dims[:, 0], run.measure) for run in loaded]
+            )
             for tok in group:
                 disk.delete(tok)
             next_tokens.append(
                 disk.spill(Relation(merged_k[:, None], merged_v), hint="sortrun")
             )
-            next_rows.append(merged_k.shape[0])
         tokens = next_tokens
-        rows = next_rows
 
     final = disk.load(tokens[0])
     disk.delete(tokens[0])

@@ -4,7 +4,9 @@
 memory during its merge passes (simulation-friendly; the disk meter still
 charges per block).  This module provides the *truly* streaming variant a
 memory-constrained machine would run: each input run is buffered one block
-at a time, and memory never holds more than ``fan-in + 1`` blocks.
+at a time, and memory never holds more than ``fan-in + 1`` blocks.  No
+build path has called it since ``external_sort(streaming=)`` went; the
+module is queued for deletion (ROADMAP item 6e).
 
 The merge itself stays vectorised: instead of a per-row heap, each round
 computes the **safe boundary** — the smallest of the buffered runs'

@@ -69,6 +69,7 @@ __all__ = [
     "get_default_kernel",
     "is_sorted_int64",
     "resolve_kernel",
+    "segment_runs",
     "set_default_kernel",
     "sort_pairs",
 ]
@@ -232,11 +233,11 @@ def _radix_pairs(
     return out[0], out[1]
 
 
-def _segment_runs(
+def segment_runs(
     keys: np.ndarray, seg_divisor: int
 ) -> tuple[np.ndarray, np.ndarray, int] | None:
-    """``(prefix_value, segment_index, nseg)``, or ``None`` if the
-    prefix values are not clustered.
+    """``(prefix_value, segment_index, nseg)``, or ``None`` if there are
+    no keys or their prefix values are not clustered.
 
     ``keys // seg_divisor`` is the shared-prefix value; the caller
     promises the source rows were sorted under an order sharing that
@@ -245,7 +246,7 @@ def _segment_runs(
     corrupt the cube.
     """
     high = keys // seg_divisor
-    if not is_sorted_int64(high):
+    if not high.size or not is_sorted_int64(high):
         return None
     starts = np.empty(keys.shape[0], dtype=bool)
     starts[0] = True
@@ -269,7 +270,7 @@ def _segmented_pairs(
     to ``bits(nseg·W)`` — the win the shared prefix pays for.
     """
     if runs is None:
-        runs = _segment_runs(keys, seg_divisor)
+        runs = segment_runs(keys, seg_divisor)
     if runs is None:  # caller's sortedness promise does not hold
         return _radix_pairs(keys, values, None)
     high, seg, nseg = runs
@@ -391,6 +392,7 @@ def sort_pairs(
     *,
     key_bound: int | None = None,
     seg_divisor: int | None = None,
+    runs: tuple[np.ndarray, np.ndarray, int] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Stable-sort parallel ``(keys, values)`` rows by key.
 
@@ -402,7 +404,9 @@ def sort_pairs(
     necessarily non-negative) key values, e.g. ``KeyCodec.capacity``;
     ``seg_divisor`` is the suffix capacity ``W`` of a shared-prefix
     remap, promising rows are clustered into runs of equal ``key // W``
-    in non-decreasing order (verified before use).
+    in non-decreasing order (verified before use); a caller that has
+    already run that check passes its :func:`segment_runs` result as
+    ``runs`` and it is not repeated.
     """
     keys = np.asarray(keys)
     values = np.asarray(values)
@@ -426,7 +430,7 @@ def sort_pairs(
         return _radix_pairs(keys, values, key_bound)
     if name == "segmented":
         if seg_divisor is not None and seg_divisor >= 1:
-            return _segmented_pairs(keys, values, int(seg_divisor))
+            return _segmented_pairs(keys, values, int(seg_divisor), runs)
         return _argsort_pairs(keys, values)
 
     # ---- auto -----------------------------------------------------------
@@ -435,9 +439,9 @@ def sort_pairs(
     if n < SMALL_N:
         return _argsort_pairs(keys, values)
     seg_bound = None
-    runs = None
     if seg_divisor is not None and seg_divisor >= 1:
-        runs = _segment_runs(keys, int(seg_divisor))
+        if runs is None:
+            runs = segment_runs(keys, int(seg_divisor))
         if runs is not None:
             seg_bound = runs[2] * int(seg_divisor)
     bound = key_bound

@@ -424,7 +424,14 @@ class TestChainDamage:
         assert ckpt.last_complete() == 0
 
     @pytest.mark.parametrize(
-        "head", ['{"version": 2}', '{"version": 1, "iterations": []}', "[3]", ""]
+        "head",
+        [
+            '{"version": 3}',  # its seals could carry a Di-root copy
+            '{"version": 2}',
+            '{"version": 1, "iterations": []}',
+            "[3]",
+            "",
+        ],
     )
     def test_unknown_format_reads_as_empty(self, tmp_path, head):
         """A chain this version did not write means restart, never raise."""

@@ -11,6 +11,7 @@ straggler discarding the duplicate vs the width-(p-1) clone winning).
 from __future__ import annotations
 
 import tempfile
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -146,6 +147,11 @@ class TestHeteroState:
         snapshot = RankSpeedModel.from_rates([100 / 1.0, 100 / 2.0])
         assert second.speeds[0] > first.speeds[0]
         assert second.speeds[0] < snapshot.speeds[0]
+
+    def test_close_probe_needs_an_open_probe(self):
+        """An unopened probe would sample the whole run; it raises."""
+        with pytest.raises(RuntimeError, match="rank 1 without an open_probe"):
+            HeteroState(2).close_probe(SimpleNamespace(rank=1))
 
 
 # ---------------------------------------------------------------------------
@@ -398,9 +404,11 @@ class TestHeteroBuild:
         assert len(hetero.metrics.rank_busy_seconds) == 3
 
     def test_homogeneous_ranks_measure_equal_shares(self, relation):
-        """The probe times the local sort alone: ranks of one speed get
-        one share, however unequal the merge work of the iteration before
-        (its step-3 write sits in the segment the probe must not see)."""
+        """The probe times step 1a alone, against the work the model
+        charged for it: ranks of one speed get one share, however unequal
+        their root pieces and however unequal the merge work of the
+        iteration before (its step-3 write sits in the segment the probe
+        must not see)."""
         m = build(relation, "thread", p=4, hetero=True).metrics.speed_model
         assert m["shares"] == pytest.approx([0.25] * 4, abs=1e-3)
 

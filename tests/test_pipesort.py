@@ -215,6 +215,40 @@ class TestPhase2:
         assert disk.stats.blocks_written > 0
         assert disk.work.seconds > 0
 
+    def test_sort_edges_are_charged_for_the_segments_they_sort(self):
+        """Model equals physical on sort edges: a parent sorted under an
+        order that shares a leading prefix with the child's is re-sorted
+        cluster by cluster, and pays ``sum n_s * max(1, log2 n_s)``."""
+        cards = (8, 5, 4, 3)
+        relation = make_relation(3000, cards, seed=5)
+        tree = build_full(4)
+        results, disk = run_phase2(relation, cards, tree)
+        a = disk.work.sort_sec_per_row_level
+        want, rows, discounted = 0.0, 0, 0
+        for node in tree.nodes.values():
+            if node.mode != "sort":
+                continue
+            parent = results[node.parent]
+            shared = 0
+            while (
+                shared < len(node.order)
+                and parent.order[shared] == node.order[shared]
+            ):
+                shared += 1
+            lengths = [parent.nrows]
+            if 0 < shared < len(node.order):
+                weights = codec_for_order(parent.order, cards).weights
+                prefix = parent.keys // weights[shared - 1]
+                cuts = np.flatnonzero(np.diff(prefix)) + 1
+                lengths = np.diff(np.concatenate(([0], cuts, [parent.nrows])))
+                discounted += 1
+            want += a * sum(n * max(1.0, np.log2(n)) for n in lengths)
+            rows += parent.nrows
+        assert discounted > 0
+        scans = disk.work.scan_sec_per_row * disk.work.rows_scanned
+        assert disk.work.seconds - scans == pytest.approx(want)
+        assert disk.work.rows_sorted == rows
+
     def test_wrong_root_order_raises(self):
         cards = (4, 3)
         tree = build_full(2)

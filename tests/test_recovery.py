@@ -83,39 +83,26 @@ class TestRankCheckpoint:
         vd = ViewData(
             (0,), np.arange(4, dtype=np.int64), np.full(4, float(tag))
         )
-        return {
-            "views": {(0,): vd},
-            "root": vd,
-            "root_i": 0,
-            "report": None,
-            "tree": None,
-        }
+        return {"views": {(0,): vd}, "report": None, "tree": None}
 
     def test_roundtrip(self, tmp_path):
         ck = RankCheckpoint(str(tmp_path), rank=3)
         assert ck.last_complete() == -1
         rows = ck.save(0, 2, self._payload(1), meters={"phase": "x"})
-        assert rows == 8  # view rows + root rows
+        assert rows == 4  # the views' rows and nothing else
         ck.save(1, 1, self._payload(2))
         assert ck.last_complete() == 1
         payload, loaded_rows = ck.load(1)
-        assert loaded_rows == 8
+        assert loaded_rows == 4
         np.testing.assert_array_equal(
             payload["views"][(0,)].measure, np.full(4, 2.0)
         )
         assert ck.entry(0)["meters"] == {"phase": "x"}
-        # Arrays come back in place over the read buffer, still writable.
-        payload["root"].measure[0] = 7.0
-        assert payload["root_i"] == 0
-
-    def test_root_is_optional(self, tmp_path):
-        ck = RankCheckpoint(str(tmp_path), rank=0)
-        assert ck.save(0, 0, {**self._payload(1), "root": None}) == 4
-        payload, rows = RankCheckpoint(str(tmp_path), rank=0).load(0)
-        assert rows == 4 and payload["root"] is None
         np.testing.assert_array_equal(
             payload["views"][(0,)].keys, np.arange(4)
         )
+        # Arrays come back in place over the read buffer, still writable.
+        payload["views"][(0,)].measure[0] = 7.0
 
     def test_last_complete_hands_verified_payloads_to_load(
         self, tmp_path, monkeypatch
@@ -149,7 +136,7 @@ class TestRankCheckpoint:
         ck.save(1, 1, self._payload(9))  # a re-save appends too
         raw = open(ck._manifest_path(), "rb").read()
         assert raw[: sizes[0]] == head and len(raw) > sizes[2]
-        assert json.loads(raw.splitlines()[0]) == {"version": 3}
+        assert json.loads(raw.splitlines()[0]) == {"version": 4}
 
     def test_resave_truncates_suffix(self, tmp_path):
         ck = RankCheckpoint(str(tmp_path), rank=0)
@@ -287,22 +274,28 @@ class TestRecoveryWithCheckpoint:
         ck = RankCheckpoint(str(tmp_path), rank=0)
         assert ck.last_complete() >= 0
 
-    def test_resume_restores_the_incremental_root(self, relation, tmp_path):
-        """With ``incremental_roots`` the next root derives from the saved
-        one, so the seal must carry it through the resume."""
-        args = (relation, CARDS, det_spec("thread"))
-        config = CubeConfig(incremental_roots=True)
-        base = build_data_cube(*args, config)
-        res = build_data_cube(
-            *args,
-            config,
-            faults=FaultPlan.parse("crash@r1s22"),
-            checkpoint_dir=str(tmp_path),
-            recovery=RecoveryPolicy(max_retries=2),
-        )
-        assert res.metrics.attempts == 2
-        assert RankCheckpoint(str(tmp_path), 0).load(0)[0]["root"] is not None
-        assert fingerprint(res) == fingerprint(base)
+    def test_resume_derives_the_next_root_from_the_sealed_root_view(
+        self, relation, tmp_path, charged
+    ):
+        """A seal holds no Di-root of its own: a build resumed after
+        iteration 0 reads its piece of the sealed D0-root view into step
+        1a (then its piece of the D1-root view it merges), never the raw
+        chunk, and ends bit-identical to the build that sealed it."""
+        first = build(relation, "thread", checkpoint_dir=str(tmp_path))
+        for rank in range(2):
+            path = RankCheckpoint(str(tmp_path), rank)._manifest_path()
+            with open(path, encoding="utf-8") as fh:
+                head, ordinal0 = [line for line in fh if line.strip()][:2]
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(head + ordinal0)
+        charged.clear()
+        again = build(relation, "thread", checkpoint_dir=str(tmp_path))
+        assert fingerprint(again) == fingerprint(first)
+        for rank in range(2):
+            pieces = first.rank_views[rank]
+            assert charged[rank, "partition-sort", "r"] == (
+                pieces[0, 1, 2].nrows + pieces[1, 2].nrows
+            )
 
     def test_checkpoint_io_is_metered(
         self, relation, tmp_path, charged, merge_calls
@@ -357,23 +350,22 @@ def _file_rows(root, rank):
 class TestWriteOnceAccounting:
     """The model charges exactly the rows the chain physically holds."""
 
-    @pytest.mark.parametrize("incremental", [False, True])
+    @pytest.mark.parametrize("partial", [False, True])
     def test_rows_charged_equal_rows_written(
-        self, relation, tmp_path, charged, incremental
+        self, relation, tmp_path, charged, partial
     ):
-        build_data_cube(
+        """The full cube, and a partial one that selects no ``Di``-root
+        (so that no seal holds the source of the next step 1a): sealing
+        is the step-3 write and the checkpoint phase adds none."""
+        build(
             relation,
-            CARDS,
-            det_spec("thread"),
-            CubeConfig(incremental_roots=incremental),
+            "thread",
+            selected=[(0,), (0, 2), (1,), ()] if partial else None,
             checkpoint_dir=str(tmp_path),
         )
         for rank in range(2):
-            written = (
-                charged[rank, "merge", "w"] + charged[rank, "checkpoint", "w"]
-            )
-            assert written == _file_rows(tmp_path, rank) > 0
-            assert bool(charged[rank, "checkpoint", "w"]) == incremental
+            assert charged[rank, "merge", "w"] == _file_rows(tmp_path, rank) > 0
+            assert charged[rank, "checkpoint", "w"] == 0
 
     def test_rows_charged_equal_rows_resumed(
         self, relation, tmp_path, charged
@@ -404,7 +396,7 @@ def test_numpy_row_counts_do_not_poison_the_manifest(tmp_path):
     assert type(disk.work.rows_scanned) is type(disk.work.rows_sorted) is int
     assert type(disk.work.seconds) is float
     ck = RankCheckpoint(str(tmp_path), rank=0)
-    payload = {"views": {}, "root": None, "root_i": None, "report": None, "tree": None}
+    payload = {"views": {}, "report": None, "tree": None}
     ck.save(0, 0, payload, meters=meters)
     assert RankCheckpoint(str(tmp_path), rank=0).entry(0)["meters"] == meters
 

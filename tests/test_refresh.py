@@ -94,8 +94,12 @@ class TestRefresh:
             refresh_cube(cube, rel)
 
     def test_cheaper_than_rebuild_for_small_delta(self):
-        rel = make_relation(20_000, (16, 12, 8, 6), seed=48)
-        first, extra = split(rel, 19_000)
+        # 100k rows over ~14k cube rows: a rebuild pays for sorting the raw
+        # chunk once, a refresh only for the delta's.  (At 20k rows the
+        # two cost the same: the cube is then 64% of the input and the
+        # refresh's merge sweep outweighs one sort of a 5k-row chunk.)
+        rel = make_relation(100_000, (16, 12, 8, 6), seed=48)
+        first, extra = split(rel, 95_000)
         spec = MachineSpec(p=4)
         cube = build_data_cube(first, (16, 12, 8, 6), spec)
         refreshed = refresh_cube(cube, extra, spec)

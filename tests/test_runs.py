@@ -108,12 +108,17 @@ class TestStreamingMerge:
 class TestStreamingExternalSort:
     @pytest.mark.parametrize("n,budget,block", [(1024, 64, 8), (777, 33, 5)])
     def test_identical_to_whole_run_merge(self, n, budget, block):
-        rng = np.random.default_rng(n)
-        keys = rng.integers(0, 10**9, n).astype(np.int64)
-        values = rng.random(n)
-        d1, d2 = LocalDisk(block_size=block), LocalDisk(block_size=block)
-        a = external_sort(keys, values, d1, budget)
-        b = external_sort(keys, values, d2, budget, streaming=True)
-        assert np.array_equal(a[0], b[0])
-        assert np.allclose(a[1], b[1])
-        assert d1.stats.blocks_total == d2.stats.blocks_total
+        """Streaming over the runs external_sort forms gives what its
+        whole-run merge passes give, reading each spilled block once."""
+        keys = np.random.default_rng(n).integers(0, 10**9, n).astype(np.int64)
+        whole = external_sort(
+            keys, keys.astype(np.float64), LocalDisk(block_size=block), budget
+        )
+        disk = LocalDisk(block_size=block)
+        tokens, rows, _ = zip(
+            *(spill_run(disk, keys[s : s + budget]) for s in range(0, n, budget))
+        )
+        streamed = streaming_merge(disk, list(tokens), list(rows))
+        assert np.array_equal(whole[0], streamed[0])
+        assert np.array_equal(whole[1], streamed[1])
+        assert disk.stats.blocks_read == disk.stats.blocks_written

@@ -40,12 +40,18 @@ def distribute(keys, vals, p, rank, mode="block"):
     return keys[rank::p], vals[rank::p]
 
 
+def local_run(keys, vals):
+    """What Procedure 1 step 1a hands over: the rank's rows, key-sorted."""
+    order = np.argsort(keys, kind="stable")
+    return keys[order], vals[order]
+
+
 def run_sort(keys, vals, p, gamma=0.03, mode="round", pivot_offset=None):
     keys = np.asarray(keys, dtype=np.int64)
     vals = np.asarray(vals, dtype=np.float64)
 
     def prog(comm):
-        k, v = distribute(keys, vals, p, comm.rank, mode)
+        k, v = local_run(*distribute(keys, vals, p, comm.rank, mode))
         out = adaptive_sample_sort(
             comm, k, v, gamma, pivot_offset=pivot_offset
         )
@@ -56,6 +62,9 @@ def run_sort(keys, vals, p, gamma=0.03, mode="round", pivot_offset=None):
 
 
 class TestAdaptiveSampleSort:
+    """The call takes key-sorted runs (``run_sort`` sorts each rank's deal
+    first, as step 1a does) and never sorts one itself."""
+
     @pytest.mark.parametrize("p", [1, 2, 4, 7])
     def test_global_sortedness(self, p):
         rng = np.random.default_rng(0)
@@ -154,6 +163,44 @@ class TestAdaptiveSampleSort:
 
         with pytest.raises(ValueError):
             run_spmd(prog, MachineSpec(p=2))
+
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_unsorted_input_raises_naming_the_rank(self, backend):
+        """Rank 1's run is unsorted: that rank raises, nobody gets a
+        silently sorted result, and nothing is charged as a sort.  Under
+        the process backend the runs are read-only zero-copy views of the
+        sender's shm segment."""
+        good = np.arange(64, dtype=np.int64)
+        bad = good[::-1].copy()
+
+        def prog(comm):
+            mine = bad if comm.rank == 1 else good
+            # One h-relation so every rank's input arrives through the
+            # transport: each rank keeps the lane it sent to itself.
+            keys = comm.alltoall([mine] * comm.size)[comm.rank]
+            if backend == "process":
+                assert not keys.flags.writeable
+            try:
+                return adaptive_sample_sort(comm, keys, keys.astype(float), 0.03)
+            finally:
+                assert comm.disk.work.rows_sorted == 0
+
+        with pytest.raises(ValueError, match=r"rank 1 .*key-sorted"):
+            run_spmd(prog, MachineSpec(p=2, backend=backend))
+
+    def test_sorted_run_is_charged_a_scan_not_a_sort(self):
+        keys = np.arange(4000, dtype=np.int64)
+
+        def prog(comm):
+            k, v = distribute(keys, keys.astype(float), 4, comm.rank, "round")
+            adaptive_sample_sort(comm, k, v, 0.03)
+            return comm.disk.work.rows_sorted, comm.disk.work.rows_scanned
+
+        for rows_sorted, rows_scanned in run_spmd(
+            prog, MachineSpec(p=4)
+        ).rank_results:
+            assert rows_sorted == 0
+            assert rows_scanned >= 1000  # the verification scan at least
 
     @settings(max_examples=10)
     @given(

@@ -429,23 +429,6 @@ def test_forced_kernel_external_memory_cube(dataset, auto_cube):
         assert_same_cube(cube, base)
 
 
-def test_prefix_discount_flag_builds_valid_cube(dataset):
-    """Paper-faithful cost model (discount off) must agree on content."""
-    on = build_data_cube(
-        dataset, CARDS,
-        MachineSpec(p=2, compute_scale=0.0),
-        CubeConfig(sort_prefix_discount=True),
-    )
-    off = build_data_cube(
-        dataset, CARDS,
-        MachineSpec(p=2, compute_scale=0.0),
-        CubeConfig(sort_prefix_discount=False),
-    )
-    assert on.views == off.views
-    for view in on.views:
-        assert on.view_relation(view).same_content(off.view_relation(view))
-
-
 def test_count_equals_sum_of_ones_bitwise(dataset):
     """COUNT must ride the exact float64-ones path SUM would see."""
     ones = dataset.__class__(
