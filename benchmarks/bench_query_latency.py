@@ -29,7 +29,6 @@ from repro.core.cube import build_data_cube
 from repro.core.overlap import analyze_overlap
 from repro.data.generator import DatasetSpec, generate_dataset, paper_preset
 from repro.olap import CubeStore, Query, QueryEngine
-from repro.storage.reorder import reorder_relation
 
 
 def _imbalance(cube, view) -> float:
@@ -127,7 +126,7 @@ CARDS_AP = (24, 16, 10, 8)
 
 
 def test_access_path_matrix(benchmark, scale, results_dir, tmp_path):
-    """Scan vs index vs dense on one reordered hybrid store."""
+    """Scan vs index vs dense on one hybrid store."""
 
     def run():
         rel = generate_dataset(
@@ -139,29 +138,28 @@ def test_access_path_matrix(benchmark, scale, results_dir, tmp_path):
                 scramble=True,
             )
         )
-        reordered, vr = reorder_relation(rel, CARDS_AP)
-        cube = build_data_cube(reordered, CARDS_AP, MachineSpec(p=2))
+        cube = build_data_cube(rel, CARDS_AP, MachineSpec(p=2))
         path = CubeStore.save(
-            cube,
-            str(tmp_path / "hybrid"),
-            format=3,
-            reorder=vr,
-            block_cells=256,
+            cube, str(tmp_path / "hybrid"), format=3, block_cells=256
         )
         handle = CubeStore.open(path)
         lanes = {
             "scan": handle.query_engine(index=False),
             "index": handle.query_engine(index=True),
         }
-        # hot-corner point lookups: original values whose reordered
-        # codes are small, so their keys land in dense blocks
+        # hot-corner point lookups: each dimension at one of its three
+        # most frequent values, whose cells lie in dense blocks
         rng = np.random.default_rng(5)
+        hot = [
+            np.argsort(-np.bincount(rel.dims[:, dim], minlength=card))[:3]
+            for dim, card in enumerate(CARDS_AP)
+        ]
         queries = [
             Query(
                 group_by=(),
                 filters={
-                    dim: (int(vr.inverse[dim][rng.integers(0, 3)]),) * 2
-                    for dim in range(len(CARDS_AP))
+                    dim: (int(values[rng.integers(0, 3)]),) * 2
+                    for dim, values in enumerate(hot)
                 },
             )
             for _ in range(60)

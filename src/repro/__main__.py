@@ -91,15 +91,6 @@ def cmd_build(args: argparse.Namespace) -> int:
             min_ranks=args.min_ranks,
             speculate=args.speculate,
         )
-    reorder = None
-    if args.reorder:
-        from repro.storage.reorder import reorder_relation
-
-        data, reorder = reorder_relation(data, cards)
-        print(
-            "reordered attribute values by sampled frequency "
-            f"({data.width} dims; inverse recorded in the manifest)"
-        )
     machine = MachineSpec(
         p=args.p,
         backend=args.backend,
@@ -149,7 +140,6 @@ def cmd_build(args: argparse.Namespace) -> int:
             cube,
             args.out,
             format=fmt,
-            reorder=reorder,
             density_threshold=args.density_threshold,
         )
         print(f"stored at {args.out} (format {fmt})")
@@ -483,15 +473,9 @@ def main(argv: list[str] | None = None) -> int:
     p_build.add_argument("--audit", action="store_true",
                          help="run the post-build integrity audit; a "
                               "failed audit exits non-zero")
-    p_build.add_argument("--reorder", action="store_true",
-                         help="reorder attribute values by sampled "
-                              "frequency before the build (queries still "
-                              "speak original values via the manifest's "
-                              "recorded inverse permutations)")
     p_build.add_argument("--hybrid", action="store_true",
                          help="store as format 3: per-block dense/sparse "
-                              "hybrid views (combine with --reorder for "
-                              "maximum dense coverage)")
+                              "hybrid views")
     p_build.add_argument("--density-threshold", type=float, default=None,
                          help="block occupancy above which a block is "
                               "stored dense (default: the calibrated "

@@ -76,12 +76,7 @@ def format_shm_pool(title: str, pool: dict) -> str:
     """
     if not pool:
         return f"{title}\n  (no shared-memory data plane: thread backend)"
-    mode = (
-        f"{'pooled' if pool.get('pooled') else 'unpooled'}, "
-        f"{'zero-copy' if pool.get('zero_copy') else 'copy'}"
-    )
     pairs = [
-        ("mode", mode),
         ("segment leases", str(pool.get("leases", 0))),
         ("segments created", str(pool.get("segments_created", 0))),
         ("segments reused", str(pool.get("segments_reused", 0))),

@@ -79,19 +79,6 @@ class MachineSpec:
     #: two IDE drives).  D disks move D blocks per I/O step, so the
     #: per-block cost divides by D.
     disks_per_node: int = 1
-    #: Process-backend data plane: pool shared-memory segments in a
-    #: per-worker arena and reuse them across supersteps (see
-    #: :mod:`repro.mpi.shm`).  ``False`` falls back to the
-    #: create/unlink-per-payload plane — kept as the benchmark baseline.
-    #: Ignored by the thread backend, which never copies payloads at all.
-    shm_pool: bool = True
-    #: Process-backend data plane: decode received arrays as read-only
-    #: views aliasing the shared segment instead of private copies.  Rank
-    #: code mutating a received array must go through
-    #: :func:`repro.mpi.shm.materialize` — the same read-only contract
-    #: the thread backend has always imposed.  ``False`` restores
-    #: copy-on-decode.  Ignored by the thread backend.
-    shm_zero_copy: bool = True
     #: Host sort kernel used for every packed-key sort: ``"auto"`` (the
     #: calibrated cost model picks per call), ``"argsort"``, ``"radix"``,
     #: ``"segmented"`` or ``"presorted"`` — see

@@ -20,12 +20,13 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.core.views import View, canonical_view
+from repro.core.views import View, canonical_view, view_name
 from repro.storage.codec import KeyCodec
+from repro.storage.scan import merge_runs
 from repro.storage.sortkernels import is_sorted_int64
 from repro.storage.table import Relation
 
-__all__ = ["ViewData", "codec_for_order"]
+__all__ = ["ViewData", "codec_for_order", "global_run"]
 
 
 @lru_cache(maxsize=1024)
@@ -116,3 +117,49 @@ class ViewData:
             raise ValueError(f"order {self.order} repeats a dimension")
         cols = [col_of[dim] for dim in canon]
         return Relation(dims[:, cols] if cols else dims, self.measure)
+
+
+def global_run(
+    pieces: Sequence[ViewData],
+) -> tuple[tuple[int, ...], np.ndarray, np.ndarray, np.ndarray]:
+    """One view's rank pieces as one globally sorted, key-disjoint run.
+
+    Returns ``(order, keys, measure, rank_offsets)`` — the layout every
+    stored or served view has; this is the only place that decides how a
+    cube's pieces become it.  ``rank_offsets`` are the cumulative piece
+    sizes, so slicing the run at them gives back each rank's row count.
+
+    Procedure 3 leaves a view range-partitioned in rank order, and then
+    the run *is* the concatenation (rank 0 first).  A degraded build
+    merges a share of the dead rank's piece into every survivor, so the
+    pieces of an iteration finished before the loss stay sorted and
+    key-disjoint but interleave across ranks; those take one
+    :func:`~repro.storage.scan.merge_runs`.  Pieces under different sort
+    orders, unsorted pieces or a key held by two ranks are a broken cube
+    (``audit_cube`` rejects it too) and raise ``ValueError``.
+    """
+    name = view_name(pieces[0].view)
+    orders = {piece.order for piece in pieces}
+    if len(orders) != 1:
+        raise ValueError(
+            f"view {name}: rank pieces disagree on the sort order "
+            f"({sorted(orders)})"
+        )
+    keys = np.concatenate([piece.keys for piece in pieces])
+    if is_sorted_int64(keys):
+        measure = np.concatenate([piece.measure for piece in pieces])
+        # Sorted pieces can only share a key where two of them meet.
+        edges = [piece.keys[[0, -1]] for piece in pieces if piece.nrows]
+        disjoint = all(a[1] < b[0] for a, b in zip(edges, edges[1:]))
+    else:
+        keys, measure = merge_runs(
+            [(piece.keys, piece.measure) for piece in pieces]
+        )
+        disjoint = bool(np.all(keys[1:] > keys[:-1]))
+    if not disjoint:
+        raise ValueError(
+            f"view {name}: rank pieces are not sorted, key-disjoint runs"
+        )
+    offsets = np.zeros(len(pieces) + 1, dtype=np.int64)
+    np.cumsum([piece.nrows for piece in pieces], out=offsets[1:])
+    return pieces[0].order, keys, measure, offsets

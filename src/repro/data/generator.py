@@ -31,9 +31,9 @@ class DatasetSpec:
     seed: int = 0xC0FFEE
     #: Re-label each dimension by a seeded random permutation after
     #: sampling.  Zipf codes arrive frequency-ranked (code 0 most
-    #: frequent); scrambling restores the arbitrary labelling of real
-    #: categorical data, which is what attribute-value reordering
-    #: (:mod:`repro.storage.reorder`) exists to undo.
+    #: frequent), which packs the hot cells into the low key range;
+    #: scrambling restores the arbitrary labelling of real categorical
+    #: data — the input the format-3 hybrid layout should be measured on.
     scramble: bool = False
 
     def __post_init__(self) -> None:

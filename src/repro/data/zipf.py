@@ -105,11 +105,11 @@ def scramble_labels(
     """Re-label every dimension column by a seeded random permutation.
 
     :func:`zipf_sample` emits codes in frequency-rank order (code 0 is
-    the most frequent), which is exactly the layout attribute-value
-    reordering would *produce* — synthetic data straight from the
-    sampler makes a reorder pass look like a no-op.  Scrambling gives
+    the most frequent), so synthetic data straight from the sampler
+    clusters its hot cells in the low packed-key range — a best case for
+    block-dense storage that real data does not offer.  Scrambling gives
     each dimension arbitrary labels, the way real categorical data
-    arrives, so a reorder has clustering to recover.
+    arrives.
     """
     dims = np.asarray(dims, dtype=np.int64)
     if dims.ndim != 2 or dims.shape[1] != len(cardinalities):

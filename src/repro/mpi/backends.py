@@ -37,20 +37,15 @@ Superstep wire protocol (process backend), one round per collective::
 
 ``held_j`` lists the foreign segments rank ``j`` still aliases through
 live zero-copy views; ``recycle_j`` hands rank ``j`` back its *own*
-segments once every rank has stopped aliasing them — the release round of
-the pooled plane.  Sending ``step`` N+1 doubles as rank ``j``'s release
-notification for superstep N: its reader has returned by then, so any
-superstep-N segment absent from ``held_j`` can never be touched by rank
-``j`` again.  The parent tracks each in-flight segment in a ledger and
-recycles it to its creator only after all ``p`` ranks have released it —
-the owner never overwrites bytes a consumer can still observe.
-
-With pooling disabled (``MachineSpec.shm_pool=False``) the protocol
-degrades to the legacy four-message round — ``deliver`` is followed by an
-``("ack",)`` / ``("resume",)`` leave barrier and the creator unlinks its
-segments immediately after — kept as the benchmark baseline.  Unlinking
-under live consumer views is safe either way: POSIX keeps the backing
-memory until the last mapping closes; only *reuse* needs the ledger.
+segments once every rank has stopped aliasing them.  Sending ``step``
+N+1 doubles as rank ``j``'s release notification for superstep N: its
+reader has returned by then, so any superstep-N segment absent from
+``held_j`` can never be touched by rank ``j`` again.  The parent tracks
+each in-flight segment in a ledger and recycles it to its creator only
+after all ``p`` ranks have released it — the owner never overwrites
+bytes a consumer can still observe.  Unlinking under live consumer views
+is safe: POSIX keeps the backing memory until the last mapping closes;
+only *reuse* needs the ledger.
 
 On any failure the parent broadcasts ``("abort",)`` and drains the pipes;
 a worker that errors waits for that abort before tearing down its data
@@ -268,8 +263,7 @@ def _prune_entries(kind: str, entries: list, dest: int) -> list:
     per-rank deliver pickle O(own traffic) instead of O(p^2) — the bytes
     never cross the pipe at all.  Sealed payloads (fault injection) ride
     the ``"obj"`` path and pass through untouched, and metering happened
-    before encoding, so neither is affected.  Pooled plane only: the
-    unpooled baseline broadcasts one shared table, like the legacy plane.
+    before encoding, so neither is affected.
     """
     if kind not in ("scatter", "alltoall"):
         return entries
@@ -353,50 +347,28 @@ class _ProcessTransport:
         segment = clock._pending_segment[rank]
         phase = clock._phase[rank]
         accrual = dict(clock._phase_accrual[rank]) if rank == 0 else None
-        plane.sweep()  # unpooled: drop attachments whose views are gone
-        enc = _encode_payload(kind, payload, plane)
-        own = _encoded_segments(enc)
-        try:
-            self._send(
-                (
-                    "step",
-                    kind,
-                    np.asarray(send_row, dtype=np.int64),
-                    segment,
-                    phase,
-                    accrual,
-                    enc,
-                    plane.held(),
-                )
+        self._send(
+            (
+                "step",
+                kind,
+                np.asarray(send_row, dtype=np.int64),
+                segment,
+                phase,
+                accrual,
+                _encode_payload(kind, payload, plane),
+                plane.held(),
             )
-            msg = self._recv()
-            if msg[0] != "deliver":
-                raise RankFailure(
-                    f"rank {rank}: a peer rank aborted the computation"
-                )
-            if plane.pooled:
-                # The parent only returns segments every rank released;
-                # recycling before the read is safe because this round's
-                # own segments are still in flight, not in the list.
-                plane.recycle(msg[2])
-                result = reader(_LazySlots(msg[1], plane.decode))
-            else:
-                try:
-                    result = reader(_LazySlots(msg[1], plane.decode))
-                finally:
-                    # The legacy leave barrier: senders keep segments
-                    # alive until every reader acked.
-                    self._send(("ack",))
-                    resumed = self._recv()
-                if resumed[0] != "resume":
-                    raise RankFailure(
-                        f"rank {rank}: a peer rank aborted the computation"
-                    )
-        finally:
-            if not plane.pooled:
-                # Unpooled recycle == unlink.  Live zero-copy views of
-                # consumers survive this: only the name goes away.
-                plane.recycle(own)
+        )
+        msg = self._recv()
+        if msg[0] != "deliver":
+            raise RankFailure(
+                f"rank {rank}: a peer rank aborted the computation"
+            )
+        # The parent only returns segments every rank released;
+        # recycling before the read is safe because this round's own
+        # segments are still in flight, not in the list.
+        plane.recycle(msg[2])
+        result = reader(_LazySlots(msg[1], plane.decode))
         # Mirror the superstep commit clearing the rank's local accrual.
         # The worker's forked clock never runs commit_superstep, so fold
         # the shipped segment into its own rank_busy entry here to keep
@@ -454,9 +426,7 @@ def _worker_main(
     disk = cluster.disks[rank]
     clock = cluster.clock  # forked copy: authoritative only for this rank
     spec = cluster.spec
-    plane = shm.DataPlane(
-        pooled=spec.shm_pool, zero_copy=spec.shm_zero_copy
-    )
+    plane = shm.DataPlane()
     transport = cluster.transport_for(
         rank,
         _ProcessTransport(
@@ -663,11 +633,11 @@ class _Abort(Exception):
 class _Coordinator:
     """Parent-side replay of the thread backend's barrier action.
 
-    Under the pooled plane the coordinator additionally keeps the segment
-    *ledger*: every shared segment delivered in a superstep is in flight
-    until all ``p`` ranks have released it (reported via the ``held``
-    list on their next message), at which point its name is queued for
-    the creator's next ``deliver`` and the creator's arena may reuse it.
+    The coordinator additionally keeps the segment *ledger*: every
+    shared segment delivered in a superstep is in flight until all ``p``
+    ranks have released it (reported via the ``held`` list on their next
+    message), at which point its name is queued for the creator's next
+    ``deliver`` and the creator's arena may reuse it.
     """
 
     def __init__(self, cluster, conns, procs):
@@ -675,7 +645,6 @@ class _Coordinator:
         self.conns = conns
         self.procs = procs
         self.p = cluster.spec.p
-        self.pooled = cluster.spec.shm_pool
         self.supervisor = Supervisor(
             procs,
             heartbeat_interval=cluster.spec.heartbeat_interval,
@@ -731,7 +700,7 @@ class _Coordinator:
             msg = self._recv(j)
             if msg[0] == "error":
                 raise _Abort(self._absorb_error(j, msg))
-            if msg[0] == "step" and self.pooled:
+            if msg[0] == "step":
                 self._release(j, msg[7])
             msgs[j] = msg
         return msgs
@@ -768,9 +737,8 @@ class _Coordinator:
 
     def _superstep(self, msgs: dict[int, tuple]) -> None:
         """Meter + commit exactly like the thread backend's barrier
-        action, then deliver payloads (with each creator's recycled
-        segments under the pooled plane, or followed by the legacy
-        ack/resume leave round otherwise)."""
+        action, then deliver payloads with each creator's recycled
+        segments."""
         clock = self.cluster.clock
         kind = msgs[0][1]
         rows = []
@@ -791,34 +759,19 @@ class _Coordinator:
         clock.commit_superstep(kind, total, max_rank)
 
         entries = [msgs[j][6] for j in range(self.p)]
-        if self.pooled:
-            # Register this round's segments before handing anything out:
-            # all p ranks must release a segment before it is reused.
-            for j in range(self.p):
-                for name in _encoded_segments(entries[j]):
-                    self._ledger[name] = (j, set(range(self.p)))
-            for j, conn in enumerate(self.conns):
-                recycle = tuple(self._releasable.pop(j, ()))
-                try:
-                    conn.send(
-                        ("deliver", _prune_entries(kind, entries, j), recycle)
-                    )
-                except (BrokenPipeError, OSError):
-                    pass
-            return
-        self._broadcast(("deliver", entries, ()))
-        failure: BaseException | None = None
+        # Register this round's segments before handing anything out:
+        # all p ranks must release a segment before it is reused.
         for j in range(self.p):
-            msg = self._recv(j)
-            if msg[0] == "error" and failure is None:
-                failure = self._absorb_error(j, msg)
-            elif msg[0] != "ack" and failure is None:
-                failure = MPIError(
-                    f"rank {j} broke the superstep protocol: {msg[0]!r}"
+            for name in _encoded_segments(entries[j]):
+                self._ledger[name] = (j, set(range(self.p)))
+        for j, conn in enumerate(self.conns):
+            recycle = tuple(self._releasable.pop(j, ()))
+            try:
+                conn.send(
+                    ("deliver", _prune_entries(kind, entries, j), recycle)
                 )
-        if failure is not None:
-            raise _Abort(failure)
-        self._broadcast(("resume",))
+            except (BrokenPipeError, OSError):
+                pass
 
     def _finish(self, msgs: dict[int, tuple]) -> list:
         """All ranks exited together: collect results and fold tails."""
@@ -841,8 +794,6 @@ class _Coordinator:
             if leases
             else 0.0
         )
-        pool_totals["pooled"] = self.cluster.spec.shm_pool
-        pool_totals["zero_copy"] = self.cluster.spec.shm_zero_copy
         self.cluster.shm_pool = pool_totals
         self._broadcast(("release",))
         for proc in self.procs:

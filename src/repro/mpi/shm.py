@@ -19,15 +19,13 @@ of mpi4py's buffer-protocol path):
     A per-process pool of size-classed segments reused across supersteps.
     ``lease`` hands out a segment (creating one only on a pool miss),
     ``recycle`` returns it once every consumer has dropped its lease, and
-    ``close`` unlinks everything at backend shutdown.  This replaces the
-    per-payload ``shm_open``/``mmap``/``unlink`` syscall churn of the
-    naive plane.  With ``pooled=False`` the arena degrades to the
-    create/unlink-per-payload behaviour (the benchmark baseline).
+    ``close`` unlinks everything at backend shutdown, so steady-state
+    supersteps pay no ``shm_open``/``mmap``/``unlink`` syscalls.
 
 :class:`LeaseTracker` + zero-copy :meth:`DataPlane.decode` (rendezvous)
-    Decoding can return ndarrays that *alias* the segment — read-only
-    views pinned by a lease that is dropped automatically when the last
-    view is garbage collected.  The superstep protocol in
+    Decoding through a tracker returns ndarrays that *alias* the segment
+    — read-only views pinned by a lease that is dropped automatically
+    when the last view is garbage collected.  The superstep protocol in
     :mod:`repro.mpi.backends` reports still-held segments to the
     coordinator, which recycles a creator's segment only after every
     consumer rank has released it.  Callers that need to mutate a
@@ -91,12 +89,12 @@ __all__ = [
 
 #: Arrays smaller than one page are cheaper inline than as a segment
 #: (``shm_open`` + ``mmap`` + ``unlink`` cost more than pickling 4 KB).
-#: This calibration is for the *unpooled* plane, where every divert pays
-#: the full segment-lifecycle syscalls; it is also what the arena-less
-#: module-level :func:`encode` uses.
+#: This is the divert threshold of the arena-less module-level
+#: :func:`encode`, where every divert pays the full segment-lifecycle
+#: syscalls.
 SHM_MIN_BYTES = 1 << 12
 
-#: Divert threshold under a pooled arena.  Leasing from the pool reduces
+#: Divert threshold under an arena.  Leasing from the pool reduces
 #: the marginal cost of a divert to a memcpy into an already-mapped
 #: segment, so much smaller arrays are worth keeping out of the pickle
 #: stream (inline bytes cross the pipe twice per hop; diverted bytes are
@@ -273,10 +271,9 @@ class ShmBlob:
     """One encoded payload: pickle bytes + its shared-segment directory.
 
     ``segments`` names the shared-memory segments holding the diverted
-    arrays of this payload.  The pooled plane packs every array of a
-    payload — and all lanes of one collective — into a *single* arena
-    segment, so the tuple usually has one entry; the legacy (unpooled)
-    plane creates one segment per array.  ``arrays`` is the offset
+    arrays of this payload: every array of a payload — and all lanes of
+    one collective — is packed into a *single* segment, so the tuple has
+    at most one entry.  ``arrays`` is the offset
     table: entry ``i`` is ``(segment_index, offset, dtype_str, shape)``
     for the array whose persistent id in ``data`` is ``(tag, i)``.  The
     blob itself is cheap to pickle and may be relayed to any number of
@@ -339,9 +336,7 @@ def _collect_dump(
 
 def _divert_threshold(arena: "SegmentArena | None") -> int:
     """The arena's economics decide how small a divert still pays."""
-    if arena is not None and arena.pooled:
-        return SHM_MIN_BYTES_POOLED
-    return SHM_MIN_BYTES
+    return SHM_MIN_BYTES if arena is None else SHM_MIN_BYTES_POOLED
 
 
 def _aligned_layout(
@@ -413,14 +408,12 @@ class SegmentArena:
     two, so steady-state supersteps hit the pool).  A leased segment is
     *in flight* until :meth:`recycle` is called with its name — which the
     backend does only once the coordinator has confirmed every consumer
-    rank released it.  ``pooled=False`` turns recycling into an immediate
-    unlink (the unpooled baseline).  :meth:`close` unlinks every segment,
+    rank released it.  :meth:`close` unlinks every segment,
     pooled or in flight — the backend-shutdown path; segments a crashed
     worker never closed are reclaimed by :func:`sweep_orphans` instead.
     """
 
-    def __init__(self, pooled: bool = True):
-        self.pooled = pooled
+    def __init__(self):
         self._pool: dict[int, list[shared_memory.SharedMemory]] = {}
         self._in_flight: dict[str, shared_memory.SharedMemory] = {}
         self._class_of: dict[str, int] = {}
@@ -436,16 +429,6 @@ class SegmentArena:
 
     def lease(self, nbytes: int) -> shared_memory.SharedMemory:
         """Check out a segment with room for ``nbytes`` bytes."""
-        if not self.pooled:
-            # Legacy plane: exact-size segment per payload, unlinked on
-            # recycle — no reuse, so no point rounding to a size class.
-            seg = _create_segment(max(nbytes, 1))
-            self.leases += 1
-            self.segments_created += 1
-            self.bytes_created += max(nbytes, 1)
-            self._in_flight[seg.name] = seg
-            self._class_of[seg.name] = 0
-            return seg
         size = self._size_class(nbytes)
         self.leases += 1
         bucket = self._pool.get(size)
@@ -462,14 +445,15 @@ class SegmentArena:
         return seg
 
     def recycle(self, names: Iterable[str]) -> None:
-        """Return released segments to the pool (or unlink, if unpooled)."""
+        """Return released segments to the pool (unlinking any beyond
+        the per-class retention cap)."""
         for name in names:
             seg = self._in_flight.pop(name, None)
             if seg is None:
                 continue
             size = self._class_of[name]
             bucket = self._pool.setdefault(size, [])
-            if self.pooled and len(bucket) < _MAX_POOLED_PER_CLASS:
+            if len(bucket) < _MAX_POOLED_PER_CLASS:
                 bucket.append(seg)
             else:
                 self._class_of.pop(name, None)
@@ -562,16 +546,12 @@ class _Attachment:
 class LeaseTracker:
     """Consumer-side registry of segment attachments and their leases.
 
-    ``cache=True`` (pooled planes) keeps attachments open across
-    supersteps — segment names are stable under pooling, so the next
-    superstep's decode reuses the mapping without another ``shm_open``.
-    ``cache=False`` (unpooled planes) closes an attachment as soon as its
-    last pin drops, releasing the backing memory of segments the owner
-    has already unlinked.
+    Attachments stay open across supersteps — segment names are stable
+    under pooling, so the next superstep's decode reuses the mapping
+    without another ``shm_open``.
     """
 
-    def __init__(self, cache: bool = True):
-        self.cache = cache
+    def __init__(self):
         self._attachments: dict[str, _Attachment] = {}
         self.attaches = 0
         self.attach_reuses = 0
@@ -594,19 +574,6 @@ class LeaseTracker:
             if not att.closed and att.pins > 0
         ]
 
-    def sweep(self) -> None:
-        """Drop attachments with no remaining pins (unpooled mode only)."""
-        if self.cache:
-            return
-        dead = []
-        for name, att in self._attachments.items():
-            if att.pins <= 0:
-                att.close()
-                if att.closed:
-                    dead.append(name)
-        for name in dead:
-            del self._attachments[name]
-
     def stats(self) -> dict[str, int]:
         return {"attaches": self.attaches, "attach_reuses": self.attach_reuses}
 
@@ -624,7 +591,7 @@ class LeaseTracker:
 def _encode_packed(
     data: bytes, arrays: list[np.ndarray], arena: SegmentArena | None
 ) -> ShmBlob:
-    """Pack every diverted array into one segment (the pooled layout)."""
+    """Pack every diverted array into one segment."""
     offsets, total = _aligned_layout(arrays)
     if arena is not None:
         seg = arena.lease(total)
@@ -639,35 +606,16 @@ def _encode_packed(
     return ShmBlob(data, (seg.name,), table)
 
 
-def _encode_legacy(
-    data: bytes, arrays: list[np.ndarray], arena: SegmentArena
-) -> ShmBlob:
-    """One exact-size segment per array — the plane this PR replaces,
-    kept behind ``pooled=False`` as the benchmark baseline."""
-    names = []
-    table = []
-    for i, arr in enumerate(arrays):
-        seg = arena.lease(arr.nbytes)
-        dst = np.ndarray(arr.shape, dtype=arr.dtype, buffer=seg.buf)
-        dst[...] = arr
-        names.append(seg.name)
-        table.append((i, 0, arr.dtype.str, arr.shape))
-    return ShmBlob(data, tuple(names), tuple(table))
-
-
 def encode(obj: Any, arena: SegmentArena | None = None) -> ShmBlob:
     """Encode one payload; large numeric arrays land in shared memory.
 
-    With a pooled ``arena`` every array is packed into one leased
-    segment; an unpooled arena reproduces the legacy segment-per-array
-    layout.  Without an arena a dedicated packed segment is created and
-    the caller owns it (:func:`unlink_segments`).
+    With an ``arena`` every array is packed into one leased segment;
+    without one a dedicated packed segment is created and the caller
+    owns it (:func:`unlink_segments`).
     """
     data, arrays = _collect_dump(obj, _divert_threshold(arena))
     if not arrays:
         return ShmBlob(data)
-    if arena is not None and not arena.pooled:
-        return _encode_legacy(data, arrays, arena)
     return _encode_packed(data, arrays, arena)
 
 
@@ -677,16 +625,11 @@ def encode_lanes(
     """Encode a per-destination lane list of one scatter/alltoall.
 
     Every lane is pickled independently (receivers decode only the lanes
-    addressed to them).  Under a pooled arena all diverted arrays of all
-    ``p`` lanes are packed into a *single* segment with a shared offset
-    table — one segment per collective instead of one per lane; the
-    returned blobs alias that segment.  An unpooled arena keeps the
-    legacy per-lane, per-array segments.  ``None`` lanes stay ``None``.
+    addressed to them).  All diverted arrays of all ``p`` lanes are
+    packed into a *single* segment with a shared offset table — one
+    segment per collective instead of one per lane; the returned blobs
+    alias that segment.  ``None`` lanes stay ``None``.
     """
-    if arena is not None and not arena.pooled:
-        return [
-            None if lane is None else encode(lane, arena) for lane in lanes
-        ]
     min_bytes = _divert_threshold(arena)
     dumped: list[tuple[bytes, list[np.ndarray]] | None] = [
         None if lane is None else _collect_dump(lane, min_bytes)
@@ -716,18 +659,14 @@ def encode_lanes(
     return blobs
 
 
-def decode(
-    blob: ShmBlob,
-    tracker: LeaseTracker | None = None,
-    zero_copy: bool = False,
-) -> Any:
+def decode(blob: ShmBlob, tracker: LeaseTracker | None = None) -> Any:
     """Decode a blob.
 
-    Default (no tracker): every array is a private writable copy and the
-    one-shot attachments are closed before returning — the legacy copy
-    plane.  With a ``tracker`` and ``zero_copy=True``: arrays are
-    read-only views aliasing the segments, pinned on the tracker's
-    attachments until garbage collected (see :func:`materialize`).
+    Without a tracker every array is a private writable copy and the
+    one-shot attachments are closed before returning.  With a
+    ``tracker`` arrays are read-only views aliasing the segments, pinned
+    on the tracker's attachments until garbage collected (see
+    :func:`materialize`).
     """
     if not blob.segments:
         return _ShmUnpickler(blob, None).load()
@@ -740,11 +679,7 @@ def decode(
                 att = atts[seg_idx] = tracker.attachment(
                     blob.segments[seg_idx]
                 )
-            if zero_copy:
-                return att.view(shape, dtype, offset)
-            return np.ndarray(
-                shape, dtype=dtype, buffer=att.shm.buf, offset=offset
-            ).copy()
+            return att.view(shape, dtype, offset)
 
         return _ShmUnpickler(blob, view_of).load()
     segs: dict[int, shared_memory.SharedMemory] = {}
@@ -788,17 +723,14 @@ class DataPlane:
     """One worker's view of the shared-memory data plane.
 
     Bundles the creator-side :class:`SegmentArena` and the consumer-side
-    :class:`LeaseTracker` under the (pooled, zero_copy) mode switches of
-    :class:`~repro.config.MachineSpec`.  The process backend constructs
-    one per worker; mode selection also decides the superstep release
-    protocol (see :mod:`repro.mpi.backends`).
+    :class:`LeaseTracker`.  The process backend constructs one per
+    worker; the superstep release protocol is described in
+    :mod:`repro.mpi.backends`.
     """
 
-    def __init__(self, pooled: bool = True, zero_copy: bool = True):
-        self.pooled = pooled
-        self.zero_copy = zero_copy
-        self.arena = SegmentArena(pooled=pooled)
-        self.tracker = LeaseTracker(cache=pooled)
+    def __init__(self):
+        self.arena = SegmentArena()
+        self.tracker = LeaseTracker()
 
     def encode(self, obj: Any) -> ShmBlob:
         return encode(obj, arena=self.arena)
@@ -807,18 +739,15 @@ class DataPlane:
         return encode_lanes(lanes, arena=self.arena)
 
     def decode(self, blob: ShmBlob) -> Any:
-        return decode(blob, tracker=self.tracker, zero_copy=self.zero_copy)
+        return decode(blob, tracker=self.tracker)
 
     def held(self) -> list[str]:
         """Foreign segments still pinned by this worker's live views."""
         return self.tracker.held()
 
     def recycle(self, names: Iterable[str]) -> None:
-        """Coordinator confirmed release: pool (or unlink) own segments."""
+        """Coordinator confirmed release: pool own segments."""
         self.arena.recycle(names)
-
-    def sweep(self) -> None:
-        self.tracker.sweep()
 
     def stats(self) -> dict[str, int | float]:
         return {**self.arena.stats(), **self.tracker.stats()}

@@ -14,9 +14,9 @@ surface:
   and the access-path classifier that turns prefix-compatible filters
   into one ``searchsorted`` key range (no decode, no argsort).
 * :mod:`repro.olap.store` — persist a built cube to disk and reopen it;
-  format 2 lays each view out as memory-mapped sorted columns the index
-  path serves from, format 3 adds per-block dense/sparse hybrid storage
-  (:mod:`repro.olap.hybrid`) with recorded attribute-value reorders.
+  every view is stored as one globally sorted run: format 2 as
+  memory-mapped sorted columns the index path serves from, format 3 as
+  per-block dense/sparse hybrid storage (:mod:`repro.olap.hybrid`).
 * :mod:`repro.olap.cache` — byte-budgeted, admission-controlled result
   caching in front of an engine, keyed by (store generation, query) so
   a refresh can never serve a stale hit.
@@ -41,13 +41,7 @@ from repro.olap.advisor import AdvisorResult, select_views
 from repro.olap.cache import CachedQueryEngine, ResultCache
 from repro.olap.hybrid import HybridView
 from repro.olap.index import AccessPlan, FenceIndex, SortedView
-from repro.olap.query import (
-    Query,
-    QueryEngine,
-    QueryPlan,
-    QueryPlanner,
-    ReorderedQueryEngine,
-)
+from repro.olap.query import Query, QueryEngine, QueryPlan, QueryPlanner
 from repro.olap.refresh import RefreshReport, refresh_cube, refresh_store
 from repro.olap.service import QueryService
 from repro.olap.store import CubeStore, OpenCube
@@ -74,7 +68,6 @@ __all__ = [
     "QueryService",
     "QueryTimeout",
     "RefreshReport",
-    "ReorderedQueryEngine",
     "ResultCache",
     "ServiceOverloaded",
     "ServicePolicy",

@@ -36,7 +36,7 @@ import numpy as np
 
 from repro.config import MachineSpec
 from repro.core.cube import CubeResult
-from repro.core.viewdata import codec_for_order
+from repro.core.viewdata import codec_for_order, global_run
 from repro.core.views import View, canonical_view, view_name
 from repro.mpi.engine import run_spmd
 from repro.olap.hybrid import HybridView
@@ -48,18 +48,10 @@ from repro.olap.index import (
     key_bounds,
 )
 from repro.storage.codec import KeyCodec
-from repro.storage.reorder import ValueReorder
 from repro.storage.scan import aggregate_sorted_keys
-from repro.storage.sortkernels import is_sorted_int64
 from repro.storage.table import Relation
 
-__all__ = [
-    "Query",
-    "QueryEngine",
-    "QueryPlan",
-    "QueryPlanner",
-    "ReorderedQueryEngine",
-]
+__all__ = ["Query", "QueryEngine", "QueryPlan", "QueryPlanner"]
 
 
 _HAVING_OPS = {
@@ -323,9 +315,11 @@ class QueryEngine:
 
     ``sorted_views`` (usually from :meth:`repro.olap.store.CubeStore.
     open`) supplies mmap-backed sorted view handles for the index path;
-    without them the engine builds in-memory sorted handles lazily from
-    the cube's own pieces (every builder in this repository leaves views
-    globally sorted in rank order, so this is a cheap concatenation).
+    without them the engine builds an in-memory handle per view on first
+    use with :func:`~repro.core.viewdata.global_run` — the rule the
+    store saves by: a concatenation after a fault-free build, one merge
+    for a degraded build's resharded views, ``ValueError`` for a cube
+    whose pieces are not sorted key-disjoint runs under one order.
     ``index=False`` pins every query to the scan path — the A/B lever
     the serving benchmark uses.
     """
@@ -337,61 +331,38 @@ class QueryEngine:
         index: bool = True,
     ):
         self.cube = cube
-        self._store_views: dict[View, SortedView] = dict(sorted_views or {})
-        self._index_enabled = bool(index)
-        self._local_views: dict[View, SortedView | None] = {}
-        view_orders: dict[View, tuple[int, ...]] = {}
-        for view in cube.views:
-            if view in self._store_views:
-                view_orders[view] = self._store_views[view].order
-                continue
-            orders = {rv[view].order for rv in cube.rank_views}
-            if len(orders) == 1:
-                view_orders[view] = next(iter(orders))
+        #: Sorted handles by view: the store's, else built on first use.
+        self._views: dict[View, SortedView] = dict(sorted_views or {})
+        view_orders = {
+            view: (
+                self._views[view].order
+                if view in self._views
+                else cube.rank_views[0][view].order
+            )
+            for view in cube.views
+        }
         self.planner = QueryPlanner(
             {view: cube.view_rows(view) for view in cube.views},
-            view_orders if self._index_enabled else None,
+            view_orders if index else None,
         )
 
     # -- sorted-view access ------------------------------------------------
 
-    def _sorted_view(self, view: View) -> SortedView | None:
+    def _sorted_view(self, view: View) -> SortedView:
         """A sorted handle for ``view``: the store's mmap handle when
-        open, else a lazily built in-memory one (``None`` when the
-        rank concatenation is not globally sorted — then only the scan
-        path preserves bit-identical float summation order)."""
-        sv = self._store_views.get(view)
-        if sv is not None:
-            return sv
-        if view in self._local_views:
-            return self._local_views[view]
-        pieces = [rv[view] for rv in self.cube.rank_views]
-        orders = {piece.order for piece in pieces}
-        built: SortedView | None = None
-        if len(orders) == 1:
-            keys = np.concatenate([piece.keys for piece in pieces])
-            if is_sorted_int64(keys):
-                measure = np.concatenate(
-                    [piece.measure for piece in pieces]
-                )
-                built = SortedView(next(iter(orders)), keys, measure)
-        self._local_views[view] = built
-        return built
+        open, else an in-memory one built on first use."""
+        sv = self._views.get(view)
+        if sv is None:
+            order, keys, measure, _ = global_run(
+                [rv[view] for rv in self.cube.rank_views]
+            )
+            sv = self._views[view] = SortedView(order, keys, measure)
+        return sv
 
     def explain(self, query: Query) -> QueryPlan:
         """The chosen view plus the access path the engine will take."""
         plan = self.planner.plan(query)
-        if plan.access_path != "scan" and (
-            not self._index_enabled or self._sorted_view(plan.view) is None
-        ):
-            plan = QueryPlan(
-                query=plan.query,
-                view=plan.view,
-                scan_rows=plan.scan_rows,
-                access_path="scan",
-                order=plan.order,
-            )
-        elif plan.access_path != "scan" and plan.access is not None:
+        if plan.access_path != "scan" and plan.access is not None:
             # Against a hybrid view, report the dense path when the
             # whole key range resolves by block-offset arithmetic.
             sv = self._sorted_view(plan.view)
@@ -508,145 +479,4 @@ class QueryEngine:
         return (
             Relation(codec.unpack(keys), measure),
             result.simulated_seconds,
-        )
-
-
-class ReorderedQueryEngine:
-    """Answer queries in *original* attribute values against a cube
-    built under a :class:`~repro.storage.reorder.ValueReorder`.
-
-    The store holds reordered codes; callers keep speaking the labels
-    the raw data used.  Per query the wrapper:
-
-    1. maps each filter's value range through the permutation — a point
-       stays a point and a full range stays full, so those pass through
-       as (contiguous) inner filters; a partial range whose image is
-       non-contiguous becomes its covering range plus a membership
-       post-filter, and the filtered dimension joins the inner group-by
-       so the membership test can run on the (small) aggregated groups
-       instead of per row;
-    2. runs the translated query on the wrapped engine unchanged —
-       index, dense, and scan paths all apply;
-    3. drops groups failing a membership post-filter, maps group codes
-       back through the inverse permutations, re-aggregates onto the
-       requested group-by (a no-op when no auxiliary dims were added),
-       applies HAVING, and returns rows sorted by the canonical
-       original-value packed keys.
-
-    Every step after the inner answer is a deterministic function of
-    that answer, so two stores of the same reordered cube (e.g. format
-    2 and format 3) return bit-identical results through this wrapper,
-    and HAVING only ever sees completely combined groups.
-    """
-
-    def __init__(self, inner: QueryEngine, reorder: ValueReorder):
-        if reorder.width != len(inner.cube.cardinalities):
-            raise ValueError(
-                f"reorder covers {reorder.width} dims but the cube has "
-                f"{len(inner.cube.cardinalities)}"
-            )
-        self.inner = inner
-        self.reorder = reorder
-        self.cube = inner.cube
-
-    @property
-    def planner(self) -> QueryPlanner:
-        return self.inner.planner
-
-    # -- translation -------------------------------------------------------
-
-    def _translate(
-        self, query: Query
-    ) -> tuple[Query | None, tuple[tuple[int, np.ndarray], ...]]:
-        """The inner (reordered-space) query plus membership
-        post-filters; inner query ``None`` when a filter range clamps
-        to nothing (the answer is empty)."""
-        cards = self.cube.cardinalities
-        inner_filters: dict[int, tuple[int, int]] = {}
-        post: list[tuple[int, np.ndarray]] = []
-        for dim, (lo, hi) in query.filters.items():
-            mapped = self.reorder.map_range(dim, lo, hi)
-            if mapped.size == 0:
-                return None, ()
-            mlo, mhi = int(mapped[0]), int(mapped[-1])
-            inner_filters[dim] = (mlo, mhi)
-            if mhi - mlo + 1 != mapped.size:
-                keep = np.zeros(int(cards[dim]), dtype=bool)
-                keep[mapped] = True
-                post.append((int(dim), keep))
-        aux = tuple(
-            dim for dim, _ in post if dim not in query.group_by
-        )
-        inner_group = canonical_view(tuple(query.group_by) + aux)
-        return (
-            Query(group_by=inner_group, filters=inner_filters),
-            tuple(post),
-        )
-
-    def _finish(
-        self,
-        query: Query,
-        inner_group: View,
-        post: tuple[tuple[int, np.ndarray], ...],
-        rel: Relation,
-    ) -> Relation:
-        cards = self.cube.cardinalities
-        dims, measure = rel.dims, rel.measure
-        if post:
-            col_of = {dim: pos for pos, dim in enumerate(inner_group)}
-            mask = np.ones(dims.shape[0], dtype=bool)
-            for dim, keep in post:
-                mask &= keep[dims[:, col_of[dim]]]
-            dims, measure = dims[mask], measure[mask]
-        cols = [inner_group.index(dim) for dim in query.group_by]
-        orig = self.reorder.invert_dims(
-            dims[:, cols], dims_of=query.group_by
-        )
-        codec = KeyCodec([cards[dim] for dim in query.group_by])
-        keys = (
-            codec.pack(orig)
-            if query.group_by
-            else np.zeros(orig.shape[0], dtype=np.int64)
-        )
-        order = np.argsort(keys, kind="stable")
-        out_keys, out_measure = aggregate_sorted_keys(
-            keys[order], measure[order], self.cube.agg
-        )
-        out_keys, out_measure = _apply_having(
-            out_keys, out_measure, query.having
-        )
-        return Relation(codec.unpack(out_keys), out_measure)
-
-    def _empty(self, query: Query) -> Relation:
-        return Relation(
-            np.empty((0, len(query.group_by)), dtype=np.int64),
-            np.empty(0, dtype=np.float64),
-        )
-
-    # -- QueryEngine API ---------------------------------------------------
-
-    def explain(self, query: Query) -> QueryPlan:
-        """The inner plan of the translated query."""
-        inner_query, _ = self._translate(query)
-        return self.inner.explain(
-            inner_query if inner_query is not None else query
-        )
-
-    def answer(self, query: Query) -> Relation:
-        inner_query, post = self._translate(query)
-        if inner_query is None:
-            return self._empty(query)
-        rel = self.inner.answer(inner_query)
-        return self._finish(query, inner_query.group_by, post, rel)
-
-    def answer_parallel(
-        self, query: Query, spec: MachineSpec | None = None
-    ) -> tuple[Relation, float]:
-        inner_query, post = self._translate(query)
-        if inner_query is None:
-            return self._empty(query), 0.0
-        rel, seconds = self.inner.answer_parallel(inner_query, spec)
-        return (
-            self._finish(query, inner_query.group_by, post, rel),
-            seconds,
         )

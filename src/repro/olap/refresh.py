@@ -58,7 +58,7 @@ from repro.olap.store import (
     CubeStore,
     _MANIFEST,
     _gen_name,
-    _view_file,
+    _hybrid_fields,
     _view_stem,
 )
 from repro.storage.mmapio import write_npy
@@ -351,13 +351,10 @@ def refresh_store(
     touches are hard-linked, not rewritten, so refresh cost scales
     with the delta.  The new generation becomes live via an atomic
     ``CURRENT`` pointer swap — readers of generation N are never
-    blocked and never see partial state.  Format-1 stores fall back to
-    an in-memory :func:`refresh_cube` + full save (no linking).
+    blocked and never see partial state.
 
-    Insert-only: see :func:`require_insert_maintainable`.  A store
-    saved with an attribute-value reorder expects ``delta`` in
-    *original* values; the manifest's permutations are applied before
-    the delta build.  An empty delta is a no-op (no new generation).
+    Insert-only: see :func:`require_insert_maintainable`.  An empty
+    delta is a no-op (no new generation).
     A COUNT cube persists as SUM-of-ones, indistinguishable on disk
     from a genuine SUM cube — pass ``config=CubeConfig(agg="count")``
     when refreshing one, or the delta's measures would be summed
@@ -416,53 +413,10 @@ def refresh_store(
         shutil.rmtree(tmp_dir)
 
     spec = (spec or MachineSpec()).with_processors(p)
-    delta_r = src.reorder.apply(delta) if src.reorder is not None else delta
     counts = {"linked": 0, "written": 0}
 
-    if src.format == 1:
-        # Per-rank npz layout: no mmap columns to merge into — fall
-        # back to the in-memory refresh and save the result whole.
-        t0 = time.perf_counter()
-        refreshed = refresh_cube(src.cube, delta_r, spec, config)
-        t1 = time.perf_counter()
-        old_rows = sum(
-            data.nrows for rv in src.cube.rank_views for data in rv.values()
-        )
-        CubeStore._save_v1(refreshed, tmp_dir, src.reorder)
-        mpath = os.path.join(tmp_dir, _MANIFEST)
-        with open(mpath) as fh:
-            new_manifest = json.load(fh)
-        new_manifest["generation"] = next_gen
-        new_manifest["parent"] = cur_gen
-        new_manifest["refresh"] = {"delta_rows": int(delta.nrows)}
-        with open(mpath, "w") as fh:
-            json.dump(new_manifest, fh, indent=1)
-        report = RefreshReport(
-            root=store_dir,
-            generation=next_gen,
-            previous_generation=cur_gen,
-            path=final_dir,
-            delta_rows=int(delta.nrows),
-            rows_added=int(refreshed.metrics.output_rows) - old_rows,
-            views_merged=n_views,
-            views_linked=0,
-            blocks_promoted=0,
-            files_linked=0,
-            files_written=n_views * p,
-            delta_build_seconds=t1 - t0,
-            merge_seconds=time.perf_counter() - t1,
-            metrics=refreshed.metrics,
-        )
-        if os.path.exists(final_dir):
-            shutil.rmtree(final_dir)  # orphan of a crashed refresh
-        os.rename(tmp_dir, final_dir)
-        CubeStore.set_current(store_dir, next_gen)
-        if gc:
-            CubeStore.gc_generations(store_dir)
-        return report
-
     t0 = time.perf_counter()
-    delta_cube = build_data_cube(delta_r, cards, spec, config)
+    delta_cube = build_data_cube(delta, cards, spec, config)
     t1 = time.perf_counter()
 
     stride = int(manifest.get("fence_stride") or DEFAULT_STRIDE)
@@ -475,13 +429,12 @@ def refresh_store(
 
     for entry in manifest["views"]:
         view = canonical_view(entry["dims"])
-        layout_kind = entry.get("layout")
         new_entry = dict(entry)
         stem = _view_stem(view)
+        order = tuple(entry["order"])
+        dk, dv = _delta_run(delta_cube, view, order, cards, internal)
 
-        if layout_kind == "sorted":
-            order = tuple(entry["order"])
-            dk, dv = _delta_run(delta_cube, view, order, cards, internal)
+        if entry["layout"] == "sorted":
             if dk.shape[0] == 0:
                 for suffix in (".keys.npy", ".measure.npy"):
                     _link_file(
@@ -510,9 +463,7 @@ def refresh_store(
                 rows_added += int(mk.shape[0]) - int(old_keys.shape[0])
                 views_merged += 1
 
-        elif layout_kind == "hybrid":
-            order = tuple(entry["order"])
-            dk, dv = _delta_run(delta_cube, view, order, cards, internal)
+        else:  # "hybrid"
             hybrid_files = [".sparse.keys.npy", ".sparse.measure.npy"]
             dense_files = [".dense.values.npy", ".dense.mask.npy"]
             if dk.shape[0] == 0:
@@ -593,83 +544,10 @@ def refresh_store(
                 new_entry.update(
                     rows=int(new_layout.nrows),
                     rank_offsets=offsets,
-                    capacity=int(new_layout.capacity),
-                    sparse_rows=new_layout.n_sparse_rows,
-                    dense=[
-                        [
-                            int(new_layout.dense_blocks[i]),
-                            int(new_layout.dense_rows[i]),
-                            int(new_layout.dense_full[i]),
-                            int(new_layout.sparse_before[i]),
-                        ]
-                        for i in range(new_layout.dense_blocks.shape[0])
-                    ],
+                    **_hybrid_fields(new_layout),
                     fence=fence,
                 )
                 rows_added += stats["rows_added"]
-                views_merged += 1
-
-        else:
-            # Degenerate per-rank ("ranked") view: normalise to one
-            # sorted column pair while we're rewriting anyway — the
-            # refreshed generation serves it through the index path.
-            dk, dv = _delta_run(delta_cube, view, view, cards, internal)
-            if dk.shape[0] == 0:
-                for rank in range(p):
-                    _link_file(
-                        os.path.join(
-                            src.path, f"rank{rank:02d}", _view_file(view)
-                        ),
-                        os.path.join(
-                            tmp_dir, f"rank{rank:02d}", _view_file(view)
-                        ),
-                        counts,
-                    )
-                views_linked += 1
-            else:
-                pieces = []
-                for rank in range(p):
-                    fp = os.path.join(
-                        src.path, f"rank{rank:02d}", _view_file(view)
-                    )
-                    with np.load(fp) as npz:
-                        pieces.append(
-                            _to_canonical(
-                                ViewData(
-                                    tuple(entry["orders"][rank]),
-                                    npz["keys"],
-                                    npz["measure"],
-                                ),
-                                cards,
-                            )
-                        )
-                codec = codec_for_order(view, cards)
-                mk, mv = sort_pairs(
-                    np.concatenate([pc.keys for pc in pieces]),
-                    np.concatenate([pc.measure for pc in pieces]),
-                    key_bound=int(codec.capacity),
-                )
-                mk, mv = aggregate_sorted_keys(mk, mv, internal)
-                mk, mv = merge_sorted(mk, mv, dk, dv)
-                mk, mv = aggregate_sorted_keys(mk, mv, internal)
-                write_npy(os.path.join(dst_views, stem + ".keys.npy"), mk)
-                write_npy(
-                    os.path.join(dst_views, stem + ".measure.npy"), mv
-                )
-                counts["written"] += 2
-                n_new = int(mk.shape[0])
-                new_entry = {
-                    "dims": list(entry["dims"]),
-                    "name": entry["name"],
-                    "rows": n_new,
-                    "layout": "sorted",
-                    "order": list(view),
-                    "rank_offsets": [
-                        round(rank * n_new / p) for rank in range(p + 1)
-                    ],
-                    "fence": FenceIndex.build(mk, stride).to_manifest(),
-                }
-                rows_added += n_new - int(entry["rows"])
                 views_merged += 1
 
         entries.append(new_entry)

@@ -195,9 +195,8 @@ def _worker_main(
     from repro.olap.store import CubeStore
 
     handle = CubeStore.open(store_path)
-    # Through the handle so a recorded attribute-value reorder wraps
-    # the engine transparently (workers keep mmap-only access either
-    # way — dense chunks and sparse columns alike open read-only).
+    # Workers keep mmap-only access: dense chunks and sparse columns
+    # alike open read-only.
     engine = handle.query_engine(index=index)
     store_gen = handle.generation
     if store_gens is not None:
@@ -222,7 +221,7 @@ def _worker_main(
         if store_gens is not None:
             store_gens[worker_id] = store_gen
 
-    arena = SegmentArena(pooled=True)
+    arena = SegmentArena()
     faults = (
         serve_faults.schedule(worker_id, generation)
         if serve_faults is not None

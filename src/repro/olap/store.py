@@ -1,37 +1,37 @@
 """Persist a constructed cube to disk and reopen it for querying.
 
-Two on-disk formats share one manifest schema:
+**One layout rule.**  A stored view is one *globally sorted,
+key-disjoint run* of packed int64 keys plus the parallel measure, and
+the rank boundaries are kept as offsets into it.
+:func:`repro.core.viewdata.global_run` is the one place that turns a
+cube's rank pieces into that run, and :meth:`CubeStore.save` calls it
+once per view: a fault-free build leaves every view range-partitioned
+in rank order (the γ-balanced sample-sort merge guarantees it), so the
+run is the plain concatenation and costs no extra pass; a degraded
+build's resharded views interleave across ranks and take one k-way
+merge, here, at save time.  A cube whose pieces are not sorted,
+key-disjoint runs under one order is rejected with ``ValueError``, not
+stored in a slower layout.
 
-**Format 1** (the seed layout, still fully readable and writable)::
+Two on-disk formats encode that run and share one manifest schema:
 
-    <path>/manifest.json          cardinalities, aggregate, p, view index
-    <path>/rank00/v_<name>.npz    keys + measure of rank 0's piece
-    <path>/rank01/...
+**Format 2** (the serving layout, default) writes the two columns as
+raw contiguous ``.npy`` files::
 
-**Format 2** (the serving layout, default) lays each view out as raw
-contiguous ``.npy`` columns of *globally sorted* packed int64 keys plus
-the parallel measure::
-
-    <path>/manifest.json          + per-view order, rank offsets, fence
+    <path>/manifest.json          cardinalities, aggregate, p and, per
+                                  view, order, rank offsets and fence
     <path>/views/v_<name>.keys.npy
     <path>/views/v_<name>.measure.npy
 
-After every build mode in this repository, a view's per-rank pieces
-share one sort order and concatenate (rank 0 first) into a globally
-sorted, key-disjoint array — the γ-balanced sample-sort merge guarantees
-key-range partitioning — so format 2 stores that concatenation once and
-keeps the rank boundaries as offsets: :meth:`CubeStore.load` rebuilds
-the exact distributed cube as zero-copy slices of the memory-mapped
-columns, while :meth:`CubeStore.open` hands the serving tier
+:meth:`CubeStore.load` rebuilds the distributed cube as zero-copy
+slices of the memory-mapped columns at the rank offsets (for a
+resharded view that is the same content and per-rank row counts,
+range-partitioned), while :meth:`CubeStore.open` hands the serving tier
 :class:`~repro.olap.index.SortedView` handles whose fence index (every
 Nth key, persisted in the manifest) lets a reader touch only the pages
-a query needs.  A view that violates the sorted-concatenation invariant
-(none of the shipped builders produce one, but the format stays honest)
-falls back to per-rank ``ranked`` storage inside the same format-2
-manifest and serves through the scan path.
+a query needs.
 
-**Format 3** (hybrid) keeps format 2's manifest schema and global sort
-invariant but stores each eligible view as dense blocks + a sparse
+**Format 3** (hybrid) stores each view as dense blocks + a sparse
 residue (:mod:`repro.storage.dense`)::
 
     <path>/views/v_<name>.sparse.keys.npy     sorted sparse residue
@@ -44,10 +44,12 @@ rows before the block), so logical-row arithmetic is O(1) per block and
 the fence index covers just the sparse residue.  Readers get
 :class:`~repro.olap.hybrid.HybridView` handles with the same API as
 :class:`SortedView`; ``CubeStore.load`` re-expands the blocks into the
-exact distributed cube.  A store saved with an attribute-value reorder
-(:mod:`repro.storage.reorder`) records the permutations under the
-manifest's ``reorder`` key — any format — and ``query_engine()``
-transparently translates queries back to original attribute values.
+exact distributed cube.
+
+Stores are rebuildable build artefacts, so there is no migration path:
+a manifest written by an older version (format 1, a per-rank view
+layout, a recorded attribute-value reorder) is rejected by
+:meth:`CubeStore.open` with the command that rebuilds it.
 
 **Generations** (incremental refresh).  A store directory may hold a
 *sequence* of immutable snapshots instead of one flat layout::
@@ -57,7 +59,7 @@ transparently translates queries back to original attribute values.
     <path>/gen-000001/manifest.json + views/ ...
     <path>/gen-000002/...
 
-Each generation is a complete, self-contained format-1/2/3 store;
+Each generation is a complete, self-contained format-2/3 store;
 :func:`~repro.olap.refresh.refresh_store` creates the next one by
 merging a delta into its predecessor, hard-linking every untouched
 view file so a generation costs only the bytes its delta touched.  A
@@ -81,14 +83,12 @@ import numpy as np
 
 from repro.config import RunResult
 from repro.core.cube import CubeResult
-from repro.core.viewdata import ViewData, codec_for_order
+from repro.core.viewdata import ViewData, codec_for_order, global_run
 from repro.core.views import View, canonical_view, view_name
 from repro.olap.hybrid import HybridView
 from repro.olap.index import DEFAULT_STRIDE, FenceIndex, SortedView
-from repro.storage.dense import DEFAULT_BLOCK_CELLS, build_hybrid
+from repro.storage.dense import DEFAULT_BLOCK_CELLS, HybridLayout, build_hybrid
 from repro.storage.mmapio import MappedColumn, MmapMeter, write_npy
-from repro.storage.reorder import ValueReorder
-from repro.storage.sortkernels import is_sorted_int64
 
 __all__ = ["CubeStore", "OpenCube"]
 
@@ -101,12 +101,25 @@ def _gen_name(generation: int) -> str:
     return f"{_GEN_PREFIX}{generation:06d}"
 
 
-def _view_file(view: View) -> str:
-    return "v_" + ("_".join(str(i) for i in view) if view else "all") + ".npz"
-
-
 def _view_stem(view: View) -> str:
     return "v_" + ("_".join(str(i) for i in view) if view else "all")
+
+
+def _hybrid_fields(layout: HybridLayout) -> dict:
+    """The manifest fields a hybrid view adds to its entry."""
+    return {
+        "capacity": int(layout.capacity),
+        "sparse_rows": layout.n_sparse_rows,
+        "dense": [
+            [
+                int(layout.dense_blocks[i]),
+                int(layout.dense_rows[i]),
+                int(layout.dense_full[i]),
+                int(layout.sparse_before[i]),
+            ]
+            for i in range(layout.dense_blocks.shape[0])
+        ],
+    }
 
 
 def _zero_metrics(total_rows: int, view_count: int) -> RunResult:
@@ -122,7 +135,7 @@ def _zero_metrics(total_rows: int, view_count: int) -> RunResult:
 
 
 class CubeStore:
-    """Directory-backed cube persistence (formats 1, 2 and 3)."""
+    """Directory-backed cube persistence (formats 2 and 3)."""
 
     @staticmethod
     def save(
@@ -130,180 +143,47 @@ class CubeStore:
         path: str,
         format: int = 2,
         fence_stride: int | None = None,
-        reorder: ValueReorder | None = None,
         block_cells: int | None = None,
         density_threshold: float | None = None,
     ) -> str:
         """Write ``cube`` under ``path`` (created if needed).
 
-        ``reorder`` records the attribute-value permutations the cube
-        was built under (any format); ``block_cells`` and
-        ``density_threshold`` tune the format-3 hybrid layout.
+        ``block_cells`` and ``density_threshold`` tune the format-3
+        hybrid layout.  The format decides only how a view's two columns
+        are encoded and which manifest fields that adds.
         """
-        if format == 1:
-            return CubeStore._save_v1(cube, path, reorder)
-        if format == 2:
-            return CubeStore._save_v2(cube, path, fence_stride, reorder)
-        if format == 3:
-            return CubeStore._save_v3(
-                cube, path, fence_stride, reorder,
-                block_cells, density_threshold,
-            )
-        raise ValueError(f"unknown cube store format: {format!r}")
-
-    @staticmethod
-    def _write_manifest(
-        path: str, manifest: dict, reorder: ValueReorder | None
-    ) -> None:
-        if reorder is not None and not reorder.is_identity:
-            manifest["reorder"] = reorder.to_manifest()
-        with open(os.path.join(path, _MANIFEST), "w") as fh:
-            json.dump(manifest, fh, indent=1)
-
-    @staticmethod
-    def _save_v1(
-        cube: CubeResult, path: str, reorder: ValueReorder | None = None
-    ) -> str:
-        os.makedirs(path, exist_ok=True)
-        views = cube.views
-        manifest = {
-            "format": 1,
-            "cardinalities": list(cube.cardinalities),
-            "agg": cube.agg,
-            "p": len(cube.rank_views),
-            "views": [
-                {
-                    "dims": list(view),
-                    "name": view_name(view),
-                    "rows": cube.view_rows(view),
-                    "orders": [
-                        list(rank_views[view].order)
-                        for rank_views in cube.rank_views
-                    ],
-                }
-                for view in views
-            ],
-        }
-        CubeStore._write_manifest(path, manifest, reorder)
-        for rank, rank_views in enumerate(cube.rank_views):
-            rank_dir = os.path.join(path, f"rank{rank:02d}")
-            os.makedirs(rank_dir, exist_ok=True)
-            for view in views:
-                data = rank_views[view]
-                np.savez(
-                    os.path.join(rank_dir, _view_file(view)),
-                    keys=data.keys,
-                    measure=data.measure,
-                )
-        return path
-
-    @staticmethod
-    def _save_v2(
-        cube: CubeResult,
-        path: str,
-        fence_stride: int | None,
-        reorder: ValueReorder | None = None,
-    ) -> str:
-        os.makedirs(path, exist_ok=True)
-        stride = int(fence_stride or DEFAULT_STRIDE)
-        views_dir = os.path.join(path, "views")
-        entries = []
-        for view in cube.views:
-            pieces = [rv[view] for rv in cube.rank_views]
-            orders = {piece.order for piece in pieces}
-            keys = np.concatenate([piece.keys for piece in pieces])
-            entry = {
-                "dims": list(view),
-                "name": view_name(view),
-                "rows": int(keys.shape[0]),
-            }
-            if len(orders) == 1 and is_sorted_int64(keys):
-                # The serving layout: one sorted column pair per view,
-                # rank pieces recoverable as offset slices.
-                order = pieces[0].order
-                measure = np.concatenate(
-                    [piece.measure for piece in pieces]
-                )
-                offsets = np.zeros(len(pieces) + 1, dtype=np.int64)
-                np.cumsum(
-                    [piece.nrows for piece in pieces], out=offsets[1:]
-                )
-                stem = os.path.join(views_dir, _view_stem(view))
-                write_npy(stem + ".keys.npy", keys)
-                write_npy(stem + ".measure.npy", measure)
-                entry.update(
-                    layout="sorted",
-                    order=list(order),
-                    rank_offsets=[int(o) for o in offsets],
-                    fence=FenceIndex.build(keys, stride).to_manifest(),
-                )
-            else:
-                # Degenerate cube (mixed orders or unsorted global
-                # concatenation): keep the faithful per-rank layout;
-                # this view serves through the scan path.
-                entry.update(
-                    layout="ranked",
-                    orders=[list(piece.order) for piece in pieces],
-                )
-                for rank, piece in enumerate(pieces):
-                    rank_dir = os.path.join(path, f"rank{rank:02d}")
-                    os.makedirs(rank_dir, exist_ok=True)
-                    np.savez(
-                        os.path.join(rank_dir, _view_file(view)),
-                        keys=piece.keys,
-                        measure=piece.measure,
-                    )
-            entries.append(entry)
-        manifest = {
-            "format": 2,
-            "cardinalities": list(cube.cardinalities),
-            "agg": cube.agg,
-            "p": len(cube.rank_views),
-            "fence_stride": stride,
-            "views": entries,
-        }
-        CubeStore._write_manifest(path, manifest, reorder)
-        return path
-
-    @staticmethod
-    def _save_v3(
-        cube: CubeResult,
-        path: str,
-        fence_stride: int | None,
-        reorder: ValueReorder | None,
-        block_cells: int | None,
-        density_threshold: float | None,
-    ) -> str:
+        if format not in (2, 3):
+            raise ValueError(f"unknown cube store format: {format!r}")
         os.makedirs(path, exist_ok=True)
         stride = int(fence_stride or DEFAULT_STRIDE)
         bc = int(block_cells or DEFAULT_BLOCK_CELLS)
-        views_dir = os.path.join(path, "views")
         cards = cube.cardinalities
-        entries = []
-        for view in cube.views:
-            pieces = [rv[view] for rv in cube.rank_views]
-            orders = {piece.order for piece in pieces}
-            keys = np.concatenate([piece.keys for piece in pieces])
+
+        def write_view(view: View) -> dict:
+            """Write one view's files and return its manifest entry
+            (the run's columns are released when this returns)."""
+            order, keys, measure, offsets = global_run(
+                [rv[view] for rv in cube.rank_views]
+            )
             entry = {
                 "dims": list(view),
                 "name": view_name(view),
                 "rows": int(keys.shape[0]),
+                "layout": "sorted" if format == 2 else "hybrid",
+                "order": list(order),
+                "rank_offsets": [int(o) for o in offsets],
             }
-            if len(orders) == 1 and is_sorted_int64(keys):
-                order = pieces[0].order
-                measure = np.concatenate(
-                    [piece.measure for piece in pieces]
-                )
-                offsets = np.zeros(len(pieces) + 1, dtype=np.int64)
-                np.cumsum(
-                    [piece.nrows for piece in pieces], out=offsets[1:]
-                )
-                capacity = int(codec_for_order(order, cards).capacity)
+            stem = os.path.join(path, "views", _view_stem(view))
+            if format == 2:
+                write_npy(stem + ".keys.npy", keys)
+                write_npy(stem + ".measure.npy", measure)
+                fenced = keys
+            else:
                 layout = build_hybrid(
-                    keys, measure, capacity,
+                    keys, measure,
+                    int(codec_for_order(order, cards).capacity),
                     block_cells=bc, threshold=density_threshold,
                 )
-                stem = os.path.join(views_dir, _view_stem(view))
                 write_npy(stem + ".sparse.keys.npy", layout.sparse_keys)
                 write_npy(
                     stem + ".sparse.measure.npy", layout.sparse_measure
@@ -314,50 +194,25 @@ class CubeStore:
                     )
                 if layout.dense_mask.size:
                     write_npy(stem + ".dense.mask.npy", layout.dense_mask)
-                entry.update(
-                    layout="hybrid",
-                    order=list(order),
-                    rank_offsets=[int(o) for o in offsets],
-                    capacity=capacity,
-                    sparse_rows=layout.n_sparse_rows,
-                    dense=[
-                        [
-                            int(layout.dense_blocks[i]),
-                            int(layout.dense_rows[i]),
-                            int(layout.dense_full[i]),
-                            int(layout.sparse_before[i]),
-                        ]
-                        for i in range(layout.dense_blocks.shape[0])
-                    ],
-                    fence=FenceIndex.build(
-                        layout.sparse_keys, stride
-                    ).to_manifest(),
-                )
-            else:
-                entry.update(
-                    layout="ranked",
-                    orders=[list(piece.order) for piece in pieces],
-                )
-                for rank, piece in enumerate(pieces):
-                    rank_dir = os.path.join(path, f"rank{rank:02d}")
-                    os.makedirs(rank_dir, exist_ok=True)
-                    np.savez(
-                        os.path.join(rank_dir, _view_file(view)),
-                        keys=piece.keys,
-                        measure=piece.measure,
-                    )
-            entries.append(entry)
+                entry.update(_hybrid_fields(layout))
+                fenced = layout.sparse_keys
+            entry["fence"] = FenceIndex.build(fenced, stride).to_manifest()
+            return entry
+
         manifest = {
-            "format": 3,
+            "format": int(format),
             "cardinalities": list(cards),
             "agg": cube.agg,
             "p": len(cube.rank_views),
             "fence_stride": stride,
-            "block_cells": bc,
-            "density_threshold": density_threshold,
-            "views": entries,
         }
-        CubeStore._write_manifest(path, manifest, reorder)
+        if format == 3:
+            manifest.update(
+                block_cells=bc, density_threshold=density_threshold
+            )
+        manifest["views"] = [write_view(view) for view in cube.views]
+        with open(os.path.join(path, _MANIFEST), "w") as fh:
+            json.dump(manifest, fh, indent=1)
         return path
 
     # -- reading -----------------------------------------------------------
@@ -369,9 +224,27 @@ class CubeStore:
             raise FileNotFoundError(f"no cube manifest at {manifest_path}")
         with open(manifest_path) as fh:
             manifest = json.load(fh)
-        if manifest.get("format") not in (1, 2, 3):
+        unread = None
+        if manifest.get("format") not in (2, 3):
+            unread = f"format {manifest.get('format')!r}"
+        elif "reorder" in manifest:
+            unread = "an attribute-value reorder"
+        else:
+            for entry in manifest["views"]:
+                if entry.get("layout") not in ("sorted", "hybrid"):
+                    unread = (
+                        f"view {entry.get('name')} in layout "
+                        f"{entry.get('layout')!r}"
+                    )
+                    break
+        if unread is not None:
+            # Older versions wrote format 1, per-rank view layouts and
+            # reorder permutations; none is read any more.
             raise ValueError(
-                f"unsupported cube store format: {manifest.get('format')!r}"
+                f"unsupported cube store at {manifest_path}: it holds "
+                f"{unread}, which this version does not read.  Stores "
+                "are build artefacts: rebuild it with "
+                "`python -m repro build ... --out <path>`"
             )
         return manifest
 
@@ -380,8 +253,9 @@ class CubeStore:
         """Reopen a saved cube as a :class:`CubeResult`.
 
         Format-2 pieces are zero-copy slices of the memory-mapped view
-        columns — the distributed layout (per-rank rows and orders) is
-        exactly what was saved, for either format.
+        columns at the saved rank offsets: per-rank row counts and
+        orders are what was saved, and every view comes back
+        range-partitioned in rank order.
         """
         return CubeStore.open(path, generation=generation).cube
 
@@ -522,14 +396,12 @@ class CubeStore:
 class OpenCube:
     """A read-only handle on one stored cube.
 
-    * :attr:`cube` — the faithful distributed :class:`CubeResult`
-      (formats 2/3: mmap-backed; format 1: eager ``.npz`` loads).
+    * :attr:`cube` — the distributed :class:`CubeResult` (format 2:
+      mmap-backed slices; format 3: re-expanded blocks).
     * :attr:`sorted_views` — per-view serving handles
       (:class:`SortedView` for format-2 ``sorted`` layouts,
       :class:`~repro.olap.hybrid.HybridView` for format-3 ``hybrid``
-      layouts; empty for format 1).
-    * :attr:`reorder` — the attribute-value permutations the cube was
-      built under, or ``None`` (original labels).
+      layouts).
     * :attr:`meter` — mmap read accounting shared by every column.
 
     Handles are safe to open in many processes at once: each worker of
@@ -552,11 +424,6 @@ class OpenCube:
         self.p = int(manifest["p"])
         self.block_cells = int(
             manifest.get("block_cells") or DEFAULT_BLOCK_CELLS
-        )
-        self.reorder = (
-            ValueReorder.from_manifest(manifest["reorder"])
-            if "reorder" in manifest
-            else None
         )
         self.meter = MmapMeter()
         self._cube: CubeResult | None = None
@@ -601,134 +468,66 @@ class OpenCube:
     def sorted_views(self) -> dict[View, SortedView | HybridView]:
         if self._sorted is None:
             self._sorted = {}
-            if self.format in (2, 3):
-                for entry in self.manifest["views"]:
-                    layout = entry.get("layout")
-                    view = canonical_view(entry["dims"])
-                    if layout == "sorted":
-                        stem = os.path.join(
-                            self.path, "views", _view_stem(view)
-                        )
-                        self._sorted[view] = SortedView(
-                            tuple(entry["order"]),
-                            MappedColumn(stem + ".keys.npy", self.meter),
-                            MappedColumn(
-                                stem + ".measure.npy", self.meter
-                            ),
-                            FenceIndex.from_manifest(entry["fence"]),
-                        )
-                    elif layout == "hybrid":
-                        self._sorted[view] = self._hybrid_view(entry, view)
+            for entry in self.manifest["views"]:
+                view = canonical_view(entry["dims"])
+                if entry["layout"] == "hybrid":
+                    self._sorted[view] = self._hybrid_view(entry, view)
+                    continue
+                stem = os.path.join(self.path, "views", _view_stem(view))
+                self._sorted[view] = SortedView(
+                    tuple(entry["order"]),
+                    MappedColumn(stem + ".keys.npy", self.meter),
+                    MappedColumn(stem + ".measure.npy", self.meter),
+                    FenceIndex.from_manifest(entry["fence"]),
+                )
         return self._sorted
 
-    def view_index(self, view: View) -> FenceIndex | None:
-        """The manifest-persisted fence index of one view (or ``None``
-        when the view is stored ranked / format 1)."""
-        sv = self.sorted_views.get(canonical_view(view))
-        return sv.fence if sv is not None else None
+    def view_index(self, view: View) -> FenceIndex:
+        """The manifest-persisted fence index of one view."""
+        return self.sorted_views[canonical_view(view)].fence
 
     # -- the distributed cube ---------------------------------------------
 
     @property
     def cube(self) -> CubeResult:
-        if self._cube is None:
-            self._cube = (
-                self._load_v1() if self.format == 1 else self._load_v23()
-            )
-        return self._cube
-
-    def _load_v1(self) -> CubeResult:
-        manifest = self.manifest
-        p = self.p
-        rank_views: list[dict[View, ViewData]] = [dict() for _ in range(p)]
+        if self._cube is not None:
+            return self._cube
+        rank_views: list[dict[View, ViewData]] = [
+            dict() for _ in range(self.p)
+        ]
         total_rows = 0
-        for entry in manifest["views"]:
+        for entry in self.manifest["views"]:
             view = canonical_view(entry["dims"])
             total_rows += int(entry["rows"])
-            for rank in range(p):
-                file_path = os.path.join(
-                    self.path, f"rank{rank:02d}", _view_file(view)
-                )
-                with np.load(file_path) as npz:
-                    data = ViewData(
-                        tuple(entry["orders"][rank]),
-                        npz["keys"],
-                        npz["measure"],
-                    )
-                rank_views[rank][view] = data
-        return CubeResult(
-            rank_views=rank_views,
-            cardinalities=self.cardinalities,
-            metrics=_zero_metrics(total_rows, len(manifest["views"])),
-            agg=self.agg,
-        )
-
-    def _load_v23(self) -> CubeResult:
-        manifest = self.manifest
-        p = self.p
-        rank_views: list[dict[View, ViewData]] = [dict() for _ in range(p)]
-        total_rows = 0
-        for entry in manifest["views"]:
-            view = canonical_view(entry["dims"])
-            total_rows += int(entry["rows"])
-            layout = entry.get("layout")
-            if layout == "sorted":
-                sv = self.sorted_views[view]
+            sv = self.sorted_views[view]
+            if isinstance(sv, HybridView):
+                # Re-expand the blocks into the full sorted columns.
+                keys, measure = sv.read(0, sv.nrows)
+            else:
                 keys = sv._keys.array  # the shared mapping
                 measure = sv._measure.array
-                offsets = entry["rank_offsets"]
-                order = tuple(entry["order"])
-                for rank in range(p):
-                    lo, hi = int(offsets[rank]), int(offsets[rank + 1])
-                    rank_views[rank][view] = ViewData(
-                        order, keys[lo:hi], measure[lo:hi]
-                    )
-            elif layout == "hybrid":
-                # Re-expand the blocks into the full sorted columns;
-                # rank pieces are offset slices exactly as for format 2.
-                hv = self.sorted_views[view]
-                keys, measure = hv.read(0, hv.nrows)
-                offsets = entry["rank_offsets"]
-                order = tuple(entry["order"])
-                for rank in range(p):
-                    lo, hi = int(offsets[rank]), int(offsets[rank + 1])
-                    rank_views[rank][view] = ViewData(
-                        order, keys[lo:hi], measure[lo:hi]
-                    )
-            else:
-                for rank in range(p):
-                    file_path = os.path.join(
-                        self.path, f"rank{rank:02d}", _view_file(view)
-                    )
-                    with np.load(file_path) as npz:
-                        rank_views[rank][view] = ViewData(
-                            tuple(entry["orders"][rank]),
-                            npz["keys"],
-                            npz["measure"],
-                        )
-        return CubeResult(
+            # Rank pieces are offset slices of the one sorted run.
+            offsets = entry["rank_offsets"]
+            for rank in range(self.p):
+                lo, hi = int(offsets[rank]), int(offsets[rank + 1])
+                rank_views[rank][view] = ViewData(
+                    sv.order, keys[lo:hi], measure[lo:hi]
+                )
+        self._cube = CubeResult(
             rank_views=rank_views,
             cardinalities=self.cardinalities,
-            metrics=_zero_metrics(total_rows, len(manifest["views"])),
+            metrics=_zero_metrics(total_rows, len(self.manifest["views"])),
             agg=self.agg,
         )
+        return self._cube
 
     # -- convenience -------------------------------------------------------
 
     def query_engine(self, index: bool = True):
-        """A query engine over this store (index-accelerated where
-        sorted/hybrid views exist).
+        """A query engine over this store's sorted/hybrid view handles
+        (``index=False`` pins every query to the scan path)."""
+        from repro.olap.query import QueryEngine
 
-        When the manifest records an attribute-value reorder the engine
-        is wrapped in a :class:`~repro.olap.query.ReorderedQueryEngine`,
-        so callers always query in original attribute values no matter
-        how the store is labelled.
-        """
-        from repro.olap.query import QueryEngine, ReorderedQueryEngine
-
-        engine = QueryEngine(
+        return QueryEngine(
             self.cube, sorted_views=self.sorted_views, index=index
         )
-        if self.reorder is not None and not self.reorder.is_identity:
-            return ReorderedQueryEngine(engine, self.reorder)
-        return engine

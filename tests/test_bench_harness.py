@@ -101,8 +101,6 @@ class TestFormatting:
         text = format_shm_pool(
             "Pool",
             {
-                "pooled": True,
-                "zero_copy": True,
                 "leases": 108,
                 "segments_created": 63,
                 "segments_reused": 45,
@@ -113,7 +111,7 @@ class TestFormatting:
                 "attach_reuses": 105,
             },
         )
-        assert "pooled, zero-copy" in text
+        assert "segment leases" in text
         assert "41.7%" in text
         assert "2.00 MB" in text
 

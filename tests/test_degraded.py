@@ -40,6 +40,8 @@ from repro.mpi.errors import (
     classify_failure,
 )
 from repro.mpi.faults import FaultPlan
+from repro.olap import CubeStore, Query, QueryEngine
+from repro.storage.sortkernels import is_sorted_int64
 from repro.storage.table import Relation
 
 from .conftest import make_relation
@@ -330,6 +332,113 @@ class TestDegradeReshard:
         assert content_fingerprint(res) == content_fingerprint(clean)
         assert (tmp_path / "epoch01").is_dir()
         assert (tmp_path / "epoch02").is_dir()
+
+
+# ---------------------------------------------------------------------------
+# what a reshard leaves behind is stored and served like any other cube
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def degraded_and_clean(relation, tmp_path_factory):
+    """A p=4 build that lost rank 1 after two iterations, and the clean
+    p=3 build of the same input.  The reshard merged a share of the dead
+    rank's pieces into every survivor, so the finished iterations' views
+    interleave across ranks."""
+    degraded = build(
+        relation,
+        "thread",
+        p=4,
+        faults=FaultPlan.parse("kill@r1s26"),
+        recovery=RecoveryPolicy(mode="degrade", max_retries=0),
+        checkpoint_dir=str(tmp_path_factory.mktemp("ckpt")),
+    )
+    assert degraded.metrics.final_width == 3
+    return degraded, build(relation, "thread", p=3)
+
+
+class TestDegradedStore:
+    QUERIES = [
+        Query(()),
+        Query((0,)),
+        Query((1, 2)),
+        Query((), {0: (3, 3), 1: (2, 2), 2: (1, 1)}),
+        Query((), {0: (7, 7), 1: (5, 5)}),
+        Query((1,), {0: (2, 5)}),
+        Query((2,), {0: (1, 1), 1: (0, 3)}),
+        Query((0,), {1: (1, 4), 2: (0, 2)}),
+        Query((0, 2), {2: (1, 3)}),
+        Query((0, 1), having=(">=", 100.0)),
+    ]
+
+    @staticmethod
+    def assert_serves_like(engine, clean_engine):
+        for query in TestDegradedStore.QUERIES:
+            want = clean_engine.explain(query).access_path
+            assert engine.explain(query).access_path == want, query
+            got, ref = engine.answer(query), clean_engine.answer(query)
+            assert np.array_equal(got.dims, ref.dims), query
+            assert np.array_equal(got.measure, ref.measure), query
+
+    def test_fixture_has_interleaved_views(self, degraded_and_clean):
+        degraded, clean = degraded_and_clean
+        interleaved = [
+            view
+            for view in degraded.views
+            if not is_sorted_int64(
+                np.concatenate(
+                    [rv[view].keys for rv in degraded.rank_views]
+                )
+            )
+        ]
+        assert interleaved  # else these tests exercise nothing
+        # Same sort orders, so the clean plans are the plans to expect.
+        for view in clean.views:
+            assert (
+                degraded.rank_views[0][view].order
+                == clean.rank_views[0][view].order
+            )
+        engine = QueryEngine(clean)
+        assert {
+            engine.explain(query).access_path for query in self.QUERIES
+        } >= {"index", "index+sort"}
+
+    @pytest.mark.parametrize("fmt", [2, 3])
+    def test_store_is_indexed_and_answers_like_clean(
+        self, degraded_and_clean, tmp_path, fmt
+    ):
+        degraded, clean = degraded_and_clean
+        path = CubeStore.save(degraded, str(tmp_path / "deg"), format=fmt)
+        clean_path = CubeStore.save(
+            clean, str(tmp_path / "clean"), format=fmt
+        )
+        handle = CubeStore.open(path)
+        assert {e["layout"] for e in handle.manifest["views"]} == {
+            "sorted" if fmt == 2 else "hybrid"
+        }
+        self.assert_serves_like(
+            handle.query_engine(), CubeStore.open(clean_path).query_engine()
+        )
+
+    @pytest.mark.parametrize("fmt", [2, 3])
+    def test_load_keeps_content_and_row_counts(
+        self, degraded_and_clean, relation, tmp_path, fmt
+    ):
+        degraded, _ = degraded_and_clean
+        path = CubeStore.save(degraded, str(tmp_path / "deg"), format=fmt)
+        loaded = CubeStore.load(path)
+        for view in degraded.views:
+            assert loaded.view_relation(view).same_content(
+                degraded.view_relation(view)
+            )
+            assert np.array_equal(
+                loaded.distribution(view), degraded.distribution(view)
+            )
+        assert audit_cube(loaded, relation=relation).ok
+
+    def test_in_memory_engine_is_indexed(self, degraded_and_clean):
+        degraded, clean = degraded_and_clean
+        self.assert_serves_like(QueryEngine(degraded), QueryEngine(clean))
 
 
 # ---------------------------------------------------------------------------

@@ -328,8 +328,8 @@ class TestSigkillMidCollective:
 
 def _sigkill_mid_lease_prog(c, path):
     big = np.arange(shm.SHM_MIN_BYTES // 8 + 7, dtype=np.int64)
-    # Under the zero-copy plane these decoded slots are views pinning
-    # leases on the peers' (pooled) segments.
+    # These decoded slots are views pinning leases on the peers'
+    # pooled segments.
     slots = c.allgather(big)
     if c.rank == 1:
         with open(path, "w") as fh:
@@ -350,22 +350,12 @@ class TestSigkillMidLease:
     segment — its own arena's or the pooled segments its death left
     unreleased — may outlive the run."""
 
-    @pytest.mark.parametrize(
-        "pooled,zero_copy",
-        [
-            pytest.param(True, True, id="pooled-zerocopy"),
-            pytest.param(True, False, id="pooled-copy"),
-            pytest.param(False, True, id="unpooled-zerocopy"),
-        ],
-    )
-    def test_no_leaked_segments(self, tmp_path, pooled, zero_copy):
+    def test_no_leaked_segments(self, tmp_path):
         before = {
             n for n in os.listdir("/dev/shm") if shm._SEGMENT_RE.match(n)
         }
         path = str(tmp_path / "victim")
-        spec = det_spec(
-            3, "process", shm_pool=pooled, shm_zero_copy=zero_copy
-        )
+        spec = det_spec(3, "process")
         with pytest.raises(MPIError, match="rank 1 worker process died"):
             run_spmd(_sigkill_mid_lease_prog, spec, args=(path,))
         pid_text = open(path).read().strip()

@@ -50,7 +50,6 @@ MODULES = [
     "repro.storage.diskarray",
     "repro.storage.external_sort",
     "repro.storage.relio",
-    "repro.storage.runs",
     "repro.storage.scan",
     "repro.storage.table",
     "repro.olap.advisor",

@@ -8,15 +8,17 @@ import time
 import numpy as np
 import pytest
 
-from repro.config import CubeConfig, MachineSpec
+from repro.config import CubeConfig, MachineSpec, RecoveryPolicy
 from repro.core.audit import audit_cube
 from repro.core.cube import build_data_cube
+from repro.mpi.faults import FaultPlan
 from repro.olap.cache import CachedQueryEngine
 from repro.olap.query import Query
 from repro.olap.refresh import refresh_store
 from repro.olap.service import QueryService
 from repro.olap.store import CubeStore
 from repro.olap.supervise import ServicePolicy
+from repro.storage.sortkernels import is_sorted_int64
 from repro.storage.table import Relation
 
 CARDS = (12, 8, 5, 3)
@@ -72,7 +74,7 @@ def assert_same_answers(path_a, path_b, queries=QUERIES):
 
 
 class TestRefreshStoreFormats:
-    @pytest.mark.parametrize("fmt", [1, 2, 3])
+    @pytest.mark.parametrize("fmt", [2, 3])
     def test_matches_full_rebuild(self, tmp_path, fmt):
         rel = int_relation(4000, seed=50 + fmt)
         first, extra = split(rel, 3200)
@@ -87,33 +89,34 @@ class TestRefreshStoreFormats:
         cube = CubeStore.load(store)
         assert audit_cube(cube, relation=rel).ok
 
-    def test_reordered_hybrid_matches_rebuild(self, tmp_path):
-        from repro.storage.reorder import reorder_relation
-
-        rel = int_relation(4000, seed=54)
+    @pytest.mark.parametrize("fmt", [2, 3])
+    def test_degraded_store_matches_full_rebuild(self, tmp_path, fmt):
+        """A degraded build's resharded views interleave across ranks;
+        its store is normalised at save time, so a refresh merges into
+        it like into any other."""
+        rel = int_relation(4000, seed=56 + fmt)
         first, extra = split(rel, 3200)
-        data, reorder = reorder_relation(first, CARDS)
-        store = CubeStore.save(
-            build_data_cube(data, CARDS, SPEC),
-            str(tmp_path / "live"),
-            format=3,
-            reorder=reorder,
+        degraded = build_data_cube(
+            first,
+            CARDS,
+            MachineSpec(p=4),
+            faults=FaultPlan.parse("kill@r1s40"),
+            recovery=RecoveryPolicy(mode="degrade", max_retries=0),
+            checkpoint_dir=str(tmp_path / "ckpt"),
         )
-        # The delta arrives in ORIGINAL attribute values; refresh_store
-        # must fold it through the manifest's recorded permutations.
-        refresh_store(store, extra, spec=SPEC)
-        # Rebuild under the SAME permutations as the live store (a
-        # fresh reorder_relation over base+delta would sample different
-        # frequencies), so apply the live store's reorder to the full
-        # input.
-        data_full = reorder.apply(rel)
-        rebuilt = CubeStore.save(
-            build_data_cube(data_full, CARDS, SPEC),
-            str(tmp_path / "rebuilt"),
-            format=3,
-            reorder=reorder,
-        )
+        assert len(degraded.rank_views) == 3
+        assert not all(
+            is_sorted_int64(
+                np.concatenate([rv[v].keys for rv in degraded.rank_views])
+            )
+            for v in degraded.views
+        ), "the fault left no interleaved view to normalise"
+        store = CubeStore.save(degraded, str(tmp_path / "live"), format=fmt)
+        report = refresh_store(store, extra, spec=SPEC)
+        assert report.views_merged == len(degraded.views)
+        rebuilt = save_store(rel, tmp_path / "rebuilt", format=fmt)
         assert_same_answers(store, rebuilt)
+        assert audit_cube(CubeStore.load(store), relation=rel).ok
 
     def test_promotion_to_dense(self, tmp_path):
         # A hot delta concentrated on few blocks must cross the density

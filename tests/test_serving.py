@@ -1,6 +1,7 @@
 """Tests for the serving tier: fence index, access paths, store v2,
 byte-budgeted cache, and the QueryService worker pool."""
 
+import json
 import os
 import pickle
 
@@ -222,33 +223,26 @@ class TestQueryHashable:
 
 
 # ---------------------------------------------------------------------------
-# store format 2 + format compatibility (satellite)
+# store format 2 + rejected legacy manifests (satellite)
 # ---------------------------------------------------------------------------
 
 
 class TestStoreV2:
     def test_formats_answer_identically(self, cube, tmp_path):
-        p1 = CubeStore.save(cube, str(tmp_path / "v1"), format=1)
         p2 = CubeStore.save(cube, str(tmp_path / "v2"))
         assert int(CubeStore._read_manifest(p2)["format"]) == 2
-        assert int(CubeStore._read_manifest(p1)["format"]) == 1
         live = QueryEngine(cube, index=False)
-        h1, h2 = CubeStore.open(p1), CubeStore.open(p2)
+        engine = CubeStore.open(p2).query_engine()
         for query in TestIndexedExecution.QUERIES:
-            want = live.answer(query)
-            for handle in (h1, h2):
-                got = handle.query_engine().answer(query)
-                assert np.array_equal(want.dims, got.dims)
-                assert np.array_equal(want.measure, got.measure)
+            want, got = live.answer(query), engine.answer(query)
+            assert np.array_equal(want.dims, got.dims)
+            assert np.array_equal(want.measure, got.measure)
 
     def test_view_index_by_format(self, cube, tmp_path):
-        p1 = CubeStore.save(cube, str(tmp_path / "v1"), format=1)
         p2 = CubeStore.save(cube, str(tmp_path / "v2"), fence_stride=64)
-        h1, h2 = CubeStore.open(p1), CubeStore.open(p2)
         view = cube.views[0]
-        assert h1.view_index(view) is None
-        fence = h2.view_index(view)
-        assert fence is not None and fence.stride == 64
+        fence = CubeStore.open(p2).view_index(view)
+        assert fence.stride == 64
         assert fence.nrows == cube.view_rows(view)
 
     def test_v2_preserves_distribution_and_orders(self, cube, tmp_path):
@@ -262,27 +256,57 @@ class TestStoreV2:
                 assert np.array_equal(a.keys, b.keys)
                 assert np.array_equal(a.measure, b.measure)
 
-    def test_mixed_order_view_falls_back_to_ranked(self, tmp_path):
-        cards = (4, 4)
-        k = np.array([1, 5, 9], dtype=np.int64)
-        m = np.ones(3)
-        pieces = [ViewData((0, 1), k, m), ViewData((1, 0), k, m)]
+    @pytest.mark.parametrize(
+        "second, complaint",
+        [
+            (ViewData((1, 0), [2, 6], [1.0, 1.0]), "sort order"),
+            (ViewData((0, 1), [5, 7], [1.0, 1.0]), "key-disjoint"),
+        ],
+        ids=["mixed-orders", "key-on-two-ranks"],
+    )
+    def test_broken_view_is_rejected_by_name(
+        self, tmp_path, second, complaint
+    ):
+        first = ViewData((0, 1), [1, 5, 9], [1.0, 1.0, 1.0])
         cube = CubeResult(
-            rank_views=[{(0, 1): pieces[0]}, {(0, 1): pieces[1]}],
-            cardinalities=cards,
-            metrics=RunResult(0.0, 0.0, 6, 1, 0, 0),
+            rank_views=[{(0, 1): first}, {(0, 1): second}],
+            cardinalities=(4, 4),
+            metrics=RunResult(0.0, 0.0, 5, 1, 0, 0),
         )
-        path = CubeStore.save(cube, str(tmp_path / "mixed"))
-        handle = CubeStore.open(path)
-        assert handle.sorted_views == {}
-        assert handle.view_index((0, 1)) is None
-        back = handle.cube
-        assert back.rank_views[1][(0, 1)].order == (1, 0)
-        assert np.array_equal(back.rank_views[0][(0, 1)].keys, k)
+        for fmt in (2, 3):
+            with pytest.raises(ValueError, match=f"view AB.*{complaint}"):
+                CubeStore.save(cube, str(tmp_path / f"f{fmt}"), format=fmt)
+        with pytest.raises(ValueError, match=f"view AB.*{complaint}"):
+            QueryEngine(cube).answer(Query((0,), {0: (1, 2)}))
 
     def test_unknown_format_rejected(self, cube, tmp_path):
-        with pytest.raises(ValueError, match="format"):
-            CubeStore.save(cube, str(tmp_path / "x"), format=4)
+        for fmt in (1, 4):
+            with pytest.raises(ValueError, match="format"):
+                CubeStore.save(cube, str(tmp_path / "x"), format=fmt)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda m: m.update(format=1),
+            lambda m: m["views"][0].update(layout="ranked"),
+            lambda m: m.update(reorder={"perms": [[0, 1]]}),
+            lambda m: m["views"][-1].update(layout="columnar"),
+            lambda m: m["views"][0].pop("layout"),
+        ],
+        ids=["format-1", "ranked", "reorder", "unknown-layout", "no-layout"],
+    )
+    def test_open_rejects_manifests_it_cannot_read(
+        self, cube, tmp_path, edit
+    ):
+        path = CubeStore.save(cube, str(tmp_path / "old"))
+        manifest_path = os.path.join(path, "manifest.json")
+        with open(manifest_path) as fh:
+            manifest = json.load(fh)
+        edit(manifest)
+        with open(manifest_path, "w") as fh:
+            json.dump(manifest, fh)
+        with pytest.raises(ValueError, match="python -m repro build"):
+            CubeStore.open(path)
 
     def test_meter_counts_index_reads(self, cube, tmp_path):
         path = CubeStore.save(cube, str(tmp_path / "v2"))

@@ -1,10 +1,10 @@
 """Encode/decode matrix for the shared-memory data plane (PR: zero-copy
 pooled arenas).
 
-Exercises :mod:`repro.mpi.shm` across array layouts, dtypes and plane
-modes: empty arrays, non-contiguous slices, Fortran order,
+Exercises :mod:`repro.mpi.shm` across array layouts and dtypes: empty
+arrays, non-contiguous slices, Fortran order,
 float32/int64/bool, an array referenced twice encoding to one segment,
-sub-threshold payloads staying inline, the pooled divert threshold, lane
+sub-threshold payloads staying inline, the arena divert threshold, lane
 batching into a single segment, and the zero-copy lease/materialize
 contract — plus an end-to-end pass on both execution backends.
 """
@@ -25,28 +25,20 @@ requires_fork = pytest.mark.skipif(
     reason="process backend needs the fork start method",
 )
 
-BACKENDS = ["thread", pytest.param("process", marks=requires_fork)]
-
-PLANE_MODES = [
-    pytest.param(True, True, id="pooled-zerocopy"),
-    pytest.param(True, False, id="pooled-copy"),
-    pytest.param(False, True, id="unpooled-zerocopy"),
-    pytest.param(False, False, id="unpooled-copy"),
+#: The one plane there is; the ids keep these rows' names from when the
+#: matrix also had copy-mode and unpooled planes.
+PLANE = pytest.mark.parametrize("plane", ["pooled-zerocopy"], indirect=True)
+BACKENDS = [
+    pytest.param("thread", id="pooled-zerocopy-thread"),
+    pytest.param("process", id="pooled-zerocopy-process", marks=requires_fork),
 ]
 
 
 @pytest.fixture
-def plane_factory():
-    planes = []
-
-    def make(pooled: bool, zero_copy: bool) -> shm.DataPlane:
-        plane = shm.DataPlane(pooled=pooled, zero_copy=zero_copy)
-        planes.append(plane)
-        return plane
-
-    yield make
-    for plane in planes:
-        plane.close()  # unlinks pooled and in-flight segments alike
+def plane():
+    plane = shm.DataPlane()
+    yield plane
+    plane.close()  # unlinks pooled and in-flight segments alike
 
 
 def _roundtrip(plane: shm.DataPlane, obj):
@@ -72,10 +64,9 @@ ARRAY_CASES = [
 
 
 class TestRoundtripMatrix:
-    @pytest.mark.parametrize("pooled,zero_copy", PLANE_MODES)
+    @PLANE
     @pytest.mark.parametrize("arr", ARRAY_CASES)
-    def test_array_roundtrips(self, plane_factory, pooled, zero_copy, arr):
-        plane = plane_factory(pooled, zero_copy)
+    def test_array_roundtrips(self, plane, arr):
         _, out = _roundtrip(plane, {"payload": arr, "tag": "x"})
         got = out["payload"]
         assert got.dtype == arr.dtype
@@ -83,53 +74,42 @@ class TestRoundtripMatrix:
         np.testing.assert_array_equal(got, arr)
         assert out["tag"] == "x"
 
-    @pytest.mark.parametrize("pooled,zero_copy", PLANE_MODES)
-    def test_twice_referenced_array_one_entry(
-        self, plane_factory, pooled, zero_copy
-    ):
-        plane = plane_factory(pooled, zero_copy)
+    @PLANE
+    def test_twice_referenced_array_one_entry(self, plane):
         arr = np.arange(shm.SHM_MIN_BYTES, dtype=np.int64)
         blob, out = _roundtrip(plane, [arr, {"again": arr}, arr])
-        # The pickler memoises by identity: one table entry, and under
-        # the packed layout one segment, no matter how often it appears.
+        # The pickler memoises by identity: one table entry and one
+        # segment, no matter how often it appears.
         assert len(blob.arrays) == 1
-        if pooled:
-            assert len(blob.segments) == 1
+        assert len(blob.segments) == 1
         np.testing.assert_array_equal(out[0], arr)
         np.testing.assert_array_equal(out[1]["again"], arr)
-        if zero_copy:
-            # All three references decode to the *same* view object.
-            assert out[0] is out[2]
+        # All three references decode to the *same* view object.
+        assert out[0] is out[2]
 
-    @pytest.mark.parametrize("pooled,zero_copy", PLANE_MODES)
-    def test_sub_threshold_stays_inline(
-        self, plane_factory, pooled, zero_copy
-    ):
-        plane = plane_factory(pooled, zero_copy)
+    @PLANE
+    def test_sub_threshold_stays_inline(self, plane):
         tiny = np.arange(4, dtype=np.float64)  # 32 bytes
         blob, out = _roundtrip(plane, ("ctl", tiny, 5))
         assert blob.segments == ()
         assert blob.arrays == ()
         np.testing.assert_array_equal(out[1], tiny)
-        # Inline arrays are ordinary private copies even in zero-copy
-        # mode — there is no segment to alias.
+        # Inline arrays are ordinary private copies — there is no
+        # segment to alias.
         out[1][0] = 99.0
 
-    def test_pooled_divert_threshold(self, plane_factory):
-        """Arrays between the pooled and legacy thresholds divert only
-        when the arena is pooled (a lease is a memcpy; a dedicated
-        segment is not worth it at that size)."""
+    def test_pooled_divert_threshold(self, plane):
+        """Arrays between the two thresholds divert only into an arena
+        (a lease is a memcpy; a dedicated segment is not worth it at
+        that size)."""
         mid = np.zeros(shm.SHM_MIN_BYTES // 4, dtype=np.uint8)
         assert shm.SHM_MIN_BYTES_POOLED <= mid.nbytes < shm.SHM_MIN_BYTES
-        pooled_blob = plane_factory(True, True).encode(mid)
-        unpooled_blob = plane_factory(False, False).encode(mid)
-        assert len(pooled_blob.segments) == 1
-        assert unpooled_blob.segments == ()
+        assert len(plane.encode(mid).segments) == 1
+        assert shm.encode(mid).segments == ()
 
 
 class TestPackedLayout:
-    def test_lanes_share_one_segment(self, plane_factory):
-        plane = plane_factory(True, True)
+    def test_lanes_share_one_segment(self, plane):
         lanes = [
             np.arange(shm.SHM_MIN_BYTES, dtype=np.int64) + j
             for j in range(4)
@@ -144,18 +124,7 @@ class TestPackedLayout:
                 continue
             np.testing.assert_array_equal(plane.decode(blobs[j]), lane)
 
-    def test_unpooled_lanes_get_own_segments(self, plane_factory):
-        plane = plane_factory(False, False)
-        lanes = [
-            np.arange(shm.SHM_MIN_BYTES, dtype=np.int64) + j
-            for j in range(3)
-        ]
-        blobs = plane.encode_lanes(lanes)
-        names = {b.segments[0] for b in blobs}
-        assert len(names) == 3  # legacy: segment per lane-array
-
-    def test_pool_reuses_after_recycle(self, plane_factory):
-        plane = plane_factory(True, True)
+    def test_pool_reuses_after_recycle(self, plane):
         arr = np.arange(shm.SHM_MIN_BYTES, dtype=np.int64)
         first = plane.encode(arr)
         plane.recycle(first.segments)
@@ -165,20 +134,9 @@ class TestPackedLayout:
         assert stats["segments_reused"] == 1
         assert stats["segments_created"] == 1
 
-    def test_unpooled_recycle_unlinks(self, plane_factory):
-        import os
-
-        plane = plane_factory(False, True)
-        arr = np.arange(shm.SHM_MIN_BYTES, dtype=np.int64)
-        blob = plane.encode(arr)
-        name = blob.segments[0]
-        plane.recycle(blob.segments)
-        assert not os.path.exists(os.path.join("/dev/shm", name))
-
 
 class TestZeroCopyContract:
-    def test_views_are_readonly_and_alias(self, plane_factory):
-        plane = plane_factory(True, True)
+    def test_views_are_readonly_and_alias(self, plane):
         arr = np.arange(shm.SHM_MIN_BYTES, dtype=np.int64)
         blob, out = _roundtrip(plane, arr)
         assert not out.flags.writeable
@@ -187,8 +145,7 @@ class TestZeroCopyContract:
         # The view aliases the segment the creator wrote.
         assert blob.segments[0] in plane.held()
 
-    def test_materialize_detaches(self, plane_factory):
-        plane = plane_factory(True, True)
+    def test_materialize_detaches(self, plane):
         arr = np.arange(shm.SHM_MIN_BYTES, dtype=np.int64)
         _, out = _roundtrip(plane, arr)
         owned = shm.materialize(out)
@@ -196,24 +153,13 @@ class TestZeroCopyContract:
         owned[0] = -1
         np.testing.assert_array_equal(out[1:], owned[1:])
 
-    def test_copy_mode_returns_private_arrays(self, plane_factory):
-        plane = plane_factory(True, False)
-        arr = np.arange(shm.SHM_MIN_BYTES, dtype=np.int64)
-        _, out = _roundtrip(plane, arr)
-        assert out.flags.writeable
-        out[0] = 123  # must not require materialize()
-        plane.sweep()
-        assert plane.held() == []  # copies pin nothing
-
-    def test_release_tracks_garbage_collection(self, plane_factory):
-        plane = plane_factory(True, True)
+    def test_release_tracks_garbage_collection(self, plane):
         arr = np.arange(shm.SHM_MIN_BYTES, dtype=np.int64)
         blob = plane.encode(arr)
         out = plane.decode(blob)
         name = blob.segments[0]
         assert name in plane.held()
         del out
-        plane.sweep()
         assert name not in plane.held()
 
 
@@ -232,15 +178,8 @@ def _mixed_payload_prog(c, _):
 
 class TestEndToEnd:
     @pytest.mark.parametrize("backend", BACKENDS)
-    @pytest.mark.parametrize("pooled,zero_copy", PLANE_MODES)
-    def test_collectives_roundtrip(self, backend, pooled, zero_copy):
-        spec = MachineSpec(
-            p=3,
-            backend=backend,
-            compute_scale=0.0,
-            shm_pool=pooled,
-            shm_zero_copy=zero_copy,
-        )
+    def test_collectives_roundtrip(self, backend):
+        spec = MachineSpec(p=3, backend=backend, compute_scale=0.0)
         outcome = run_spmd(_mixed_payload_prog, spec, args=(None,))
         totals = {t for t, _, _ in outcome.rank_results}
         assert len(totals) == 1  # every rank saw the same global sum

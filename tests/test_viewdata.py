@@ -1,9 +1,11 @@
-"""Tests for repro.core.viewdata.ViewData and codec_for_order."""
+"""Tests for repro.core.viewdata: ViewData, codec_for_order, global_run."""
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from repro.core.viewdata import ViewData, codec_for_order
+from repro.core.viewdata import ViewData, codec_for_order, global_run
 from repro.storage.codec import KeyCodec
 
 
@@ -97,3 +99,81 @@ class TestViewData:
         data = ViewData((0, 0), np.zeros(1, dtype=np.int64), np.ones(1))
         with pytest.raises(ValueError):
             data.to_relation(CARDS)
+
+
+class TestGlobalRun:
+    """The one layout rule: rank pieces -> one sorted, key-disjoint run."""
+
+    @staticmethod
+    def pieces_from(keys, owner, p):
+        """Sorted pieces of distinct ``keys``, key ``i`` on ``owner[i]``;
+        each key's measure is the key itself, so it can be followed."""
+        keys = np.asarray(keys, dtype=np.int64)
+        owner = np.asarray(owner)
+        return [
+            ViewData((0, 1), keys[owner == r], keys[owner == r] * 1.0)
+            for r in range(p)
+        ]
+
+    @given(
+        st.sets(st.integers(0, 47), max_size=40),
+        st.integers(1, 5),
+        st.randoms(use_true_random=False),
+        st.booleans(),
+    )
+    def test_property(self, keyset, p, rnd, interleave):
+        keys = np.array(sorted(keyset), dtype=np.int64)
+        if interleave:  # a reshard: any rank may own any key
+            owner = [rnd.randrange(p) for _ in keys]
+        else:  # Procedure 3: contiguous key ranges in rank order
+            owner = sorted(rnd.randrange(p) for _ in keys)
+        pieces = self.pieces_from(keys, owner, p)  # empty pieces included
+        order, out_keys, out_measure, offsets = global_run(pieces)
+        assert order == (0, 1)
+        assert np.array_equal(out_keys, keys)  # the sorted union
+        assert np.array_equal(out_measure, keys * 1.0)
+        assert offsets.tolist() == [0] + np.cumsum(
+            [piece.nrows for piece in pieces]
+        ).tolist()
+        if not interleave:
+            assert np.array_equal(
+                out_measure, np.concatenate([pc.measure for pc in pieces])
+            )
+
+    def test_range_partitioned_is_the_concatenation(self):
+        pieces = self.pieces_from([1, 4, 6, 9, 12], [0, 0, 2, 2, 2], 3)
+        _, keys, measure, offsets = global_run(pieces)
+        assert keys.tolist() == [1, 4, 6, 9, 12]
+        assert offsets.tolist() == [0, 2, 2, 5]
+
+    def test_interleaved_is_merged_offsets_keep_row_counts(self):
+        pieces = self.pieces_from([1, 4, 6, 9, 12], [1, 0, 1, 0, 1], 2)
+        _, keys, measure, offsets = global_run(pieces)
+        assert keys.tolist() == [1, 4, 6, 9, 12]
+        assert measure.tolist() == [1.0, 4.0, 6.0, 9.0, 12.0]
+        assert offsets.tolist() == [0, 2, 5]
+
+    def test_mixed_orders_raise_naming_the_view(self):
+        k = np.array([1, 5, 9], dtype=np.int64)
+        pieces = [
+            ViewData((0, 1), k, np.ones(3)),
+            ViewData((1, 0), k + 1, np.ones(3)),
+        ]
+        with pytest.raises(ValueError, match="view AB.*sort order"):
+            global_run(pieces)
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            ([1, 5], [5, 9]),  # shared key where two sorted pieces meet
+            ([1, 5, 9], [2, 5]),  # shared key inside interleaved pieces
+            ([5, 1], [7, 9]),  # a piece that is not sorted
+        ],
+    )
+    def test_not_disjoint_sorted_runs_raise_naming_the_view(self, a, b):
+        pieces = [
+            ViewData((0, 1), np.array(x, dtype=np.int64), np.ones(len(x)))
+            for x in (a, b)
+        ]
+        with pytest.raises(ValueError, match="view AB.*key-disjoint"):
+            global_run(pieces)
