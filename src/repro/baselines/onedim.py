@@ -159,6 +159,7 @@ def onedim_partition_cube(
         view_count=len(rank_views[0]),
         comm_bytes=cluster.stats.total_bytes,
         disk_blocks=cluster.total_disk_blocks(),
+        disk_blocks_read=cluster.total_disk_blocks_read(),
         phase_seconds=cluster.clock.phase_breakdown(),
         phase_comm_seconds=cluster.clock.phase_comm_breakdown(),
         superstep_log=list(cluster.clock.log),

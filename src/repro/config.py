@@ -380,6 +380,10 @@ class RunResult:
     comm_bytes: int
     #: Total disk block transfers across all ranks.
     disk_blocks: int
+    #: The reads among :attr:`disk_blocks`; the rest are
+    #: :attr:`disk_blocks_written`.  Filled by the cube builders, 0 in
+    #: results that charge no disk.
+    disk_blocks_read: int = 0
     #: Free-form per-phase breakdown (phase name -> simulated seconds).
     phase_seconds: dict[str, float] = field(default_factory=dict)
     #: Communication-only per-phase breakdown.
@@ -430,6 +434,11 @@ class RunResult:
     #: the finish-time spread across ranks (empty for baselines).
     rank_busy_seconds: list[float] = field(default_factory=list)
 
+    @property
+    def disk_blocks_written(self) -> int:
+        """The writes among :attr:`disk_blocks`."""
+        return self.disk_blocks - self.disk_blocks_read
+
     def summary(self) -> str:
         """One-line human-readable summary."""
         text = (
@@ -437,7 +446,8 @@ class RunResult:
             f"simulated {self.simulated_seconds:.2f}s "
             f"(host {self.host_seconds:.2f}s, "
             f"{self.comm_bytes / 1e6:.1f} MB communicated, "
-            f"{self.disk_blocks} disk blocks)"
+            f"{self.disk_blocks} disk blocks: {self.disk_blocks_read} read "
+            f"+ {self.disk_blocks_written} written)"
         )
         if self.attempts > 1:
             text += (

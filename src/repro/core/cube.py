@@ -114,7 +114,9 @@ class CubeResult:
             f"p={len(self.rank_views)}",
             f"  simulated time : {self.metrics.simulated_seconds:.2f} s",
             f"  communication  : {self.metrics.comm_bytes / 1e6:.2f} MB",
-            f"  disk transfers : {self.metrics.disk_blocks} blocks",
+            f"  disk transfers : {self.metrics.disk_blocks} blocks "
+            f"({self.metrics.disk_blocks_read} read + "
+            f"{self.metrics.disk_blocks_written} written)",
         ]
         return "\n".join(lines)
 
@@ -695,6 +697,7 @@ def build_data_cube(
     recovered_seconds = 0.0
     recovered_bytes = 0
     recovered_blocks = 0
+    recovered_blocks_read = 0
     width = spec.p
     epoch = 0
     ranks_lost: list[int] = []
@@ -727,12 +730,16 @@ def build_data_cube(
 
     def _bank(cluster, seconds=None):
         """Fold a failed/cancelled attempt's metering into the totals."""
-        nonlocal recovered_seconds, recovered_bytes, recovered_blocks
+        nonlocal recovered_seconds, recovered_bytes
+        nonlocal recovered_blocks, recovered_blocks_read
         recovered_seconds += (
             cluster.clock.sim_time if seconds is None else seconds
         )
         recovered_bytes += cluster.stats.total_bytes
         recovered_blocks += sum(d.stats.blocks_total for d in cluster.disks)
+        recovered_blocks_read += sum(
+            d.stats.blocks_read for d in cluster.disks
+        )
 
     while True:
         cluster, result, exc = _attempt(
@@ -899,6 +906,7 @@ def build_data_cube(
         recovered_seconds=recovered_seconds,
         recovered_bytes=recovered_bytes,
         recovered_blocks=recovered_blocks,
+        recovered_blocks_read=recovered_blocks_read,
         final_width=width,
         ranks_lost=ranks_lost,
         transient_retries=transient_total,
@@ -935,6 +943,7 @@ def _assemble(
     recovered_seconds: float = 0.0,
     recovered_bytes: int = 0,
     recovered_blocks: int = 0,
+    recovered_blocks_read: int = 0,
     final_width: int = 0,
     ranks_lost: list[int] | None = None,
     transient_retries: int = 0,
@@ -956,6 +965,8 @@ def _assemble(
         view_count=len(rank_views[0]),
         comm_bytes=cluster.stats.total_bytes + recovered_bytes,
         disk_blocks=cluster.total_disk_blocks() + recovered_blocks,
+        disk_blocks_read=cluster.total_disk_blocks_read()
+        + recovered_blocks_read,
         phase_seconds=cluster.clock.phase_breakdown(),
         phase_comm_seconds=cluster.clock.phase_comm_breakdown(),
         superstep_log=list(cluster.clock.log),

@@ -27,10 +27,13 @@ phase.  The level-wise matcher therefore tracks the root's scan chain and
 only offers prefix-compatible children as its scan candidates.
 
 Phase 2 (:func:`execute_schedule`) materialises every view of the tree
-from the root's data: scan edges cascade a prefix aggregation down each
-pipeline in one pass (on packed keys this is an integer division plus a
-``reduceat``), sort edges re-sort the parent through the external-memory
-sorter, charging the owning rank's disk accordingly.
+from the root's data, pipeline by pipeline: scan edges cascade a prefix
+aggregation down each pipeline in one pass (on packed keys this is an
+integer division plus a ``reduceat``), sort edges re-sort the parent
+through the external-memory sorter.  The owning rank's disk is charged a
+write per view made and a read per sort edge whose parent is not in the
+memory-budgeted resident set (Pipesort's *cache-results* beside the scan
+chains' *amortize-scans*).
 """
 
 from __future__ import annotations
@@ -404,6 +407,20 @@ def execute_schedule(
     ``root_data.order`` must equal the tree's root order (the global sort
     order from the partitioning phase).  Returns a dict holding the root
     itself plus every scheduled view, each sorted under its tree order.
+
+    Pipelines run in DFS preorder of their heads, over one *resident set*
+    counted against ``memory_budget`` (Pipesort's cache-results): a chain
+    member with sort children stays in memory while it and one projection
+    of it being sorted fit beside what is already resident
+    (``resident + 2·rows <= memory_budget``), until its last sort child
+    is made.  A sort child of a resident parent reads nothing from disk;
+    the root arrives from the caller's in-memory aggregation and is
+    admitted by the same rule, so a resident root pays no pipeline-pass
+    read.  Every sort gets the budget the resident set leaves, and one
+    that would not fit in it evicts the newest residents first — a view
+    that is not resident (never admitted, or evicted) is read back once
+    per remaining sort edge, so no budget charges more than one read per
+    sort edge, the root pass and the sorts at the whole budget.
     """
     root_node = tree.nodes[tree.root]
     if tuple(root_data.order) != tuple(root_node.order):
@@ -412,34 +429,61 @@ def execute_schedule(
             f"{root_node.order}"
         )
     results: dict[View, ViewData] = {tree.root: root_data}
-    # One pass over the root feeds its pipeline (scan chain).
-    disk.charge_scan(root_data.nrows)
+    sorts_left = {
+        view: sum(tree.nodes[c].mode == "sort" for c in node.children)
+        for view, node in tree.nodes.items()
+    }
+    resident: dict[View, int] = {}  # view -> rows, in admission order
+    held = 0  # rows of the resident set
 
-    for node in tree.preorder():
-        parent_data = results[node.view]
-        parent_codec = codec_for_order(node.order, cardinalities)
-        for child_view in node.children:
-            child = tree.nodes[child_view]
-            if child.mode == "scan":
-                disk.work.charge_scan(parent_data.nrows)
-                keys, measure = _produce_scan(
-                    parent_data, parent_codec, len(child.order), agg
-                )
-            else:
+    for chain in tree.pipelines():
+        head = tree.nodes[chain[0]]
+        if head.parent is not None:
+            parent = tree.nodes[head.parent]
+            parent_data = results[head.parent]
+            while resident and parent_data.nrows > memory_budget - held:
+                held -= resident.popitem()[1]
+            if head.parent not in resident:
                 disk.charge_scan(parent_data.nrows)
-                disk.work.charge_scan(parent_data.nrows)  # project + re-pack
-                keys, measure = _produce_sort(
-                    parent_data,
-                    parent_codec,
-                    node.order,
-                    child.order,
-                    cardinalities,
-                    disk,
-                    memory_budget,
-                    agg,
-                )
+            disk.work.charge_scan(parent_data.nrows)  # project + re-pack
+            keys, measure = _produce_sort(
+                parent_data,
+                codec_for_order(parent.order, cardinalities),
+                parent.order,
+                head.order,
+                cardinalities,
+                disk,
+                memory_budget - held,
+                agg,
+            )
+            results[head.view] = ViewData(head.order, keys, measure)
+            disk.charge_store(keys.shape[0])
+            sorts_left[head.parent] -= 1
+            if not sorts_left[head.parent]:
+                held -= resident.pop(head.parent, 0)
+
+        # One pass over the head feeds its pipeline (scan chain).
+        for parent_view, child_view in zip(chain, chain[1:]):
+            parent_data = results[parent_view]
+            child = tree.nodes[child_view]
+            disk.work.charge_scan(parent_data.nrows)
+            keys, measure = _produce_scan(
+                parent_data,
+                codec_for_order(tree.nodes[parent_view].order, cardinalities),
+                len(child.order),
+                agg,
+            )
             results[child_view] = ViewData(child.order, keys, measure)
             disk.charge_store(keys.shape[0])
+
+        for view in chain:
+            rows = results[view].nrows
+            fits = held + 2 * rows <= memory_budget
+            if view == tree.root and not fits:
+                disk.charge_scan(rows)  # the pass streams the root off disk
+            if fits and sorts_left[view]:
+                resident[view] = rows
+                held += rows
     return results
 
 

@@ -129,12 +129,7 @@ class ThreadBackend:
             )
             try:
                 results[rank] = rank_program(comm, *args)
-                # Fold in the tail segment after the last collective.
-                cluster.clock.mark_segment(
-                    rank, disk.stats.blocks_total, disk.work.seconds
-                )
-                finals[rank] = cluster.clock._pending_segment[rank]
-                cluster.clock._pending_segment[rank] = 0.0
+                finals[rank] = cluster.tail_segment(rank)
             except BaseException as exc:  # noqa: BLE001 - must not hang peers
                 errors[rank] = exc
                 cluster._enter.abort()
@@ -438,12 +433,12 @@ def _worker_main(
     clock.rank_start(rank, disk.stats.blocks_total, disk.work.seconds)
     try:
         result = rank_program(comm, *args)
-        clock.mark_segment(rank, disk.stats.blocks_total, disk.work.seconds)
+        final = cluster.tail_segment(rank)
         blob = plane.encode(result)
         conn.send(
             (
                 "done",
-                clock._pending_segment[rank],
+                final,
                 clock._phase[rank],
                 blob,
                 disk.stats.snapshot(),

@@ -31,6 +31,7 @@ from repro.config import MachineSpec
 from repro.mpi.clock import BSPClock
 from repro.mpi.comm import Comm, ThreadTransport, resolve_barrier_timeout
 from repro.mpi.errors import CollectiveMisuse, MPIError
+from repro.mpi.faults import slow_factor
 from repro.mpi.stats import CommStats
 from repro.storage.disk import LocalDisk, WorkMeter
 from repro.storage.sortkernels import set_default_kernel
@@ -68,6 +69,9 @@ class ClusterResult:
 
     def total_disk_blocks(self) -> int:
         return sum(d.stats.blocks_total for d in self.disks)
+
+    def total_disk_blocks_read(self) -> int:
+        return sum(d.stats.blocks_read for d in self.disks)
 
 
 class Cluster:
@@ -175,6 +179,21 @@ class Cluster:
             rank, self.attempt, inner, self.clock, self.disks[rank],
             backend=self.spec.backend,
         )
+
+    def tail_segment(self, rank: int) -> float:
+        """Take ``rank``'s local work since its last collective — the
+        run's final segment, which no transport sees — stretched by the
+        fault plan's ``slow@`` factor like every segment before it."""
+        disk = self.disks[rank]
+        clock = self.clock
+        clock.mark_segment(rank, disk.stats.blocks_total, disk.work.seconds)
+        segment = clock._pending_segment[rank]
+        clock._pending_segment[rank] = 0.0
+        if self.faults is not None:
+            segment *= slow_factor(
+                self.faults.for_rank(rank, self.attempt), clock._phase[rank]
+            )
+        return segment
 
     def comm(self, rank: int) -> Comm:
         """Thread-backend communicator endpoint for ``rank`` (also used by

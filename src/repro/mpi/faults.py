@@ -150,10 +150,11 @@ class DiskFullFault:
 class SlowFault:
     """Rank ``rank`` runs ``factor``× slower: every superstep's local
     segment (measured CPU + modelled disk/work) is multiplied before the
-    BSP commit reads it — a deterministic heterogeneous-host model, no
-    real sleep.  Persistent for the whole run; an optional ``iteration``
-    restricts the slowdown to supersteps whose phase label carries that
-    cube-iteration index (``...[i]``)."""
+    BSP commit reads it, and so is the work after the last collective
+    (:meth:`repro.mpi.engine.Cluster.tail_segment`) — a deterministic
+    heterogeneous-host model, no real sleep.  Persistent for the whole
+    run; an optional ``iteration`` restricts the slowdown to segments
+    whose phase label carries that cube-iteration index (``...[i]``)."""
 
     rank: int
     factor: float
@@ -689,6 +690,20 @@ def _flip_byte(sealed: _Sealed) -> _Sealed:
 # ---------------------------------------------------------------------------
 
 
+def slow_factor(faults: Sequence, phase: str) -> float:
+    """Combined slowdown of one rank's segment marked in ``phase``: the
+    product of the :class:`SlowFault` factors among ``faults`` that are
+    unrestricted or restricted to the iteration ``phase`` is labelled
+    with."""
+    factor = 1.0
+    for f in faults:
+        if isinstance(f, SlowFault) and (
+            f.iteration is None or phase.endswith(f"[{f.iteration}]")
+        ):
+            factor *= f.factor
+    return factor
+
+
 class FaultyTransport:
     """Transport decorator realising a rank's fault schedule.
 
@@ -769,22 +784,15 @@ class FaultyTransport:
             self.clock._phase_accrual[self.rank][
                 self.clock._phase[self.rank]
             ] += delay
-        if self.slow:
-            phase = self.clock._phase[self.rank]
-            factor = 1.0
-            for f in self.slow:
-                if f.iteration is None or phase.endswith(f"[{f.iteration}]"):
-                    factor *= f.factor
-            if factor != 1.0:
-                # Multiply the segment the BSP commit is about to read;
-                # Comm always marks the segment before calling the
-                # transport, so the full local work is in pending here.
-                extra = (
-                    (factor - 1.0)
-                    * self.clock._pending_segment[self.rank]
-                )
-                self.clock._pending_segment[self.rank] += extra
-                self.clock._phase_accrual[self.rank][phase] += extra
+        phase = self.clock._phase[self.rank]
+        factor = slow_factor(self.slow, phase)
+        if factor != 1.0:
+            # Multiply the segment the BSP commit is about to read;
+            # Comm always marks the segment before calling the
+            # transport, so the full local work is in pending here.
+            extra = (factor - 1.0) * self.clock._pending_segment[self.rank]
+            self.clock._pending_segment[self.rank] += extra
+            self.clock._phase_accrual[self.rank][phase] += extra
         if not self.seal:
             return self.inner.exchange(kind, payload, send_row, reader)
         sealed = _seal(payload, self.rank)

@@ -214,6 +214,8 @@ def refresh_cube(
         comm_bytes=delta.metrics.comm_bytes + cluster.stats.total_bytes,
         disk_blocks=delta.metrics.disk_blocks
         + cluster.total_disk_blocks(),
+        disk_blocks_read=delta.metrics.disk_blocks_read
+        + cluster.total_disk_blocks_read(),
         phase_seconds={
             **delta.metrics.phase_seconds,
             **cluster.clock.phase_breakdown(),

@@ -243,8 +243,10 @@ class LocalDisk:
         """Charge a linear scan of ``rows`` rows without materialising it.
 
         Used where the simulation keeps data in memory but the modelled
-        machine would have streamed it from disk (e.g. re-reading a stored
-        view during the merge phase).
+        machine would have streamed it from disk: the source rows of
+        step 1a, a Pipesort parent that is not resident when a sort child
+        is made from it, a checkpoint replayed on resume.  (The merge
+        phase's read-backs are not charged: DESIGN §7.10.)
         """
         self.stats.charge_read(rows, self.block_size)
 

@@ -137,8 +137,10 @@ class TestRunResult:
             view_count=16,
             comm_bytes=2_000_000,
             disk_blocks=42,
+            disk_blocks_read=12,
         )
         text = result.summary()
+        assert "42 disk blocks: 12 read + 30 written" in text
         assert "16 views" in text
         assert "1000 rows" in text
         assert "12.50" in text

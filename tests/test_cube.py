@@ -88,7 +88,8 @@ class TestFullCube:
         m = cube.metrics
         assert m.simulated_seconds > 0
         assert m.comm_bytes > 0
-        assert m.disk_blocks > 0
+        assert m.disk_blocks == m.disk_blocks_read + m.disk_blocks_written
+        assert 0 < m.disk_blocks_read < m.disk_blocks_written
         assert m.view_count == 16
         assert any("merge" in k for k in m.phase_seconds)
 

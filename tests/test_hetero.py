@@ -20,6 +20,7 @@ from repro.config import CubeConfig, MachineSpec, RecoveryPolicy
 from repro.core.checkpoint import ReshardPlan, share_bounds
 from repro.core.cube import build_data_cube
 from repro.core.sample_sort import _select_pivots, relative_imbalance
+from repro.mpi.engine import Cluster
 from repro.mpi.errors import RankHung
 from repro.mpi.faults import FaultPlan, HangFault, SlowFault
 from repro.mpi.speed import HeteroState, RankSpeedModel, clamped_shares
@@ -274,9 +275,31 @@ class TestSlowMetering:
         base = build(relation, "thread").metrics.rank_busy_seconds
         cube = self._slow_run(relation, "thread")
         busy = cube.metrics.rank_busy_seconds
-        assert busy[0] / base[0] == pytest.approx(2.0, rel=0.05)
+        # Every segment is stretched, the one after the last collective
+        # (the final iteration's write-back) included: exactly 2x on the
+        # modelled clock.
+        assert busy[0] / base[0] == pytest.approx(2.0, rel=1e-9)
         assert busy[1:] == pytest.approx(base[1:])
         assert cube.metrics.audit["ok"]
+
+    @pytest.mark.parametrize(
+        "plan, factor",
+        [("slow@r0x3", 3.0), ("slow@r0x3i2", 3.0), ("slow@r0x3i1", 1.0),
+         ("slow@r1x3", 1.0), ("slow@r0x3a1", 1.0)],
+    )
+    def test_tail_segment_is_stretched_under_the_phase_filter(
+        self, plan, factor
+    ):
+        # The work after the last collective (the final iteration's
+        # write-back) never passes through a transport.
+        cluster = Cluster(det_spec("thread", 2), faults=FaultPlan.parse(plan))
+        cluster.clock.set_phase(0, "merge[2]")
+        cluster.disks[0].charge_store(1000)
+        unslowed = cluster.clock.modelled_seconds(
+            cluster.disks[0].stats.blocks_total, 0.0
+        )
+        assert unslowed > 0
+        assert cluster.tail_segment(0) == pytest.approx(factor * unslowed)
 
     def test_slow_is_deterministic(self, relation):
         a = self._slow_run(relation, "thread").metrics.simulated_seconds

@@ -221,6 +221,11 @@ class TestRecoveryWithoutCheckpoint:
             > base.metrics.simulated_seconds
         )
         assert "recovered after 1 failed attempt" in res.metrics.summary()
+        # The failed attempt's reads are banked with its blocks: retrying
+        # from scratch re-reads at least everything a clean build reads.
+        m = res.metrics
+        assert m.disk_blocks_read + m.disk_blocks_written == m.disk_blocks
+        assert m.disk_blocks_read > base.metrics.disk_blocks_read > 0
 
     def test_no_recovery_policy_raises(self, relation):
         with pytest.raises(InjectedFault):
