@@ -94,8 +94,11 @@ class MachineSpec:
     #: Set to 0 to drop the measured term entirely, making the simulated
     #: clock fully deterministic (used by the backend-equivalence tests).
     compute_scale: float = 1.0
-    #: Modelled CPU cost of sorting: seconds per row per log2-level
-    #: (``sort(n) = sort_sec_per_row_level · n · max(1, log2 n)``).
+    #: Modelled CPU cost of sorting: seconds per row per log2-level.  A
+    #: sort that fits in memory merges the ascending runs its input
+    #: already holds, ``a · Σ n_s · log2 r_s`` over its segments (one run
+    #: costs nothing); one that spills is ``n`` runs, ``a · n · log2 n``
+    #: (:func:`repro.storage.external_sort.external_sort`).
     #: 0.2 µs/row-level ≈ a 1.8 GHz Xeon comparison-sorting 36-byte
     #: records; it reproduces the paper's sequential magnitudes
     #: (n = 1M, 255 views → O(10^3) seconds).

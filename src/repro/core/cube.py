@@ -39,7 +39,12 @@ from repro.core.estimate import estimate_view_sizes
 from repro.core.merge import MergeReport, merge_partitions
 from repro.core.partial import build_partial_schedule_tree, prune_full_tree
 from repro.core.partitions import partition_all, partition_views
-from repro.core.pipesort import ScheduleTree, build_schedule_tree, execute_schedule
+from repro.core.pipesort import (
+    ScheduleTree,
+    build_schedule_tree,
+    execute_schedule,
+    stays_resident,
+)
 from repro.core.sample_sort import adaptive_sample_sort
 from repro.core.viewdata import ViewData, codec_for_order
 from repro.core.views import View, canonical_view, view_name
@@ -229,7 +234,8 @@ def _rank_program(
         # (a deviation from the paper, whose step 1a always re-reads the
         # raw subset): this rank's piece of it, leading dims dropped and
         # re-aggregated, is a valid local piece of the Di-root because
-        # aggregation is associative, and it is far fewer rows.  out_views
+        # aggregation is associative, and it is far fewer rows — a few
+        # ascending runs, one per value of the dropped dim.  out_views
         # holds exactly the selected views of the iterations done, whether
         # computed or replayed from their seals, so the source depends on
         # the inputs alone: iteration 0, and a partial cube that did not
@@ -247,7 +253,11 @@ def _rank_program(
                 source.keys, source.order, root_order
             )
             measure = source.measure
-        comm.disk.charge_scan(keys.shape[0])  # read the source rows
+        # The merged root piece stays resident into this step by the rule
+        # of Pipesort's resident set: the merge has just made it in memory
+        # and step 3 has paid its write.  Anything else is read back.
+        if source is None or not stays_resident(source.nrows, memory_budget):
+            comm.disk.charge_scan(keys.shape[0])  # read the source rows
         comm.disk.work.charge_scan(keys.shape[0])  # pack / project
         keys, measure = external_sort(
             keys, measure, comm.disk, memory_budget, key_bound=codec.capacity

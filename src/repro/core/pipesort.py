@@ -58,6 +58,7 @@ __all__ = [
     "execute_schedule",
     "scan_cost",
     "sort_cost",
+    "stays_resident",
 ]
 
 
@@ -394,6 +395,13 @@ def _match_level(
 # ---------------------------------------------------------------------------
 
 
+def stays_resident(rows: int, memory_budget: int, held: int = 0) -> bool:
+    """The resident set's admission rule (Pipesort's cache-results): a
+    view stays in memory while it and one in-memory projection of it
+    being sorted fit beside the ``held`` rows already resident."""
+    return held + 2 * rows <= memory_budget
+
+
 def execute_schedule(
     tree: ScheduleTree,
     root_data: ViewData,
@@ -478,7 +486,7 @@ def execute_schedule(
 
         for view in chain:
             rows = results[view].nrows
-            fits = held + 2 * rows <= memory_budget
+            fits = stays_resident(rows, memory_budget, held)
             if view == tree.root and not fits:
                 disk.charge_scan(rows)  # the pass streams the root off disk
             if fits and sorts_left[view]:

@@ -152,10 +152,14 @@ def global_run(
         edges = [piece.keys[[0, -1]] for piece in pieces if piece.nrows]
         disjoint = all(a[1] < b[0] for a, b in zip(edges, edges[1:]))
     else:
-        keys, measure = merge_runs(
-            [(piece.keys, piece.measure) for piece in pieces]
-        )
-        disjoint = bool(np.all(keys[1:] > keys[:-1]))
+        try:
+            keys, measure = merge_runs(
+                [(piece.keys, piece.measure) for piece in pieces]
+            )
+        except ValueError:  # a piece that is not sorted
+            disjoint = False
+        else:
+            disjoint = bool(np.all(keys[1:] > keys[:-1]))
     if not disjoint:
         raise ValueError(
             f"view {name}: rank pieces are not sorted, key-disjoint runs"

@@ -40,8 +40,10 @@ class WorkMeter:
     constants are wildly unlike the modelled 2003-era machine.  Kernels
     charge the classic sort/scan work terms at their call sites:
 
-    * ``charge_sort(n)``  →  ``a · n · max(1, log2 n)`` seconds, summed
-      over the segments when ``n`` is an array of segment lengths,
+    * ``charge_sort(n, runs)``  →  ``a · Σ n_s · log2 r_s`` seconds for
+      segments of ``n_s`` rows that each hold ``r_s`` ascending runs (a
+      merge of what is already in order; one run costs nothing, and rows
+      in no known order are ``r = n`` runs: ``a · n · log2 n``),
     * ``charge_scan(n)``  →  ``b · n`` seconds.
     """
 
@@ -56,16 +58,19 @@ class WorkMeter:
         self.rows_sorted = 0
         self.rows_scanned = 0
 
-    def charge_sort(self, rows: int | np.ndarray) -> None:
-        """Account for comparison-sorting ``rows`` rows — or, given an
-        array of lengths, each of those segments independently (rows
-        already clustered by a shared sort prefix pay only for the order
-        inside each cluster)."""
+    def charge_sort(
+        self, rows: int | np.ndarray, runs: int | np.ndarray
+    ) -> None:
+        """Account for sorting ``rows`` rows that hold ``runs`` ascending
+        runs — or, given parallel arrays, independently sorted segments:
+        segment ``s`` pays for merging its runs, ``n_s · log2 r_s``."""
         lengths = np.atleast_1d(np.asarray(rows, dtype=np.int64))
-        lengths = lengths[lengths > 0]
+        keep = lengths > 0
+        lengths = lengths[keep]
         if lengths.size == 0:
             return
-        row_levels = lengths * np.maximum(1.0, np.log2(lengths))
+        levels = np.log2(np.atleast_1d(np.asarray(runs, np.float64))[keep])
+        row_levels = lengths * levels
         # counters stay plain ints/floats whatever is passed
         self.seconds += self.sort_sec_per_row_level * float(row_levels.sum())
         self.rows_sorted += int(lengths.sum())
@@ -244,8 +249,9 @@ class LocalDisk:
 
         Used where the simulation keeps data in memory but the modelled
         machine would have streamed it from disk: the source rows of
-        step 1a, a Pipesort parent that is not resident when a sort child
-        is made from it, a checkpoint replayed on resume.  (The merge
+        step 1a (the raw chunk, or a previous root piece too large to stay
+        resident), a Pipesort parent that is not resident when a sort
+        child is made from it, a checkpoint replayed on resume.  (The merge
         phase's read-backs are not charged: DESIGN §7.10.)
         """
         self.stats.charge_read(rows, self.block_size)

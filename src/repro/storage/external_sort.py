@@ -13,11 +13,13 @@ Structure
   pass reads and writes every row once, so the pass count is
   ``ceil(log_k(#runs))``, exactly the textbook envelope.
 
-Runs are merged with the vectorised ``searchsorted`` interleave
-(:func:`repro.storage.scan.merge_runs`) rather than a per-row heap; on a
-real machine the merge would stream block-by-block, and the disk accounting
-here charges precisely that traffic (one read per run row, one write per
-output row, in units of ``B``), while the in-memory compute stays NumPy-fast.
+Runs are merged by one stable sort of their concatenation, which Timsort
+executes as a merge of the runs it finds
+(:func:`repro.storage.scan.merge_runs`), rather than by a per-row heap; on
+a real machine the merge would stream block-by-block, and the disk
+accounting here charges precisely that traffic (one read per run row, one
+write per output row, in units of ``B``), while the in-memory compute stays
+NumPy-fast.
 """
 
 from __future__ import annotations
@@ -60,6 +62,26 @@ def sort_cost_blocks(n: int, memory_budget: int, block_size: int) -> int:
     return blocks + 2 * blocks * passes + blocks
 
 
+def _ascending_runs(
+    keys: np.ndarray, runs: tuple[np.ndarray, np.ndarray, int] | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(segment lengths, ascending runs per segment)`` of ``keys``.
+
+    A run ends at every descent ``keys[j + 1] < keys[j]``.  With the
+    :func:`segment_runs` result of a promise that checked out, the counts
+    are per segment: prefix values rise at every segment boundary, so no
+    descent crosses one.  Without it the whole array is one segment.
+    """
+    descents = keys[1:] < keys[:-1]
+    if runs is None:
+        return np.array([keys.size]), np.array([descents.sum() + 1])
+    _, seg, nseg = runs
+    return (
+        np.bincount(seg, minlength=nseg),
+        np.bincount(seg[1:][descents], minlength=nseg) + 1,
+    )
+
+
 def external_sort(
     keys: np.ndarray,
     measure: np.ndarray,
@@ -85,11 +107,16 @@ def external_sort(
         metering and the block accounting are identical for every kernel.
         ``seg_divisor`` promises rows clustered into non-decreasing runs of
         equal ``key // seg_divisor`` (the source was sorted under an order
-        sharing that prefix).  An in-memory sort whose promise checks out
-        is charged for its segments, each sorted on its own; a broken
-        promise, and any sort that spills (run formation cuts segments and
-        the merge passes compare across them), pays the flat
-        ``n · log2 n``.
+        sharing that prefix).
+
+    An in-memory sort is charged for the order its input already has: it
+    counts the ascending runs of the keys (one pass) and pays
+    ``n_s · log2 r_s`` for each segment of ``n_s`` rows holding ``r_s``
+    runs — the segments of a ``seg_divisor`` promise that checks out, the
+    whole array otherwise — so an input that is one run pays no sort term.
+    A sort that spills is charged as ``n`` runs, the flat ``n · log2 n``
+    (run formation cuts the input into ``memory_budget``-row chunks
+    whatever order it had).
 
     Returns
     -------
@@ -105,12 +132,12 @@ def external_sort(
     n = keys.shape[0]
     if n <= memory_budget:
         runs = segment_runs(keys, int(seg_divisor)) if seg_divisor else None
-        disk.work.charge_sort(n if runs is None else np.bincount(runs[1]))
+        disk.work.charge_sort(*_ascending_runs(keys, runs))
         return sort_pairs(
             keys, measure, key_bound=key_bound,
             seg_divisor=None if runs is None else seg_divisor, runs=runs,
         )
-    disk.work.charge_sort(n)
+    disk.work.charge_sort(n, n)
 
     # Run formation: m-row sorted runs spilled to local disk.
     tokens: list[str] = []

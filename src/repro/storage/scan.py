@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.storage.sortkernels import is_sorted_int64
+
 __all__ = [
     "aggregate_sorted_keys", "collapse_adjacent", "merge_runs", "merge_sorted",
 ]
@@ -106,18 +108,22 @@ def merge_runs(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Stable k-way merge of key-sorted ``(keys, values)`` runs.
 
-    Equal keys keep the earlier run's rows first.  Adjacent runs are
-    merged pairwise with :func:`merge_sorted` in a balanced tree, so every
-    row is moved ``ceil(log2 k)`` times rather than up to ``k - 1`` times
-    by a left fold.  No runs (or only empty ones) give empty int64/float64
-    arrays; a single run is returned as is.
+    Equal keys keep the earlier run's rows first.  The runs are
+    concatenated and stably sorted once: NumPy's stable sort of int64 is
+    Timsort, which finds the runs and merges them, ``log2 k`` moves per
+    row.  A stable sort would also quietly sort a run that is not in
+    order, so every run is checked first and one that is not raises
+    ``ValueError``.  No runs (or only empty ones) give empty
+    int64/float64 arrays; a single run is returned as is.
     """
+    for index, (keys, _) in enumerate(pieces):
+        if not is_sorted_int64(keys):
+            raise ValueError(f"merge_runs: run {index} is not sorted")
     runs = [piece for piece in pieces if len(piece[0])]
     if not runs:
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
-    while len(runs) > 1:
-        runs = [
-            merge_sorted(*runs[i], *runs[i + 1]) if i + 1 < len(runs) else runs[i]
-            for i in range(0, len(runs), 2)
-        ]
-    return runs[0]
+    if len(runs) == 1:
+        return runs[0]
+    keys = np.concatenate([keys for keys, _ in runs])
+    order = np.argsort(keys, kind="stable")
+    return keys[order], np.concatenate([values for _, values in runs])[order]

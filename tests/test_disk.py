@@ -109,15 +109,26 @@ class TestAccounting:
 
 class TestWorkMeter:
     def test_sort_charge_n_log_n(self):
+        # rows in no known order are one run each
         meter = WorkMeter(sort_sec_per_row_level=1.0, scan_sec_per_row=1.0)
-        meter.charge_sort(1024)
+        meter.charge_sort(1024, 1024)
         assert meter.seconds == pytest.approx(1024 * 10)
         assert meter.rows_sorted == 1024
 
     def test_small_sort_min_one_level(self):
+        # one run costs nothing; anything to merge pays a level per row
         meter = WorkMeter(sort_sec_per_row_level=1.0)
-        meter.charge_sort(1)
-        assert meter.seconds == pytest.approx(1.0)
+        meter.charge_sort(1, 1)
+        assert meter.seconds == 0.0
+        assert meter.rows_sorted == 1
+        meter.charge_sort(3, 2)
+        assert meter.seconds == pytest.approx(3.0)
+
+    def test_segments_pay_for_their_own_runs(self):
+        meter = WorkMeter(sort_sec_per_row_level=1.0)
+        meter.charge_sort(np.array([8, 0, 4]), np.array([4, 1, 1]))
+        assert meter.seconds == pytest.approx(8 * 2)
+        assert meter.rows_sorted == 12
 
     def test_scan_charge_linear(self):
         meter = WorkMeter(scan_sec_per_row=0.5)
@@ -127,7 +138,7 @@ class TestWorkMeter:
 
     def test_zero_and_negative_ignored(self):
         meter = WorkMeter()
-        meter.charge_sort(0)
+        meter.charge_sort(0, 1)
         meter.charge_scan(-5)
         assert meter.seconds == 0.0
 
@@ -135,7 +146,7 @@ class TestWorkMeter:
         meter = WorkMeter(sort_sec_per_row_level=1.0, scan_sec_per_row=1.0)
         meter.charge_scan(10)
         meter.charge_scan(10)
-        meter.charge_sort(2)
+        meter.charge_sort(2, 2)
         assert meter.seconds == pytest.approx(20 + 2 * math.log2(2))
 
     def test_disk_carries_meter(self):

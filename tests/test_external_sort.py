@@ -101,29 +101,74 @@ class TestCostModel:
         assert sort_cost_blocks(n, budget, block) == blocks + 2 * blocks * 3 + blocks
 
     def test_work_meter_charged(self):
+        """Every row handed to a sort counts as sorted, but an input that
+        is already one run pays no sort term; reversed, each row is a run
+        of its own and the charge is the full ``n log2 n``."""
         disk = LocalDisk(block_size=8)
         keys = np.arange(100, dtype=np.int64)
         external_sort(keys, keys.astype(float), disk, 1000)
         assert disk.work.rows_sorted == 100
-        assert disk.work.seconds > 0
+        assert disk.work.seconds == 0.0
+        external_sort(keys[::-1], keys.astype(float), disk, 1000)
+        assert disk.work.rows_sorted == 200
+        assert disk.work.seconds == pytest.approx(
+            disk.work.sort_sec_per_row_level * levels(100)
+        )
 
 
-def charged_sort(keys, budget=1 << 20, **hints):
-    """``(sorted keys, modelled sort levels charged, rows charged)`` with a
-    meter whose sort constant is 1 and whose scans are free."""
-    disk = LocalDisk(block_size=8, work=WorkMeter(1.0, 0.0))
+def charged_sort(keys, budget=1 << 20, block=8, **hints):
+    """``(sorted keys, modelled sort levels charged, rows charged, blocks
+    moved)`` with a meter whose sort constant is 1 and whose scans are
+    free."""
+    disk = LocalDisk(block_size=block, work=WorkMeter(1.0, 0.0))
     keys = np.asarray(keys, dtype=np.int64)
     out, _ = external_sort(keys, keys.astype(float), disk, budget, **hints)
-    return out, disk.work.seconds, disk.work.rows_sorted
+    return out, disk.work.seconds, disk.work.rows_sorted, disk.stats.blocks_total
 
 
 def levels(n):
     return n * max(1.0, math.log2(n))
 
 
+def walk_runs(keys):
+    """Ascending runs of ``keys``, counted by a pure-Python walk."""
+    keys = [int(k) for k in keys]
+    return 1 + sum(b < a for a, b in zip(keys, keys[1:]))
+
+
+def true_segments(keys, w):
+    """The maximal groups of equal ``key // w`` as lists of keys, or
+    ``None`` when those prefix values fall somewhere (a broken promise)."""
+    groups = []
+    for k in (int(k) for k in keys):
+        if groups and groups[-1][0] == k // w:
+            groups[-1][1].append(k)
+        elif groups and groups[-1][0] > k // w:
+            return None
+        else:
+            groups.append((k // w, [k]))
+    return [keys for _, keys in groups]
+
+
+def charge_oracle(keys, w=None):
+    """``(Σ n_s log2 r_s, Σ n_s max(1, log2 n_s))`` over the segments the
+    charge rule uses: the true segments of a promise that holds, else the
+    whole array.  The second term is the charge before runs were counted."""
+    segments = None if w is None else true_segments(keys, w)
+    if segments is None:
+        segments = [list(keys)]
+    segments = [s for s in segments if s]
+    return (
+        sum(len(s) * math.log2(walk_runs(s)) for s in segments),
+        sum(levels(len(s)) for s in segments),
+    )
+
+
 class TestSegmentCharge:
-    """A sort is charged for the order it cannot reuse: rows clustered by a
-    shared prefix pay ``sum n_s * max(1, log2 n_s)`` over the clusters."""
+    """A sort that fits is charged for the runs it merges: each segment
+    of ``n_s`` rows holding ``r_s`` ascending runs pays ``n_s log2 r_s``,
+    over the clusters of a shared-prefix promise that holds and over the
+    whole array otherwise.  A sort that spills pays the flat charge."""
 
     @given(
         st.lists(st.integers(1, 40), min_size=1, max_size=12),
@@ -137,33 +182,81 @@ class TestSegmentCharge:
         )
         keys = prefix * w + rng.integers(0, w, prefix.size)
         n = keys.size
-        want = sum(levels(m) for m in lengths)
+        want, before = charge_oracle(keys, w)
+        assert before == pytest.approx(sum(levels(m) for m in lengths))
         for kernel in KERNEL_NAMES:  # read off the data, not the kernel
             with force_kernel(kernel):
-                out, seconds, rows = charged_sort(keys, seg_divisor=w)
+                out, seconds, rows, _ = charged_sort(keys, seg_divisor=w)
             assert np.array_equal(out, np.sort(keys))
             assert seconds == pytest.approx(want) and rows == n, kernel
-        assert want <= levels(n) + 1e-9
-        flat = charged_sort(keys)[1]
-        assert flat == pytest.approx(levels(n))
-        if len(lengths) == 1:
-            assert want == pytest.approx(flat)
-        else:
+        assert want <= before + 1e-9 <= levels(n) + 2e-9
+        # No promise: the runs are counted over the whole array.
+        whole = charged_sort(keys)[1]
+        assert whole == pytest.approx(charge_oracle(keys)[0])
+        if len(lengths) > 1:
             # Prefix values now fall: the promise fails its check and the
-            # sort pays in full, with the right answer all the same.
-            out, seconds, rows = charged_sort(keys[::-1], seg_divisor=w)
+            # runs are counted over the whole array, with the right answer
+            # all the same.
+            out, seconds, rows, _ = charged_sort(keys[::-1], seg_divisor=w)
             assert np.array_equal(out, np.sort(keys))
-            assert seconds == pytest.approx(levels(n)) and rows == n
+            assert seconds == pytest.approx(charge_oracle(keys[::-1])[0])
+            assert rows == n
+
+    @given(
+        st.lists(  # segments, each a list of runs of raw suffix values
+            st.lists(
+                st.lists(st.integers(0, 10**4), min_size=1, max_size=8),
+                min_size=1, max_size=4,
+            ),
+            min_size=1, max_size=6,
+        ),
+        st.integers(2, 50),
+        st.sampled_from(["none", "kept", "broken"]),
+    )
+    def test_charge_counts_the_runs_it_merges(self, segments, w, promise):
+        """Over concatenations of sorted runs, with a segment promise kept,
+        broken or absent: the charge is the run rule, never more than the
+        charge before runs were counted, and the same under every kernel;
+        a sort that spills pays the flat charge and its block envelope."""
+        parts = [
+            [(s + 1) * w + np.sort(np.array(run) % w) for run in runs]
+            for s, runs in enumerate(segments)
+        ]
+        if promise == "broken":
+            parts.reverse()  # prefix values fall once there are two
+        keys = np.concatenate([run for runs in parts for run in runs])
+        n = keys.size
+        hints = {} if promise == "none" else {"seg_divisor": w}
+        want, before = charge_oracle(keys, hints.get("seg_divisor"))
+        # Spill with one merge pass and one-row blocks, so that the block
+        # envelope is exact: ceil(n / budget) runs <= fan-in budget - 1.
+        budget = math.isqrt(n) + 2
+        seen = set()
+        for kernel in KERNEL_NAMES:
+            with force_kernel(kernel):
+                out, seconds, rows, blocks = charged_sort(keys, **hints)
+                spilled = charged_sort(keys, budget, 1, **hints)
+            assert np.array_equal(out, np.sort(keys, kind="stable"))
+            assert np.array_equal(spilled[0], out)
+            assert seconds == pytest.approx(want) and rows == n
+            assert seconds <= before + 1e-9
+            assert blocks == 0
+            if budget < n:
+                assert spilled[1] == pytest.approx(levels(n))
+                assert spilled[3] == sort_cost_blocks(n, budget, 1) > 0
+            seen.add((seconds, blocks, spilled[1], spilled[3]))
+        assert len(seen) == 1  # bit-equal across kernels
 
     def test_a_spilling_sort_pays_the_flat_charge(self):
         """Run formation cuts the segments and the merge passes compare
-        across them, so only an in-memory sort is credited."""
+        across them, so only an in-memory sort is credited for its runs
+        (here every row of a segment is a run of its own)."""
         keys = np.repeat(np.arange(8), 16) * 100 + np.tile(
             np.arange(16)[::-1], 8
         )
         assert charged_sort(keys, seg_divisor=100)[1] == pytest.approx(
-            8 * levels(16)
+            8 * 16 * math.log2(16)
         )
-        out, seconds, _ = charged_sort(keys, budget=32, seg_divisor=100)
+        out, seconds, *_ = charged_sort(keys, budget=32, seg_divisor=100)
         assert np.array_equal(out, np.sort(keys))
         assert seconds == pytest.approx(levels(128))

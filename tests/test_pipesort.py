@@ -224,35 +224,46 @@ class TestPhase2:
     def test_sort_edges_are_charged_for_the_segments_they_sort(self):
         """Model equals physical on sort edges: a parent sorted under an
         order that shares a leading prefix with the child's is re-sorted
-        cluster by cluster, and pays ``sum n_s * max(1, log2 n_s)``."""
+        cluster by cluster, and each cluster of ``n_s`` rows pays for
+        merging the ``r_s`` ascending runs the parent's order leaves in
+        it, ``n_s * log2 r_s`` — less than ``n_s * max(1, log2 n_s)``
+        wherever the child keeps part of the parent's order."""
         cards = (8, 5, 4, 3)
         relation = make_relation(3000, cards, seed=5)
         tree = build_full(4)
         results, disk = run_phase2(relation, cards, tree)
         a = disk.work.sort_sec_per_row_level
-        want, rows, discounted = 0.0, 0, 0
+        want, before, rows, discounted = 0.0, 0.0, 0, 0
         for node in tree.nodes.values():
             if node.mode != "sort":
                 continue
             parent = results[node.parent]
+            # The parent's rows, in the parent's order, keyed by the child.
+            dims = codec_for_order(parent.order, cards).unpack(parent.keys)
+            cols = [parent.order.index(attr) for attr in node.order]
+            keys = codec_for_order(node.order, cards).pack(dims[:, cols])
             shared = 0
             while (
                 shared < len(node.order)
                 and parent.order[shared] == node.order[shared]
             ):
                 shared += 1
-            lengths = [parent.nrows]
+            cuts = np.empty(0, dtype=np.int64)
             if 0 < shared < len(node.order):
                 weights = codec_for_order(parent.order, cards).weights
                 prefix = parent.keys // weights[shared - 1]
                 cuts = np.flatnonzero(np.diff(prefix)) + 1
-                lengths = np.diff(np.concatenate(([0], cuts, [parent.nrows])))
                 discounted += 1
-            want += a * sum(n * max(1.0, np.log2(n)) for n in lengths)
+            for segment in np.split(keys, cuts):
+                n = segment.size
+                runs = 1 + np.count_nonzero(np.diff(segment) < 0)
+                want += a * n * np.log2(runs)
+                before += a * n * max(1.0, np.log2(n))
             rows += parent.nrows
         assert discounted > 0
         scans = disk.work.scan_sec_per_row * disk.work.rows_scanned
         assert disk.work.seconds - scans == pytest.approx(want)
+        assert want < before
         assert disk.work.rows_sorted == rows
 
     def test_wrong_root_order_raises(self):

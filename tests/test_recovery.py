@@ -283,9 +283,11 @@ class TestRecoveryWithCheckpoint:
         self, relation, tmp_path, charged
     ):
         """A seal holds no Di-root of its own: a build resumed after
-        iteration 0 reads its piece of the sealed D0-root view into step
-        1a (then its piece of the D1-root view it merges), never the raw
-        chunk, and ends bit-identical to the build that sealed it."""
+        iteration 0 derives step 1a from its piece of the sealed D0-root
+        view (then from its piece of the D1-root view it merges), never
+        the raw chunk, and ends bit-identical to the build that sealed it.
+        The replayed seal is the only read: both root pieces fit the
+        budget and stay resident into the next step 1a."""
         first = build(relation, "thread", checkpoint_dir=str(tmp_path))
         for rank in range(2):
             path = RankCheckpoint(str(tmp_path), rank)._manifest_path()
@@ -298,9 +300,12 @@ class TestRecoveryWithCheckpoint:
         assert fingerprint(again) == fingerprint(first)
         for rank in range(2):
             pieces = first.rank_views[rank]
-            assert charged[rank, "partition-sort", "r"] == (
-                pieces[0, 1, 2].nrows + pieces[1, 2].nrows
+            sealed = sum(
+                data.nrows for view, data in pieces.items() if 0 in view
             )
+            assert 0 < pieces[0, 1, 2].nrows < sealed
+            assert charged[rank, "recovery", "r"] == sealed
+            assert charged[rank, "partition-sort", "r"] == 0
 
     def test_checkpoint_io_is_metered(
         self, relation, tmp_path, charged, merge_calls
@@ -395,7 +400,7 @@ def test_numpy_row_counts_do_not_poison_the_manifest(tmp_path):
     disk.charge_scan(np.int64(9))
     disk.charge_store(np.int64(5))
     disk.work.charge_scan(np.int64(9))
-    disk.work.charge_sort(np.int64(9))
+    disk.work.charge_sort(np.int64(9), np.int64(3))
     meters = {"disk": disk.stats.snapshot(), "work_seconds": disk.work.seconds}
     assert {type(v) for v in meters["disk"].values()} == {int}
     assert type(disk.work.rows_scanned) is type(disk.work.rows_sorted) is int

@@ -143,3 +143,10 @@ class TestMergeRuns:
         empty = (keys[:0], vals[:0])
         k, v = merge_runs([empty, (keys, vals), empty])
         assert k is keys and v is vals
+
+    def test_a_run_out_of_order_raises(self):
+        """A stable sort would quietly order a bad run: it is refused."""
+        good = np.array([1, 4], dtype=np.int64)
+        bad = np.array([5, 2], dtype=np.int64)
+        with pytest.raises(ValueError, match="run 1 is not sorted"):
+            merge_runs([(good, good * 1.0), (bad, bad * 1.0)])
