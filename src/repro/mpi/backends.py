@@ -434,7 +434,9 @@ def _worker_main(
     try:
         result = rank_program(comm, *args)
         final = cluster.tail_segment(rank)
-        blob = plane.encode(result)
+        # The pool and the attachments are idle from here on; give their
+        # pages back before the result's own segment is filled.
+        blob = plane.encode_shedding(result)
         conn.send(
             (
                 "done",
@@ -607,6 +609,9 @@ class ProcessBackend:
                     daemon=True,
                 )
             )
+        # Each rank starts from the parent's resident set: trim the
+        # allocator's free pages first so no rank inherits them.
+        shm.release_heap()
         for proc in procs:
             proc.start()
         for _, child_conn in pipes:

@@ -60,6 +60,7 @@ Unlinking is idempotent so cleanup paths can always sweep.
 
 from __future__ import annotations
 
+import ctypes
 import io
 import os
 import pickle
@@ -82,6 +83,7 @@ __all__ = [
     "encode",
     "encode_lanes",
     "materialize",
+    "release_heap",
     "share_resource_tracker",
     "sweep_orphans",
     "unlink_segments",
@@ -220,6 +222,32 @@ def share_resource_tracker() -> None:
         resource_tracker.ensure_running()
     except Exception:  # pragma: no cover - non-POSIX or patched tracker
         pass
+
+
+def _malloc_trim():
+    try:
+        return ctypes.CDLL(None).malloc_trim
+    except (OSError, AttributeError):  # not glibc (musl, macOS)
+        return None
+
+
+_MALLOC_TRIM = _malloc_trim()
+
+
+def release_heap() -> None:
+    """Hand the allocator's free pages back to the kernel, *now*, before
+    a fork.
+
+    ``fork`` copies the parent's page tables, so a child starts at the
+    parent's resident set, freed-but-retained allocator pages included.
+    After a build those are 100+ MB of glibc arena space the parent has
+    already released; trimming them first means a serving worker or a
+    rank process starts at roughly its interpreter's size and never
+    holds memory it does not use.  glibc ``malloc_trim(0)``; a no-op on
+    other C libraries.
+    """
+    if _MALLOC_TRIM is not None:
+        _MALLOC_TRIM(0)
 
 
 def _attach(name: str) -> shared_memory.SharedMemory:
@@ -459,6 +487,18 @@ class SegmentArena:
                 self._class_of.pop(name, None)
                 _destroy(seg)
 
+    def drop_pooled(self, keep_nbytes: int | None = None) -> None:
+        """Unlink every pooled (idle) segment but one of ``keep_nbytes``'s
+        size class, so a next lease of that size still hits the pool.
+        In-flight segments are untouched."""
+        keep = None if keep_nbytes is None else self._size_class(keep_nbytes)
+        for size, bucket in self._pool.items():
+            kept = bucket[:1] if size == keep else []
+            for seg in bucket[len(kept):]:
+                self._class_of.pop(seg.name, None)
+                _destroy(seg)
+            bucket[:] = kept
+
     @property
     def pooled_segments(self) -> int:
         return sum(len(b) for b in self._pool.values())
@@ -573,6 +613,14 @@ class LeaseTracker:
             for name, att in self._attachments.items()
             if not att.closed and att.pins > 0
         ]
+
+    def close_idle(self) -> None:
+        """Close every attachment no live view pins."""
+        for name, att in list(self._attachments.items()):
+            if att.pins <= 0:
+                att.close()
+                if att.closed:
+                    del self._attachments[name]
 
     def stats(self) -> dict[str, int]:
         return {"attaches": self.attaches, "attach_reuses": self.attach_reuses}
@@ -738,8 +786,31 @@ class DataPlane:
     def encode_lanes(self, lanes: Sequence[Any]) -> list[ShmBlob | None]:
         return encode_lanes(lanes, arena=self.arena)
 
+    def encode_shedding(self, obj: Any) -> ShmBlob:
+        """:meth:`encode` a rank's last payload, calling :meth:`shed_idle`
+        once its segment size is known and before anything is copied."""
+        data, arrays = _collect_dump(obj, _divert_threshold(self.arena))
+        self.shed_idle(_aligned_layout(arrays)[1] if arrays else None)
+        if not arrays:
+            return ShmBlob(data)
+        return _encode_packed(data, arrays, self.arena)
+
     def decode(self, blob: ShmBlob) -> Any:
         return decode(blob, tracker=self.tracker)
+
+    def shed_idle(self, keep_nbytes: int | None = None) -> None:
+        """Give back the shared memory this worker no longer uses.
+
+        Closes every foreign attachment no live view pins and unlinks
+        every pooled segment except one of ``keep_nbytes``'s size class,
+        so the next encode of that size still leases from the pool and
+        segment and lease counts do not move.  Pinned
+        attachments and in-flight segments stay.  A rank calls it when
+        its program has returned, before it encodes the result; until
+        then the idle pool is what lets supersteps skip ``shm_open``.
+        """
+        self.tracker.close_idle()
+        self.arena.drop_pooled(keep_nbytes)
 
     def held(self) -> list[str]:
         """Foreign segments still pinned by this worker's live views."""

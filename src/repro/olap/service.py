@@ -66,6 +66,7 @@ from __future__ import annotations
 import builtins
 import heapq
 import multiprocessing as mp
+import multiprocessing.connection as mp_conn
 import os
 import queue as queue_mod
 import signal
@@ -364,7 +365,6 @@ class QueryService:
         byte_budget: int | None = 64 << 20,
         admit_fraction: float = 0.25,
         index: bool = True,
-        start_method: str = "fork",
         policy: ServicePolicy | None = None,
         serve_faults: ServeFaultPlan | None = None,
     ):
@@ -400,8 +400,7 @@ class QueryService:
             if byte_budget is not None
             else None
         )
-        ctx = mp.get_context(start_method)
-        self._result_q = ctx.Queue()
+        ctx = mp.get_context("fork")
         # One slot per worker advertising the generation it has pinned
         # (-1 until the worker opens the store); GC consults this so no
         # directory a live worker serves from is ever removed.
@@ -432,7 +431,7 @@ class QueryService:
         self.poisoned = 0
         self.corrupt_results = 0
 
-        def start_worker(slot, generation, task_q, ack_q, heartbeats):
+        def start_worker(slot, generation, task_q, ack_q, result_q, heartbeats):
             return ctx.Process(
                 target=_worker_main,
                 args=(
@@ -441,7 +440,7 @@ class QueryService:
                     store_path,
                     self.index,
                     task_q,
-                    self._result_q,
+                    result_q,
                     ack_q,
                     heartbeats,
                     self.policy.heartbeat_interval,
@@ -547,23 +546,33 @@ class QueryService:
         self._dispatch()
 
     def _drain_results(self, budget: float) -> None:
-        """Collect every available worker result; the first receive may
-        block up to ``budget`` seconds."""
+        """Collect every available worker result; the first wait may
+        block up to ``budget`` seconds.
+
+        Each worker writes its own result queue, so a worker SIGKILLed
+        while its feeder thread holds the queue's write lock wedges only
+        that queue, which its retirement discards."""
         timeout = budget
         while True:
-            try:
-                if timeout > 0:
-                    msg = self._result_q.get(timeout=timeout)
-                else:
-                    msg = self._result_q.get_nowait()
-            except queue_mod.Empty:
-                return
-            except (EOFError, OSError):  # pragma: no cover - torn pipe
-                # A worker SIGKILLed mid-send can tear the stream; the
-                # lost message is reconciled by the death path.
+            readers = {
+                h.result_q._reader: h.result_q
+                for h in self._sup.slots
+                if h is not None and not h.retired
+            }
+            ready = mp_conn.wait(list(readers), timeout=timeout)
+            if not ready:
                 return
             timeout = 0.0
-            self._on_result(msg)
+            for reader in ready:
+                try:
+                    msg = readers[reader].get_nowait()
+                except queue_mod.Empty:
+                    continue
+                except (EOFError, OSError):  # pragma: no cover - torn pipe
+                    # A worker SIGKILLed mid-send can tear the stream;
+                    # the lost message is reconciled by the death path.
+                    return
+                self._on_result(msg)
 
     def _on_result(self, msg) -> None:
         slot, generation, seq, attempt, store_gen, blob, crc, err = msg
@@ -1017,9 +1026,9 @@ class QueryService:
         # Anything any worker generation ever leaked.
         if self._sup is not None:
             sweep_orphans(self._sup.all_pids)
-        queues = [self._result_q]
+        queues = []
         for handle in live:
-            queues.extend([handle.task_q, handle.ack_q])
+            queues.extend([handle.task_q, handle.ack_q, handle.result_q])
         for q in queues:
             try:
                 q.close()

@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.mpi.errors import RankDead, RankHung
-from repro.mpi.shm import share_resource_tracker
+from repro.mpi.shm import release_heap, share_resource_tracker
 
 __all__ = [
     "PoisonQuery",
@@ -188,7 +188,9 @@ class WorkerHandle:
     index — the reassignment set when this worker fails.  A respawned
     replacement reuses the slot with ``generation + 1`` and fresh
     queues, so stale traffic from an earlier generation can never be
-    confused with the replacement's.
+    confused with the replacement's.  Every queue has one writer
+    process: a worker SIGKILLed while its feeder thread holds a queue's
+    write lock wedges only its own ``result_q``, never a sibling's.
     """
 
     slot: int
@@ -196,6 +198,7 @@ class WorkerHandle:
     proc: object
     task_q: object
     ack_q: object
+    result_q: object
     pid: int | None = None
     outstanding: dict[int, int] = field(default_factory=dict)
     retired: bool = False
@@ -207,8 +210,8 @@ class WorkerHandle:
 class ServiceSupervisor:
     """Spawns, watches, kills, and replaces serving workers.
 
-    ``start_worker(slot, generation, task_q, ack_q, heartbeats)`` must
-    return an *unstarted* process object; the supervisor starts it and
+    ``start_worker(slot, generation, task_q, ack_q, result_q, heartbeats)``
+    must return an *unstarted* process object; the supervisor starts it and
     tracks its pid (every pid ever spawned is kept for the final shm
     orphan sweep).  Detection (:meth:`check`) only *reports* failures —
     acting on them (reassignment, retry, poison accounting) is the
@@ -251,12 +254,16 @@ class ServiceSupervisor:
         self._generation[slot] += 1
         task_q = self._ctx.Queue()
         ack_q = self._ctx.Queue()
+        result_q = self._ctx.Queue()
         # A fresh worker gets a fresh heartbeat: it must not be born
         # already-suspect because the slot's previous tenant went silent.
         self.heartbeats[slot] = time.monotonic()
         proc = self._start_worker(
-            slot, generation, task_q, ack_q, self.heartbeats
+            slot, generation, task_q, ack_q, result_q, self.heartbeats
         )
+        # The worker inherits the parent's resident set: drop the
+        # allocator's free pages (a build's worth, after one) first.
+        release_heap()
         proc.start()
         handle = WorkerHandle(
             slot=slot,
@@ -264,6 +271,7 @@ class ServiceSupervisor:
             proc=proc,
             task_q=task_q,
             ack_q=ack_q,
+            result_q=result_q,
             pid=proc.pid,
         )
         if proc.pid is not None:
@@ -301,7 +309,7 @@ class ServiceSupervisor:
         handle.retired = True
         if self.slots[handle.slot] is handle:
             self.slots[handle.slot] = None
-        for q in (handle.task_q, handle.ack_q):
+        for q in (handle.task_q, handle.ack_q, handle.result_q):
             try:
                 q.close()
                 q.cancel_join_thread()

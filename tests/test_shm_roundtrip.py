@@ -12,13 +12,16 @@ contract — plus an end-to-end pass on both execution backends.
 from __future__ import annotations
 
 import multiprocessing
+import os
 
 import numpy as np
 import pytest
 
 from repro.config import MachineSpec
+from repro.core.cube import build_data_cube
 from repro.mpi import shm
 from repro.mpi.engine import run_spmd
+from tests.conftest import make_relation
 
 requires_fork = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
@@ -186,3 +189,125 @@ class TestEndToEnd:
         for total, got, empty_size in outcome.rank_results:
             assert empty_size == 0
             assert got > 0
+
+
+def _live(names):
+    return {n for n in names if os.path.exists(os.path.join("/dev/shm", n))}
+
+
+def _rp_segments():
+    if not os.path.isdir("/dev/shm"):
+        return set()
+    return {n for n in os.listdir("/dev/shm") if shm._SEGMENT_RE.match(n)}
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/shm"), reason="no /dev/shm")
+class TestShedIdle:
+    def test_keeps_pinned_in_flight_and_one_of_the_kept_class(self, plane):
+        small = np.arange(shm.SHM_MIN_BYTES, dtype=np.int64)
+        large = np.arange(8 * shm.SHM_MIN_BYTES, dtype=np.int64)
+        pooled = [plane.encode(a).segments[0] for a in (small, small, large)]
+        plane.recycle(pooled)
+        in_flight = plane.encode(large[:-1]).segments[0]  # a pool hit
+        idle = [n for n in pooled if n != in_flight]
+        assert len(idle) == 2
+
+        other = shm.DataPlane()
+        try:
+            pinned_blob = other.encode(small)
+            idle_blob = other.encode(large)
+            view = plane.decode(pinned_blob)
+            dropped = plane.decode(idle_blob)
+            del dropped
+            plane.shed_idle(keep_nbytes=small.nbytes)
+
+            # Only the pinned attachment stays, and its view still reads.
+            assert plane.held() == [pinned_blob.segments[0]]
+            assert set(plane.tracker._attachments) == {pinned_blob.segments[0]}
+            np.testing.assert_array_equal(view, small)
+            # One of the two pooled small segments stays; in flight stays.
+            assert len(_live(idle)) == 1
+            assert _live([in_flight]) == {in_flight}
+            assert plane.arena.pooled_segments == 1
+
+            # The kept segment serves the next lease of its class.
+            reused = plane.stats()["segments_reused"]
+            assert plane.encode(small).segments[0] in idle
+            assert plane.stats()["segments_reused"] == reused + 1
+        finally:
+            other.close()
+
+    def test_encode_shedding_keeps_the_result_lease_a_pool_hit(self, plane):
+        arr = np.arange(2 * shm.SHM_MIN_BYTES, dtype=np.int64)
+        spare = np.arange(64 * shm.SHM_MIN_BYTES, dtype=np.int64)
+        names = [plane.encode(a).segments[0] for a in (arr, arr, spare)]
+        plane.recycle(names)
+        before = plane.stats()
+        blob = plane.encode_shedding({"result": arr, "tag": 1})
+        after = plane.stats()
+        assert blob.segments[0] in names[:2]
+        assert after["segments_created"] == before["segments_created"]
+        assert after["leases"] == before["leases"] + 1
+        assert plane.arena.pooled_segments == 0
+        assert _live(names) == {blob.segments[0]}
+        np.testing.assert_array_equal(plane.decode(blob)["result"], arr)
+
+
+def _no_shed(self, keep_nbytes=None):
+    pass
+
+
+def _build(backend):
+    cards = (9, 7, 5, 4)
+    data = make_relation(3000, cards, seed=5)
+    cube = build_data_cube(
+        data, cards, MachineSpec(p=3, backend=backend, compute_scale=0.0)
+    )
+    views = {
+        (j, view): (vd.order, vd.keys.tobytes(), vd.measure.tobytes())
+        for j, rv in enumerate(cube.rank_views)
+        for view, vd in rv.items()
+    }
+    m = cube.metrics
+    return views, (m.simulated_seconds, m.comm_bytes, m.disk_blocks), m.shm_pool
+
+
+@requires_fork
+class TestShedBuild:
+    def test_process_build_is_bit_identical_with_equal_pool_counts(
+        self, monkeypatch
+    ):
+        views, meters, pool = _build("process")
+        ref_views, ref_meters, _ = _build("thread")
+        assert views == ref_views and meters == ref_meters
+        # Every rank sheds before its result: the counters a plane that
+        # never sheds reports must be the same, segment for segment.
+        monkeypatch.setattr(shm.DataPlane, "shed_idle", _no_shed)
+        kept_views, kept_meters, kept_pool = _build("process")
+        assert kept_views == views and kept_meters == meters
+        for key in ("segments_created", "leases", "segments_reused"):
+            assert pool[key] == kept_pool[key], key
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/shm"), reason="no /dev/shm")
+    def test_a_rank_raising_after_the_shed_leaks_nothing(self, monkeypatch):
+        real = shm.DataPlane.shed_idle
+
+        def shed_then_fail(self, keep_nbytes=None):
+            real(self, keep_nbytes)
+            if os.getpid() == victim.value:
+                raise RuntimeError("failed after the shed")
+
+        victim = multiprocessing.Value("i", 0)
+
+        def prog(c):
+            if c.rank == 1:
+                victim.value = os.getpid()
+            c.allgather(np.arange(4096, dtype=np.int64) + c.rank)
+            lanes = [np.arange(2048, dtype=np.int64) + j for j in range(c.size)]
+            return c.alltoall(lanes)[0].sum()
+
+        monkeypatch.setattr(shm.DataPlane, "shed_idle", shed_then_fail)
+        before = _rp_segments()
+        with pytest.raises(RuntimeError, match="failed after the shed"):
+            run_spmd(prog, MachineSpec(p=3, backend="process"))
+        assert _rp_segments() <= before
