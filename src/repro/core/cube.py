@@ -271,6 +271,7 @@ def _rank_program(
         keys, measure = aggregate_sorted_keys(  # 1c
             outcome.keys, outcome.measure, agg
         )
+        del outcome
         root_data = ViewData(root_order, keys, measure)
         prev_root = root
 
@@ -305,6 +306,9 @@ def _rank_program(
             for v, data in local.items()
             if selected_set is None or v in selected_set
         }
+        # Only the merged views outlive the iteration: the merge consumes
+        # `wanted`, so no other name may hold a piece (or the root) here.
+        del local, root_data, keys, measure
         merged, report = merge_partitions(
             comm, wanted, tree, config, memory_budget,
             speed=None if hetero is None else hetero.model,

@@ -93,6 +93,12 @@ def merge_partitions(
     all ranks must pass the same key set (same global schedule tree).
     Returns the merged pieces plus a per-view case report.
 
+    The call consumes ``local_views``: every piece leaves the dict, and
+    the merge lets go of a case-2 or case-3 piece as soon as that view's
+    merged piece exists, so a rank never holds a view's local piece
+    beside its merged copy for longer than one splice or one re-sort.
+    Case-1 output pieces are zero-copy slices of their inputs.
+
     ``force_nonprefix`` routes *every* view through the ownership-based
     case-2/case-3 machinery, which is correct for arbitrary cross-rank
     layouts; the case-1 fast path assumes pieces are globally sorted
@@ -122,7 +128,7 @@ def merge_partitions(
 
     # ---- Case 1 batch ---------------------------------------------------
     fixed = _batch_boundary_merge(
-        comm, [local_views[v] for v in prefix], config.agg
+        comm, [local_views.pop(v) for v in prefix], config.agg
     )
     for view, (data, rows) in zip(prefix, fixed):
         merged[view] = data
@@ -182,7 +188,7 @@ def merge_partitions(
     # ---- Case 2 batch: one routing h-relation ----------------------------
     routed = _batch_route(
         comm,
-        [local_views[nonprefix[i]] for i in case2_idx],
+        [local_views.pop(nonprefix[i]) for i in case2_idx],
         [boundaries[:, i] for i in case2_idx],
         config.agg,
     )
@@ -192,24 +198,19 @@ def merge_partitions(
 
     # ---- Case 3 batch: one joint Adaptive-Sample-Sort --------------------
     if case3_idx:
-        items = [
-            (local_views[nonprefix[i]].keys, local_views[nonprefix[i]].measure)
-            for i in case3_idx
-        ]
+        pieces = [local_views.pop(nonprefix[i]) for i in case3_idx]
         # pivot_offset=0: the pieces are nearly globally sorted already,
         # so alignment-preserving pivots avoid the half-bucket shift of the
         # generic PSRS offset.  agg=...: collapse before the balance test,
         # so γ bounds the *stored* rows of each view and the positional
         # shift can never split a group (see sample_sort module docs).
         outcomes = batched_sample_sort(
-            comm, items, config.gamma_merge, pivot_offset=0,
-            agg=config.agg, speed=speed,
+            comm, [(piece.keys, piece.measure) for piece in pieces],
+            config.gamma_merge, pivot_offset=0, agg=config.agg, speed=speed,
         )
-        for idx, outcome in zip(case3_idx, outcomes):
+        for idx, piece, outcome in zip(case3_idx, pieces, outcomes):
             view = nonprefix[idx]
-            merged[view] = ViewData(
-                local_views[view].order, outcome.keys, outcome.measure
-            )
+            merged[view] = ViewData(piece.order, outcome.keys, outcome.measure)
             report.rewritten[view] = merged[view].nrows
     return merged, report
 
@@ -343,7 +344,7 @@ def _resolve_boundary_chains(
 
 def _batch_route(
     comm: Comm,
-    datas: list[ViewData],
+    datas: list[ViewData | None],
     boundaries: list[np.ndarray],
     agg: str,
 ) -> list[tuple[ViewData, int]]:
@@ -356,33 +357,43 @@ def _batch_route(
     the zone at or after the smallest foreign key is merged and collapsed:
     own rows first, then sources by rank.  A piece that receives nothing is
     a slice of its input.  Returns each piece with the rows of that zone.
+
+    Takes ``datas`` over: each entry is set to ``None`` once its view's
+    spliced piece exists, and with it go the rows it received (a received
+    lane is freed with the last view that reads it).
     """
     if not datas:
         return []
+    rank = comm.rank
     cuts = [
         np.concatenate(([0], np.searchsorted(d.keys, b, side="right"), [d.nrows]))
         for d, b in zip(datas, boundaries)
     ]
 
-    def owned_by(k: int) -> list[tuple[np.ndarray, np.ndarray]]:
-        return [
-            (d.keys[c[k] : c[k + 1]], d.measure[c[k] : c[k + 1]])
-            for d, c in zip(datas, cuts)
-        ]
-
-    lanes: list = [None] * comm.size
-    for k in set(range(comm.size)) - {comm.rank}:
-        keys, meas = zip(*owned_by(k))
+    def lane(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Rank ``k``'s rows of every view, packed into one lane."""
+        keys = [d.keys[c[k] : c[k + 1]] for d, c in zip(datas, cuts)]
+        meas = [d.measure[c[k] : c[k + 1]] for d, c in zip(datas, cuts)]
         counts = np.array([len(x) for x in keys], dtype=np.int64)
-        lanes[k] = (np.concatenate(keys), np.concatenate(meas), counts)
-    foreign = []  # per source rank, in rank order: its rows of every view
-    for rk, rm, counts in filter(None, comm.alltoall(lanes)):
-        ends = np.cumsum(counts)[:-1]
-        foreign.append(list(zip(np.split(rk, ends), np.split(rm, ends))))
+        return np.concatenate(keys), np.concatenate(meas), counts
+
+    # Per source rank, in rank order: its rows of every view.
+    lanes = comm.alltoall(
+        [None if k == rank else lane(k) for k in range(comm.size)]
+    )
+    foreign = [_split_lane(*received) for received in filter(None, lanes)]
+    del lanes
 
     out, scanned = [], 0
-    for item, (keys, measure) in enumerate(owned_by(comm.rank)):
+    for item, cut in enumerate(cuts):
         zone_keys, zone_meas = merge_runs([source[item] for source in foreign])
+        for source in foreign:
+            source[item] = None
+        data, datas[item] = datas[item], None
+        keys = data.keys[cut[rank] : cut[rank + 1]]
+        measure = data.measure[cut[rank] : cut[rank + 1]]
+        order = data.order
+        del data
         if zone_keys.shape[0]:  # the zone takes in own rows from `start` on
             start = np.searchsorted(keys, zone_keys[0], side="left")
             scanned += keys.shape[0] - start + zone_keys.shape[0]
@@ -392,8 +403,14 @@ def _batch_route(
             )
             keys = np.concatenate((keys[:start], zone_keys))
             measure = np.concatenate((measure[:start], zone_meas))
-        out.append(
-            (ViewData(datas[item].order, keys, measure), zone_keys.shape[0])
-        )
+        out.append((ViewData(order, keys, measure), zone_keys.shape[0]))
     comm.disk.work.charge_scan(scanned)
     return out
+
+
+def _split_lane(
+    keys: np.ndarray, measure: np.ndarray, counts: np.ndarray
+) -> list[tuple[np.ndarray, np.ndarray] | None]:
+    """One received lane cut back into its per-view ``(keys, measure)``."""
+    ends = np.cumsum(counts)[:-1]
+    return list(zip(np.split(keys, ends), np.split(measure, ends)))

@@ -26,7 +26,7 @@ from repro.storage.scan import merge_runs
 from repro.storage.sortkernels import is_sorted_int64
 from repro.storage.table import Relation
 
-__all__ = ["ViewData", "codec_for_order", "global_run"]
+__all__ = ["GlobalRun", "ViewData", "codec_for_order", "global_run"]
 
 
 @lru_cache(maxsize=1024)
@@ -119,24 +119,50 @@ class ViewData:
         return Relation(dims[:, cols] if cols else dims, self.measure)
 
 
-def global_run(
-    pieces: Sequence[ViewData],
-) -> tuple[tuple[int, ...], np.ndarray, np.ndarray, np.ndarray]:
+@dataclass(frozen=True)
+class GlobalRun:
+    """One view's rank pieces as one globally sorted, key-disjoint run."""
+
+    #: The sort order the pieces and the run share.
+    order: tuple[int, ...]
+    #: Cumulative piece sizes: slicing the run at them gives back each
+    #: rank's row count.
+    offsets: np.ndarray
+    #: The run as consecutive ``(keys, measure)`` parts: the rank pieces
+    #: themselves when the run is their concatenation, else one merged run.
+    parts: tuple[tuple[np.ndarray, np.ndarray], ...]
+    #: True when part ``j`` is rank ``j``'s piece: the run sliced at
+    #: ``offsets`` *is* the pieces, row for row.
+    concatenated: bool
+
+    @property
+    def keys(self) -> np.ndarray:
+        return _joined([keys for keys, _ in self.parts])
+
+    @property
+    def measure(self) -> np.ndarray:
+        return _joined([measure for _, measure in self.parts])
+
+
+def _joined(arrays: list[np.ndarray]) -> np.ndarray:
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+
+
+def global_run(pieces: Sequence[ViewData]) -> GlobalRun:
     """One view's rank pieces as one globally sorted, key-disjoint run.
 
-    Returns ``(order, keys, measure, rank_offsets)`` — the layout every
-    stored or served view has; this is the only place that decides how a
-    cube's pieces become it.  ``rank_offsets`` are the cumulative piece
-    sizes, so slicing the run at them gives back each rank's row count.
-
-    Procedure 3 leaves a view range-partitioned in rank order, and then
-    the run *is* the concatenation (rank 0 first).  A degraded build
-    merges a share of the dead rank's piece into every survivor, so the
-    pieces of an iteration finished before the loss stay sorted and
-    key-disjoint but interleave across ranks; those take one
-    :func:`~repro.storage.scan.merge_runs`.  Pieces under different sort
-    orders, unsorted pieces or a key held by two ranks are a broken cube
-    (``audit_cube`` rejects it too) and raise ``ValueError``.
+    This is the only place that decides how a cube's pieces become the
+    layout every stored or served view has.  Procedure 3 leaves a view
+    range-partitioned in rank order, and then the run *is* the
+    concatenation (rank 0 first): the result's parts are the pieces
+    themselves and nothing is copied.  A degraded build merges a share of
+    the dead rank's piece into every survivor, so the pieces of an
+    iteration finished before the loss stay sorted and key-disjoint but
+    interleave across ranks; those take one
+    :func:`~repro.storage.scan.merge_runs`, whose output is the one part.
+    Pieces under different sort orders, unsorted pieces or a key held by
+    two ranks are a broken cube (``audit_cube`` rejects it too) and raise
+    ``ValueError``.
     """
     name = view_name(pieces[0].view)
     orders = {piece.order for piece in pieces}
@@ -145,25 +171,31 @@ def global_run(
             f"view {name}: rank pieces disagree on the sort order "
             f"({sorted(orders)})"
         )
-    keys = np.concatenate([piece.keys for piece in pieces])
-    if is_sorted_int64(keys):
-        measure = np.concatenate([piece.measure for piece in pieces])
-        # Sorted pieces can only share a key where two of them meet.
+    offsets = np.zeros(len(pieces) + 1, dtype=np.int64)
+    np.cumsum([piece.nrows for piece in pieces], out=offsets[1:])
+    if all(piece.is_sorted() for piece in pieces):
+        # Sorted pieces are the run laid end to end when each one's last
+        # key is below the next one's first.
         edges = [piece.keys[[0, -1]] for piece in pieces if piece.nrows]
-        disjoint = all(a[1] < b[0] for a, b in zip(edges, edges[1:]))
-    else:
-        try:
-            keys, measure = merge_runs(
-                [(piece.keys, piece.measure) for piece in pieces]
+        if all(a[1] < b[0] for a, b in zip(edges, edges[1:])):
+            return GlobalRun(
+                pieces[0].order,
+                offsets,
+                tuple((piece.keys, piece.measure) for piece in pieces),
+                concatenated=True,
             )
-        except ValueError:  # a piece that is not sorted
-            disjoint = False
-        else:
-            disjoint = bool(np.all(keys[1:] > keys[:-1]))
+    try:
+        keys, measure = merge_runs(
+            [(piece.keys, piece.measure) for piece in pieces]
+        )
+    except ValueError:  # a piece that is not sorted
+        disjoint = False
+    else:
+        disjoint = bool(np.all(keys[1:] > keys[:-1]))
     if not disjoint:
         raise ValueError(
             f"view {name}: rank pieces are not sorted, key-disjoint runs"
         )
-    offsets = np.zeros(len(pieces) + 1, dtype=np.int64)
-    np.cumsum([piece.nrows for piece in pieces], out=offsets[1:])
-    return pieces[0].order, keys, measure, offsets
+    return GlobalRun(
+        pieces[0].order, offsets, ((keys, measure),), concatenated=False
+    )

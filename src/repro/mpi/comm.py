@@ -100,7 +100,8 @@ class ThreadTransport:
     mailbox and two barriers frame each superstep.  The *enter* barrier's
     action (installed by the engine) meters traffic and advances the
     clock; the *leave* barrier keeps slots stable until every reader is
-    done.
+    done, and then each rank empties its own slot, so a payload lives no
+    longer than its superstep.
     """
 
     def __init__(
@@ -140,6 +141,7 @@ class ThreadTransport:
             result = reader([slot[0] for slot in self._slots])
         finally:
             self._wait(self._leave)  # everyone done reading; slots reusable
+        self._slots[self.rank] = None
         return result
 
 

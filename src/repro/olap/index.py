@@ -69,14 +69,25 @@ class FenceIndex:
 
     @staticmethod
     def build(keys: np.ndarray, stride: int | None = None) -> "FenceIndex":
+        return FenceIndex.over_parts([keys], stride)
+
+    @staticmethod
+    def over_parts(
+        parts: Sequence[np.ndarray], stride: int | None = None
+    ) -> "FenceIndex":
+        """The fence of the concatenation of ``parts``, read off each
+        part at its offset without making the concatenation."""
         stride = int(stride or DEFAULT_STRIDE)
         if stride < 1:
             raise ValueError(f"stride must be >= 1, got {stride}")
-        n = int(keys.shape[0])
+        samples, n = [], 0
+        for part in parts:
+            samples.append(part[(-n) % stride :: stride])
+            n += int(part.shape[0])
         if n == 0:
             return FenceIndex(stride, 0, np.empty(0, dtype=np.int64))
-        samples = np.array(keys[::stride], dtype=np.int64)
-        return FenceIndex(stride, n, samples)
+        keys = np.concatenate(samples).astype(np.int64, copy=False)
+        return FenceIndex(stride, n, keys)
 
     def window(self, lo_key: int, hi_key: int) -> tuple[int, int]:
         """Conservative row window covering every key in ``[lo, hi]``.

@@ -353,10 +353,10 @@ class QueryEngine:
         open, else an in-memory one built on first use."""
         sv = self._views.get(view)
         if sv is None:
-            order, keys, measure, _ = global_run(
-                [rv[view] for rv in self.cube.rank_views]
+            run = global_run([rv[view] for rv in self.cube.rank_views])
+            sv = self._views[view] = SortedView(
+                run.order, run.keys, run.measure
             )
-            sv = self._views[view] = SortedView(order, keys, measure)
         return sv
 
     def explain(self, query: Query) -> QueryPlan:

@@ -26,7 +26,9 @@ raw contiguous ``.npy`` files::
 :meth:`CubeStore.load` rebuilds the distributed cube as zero-copy
 slices of the memory-mapped columns at the rank offsets (for a
 resharded view that is the same content and per-rank row counts,
-range-partitioned), while :meth:`CubeStore.open` hands the serving tier
+range-partitioned), and :meth:`CubeStore.save` leaves the cube it wrote
+holding those same slices wherever they are its pieces (the seal), while
+:meth:`CubeStore.open` hands the serving tier
 :class:`~repro.olap.index.SortedView` handles whose fence index (every
 Nth key, persisted in the manifest) lets a reader touch only the pages
 a query needs.
@@ -76,7 +78,9 @@ from __future__ import annotations
 
 import json
 import os
+import resource
 import shutil
+import sys
 from typing import Sequence
 
 import numpy as np
@@ -88,7 +92,13 @@ from repro.core.views import View, canonical_view, view_name
 from repro.olap.hybrid import HybridView
 from repro.olap.index import DEFAULT_STRIDE, FenceIndex, SortedView
 from repro.storage.dense import DEFAULT_BLOCK_CELLS, HybridLayout, build_hybrid
-from repro.storage.mmapio import MappedColumn, MmapMeter, write_npy
+from repro.storage.mmapio import (
+    MappedColumn,
+    MmapMeter,
+    read_npy_mmap,
+    write_npy,
+    write_npy_parts,
+)
 
 __all__ = ["CubeStore", "OpenCube"]
 
@@ -122,6 +132,30 @@ def _hybrid_fields(layout: HybridLayout) -> dict:
     }
 
 
+def _rank_pieces(
+    order: Sequence[int],
+    keys: np.ndarray,
+    measure: np.ndarray,
+    offsets: Sequence[int],
+) -> list[ViewData]:
+    """A stored run's rank pieces: its slices at the rank offsets."""
+    return [
+        ViewData(order, keys[int(lo) : int(hi)], measure[int(lo) : int(hi)])
+        for lo, hi in zip(offsets[:-1], offsets[1:])
+    ]
+
+
+def _seal_budget(views: int) -> int:
+    """How many of a store's ``views`` a save may seal.  Each holds two
+    descriptors; the seal leaves room to open the store once beside the
+    cube (two per view) and takes at most half of what is left."""
+    soft, _ = resource.getrlimit(resource.RLIMIT_NOFILE)
+    if soft == resource.RLIM_INFINITY:
+        return views
+    free = soft - len(os.listdir("/dev/fd")) - 2 * views
+    return max(free, 0) // 4
+
+
 def _zero_metrics(total_rows: int, view_count: int) -> RunResult:
     """Reopened cubes carry no construction cost (it was paid at build)."""
     return RunResult(
@@ -151,6 +185,22 @@ class CubeStore:
         ``block_cells`` and ``density_threshold`` tune the format-3
         hybrid layout.  The format decides only how a view's two columns
         are encoded and which manifest fields that adds.
+
+        Format 2 streams each view's rank pieces into its column files
+        and then *seals* the cube: every view whose stored run is its
+        pieces laid end to end (every view of a fault-free build) has its
+        heap pieces replaced by read-only, zero-copy slices of the
+        mapped files — the arrays :meth:`load` returns — so the cube is
+        held once, by the store.  A sealed view holds two open file
+        descriptors (one per mapped column) until the cube lets go of
+        it, as an :meth:`open` store does: 128 for a 64-view cube.  Under
+        the ``RLIMIT_NOFILE`` soft limit the seal leaves room to open the
+        store once beside the cube, takes at most half of the rest and
+        seals the largest views first; the others keep their heap pieces
+        (under a limit of 1024 a 256-view cube seals about 120 views, a
+        1024-view cube none).  Format 3 and a degraded build's
+        interleaved views keep their heap pieces too; their files are not
+        the pieces' run.
         """
         if format not in (2, 3):
             raise ValueError(f"unknown cube store format: {format!r}")
@@ -158,30 +208,34 @@ class CubeStore:
         stride = int(fence_stride or DEFAULT_STRIDE)
         bc = int(block_cells or DEFAULT_BLOCK_CELLS)
         cards = cube.cardinalities
+        #: (view, file stem, order, rank offsets) of every view to seal
+        sealable: list[tuple[View, str, tuple[int, ...], np.ndarray]] = []
 
         def write_view(view: View) -> dict:
-            """Write one view's files and return its manifest entry
-            (the run's columns are released when this returns)."""
-            order, keys, measure, offsets = global_run(
-                [rv[view] for rv in cube.rank_views]
-            )
+            """Write one view's files and return its manifest entry."""
+            run = global_run([rv[view] for rv in cube.rank_views])
             entry = {
                 "dims": list(view),
                 "name": view_name(view),
-                "rows": int(keys.shape[0]),
+                "rows": int(run.offsets[-1]),
                 "layout": "sorted" if format == 2 else "hybrid",
-                "order": list(order),
-                "rank_offsets": [int(o) for o in offsets],
+                "order": list(run.order),
+                "rank_offsets": [int(o) for o in run.offsets],
             }
             stem = os.path.join(path, "views", _view_stem(view))
             if format == 2:
-                write_npy(stem + ".keys.npy", keys)
-                write_npy(stem + ".measure.npy", measure)
-                fenced = keys
+                key_parts = [keys for keys, _ in run.parts]
+                write_npy_parts(stem + ".keys.npy", key_parts)
+                write_npy_parts(
+                    stem + ".measure.npy", [measure for _, measure in run.parts]
+                )
+                fence = FenceIndex.over_parts(key_parts, stride)
+                if run.concatenated:
+                    sealable.append((view, stem, run.order, run.offsets))
             else:
                 layout = build_hybrid(
-                    keys, measure,
-                    int(codec_for_order(order, cards).capacity),
+                    run.keys, run.measure,
+                    int(codec_for_order(run.order, cards).capacity),
                     block_cells=bc, threshold=density_threshold,
                 )
                 write_npy(stem + ".sparse.keys.npy", layout.sparse_keys)
@@ -195,8 +249,8 @@ class CubeStore:
                 if layout.dense_mask.size:
                     write_npy(stem + ".dense.mask.npy", layout.dense_mask)
                 entry.update(_hybrid_fields(layout))
-                fenced = layout.sparse_keys
-            entry["fence"] = FenceIndex.build(fenced, stride).to_manifest()
+                fence = FenceIndex.build(layout.sparse_keys, stride)
+            entry["fence"] = fence.to_manifest()
             return entry
 
         manifest = {
@@ -213,6 +267,18 @@ class CubeStore:
         manifest["views"] = [write_view(view) for view in cube.views]
         with open(os.path.join(path, _MANIFEST), "w") as fh:
             json.dump(manifest, fh, indent=1)
+        # Largest views first, as far as the descriptor budget goes.
+        sealable.sort(key=lambda item: -int(item[3][-1]))
+        budget = _seal_budget(len(cube.views))
+        for view, stem, order, offsets in sealable[:budget]:
+            pieces = _rank_pieces(
+                order,
+                read_npy_mmap(stem + ".keys.npy"),
+                read_npy_mmap(stem + ".measure.npy"),
+                offsets,
+            )
+            for rv, piece in zip(cube.rank_views, pieces):
+                rv[view] = piece
         return path
 
     # -- reading -----------------------------------------------------------
@@ -506,13 +572,11 @@ class OpenCube:
             else:
                 keys = sv._keys.array  # the shared mapping
                 measure = sv._measure.array
-            # Rank pieces are offset slices of the one sorted run.
-            offsets = entry["rank_offsets"]
-            for rank in range(self.p):
-                lo, hi = int(offsets[rank]), int(offsets[rank + 1])
-                rank_views[rank][view] = ViewData(
-                    sv.order, keys[lo:hi], measure[lo:hi]
-                )
+            pieces = _rank_pieces(
+                sv.order, keys, measure, entry["rank_offsets"]
+            )
+            for rv, piece in zip(rank_views, pieces):
+                rv[view] = piece
         self._cube = CubeResult(
             rank_views=rank_views,
             cardinalities=self.cardinalities,

@@ -13,13 +13,17 @@ fraction of what a scan reads (``benchmarks/bench_serving.py``).
 
 from __future__ import annotations
 
+import contextlib
 import os
 import threading
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
-__all__ = ["MappedColumn", "MmapMeter", "read_npy_mmap", "write_npy"]
+__all__ = [
+    "MappedColumn", "MmapMeter", "read_npy_mmap", "write_npy", "write_npy_parts",
+]
 
 
 @dataclass
@@ -64,8 +68,44 @@ class MmapMeter:
 
 def write_npy(path: str, arr: np.ndarray) -> str:
     """Write one contiguous ``.npy`` column (parent dirs created)."""
+    return write_npy_parts(path, [arr])
+
+
+def write_npy_parts(path: str, parts: Sequence[np.ndarray]) -> str:
+    """Write the concatenation of ``parts`` as one ``.npy`` column,
+    byte for byte what ``np.save`` writes for it, without making it.
+
+    The file is written under a temporary name in the same directory
+    and renamed over ``path``, so an existing file is never rewritten in
+    place: a reader that maps it (a served store, a saved cube) keeps
+    its bytes instead of dying with ``SIGBUS`` on a truncated mapping.
+    Every part must share the first one's dtype and trailing shape (the
+    header is written from it): a mismatch raises ``ValueError``.
+    """
+    parts = [np.ascontiguousarray(part) for part in parts]
+    for part in parts[1:]:
+        if (part.dtype, part.shape[1:]) != (parts[0].dtype, parts[0].shape[1:]):
+            raise ValueError(
+                f"{path}: part {part.dtype}{part.shape} does not match "
+                f"{parts[0].dtype}{parts[0].shape}"
+            )
+    header = {
+        "descr": np.lib.format.dtype_to_descr(parts[0].dtype),
+        "fortran_order": False,
+        "shape": (sum(part.shape[0] for part in parts), *parts[0].shape[1:]),
+    }
     os.makedirs(os.path.dirname(path), exist_ok=True)
-    np.save(path, np.ascontiguousarray(arr))
+    tmp = f"{path}.tmp-{os.getpid()}-{threading.get_ident()}"
+    try:
+        with open(tmp, "wb") as fh:
+            np.lib.format.write_array_header_1_0(fh, header)
+            for part in parts:
+                part.tofile(fh)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
     return path
 
 

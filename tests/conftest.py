@@ -89,15 +89,19 @@ def charged(monkeypatch):
 @pytest.fixture
 def merge_calls(monkeypatch):
     """Every ``merge_partitions`` call ``build_data_cube`` makes, as
-    ``(rank, pieces in, pieces out, report, rows the call sorted)``."""
+    ``(rank, pieces in, pieces out, report, rows the call sorted)``.
+
+    The merge consumes its input dict, so the pieces going in are taken
+    before the call."""
     calls = []
     real = cube_mod.merge_partitions
 
     def spy(comm, local_views, *args, **kw):
         sorted_before = comm.disk.work.rows_sorted
+        pieces_in = dict(local_views)
         merged, report = real(comm, local_views, *args, **kw)
         calls.append((
-            comm.rank, dict(local_views), merged, report,
+            comm.rank, pieces_in, merged, report,
             comm.disk.work.rows_sorted - sorted_before,
         ))
         return merged, report

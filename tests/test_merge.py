@@ -1,5 +1,7 @@
 """Tests for Procedure 3: Merge-Partitions (cases 1, 2 and 3)."""
 
+import gc
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -124,6 +126,22 @@ def run_merge(pieces_per_rank, orders, root_order, gamma=0.03, agg="sum"):
 
 
 class TestMergePartitions:
+    #: Per rank, three views over root order (0, 1, 2) that take the three
+    #: cases at gamma 0.3: (0,) is a prefix, (1,) overlaps mildly and (2,)
+    #: has huge last keys, so owning by last keys would be lopsided.
+    PIECES_ALL_CASES = [
+        [
+            ([1, 5], [1.0, 2.0]),
+            (list(range(0, 50)), [1.0] * 50),
+            (list(range(0, 100)) + [10**6], [1.0] * 101),
+        ],
+        [
+            ([5, 9], [3.0, 4.0]),
+            (list(range(45, 95)), [1.0] * 50),
+            (list(range(100, 200)) + [10**6 + 1], [1.0] * 101),
+        ],
+    ]
+
     def test_prefix_view_boundary_agglomeration(self):
         # root order (0,1); view (0,) is a prefix view; key 5 straddles
         pieces = [
@@ -243,19 +261,7 @@ class TestMergePartitions:
             return outcomes
 
         monkeypatch.setattr(merge_mod, "batched_sample_sort", metered)
-        ones = [1.0] * 101
-        pieces = [
-            [  # (0,): prefix; (1,): mild overlap; (2,): huge last keys
-                ([1, 5], [1.0, 2.0]),
-                (list(range(0, 50)), [1.0] * 50),
-                (list(range(0, 100)) + [10**6], ones),
-            ],
-            [
-                ([5, 9], [3.0, 4.0]),
-                (list(range(45, 95)), [1.0] * 50),
-                (list(range(100, 200)) + [10**6 + 1], ones),
-            ],
-        ]
+        pieces = self.PIECES_ALL_CASES
         orders = [(0,), (1,), (2,)]
 
         def prog(comm):
@@ -301,6 +307,67 @@ def rows_from_first_change(before: ViewData, after: ViewData) -> int:
     n = min(keys.shape[0], after.nrows)
     same = (keys[:n] == after.keys[:n]) & (measure[:n] == after.measure[:n])
     return after.nrows - (n if same.all() else int(np.argmin(same)))
+
+
+class TestMergeConsumesItsInput:
+    """``merge_partitions`` owns the pieces it is given: none is left in
+    the dict, and a case-2 or case-3 piece is freed once its merged piece
+    exists, unless that merged piece is a zero-copy slice of it."""
+
+    PIECES = TestMergePartitions.PIECES_ALL_CASES
+
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_merged_away_pieces_are_freed(self, backend):
+        orders = [(0,), (1,), (2,)]
+
+        def prog(comm):
+            local = {
+                order: ViewData(order, *map(np.array, piece))
+                for order, piece in zip(orders, self.PIECES[comm.rank])
+            }
+            inputs = {
+                v: (weakref.ref(d.keys), weakref.ref(d.measure))
+                for v, d in local.items()
+            }
+            gc.disable()  # freed by reference counting, not by a sweep
+            try:
+                merged, report = merge_partitions(
+                    comm, local, ScheduleTree((0, 1, 2), (0, 1, 2)),
+                    CubeConfig(gamma_merge=0.3), 1 << 16,
+                )
+                comm.barrier()  # every peer is done reading what it got
+                held = {}
+                for view, refs in inputs.items():
+                    arrays = [ref() for ref in refs]
+                    out = merged[view]
+                    held[view] = (
+                        [a is not None for a in arrays],
+                        [
+                            a is not None and np.shares_memory(a, o)
+                            for a, o in zip(arrays, (out.keys, out.measure))
+                        ],
+                    )
+                    del arrays
+            finally:
+                gc.enable()
+            return report.cases, held, len(local)
+
+        res = run_spmd(prog, MachineSpec(p=2, backend=backend))
+        gone, kept = ([False, False], [False, False]), ([True, True], [True, True])
+        for cases, held, left in res.rank_results:
+            assert cases == {(0,): "case1", (1,): "case2", (2,): "case3"}
+            assert left == 0
+            # case 3: re-sorted into new arrays, the input is gone
+            assert held[(2,)] == gone
+        (_, held0, _), (_, held1, _) = res.rank_results
+        # case 1: slices of the input; rank 0's last row absorbed key 5,
+        # so its measure alone is a copy
+        assert held0[(0,)] == ([True, False], [True, False])
+        assert held1[(0,)] == kept
+        # case 2: rank 0 splices rows in, rank 1 receives nothing and
+        # keeps a zero-copy slice of its input
+        assert held0[(1,)] == gone
+        assert held1[(1,)] == kept
 
 
 class TestRewrittenRows:
