@@ -51,6 +51,7 @@ from repro.core.views import View, canonical_view, view_name
 from repro.mpi.comm import Comm
 from repro.mpi.engine import Cluster, ClusterResult
 from repro.mpi.errors import MPIError, RankHung, classify_failure
+from repro.mpi.shm import release_heap
 from repro.mpi.speed import HeteroState, RankSpeedModel
 from repro.storage.external_sort import external_sort
 from repro.storage.scan import aggregate_sorted_keys, merge_runs
@@ -912,6 +913,9 @@ def build_data_cube(
         # the disks and meters, for as long as these names stay bound.
         traceback.clear_frames(exc.__traceback__)
         del cluster, exc
+        # Its pages are free now but still the allocator's; hand them
+        # back so the retry does not allocate beside them.
+        release_heap()
     cube = _assemble(
         result,
         cards,

@@ -146,20 +146,24 @@ class ThreadBackend:
         for thread in threads:
             thread.join()
 
-        if cluster._action_error is not None:
-            raise cluster._action_error
-        origin = next(
+        origin = cluster._action_error or next(
             (
                 e
                 for e in errors
                 if e is not None and not isinstance(e, RankFailure)
             ),
             None,
-        )
+        ) or next((e for e in errors if e is not None), None)
         if origin is not None:
+            # Every other rank's error pins that rank's frames (and the
+            # view pieces they hold) in a cycle through this closure's
+            # cells; clear and drop them so reference counting frees the
+            # failed attempt.  The caller owns the origin's traceback.
+            for exc in errors:
+                if exc is not None and exc is not origin:
+                    traceback.clear_frames(exc.__traceback__)
+            errors[:] = [None] * p
             raise origin
-        if any(errors):
-            raise next(e for e in errors if e is not None)
 
         cluster.clock.finish(finals)
         return results
@@ -256,8 +260,8 @@ def _prune_entries(kind: str, entries: list, dest: int) -> list:
     scatter/alltoall readers index only lane ``[dest]`` of each source's
     lane list.  Pruning the other lanes keeps the
     per-rank deliver pickle O(own traffic) instead of O(p^2) — the bytes
-    never cross the pipe at all.  Sealed payloads (fault injection) ride
-    the ``"obj"`` path and pass through untouched, and metering happened
+    never cross the pipe at all.  Sealed lane lists (fault injection)
+    are sealed lane by lane and prune the same way, and metering happened
     before encoding, so neither is affected.
     """
     if kind not in ("scatter", "alltoall"):
@@ -434,9 +438,7 @@ def _worker_main(
     try:
         result = rank_program(comm, *args)
         final = cluster.tail_segment(rank)
-        # The pool and the attachments are idle from here on; give their
-        # pages back before the result's own segment is filled.
-        blob = plane.encode_shedding(result)
+        blob = plane.encode(result)
         conn.send(
             (
                 "done",
@@ -453,7 +455,7 @@ def _worker_main(
                 plane.stats(),
             )
         )
-        conn.recv()  # release (or abort) — parent decoded the result
+        conn.recv()  # release (or abort) — parent mapped the result
     except BaseException as exc:  # noqa: BLE001 - ship, don't hang peers
         try:
             conn.send(("error", _ship_exception(rank, exc, disk)))
@@ -466,7 +468,8 @@ def _worker_main(
             pass
     finally:
         # Unlinks every segment this worker created — pooled, in flight,
-        # or holding the result blob — and closes foreign attachments.
+        # or holding the result blob (the parent's map keeps the result's
+        # pages) — and closes foreign attachments.
         plane.close()
         try:
             conn.close()
@@ -774,7 +777,11 @@ class _Coordinator:
                 pass
 
     def _finish(self, msgs: dict[int, tuple]) -> list:
-        """All ranks exited together: collect results and fold tails."""
+        """All ranks exited together: collect results and fold tails.
+
+        Each result is adopted, not copied: its arrays are read-only
+        views over a map of the rank's result segment, taken before
+        ``release`` lets the rank unlink it."""
         clock = self.cluster.clock
         results: list = [None] * self.p
         finals: list[float] = [0.0] * self.p
@@ -783,7 +790,7 @@ class _Coordinator:
             _, final, phase, blob, disk_snap, work_snap, plane_stats = msgs[j]
             finals[j] = final
             clock._phase[j] = phase
-            results[j] = shm.decode(blob)
+            results[j] = shm.adopt(blob)
             self._apply_local_state(j, disk_snap, work_snap)
             for key, val in plane_stats.items():
                 if key != "hit_rate":

@@ -655,7 +655,11 @@ def _unseal(sealed: Any, reader_rank: int) -> Any:
 
 
 class _UnsealingSlots:
-    """Lazy slot table: verify + unpickle a slot only when it is read."""
+    """Lazy slot table: verify + unpickle a slot only when it is read.
+
+    A scatter/alltoall slot holds one seal per lane; it reads as a lane
+    list that unseals a lane only when that lane is read, so a reader
+    unpickles the lanes addressed to it and nothing else."""
 
     def __init__(self, slots: Sequence[Any], reader_rank: int):
         self._slots = slots
@@ -667,12 +671,25 @@ class _UnsealingSlots:
 
     def __getitem__(self, idx: int):
         if idx not in self._cache:
-            self._cache[idx] = _unseal(self._slots[idx], self._rank)
+            slot = self._slots[idx]
+            self._cache[idx] = (
+                _unseal(slot, self._rank)
+                if slot is None or isinstance(slot, _Sealed)
+                else _UnsealingSlots(slot, self._rank)
+            )
         return self._cache[idx]
 
     def __iter__(self):
         for i in range(len(self)):
             yield self[i]
+
+
+def _seal_payload(kind: str, payload: Any, source: int):
+    """Seal a payload for the wire: a scatter/alltoall lane list one lane
+    at a time (see :class:`_UnsealingSlots`), anything else whole."""
+    if kind in ("scatter", "alltoall") and isinstance(payload, list):
+        return [None if lane is None else _seal(lane, source) for lane in payload]
+    return _seal(payload, source)
 
 
 def _flip_byte(sealed: _Sealed) -> _Sealed:
@@ -795,9 +812,13 @@ class FaultyTransport:
             self.clock._phase_accrual[self.rank][phase] += extra
         if not self.seal:
             return self.inner.exchange(kind, payload, send_row, reader)
-        sealed = _seal(payload, self.rank)
+        sealed = _seal_payload(kind, payload, self.rank)
         if step in self.corrupt_at:
-            sealed = _flip_byte(sealed)
+            sealed = (
+                [None if lane is None else _flip_byte(lane) for lane in sealed]
+                if isinstance(sealed, list)
+                else _flip_byte(sealed)
+            )
         rank = self.rank
         return self.inner.exchange(
             kind,

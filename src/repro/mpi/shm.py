@@ -20,7 +20,9 @@ of mpi4py's buffer-protocol path):
     ``lease`` hands out a segment (creating one only on a pool miss),
     ``recycle`` returns it once every consumer has dropped its lease, and
     ``close`` unlinks everything at backend shutdown, so steady-state
-    supersteps pay no ``shm_open``/``mmap``/``unlink`` syscalls.
+    supersteps pay no ``shm_open``/``mmap``/``unlink`` syscalls.  A
+    pooled segment holds no pages: ``recycle`` punches them out, so an
+    idle pool costs a name and a mapping, not memory.
 
 :class:`LeaseTracker` + zero-copy :meth:`DataPlane.decode` (rendezvous)
     Decoding through a tracker returns ndarrays that *alias* the segment
@@ -30,6 +32,12 @@ of mpi4py's buffer-protocol path):
     coordinator, which recycles a creator's segment only after every
     consumer rank has released it.  Callers that need to mutate a
     received array use :func:`materialize`.
+
+:func:`adopt` (result hand-off)
+    The coordinator maps a rank's finished result segment read-only and
+    builds the result's arrays over that map instead of copying them:
+    each result byte is held once, by the map, for as long as any array
+    over it lives.
 
 Lane batching (:meth:`DataPlane.encode_lanes`)
     ``alltoall``/``scatter`` payloads encode all ``p`` lanes into **one**
@@ -62,6 +70,8 @@ from __future__ import annotations
 
 import ctypes
 import io
+import math
+import mmap
 import os
 import pickle
 import re
@@ -79,6 +89,7 @@ __all__ = [
     "LeaseTracker",
     "SegmentArena",
     "ShmBlob",
+    "adopt",
     "decode",
     "encode",
     "encode_lanes",
@@ -474,7 +485,9 @@ class SegmentArena:
 
     def recycle(self, names: Iterable[str]) -> None:
         """Return released segments to the pool (unlinking any beyond
-        the per-class retention cap)."""
+        the per-class retention cap).  A pooled segment's pages are
+        released as it enters the pool: every consumer has released it,
+        so no reader can see the zeroed bytes."""
         for name in names:
             seg = self._in_flight.pop(name, None)
             if seg is None:
@@ -482,26 +495,11 @@ class SegmentArena:
             size = self._class_of[name]
             bucket = self._pool.setdefault(size, [])
             if len(bucket) < _MAX_POOLED_PER_CLASS:
+                _release_pages(seg)
                 bucket.append(seg)
             else:
                 self._class_of.pop(name, None)
                 _destroy(seg)
-
-    def drop_pooled(self, keep_nbytes: int | None = None) -> None:
-        """Unlink every pooled (idle) segment but one of ``keep_nbytes``'s
-        size class, so a next lease of that size still hits the pool.
-        In-flight segments are untouched."""
-        keep = None if keep_nbytes is None else self._size_class(keep_nbytes)
-        for size, bucket in self._pool.items():
-            kept = bucket[:1] if size == keep else []
-            for seg in bucket[len(kept):]:
-                self._class_of.pop(seg.name, None)
-                _destroy(seg)
-            bucket[:] = kept
-
-    @property
-    def pooled_segments(self) -> int:
-        return sum(len(b) for b in self._pool.values())
 
     def stats(self) -> dict[str, int | float]:
         """Pool counters (aggregated across ranks by the coordinator)."""
@@ -525,6 +523,23 @@ class SegmentArena:
         self._pool.clear()
         self._in_flight.clear()
         self._class_of.clear()
+
+
+_MADV_REMOVE = getattr(mmap, "MADV_REMOVE", None)
+
+
+def _release_pages(seg: shared_memory.SharedMemory) -> None:
+    """Give a segment's pages back to the kernel, keeping its name and
+    mapping.  On tmpfs ``MADV_REMOVE`` punches a hole in the file, which
+    also drops the pages from every other process's mapping of it; the
+    next write faults in fresh zero pages.  A no-op where the platform
+    lacks ``MADV_REMOVE``."""
+    if _MADV_REMOVE is None:
+        return
+    try:
+        seg._mmap.madvise(_MADV_REMOVE)
+    except (AttributeError, OSError, ValueError):  # pragma: no cover
+        pass
 
 
 def _destroy(seg: shared_memory.SharedMemory) -> None:
@@ -613,14 +628,6 @@ class LeaseTracker:
             for name, att in self._attachments.items()
             if not att.closed and att.pins > 0
         ]
-
-    def close_idle(self) -> None:
-        """Close every attachment no live view pins."""
-        for name, att in list(self._attachments.items()):
-            if att.pins <= 0:
-                att.close()
-                if att.closed:
-                    del self._attachments[name]
 
     def stats(self) -> dict[str, int]:
         return {"attaches": self.attaches, "attach_reuses": self.attach_reuses}
@@ -747,6 +754,40 @@ def decode(blob: ShmBlob, tracker: LeaseTracker | None = None) -> Any:
             seg.close()
 
 
+def adopt(blob: ShmBlob) -> Any:
+    """Decode a blob by taking its segments over instead of copying them.
+
+    Each segment is mapped read-only and every diverted array is a
+    read-only view over that map; the map, and the one descriptor
+    ``mmap`` keeps for it, lives exactly as long as its views.  The
+    creator may unlink a segment as soon as this returns: unlinking
+    removes the name, and the map keeps the pages.  Hosts without an
+    enumerable shm filesystem fall back to the copying :func:`decode`.
+    """
+    if not blob.segments or not os.path.isdir(_SHM_DIR):
+        return decode(blob)
+    maps: dict[int, mmap.mmap] = {}
+
+    def view_of(seg_idx, shape, dtype, offset):
+        buf = maps.get(seg_idx)
+        if buf is None:
+            buf = maps[seg_idx] = _map_readonly(blob.segments[seg_idx])
+        flat = np.frombuffer(
+            buf, dtype=dtype, count=math.prod(shape), offset=offset
+        )
+        return flat.reshape(shape)
+
+    return _ShmUnpickler(blob, view_of).load()
+
+
+def _map_readonly(name: str) -> mmap.mmap:
+    fd = os.open(os.path.join(_SHM_DIR, name), os.O_RDONLY)
+    try:
+        return mmap.mmap(fd, 0, prot=mmap.PROT_READ)
+    finally:
+        os.close(fd)
+
+
 def unlink_segments(names: Iterable[str]) -> None:
     """Free segments by name; missing segments are ignored (idempotent)."""
     for name in names:
@@ -786,31 +827,8 @@ class DataPlane:
     def encode_lanes(self, lanes: Sequence[Any]) -> list[ShmBlob | None]:
         return encode_lanes(lanes, arena=self.arena)
 
-    def encode_shedding(self, obj: Any) -> ShmBlob:
-        """:meth:`encode` a rank's last payload, calling :meth:`shed_idle`
-        once its segment size is known and before anything is copied."""
-        data, arrays = _collect_dump(obj, _divert_threshold(self.arena))
-        self.shed_idle(_aligned_layout(arrays)[1] if arrays else None)
-        if not arrays:
-            return ShmBlob(data)
-        return _encode_packed(data, arrays, self.arena)
-
     def decode(self, blob: ShmBlob) -> Any:
         return decode(blob, tracker=self.tracker)
-
-    def shed_idle(self, keep_nbytes: int | None = None) -> None:
-        """Give back the shared memory this worker no longer uses.
-
-        Closes every foreign attachment no live view pins and unlinks
-        every pooled segment except one of ``keep_nbytes``'s size class,
-        so the next encode of that size still leases from the pool and
-        segment and lease counts do not move.  Pinned
-        attachments and in-flight segments stay.  A rank calls it when
-        its program has returned, before it encodes the result; until
-        then the idle pool is what lets supersteps skip ``shm_open``.
-        """
-        self.tracker.close_idle()
-        self.arena.drop_pooled(keep_nbytes)
 
     def held(self) -> list[str]:
         """Foreign segments still pinned by this worker's live views."""

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import mmap
+import os
 import threading
 from collections import Counter
 
@@ -108,3 +110,18 @@ def merge_calls(monkeypatch):
 
     monkeypatch.setattr(cube_mod, "merge_partitions", spy)
     return calls
+
+
+def mmap_of(arr):
+    """The ``mmap`` an array's bytes live in, or None."""
+    base = arr
+    while base is not None and not isinstance(base, mmap.mmap):
+        if isinstance(base, memoryview):
+            base = base.obj
+        else:
+            base = getattr(base, "base", None)
+    return base
+
+
+def open_fds() -> int:
+    return len(os.listdir("/proc/self/fd"))

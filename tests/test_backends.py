@@ -12,19 +12,25 @@ measured host CPU and the comparison can demand exact equality.
 
 from __future__ import annotations
 
+import gc
 import multiprocessing
+import os
 
 import numpy as np
 import pytest
 
-from repro.config import CubeConfig, MachineSpec
+from repro.config import CubeConfig, MachineSpec, RecoveryPolicy
+from repro.core.audit import audit_cube
 from repro.core.cube import build_data_cube
 from repro.mpi import shm
 from repro.mpi.backends import ProcessBackend, ThreadBackend, get_backend
 from repro.mpi.engine import run_spmd
 from repro.mpi.errors import CollectiveMisuse, MPIError
+from repro.mpi.faults import FaultPlan
+from repro.olap import CubeStore, Query, QueryEngine
+from repro.storage.table import Relation
 
-from .conftest import make_relation
+from .conftest import make_relation, mmap_of, open_fds
 
 requires_fork = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
@@ -319,3 +325,163 @@ class TestShmCodec:
         blob = shm.encode(np.zeros(1024, dtype=np.int64))
         shm.unlink_segments(blob.segments)
         shm.unlink_segments(blob.segments)  # second pass: no-op
+
+
+# ---------------------------------------------------------------------------
+# the coordinator adopts each rank's result segment
+# ---------------------------------------------------------------------------
+
+ADOPT_CARDS = (8, 6, 5, 4)
+ADOPT_QUERIES = [
+    Query(()),
+    Query((0,)),
+    Query((1, 3)),
+    Query((), {0: (3, 3), 1: (2, 2), 2: (1, 1), 3: (0, 0)}),
+    Query((0, 3), {1: (0, 2)}),
+    Query((0, 1, 2), having=(">=", 2.0)),
+]
+
+needs_shm_fs = pytest.mark.skipif(
+    not (os.path.isdir("/dev/shm") and os.path.isdir("/proc/self/fd")),
+    reason="inspects /dev/shm and /proc/self",
+)
+
+
+@pytest.fixture(scope="module")
+def adopt_relation():
+    """Integer-valued measure, so every build here is bit-exact."""
+    raw = make_relation(3000, ADOPT_CARDS, seed=5)
+    return Relation(raw.dims, np.floor(raw.measure))
+
+
+def _adopt_build(relation, backend, **kw):
+    return build_data_cube(
+        relation, ADOPT_CARDS, det_spec(3, backend), CubeConfig(), **kw
+    )
+
+
+def _columns(cube):
+    for rank_views in cube.rank_views:
+        for piece in rank_views.values():
+            yield piece.keys
+            yield piece.measure
+
+
+def _rp_names() -> set[str]:
+    return {n for n in os.listdir("/dev/shm") if shm._SEGMENT_RE.match(n)}
+
+
+def _rp_maps() -> int:
+    with open("/proc/self/maps") as maps:
+        return sum("/dev/shm/rp" in line for line in maps)
+
+
+def _store_files(path) -> dict[str, bytes]:
+    files = {}
+    for root, _, names in os.walk(path):
+        for name in names:
+            full = os.path.join(root, name)
+            with open(full, "rb") as fh:
+                files[os.path.relpath(full, path)] = fh.read()
+    return files
+
+
+@requires_fork
+@needs_shm_fs
+class TestResultAdoption:
+    def test_cube_is_read_only_over_maps_and_bit_identical(
+        self, adopt_relation
+    ):
+        cube = _adopt_build(adopt_relation, "process")
+        shared = [
+            col for col in _columns(cube)
+            if col.nbytes >= shm.SHM_MIN_BYTES_POOLED
+        ]
+        assert shared
+        for col in shared:
+            assert not col.flags.writeable
+            assert mmap_of(col) is not None
+        ref = _adopt_build(adopt_relation, "thread")
+        assert _cube_fingerprint(cube) == _cube_fingerprint(ref)
+
+    def test_maps_and_descriptors_rise_by_at_most_p_and_return(
+        self, adopt_relation
+    ):
+        _adopt_build(adopt_relation, "process")  # start the resource tracker
+        gc.collect()
+        names, maps, fds = _rp_names(), _rp_maps(), open_fds()
+        cube = _adopt_build(adopt_relation, "process")
+        assert _rp_names() <= names
+        assert 0 < _rp_maps() - maps <= 3
+        assert 0 < open_fds() - fds <= 3
+        del cube
+        gc.collect()
+        assert (_rp_maps(), open_fds()) == (maps, fds)
+
+    def test_a_rank_raising_after_its_program_returned_leaks_nothing(
+        self, monkeypatch
+    ):
+        """The rank's result is already in its segment when it fails."""
+        real = shm.DataPlane.stats
+
+        def stats_then_fail(self):
+            if os.getpid() == victim.value:
+                raise RuntimeError("failed after encoding the result")
+            return real(self)
+
+        victim = multiprocessing.Value("i", 0)
+
+        def prog(c):
+            if c.rank == 1:
+                victim.value = os.getpid()
+            c.allgather(np.arange(4096, dtype=np.int64) + c.rank)
+            lanes = [np.arange(2048, dtype=np.int64) + j for j in range(c.size)]
+            return c.alltoall(lanes)[0] * 2
+
+        monkeypatch.setattr(shm.DataPlane, "stats", stats_then_fail)
+        before = _rp_names()
+        with pytest.raises(RuntimeError, match="after encoding the result"):
+            run_spmd(prog, det_spec(3, "process"))
+        assert _rp_names() <= before
+
+
+@requires_fork
+class TestAdoptedCube:
+    """A process-backend cube goes everywhere a thread-backend one does."""
+
+    def test_stores_audit_and_queries_match_the_thread_cube(
+        self, adopt_relation, tmp_path
+    ):
+        cube = _adopt_build(adopt_relation, "process")
+        ref = _adopt_build(adopt_relation, "thread")
+        assert audit_cube(cube, relation=adopt_relation).ok
+        engine, ref_engine = QueryEngine(cube), QueryEngine(ref)
+        for query in ADOPT_QUERIES:
+            got, want = engine.answer(query), ref_engine.answer(query)
+            assert np.array_equal(got.dims, want.dims), query
+            assert got.measure.tobytes() == want.measure.tobytes(), query
+        for fmt in (2, 3):
+            path = CubeStore.save(cube, str(tmp_path / f"p{fmt}"), format=fmt)
+            ref_path = CubeStore.save(
+                ref, str(tmp_path / f"t{fmt}"), format=fmt
+            )
+            assert _store_files(path) == _store_files(ref_path), fmt
+            loaded = CubeStore.load(path)
+            assert _cube_fingerprint(loaded)["views"] == (
+                _cube_fingerprint(ref)["views"]
+            )
+
+    def test_checkpointed_crash_and_resume(self, adopt_relation, tmp_path):
+        kw = dict(
+            faults=FaultPlan.parse("crash@r1s20"),
+            recovery=RecoveryPolicy(max_retries=2),
+        )
+        cube = _adopt_build(
+            adopt_relation, "process",
+            checkpoint_dir=str(tmp_path / "p"), **kw,
+        )
+        ref = _adopt_build(
+            adopt_relation, "thread", checkpoint_dir=str(tmp_path / "t"), **kw
+        )
+        assert cube.metrics.attempts == ref.metrics.attempts == 2
+        assert _cube_fingerprint(cube) == _cube_fingerprint(ref)

@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from repro.config import MachineSpec
+from repro.mpi import faults as faults_mod
 from repro.mpi import shm
 from repro.mpi.engine import run_spmd
 from repro.mpi.errors import (
@@ -183,11 +184,56 @@ class TestFaultyTransport:
             split = c.scatter(
                 [f"to-{k}" for k in range(c.size)] if c.rank == 0 else None
             )
-            return ([int(g[0]) for g in got], split)
+            lanes = c.alltoall(
+                [None if k == c.rank else (c.rank, k) for k in range(c.size)]
+            )
+            return ([int(g[0]) for g in got], split, lanes)
 
         plain = run_spmd(prog, det_spec(3, backend))
         sealed = run_spmd(prog, det_spec(3, backend), faults=FaultPlan())
         assert plain.rank_results == sealed.rank_results
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_corrupt_alltoall_surfaces_crc_failure(self, backend):
+        def prog(c):
+            return c.alltoall(
+                [np.arange(64, dtype=np.int64) + k for k in range(c.size)]
+            )
+
+        with pytest.raises(CorruptPayload, match="from rank 1.*CRC"):
+            run_spmd(
+                prog,
+                det_spec(3, backend),
+                faults=FaultPlan.parse("corrupt@r1s0"),
+            )
+
+    def test_an_alltoall_reader_unseals_only_its_own_lanes(self, monkeypatch):
+        """Lanes are sealed one by one, so each lane is unpickled once,
+        by the rank it is addressed to, not once per reader."""
+        sealed, unsealed = [], []
+        real_seal, real_unseal = faults_mod._seal, faults_mod._unseal
+
+        def seal(payload, source):
+            out = real_seal(payload, source)
+            sealed.append(len(out.data))
+            return out
+
+        def unseal(slot, reader_rank):
+            if slot is not None:
+                unsealed.append(len(slot.data))
+            return real_unseal(slot, reader_rank)
+
+        monkeypatch.setattr(faults_mod, "_seal", seal)
+        monkeypatch.setattr(faults_mod, "_unseal", unseal)
+
+        def prog(c):
+            return c.alltoall(
+                [np.arange(512, dtype=np.int64) + k for k in range(c.size)]
+            )
+
+        run_spmd(prog, det_spec(3, "thread"), faults=FaultPlan())
+        assert len(sealed) == len(unsealed) == 9
+        assert sum(unsealed) == sum(sealed)
 
 
 class TestCollectiveValidation:

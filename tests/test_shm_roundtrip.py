@@ -5,12 +5,14 @@ Exercises :mod:`repro.mpi.shm` across array layouts and dtypes: empty
 arrays, non-contiguous slices, Fortran order,
 float32/int64/bool, an array referenced twice encoding to one segment,
 sub-threshold payloads staying inline, the arena divert threshold, lane
-batching into a single segment, and the zero-copy lease/materialize
-contract — plus an end-to-end pass on both execution backends.
+batching into a single segment, the zero-copy lease/materialize
+contract, pooled segments releasing their pages and result adoption —
+plus an end-to-end pass on both execution backends.
 """
 
 from __future__ import annotations
 
+import gc
 import multiprocessing
 import os
 
@@ -21,7 +23,7 @@ from repro.config import MachineSpec
 from repro.core.cube import build_data_cube
 from repro.mpi import shm
 from repro.mpi.engine import run_spmd
-from tests.conftest import make_relation
+from tests.conftest import make_relation, mmap_of, open_fds
 
 requires_fork = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
@@ -195,66 +197,87 @@ def _live(names):
     return {n for n in names if os.path.exists(os.path.join("/dev/shm", n))}
 
 
-def _rp_segments():
-    if not os.path.isdir("/dev/shm"):
-        return set()
-    return {n for n in os.listdir("/dev/shm") if shm._SEGMENT_RE.match(n)}
-
-
 @pytest.mark.skipif(not os.path.isdir("/dev/shm"), reason="no /dev/shm")
-class TestShedIdle:
-    def test_keeps_pinned_in_flight_and_one_of_the_kept_class(self, plane):
-        small = np.arange(shm.SHM_MIN_BYTES, dtype=np.int64)
-        large = np.arange(8 * shm.SHM_MIN_BYTES, dtype=np.int64)
-        pooled = [plane.encode(a).segments[0] for a in (small, small, large)]
-        plane.recycle(pooled)
-        in_flight = plane.encode(large[:-1]).segments[0]  # a pool hit
-        idle = [n for n in pooled if n != in_flight]
-        assert len(idle) == 2
+class TestPageRelease:
+    def test_a_pooled_segment_holds_no_pages(self, plane):
+        arr = np.arange(64 * shm.SHM_MIN_BYTES, dtype=np.int64)
+        name = plane.encode(arr).segments[0]
+        path = os.path.join("/dev/shm", name)
+        assert os.stat(path).st_blocks > 0
+        plane.recycle([name])
+        assert os.stat(path).st_blocks == 0
+        # The name and the mapping stay pooled: the next lease of the
+        # class is a pool hit, and its bytes round-trip.
+        reused = plane.stats()["segments_reused"]
+        blob, out = _roundtrip(plane, {"again": arr[::-1]})
+        assert blob.segments == (name,)
+        assert plane.stats()["segments_reused"] == reused + 1
+        np.testing.assert_array_equal(out["again"], arr[::-1])
 
+    def test_the_release_reaches_a_consumers_idle_map(self, plane):
+        arr = np.arange(16 * shm.SHM_MIN_BYTES, dtype=np.int64)
         other = shm.DataPlane()
         try:
-            pinned_blob = other.encode(small)
-            idle_blob = other.encode(large)
-            view = plane.decode(pinned_blob)
-            dropped = plane.decode(idle_blob)
-            del dropped
-            plane.shed_idle(keep_nbytes=small.nbytes)
-
-            # Only the pinned attachment stays, and its view still reads.
-            assert plane.held() == [pinned_blob.segments[0]]
-            assert set(plane.tracker._attachments) == {pinned_blob.segments[0]}
-            np.testing.assert_array_equal(view, small)
-            # One of the two pooled small segments stays; in flight stays.
-            assert len(_live(idle)) == 1
-            assert _live([in_flight]) == {in_flight}
-            assert plane.arena.pooled_segments == 1
-
-            # The kept segment serves the next lease of its class.
-            reused = plane.stats()["segments_reused"]
-            assert plane.encode(small).segments[0] in idle
-            assert plane.stats()["segments_reused"] == reused + 1
+            blob = plane.encode(arr)
+            view = other.decode(blob)
+            np.testing.assert_array_equal(view, arr)
+            del view
+            assert other.held() == []
+            plane.recycle(blob.segments)
+            path = os.path.join("/dev/shm", blob.segments[0])
+            assert os.stat(path).st_blocks == 0
+            # The consumer's attachment is still open over the punched
+            # hole: what it could read now is zeros, which is why only
+            # a segment every consumer released is recycled.
+            att = other.tracker.attachment(blob.segments[0])
+            assert not any(att.shm.buf[: arr.nbytes])
         finally:
             other.close()
 
-    def test_encode_shedding_keeps_the_result_lease_a_pool_hit(self, plane):
-        arr = np.arange(2 * shm.SHM_MIN_BYTES, dtype=np.int64)
-        spare = np.arange(64 * shm.SHM_MIN_BYTES, dtype=np.int64)
-        names = [plane.encode(a).segments[0] for a in (arr, arr, spare)]
-        plane.recycle(names)
-        before = plane.stats()
-        blob = plane.encode_shedding({"result": arr, "tag": 1})
-        after = plane.stats()
-        assert blob.segments[0] in names[:2]
-        assert after["segments_created"] == before["segments_created"]
-        assert after["leases"] == before["leases"] + 1
-        assert plane.arena.pooled_segments == 0
-        assert _live(names) == {blob.segments[0]}
-        np.testing.assert_array_equal(plane.decode(blob)["result"], arr)
 
+@pytest.mark.skipif(not os.path.isdir("/dev/shm"), reason="no /dev/shm")
+class TestAdopt:
+    def test_arrays_are_read_only_views_of_one_map(self):
+        arr = np.arange(4 * shm.SHM_MIN_BYTES, dtype=np.int64)
+        blob = shm.encode({"a": arr, "b": arr[::2], "tag": 3})
+        try:
+            out = shm.adopt(blob)
+        finally:
+            shm.unlink_segments(blob.segments)
+        assert _live(blob.segments) == set()
+        for got, want in ((out["a"], arr), (out["b"], arr[::2])):
+            np.testing.assert_array_equal(got, want)
+            assert not got.flags.writeable
+            assert mmap_of(got) is not None
+        assert mmap_of(out["a"]) is mmap_of(out["b"])
+        assert out["tag"] == 3
 
-def _no_shed(self, keep_nbytes=None):
-    pass
+    def test_inline_payloads_decode_as_before(self):
+        tiny = np.arange(4, dtype=np.float64)
+        blob = shm.encode(("ctl", tiny))
+        assert blob.segments == ()
+        out = shm.adopt(blob)
+        np.testing.assert_array_equal(out[1], tiny)
+
+    @pytest.mark.skipif(
+        not os.path.isdir("/proc/self/fd"), reason="counts /proc/self/fd"
+    )
+    def test_the_map_and_its_descriptor_live_as_long_as_the_views(self):
+        arr = np.arange(4 * shm.SHM_MIN_BYTES, dtype=np.int64)
+        gc.collect()
+        baseline = open_fds()
+        blob = shm.encode(arr)
+        out = shm.adopt(blob)
+        shm.unlink_segments(blob.segments)
+        assert open_fds() == baseline + 1
+        part = out[10:20]
+        del out
+        gc.collect()
+        assert open_fds() == baseline + 1
+        np.testing.assert_array_equal(part, arr[10:20])
+        del part
+        gc.collect()
+        assert open_fds() == baseline
 
 
 def _build(backend):
@@ -273,41 +296,14 @@ def _build(backend):
 
 
 @requires_fork
-class TestShedBuild:
-    def test_process_build_is_bit_identical_with_equal_pool_counts(
-        self, monkeypatch
-    ):
-        views, meters, pool = _build("process")
-        ref_views, ref_meters, _ = _build("thread")
-        assert views == ref_views and meters == ref_meters
-        # Every rank sheds before its result: the counters a plane that
-        # never sheds reports must be the same, segment for segment.
-        monkeypatch.setattr(shm.DataPlane, "shed_idle", _no_shed)
-        kept_views, kept_meters, kept_pool = _build("process")
-        assert kept_views == views and kept_meters == meters
-        for key in ("segments_created", "leases", "segments_reused"):
-            assert pool[key] == kept_pool[key], key
-
-    @pytest.mark.skipif(not os.path.isdir("/dev/shm"), reason="no /dev/shm")
-    def test_a_rank_raising_after_the_shed_leaks_nothing(self, monkeypatch):
-        real = shm.DataPlane.shed_idle
-
-        def shed_then_fail(self, keep_nbytes=None):
-            real(self, keep_nbytes)
-            if os.getpid() == victim.value:
-                raise RuntimeError("failed after the shed")
-
-        victim = multiprocessing.Value("i", 0)
-
-        def prog(c):
-            if c.rank == 1:
-                victim.value = os.getpid()
-            c.allgather(np.arange(4096, dtype=np.int64) + c.rank)
-            lanes = [np.arange(2048, dtype=np.int64) + j for j in range(c.size)]
-            return c.alltoall(lanes)[0].sum()
-
-        monkeypatch.setattr(shm.DataPlane, "shed_idle", shed_then_fail)
-        before = _rp_segments()
-        with pytest.raises(RuntimeError, match="failed after the shed"):
-            run_spmd(prog, MachineSpec(p=3, backend="process"))
-        assert _rp_segments() <= before
+def test_page_release_moves_no_segment_or_lease_count(monkeypatch):
+    views, meters, pool = _build("process")
+    ref_views, ref_meters, _ = _build("thread")
+    assert views == ref_views and meters == ref_meters
+    # A plane whose recycle keeps the pages reports the same counters,
+    # segment for segment: releasing pages changes what is resident only.
+    monkeypatch.setattr(shm, "_release_pages", lambda seg: None)
+    kept_views, kept_meters, kept_pool = _build("process")
+    assert kept_views == views and kept_meters == meters
+    for key in ("segments_created", "leases", "segments_reused"):
+        assert pool[key] == kept_pool[key], key
