@@ -1,5 +1,20 @@
 """Cross-validation of the production matcher against the classic
-replicated-parent Pipesort matching."""
+replicated-parent Pipesort matching.
+
+:mod:`repro.core.pipesort` solves each level pair with a compact
+max-savings matching.  :func:`match_level_replicated` below is the
+*original* formulation from Sarawagi-Agrawal-Gupta (the paper's [20]):
+every parent vertex is replicated once per potential child — the original
+copy offers production by **scan** (cost ``A(u)``), the replicas offer
+production by **sort** (cost ``A(u)·(1+log A(u))``) — and a minimum-cost
+assignment of children to parent copies is computed by SciPy, an oracle
+independent of the production solver.  The two formulations are exactly
+equivalent (the savings matching is the replicated LP after subtracting
+each child's cheapest sort cost), so equal optimal cost on randomized
+instances pins the production matcher to the textbook definition.
+"""
+
+from typing import Mapping, Sequence
 
 import numpy as np
 import pytest
@@ -7,9 +22,79 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.lattice import Lattice
-from repro.core.matching import level_cost, match_level_replicated
 from repro.core.pipesort import build_schedule_tree, scan_cost, sort_cost
-from repro.core.views import all_views
+from repro.core.views import View, all_views
+
+scipy_optimize = pytest.importorskip("scipy.optimize")
+
+
+def match_level_replicated(
+    children: Sequence[View],
+    parents: Sequence[View],
+    estimates: Mapping[View, float],
+    scan_allowed: Mapping[View, set[View]] | None = None,
+) -> list[tuple[View, View, str]]:
+    """Assign every child a ``(parent, mode)`` by the replicated matching.
+
+    ``scan_allowed[u]``, when given, is the set of children ``u`` may feed
+    by scan (the pinned root chain); ``None`` allows any subset child.
+    Returns ``[(child, parent, mode)]`` with minimum total cost; raises if
+    some child has no parent.
+    """
+    n_c = len(children)
+    if n_c == 0:
+        return []
+    child_sets = [set(v) for v in children]
+    psize = [max(estimates.get(u, 1.0), 1.0) for u in parents]
+
+    # Columns: for each parent, one scan copy + n_c sort copies (a parent
+    # can sort-produce every child in the worst case).
+    col_parent: list[int] = []
+    col_mode: list[str] = []
+    for pi in range(len(parents)):
+        col_parent.append(pi)
+        col_mode.append("scan")
+        for _ in range(n_c):
+            col_parent.append(pi)
+            col_mode.append("sort")
+
+    big = 1e18
+    cost = np.full((n_c, len(col_parent)), big)
+    for ci, vset in enumerate(child_sets):
+        for col, (pi, mode) in enumerate(zip(col_parent, col_mode)):
+            u = parents[pi]
+            if not vset < set(u):
+                continue
+            if mode == "scan":
+                allowed = (
+                    scan_allowed is None
+                    or u not in scan_allowed
+                    or children[ci] in scan_allowed[u]
+                )
+                if allowed:
+                    cost[ci, col] = scan_cost(psize[pi])
+            else:
+                cost[ci, col] = sort_cost(psize[pi])
+
+    rows, cols = scipy_optimize.linear_sum_assignment(cost)
+    out: list[tuple[View, View, str]] = []
+    for ci, col in zip(rows, cols):
+        if cost[ci, col] >= big:
+            raise ValueError(f"child {children[ci]} has no feasible parent")
+        out.append((children[ci], parents[col_parent[col]], col_mode[col]))
+    return out
+
+
+def level_cost(
+    assignment: Sequence[tuple[View, View, str]],
+    estimates: Mapping[View, float],
+) -> float:
+    """Total production cost of one level's assignment."""
+    total = 0.0
+    for _, parent, mode in assignment:
+        size = max(estimates.get(parent, 1.0), 1.0)
+        total += scan_cost(size) if mode == "scan" else sort_cost(size)
+    return total
 
 
 def tree_level_cost(tree, children, estimates):

@@ -24,7 +24,6 @@ MODULES = [
     "repro.core.cube",
     "repro.core.estimate",
     "repro.core.lattice",
-    "repro.core.matching",
     "repro.core.merge",
     "repro.core.overlap",
     "repro.core.partial",
