@@ -1,10 +1,9 @@
 """Beyond the paper: what the γ balance contract buys at query time.
 
 Two experiments: the original balance A/B (below), and an access-path
-matrix covering all three serving lanes — full scan, fence-index
-``searchsorted``, and the format-3 dense block-offset path — over the
-same store, asserting bit-identical answers and recording p50 latency
-per lane.
+matrix covering both serving lanes — full scan and fence-index
+``searchsorted`` — over the same store, asserting bit-identical answers
+and recording p50 latency per lane.
 
 The paper motivates balancing every view across processors with
 "maximum I/O bandwidth for subsequent parallel disk accesses".  This
@@ -126,7 +125,7 @@ CARDS_AP = (24, 16, 10, 8)
 
 
 def test_access_path_matrix(benchmark, scale, results_dir, tmp_path):
-    """Scan vs index vs dense on one hybrid store."""
+    """Scan vs index on one stored cube."""
 
     def run():
         rel = generate_dataset(
@@ -135,20 +134,17 @@ def test_access_path_matrix(benchmark, scale, results_dir, tmp_path):
                 cardinalities=CARDS_AP,
                 alphas=(1.2, 0.9, 0.6, 0.3),
                 seed=43,
-                scramble=True,
             )
         )
         cube = build_data_cube(rel, CARDS_AP, MachineSpec(p=2))
-        path = CubeStore.save(
-            cube, str(tmp_path / "hybrid"), format=3, block_cells=256
-        )
+        path = CubeStore.save(cube, str(tmp_path / "store"))
         handle = CubeStore.open(path)
         lanes = {
             "scan": handle.query_engine(index=False),
             "index": handle.query_engine(index=True),
         }
         # hot-corner point lookups: each dimension at one of its three
-        # most frequent values, whose cells lie in dense blocks
+        # most frequent values
         rng = np.random.default_rng(5)
         hot = [
             np.argsort(-np.bincount(rel.dims[:, dim], minlength=card))[:3]
@@ -164,10 +160,6 @@ def test_access_path_matrix(benchmark, scale, results_dir, tmp_path):
             )
             for _ in range(60)
         ]
-        dense_hits = sum(
-            lanes["index"].explain(q).access_path == "dense"
-            for q in queries
-        )
         p50 = {}
         identical = True
         reference = [lanes["scan"].answer(q) for q in queries]
@@ -186,29 +178,27 @@ def test_access_path_matrix(benchmark, scale, results_dir, tmp_path):
                     ):
                         identical = False
             p50[name] = float(np.percentile(best, 50) * 1e6)
-        return p50, dense_hits, len(queries), identical
+        return p50, len(queries), identical
 
-    p50, dense_hits, n_queries, identical = benchmark.pedantic(
+    p50, n_queries, identical = benchmark.pedantic(
         run, rounds=1, iterations=1
     )
     pairs = [
         ("point queries", str(n_queries)),
-        ("resolved via dense path", f"{dense_hits}/{n_queries}"),
         ("scan p50", f"{p50['scan']:.0f} us"),
-        ("index/dense p50", f"{p50['index']:.0f} us"),
+        ("index p50", f"{p50['index']:.0f} us"),
         ("all paths bit-identical", str(identical)),
     ]
     record(
         results_dir,
         "access_paths",
-        format_kv_block("Access-path latency matrix (format-3 store)", pairs),
+        format_kv_block("Access-path latency matrix", pairs),
     )
     (results_dir / "access_paths.json").write_text(
         json.dumps(
             {
                 "bench": "access_paths",
                 "p50_us": {k: round(v, 1) for k, v in p50.items()},
-                "dense_hits": dense_hits,
                 "queries": n_queries,
                 "bit_identical": identical,
             },
@@ -217,6 +207,5 @@ def test_access_path_matrix(benchmark, scale, results_dir, tmp_path):
         + "\n"
     )
     assert identical, "access paths disagreed on point lookups"
-    assert dense_hits > 0, "no query resolved via the dense path"
-    # the indexed lanes must beat the full scan outright
+    # the index lane must beat the full scan outright
     assert p50["index"] < p50["scan"]

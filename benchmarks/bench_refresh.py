@@ -3,7 +3,7 @@
 Measures what :func:`repro.olap.refresh.refresh_store` buys over
 rebuilding the cube from scratch when a small insert-only delta
 arrives, and that the savings cost nothing in correctness or serving
-availability.  Four lanes:
+availability.  Three lanes:
 
 * **timing** — a format-2 store refreshed with delta fractions of
   {FRACTIONS}: wall-clock ``refresh_store`` (delta build + merge +
@@ -12,14 +12,11 @@ availability.  Four lanes:
   fraction <= 5% the refresh is >= {SPEEDUP_TARGET_FULL}x faster than
   the rebuild ({SPEEDUP_TARGET_QUICK}x in quick mode, where fixed
   per-view overhead dominates the small stores).
-* **identity** — formats 2 and 3 refreshed at a 5% delta and compared
+* **identity** — a store refreshed at a 5% delta and compared
   against the from-scratch rebuild of the same rows: every query of a
   mixed workload must be **bit-identical** through both the scan path
-  and the index/dense path (integer-valued measures keep float SUMs
-  exact), and ``audit_cube`` must pass against the full relation.
-* **promotion** — a format-3 store hit with a hot, concentrated delta:
-  blocks must cross the density threshold and be re-promoted to dense,
-  and the result must still match the rebuild.
+  and the index path (integer-valued measures keep float SUMs exact),
+  and ``audit_cube`` must pass against the full relation.
 * **serving** — a :class:`~repro.olap.service.QueryService` kept under
   closed-loop load while delta batches are folded in live
   (:func:`~repro.olap.servebench.run_with_refresh`).  Gates:
@@ -181,64 +178,15 @@ def identity_lane(tmpdir: str, quick: bool) -> dict:
     spec = MachineSpec(p=P)
     rel = int_relation(n + dn, seed=21)
     base, delta = rel.slice(0, n), rel.slice(n, n + dn)
-    out = {}
-    for fmt in (2, 3):
-        live = os.path.join(tmpdir, f"identity-live-{fmt}")
-        CubeStore.save(build_data_cube(base, CARDS, spec), live,
-                       format=fmt)
-        refresh_store(live, delta, spec=spec)
-        rebuilt = os.path.join(tmpdir, f"identity-rebuilt-{fmt}")
-        CubeStore.save(build_data_cube(rel, CARDS, spec), rebuilt,
-                       format=fmt)
-        audit = audit_cube(CubeStore.load(live), relation=rel)
-        out[f"format{fmt}"] = {
-            "bit_identical": _answers_identical(live, rebuilt),
-            "audit_ok": bool(audit.ok),
-        }
-    return out
-
-
-def promotion_lane(tmpdir: str, quick: bool) -> dict:
-    cards = (40, 30, 20)
-    spec = MachineSpec(p=P)
-    rng = np.random.default_rng(31)
-    n_base = 2_000 if quick else 4_000
-    n_hot = 3_000 if quick else 8_000
-    base = Relation(
-        np.column_stack(
-            [rng.integers(0, c, size=n_base, dtype=np.int64)
-             for c in cards]
-        ),
-        rng.integers(1, 100, size=n_base).astype(np.float64),
-    )
-    hot = Relation(
-        np.column_stack(
-            [
-                rng.integers(0, 4, size=n_hot, dtype=np.int64),
-                rng.integers(0, 30, size=n_hot, dtype=np.int64),
-                rng.integers(0, 20, size=n_hot, dtype=np.int64),
-            ]
-        ),
-        rng.integers(1, 100, size=n_hot).astype(np.float64),
-    )
-    live = os.path.join(tmpdir, "promo-live")
-    CubeStore.save(build_data_cube(base, cards, spec), live, format=3)
-    report = refresh_store(live, hot, spec=spec)
-    rebuilt = os.path.join(tmpdir, "promo-rebuilt")
-    CubeStore.save(
-        build_data_cube(concat(base, hot), cards, spec),
-        rebuilt,
-        format=3,
-    )
-    promo_queries = [
-        Query(group_by=()),
-        Query(group_by=(0,)),
-        Query(group_by=(0, 1), filters={0: (0, 3)}),
-        Query(group_by=(2,), filters={0: (1, 1)}),
-    ]
+    live = os.path.join(tmpdir, "identity-live")
+    CubeStore.save(build_data_cube(base, CARDS, spec), live)
+    refresh_store(live, delta, spec=spec)
+    rebuilt = os.path.join(tmpdir, "identity-rebuilt")
+    CubeStore.save(build_data_cube(rel, CARDS, spec), rebuilt)
+    audit = audit_cube(CubeStore.load(live), relation=rel)
     return {
-        "blocks_promoted": report.blocks_promoted,
-        "bit_identical": _answers_identical(live, rebuilt, promo_queries),
+        "bit_identical": _answers_identical(live, rebuilt),
+        "audit_ok": bool(audit.ok),
     }
 
 
@@ -299,7 +247,6 @@ def run() -> dict:
         print("timing lane:")
         timing = timing_lane(tmpdir, quick)
         identity = identity_lane(tmpdir, quick)
-        promotion = promotion_lane(tmpdir, quick)
         serving = serving_lane(tmpdir, quick)
     report = {
         "bench": "refresh",
@@ -315,7 +262,6 @@ def run() -> dict:
         },
         "timing": timing,
         "identity": identity,
-        "promotion": promotion,
         "serving": serving,
     }
     JSON_PATH.write_text(json.dumps(report, indent=2) + "\n")
@@ -324,7 +270,7 @@ def run() -> dict:
 
 
 def check_report(report: dict) -> None:
-    """Assert the bench's claims (all four lanes gate in every mode;
+    """Assert the bench's claims (all three lanes gate in every mode;
     only the timing multiplier relaxes under --quick)."""
     target = report["targets"]["speedup_at_5pct"]
     for row in report["timing"]["fractions"]:
@@ -334,17 +280,11 @@ def check_report(report: dict) -> None:
                 f"{row['speedup']}x faster than rebuild "
                 f"(target {target}x)"
             )
-    for fmt, lane in report["identity"].items():
-        assert lane["bit_identical"], (
-            f"{fmt}: refreshed store diverged from the rebuild"
-        )
-        assert lane["audit_ok"], f"{fmt}: audit failed after refresh"
-    assert report["promotion"]["blocks_promoted"] > 0, (
-        "hot delta never promoted a block to dense"
+    identity = report["identity"]
+    assert identity["bit_identical"], (
+        "refreshed store diverged from the rebuild"
     )
-    assert report["promotion"]["bit_identical"], (
-        "promotion path diverged from the rebuild"
-    )
+    assert identity["audit_ok"], "audit failed after refresh"
     serving = report["serving"]
     assert serving["availability"] >= AVAILABILITY_TARGET, (
         f"availability {serving['availability']:.4f} under live "

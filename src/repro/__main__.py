@@ -135,14 +135,8 @@ def cmd_build(args: argparse.Namespace) -> int:
             f"p={metrics.final_width} of {args.p}"
         )
     if args.out:
-        fmt = 3 if args.hybrid else 2
-        CubeStore.save(
-            cube,
-            args.out,
-            format=fmt,
-            density_threshold=args.density_threshold,
-        )
-        print(f"stored at {args.out} (format {fmt})")
+        CubeStore.save(cube, args.out)
+        print(f"stored at {args.out} (format 2)")
     if metrics.audit is not None:
         if metrics.audit["ok"]:
             print(f"audit: OK ({len(metrics.audit['checks'])} checks)")
@@ -241,8 +235,7 @@ def cmd_refresh(args: argparse.Namespace) -> int:
     )
     print(
         f"  {report.views_merged} views merged, {report.views_linked} "
-        f"hard-linked unchanged, {report.rows_added:,} rows added, "
-        f"{report.blocks_promoted} blocks promoted to dense"
+        f"hard-linked unchanged, {report.rows_added:,} rows added"
     )
     print(
         f"  delta build {report.delta_build_seconds:.3f}s + merge "
@@ -473,13 +466,6 @@ def main(argv: list[str] | None = None) -> int:
     p_build.add_argument("--audit", action="store_true",
                          help="run the post-build integrity audit; a "
                               "failed audit exits non-zero")
-    p_build.add_argument("--hybrid", action="store_true",
-                         help="store as format 3: per-block dense/sparse "
-                              "hybrid views")
-    p_build.add_argument("--density-threshold", type=float, default=None,
-                         help="block occupancy above which a block is "
-                              "stored dense (default: the calibrated "
-                              "byte-cost break-even, 0.5078125)")
     p_build.set_defaults(fn=cmd_build)
 
     p_info = sub.add_parser("info", help="describe a stored cube")

@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.data.zipf import scramble_labels, zipf_sample
+from repro.data.zipf import zipf_sample
 from repro.storage.table import Relation
 
 __all__ = ["DatasetSpec", "generate_dataset", "paper_preset", "PAPER_CARDINALITIES"]
@@ -29,12 +29,6 @@ class DatasetSpec:
     cardinalities: tuple[int, ...]
     alphas: tuple[float, ...]
     seed: int = 0xC0FFEE
-    #: Re-label each dimension by a seeded random permutation after
-    #: sampling.  Zipf codes arrive frequency-ranked (code 0 most
-    #: frequent), which packs the hot cells into the low key range;
-    #: scrambling restores the arbitrary labelling of real categorical
-    #: data — the input the format-3 hybrid layout should be measured on.
-    scramble: bool = False
 
     def __post_init__(self) -> None:
         if self.n < 0:
@@ -69,8 +63,6 @@ def generate_dataset(spec: DatasetSpec) -> Relation:
     dims = np.empty((spec.n, spec.d), dtype=np.int64)
     for col, (card, alpha) in enumerate(zip(spec.cardinalities, spec.alphas)):
         dims[:, col] = zipf_sample(card, alpha, spec.n, rng)
-    if spec.scramble:
-        dims = scramble_labels(dims, spec.cardinalities, seed=spec.seed)
     measure = rng.random(spec.n) * 100.0
     return Relation(dims, measure)
 

@@ -8,11 +8,9 @@ normalised mass function — no rejection loops, reproducible under a seed.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
-__all__ = ["scramble_labels", "skew_profile", "zipf_pmf", "zipf_sample"]
+__all__ = ["skew_profile", "zipf_pmf", "zipf_sample"]
 
 
 def zipf_pmf(cardinality: int, alpha: float) -> np.ndarray:
@@ -53,9 +51,9 @@ def skew_profile(
     """A per-dimension skew vector for mixed dense/sparse cubes.
 
     Uniform skew across all dims produces cubes that are uniformly
-    dense or uniformly sparse; hybrid-storage benchmarks need views
-    that *mix* — some dimensions heavy-tailed, some nearly flat — so
-    that within one cube some blocks go dense and others stay sparse.
+    dense or uniformly sparse; a profile makes views that *mix* — some
+    dimensions heavy-tailed, some nearly flat — so that one cube holds
+    both dense and sparse key ranges.
 
     Profiles (all deterministic under ``seed``):
 
@@ -95,30 +93,3 @@ def skew_profile(
         f"unknown skew profile {profile!r} "
         "(expected mixed | ramp | head | flat)"
     )
-
-
-def scramble_labels(
-    dims: np.ndarray,
-    cardinalities: Sequence[int],
-    seed: int = 0,
-) -> np.ndarray:
-    """Re-label every dimension column by a seeded random permutation.
-
-    :func:`zipf_sample` emits codes in frequency-rank order (code 0 is
-    the most frequent), so synthetic data straight from the sampler
-    clusters its hot cells in the low packed-key range — a best case for
-    block-dense storage that real data does not offer.  Scrambling gives
-    each dimension arbitrary labels, the way real categorical data
-    arrives.
-    """
-    dims = np.asarray(dims, dtype=np.int64)
-    if dims.ndim != 2 or dims.shape[1] != len(cardinalities):
-        raise ValueError(
-            f"expected (n, {len(cardinalities)}) codes, got {dims.shape}"
-        )
-    rng = np.random.default_rng(seed)
-    out = np.empty_like(dims)
-    for col, card in enumerate(cardinalities):
-        perm = rng.permutation(int(card)).astype(np.int64)
-        out[:, col] = perm[dims[:, col]]
-    return out

@@ -14,9 +14,8 @@ surface:
   and the access-path classifier that turns prefix-compatible filters
   into one ``searchsorted`` key range (no decode, no argsort).
 * :mod:`repro.olap.store` — persist a built cube to disk and reopen it;
-  every view is stored as one globally sorted run: format 2 as
-  memory-mapped sorted columns the index path serves from, format 3 as
-  per-block dense/sparse hybrid storage (:mod:`repro.olap.hybrid`).
+  every view is stored as one globally sorted run of memory-mapped key
+  and measure columns the index path serves from.
 * :mod:`repro.olap.cache` — byte-budgeted, admission-controlled result
   caching in front of an engine, keyed by (store generation, query) so
   a refresh can never serve a stale hit.
@@ -39,7 +38,6 @@ surface:
 
 from repro.olap.advisor import AdvisorResult, select_views
 from repro.olap.cache import CachedQueryEngine, ResultCache
-from repro.olap.hybrid import HybridView
 from repro.olap.index import AccessPlan, FenceIndex, SortedView
 from repro.olap.query import Query, QueryEngine, QueryPlan, QueryPlanner
 from repro.olap.refresh import RefreshReport, refresh_cube, refresh_store
@@ -58,7 +56,6 @@ __all__ = [
     "CachedQueryEngine",
     "CubeStore",
     "FenceIndex",
-    "HybridView",
     "OpenCube",
     "PoisonQuery",
     "Query",

@@ -39,7 +39,6 @@ from repro.core.cube import CubeResult
 from repro.core.viewdata import codec_for_order, global_run
 from repro.core.views import View, canonical_view, view_name
 from repro.mpi.engine import run_spmd
-from repro.olap.hybrid import HybridView
 from repro.olap.index import (
     AccessPlan,
     SortedView,
@@ -161,9 +160,7 @@ class QueryPlan:
     query: Query
     view: View
     scan_rows: int
-    #: ``"index"`` | ``"index+sort"`` | ``"scan"``, or — against a
-    #: format-3 store when the whole key range lies in dense blocks —
-    #: ``"dense"`` (index semantics, direct offset arithmetic).
+    #: ``"index"`` | ``"index+sort"`` | ``"scan"``.
     access_path: str = "scan"
     #: The view's sort order, when one is known to the planner.
     order: tuple[int, ...] | None = None
@@ -361,26 +358,7 @@ class QueryEngine:
 
     def explain(self, query: Query) -> QueryPlan:
         """The chosen view plus the access path the engine will take."""
-        plan = self.planner.plan(query)
-        if plan.access_path != "scan" and plan.access is not None:
-            # Against a hybrid view, report the dense path when the
-            # whole key range resolves by block-offset arithmetic.
-            sv = self._sorted_view(plan.view)
-            if isinstance(sv, HybridView):
-                lo_key, hi_key = key_bounds(
-                    sv.order, self.cube.cardinalities,
-                    plan.access, query.filters,
-                )
-                if sv.range_kind(lo_key, hi_key) == "dense":
-                    plan = QueryPlan(
-                        query=plan.query,
-                        view=plan.view,
-                        scan_rows=plan.scan_rows,
-                        access_path="dense",
-                        order=plan.order,
-                        access=plan.access,
-                    )
-        return plan
+        return self.planner.plan(query)
 
     # -- gathered execution ------------------------------------------------
 

@@ -26,11 +26,11 @@ so they compose like SUM.
 
 ``refresh_store`` lifts the same merge to *persisted* stores: the delta
 cube's sorted runs are folded directly into the mmap'd view columns of
-a :class:`~repro.olap.store.CubeStore` (formats 2 and 3), written as a
-new immutable generation next to the old one with every untouched file
-hard-linked — refresh cost scales with the delta, not the cube — and
-published with an atomic ``CURRENT`` pointer swap so live readers never
-block and never see a half-written store.
+a :class:`~repro.olap.store.CubeStore`, written as a new immutable
+generation next to the old one — a delta build plus one merge pass over
+the stored cube, not a rebuild from the fact table — and published with
+an atomic ``CURRENT`` pointer swap so live readers never block and never
+see a half-written store.
 """
 
 from __future__ import annotations
@@ -52,15 +52,8 @@ from repro.core.pipesort import ScheduleTree
 from repro.core.viewdata import ViewData, codec_for_order
 from repro.core.views import View, canonical_view
 from repro.mpi.engine import run_spmd
-from repro.olap.hybrid import HybridView, merge_hybrid
 from repro.olap.index import DEFAULT_STRIDE, FenceIndex
-from repro.olap.store import (
-    CubeStore,
-    _MANIFEST,
-    _gen_name,
-    _hybrid_fields,
-    _view_stem,
-)
+from repro.olap.store import CubeStore, _MANIFEST, _gen_name, _view_stem
 from repro.storage.mmapio import write_npy
 from repro.storage.scan import aggregate_sorted_keys, merge_sorted
 from repro.storage.sortkernels import sort_pairs
@@ -252,7 +245,6 @@ class RefreshReport:
     rows_added: int             #: net new view rows across all views
     views_merged: int           #: views whose columns were rewritten
     views_linked: int           #: views hard-linked untouched
-    blocks_promoted: int        #: hybrid blocks promoted sparse -> dense
     files_linked: int
     files_written: int
     delta_build_seconds: float  #: wall time of the parallel delta build
@@ -344,15 +336,12 @@ def refresh_store(
 
     Builds the delta cube with the ordinary parallel algorithm, merges
     each delta view's sorted run directly into the store's mmap'd
-    columns (format 2: one ``merge_sorted`` + aggregate per touched
-    view; format 3: :func:`~repro.olap.hybrid.merge_hybrid`, touching
-    only delta blocks and re-promoting blocks whose occupancy crosses
-    the density threshold), and writes the result as generation N+1
-    next to the live generation N.  Views (and for hybrid views, the
-    dense payload / sparse residue individually) that the delta never
-    touches are hard-linked, not rewritten, so refresh cost scales
-    with the delta.  The new generation becomes live via an atomic
-    ``CURRENT`` pointer swap — readers of generation N are never
+    columns (one ``merge_sorted`` + aggregate per touched view), and
+    writes the result as generation N+1 next to the live generation N.
+    A view the delta leaves untouched is hard-linked, not rewritten,
+    but every delta row lands in every view, so a non-empty delta
+    rewrites them all.  The new generation becomes live via an
+    atomic ``CURRENT`` pointer swap — readers of generation N are never
     blocked and never see partial state.
 
     Insert-only: see :func:`require_insert_maintainable`.  An empty
@@ -399,7 +388,6 @@ def refresh_store(
             rows_added=0,
             views_merged=0,
             views_linked=n_views,
-            blocks_promoted=0,
             files_linked=0,
             files_written=0,
             delta_build_seconds=0.0,
@@ -422,136 +410,45 @@ def refresh_store(
     t1 = time.perf_counter()
 
     stride = int(manifest.get("fence_stride") or DEFAULT_STRIDE)
-    dthr = manifest.get("density_threshold")
     os.makedirs(os.path.join(tmp_dir, "views"), exist_ok=True)
     src_views = os.path.join(src.path, "views")
     dst_views = os.path.join(tmp_dir, "views")
     entries = []
-    views_merged = views_linked = promoted = rows_added = 0
+    views_merged = views_linked = rows_added = 0
 
     for entry in manifest["views"]:
         view = canonical_view(entry["dims"])
         new_entry = dict(entry)
         stem = _view_stem(view)
-        order = tuple(entry["order"])
-        dk, dv = _delta_run(delta_cube, view, order, cards, internal)
+        dk, dv = _delta_run(
+            delta_cube, view, tuple(entry["order"]), cards, internal
+        )
 
-        if entry["layout"] == "sorted":
-            if dk.shape[0] == 0:
-                for suffix in (".keys.npy", ".measure.npy"):
-                    _link_file(
-                        os.path.join(src_views, stem + suffix),
-                        os.path.join(dst_views, stem + suffix),
-                        counts,
-                    )
-                views_linked += 1
-            else:
-                sv = src.sorted_views[view]
-                old_keys = sv._keys.array
-                mk, mv = merge_sorted(old_keys, sv._measure.array, dk, dv)
-                mk, mv = aggregate_sorted_keys(mk, mv, internal)
-                write_npy(os.path.join(dst_views, stem + ".keys.npy"), mk)
-                write_npy(
-                    os.path.join(dst_views, stem + ".measure.npy"), mv
+        if dk.shape[0] == 0:
+            for suffix in (".keys.npy", ".measure.npy"):
+                _link_file(
+                    os.path.join(src_views, stem + suffix),
+                    os.path.join(dst_views, stem + suffix),
+                    counts,
                 )
-                counts["written"] += 2
-                new_entry.update(
-                    rows=int(mk.shape[0]),
-                    rank_offsets=_merged_offsets(
-                        old_keys, entry["rank_offsets"], mk, p
-                    ),
-                    fence=FenceIndex.build(mk, stride).to_manifest(),
-                )
-                rows_added += int(mk.shape[0]) - int(old_keys.shape[0])
-                views_merged += 1
-
-        else:  # "hybrid"
-            hybrid_files = [".sparse.keys.npy", ".sparse.measure.npy"]
-            dense_files = [".dense.values.npy", ".dense.mask.npy"]
-            if dk.shape[0] == 0:
-                for suffix in hybrid_files + dense_files:
-                    fp = os.path.join(src_views, stem + suffix)
-                    if os.path.exists(fp):
-                        _link_file(
-                            fp, os.path.join(dst_views, stem + suffix),
-                            counts,
-                        )
-                views_linked += 1
-            else:
-                hv = src.sorted_views[view]
-                new_layout, stats = merge_hybrid(
-                    hv, dk, dv, agg=internal, threshold=dthr
-                )
-                promoted += stats["promoted"]
-                if stats["sparse_changed"]:
-                    write_npy(
-                        os.path.join(dst_views, stem + ".sparse.keys.npy"),
-                        new_layout.sparse_keys,
-                    )
-                    write_npy(
-                        os.path.join(
-                            dst_views, stem + ".sparse.measure.npy"
-                        ),
-                        new_layout.sparse_measure,
-                    )
-                    counts["written"] += 2
-                    fence = FenceIndex.build(
-                        new_layout.sparse_keys, stride
-                    ).to_manifest()
-                else:
-                    for suffix in hybrid_files:
-                        _link_file(
-                            os.path.join(src_views, stem + suffix),
-                            os.path.join(dst_views, stem + suffix),
-                            counts,
-                        )
-                    fence = entry["fence"]
-                if stats["dense_changed"]:
-                    if new_layout.dense_values.size:
-                        write_npy(
-                            os.path.join(
-                                dst_views, stem + ".dense.values.npy"
-                            ),
-                            new_layout.dense_values,
-                        )
-                        counts["written"] += 1
-                    if new_layout.dense_mask.size:
-                        write_npy(
-                            os.path.join(
-                                dst_views, stem + ".dense.mask.npy"
-                            ),
-                            new_layout.dense_mask,
-                        )
-                        counts["written"] += 1
-                else:
-                    for suffix in dense_files:
-                        fp = os.path.join(src_views, stem + suffix)
-                        if os.path.exists(fp):
-                            _link_file(
-                                fp,
-                                os.path.join(dst_views, stem + suffix),
-                                counts,
-                            )
-                nv = HybridView.from_layout(order, new_layout)
-                old_off = entry["rank_offsets"]
-                offsets = [0]
-                for rank in range(1, p):
-                    o = int(old_off[rank])
-                    if o >= hv.nrows:
-                        offsets.append(int(new_layout.nrows))
-                    else:
-                        bkey = int(hv.read(o, o + 1)[0][0])
-                        offsets.append(int(nv._locate(bkey, "left")))
-                offsets.append(int(new_layout.nrows))
-                new_entry.update(
-                    rows=int(new_layout.nrows),
-                    rank_offsets=offsets,
-                    **_hybrid_fields(new_layout),
-                    fence=fence,
-                )
-                rows_added += stats["rows_added"]
-                views_merged += 1
-
+            views_linked += 1
+        else:
+            sv = src.sorted_views[view]
+            old_keys = sv._keys.array
+            mk, mv = merge_sorted(old_keys, sv._measure.array, dk, dv)
+            mk, mv = aggregate_sorted_keys(mk, mv, internal)
+            write_npy(os.path.join(dst_views, stem + ".keys.npy"), mk)
+            write_npy(os.path.join(dst_views, stem + ".measure.npy"), mv)
+            counts["written"] += 2
+            new_entry.update(
+                rows=int(mk.shape[0]),
+                rank_offsets=_merged_offsets(
+                    old_keys, entry["rank_offsets"], mk, p
+                ),
+                fence=FenceIndex.build(mk, stride).to_manifest(),
+            )
+            rows_added += int(mk.shape[0]) - int(old_keys.shape[0])
+            views_merged += 1
         entries.append(new_entry)
 
     new_manifest = {k: v for k, v in manifest.items() if k != "views"}
@@ -579,7 +476,6 @@ def refresh_store(
         rows_added=int(rows_added),
         views_merged=views_merged,
         views_linked=views_linked,
-        blocks_promoted=promoted,
         files_linked=counts["linked"],
         files_written=counts["written"],
         delta_build_seconds=t1 - t0,

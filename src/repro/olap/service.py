@@ -196,8 +196,7 @@ def _worker_main(
     from repro.olap.store import CubeStore
 
     handle = CubeStore.open(store_path)
-    # Workers keep mmap-only access: dense chunks and sparse columns
-    # alike open read-only.
+    # Workers keep mmap-only access: every view column opens read-only.
     engine = handle.query_engine(index=index)
     store_gen = handle.generation
     if store_gens is not None:

@@ -13,10 +13,8 @@ merge, here, at save time.  A cube whose pieces are not sorted,
 key-disjoint runs under one order is rejected with ``ValueError``, not
 stored in a slower layout.
 
-Two on-disk formats encode that run and share one manifest schema:
-
-**Format 2** (the serving layout, default) writes the two columns as
-raw contiguous ``.npy`` files::
+**Format 2**, the one on-disk encoding, writes that run's two columns
+as raw contiguous ``.npy`` files::
 
     <path>/manifest.json          cardinalities, aggregate, p and, per
                                   view, order, rank offsets and fence
@@ -33,24 +31,10 @@ holding those same slices wherever they are its pieces (the seal), while
 Nth key, persisted in the manifest) lets a reader touch only the pages
 a query needs.
 
-**Format 3** (hybrid) stores each view as dense blocks + a sparse
-residue (:mod:`repro.storage.dense`)::
-
-    <path>/views/v_<name>.sparse.keys.npy     sorted sparse residue
-    <path>/views/v_<name>.sparse.measure.npy
-    <path>/views/v_<name>.dense.values.npy    concatenated dense cells
-    <path>/views/v_<name>.dense.mask.npy      packed occupancy bits
-
-The manifest lists only the dense blocks (id, rows, full-flag, sparse
-rows before the block), so logical-row arithmetic is O(1) per block and
-the fence index covers just the sparse residue.  Readers get
-:class:`~repro.olap.hybrid.HybridView` handles with the same API as
-:class:`SortedView`; ``CubeStore.load`` re-expands the blocks into the
-exact distributed cube.
-
 Stores are rebuildable build artefacts, so there is no migration path:
-a manifest written by an older version (format 1, a per-rank view
-layout, a recorded attribute-value reorder) is rejected by
+a manifest written by an older version (format 1, format 3's
+dense/sparse blocks, a per-rank view layout, a recorded
+attribute-value reorder) is rejected by
 :meth:`CubeStore.open` with the command that rebuilds it.
 
 **Generations** (incremental refresh).  A store directory may hold a
@@ -61,7 +45,7 @@ layout, a recorded attribute-value reorder) is rejected by
     <path>/gen-000001/manifest.json + views/ ...
     <path>/gen-000002/...
 
-Each generation is a complete, self-contained format-2/3 store;
+Each generation is a complete, self-contained format-2 store;
 :func:`~repro.olap.refresh.refresh_store` creates the next one by
 merging a delta into its predecessor, hard-linking every untouched
 view file so a generation costs only the bytes its delta touched.  A
@@ -87,16 +71,13 @@ import numpy as np
 
 from repro.config import RunResult
 from repro.core.cube import CubeResult
-from repro.core.viewdata import ViewData, codec_for_order, global_run
+from repro.core.viewdata import ViewData, global_run
 from repro.core.views import View, canonical_view, view_name
-from repro.olap.hybrid import HybridView
 from repro.olap.index import DEFAULT_STRIDE, FenceIndex, SortedView
-from repro.storage.dense import DEFAULT_BLOCK_CELLS, HybridLayout, build_hybrid
 from repro.storage.mmapio import (
     MappedColumn,
     MmapMeter,
     read_npy_mmap,
-    write_npy,
     write_npy_parts,
 )
 
@@ -113,23 +94,6 @@ def _gen_name(generation: int) -> str:
 
 def _view_stem(view: View) -> str:
     return "v_" + ("_".join(str(i) for i in view) if view else "all")
-
-
-def _hybrid_fields(layout: HybridLayout) -> dict:
-    """The manifest fields a hybrid view adds to its entry."""
-    return {
-        "capacity": int(layout.capacity),
-        "sparse_rows": layout.n_sparse_rows,
-        "dense": [
-            [
-                int(layout.dense_blocks[i]),
-                int(layout.dense_rows[i]),
-                int(layout.dense_full[i]),
-                int(layout.sparse_before[i]),
-            ]
-            for i in range(layout.dense_blocks.shape[0])
-        ],
-    }
 
 
 def _rank_pieces(
@@ -169,7 +133,7 @@ def _zero_metrics(total_rows: int, view_count: int) -> RunResult:
 
 
 class CubeStore:
-    """Directory-backed cube persistence (formats 2 and 3)."""
+    """Directory-backed cube persistence (format 2)."""
 
     @staticmethod
     def save(
@@ -177,94 +141,62 @@ class CubeStore:
         path: str,
         format: int = 2,
         fence_stride: int | None = None,
-        block_cells: int | None = None,
-        density_threshold: float | None = None,
     ) -> str:
         """Write ``cube`` under ``path`` (created if needed).
 
-        ``block_cells`` and ``density_threshold`` tune the format-3
-        hybrid layout.  The format decides only how a view's two columns
-        are encoded and which manifest fields that adds.
-
-        Format 2 streams each view's rank pieces into its column files
-        and then *seals* the cube: every view whose stored run is its
-        pieces laid end to end (every view of a fault-free build) has its
-        heap pieces replaced by read-only, zero-copy slices of the
-        mapped files — the arrays :meth:`load` returns — so the cube is
-        held once, by the store.  A sealed view holds two open file
+        ``format`` must be 2, the only encoding; any other value raises
+        ``ValueError``.  Each view's rank pieces stream into its column
+        files and then the cube is *sealed*: every view whose stored run
+        is its pieces laid end to end (every view of a fault-free build)
+        has its heap pieces replaced by read-only, zero-copy slices of
+        the mapped files — the arrays :meth:`load` returns — so the cube
+        is held once, by the store.  A sealed view holds two open file
         descriptors (one per mapped column) until the cube lets go of
         it, as an :meth:`open` store does: 128 for a 64-view cube.  Under
         the ``RLIMIT_NOFILE`` soft limit the seal leaves room to open the
         store once beside the cube, takes at most half of the rest and
         seals the largest views first; the others keep their heap pieces
         (under a limit of 1024 a 256-view cube seals about 120 views, a
-        1024-view cube none).  Format 3 and a degraded build's
-        interleaved views keep their heap pieces too; their files are not
-        the pieces' run.
+        1024-view cube none).  A degraded build's interleaved views keep
+        their heap pieces too; their files are not the pieces' run.
         """
-        if format not in (2, 3):
+        if format != 2:
             raise ValueError(f"unknown cube store format: {format!r}")
         os.makedirs(path, exist_ok=True)
         stride = int(fence_stride or DEFAULT_STRIDE)
-        bc = int(block_cells or DEFAULT_BLOCK_CELLS)
-        cards = cube.cardinalities
         #: (view, file stem, order, rank offsets) of every view to seal
         sealable: list[tuple[View, str, tuple[int, ...], np.ndarray]] = []
 
         def write_view(view: View) -> dict:
             """Write one view's files and return its manifest entry."""
             run = global_run([rv[view] for rv in cube.rank_views])
-            entry = {
+            stem = os.path.join(path, "views", _view_stem(view))
+            key_parts = [keys for keys, _ in run.parts]
+            write_npy_parts(stem + ".keys.npy", key_parts)
+            write_npy_parts(
+                stem + ".measure.npy", [measure for _, measure in run.parts]
+            )
+            if run.concatenated:
+                sealable.append((view, stem, run.order, run.offsets))
+            fence = FenceIndex.over_parts(key_parts, stride)
+            return {
                 "dims": list(view),
                 "name": view_name(view),
                 "rows": int(run.offsets[-1]),
-                "layout": "sorted" if format == 2 else "hybrid",
+                "layout": "sorted",
                 "order": list(run.order),
                 "rank_offsets": [int(o) for o in run.offsets],
+                "fence": fence.to_manifest(),
             }
-            stem = os.path.join(path, "views", _view_stem(view))
-            if format == 2:
-                key_parts = [keys for keys, _ in run.parts]
-                write_npy_parts(stem + ".keys.npy", key_parts)
-                write_npy_parts(
-                    stem + ".measure.npy", [measure for _, measure in run.parts]
-                )
-                fence = FenceIndex.over_parts(key_parts, stride)
-                if run.concatenated:
-                    sealable.append((view, stem, run.order, run.offsets))
-            else:
-                layout = build_hybrid(
-                    run.keys, run.measure,
-                    int(codec_for_order(run.order, cards).capacity),
-                    block_cells=bc, threshold=density_threshold,
-                )
-                write_npy(stem + ".sparse.keys.npy", layout.sparse_keys)
-                write_npy(
-                    stem + ".sparse.measure.npy", layout.sparse_measure
-                )
-                if layout.dense_values.size:
-                    write_npy(
-                        stem + ".dense.values.npy", layout.dense_values
-                    )
-                if layout.dense_mask.size:
-                    write_npy(stem + ".dense.mask.npy", layout.dense_mask)
-                entry.update(_hybrid_fields(layout))
-                fence = FenceIndex.build(layout.sparse_keys, stride)
-            entry["fence"] = fence.to_manifest()
-            return entry
 
         manifest = {
-            "format": int(format),
-            "cardinalities": list(cards),
+            "format": 2,
+            "cardinalities": list(cube.cardinalities),
             "agg": cube.agg,
             "p": len(cube.rank_views),
             "fence_stride": stride,
+            "views": [write_view(view) for view in cube.views],
         }
-        if format == 3:
-            manifest.update(
-                block_cells=bc, density_threshold=density_threshold
-            )
-        manifest["views"] = [write_view(view) for view in cube.views]
         with open(os.path.join(path, _MANIFEST), "w") as fh:
             json.dump(manifest, fh, indent=1)
         # Largest views first, as far as the descriptor budget goes.
@@ -291,21 +223,21 @@ class CubeStore:
         with open(manifest_path) as fh:
             manifest = json.load(fh)
         unread = None
-        if manifest.get("format") not in (2, 3):
+        if manifest.get("format") != 2:
             unread = f"format {manifest.get('format')!r}"
         elif "reorder" in manifest:
             unread = "an attribute-value reorder"
         else:
             for entry in manifest["views"]:
-                if entry.get("layout") not in ("sorted", "hybrid"):
+                if entry.get("layout") != "sorted":
                     unread = (
                         f"view {entry.get('name')} in layout "
                         f"{entry.get('layout')!r}"
                     )
                     break
         if unread is not None:
-            # Older versions wrote format 1, per-rank view layouts and
-            # reorder permutations; none is read any more.
+            # Older versions wrote formats 1 and 3, per-rank view
+            # layouts and reorder permutations; none is read any more.
             raise ValueError(
                 f"unsupported cube store at {manifest_path}: it holds "
                 f"{unread}, which this version does not read.  Stores "
@@ -462,12 +394,10 @@ class CubeStore:
 class OpenCube:
     """A read-only handle on one stored cube.
 
-    * :attr:`cube` — the distributed :class:`CubeResult` (format 2:
-      mmap-backed slices; format 3: re-expanded blocks).
-    * :attr:`sorted_views` — per-view serving handles
-      (:class:`SortedView` for format-2 ``sorted`` layouts,
-      :class:`~repro.olap.hybrid.HybridView` for format-3 ``hybrid``
-      layouts).
+    * :attr:`cube` — the distributed :class:`CubeResult`, its pieces
+      mmap-backed slices of the view columns.
+    * :attr:`sorted_views` — per-view :class:`SortedView` serving
+      handles.
     * :attr:`meter` — mmap read accounting shared by every column.
 
     Handles are safe to open in many processes at once: each worker of
@@ -488,57 +418,18 @@ class OpenCube:
         )
         self.agg = manifest.get("agg", "sum")
         self.p = int(manifest["p"])
-        self.block_cells = int(
-            manifest.get("block_cells") or DEFAULT_BLOCK_CELLS
-        )
         self.meter = MmapMeter()
         self._cube: CubeResult | None = None
-        self._sorted: dict[View, SortedView | HybridView] | None = None
+        self._sorted: dict[View, SortedView] | None = None
 
     # -- sorted serving views ---------------------------------------------
 
-    def _hybrid_view(self, entry: dict, view: View) -> HybridView:
-        stem = os.path.join(self.path, "views", _view_stem(view))
-        dense = entry.get("dense") or []
-        cols = np.asarray(dense, dtype=np.int64).reshape(len(dense), 4)
-        # Mask/values files are omitted when no block needs them.
-        values = (
-            MappedColumn(stem + ".dense.values.npy", self.meter)
-            if os.path.exists(stem + ".dense.values.npy")
-            else np.empty(0, dtype=np.float64)
-        )
-        mask = (
-            MappedColumn(stem + ".dense.mask.npy", self.meter)
-            if os.path.exists(stem + ".dense.mask.npy")
-            else np.empty(0, dtype=np.uint8)
-        )
-        return HybridView(
-            tuple(entry["order"]),
-            block_cells=self.block_cells,
-            capacity=int(entry["capacity"]),
-            nrows=int(entry["rows"]),
-            blocks=cols[:, 0],
-            rows=cols[:, 1],
-            full=cols[:, 2].astype(bool),
-            sparse_before=cols[:, 3],
-            values=values,
-            mask=mask,
-            sparse_keys=MappedColumn(stem + ".sparse.keys.npy", self.meter),
-            sparse_measure=MappedColumn(
-                stem + ".sparse.measure.npy", self.meter
-            ),
-            fence=FenceIndex.from_manifest(entry["fence"]),
-        )
-
     @property
-    def sorted_views(self) -> dict[View, SortedView | HybridView]:
+    def sorted_views(self) -> dict[View, SortedView]:
         if self._sorted is None:
             self._sorted = {}
             for entry in self.manifest["views"]:
                 view = canonical_view(entry["dims"])
-                if entry["layout"] == "hybrid":
-                    self._sorted[view] = self._hybrid_view(entry, view)
-                    continue
                 stem = os.path.join(self.path, "views", _view_stem(view))
                 self._sorted[view] = SortedView(
                     tuple(entry["order"]),
@@ -566,14 +457,10 @@ class OpenCube:
             view = canonical_view(entry["dims"])
             total_rows += int(entry["rows"])
             sv = self.sorted_views[view]
-            if isinstance(sv, HybridView):
-                # Re-expand the blocks into the full sorted columns.
-                keys, measure = sv.read(0, sv.nrows)
-            else:
-                keys = sv._keys.array  # the shared mapping
-                measure = sv._measure.array
+            # Slices of the shared mapping, not copies.
             pieces = _rank_pieces(
-                sv.order, keys, measure, entry["rank_offsets"]
+                sv.order, sv._keys.array, sv._measure.array,
+                entry["rank_offsets"],
             )
             for rv, piece in zip(rank_views, pieces):
                 rv[view] = piece
@@ -588,7 +475,7 @@ class OpenCube:
     # -- convenience -------------------------------------------------------
 
     def query_engine(self, index: bool = True):
-        """A query engine over this store's sorted/hybrid view handles
+        """A query engine over this store's sorted view handles
         (``index=False`` pins every query to the scan path)."""
         from repro.olap.query import QueryEngine
 

@@ -9,12 +9,7 @@ from repro.data.generator import (
     generate_dataset,
     paper_preset,
 )
-from repro.data.zipf import (
-    scramble_labels,
-    skew_profile,
-    zipf_pmf,
-    zipf_sample,
-)
+from repro.data.zipf import skew_profile, zipf_pmf, zipf_sample
 
 
 class TestZipf:
@@ -100,54 +95,6 @@ class TestSkewProfile:
             DatasetSpec(n=500, cardinalities=cards, alphas=alphas)
         )
         assert rel.nrows == 500
-
-
-class TestScrambleLabels:
-    def test_breaks_frequency_rank_order(self):
-        """Zipf codes arrive frequency-ranked; a scramble must not
-        leave code 0 the most frequent in every column."""
-        rng = np.random.default_rng(3)
-        cards = (50, 40)
-        dims = np.column_stack(
-            [zipf_sample(c, 2.0, 4000, rng) for c in cards]
-        )
-        top_before = [np.bincount(dims[:, c]).argmax() for c in range(2)]
-        assert top_before == [0, 0]
-        out = scramble_labels(dims, cards, seed=9)
-        top_after = [
-            np.bincount(out[:, c], minlength=cards[c]).argmax()
-            for c in range(2)
-        ]
-        assert top_after != [0, 0]
-
-    def test_is_a_relabelling(self):
-        """Same multiset of per-column counts, deterministic per seed."""
-        rng = np.random.default_rng(4)
-        dims = np.column_stack([zipf_sample(9, 1.0, 1000, rng)] * 2)
-        a = scramble_labels(dims, (9, 9), seed=1)
-        b = scramble_labels(dims, (9, 9), seed=1)
-        assert np.array_equal(a, b)
-        for c in range(2):
-            before = sorted(np.bincount(dims[:, c], minlength=9))
-            after = sorted(np.bincount(a[:, c], minlength=9))
-            assert before == after
-
-    def test_spec_scramble_knob(self):
-        plain = DatasetSpec(800, (32, 16), (2.0, 1.0), seed=11)
-        scrambled = DatasetSpec(
-            800, (32, 16), (2.0, 1.0), seed=11, scramble=True
-        )
-        a, b = generate_dataset(plain), generate_dataset(scrambled)
-        # same measures, relabelled dims
-        assert np.array_equal(a.measure, b.measure)
-        assert not np.array_equal(a.dims, b.dims)
-        for c in range(2):
-            assert sorted(np.bincount(a.dims[:, c], minlength=32)) == \
-                sorted(np.bincount(b.dims[:, c], minlength=32))
-
-    def test_shape_validation(self):
-        with pytest.raises(ValueError, match="expected"):
-            scramble_labels(np.zeros((4, 3), dtype=np.int64), (8, 8))
 
 
 class TestDatasetSpec:

@@ -403,29 +403,23 @@ class TestDegradedStore:
             engine.explain(query).access_path for query in self.QUERIES
         } >= {"index", "index+sort"}
 
-    @pytest.mark.parametrize("fmt", [2, 3])
     def test_store_is_indexed_and_answers_like_clean(
-        self, degraded_and_clean, tmp_path, fmt
+        self, degraded_and_clean, tmp_path
     ):
         degraded, clean = degraded_and_clean
-        path = CubeStore.save(degraded, str(tmp_path / "deg"), format=fmt)
-        clean_path = CubeStore.save(
-            clean, str(tmp_path / "clean"), format=fmt
-        )
+        path = CubeStore.save(degraded, str(tmp_path / "deg"))
+        clean_path = CubeStore.save(clean, str(tmp_path / "clean"))
         handle = CubeStore.open(path)
-        assert {e["layout"] for e in handle.manifest["views"]} == {
-            "sorted" if fmt == 2 else "hybrid"
-        }
+        assert {e["layout"] for e in handle.manifest["views"]} == {"sorted"}
         self.assert_serves_like(
             handle.query_engine(), CubeStore.open(clean_path).query_engine()
         )
 
-    @pytest.mark.parametrize("fmt", [2, 3])
     def test_load_keeps_content_and_row_counts(
-        self, degraded_and_clean, relation, tmp_path, fmt
+        self, degraded_and_clean, relation, tmp_path
     ):
         degraded, _ = degraded_and_clean
-        path = CubeStore.save(degraded, str(tmp_path / "deg"), format=fmt)
+        path = CubeStore.save(degraded, str(tmp_path / "deg"))
         loaded = CubeStore.load(path)
         for view in degraded.views:
             assert loaded.view_relation(view).same_content(

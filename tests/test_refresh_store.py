@@ -61,7 +61,7 @@ def canon(rel):
 
 
 def assert_same_answers(path_a, path_b, queries=QUERIES):
-    """Bit-identical across the scan, index, and dense access paths."""
+    """Bit-identical across the scan and index access paths."""
     for index in (False, True):
         ea = CubeStore.open(path_a).query_engine(index=index)
         eb = CubeStore.open(path_b).query_engine(index=index)
@@ -74,27 +74,25 @@ def assert_same_answers(path_a, path_b, queries=QUERIES):
 
 
 class TestRefreshStoreFormats:
-    @pytest.mark.parametrize("fmt", [2, 3])
-    def test_matches_full_rebuild(self, tmp_path, fmt):
-        rel = int_relation(4000, seed=50 + fmt)
+    def test_matches_full_rebuild(self, tmp_path):
+        rel = int_relation(4000, seed=52)
         first, extra = split(rel, 3200)
-        store = save_store(first, tmp_path / "live", format=fmt)
+        store = save_store(first, tmp_path / "live")
         report = refresh_store(store, extra, spec=SPEC)
         assert report.generation == 1
         assert report.previous_generation == 0
         assert report.delta_rows == extra.nrows
         assert CubeStore.current_generation(store) == 1
-        rebuilt = save_store(rel, tmp_path / "rebuilt", format=fmt)
+        rebuilt = save_store(rel, tmp_path / "rebuilt")
         assert_same_answers(store, rebuilt)
         cube = CubeStore.load(store)
         assert audit_cube(cube, relation=rel).ok
 
-    @pytest.mark.parametrize("fmt", [2, 3])
-    def test_degraded_store_matches_full_rebuild(self, tmp_path, fmt):
+    def test_degraded_store_matches_full_rebuild(self, tmp_path):
         """A degraded build's resharded views interleave across ranks;
         its store is normalised at save time, so a refresh merges into
         it like into any other."""
-        rel = int_relation(4000, seed=56 + fmt)
+        rel = int_relation(4000, seed=58)
         first, extra = split(rel, 3200)
         degraded = build_data_cube(
             first,
@@ -111,55 +109,12 @@ class TestRefreshStoreFormats:
             )
             for v in degraded.views
         ), "the fault left no interleaved view to normalise"
-        store = CubeStore.save(degraded, str(tmp_path / "live"), format=fmt)
+        store = CubeStore.save(degraded, str(tmp_path / "live"))
         report = refresh_store(store, extra, spec=SPEC)
         assert report.views_merged == len(degraded.views)
-        rebuilt = save_store(rel, tmp_path / "rebuilt", format=fmt)
+        rebuilt = save_store(rel, tmp_path / "rebuilt")
         assert_same_answers(store, rebuilt)
         assert audit_cube(CubeStore.load(store), relation=rel).ok
-
-    def test_promotion_to_dense(self, tmp_path):
-        # A hot delta concentrated on few blocks must cross the density
-        # threshold and re-promote those blocks.
-        cards = (40, 30, 20)
-        rng = np.random.default_rng(7)
-        base = Relation(
-            np.column_stack(
-                [
-                    rng.integers(0, c, size=3000, dtype=np.int64)
-                    for c in cards
-                ]
-            ),
-            rng.integers(1, 50, size=3000).astype(np.float64),
-        )
-        hot = Relation(
-            np.column_stack(
-                [
-                    rng.integers(0, 4, size=4000, dtype=np.int64),
-                    rng.integers(0, 30, size=4000, dtype=np.int64),
-                    rng.integers(0, 20, size=4000, dtype=np.int64),
-                ]
-            ),
-            rng.integers(1, 50, size=4000).astype(np.float64),
-        )
-        store = save_store(
-            base, tmp_path / "live", cards=cards, format=3
-        )
-        report = refresh_store(store, hot, spec=SPEC)
-        assert report.blocks_promoted > 0
-        both = Relation(
-            np.vstack([base.dims, hot.dims]),
-            np.concatenate([base.measure, hot.measure]),
-        )
-        rebuilt = save_store(
-            both, tmp_path / "rebuilt", cards=cards, format=3
-        )
-        assert_same_answers(
-            store,
-            rebuilt,
-            queries=[Query(group_by=()), Query(group_by=(0,)),
-                     Query(group_by=(0, 1), filters={0: (0, 3)})],
-        )
 
 
 class TestGenerationMechanics:
@@ -167,7 +122,7 @@ class TestGenerationMechanics:
         rel = int_relation(3000, seed=60)
         a, rest = split(rel, 1800)
         b, c = split(rest, 600)
-        store = save_store(a, tmp_path / "live", format=3)
+        store = save_store(a, tmp_path / "live")
         refresh_store(store, b, spec=SPEC)
         refresh_store(store, c, spec=SPEC)
         assert CubeStore.generations(store) == [0, 1, 2]
@@ -175,7 +130,7 @@ class TestGenerationMechanics:
         # A pinned older generation stays readable by explicit request.
         mid = CubeStore.open(store, generation=1)
         assert mid.generation == 1
-        rebuilt = save_store(rel, tmp_path / "rebuilt", format=3)
+        rebuilt = save_store(rel, tmp_path / "rebuilt")
         assert_same_answers(store, rebuilt)
         removed = CubeStore.gc_generations(store)
         assert removed == [1]
@@ -196,29 +151,13 @@ class TestGenerationMechanics:
 
     def test_empty_delta_is_a_noop(self, tmp_path):
         rel = int_relation(1200, seed=62)
-        store = save_store(rel, tmp_path / "live", format=3)
+        store = save_store(rel, tmp_path / "live")
         report = refresh_store(store, Relation.empty(len(CARDS)))
         assert report.generation == 0
         assert report.previous_generation == 0
         assert report.views_merged == 0
         assert CubeStore.current_generation(store) == 0
         assert CubeStore.generations(store) == [0]
-
-    def test_untouched_files_hard_linked(self, tmp_path):
-        rel = int_relation(4000, seed=63)
-        first, extra = split(rel, 3600)
-        store = save_store(first, tmp_path / "live", format=3)
-        report = refresh_store(store, extra, spec=SPEC)
-        assert report.files_linked > 0
-        gen_dir, gen = CubeStore.resolve(store)
-        assert gen == 1
-        linked = [
-            os.path.join(root, name)
-            for root, _dirs, files in os.walk(gen_dir)
-            for name in files
-            if os.stat(os.path.join(root, name)).st_nlink >= 2
-        ]
-        assert len(linked) >= report.files_linked
 
     def test_current_swap_is_atomic_pointer(self, tmp_path):
         rel = int_relation(1000, seed=64)
@@ -266,14 +205,13 @@ class TestRefreshContracts:
         cube = build_data_cube(
             first, CARDS, SPEC, CubeConfig(agg=agg)
         )
-        store = CubeStore.save(cube, str(tmp_path / "live"), format=3)
+        store = CubeStore.save(cube, str(tmp_path / "live"))
         # COUNT persists as SUM-of-ones, so the delta's intent must be
         # stated explicitly or its measures would be *summed*.
         refresh_store(store, extra, spec=SPEC, config=CubeConfig(agg=agg))
         rebuilt = CubeStore.save(
             build_data_cube(rel, CARDS, SPEC, CubeConfig(agg=agg)),
             str(tmp_path / "rebuilt"),
-            format=3,
         )
         assert_same_answers(store, rebuilt)
 

@@ -145,6 +145,7 @@ class TestIndexedExecution:
         Query(group_by=(), filters={1: (0, 4)}),
         Query(group_by=(0, 2), filters={0: (1, 6)}, having=(">=", 10.0)),
         Query(group_by=(1, 3), filters={1: (2, 6), 2: (0, 2)}),
+        Query(group_by=(), filters={d: (1, 1) for d in range(4)}),
     ]
 
     def test_bit_identical_to_scan_and_oracle(self, cube, dataset):
@@ -232,11 +233,16 @@ class TestStoreV2:
         p2 = CubeStore.save(cube, str(tmp_path / "v2"))
         assert int(CubeStore._read_manifest(p2)["format"]) == 2
         live = QueryEngine(cube, index=False)
-        engine = CubeStore.open(p2).query_engine()
+        engines = [
+            CubeStore.open(p2).query_engine(index=index)
+            for index in (True, False)
+        ]
         for query in TestIndexedExecution.QUERIES:
-            want, got = live.answer(query), engine.answer(query)
-            assert np.array_equal(want.dims, got.dims)
-            assert np.array_equal(want.measure, got.measure)
+            want = live.answer(query)
+            for engine in engines:
+                got = engine.answer(query)
+                assert np.array_equal(want.dims, got.dims)
+                assert np.array_equal(want.measure, got.measure)
 
     def test_view_index_by_format(self, cube, tmp_path):
         p2 = CubeStore.save(cube, str(tmp_path / "v2"), fence_stride=64)
@@ -273,14 +279,13 @@ class TestStoreV2:
             cardinalities=(4, 4),
             metrics=RunResult(0.0, 0.0, 5, 1, 0, 0),
         )
-        for fmt in (2, 3):
-            with pytest.raises(ValueError, match=f"view AB.*{complaint}"):
-                CubeStore.save(cube, str(tmp_path / f"f{fmt}"), format=fmt)
+        with pytest.raises(ValueError, match=f"view AB.*{complaint}"):
+            CubeStore.save(cube, str(tmp_path / "f2"))
         with pytest.raises(ValueError, match=f"view AB.*{complaint}"):
             QueryEngine(cube).answer(Query((0,), {0: (1, 2)}))
 
     def test_unknown_format_rejected(self, cube, tmp_path):
-        for fmt in (1, 4):
+        for fmt in (1, 3, 4):
             with pytest.raises(ValueError, match="format"):
                 CubeStore.save(cube, str(tmp_path / "x"), format=fmt)
 
@@ -288,12 +293,17 @@ class TestStoreV2:
         "edit",
         [
             lambda m: m.update(format=1),
+            lambda m: m.update(format=3),
             lambda m: m["views"][0].update(layout="ranked"),
+            lambda m: m["views"][0].update(layout="hybrid"),
             lambda m: m.update(reorder={"perms": [[0, 1]]}),
             lambda m: m["views"][-1].update(layout="columnar"),
             lambda m: m["views"][0].pop("layout"),
         ],
-        ids=["format-1", "ranked", "reorder", "unknown-layout", "no-layout"],
+        ids=[
+            "format-1", "format-3", "ranked", "hybrid", "reorder",
+            "unknown-layout", "no-layout",
+        ],
     )
     def test_open_rejects_manifests_it_cannot_read(
         self, cube, tmp_path, edit

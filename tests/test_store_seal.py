@@ -3,8 +3,8 @@
 After :meth:`CubeStore.save` the cube's pieces of every view whose stored
 run is the pieces laid end to end are read-only slices of the mapped
 column files (the arrays :meth:`CubeStore.load` returns), so a saved
-cube is held once, by the store.  Format 3 and a degraded build's
-interleaved views keep their heap pieces.  Saving over a store never
+cube is held once, by the store.  A degraded build's interleaved views
+keep their heap pieces.  Saving over a store never
 rewrites a file a reader has mapped.
 """
 
@@ -116,15 +116,6 @@ class TestSeal:
         for query, got, ref in zip(QUERIES, answers(cube), want):
             assert np.array_equal(got.dims, ref.dims), query
             assert got.measure.tobytes() == ref.measure.tobytes(), query
-
-    def test_format_3_keeps_heap_pieces(self, relation, tmp_path):
-        cube = build(relation)
-        before = fingerprint(cube)
-        held = pieces(cube)
-        CubeStore.save(cube, str(tmp_path / "store"), format=3)
-        for (_, _, old), (_, _, now) in zip(held, pieces(cube)):
-            assert now is old and now.keys.flags.writeable
-        assert fingerprint(cube) == before
 
     def test_degraded_interleaved_views_keep_heap_pieces(
         self, relation, tmp_path
