@@ -94,7 +94,6 @@ def cmd_build(args: argparse.Namespace) -> int:
     machine = MachineSpec(
         p=args.p,
         backend=args.backend,
-        sort_kernel=args.sort_kernel,
         heartbeat_interval=args.heartbeat,
     )
     cube = build_data_cube(
@@ -388,8 +387,7 @@ def cmd_demo(args: argparse.Namespace) -> int:
     cube = build_data_cube(
         data,
         spec.cardinalities,
-        MachineSpec(p=args.p, backend=args.backend,
-                    sort_kernel=args.sort_kernel),
+        MachineSpec(p=args.p, backend=args.backend),
     )
     print(cube.describe())
     print("phase breakdown:")
@@ -418,12 +416,6 @@ def main(argv: list[str] | None = None) -> int:
     p_build.add_argument("--dims", type=int, default=None)
     p_build.add_argument("--agg", default="sum",
                          choices=("sum", "count", "min", "max"))
-    p_build.add_argument("--sort-kernel", default="auto",
-                         choices=("auto", "argsort", "radix", "segmented",
-                                  "presorted"),
-                         help="host sort kernel for packed-key sorts "
-                              "(auto = calibrated cost model; outputs and "
-                              "simulated metering are kernel-independent)")
     p_build.add_argument("--seed", type=int, default=0xC0FFEE)
     p_build.add_argument("--out", default=None, help="store directory")
     p_build.add_argument("--from-csv", default=None,
@@ -563,9 +555,6 @@ def main(argv: list[str] | None = None) -> int:
     p_demo.add_argument("--p", type=int, default=8)
     p_demo.add_argument("--backend", default="thread",
                         choices=("thread", "process"))
-    p_demo.add_argument("--sort-kernel", default="auto",
-                        choices=("auto", "argsort", "radix", "segmented",
-                                 "presorted"))
     p_demo.set_defaults(fn=cmd_demo)
 
     args = parser.parse_args(argv)

@@ -79,14 +79,6 @@ class MachineSpec:
     #: two IDE drives).  D disks move D blocks per I/O step, so the
     #: per-block cost divides by D.
     disks_per_node: int = 1
-    #: Host sort kernel used for every packed-key sort: ``"auto"`` (the
-    #: calibrated cost model picks per call), ``"argsort"``, ``"radix"``,
-    #: ``"segmented"`` or ``"presorted"`` — see
-    #: :mod:`repro.storage.sortkernels`.  Kernels change *host* wall-clock
-    #: only; outputs, ``charge_sort`` metering and disk-block accounting
-    #: are bit-identical across kernels.  The ``REPRO_SORT_KERNEL``
-    #: environment variable overrides this (CI forces each kernel in turn).
-    sort_kernel: str = "auto"
     #: Multiplier from measured Python CPU seconds to simulated seconds.
     #: Host CPU is a *minor* term of the model (see the work-charge
     #: constants below, which carry the deterministic per-row costs);
@@ -98,7 +90,9 @@ class MachineSpec:
     #: sort that fits in memory merges the ascending runs its input
     #: already holds, ``a · Σ n_s · log2 r_s`` over its segments (one run
     #: costs nothing); one that spills is ``n`` runs, ``a · n · log2 n``
-    #: (:func:`repro.storage.external_sort.external_sort`).
+    #: (:func:`repro.storage.external_sort.external_sort`).  The runs are
+    #: read off the data, so the charge does not depend on the host sort,
+    #: which is always NumPy's stable sort.
     #: 0.2 µs/row-level ≈ a 1.8 GHz Xeon comparison-sorting 36-byte
     #: records; it reproduces the paper's sequential magnitudes
     #: (n = 1M, 255 views → O(10^3) seconds).
@@ -166,13 +160,6 @@ class MachineSpec:
             raise ValueError("suspect_after must be positive (or None)")
         if self.barrier_timeout is not None and self.barrier_timeout <= 0:
             raise ValueError("barrier_timeout must be positive (or None)")
-        from repro.storage.sortkernels import KERNEL_NAMES
-
-        if self.sort_kernel not in KERNEL_NAMES:
-            raise ValueError(
-                f"unknown sort_kernel: {self.sort_kernel!r} "
-                f"(expected one of {KERNEL_NAMES})"
-            )
 
     def with_processors(self, p: int) -> "MachineSpec":
         """Return a copy of this spec with a different processor count."""

@@ -260,9 +260,7 @@ def _rank_program(
         if source is None or not stays_resident(source.nrows, memory_budget):
             comm.disk.charge_scan(keys.shape[0])  # read the source rows
         comm.disk.work.charge_scan(keys.shape[0])  # pack / project
-        keys, measure = external_sort(
-            keys, measure, comm.disk, memory_budget, key_bound=codec.capacity
-        )
+        keys, measure = external_sort(keys, measure, comm.disk, memory_budget)
         comm.disk.work.charge_scan(keys.shape[0])
         keys, measure = aggregate_sorted_keys(keys, measure, agg)  # 1a
         outcome = adaptive_sample_sort(  # 1b
@@ -461,11 +459,9 @@ def _to_canonical_order(
     Keys stay unique (the piece was already aggregated), so no collapse is
     needed — only a packed-key remap plus the external sort, whose disk
     and CPU cost is precisely the local-tree penalty.  The remap reports
-    the shared-prefix length: the sort runs through the segmented kernel
-    on the prefix-clustering promise, and when the canonical order equals
-    the pipeline order up to an already-sorted remap the kernel's
-    single-pass presorted check skips the re-sort compute entirely
-    (metering is unchanged either way).
+    the shared-prefix length, and the sort is charged per prefix segment
+    on that clustering promise; a remap that comes out already sorted is
+    one run per segment and pays no sort term.
     """
     canon = data.view
     if tuple(data.order) == canon:
@@ -479,8 +475,7 @@ def _to_canonical_order(
     disk.charge_scan(data.nrows)  # read the stored view back
     disk.work.charge_scan(data.nrows)
     keys, measure = external_sort(
-        keys, data.measure, disk, memory_budget,
-        key_bound=canon_codec.capacity, seg_divisor=seg_divisor,
+        keys, data.measure, disk, memory_budget, seg_divisor=seg_divisor
     )
     disk.charge_store(data.nrows)  # re-write in the common order
     return ViewData(canon, keys, measure)

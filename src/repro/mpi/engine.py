@@ -34,7 +34,6 @@ from repro.mpi.errors import CollectiveMisuse, MPIError
 from repro.mpi.faults import slow_factor
 from repro.mpi.stats import CommStats
 from repro.storage.disk import LocalDisk, WorkMeter
-from repro.storage.sortkernels import set_default_kernel
 
 __all__ = ["Cluster", "ClusterResult", "run_spmd"]
 
@@ -109,11 +108,6 @@ class Cluster:
             if spec.suspect_after is not None
             else self.barrier_timeout
         )
-        # Pin the host sort kernel for every rank.  Thread workers share
-        # this module state directly; process workers inherit it through
-        # fork.  The REPRO_SORT_KERNEL env var still wins everywhere
-        # (see repro.storage.sortkernels.resolve_kernel).
-        set_default_kernel(spec.sort_kernel)
         self.clock = BSPClock(spec)
         self.stats = CommStats()
         self.disks = [

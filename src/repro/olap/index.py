@@ -372,10 +372,7 @@ def aggregate_slice(
     g_occ = plan.group_occ
     gkeys, _ = codec.remap(keys, order, g_occ)
     if not plan.monotone:
-        g_codec = codec_for_order(g_occ, cardinalities)
-        gkeys, measure = sort_pairs(
-            gkeys, measure, key_bound=g_codec.capacity
-        )
+        gkeys, measure = sort_pairs(gkeys, measure)
     out_keys, out_measure = aggregate_sorted_keys(gkeys, measure, agg)
 
     if g_occ != group_by:

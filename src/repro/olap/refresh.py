@@ -291,12 +291,7 @@ def _delta_run(
         parts_v.append(piece.measure)
     if not parts_k:
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
-    codec = codec_for_order(order, cards)
-    keys, vals = sort_pairs(
-        np.concatenate(parts_k),
-        np.concatenate(parts_v),
-        key_bound=int(codec.capacity),
-    )
+    keys, vals = sort_pairs(np.concatenate(parts_k), np.concatenate(parts_v))
     return aggregate_sorted_keys(keys, vals, agg)
 
 

@@ -88,10 +88,7 @@ def synthetic_serving_cube(
             vkeys, vmeasure = base_keys, base_measure
         else:
             keys, _ = codec.remap(base_keys, base, view)
-            g_codec = codec_for_order(view, cards)
-            keys, measure = sort_pairs(
-                keys, base_measure, key_bound=g_codec.capacity
-            )
+            keys, measure = sort_pairs(keys, base_measure)
             vkeys, vmeasure = aggregate_sorted_keys(keys, measure, "sum")
         n = int(vkeys.shape[0])
         total_rows += n

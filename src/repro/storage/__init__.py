@@ -11,18 +11,10 @@ from repro.storage.codec import KeyCodec
 from repro.storage.disk import DiskStats, LocalDisk
 from repro.storage.external_sort import external_sort
 from repro.storage.scan import aggregate_sorted_keys, collapse_adjacent
-from repro.storage.sortkernels import (
-    KERNEL_NAMES,
-    force_kernel,
-    get_default_kernel,
-    is_sorted_int64,
-    set_default_kernel,
-    sort_pairs,
-)
+from repro.storage.sortkernels import is_sorted_int64, sort_pairs
 from repro.storage.table import Relation
 
 __all__ = [
-    "KERNEL_NAMES",
     "KeyCodec",
     "DiskStats",
     "LocalDisk",
@@ -30,9 +22,6 @@ __all__ = [
     "aggregate_sorted_keys",
     "collapse_adjacent",
     "external_sort",
-    "force_kernel",
-    "get_default_kernel",
     "is_sorted_int64",
-    "set_default_kernel",
     "sort_pairs",
 ]

@@ -158,7 +158,7 @@ class KeyCodec:
         agree; because the suffix capacities on both sides multiply the
         *same* remaining cardinality product per side, rows of a
         src-sorted array stay clustered by the shared prefix — callers
-        route to the segmented sort kernel on that promise.
+        pass that promise to the sort charge as ``seg_divisor``.
         """
         src_order = tuple(int(i) for i in src_order)
         dst_order = tuple(int(i) for i in dst_order)

@@ -87,7 +87,6 @@ def external_sort(
     measure: np.ndarray,
     disk: LocalDisk,
     memory_budget: int,
-    key_bound: int | None = None,
     seg_divisor: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Sort ``(keys, measure)`` rows by key, stable, charging disk traffic.
@@ -100,14 +99,10 @@ def external_sort(
         The owning rank's local disk (accounting + spill space).
     memory_budget:
         Maximum rows the modelled machine can hold in memory.
-    key_bound, seg_divisor:
-        Key-structure hints forwarded to
-        :func:`repro.storage.sortkernels.sort_pairs`.  Which kernel then
-        runs changes host wall-clock only: the output, the ``charge_sort``
-        metering and the block accounting are identical for every kernel.
-        ``seg_divisor`` promises rows clustered into non-decreasing runs of
-        equal ``key // seg_divisor`` (the source was sorted under an order
-        sharing that prefix).
+    seg_divisor:
+        Promises rows clustered into non-decreasing runs of equal
+        ``key // seg_divisor`` (the source was sorted under an order
+        sharing that prefix); the charge below reads it, the sort does not.
 
     An in-memory sort is charged for the order its input already has: it
     counts the ascending runs of the keys (one pass) and pays
@@ -133,10 +128,7 @@ def external_sort(
     if n <= memory_budget:
         runs = segment_runs(keys, int(seg_divisor)) if seg_divisor else None
         disk.work.charge_sort(*_ascending_runs(keys, runs))
-        return sort_pairs(
-            keys, measure, key_bound=key_bound,
-            seg_divisor=None if runs is None else seg_divisor, runs=runs,
-        )
+        return sort_pairs(keys, measure)
     disk.work.charge_sort(n, n)
 
     # Run formation: m-row sorted runs spilled to local disk.
@@ -144,8 +136,7 @@ def external_sort(
     for start in range(0, n, memory_budget):
         stop = min(start + memory_budget, n)
         run_keys, run_measure = sort_pairs(
-            keys[start:stop], measure[start:stop],
-            key_bound=key_bound, seg_divisor=seg_divisor,
+            keys[start:stop], measure[start:stop]
         )
         run = Relation(run_keys[:, None], run_measure)
         tokens.append(disk.spill(run, hint="sortrun"))

@@ -9,7 +9,7 @@ from repro.data.generator import (
     generate_dataset,
     paper_preset,
 )
-from repro.data.zipf import skew_profile, zipf_pmf, zipf_sample
+from repro.data.zipf import zipf_pmf, zipf_sample
 
 
 class TestZipf:
@@ -54,47 +54,6 @@ class TestZipf:
     def test_zero_size(self):
         rng = np.random.default_rng(0)
         assert zipf_sample(5, 1.0, 0, rng).size == 0
-
-
-class TestSkewProfile:
-    def test_profiles_shape_and_bounds(self):
-        for profile in ("mixed", "ramp", "head", "flat"):
-            alphas = skew_profile(6, profile, alpha_hi=1.4, alpha_lo=0.2)
-            assert len(alphas) == 6
-            assert all(0.2 <= a <= 1.4 for a in alphas)
-
-    def test_mixed_is_seeded_and_mixed(self):
-        a = skew_profile(8, "mixed", seed=5)
-        b = skew_profile(8, "mixed", seed=5)
-        c = skew_profile(8, "mixed", seed=6)
-        assert a == b
-        assert a != c  # different shuffle
-        assert len(set(a)) == 2  # both levels present
-
-    def test_ramp_monotone(self):
-        alphas = skew_profile(5, "ramp", alpha_hi=2.0, alpha_lo=0.0)
-        assert list(alphas) == sorted(alphas, reverse=True)
-        assert alphas[0] == 2.0 and alphas[-1] == 0.0
-
-    def test_head(self):
-        alphas = skew_profile(4, "head", alpha_hi=3.0, alpha_lo=0.1)
-        assert alphas == (3.0, 0.1, 0.1, 0.1)
-
-    def test_validation(self):
-        with pytest.raises(ValueError, match="profile"):
-            skew_profile(4, "bogus")
-        with pytest.raises(ValueError):
-            skew_profile(0)
-        with pytest.raises(ValueError):
-            skew_profile(4, alpha_hi=0.1, alpha_lo=0.9)
-
-    def test_feeds_dataset_spec(self):
-        cards = (64, 32, 16, 8)
-        alphas = skew_profile(4, "mixed", seed=1)
-        rel = generate_dataset(
-            DatasetSpec(n=500, cardinalities=cards, alphas=alphas)
-        )
-        assert rel.nrows == 500
 
 
 class TestDatasetSpec:

@@ -13,7 +13,6 @@ from repro.storage.external_sort import (
     merge_fanin,
     sort_cost_blocks,
 )
-from repro.storage.sortkernels import KERNEL_NAMES, force_kernel
 
 
 def run_sort(keys, budget, block=8):
@@ -184,11 +183,9 @@ class TestSegmentCharge:
         n = keys.size
         want, before = charge_oracle(keys, w)
         assert before == pytest.approx(sum(levels(m) for m in lengths))
-        for kernel in KERNEL_NAMES:  # read off the data, not the kernel
-            with force_kernel(kernel):
-                out, seconds, rows, _ = charged_sort(keys, seg_divisor=w)
-            assert np.array_equal(out, np.sort(keys))
-            assert seconds == pytest.approx(want) and rows == n, kernel
+        out, seconds, rows, _ = charged_sort(keys, seg_divisor=w)
+        assert np.array_equal(out, np.sort(keys))
+        assert seconds == pytest.approx(want) and rows == n
         assert want <= before + 1e-9 <= levels(n) + 2e-9
         # No promise: the runs are counted over the whole array.
         whole = charged_sort(keys)[1]
@@ -216,8 +213,8 @@ class TestSegmentCharge:
     def test_charge_counts_the_runs_it_merges(self, segments, w, promise):
         """Over concatenations of sorted runs, with a segment promise kept,
         broken or absent: the charge is the run rule, never more than the
-        charge before runs were counted, and the same under every kernel;
-        a sort that spills pays the flat charge and its block envelope."""
+        charge before runs were counted; a sort that spills pays the flat
+        charge and its block envelope."""
         parts = [
             [(s + 1) * w + np.sort(np.array(run) % w) for run in runs]
             for s, runs in enumerate(segments)
@@ -231,21 +228,16 @@ class TestSegmentCharge:
         # Spill with one merge pass and one-row blocks, so that the block
         # envelope is exact: ceil(n / budget) runs <= fan-in budget - 1.
         budget = math.isqrt(n) + 2
-        seen = set()
-        for kernel in KERNEL_NAMES:
-            with force_kernel(kernel):
-                out, seconds, rows, blocks = charged_sort(keys, **hints)
-                spilled = charged_sort(keys, budget, 1, **hints)
-            assert np.array_equal(out, np.sort(keys, kind="stable"))
-            assert np.array_equal(spilled[0], out)
-            assert seconds == pytest.approx(want) and rows == n
-            assert seconds <= before + 1e-9
-            assert blocks == 0
-            if budget < n:
-                assert spilled[1] == pytest.approx(levels(n))
-                assert spilled[3] == sort_cost_blocks(n, budget, 1) > 0
-            seen.add((seconds, blocks, spilled[1], spilled[3]))
-        assert len(seen) == 1  # bit-equal across kernels
+        out, seconds, rows, blocks = charged_sort(keys, **hints)
+        spilled = charged_sort(keys, budget, 1, **hints)
+        assert np.array_equal(out, np.sort(keys, kind="stable"))
+        assert np.array_equal(spilled[0], out)
+        assert seconds == pytest.approx(want) and rows == n
+        assert seconds <= before + 1e-9
+        assert blocks == 0
+        if budget < n:
+            assert spilled[1] == pytest.approx(levels(n))
+            assert spilled[3] == sort_cost_blocks(n, budget, 1) > 0
 
     def test_a_spilling_sort_pays_the_flat_charge(self):
         """Run formation cuts the segments and the merge passes compare

@@ -65,7 +65,6 @@ MODULES = [
     "repro.data.datasets",
     "repro.data.generator",
     "repro.data.zipf",
-    "repro.bench.calibrate",
     "repro.bench.experiments",
     "repro.bench.export",
     "repro.bench.harness",
