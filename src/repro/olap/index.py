@@ -34,7 +34,7 @@ import numpy as np
 from repro.core.viewdata import codec_for_order
 from repro.storage.mmapio import MappedColumn, MmapMeter
 from repro.storage.scan import aggregate_sorted_keys
-from repro.storage.sortkernels import sort_pairs
+from repro.storage.sortkernels import sort_pairs, stable_order
 
 __all__ = [
     "AccessPlan",
@@ -380,7 +380,7 @@ def aggregate_slice(
         # and restore ascending key order.
         g_codec = codec_for_order(g_occ, cardinalities)
         out_keys, _ = g_codec.remap(out_keys, g_occ, group_by)
-        reorder = np.argsort(out_keys, kind="stable")
+        reorder = stable_order(out_keys)
         out_keys = out_keys[reorder]
         out_measure = out_measure[reorder]
 

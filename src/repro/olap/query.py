@@ -48,6 +48,7 @@ from repro.olap.index import (
 )
 from repro.storage.codec import KeyCodec
 from repro.storage.scan import aggregate_sorted_keys
+from repro.storage.sortkernels import stable_order
 from repro.storage.table import Relation
 
 __all__ = ["Query", "QueryEngine", "QueryPlan", "QueryPlanner"]
@@ -303,7 +304,7 @@ def _aggregate(
         if cols
         else np.zeros(dims.shape[0], dtype=np.int64)
     )
-    order = np.argsort(keys, kind="stable")
+    order = stable_order(keys)
     return aggregate_sorted_keys(keys[order], measure[order], agg)
 
 
@@ -445,7 +446,7 @@ class QueryEngine:
                 return None
             all_keys = np.concatenate([k for k, _ in parts])
             all_measure = np.concatenate([m for _, m in parts])
-            order = np.argsort(all_keys, kind="stable")
+            order = stable_order(all_keys)
             return aggregate_sorted_keys(
                 all_keys[order], all_measure[order], agg
             )

@@ -56,7 +56,7 @@ from repro.olap.index import DEFAULT_STRIDE, FenceIndex
 from repro.olap.store import CubeStore, _MANIFEST, _gen_name, _view_stem
 from repro.storage.mmapio import write_npy
 from repro.storage.scan import aggregate_sorted_keys, merge_sorted
-from repro.storage.sortkernels import sort_pairs
+from repro.storage.sortkernels import sort_pairs, stable_order
 from repro.storage.table import Relation
 
 __all__ = ["refresh_cube", "refresh_store", "RefreshReport"]
@@ -118,7 +118,7 @@ def _to_canonical(data: ViewData, cards: tuple[int, ...]) -> ViewData:
     cols = [col_of[dim] for dim in canon]
     canon_codec = codec_for_order(canon, cards)
     keys = canon_codec.pack(dims[:, cols]) if cols else data.keys * 0
-    order = np.argsort(keys, kind="stable")
+    order = stable_order(keys)
     return ViewData(canon, keys[order], data.measure[order])
 
 

@@ -11,7 +11,7 @@ from repro.storage.codec import KeyCodec
 from repro.storage.disk import DiskStats, LocalDisk
 from repro.storage.external_sort import external_sort
 from repro.storage.scan import aggregate_sorted_keys, collapse_adjacent
-from repro.storage.sortkernels import is_sorted_int64, sort_pairs
+from repro.storage.sortkernels import is_sorted_int64, sort_pairs, stable_order
 from repro.storage.table import Relation
 
 __all__ = [
@@ -24,4 +24,5 @@ __all__ = [
     "external_sort",
     "is_sorted_int64",
     "sort_pairs",
+    "stable_order",
 ]

@@ -13,12 +13,12 @@ Structure
   pass reads and writes every row once, so the pass count is
   ``ceil(log_k(#runs))``, exactly the textbook envelope.
 
-Runs are merged by one stable sort of their concatenation, which Timsort
-executes as a merge of the runs it finds
-(:func:`repro.storage.scan.merge_runs`), rather than by a per-row heap; on
-a real machine the merge would stream block-by-block, and the disk
-accounting here charges precisely that traffic (one read per run row, one
-write per output row, in units of ``B``), while the in-memory compute stays
+Runs are merged by one stable sort of their concatenation
+(:func:`repro.storage.scan.merge_runs`, the index-tagged SIMD sort of
+:mod:`repro.storage.sortkernels`) rather than by a per-row heap; on a real
+machine the merge would stream block-by-block, and the disk accounting
+here charges precisely that traffic (one read per run row, one write per
+output row, in units of ``B``), while the in-memory compute stays
 NumPy-fast.
 """
 

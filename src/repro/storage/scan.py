@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.storage.sortkernels import is_sorted_int64
+from repro.storage.sortkernels import is_sorted_int64, stable_order
 
 __all__ = [
     "aggregate_sorted_keys", "collapse_adjacent", "merge_runs", "merge_sorted",
@@ -109,11 +109,10 @@ def merge_runs(
     """Stable k-way merge of key-sorted ``(keys, values)`` runs.
 
     Equal keys keep the earlier run's rows first.  The runs are
-    concatenated and stably sorted once: NumPy's stable sort of int64 is
-    Timsort, which finds the runs and merges them, ``log2 k`` moves per
-    row.  A stable sort would also quietly sort a run that is not in
-    order, so every run is checked first and one that is not raises
-    ``ValueError``.  No runs (or only empty ones) give empty
+    concatenated and stably sorted once by
+    :func:`~repro.storage.sortkernels.stable_order`.  A stable sort would
+    also quietly sort a run that is not in order, so every run is checked
+    first and one that is not raises ``ValueError``.  No runs (or only empty ones) give empty
     int64/float64 arrays; a single run is returned as is.
     """
     for index, (keys, _) in enumerate(pieces):
@@ -125,5 +124,5 @@ def merge_runs(
     if len(runs) == 1:
         return runs[0]
     keys = np.concatenate([keys for keys, _ in runs])
-    order = np.argsort(keys, kind="stable")
+    order = stable_order(keys)
     return keys[order], np.concatenate([values for _, values in runs])[order]
