@@ -195,7 +195,6 @@ def cmd_query(args: argparse.Namespace) -> int:
 
 
 def cmd_refresh(args: argparse.Namespace) -> int:
-    from repro import MachineSpec
     from repro.olap import CubeStore
     from repro.olap.refresh import refresh_store
     from repro.storage.table import Relation
@@ -224,22 +223,20 @@ def cmd_refresh(args: argparse.Namespace) -> int:
         measure = rng.integers(1, 100, size=args.rows).astype(np.float64)
         delta = Relation(dims, measure)
         print(f"generated {delta.nrows:,} synthetic delta rows")
-    report = refresh_store(
-        args.path, delta, spec=MachineSpec(p=args.p), gc=args.gc
-    )
+    report = refresh_store(args.path, delta, gc=args.gc)
     print(
         f"refreshed {args.path}: generation "
         f"{report.previous_generation} -> {report.generation} "
         f"({report.path})"
     )
     print(
-        f"  {report.views_merged} views merged, {report.views_linked} "
-        f"hard-linked unchanged, {report.rows_added:,} rows added"
+        f"  {report.views_merged} views merged, {report.rows_added:,} "
+        "rows added"
     )
     print(
         f"  delta build {report.delta_build_seconds:.3f}s + merge "
         f"{report.merge_seconds:.3f}s; {report.files_written} files "
-        f"written, {report.files_linked} linked"
+        "written"
     )
     return 0
 
@@ -535,8 +532,6 @@ def main(argv: list[str] | None = None) -> int:
     p_refresh.add_argument("--rows", type=int, default=1_000,
                            help="synthetic delta rows (uniform over the "
                                 "store's cardinalities)")
-    p_refresh.add_argument("--p", type=int, default=4,
-                           help="virtual processors for the delta build")
     p_refresh.add_argument("--seed", type=int, default=0xC0FFEE)
     p_refresh.add_argument("--gc", action="store_true",
                            help="remove superseded generation "

@@ -119,6 +119,7 @@ def sequential_cube(
         phase_seconds=cluster.clock.phase_breakdown(),
         phase_comm_seconds=cluster.clock.phase_comm_breakdown(),
         superstep_log=list(cluster.clock.log),
+        final_width=1,
     )
     return CubeResult(
         rank_views=[views],

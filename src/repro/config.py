@@ -401,8 +401,8 @@ class RunResult:
     #: ``RecoveryPolicy(mode="degrade")`` dropped someone.
     ranks_lost: list[int] = field(default_factory=list)
     #: Width the successful attempt ran at (== the spec's ``p`` unless
-    #: degraded-mode recovery shrank the cluster).  0 in results produced
-    #: by code paths that predate degradation (baselines).
+    #: degraded-mode recovery shrank the cluster).  1 for the sequential
+    #: baseline, 0 in results of the other baselines.
     final_width: int = 0
     #: Same-width transient retries consumed across the whole run (every
     #: width's budget counted; permanent losses are not included).

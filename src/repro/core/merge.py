@@ -84,7 +84,6 @@ def merge_partitions(
     tree: ScheduleTree,
     config: CubeConfig,
     memory_budget: int,
-    force_nonprefix: bool = False,
     speed: "RankSpeedModel | None" = None,
 ) -> tuple[dict[View, ViewData], MergeReport]:
     """Merge every view's ``p`` local pieces (Procedure 3).
@@ -98,12 +97,6 @@ def merge_partitions(
     merged piece exists, so a rank never holds a view's local piece
     beside its merged copy for longer than one splice or one re-sort.
     Case-1 output pieces are zero-copy slices of their inputs.
-
-    ``force_nonprefix`` routes *every* view through the ownership-based
-    case-2/case-3 machinery, which is correct for arbitrary cross-rank
-    layouts; the case-1 fast path assumes pieces are globally sorted
-    across ranks, which holds after phase 2 but not for e.g. the
-    incremental-refresh combine.
 
     ``speed`` — an active :class:`~repro.mpi.speed.RankSpeedModel` —
     makes the case-2/case-3 verdict accept *either* a uniform or a
@@ -119,9 +112,7 @@ def merge_partitions(
     # Identical iteration order on every rank keeps collectives aligned.
     ordered = sorted(local_views, key=lambda v: (-len(v), v))
     prefix = [
-        v for v in ordered
-        if not force_nonprefix
-        and is_prefix(local_views[v].order, root_order)
+        v for v in ordered if is_prefix(local_views[v].order, root_order)
     ]
     prefix_set = set(prefix)
     nonprefix = [v for v in ordered if v not in prefix_set]

@@ -4,15 +4,19 @@ Warehouses append facts continuously; rebuilding 2^d views from scratch
 for every batch wastes exactly the work the paper's algorithm went to
 such lengths to organise.  Distributive aggregates make increments cheap:
 
-1. build the *delta cube* of the new rows with the ordinary parallel
-   algorithm (small input → fast),
-2. for every view, combine the old and delta pieces rank-by-rank and
-   re-agglomerate across ranks — which is precisely Merge-Partitions'
-   job, so the combine step *is* Procedure 3 run over the union pieces.
+1. build the *delta cube* of the new rows on one node with the paper's
+   sequential Pipesort (:func:`~repro.baselines.sequential.sequential_cube`)
+   — a delta is a few percent of the base, too small to pay for
+   Procedure 1's sample sort and merge supersteps;
+2. for every view, merge the delta view's sorted run into the base
+   view's one globally sorted run with one ``merge_sorted`` + aggregate
+   pass.
 
-``refresh_cube`` returns a new :class:`~repro.core.cube.CubeResult`
-equivalent to rebuilding from the concatenated input (tests assert
-equality), at the cost of a delta build plus one merge sweep.
+``refresh_cube`` does this in memory over each view's
+:func:`~repro.core.viewdata.global_run` and cuts the merged run back into
+the cube's p rank pieces at the old rank-boundary keys; it returns a new
+:class:`~repro.core.cube.CubeResult` equivalent to rebuilding from the
+concatenated input (tests assert equality).
 
 **The insert-only contract.**  Refresh maintains the distributive
 aggregates (SUM, COUNT, MIN, MAX) under *insertions only*: a delta row
@@ -24,9 +28,9 @@ entry point rejects those up front
 silently writing wrong totals.  COUNT cubes carry SUM-of-ones measures,
 so they compose like SUM.
 
-``refresh_store`` lifts the same merge to *persisted* stores: the delta
-cube's sorted runs are folded directly into the mmap'd view columns of
-a :class:`~repro.olap.store.CubeStore`, written as a new immutable
+``refresh_store`` runs the same merge against *persisted* stores: each
+delta view's run is folded directly into the mmap'd view columns of a
+:class:`~repro.olap.store.CubeStore`, written as a new immutable
 generation next to the old one — a delta build plus one merge pass over
 the stored cube, not a rebuild from the fact table — and published with
 an atomic ``CURRENT`` pointer swap so live readers never block and never
@@ -44,255 +48,45 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.baselines.sequential import sequential_cube
 from repro.config import CubeConfig, MachineSpec, RunResult
 from repro.core.aggregate import require_insert_maintainable
-from repro.core.cube import CubeResult, build_data_cube
-from repro.core.merge import merge_partitions
-from repro.core.pipesort import ScheduleTree
-from repro.core.viewdata import ViewData, codec_for_order
+from repro.core.cube import CubeResult
+from repro.core.viewdata import ViewData, codec_for_order, global_run
 from repro.core.views import View, canonical_view
-from repro.mpi.engine import run_spmd
 from repro.olap.index import DEFAULT_STRIDE, FenceIndex
 from repro.olap.store import CubeStore, _MANIFEST, _gen_name, _view_stem
+from repro.storage.disk import DiskStats
 from repro.storage.mmapio import write_npy
 from repro.storage.scan import aggregate_sorted_keys, merge_sorted
-from repro.storage.sortkernels import sort_pairs, stable_order
+from repro.storage.sortkernels import sort_pairs
 from repro.storage.table import Relation
 
 __all__ = ["refresh_cube", "refresh_store", "RefreshReport"]
 
 
-def _combine_program(
-    comm,
-    old_views: list[dict[View, ViewData]],
-    delta_views: list[dict[View, ViewData]],
-    cards: tuple[int, ...],
-    config: CubeConfig,
-    memory_budget: int,
-):
-    rank = comm.rank
-    comm.set_phase("refresh-combine")
-    merged_in: dict[View, ViewData] = {}
-    for view in sorted(old_views[rank], key=lambda v: (-len(v), v)):
-        old = old_views[rank][view]
-        delta = delta_views[rank].get(view)
-        # bring both pieces to the canonical order so every rank agrees
-        old_c = _to_canonical(old, cards)
-        if delta is None or delta.nrows == 0:
-            piece = old_c
-        else:
-            delta_c = _to_canonical(delta, cards)
-            keys, measure = merge_sorted(
-                old_c.keys, old_c.measure, delta_c.keys, delta_c.measure
-            )
-            comm.disk.work.charge_scan(keys.shape[0])
-            keys, measure = aggregate_sorted_keys(keys, measure, config.agg)
-            piece = ViewData(old_c.order, keys, measure)
-        comm.disk.charge_scan(piece.nrows)
-        merged_in[view] = piece
-
-    # Cross-rank agglomeration.  The combined pieces are locally sorted
-    # but NOT globally sorted across ranks (old and delta cubes each had
-    # their own boundaries), so the case-1 fast path is off the table:
-    # everything goes through ownership routing / re-sort.
-    d = len(cards)
-    tree = ScheduleTree(tuple(range(d)), tuple(range(d)))
-    merged, report = merge_partitions(
-        comm, merged_in, tree, config, memory_budget,
-        force_nonprefix=True,
-    )
-    for data in merged.values():
-        comm.disk.charge_store(data.nrows)
-    return merged, report
-
-
-def _to_canonical(data: ViewData, cards: tuple[int, ...]) -> ViewData:
-    canon = data.view
-    if tuple(data.order) == canon:
-        return data
-    from repro.core.viewdata import codec_for_order
-
-    codec = codec_for_order(data.order, cards)
-    dims = codec.unpack(data.keys)
-    col_of = {dim: pos for pos, dim in enumerate(data.order)}
-    cols = [col_of[dim] for dim in canon]
-    canon_codec = codec_for_order(canon, cards)
-    keys = canon_codec.pack(dims[:, cols]) if cols else data.keys * 0
-    order = stable_order(keys)
-    return ViewData(canon, keys[order], data.measure[order])
-
-
-def refresh_cube(
-    cube: CubeResult,
-    new_rows: Relation,
-    spec: MachineSpec | None = None,
-    config: CubeConfig | None = None,
-) -> CubeResult:
-    """Fold ``new_rows`` into ``cube`` without rebuilding from scratch.
-
-    The cube must be a *full* cube (partial cubes lack the ancestors the
-    delta build produces; refresh them by re-running their partial
-    build).  Returns a new cube; the input cube is left untouched.
-    """
-    p = len(cube.rank_views)
-    spec = (spec or MachineSpec()).with_processors(p)
-    config = config or CubeConfig(agg=cube.agg)
-    require_insert_maintainable(config.agg, "refresh_cube")
-    # COUNT cubes carry SUM-of-ones internally (cube.agg == "sum"); a
-    # refresh declared as COUNT is therefore compatible with them.
-    internal = "sum" if config.agg == "count" else config.agg
-    if internal != cube.agg:
-        raise ValueError(
-            f"cube carries {cube.agg!r} aggregates; refresh config says "
-            f"{config.agg!r}"
-        )
-    expected = 2 ** len(cube.cardinalities)
-    if cube.view_count != expected:
-        raise ValueError(
-            "refresh_cube needs a full cube "
-            f"({cube.view_count} views != {expected}); rebuild partial "
-            "cubes instead"
-        )
-
-    if new_rows.nrows == 0:
-        # Fast path: nothing to fold in.  The combine sweep routes every
-        # row through ownership re-sort (force_nonprefix), which costs a
-        # full cube's worth of sort + comm to produce the input cube
-        # unchanged — skip it entirely.
-        output_rows = sum(
-            data.nrows for rv in cube.rank_views for data in rv.values()
-        )
-        return CubeResult(
-            rank_views=[dict(rv) for rv in cube.rank_views],
-            cardinalities=cube.cardinalities,
-            metrics=RunResult(
-                simulated_seconds=0.0,
-                host_seconds=0.0,
-                output_rows=output_rows,
-                view_count=cube.view_count,
-                comm_bytes=0,
-                disk_blocks=0,
-            ),
-            agg=cube.agg,
-        )
-
-    delta = build_data_cube(
-        new_rows, cube.cardinalities, spec, config
-    )
-    # The combine re-aggregates *partial aggregates*, so COUNT must add
-    # (its internal SUM-of-ones form), never re-count rows.
-    combine_config = replace(config, agg=internal)
-    cluster = run_spmd(
-        _combine_program,
-        spec,
-        args=(
-            cube.rank_views,
-            delta.rank_views,
-            cube.cardinalities,
-            combine_config,
-            spec.memory_budget,
-        ),
-    )
-    rank_views = [result[0] for result in cluster.rank_results]
-    reports = [cluster.rank_results[0][1]]
-    output_rows = sum(
-        data.nrows for rv in rank_views for data in rv.values()
-    )
-    metrics = RunResult(
-        simulated_seconds=delta.metrics.simulated_seconds
-        + cluster.simulated_seconds,
-        host_seconds=delta.metrics.host_seconds + cluster.host_seconds,
-        output_rows=output_rows,
-        view_count=len(rank_views[0]),
-        comm_bytes=delta.metrics.comm_bytes + cluster.stats.total_bytes,
-        disk_blocks=delta.metrics.disk_blocks
-        + cluster.total_disk_blocks(),
-        disk_blocks_read=delta.metrics.disk_blocks_read
-        + cluster.total_disk_blocks_read(),
-        phase_seconds={
-            **delta.metrics.phase_seconds,
-            **cluster.clock.phase_breakdown(),
-        },
-        phase_comm_seconds={
-            **delta.metrics.phase_comm_seconds,
-            **cluster.clock.phase_comm_breakdown(),
-        },
-        superstep_log=list(cluster.clock.log),
-    )
-    return CubeResult(
-        rank_views=rank_views,
-        cardinalities=cube.cardinalities,
-        metrics=metrics,
-        merge_reports=reports,
-        agg=cube.agg,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Store-level refresh: delta-merge generations
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class RefreshReport:
-    """What one :func:`refresh_store` call did."""
-
-    root: str                   #: store root directory
-    generation: int             #: the generation this refresh published
-    previous_generation: int    #: the generation it merged into
-    path: str                   #: directory of the new generation
-    delta_rows: int             #: fact rows folded in
-    rows_added: int             #: net new view rows across all views
-    views_merged: int           #: views whose columns were rewritten
-    views_linked: int           #: views hard-linked untouched
-    files_linked: int
-    files_written: int
-    delta_build_seconds: float  #: wall time of the parallel delta build
-    merge_seconds: float        #: wall time of the column merges + write
-    metrics: RunResult | None = None  #: delta build metering
-
-
-def _link_file(src: str, dst: str, counts: dict) -> None:
-    """Hard-link ``src`` into the new generation (copy as fallback)."""
-    os.makedirs(os.path.dirname(dst), exist_ok=True)
-    try:
-        os.link(src, dst)
-    except OSError:
-        shutil.copy2(src, dst)
-    counts["linked"] += 1
-
-
-def _delta_run(
+def _merged_run(
+    old_keys: np.ndarray,
+    old_measure: np.ndarray,
     delta_cube: CubeResult,
     view: View,
     order: tuple[int, ...],
-    cards: tuple[int, ...],
     agg: str,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One view's delta rows as a sorted-unique run in ``order``.
+    """One view's old run with the delta folded in, sorted in ``order``.
 
-    The delta cube's rank pieces are key-disjoint (cross-rank
-    uniqueness), and re-encoding to the stored order is bijective, so
-    concatenate + sort yields a unique run; the aggregate pass is a
-    defensive no-op on unique keys.
+    The one-node delta cube holds the view as one sorted-unique piece,
+    used as is when it is already in ``order``.  Otherwise one remap
+    (bijective, so the keys stay unique) and one sort bring it there.
     """
-    parts_k: list[np.ndarray] = []
-    parts_v: list[np.ndarray] = []
-    for rv in delta_cube.rank_views:
-        piece = rv.get(view)
-        if piece is None or piece.nrows == 0:
-            continue
-        if tuple(piece.order) == order:
-            keys = piece.keys
-        else:
-            codec = codec_for_order(piece.order, cards)
-            keys, _ = codec.remap(piece.keys, piece.order, order)
-        parts_k.append(keys)
-        parts_v.append(piece.measure)
-    if not parts_k:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
-    keys, vals = sort_pairs(np.concatenate(parts_k), np.concatenate(parts_v))
-    return aggregate_sorted_keys(keys, vals, agg)
+    piece = delta_cube.rank_views[0][view]
+    dk, dv = piece.keys, piece.measure
+    if piece.order != order:
+        codec = codec_for_order(piece.order, delta_cube.cardinalities)
+        dk, _ = codec.remap(dk, piece.order, order)
+        dk, dv = sort_pairs(dk, dv)
+    keys, measure = merge_sorted(old_keys, old_measure, dk, dv)
+    return aggregate_sorted_keys(keys, measure, agg)
 
 
 def _merged_offsets(
@@ -320,6 +114,129 @@ def _merged_offsets(
     return offsets
 
 
+def _internal_agg(held: str, config: CubeConfig, what: str) -> str:
+    """The aggregate the merge combines with: COUNT cubes carry
+    SUM-of-ones (``held == "sum"``), so a COUNT refresh adds partials."""
+    internal = "sum" if config.agg == "count" else config.agg
+    if internal != held:
+        raise ValueError(
+            f"{what} carries {held!r} aggregates; refresh config says "
+            f"{config.agg!r}"
+        )
+    return internal
+
+
+def refresh_cube(
+    cube: CubeResult,
+    new_rows: Relation,
+    spec: MachineSpec | None = None,
+    config: CubeConfig | None = None,
+) -> CubeResult:
+    """Fold ``new_rows`` into ``cube`` without rebuilding from scratch.
+
+    The cube must be a *full* cube (partial cubes lack the ancestors the
+    delta build produces; refresh them by re-running their partial
+    build).  Returns a new cube; the input cube is left untouched.  Its
+    ``metrics`` are the one-node delta build plus, charged on that clock,
+    each view's read of its old and delta rows and write of its merged
+    rows.
+    """
+    config = config or CubeConfig(agg=cube.agg)
+    require_insert_maintainable(config.agg, "refresh_cube")
+    internal = _internal_agg(cube.agg, config, "cube")
+    expected = 2 ** len(cube.cardinalities)
+    if cube.view_count != expected:
+        raise ValueError(
+            "refresh_cube needs a full cube "
+            f"({cube.view_count} views != {expected}); rebuild partial "
+            "cubes instead"
+        )
+
+    if new_rows.nrows == 0:
+        # Fast path: nothing to fold in, so no delta build and no merge.
+        output_rows = sum(
+            data.nrows for rv in cube.rank_views for data in rv.values()
+        )
+        return CubeResult(
+            rank_views=[dict(rv) for rv in cube.rank_views],
+            cardinalities=cube.cardinalities,
+            metrics=RunResult(
+                simulated_seconds=0.0,
+                host_seconds=0.0,
+                output_rows=output_rows,
+                view_count=cube.view_count,
+                comm_bytes=0,
+                disk_blocks=0,
+            ),
+            agg=cube.agg,
+        )
+
+    spec = spec or MachineSpec()
+    delta = sequential_cube(new_rows, cube.cardinalities, spec, config)
+    t0 = time.perf_counter()
+    p = len(cube.rank_views)
+    rank_views: list[dict[View, ViewData]] = [{} for _ in range(p)]
+    io = DiskStats()
+    for view in cube.views:
+        run = global_run([rv[view] for rv in cube.rank_views])
+        old_keys = run.keys
+        keys, measure = _merged_run(
+            old_keys, run.measure, delta, view, run.order, internal
+        )
+        io.charge_read(
+            old_keys.shape[0] + delta.rank_views[0][view].nrows,
+            spec.block_size,
+        )
+        io.charge_write(keys.shape[0], spec.block_size)
+        cuts = _merged_offsets(old_keys, run.offsets, keys, p)
+        for rank, (lo, hi) in enumerate(zip(cuts, cuts[1:])):
+            rank_views[rank][view] = ViewData(
+                run.order, keys[lo:hi], measure[lo:hi]
+            )
+    merge_seconds = io.blocks_total * spec.effective_disk_sec_per_block
+    built = delta.metrics
+    metrics = replace(
+        built,
+        simulated_seconds=built.simulated_seconds + merge_seconds,
+        host_seconds=built.host_seconds + time.perf_counter() - t0,
+        output_rows=sum(d.nrows for rv in rank_views for d in rv.values()),
+        view_count=cube.view_count,
+        disk_blocks=built.disk_blocks + io.blocks_total,
+        disk_blocks_read=built.disk_blocks_read + io.blocks_read,
+        phase_seconds={**built.phase_seconds, "refresh-merge": merge_seconds},
+    )
+    return CubeResult(
+        rank_views=rank_views,
+        cardinalities=cube.cardinalities,
+        metrics=metrics,
+        agg=cube.agg,
+    )
+
+
+# ---------------------------------------------------------------------------
+# Store-level refresh: delta-merge generations
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class RefreshReport:
+    """What one :func:`refresh_store` call did."""
+
+    root: str                   #: store root directory
+    generation: int             #: the generation this refresh published
+    previous_generation: int    #: the generation it merged into
+    path: str                   #: directory of the new generation
+    delta_rows: int             #: fact rows folded in
+    rows_added: int             #: net new view rows across all views
+    views_merged: int           #: views whose columns were rewritten
+    views_linked: int           #: views left untouched
+    files_linked: int
+    files_written: int
+    delta_build_seconds: float  #: wall time of the one-node delta build
+    merge_seconds: float        #: wall time of the column merges + write
+    metrics: RunResult | None = None  #: delta build metering
+
+
 def refresh_store(
     store_dir: str,
     delta: Relation,
@@ -329,14 +246,13 @@ def refresh_store(
 ) -> RefreshReport:
     """Fold ``delta`` into a persisted cube store as a new generation.
 
-    Builds the delta cube with the ordinary parallel algorithm, merges
+    Builds the delta cube on one node with sequential Pipesort, merges
     each delta view's sorted run directly into the store's mmap'd
-    columns (one ``merge_sorted`` + aggregate per touched view), and
-    writes the result as generation N+1 next to the live generation N.
-    A view the delta leaves untouched is hard-linked, not rewritten,
-    but every delta row lands in every view, so a non-empty delta
-    rewrites them all.  The new generation becomes live via an
-    atomic ``CURRENT`` pointer swap — readers of generation N are never
+    columns (one ``merge_sorted`` + aggregate per view), and writes the
+    result as generation N+1 next to the live generation N.  Every delta
+    row lands in every view, so a non-empty delta rewrites every view's
+    two columns.  The new generation becomes live via an atomic
+    ``CURRENT`` pointer swap — readers of generation N are never
     blocked and never see partial state.
 
     Insert-only: see :func:`require_insert_maintainable`.  An empty
@@ -353,19 +269,13 @@ def refresh_store(
     src = CubeStore.open(store_dir)
     manifest = src.manifest
     cards = src.cardinalities
-    p = src.p
     # Check the *store's* aggregate before CubeConfig gets a chance to
     # reject it with a generic message — a store whose manifest carries
     # a non-maintainable aggregate must fail with the refresh contract.
     require_insert_maintainable(src.agg, "refresh_store")
     config = config or CubeConfig(agg=src.agg)
     require_insert_maintainable(config.agg, "refresh_store")
-    internal = "sum" if config.agg == "count" else config.agg
-    if internal != src.agg:
-        raise ValueError(
-            f"store carries {src.agg!r} aggregates; refresh config says "
-            f"{config.agg!r}"
-        )
+    internal = _internal_agg(src.agg, config, "store")
     if delta.dims.shape[1] != len(cards):
         raise ValueError(
             f"delta has {delta.dims.shape[1]} dimensions, store has "
@@ -397,54 +307,35 @@ def refresh_store(
     if os.path.exists(tmp_dir):
         shutil.rmtree(tmp_dir)
 
-    spec = (spec or MachineSpec()).with_processors(p)
-    counts = {"linked": 0, "written": 0}
-
     t0 = time.perf_counter()
-    delta_cube = build_data_cube(delta, cards, spec, config)
+    delta_cube = sequential_cube(delta, cards, spec, config)
     t1 = time.perf_counter()
 
     stride = int(manifest.get("fence_stride") or DEFAULT_STRIDE)
-    os.makedirs(os.path.join(tmp_dir, "views"), exist_ok=True)
-    src_views = os.path.join(src.path, "views")
     dst_views = os.path.join(tmp_dir, "views")
+    os.makedirs(dst_views, exist_ok=True)
     entries = []
-    views_merged = views_linked = rows_added = 0
-
+    rows_added = 0
     for entry in manifest["views"]:
         view = canonical_view(entry["dims"])
-        new_entry = dict(entry)
-        stem = _view_stem(view)
-        dk, dv = _delta_run(
-            delta_cube, view, tuple(entry["order"]), cards, internal
+        sv = src.sorted_views[view]
+        old_keys = sv._keys.array
+        mk, mv = _merged_run(
+            old_keys, sv._measure.array, delta_cube, view,
+            tuple(entry["order"]), internal,
         )
-
-        if dk.shape[0] == 0:
-            for suffix in (".keys.npy", ".measure.npy"):
-                _link_file(
-                    os.path.join(src_views, stem + suffix),
-                    os.path.join(dst_views, stem + suffix),
-                    counts,
-                )
-            views_linked += 1
-        else:
-            sv = src.sorted_views[view]
-            old_keys = sv._keys.array
-            mk, mv = merge_sorted(old_keys, sv._measure.array, dk, dv)
-            mk, mv = aggregate_sorted_keys(mk, mv, internal)
-            write_npy(os.path.join(dst_views, stem + ".keys.npy"), mk)
-            write_npy(os.path.join(dst_views, stem + ".measure.npy"), mv)
-            counts["written"] += 2
-            new_entry.update(
-                rows=int(mk.shape[0]),
-                rank_offsets=_merged_offsets(
-                    old_keys, entry["rank_offsets"], mk, p
-                ),
-                fence=FenceIndex.build(mk, stride).to_manifest(),
-            )
-            rows_added += int(mk.shape[0]) - int(old_keys.shape[0])
-            views_merged += 1
-        entries.append(new_entry)
+        stem = os.path.join(dst_views, _view_stem(view))
+        write_npy(stem + ".keys.npy", mk)
+        write_npy(stem + ".measure.npy", mv)
+        entries.append({
+            **entry,
+            "rows": int(mk.shape[0]),
+            "rank_offsets": _merged_offsets(
+                old_keys, entry["rank_offsets"], mk, src.p
+            ),
+            "fence": FenceIndex.build(mk, stride).to_manifest(),
+        })
+        rows_added += int(mk.shape[0]) - int(old_keys.shape[0])
 
     new_manifest = {k: v for k, v in manifest.items() if k != "views"}
     new_manifest["views"] = entries
@@ -453,7 +344,6 @@ def refresh_store(
     new_manifest["refresh"] = {"delta_rows": int(delta.nrows)}
     with open(os.path.join(tmp_dir, _MANIFEST), "w") as fh:
         json.dump(new_manifest, fh, indent=1)
-    counts["written"] += 1
 
     if os.path.exists(final_dir):
         shutil.rmtree(final_dir)  # orphan of a crashed refresh
@@ -468,11 +358,11 @@ def refresh_store(
         previous_generation=cur_gen,
         path=final_dir,
         delta_rows=int(delta.nrows),
-        rows_added=int(rows_added),
-        views_merged=views_merged,
-        views_linked=views_linked,
-        files_linked=counts["linked"],
-        files_written=counts["written"],
+        rows_added=rows_added,
+        views_merged=n_views,
+        views_linked=0,
+        files_linked=0,
+        files_written=2 * n_views + 1,
         delta_build_seconds=t1 - t0,
         merge_seconds=time.perf_counter() - t1,
         metrics=delta_cube.metrics,

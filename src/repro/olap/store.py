@@ -47,8 +47,8 @@ attribute-value reorder) is rejected by
 
 Each generation is a complete, self-contained format-2 store;
 :func:`~repro.olap.refresh.refresh_store` creates the next one by
-merging a delta into its predecessor, hard-linking every untouched
-view file so a generation costs only the bytes its delta touched.  A
+merging a delta into its predecessor; every delta row lands in every
+view, so each generation rewrites every view file.  A
 flat store (no ``CURRENT``) is implicitly generation 0 and is never
 garbage-collected — the first refresh leaves it in place as the seed
 snapshot and writes ``gen-000001`` next to it.  ``CURRENT`` is swapped

@@ -110,3 +110,19 @@ class TestCommands:
         out = capsys.readouterr().out
         # the grand total of a COUNT cube is the row count
         assert "500" in out
+
+    def test_refresh(self, tmp_path, capsys):
+        from repro.olap import CubeStore
+
+        path = str(tmp_path / "cube")
+        assert main(
+            ["build", "--rows", "800", "--p", "2", "--mix", "C",
+             "--out", path]
+        ) == 0
+        assert main(["refresh", path, "--rows", "50"]) == 0
+        assert "generation 0 -> 1" in capsys.readouterr().out
+        # The delta is built on one node: there is no width to set.
+        with pytest.raises(SystemExit) as exc:
+            main(["refresh", path, "--rows", "50", "--p", "4"])
+        assert exc.value.code == 2
+        assert CubeStore.current_generation(path) == 1

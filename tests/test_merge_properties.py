@@ -205,26 +205,23 @@ class TestSpliceEqualsOracle:
     @given(
         unique_key_layouts(),
         st.sampled_from(["sum", "min", "max"]),
-        st.booleans(),
     )
     @example(  # rank 1's key 5 sorts before the whole of its owner's piece
         [(np.array([10, 50]), np.array([1 / 7, 2 / 7])),
          (np.array([5, 60]), np.array([3 / 7, 4 / 7]))],
-        "sum", False,
+        "sum",
     )
     @example(  # an empty owner, a one-row piece, a key held by every rank
         [(np.array([], dtype=np.int64), np.array([])),
          (np.array([4]), np.array([1 / 7])),
          (np.array([4, 9]), np.array([2 / 7, 3 / 7])),
          (np.array([2, 4]), np.array([4 / 7, 5 / 7]))],
-        "sum", True,
+        "sum",
     )
-    def test_case2_is_the_ownership_cut_bit_for_bit(
-        self, pieces, agg, force_nonprefix
-    ):
-        # The non-prefix machinery is reached either by a view order that
-        # is no prefix of the root order, or by force on one that is.
-        order = (0,) if force_nonprefix else (1,)
+    def test_case2_is_the_ownership_cut_bit_for_bit(self, pieces, agg):
+        # Order (1,) is no prefix of the root order, so the view takes the
+        # non-prefix (ownership) machinery.
+        order = (1,)
 
         def prog(comm):
             keys, vals = pieces[comm.rank]
@@ -232,7 +229,7 @@ class TestSpliceEqualsOracle:
                 comm, {order: ViewData(order, keys, vals)},
                 ScheduleTree((0, 1), (0, 1)),
                 CubeConfig(agg=agg, merge_policy="never_resort"),
-                1 << 16, force_nonprefix=force_nonprefix,
+                1 << 16,
             )
             return merged[order], report
 

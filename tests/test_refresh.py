@@ -6,9 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.baselines.reference import reference_cube
-from repro.config import CubeConfig, MachineSpec
+from repro.config import CubeConfig, MachineSpec, RecoveryPolicy
 from repro.core.cube import build_data_cube, build_partial_cube
 from repro.core.validate import validate_cube
+from repro.core.viewdata import global_run
+from repro.mpi.faults import FaultPlan
 from repro.olap.refresh import refresh_cube
 from repro.storage.table import Relation
 from tests.conftest import make_relation
@@ -95,9 +97,8 @@ class TestRefresh:
 
     def test_cheaper_than_rebuild_for_small_delta(self):
         # 100k rows over ~14k cube rows: a rebuild pays for sorting the raw
-        # chunk once, a refresh only for the delta's.  (At 20k rows the
-        # two cost the same: the cube is then 64% of the input and the
-        # refresh's merge sweep outweighs one sort of a 5k-row chunk.)
+        # chunk once, a refresh only for the delta's plus one read and one
+        # write of the cube's rows.
         rel = make_relation(100_000, (16, 12, 8, 6), seed=48)
         first, extra = split(rel, 95_000)
         spec = MachineSpec(p=4)
@@ -123,10 +124,47 @@ class TestRefresh:
             assert refreshed.view_relation(view).same_content(rel_want)
 
 
+    def test_degraded_cube(self, tmp_path):
+        # Losing rank 1 reshards its views over the survivors, whose
+        # pieces then interleave across ranks.
+        cards = (12, 8, 5, 3)
+        rel = make_relation(4000, cards, seed=52)
+        first, extra = split(rel, 3200)
+        cube = build_data_cube(
+            first,
+            cards,
+            MachineSpec(p=4),
+            faults=FaultPlan.parse("kill@r1s40"),
+            recovery=RecoveryPolicy(mode="degrade", max_retries=0),
+            checkpoint_dir=str(tmp_path / "ckpt"),
+        )
+        assert len(cube.rank_views) == 3
+        assert not all(
+            global_run([rv[v] for rv in cube.rank_views]).concatenated
+            for v in cube.views
+        ), "the fault left no interleaved view"
+        refreshed = refresh_cube(cube, extra)
+        assert len(refreshed.rank_views) == 3
+        assert validate_cube(refreshed).ok
+        for view, rel_want in reference_cube(rel, cards).items():
+            assert refreshed.view_relation(view).same_content(rel_want), view
+
+    def test_local_schedule_tree_cube(self):
+        rel = make_relation(2500, CARDS, seed=53)
+        first, extra = split(rel, 2000)
+        config = CubeConfig(global_schedule_tree=False)
+        cube = build_data_cube(first, CARDS, MachineSpec(p=3), config)
+        refreshed = refresh_cube(cube, extra, config=config)
+        assert validate_cube(refreshed).ok
+        for view, rel_want in reference_cube(rel, CARDS).items():
+            assert refreshed.view_relation(view).same_content(rel_want), view
+
+
 class TestRefreshContracts:
     def test_empty_delta_fast_path_skips_the_engine(self):
-        # An empty delta must not run the force_nonprefix sweep (or any
-        # superstep at all): zero communication, zero simulated time.
+        # An empty delta must not build a delta cube or run a merge pass
+        # (or any superstep at all): zero communication, zero simulated
+        # time.
         rel = make_relation(1500, CARDS, seed=49)
         cube = build_data_cube(rel, CARDS, MachineSpec(p=3))
         refreshed = refresh_cube(cube, Relation.empty(len(CARDS)))

@@ -83,6 +83,12 @@ class TestRefreshStoreFormats:
         assert report.previous_generation == 0
         assert report.delta_rows == extra.nrows
         assert CubeStore.current_generation(store) == 1
+        # Every delta row lands in every view: a non-empty delta rewrites
+        # both columns of every view plus the manifest and links nothing.
+        views = 2 ** len(CARDS)
+        assert report.views_merged == views
+        assert report.files_linked == 0
+        assert report.files_written == 2 * views + 1
         rebuilt = save_store(rel, tmp_path / "rebuilt")
         assert_same_answers(store, rebuilt)
         cube = CubeStore.load(store)
@@ -148,6 +154,14 @@ class TestGenerationMechanics:
         refresh_store(store, c, spec=SPEC)
         assert CubeStore.gc_generations(store, keep=[1]) == []
         assert CubeStore.generations(store) == [0, 1, 2]
+
+    def test_delta_is_built_on_one_node(self, tmp_path):
+        rel = int_relation(2000, seed=63)
+        first, extra = split(rel, 1600)
+        store = save_store(first, tmp_path / "live")
+        report = refresh_store(store, extra, spec=SPEC)
+        assert report.metrics.final_width == 1
+        assert report.metrics.comm_bytes == 0
 
     def test_empty_delta_is_a_noop(self, tmp_path):
         rel = int_relation(1200, seed=62)
