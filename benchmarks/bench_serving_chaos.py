@@ -4,8 +4,8 @@ The serving contract behind the ROADMAP's "heavy traffic" north star is
 not just throughput — it is throughput *while the pool is being shot
 at*.  This bench drives a seeded mixed workload through a
 :class:`~repro.olap.service.QueryService` whose workers are SIGKILLed
-on a sustained schedule (a ``kill@`` :class:`~repro.mpi.faults.\
-ServeFaultPlan` fells every generation of every slot at its k-th
+on a sustained schedule (a ``kill@w`` :class:`~repro.mpi.faults.\
+FaultPlan` fells every generation of every slot at its k-th
 executed query — at the measured throughput that is roughly one worker
 death per ~0.5 s across the pool), and scores:
 
@@ -37,7 +37,7 @@ import sys
 import tempfile
 import time
 
-from repro.mpi.faults import ServeFaultPlan
+from repro.mpi.faults import FaultPlan
 from repro.olap.query import QueryEngine
 from repro.olap.servebench import (
     run_chaos,
@@ -99,7 +99,7 @@ def run_rung(
     expected,
     offered_qps: float,
     n_queries: int,
-    serve_faults: ServeFaultPlan | None,
+    faults: FaultPlan | None,
 ) -> dict:
     """One chaos rung: fresh service, seeded workload, scored drain."""
     service = QueryService(
@@ -107,7 +107,7 @@ def run_rung(
         workers=WORKERS,
         byte_budget=None,  # cache off: every answer exercises the pool
         policy=_policy(DEADLINE_S),
-        serve_faults=serve_faults,
+        faults=faults,
     )
     try:
         rung = run_chaos(
@@ -196,7 +196,7 @@ def main() -> dict:
 
         # Sustained kills: every generation of every slot dies entering
         # its KILL_EVERY-th executed query.
-        plan = ServeFaultPlan.parse(
+        plan = FaultPlan.parse(
             ";".join(f"kill@w{w}q{KILL_EVERY}" for w in range(WORKERS))
         )
         chaos = run_rung(

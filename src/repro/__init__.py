@@ -23,7 +23,7 @@ from repro.config import CubeConfig, MachineSpec, RecoveryPolicy, RunResult
 from repro.core.cube import CubeResult, build_data_cube, build_partial_cube
 from repro.core.views import View, canonical_view, parse_view_name, view_name
 from repro.data.generator import DatasetSpec, generate_dataset, paper_preset
-from repro.mpi.faults import FaultPlan, ServeFaultPlan
+from repro.mpi.faults import FaultPlan
 
 __version__ = "1.0.0"
 
@@ -35,7 +35,6 @@ __all__ = [
     "MachineSpec",
     "RecoveryPolicy",
     "RunResult",
-    "ServeFaultPlan",
     "View",
     "build_data_cube",
     "build_partial_cube",

@@ -245,7 +245,7 @@ def cmd_serve_bench(args: argparse.Namespace) -> int:
     import os
     import tempfile
 
-    from repro.mpi.faults import ServeFaultPlan
+    from repro.mpi.faults import FaultPlan
     from repro.olap import CubeStore, QueryService, ServicePolicy
     from repro.olap.servebench import (
         run_at_rate,
@@ -254,11 +254,7 @@ def cmd_serve_bench(args: argparse.Namespace) -> int:
         synthetic_serving_cube,
     )
 
-    serve_faults = (
-        ServeFaultPlan.parse(args.serve_faults)
-        if args.serve_faults
-        else None
-    )
+    faults = FaultPlan.parse(args.faults) if args.faults else None
     policy = ServicePolicy(
         heartbeat_interval=args.heartbeat,
         suspect_after=args.suspect_after,
@@ -283,8 +279,8 @@ def cmd_serve_bench(args: argparse.Namespace) -> int:
                 f"synthesized {args.rows:,}-row serving cube "
                 f"({len(cube.views)} views) at {store_path}"
             )
-        if serve_faults is not None:
-            print(f"injecting serve faults: {serve_faults.describe()}")
+        if faults is not None:
+            print(f"injecting serve faults: {faults.describe()}")
         workload = [q for _, q in serving_workload(cards, n=512,
                                                    seed=args.seed)]
         with QueryService(
@@ -292,7 +288,7 @@ def cmd_serve_bench(args: argparse.Namespace) -> int:
             workers=args.workers,
             byte_budget=args.cache_mb << 20 if args.cache_mb else None,
             policy=policy,
-            serve_faults=serve_faults,
+            faults=faults,
         ) as service:
             service.answer_many(workload[:8])  # warm the pool
             if args.refresh_every:
@@ -492,7 +488,7 @@ def main(argv: list[str] | None = None) -> int:
                          help="result-cache byte budget in MiB "
                               "(0 = cache off)")
     p_serve.add_argument("--seed", type=int, default=0xC0FFEE)
-    p_serve.add_argument("--serve-faults", default=None,
+    p_serve.add_argument("--faults", default=None,
                          help="serving fault plan, e.g. "
                               "'kill@w0q5;hang@w1q3x2.5;corrupt@w2q4' "
                               "(keyed by each worker's executed-query "

@@ -73,6 +73,7 @@ from repro.mpi.errors import (
     RankDead,
     RankFailure,
     RankHung,
+    exit_cause,
 )
 
 __all__ = [
@@ -553,25 +554,10 @@ class Supervisor:
 
     def post_mortem(self, rank: int, detail: str) -> RankDead:
         """Describe a dead worker (exit code / fatal signal attached)."""
-        proc = self.procs[rank]
-        try:
-            proc.join(timeout=0.5)  # let the exit code settle
-            code = proc.exitcode
-        except Exception:  # pragma: no cover - defensive
-            code = None
-        if code is None:
-            cause = "exit status unknown"
-        elif code < 0:
-            import signal as _signal
-
-            try:
-                cause = f"killed by {_signal.Signals(-code).name}"
-            except ValueError:  # pragma: no cover - exotic signal
-                cause = f"killed by signal {-code}"
-        else:
-            cause = f"exit code {code}"
         return RankDead(
-            f"rank {rank} worker process died: {detail} ({cause})", rank=rank
+            f"rank {rank} worker process died: {detail} "
+            f"({exit_cause(self.procs[rank])})",
+            rank=rank,
         )
 
 

@@ -81,7 +81,8 @@ class Cluster:
     CRC-sealed payloads (backend-independent), and disk-full quotas are
     armed on the targeted ranks.  ``attempt`` is the recovery attempt
     index the plan's faults are gated on (see
-    :class:`~repro.config.RecoveryPolicy`).
+    :class:`~repro.config.RecoveryPolicy`).  A plan with a fault
+    addressed to a serving worker raises ``ValueError``.
     """
 
     def __init__(
@@ -96,6 +97,8 @@ class Cluster:
                 f"processor count {spec.p} outside supported range "
                 f"1..{MAX_RANKS}"
             )
+        if faults is not None:
+            faults.check_space("r")
         self.spec = spec
         self.faults = faults
         self.attempt = attempt

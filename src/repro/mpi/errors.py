@@ -17,6 +17,8 @@ never blacklist a bystander.
 
 from __future__ import annotations
 
+import signal
+
 __all__ = [
     "MPIError",
     "RankFailure",
@@ -28,6 +30,7 @@ __all__ = [
     "RankHung",
     "CheckpointError",
     "classify_failure",
+    "exit_cause",
 ]
 
 
@@ -153,3 +156,22 @@ def classify_failure(exc: BaseException) -> tuple[str, int | None]:
     if isinstance(exc, MPIError):
         return TRANSIENT, rank
     return FATAL, rank
+
+
+def exit_cause(proc) -> str:
+    """How a dead worker process ended, for a :class:`RankDead` message:
+    ``"killed by SIGKILL"``, ``"exit code 3"`` or ``"exit status
+    unknown"``."""
+    try:
+        proc.join(timeout=0.5)  # let the exit code settle
+        code = proc.exitcode
+    except Exception:  # pragma: no cover - defensive
+        code = None
+    if code is None:
+        return "exit status unknown"
+    if code >= 0:
+        return f"exit code {code}"
+    try:
+        return f"killed by {signal.Signals(-code).name}"
+    except ValueError:  # pragma: no cover - exotic signal
+        return f"killed by signal {-code}"

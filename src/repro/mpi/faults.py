@@ -1,39 +1,26 @@
-"""Deterministic fault injection for the simulated cluster.
+"""Deterministic fault injection for build ranks and serving workers.
 
 The paper targets Beowulf clusters where losing a node mid-build is the
-expected failure mode.  This module makes that failure mode *injectable*
-and *observable* in the simulation, deterministically and on both
-execution backends:
+expected failure mode.  This module makes that failure *injectable* and
+*observable*, deterministically and on both execution backends, with one
+grammar for the two runtimes that can lose a node (DESIGN §9.1):
 
-* :class:`FaultPlan` — a declarative, seedable set of faults:
-
-  - :class:`CrashFault` — the rank raises :class:`InjectedFault` as it
-    enters its k-th collective (a process dying at a superstep boundary);
-  - :class:`KillFault` — the rank's worker process SIGKILLs itself
-    entering the k-th collective (a hard node loss; under the thread
-    backend, where ranks are threads and cannot be killed, it degrades
-    to an injected crash — both classify as *permanent* for
-    degraded-mode recovery);
-  - :class:`CorruptFault` — the rank's payload bytes are flipped *after*
-    its CRC is stamped, so every reader of the slot surfaces
-    :class:`CorruptPayload` (a wire/driver data-integrity failure);
-  - :class:`DelayFault` — the rank charges extra simulated seconds to the
-    superstep (a straggler node; honest BSP accounting, no real sleep);
-  - :class:`DiskFullFault` — the rank's :class:`LocalDisk` refuses writes
-    with :class:`DiskFull` once a block quota trips (a spilled-over local
-    disk).
-
+* :class:`Fault` — one fault, ``kind@<address><fields>``.  The address
+  is a build rank ``r<rank>``, keyed by its superstep ``s`` (the count
+  of its collectives) and recovery attempt ``a``, or a serving worker
+  ``w<worker>``, keyed by its executed-query count ``q`` (per process
+  lifetime) and generation ``g``.  :data:`GRAMMAR` says which fields
+  each kind requires and allows on each address space.
+* :class:`FaultPlan` — an immutable, seedable set of faults.  It hands
+  each runtime its own faults (:meth:`FaultPlan.for_rank`,
+  :meth:`FaultPlan.for_worker`); each runtime rejects a plan addressed
+  to the other (:meth:`FaultPlan.check_space`).
 * :class:`FaultyTransport` — a wrapper around any
   :class:`~repro.mpi.comm.Transport` (thread mailboxes or the process
-  backend's pipes+shared-memory), so the same plan runs unchanged under
-  both backends.  While a plan is active every payload is *sealed*:
-  pickled, CRC-32 stamped, and verified at each reader — corruption
-  cannot travel silently.
-
-Faults carry an ``attempt`` index (default 0): a fault fires only during
-that recovery attempt, which is what lets
-``build_data_cube(..., recovery=RecoveryPolicy(...))`` demonstrate an
-honest crash-then-recover cycle without any cross-process mutable state.
+  backend's pipes + shared memory) that fires one rank's faults, so a
+  plan runs unchanged under both backends.  While a plan is active
+  every payload is *sealed*: pickled, CRC-32 stamped, and verified at
+  each reader — corruption cannot travel silently.
 
 Sealing costs host CPU (an extra pickle round per payload) but does not
 change the traffic metering: byte rows are computed from the unsealed
@@ -47,7 +34,7 @@ import pickle
 import re
 import signal
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -60,176 +47,144 @@ from repro.mpi.errors import (
     RankHung,
 )
 
-__all__ = [
-    "CrashFault",
-    "CorruptFault",
-    "DelayFault",
-    "DiskFullFault",
-    "HangFault",
-    "KillFault",
-    "SlowFault",
-    "FaultPlan",
-    "FaultyTransport",
-    "ServeCorruptFault",
-    "ServeFaultPlan",
-    "ServeFaultSchedule",
-    "ServeHangFault",
-    "ServeKillFault",
-]
+__all__ = ["GRAMMAR", "Fault", "FaultPlan", "FaultyTransport"]
 
 
 # ---------------------------------------------------------------------------
-# fault descriptions
+# the grammar
 # ---------------------------------------------------------------------------
 
+#: Per (kind, address space): the fields a fault requires, then the
+#: fields it may add.  A rank fault fires on attempt ``a`` (default 0);
+#: a worker fault without ``g`` fires in every generation, so one spec
+#: drives sustained chaos.
+GRAMMAR: dict[tuple[str, str], tuple[str, str]] = {
+    # InjectedFault entering superstep s
+    ("crash", "r"): ("s", "a"),
+    # the rank's worker SIGKILLs itself (RankDead); under the thread
+    # backend, whose ranks cannot be killed, an injected crash
+    ("kill", "r"): ("s", "a"),
+    # superstep s's payload fails its CRC at every reader
+    ("corrupt", "r"): ("s", "a"),
+    # superstep s costs x (default 1) more simulated seconds
+    ("delay", "r"): ("s", "xa"),
+    # the local disk raises DiskFull past b written blocks, once
+    ("diskfull", "r"): ("b", "a"),
+    # every modelled segment costs x times more (iteration i's only)
+    ("slow", "r"): ("x", "ia"),
+    # RankHung entering superstep s: the supervisor's verdict,
+    # synthesised without a wall-clock stall
+    ("hang", "r"): ("s", "a"),
+    # the worker SIGKILLs itself entering its q-th query
+    ("kill", "w"): ("q", "g"),
+    # the worker goes silent for x (default 5) real seconds at query q
+    ("hang", "w"): ("q", "xg"),
+    # the q-th result blob fails the coordinator's CRC check
+    ("corrupt", "w"): ("q", "g"),
+}
 
-@dataclass(frozen=True)
-class CrashFault:
-    """Rank ``rank`` raises :class:`InjectedFault` entering superstep
-    ``superstep`` (0-based count of that rank's collectives)."""
-
-    rank: int
-    superstep: int
-    attempt: int = 0
-    kind: str = field(default="crash", init=False)
-
-
-@dataclass(frozen=True)
-class KillFault:
-    """Rank ``rank``'s worker SIGKILLs itself entering superstep
-    ``superstep`` — a hard node loss, detected by the process backend's
-    :class:`~repro.mpi.backends.Supervisor` as
-    :class:`~repro.mpi.errors.RankDead`.  Under the thread backend ranks
-    are threads of the test process and cannot be killed, so the fault
-    degrades to an injected crash; both forms classify as *permanent*
-    for degraded-mode recovery."""
-
-    rank: int
-    superstep: int
-    attempt: int = 0
-    kind: str = field(default="kill", init=False)
-
-
-@dataclass(frozen=True)
-class CorruptFault:
-    """Rank ``rank``'s payload at superstep ``superstep`` is corrupted on
-    the wire; readers of the slot raise :class:`CorruptPayload`."""
-
-    rank: int
-    superstep: int
-    attempt: int = 0
-    kind: str = field(default="corrupt", init=False)
-
-
-@dataclass(frozen=True)
-class DelayFault:
-    """Rank ``rank`` straggles by ``seconds`` simulated seconds at
-    superstep ``superstep`` (charged to the BSP clock, no real sleep)."""
-
-    rank: int
-    superstep: int
-    seconds: float = 1.0
-    attempt: int = 0
-    kind: str = field(default="delay", init=False)
-
-
-@dataclass(frozen=True)
-class DiskFullFault:
-    """Rank ``rank``'s local disk raises :class:`DiskFull` on the write
-    that would push its cumulative written-block count past ``blocks``.
-    One-shot: the quota disarms after firing (the operator freed space),
-    so a recovery retry can proceed."""
-
-    rank: int
-    blocks: int
-    attempt: int = 0
-    kind: str = field(default="diskfull", init=False)
-
-
-@dataclass(frozen=True)
-class SlowFault:
-    """Rank ``rank`` runs ``factor``× slower: every superstep's local
-    segment (measured CPU + modelled disk/work) is multiplied before the
-    BSP commit reads it, and so is the work after the last collective
-    (:meth:`repro.mpi.engine.Cluster.tail_segment`) — a deterministic
-    heterogeneous-host model, no real sleep.  Persistent for the whole
-    run; an optional ``iteration`` restricts the slowdown to segments
-    whose phase label carries that cube-iteration index (``...[i]``)."""
-
-    rank: int
-    factor: float
-    iteration: int | None = None
-    attempt: int = 0
-    kind: str = field(default="slow", init=False)
-
-
-@dataclass(frozen=True)
-class HangFault:
-    """Rank ``rank`` is declared a hung straggler entering superstep
-    ``superstep``: the rank raises :class:`~repro.mpi.errors.RankHung`
-    with itself as culprit — the verdict the process backend's
-    :class:`~repro.mpi.backends.Supervisor` reaches after
-    ``suspect_after`` of real silence, synthesised deterministically so
-    straggler handling (transient retry, speculative re-execution) is
-    testable on both backends without wall-clock stalls."""
-
-    rank: int
-    superstep: int
-    attempt: int = 0
-    kind: str = field(default="hang", init=False)
-
-
-Fault = (
-    CrashFault
-    | KillFault
-    | CorruptFault
-    | DelayFault
-    | DiskFullFault
-    | SlowFault
-    | HangFault
-)
-
-#: CLI grammar, one entry per fault, ``;``-separated:
-#:   crash@r<rank>s<superstep>[a<attempt>]
-#:   kill@r<rank>s<superstep>[a<attempt>]
-#:   corrupt@r<rank>s<superstep>[a<attempt>]
-#:   delay@r<rank>s<superstep>x<seconds>[a<attempt>]
-#:   diskfull@r<rank>b<blocks>[a<attempt>]
-#:   slow@r<rank>x<factor>[i<iteration>][a<attempt>]
-#:   hang@r<rank>s<superstep>[a<attempt>]
+_DEFAULT_X = {("delay", "r"): 1.0, ("hang", "w"): 5.0}
+_SPACES = {"r": "rank", "w": "serving worker"}
+#: Spec field letter -> :class:`Fault` attribute, in spec order.
+_FIELD = {
+    "s": "event", "q": "event", "b": "arg", "x": "arg",
+    "i": "iteration", "a": "epoch", "g": "epoch",
+}
 _SPEC_RE = re.compile(
-    r"^(?P<kind>crash|kill|corrupt|delay|diskfull|slow|hang)@r(?P<rank>\d+)"
-    r"(?:s(?P<step>\d+))?(?:b(?P<blocks>\d+))?"
-    r"(?:x(?P<seconds>[0-9.]+))?(?:i(?P<iteration>\d+))?"
-    r"(?:a(?P<attempt>\d+))?$"
+    r"^(?P<kind>[a-z]+)@(?P<space>[rw])(?P<index>\d+)"
+    + "".join(
+        f"(?:{c}(?P<{c}>{'[0-9.]+' if c == 'x' else '[0-9]+'}))?"
+        for c in _FIELD
+    )
+    + "$"
 )
+#: The ``x`` range :meth:`FaultPlan.random` draws per kind.
+_RANDOM_X = {"delay": (0.1, 2.0), "slow": (1.25, 3.0)}
+
+
+@dataclass(frozen=True)
+class Fault:
+    """One fault: ``kind`` at ``index`` of address ``space`` (``"r"`` a
+    build rank, ``"w"`` a serving worker), validated against
+    :data:`GRAMMAR`."""
+
+    kind: str
+    space: str
+    index: int
+    #: ``s`` superstep / ``q`` executed query the fault fires entering.
+    event: int | None = None
+    #: ``x`` seconds or factor / ``b`` blocks.
+    arg: float | None = None
+    #: ``i``: the cube iteration a slowdown is restricted to.
+    iteration: int | None = None
+    #: ``a`` attempt / ``g`` generation the fault is pinned to.
+    epoch: int | None = None
+
+    def __post_init__(self) -> None:
+        key = (self.kind, self.space)
+        if key not in GRAMMAR:
+            raise ValueError(
+                f"no {self.kind!r} fault on a "
+                f"{_SPACES.get(self.space, repr(self.space))} address; "
+                f"known: {', '.join(f'{k}@{s}' for k, s in GRAMMAR)}"
+            )
+        if self.arg is None and key in _DEFAULT_X:
+            object.__setattr__(self, "arg", _DEFAULT_X[key])
+        required, allowed = GRAMMAR[key]
+        given = self.fields()
+        head = f"{self.kind}@{self.space}"
+        for c in required:
+            if c not in given:
+                raise ValueError(f"{head} needs field {c}")
+        for c in given:
+            if c not in required + allowed:
+                raise ValueError(f"{head} takes no field {c}")
+        if self.index < 0 or min(given.values(), default=0) < 0:
+            raise ValueError(f"{head}: fields must be >= 0")
+        if self.kind == "slow" and self.arg <= 0:
+            raise ValueError(f"{head}: slow factor must be > 0")
+
+    def fields(self) -> dict[str, float]:
+        """The fields this fault sets, by spec letter, in spec order."""
+        r = self.space == "r"
+        letter = {
+            "event": "s" if r else "q",
+            "arg": "b" if self.kind == "diskfull" else "x",
+            "iteration": "i",
+            "epoch": "a" if r else "g",
+        }
+        found = {
+            letter[name]: getattr(self, name)
+            for name in letter
+            if getattr(self, name) is not None
+        }
+        return {c: found[c] for c in _FIELD if c in found}
+
+    def describe(self) -> str:
+        return f"{self.kind}@{self.space}{self.index}" + "".join(
+            f"{c}{v:g}" if c == "x" else f"{c}{v}"
+            for c, v in self.fields().items()
+        )
 
 
 @dataclass(frozen=True)
 class FaultPlan:
-    """A deterministic set of faults to inject into one SPMD run.
+    """A deterministic set of faults to inject into one run.
 
     The plan is immutable and carries no execution state; per-run state
-    (superstep counters, disk quotas) lives in the wrappers it installs,
-    so the same plan object can drive every attempt of a recovery loop.
+    (superstep and query counters, disk quotas) lives in the runtimes
+    that read it, so the same plan object can drive every attempt of a
+    recovery loop and every generation of a serving worker.
     """
 
     faults: tuple[Fault, ...] = ()
-    #: Seal every payload with a CRC-32 (needed to *detect* corruption;
-    #: kept on even for plans without corrupt faults so the wire contract
-    #: is uniform whenever fault injection is active).
-    seal_payloads: bool = True
-
-    def __post_init__(self) -> None:
-        for f in self.faults:
-            if f.rank < 0:
-                raise ValueError(f"fault rank must be >= 0: {f}")
 
     # -- construction -------------------------------------------------------
 
     @staticmethod
     def parse(text: str) -> "FaultPlan":
-        """Parse the CLI grammar, e.g. ``"crash@r1s5;delay@r0s2x0.5"``."""
+        """Parse the grammar, e.g. ``"crash@r1s5;delay@r0s2x0.5"`` or
+        ``"kill@w0q5;hang@w1q3x2.5g0"``."""
         faults: list[Fault] = []
         for raw in re.split(r"[;,]", text):
             raw = raw.strip()
@@ -239,49 +194,30 @@ class FaultPlan:
             if m is None:
                 raise ValueError(
                     f"bad fault spec {raw!r}; expected e.g. crash@r1s5, "
-                    "kill@r1s5, corrupt@r2s3, delay@r0s2x0.5, diskfull@r1b40, "
-                    "slow@r0x2, hang@r1s5 (optional a<attempt> suffix)"
+                    "delay@r0s2x0.5, diskfull@r1b40, slow@r0x2i3, "
+                    "kill@w0q5g0, hang@w1q3x2.5 (see DESIGN §9.1)"
                 )
-            kind = m.group("kind")
-            rank = int(m.group("rank"))
-            attempt = int(m.group("attempt") or 0)
-            if kind == "diskfull":
-                if m.group("blocks") is None:
-                    raise ValueError(f"{raw!r}: diskfull needs b<blocks>")
-                faults.append(
-                    DiskFullFault(rank, int(m.group("blocks")), attempt)
+            given = {c: m.group(c) for c in _FIELD if m.group(c) is not None}
+            try:
+                fault = Fault(
+                    m.group("kind"),
+                    m.group("space"),
+                    int(m.group("index")),
+                    **{
+                        _FIELD[c]: float(v) if c == "x" else int(v)
+                        for c, v in given.items()
+                    },
                 )
-                continue
-            if kind == "slow":
-                if m.group("seconds") is None:
-                    raise ValueError(f"{raw!r}: slow needs x<factor>")
-                factor = float(m.group("seconds"))
-                if factor <= 0:
-                    raise ValueError(f"{raw!r}: slow factor must be > 0")
-                iteration = (
-                    int(m.group("iteration"))
-                    if m.group("iteration") is not None
-                    else None
-                )
-                faults.append(SlowFault(rank, factor, iteration, attempt))
-                continue
-            if m.group("step") is None:
-                raise ValueError(f"{raw!r}: {kind} needs s<superstep>")
-            step = int(m.group("step"))
-            if kind == "crash":
-                faults.append(CrashFault(rank, step, attempt))
-            elif kind == "kill":
-                faults.append(KillFault(rank, step, attempt))
-            elif kind == "corrupt":
-                faults.append(CorruptFault(rank, step, attempt))
-            elif kind == "hang":
-                faults.append(HangFault(rank, step, attempt))
-            else:
-                faults.append(
-                    DelayFault(
-                        rank, step, float(m.group("seconds") or 1.0), attempt
+                # A typed letter the fault does not describe back (q on a
+                # rank, b on a delay) names no field of this fault.
+                extra = [c for c in given if c not in fault.fields()]
+                if extra:
+                    raise ValueError(
+                        f"{fault.kind}@{fault.space} takes no field {extra[0]}"
                     )
-                )
+            except ValueError as e:
+                raise ValueError(f"bad fault spec {raw!r}: {e}") from None
+            faults.append(fault)
         if not faults:
             raise ValueError(f"empty fault spec: {text!r}")
         return FaultPlan(tuple(faults))
@@ -295,78 +231,67 @@ class FaultPlan:
         kinds: Sequence[str] = ("crash", "corrupt", "delay", "diskfull"),
         attempts: int = 1,
     ) -> "FaultPlan":
-        """A seeded random plan (the chaos-matrix generator)."""
+        """A seeded random plan of rank faults (the chaos-matrix
+        generator): each fault draws its kind, rank and attempt, then the
+        fields :data:`GRAMMAR` requires (and a delay's ``x``)."""
+        unknown = [k for k in kinds if (k, "r") not in GRAMMAR]
+        if unknown:
+            raise ValueError(f"no rank fault kind {unknown[0]!r}")
         rng = np.random.default_rng(seed)
         faults: list[Fault] = []
         for _ in range(n_faults):
             kind = kinds[int(rng.integers(len(kinds)))]
             rank = int(rng.integers(p))
             attempt = int(rng.integers(attempts))
-            if kind == "crash":
-                faults.append(
-                    CrashFault(rank, int(rng.integers(max_superstep)), attempt)
-                )
-            elif kind == "corrupt":
-                faults.append(
-                    CorruptFault(
-                        rank, int(rng.integers(max_superstep)), attempt
-                    )
-                )
-            elif kind == "delay":
-                faults.append(
-                    DelayFault(
-                        rank,
-                        int(rng.integers(max_superstep)),
-                        float(rng.uniform(0.1, 2.0)),
-                        attempt,
-                    )
-                )
-            elif kind == "slow":
-                faults.append(
-                    SlowFault(
-                        rank, float(rng.uniform(1.25, 3.0)), None, attempt
-                    )
-                )
-            elif kind == "hang":
-                faults.append(
-                    HangFault(rank, int(rng.integers(max_superstep)), attempt)
-                )
+            required, _allowed = GRAMMAR[kind, "r"]
+            event = None
+            if "s" in required:
+                event = int(rng.integers(max_superstep))
+            if "b" in required:
+                arg = int(rng.integers(1, 200))
+            elif kind in _RANDOM_X:
+                arg = float(rng.uniform(*_RANDOM_X[kind]))
             else:
-                faults.append(
-                    DiskFullFault(
-                        rank, int(rng.integers(1, 200)), attempt
-                    )
-                )
+                arg = None
+            faults.append(
+                Fault(kind, "r", rank, event, arg, epoch=attempt or None)
+            )
         return FaultPlan(tuple(faults))
 
     # -- queries ------------------------------------------------------------
 
+    def describe(self) -> str:
+        return "; ".join(f.describe() for f in self.faults)
+
+    def check_space(self, space: str) -> None:
+        """Raise ``ValueError`` unless every fault addresses ``space`` —
+        a runtime never drops a fault meant for the other one."""
+        foreign = [f.describe() for f in self.faults if f.space != space]
+        if foreign:
+            raise ValueError(
+                f"fault plan {'; '.join(foreign)!r} does not address a "
+                f"{_SPACES[space]}; this runtime takes {space}<index> faults"
+            )
+
     def for_rank(self, rank: int, attempt: int) -> list[Fault]:
+        """Rank ``rank``'s faults on recovery attempt ``attempt`` (a
+        fault without ``a`` fires on attempt 0)."""
         return [
             f
             for f in self.faults
-            if f.rank == rank and f.attempt == attempt
+            if f.space == "r" and f.index == rank and (f.epoch or 0) == attempt
         ]
 
-    def describe(self) -> str:
-        return "; ".join(
-            f"{f.kind}@r{f.rank}"
-            + (f"s{f.superstep}" if hasattr(f, "superstep") else "")
-            + (f"b{f.blocks}" if isinstance(f, DiskFullFault) else "")
-            + (
-                f"x{f.seconds:g}"
-                if isinstance(f, DelayFault)
-                else ""
-            )
-            + (f"x{f.factor:g}" if isinstance(f, SlowFault) else "")
-            + (
-                f"i{f.iteration}"
-                if isinstance(f, SlowFault) and f.iteration is not None
-                else ""
-            )
-            + (f"a{f.attempt}" if f.attempt else "")
+    def for_worker(self, worker: int, generation: int) -> list[Fault]:
+        """Worker slot ``worker``'s faults in generation ``generation`` (a
+        fault without ``g`` fires in every generation)."""
+        return [
+            f
             for f in self.faults
-        )
+            if f.space == "w"
+            and f.index == worker
+            and f.epoch in (None, generation)
+        ]
 
     # -- installation (called by the engine / worker main) -------------------
 
@@ -379,222 +304,27 @@ class FaultPlan:
         Returns the transport the rank's :class:`~repro.mpi.comm.Comm`
         should use.  Every rank is wrapped whenever a plan is active —
         the sealed wire format must be uniform across ranks — while
-        the per-rank fault schedule only carries this rank's faults.
-        ``backend`` selects the realisation of :class:`KillFault`: a real
-        ``SIGKILL`` of the worker process under ``"process"``, an
-        injected crash under ``"thread"`` (killing a rank thread would
-        kill the host).
+        the wrapper only fires this rank's faults.  ``backend`` selects
+        the realisation of ``kill``: a real ``SIGKILL`` of the worker
+        process under ``"process"``, an injected crash under
+        ``"thread"`` (killing a rank thread would kill the host).
         """
         mine = self.for_rank(rank, attempt)
         quota = min(
-            (f.blocks for f in mine if isinstance(f, DiskFullFault)),
-            default=None,
+            (f.arg for f in mine if f.kind == "diskfull"), default=None
         )
         if quota is not None:
             _arm_disk_quota(disk, rank, quota)
         else:
             disk.write_guard = None
         return FaultyTransport(
-            rank,
-            transport,
-            clock,
-            crash_at={
-                f.superstep for f in mine if isinstance(f, CrashFault)
-            },
-            kill_at={
-                f.superstep for f in mine if isinstance(f, KillFault)
-            },
-            corrupt_at={
-                f.superstep for f in mine if isinstance(f, CorruptFault)
-            },
-            delay_at={
-                f.superstep: f.seconds
-                for f in mine
-                if isinstance(f, DelayFault)
-            },
-            hang_at={
-                f.superstep for f in mine if isinstance(f, HangFault)
-            },
-            slow=tuple(f for f in mine if isinstance(f, SlowFault)),
-            seal=self.seal_payloads,
-            hard_kill=(backend == "process"),
+            rank, transport, clock, mine, hard_kill=(backend == "process")
         )
 
 
-# ---------------------------------------------------------------------------
-# serving-side faults
-# ---------------------------------------------------------------------------
-#
-# The build engine's faults key on a rank's superstep count; a serving
-# worker has no supersteps, so its faults key on the worker's
-# *executed-query count* instead — the q-th query that worker process
-# executes in its lifetime.  A respawned replacement starts counting
-# from zero again, which is what lets one spec drive sustained chaos
-# (``kill@w0q5`` fells every generation of slot 0 at its 5th query);
-# the optional ``g<generation>`` suffix pins a fault to one generation
-# when a test needs the worker to survive afterwards.
-
-
-@dataclass(frozen=True)
-class ServeKillFault:
-    """Serving worker in slot ``worker`` SIGKILLs itself entering its
-    ``query``-th executed query (0-based, per process lifetime) — the
-    hard mid-query node loss the service supervisor must absorb."""
-
-    worker: int
-    query: int
-    generation: int | None = None
-    kind: str = field(default="kill", init=False)
-
-
-@dataclass(frozen=True)
-class ServeHangFault:
-    """Serving worker in slot ``worker`` goes silent for ``seconds``
-    (a real sleep, heartbeats included) entering its ``query``-th
-    executed query — a straggler the supervisor must declare hung."""
-
-    worker: int
-    query: int
-    seconds: float = 5.0
-    generation: int | None = None
-    kind: str = field(default="hang", init=False)
-
-
-@dataclass(frozen=True)
-class ServeCorruptFault:
-    """Serving worker in slot ``worker`` flips a byte in its
-    ``query``-th result blob *after* the result CRC is stamped, so the
-    coordinator's integrity check catches it and retries elsewhere."""
-
-    worker: int
-    query: int
-    generation: int | None = None
-    kind: str = field(default="corrupt", init=False)
-
-
-ServeFault = ServeKillFault | ServeHangFault | ServeCorruptFault
-
-#: ``--serve-faults`` grammar, one entry per fault, ``;``-separated:
-#:   kill@w<worker>q<query>[g<generation>]
-#:   hang@w<worker>q<query>[x<seconds>][g<generation>]
-#:   corrupt@w<worker>q<query>[g<generation>]
-_SERVE_SPEC_RE = re.compile(
-    r"^(?P<kind>kill|hang|corrupt)@w(?P<worker>\d+)q(?P<query>\d+)"
-    r"(?:x(?P<seconds>[0-9.]+))?(?:g(?P<generation>\d+))?$"
-)
-
-
-@dataclass(frozen=True)
-class ServeFaultSchedule:
-    """One worker generation's resolved fault schedule, keyed by its
-    executed-query counter.  Built by :meth:`ServeFaultPlan.schedule`;
-    interpreted by the serving worker's main loop."""
-
-    kill_at: frozenset[int] = frozenset()
-    hang_at: tuple[tuple[int, float], ...] = ()
-    corrupt_at: frozenset[int] = frozenset()
-
-    def hang_seconds(self, query_index: int) -> float | None:
-        for at, seconds in self.hang_at:
-            if at == query_index:
-                return seconds
-        return None
-
-
-@dataclass(frozen=True)
-class ServeFaultPlan:
-    """A deterministic set of serving-side faults for one
-    :class:`~repro.olap.service.QueryService` run.  Immutable and free
-    of execution state, like :class:`FaultPlan`."""
-
-    faults: tuple[ServeFault, ...] = ()
-
-    def __post_init__(self) -> None:
-        for f in self.faults:
-            if f.worker < 0 or f.query < 0:
-                raise ValueError(
-                    f"serve fault worker/query must be >= 0: {f}"
-                )
-
-    @staticmethod
-    def parse(text: str) -> "ServeFaultPlan":
-        """Parse the CLI grammar, e.g. ``"kill@w0q5;hang@w1q3x2.5g0"``."""
-        faults: list[ServeFault] = []
-        for raw in re.split(r"[;,]", text):
-            raw = raw.strip()
-            if not raw:
-                continue
-            m = _SERVE_SPEC_RE.match(raw)
-            if m is None:
-                raise ValueError(
-                    f"bad serve-fault spec {raw!r}; expected e.g. "
-                    "kill@w0q5, hang@w1q3x2.5, corrupt@w2q4 "
-                    "(optional g<generation> suffix)"
-                )
-            kind = m.group("kind")
-            worker = int(m.group("worker"))
-            query = int(m.group("query"))
-            generation = (
-                int(m.group("generation"))
-                if m.group("generation") is not None
-                else None
-            )
-            if kind == "kill":
-                faults.append(ServeKillFault(worker, query, generation))
-            elif kind == "corrupt":
-                faults.append(
-                    ServeCorruptFault(worker, query, generation)
-                )
-            else:
-                faults.append(
-                    ServeHangFault(
-                        worker,
-                        query,
-                        float(m.group("seconds") or 5.0),
-                        generation,
-                    )
-                )
-        if not faults:
-            raise ValueError(f"empty serve-fault spec: {text!r}")
-        return ServeFaultPlan(tuple(faults))
-
-    def describe(self) -> str:
-        return "; ".join(
-            f"{f.kind}@w{f.worker}q{f.query}"
-            + (
-                f"x{f.seconds:g}"
-                if isinstance(f, ServeHangFault)
-                else ""
-            )
-            + (f"g{f.generation}" if f.generation is not None else "")
-            for f in self.faults
-        )
-
-    def schedule(
-        self, worker: int, generation: int
-    ) -> ServeFaultSchedule:
-        """Resolve the schedule one worker generation must honour."""
-        mine = [
-            f
-            for f in self.faults
-            if f.worker == worker
-            and (f.generation is None or f.generation == generation)
-        ]
-        return ServeFaultSchedule(
-            kill_at=frozenset(
-                f.query for f in mine if isinstance(f, ServeKillFault)
-            ),
-            hang_at=tuple(
-                (f.query, f.seconds)
-                for f in mine
-                if isinstance(f, ServeHangFault)
-            ),
-            corrupt_at=frozenset(
-                f.query
-                for f in mine
-                if isinstance(f, ServeCorruptFault)
-            ),
-        )
+def firing(faults: Sequence[Fault], event: int) -> dict[str, Fault]:
+    """The faults among ``faults`` that fire entering ``event``, by kind."""
+    return {f.kind: f for f in faults if f.event == event}
 
 
 def _arm_disk_quota(disk, rank: int, blocks: int) -> None:
@@ -707,25 +437,25 @@ def _flip_byte(sealed: _Sealed) -> _Sealed:
 # ---------------------------------------------------------------------------
 
 
-def slow_factor(faults: Sequence, phase: str) -> float:
+def slow_factor(faults: Sequence[Fault], phase: str) -> float:
     """Combined slowdown of one rank's segment marked in ``phase``: the
-    product of the :class:`SlowFault` factors among ``faults`` that are
+    product of the ``slow`` factors among ``faults`` that are
     unrestricted or restricted to the iteration ``phase`` is labelled
     with."""
     factor = 1.0
     for f in faults:
-        if isinstance(f, SlowFault) and (
+        if f.kind == "slow" and (
             f.iteration is None or phase.endswith(f"[{f.iteration}]")
         ):
-            factor *= f.factor
+            factor *= f.arg
     return factor
 
 
 class FaultyTransport:
-    """Transport decorator realising a rank's fault schedule.
+    """Transport decorator firing one rank's faults.
 
     Counts this rank's collectives (the superstep index faults refer to),
-    fires crash/delay faults before the underlying exchange, and runs the
+    fires its faults before the underlying exchange, and runs the
     seal/verify wire protocol around it.  Wraps both
     :class:`~repro.mpi.comm.ThreadTransport` and the process backend's
     pipe transport — fault semantics are backend-independent.
@@ -736,25 +466,13 @@ class FaultyTransport:
         rank: int,
         inner,
         clock,
-        crash_at: set[int] | None = None,
-        kill_at: set[int] | None = None,
-        corrupt_at: set[int] | None = None,
-        delay_at: dict[int, float] | None = None,
-        hang_at: set[int] | None = None,
-        slow: tuple[SlowFault, ...] = (),
-        seal: bool = True,
+        faults: Sequence[Fault] = (),
         hard_kill: bool = False,
     ):
         self.rank = rank
         self.inner = inner
         self.clock = clock
-        self.crash_at = crash_at or set()
-        self.kill_at = kill_at or set()
-        self.corrupt_at = corrupt_at or set()
-        self.delay_at = delay_at or {}
-        self.hang_at = hang_at or set()
-        self.slow = slow
-        self.seal = seal
+        self.faults = tuple(faults)
         self.hard_kill = hard_kill
         self.superstep = 0
 
@@ -767,7 +485,8 @@ class FaultyTransport:
     ) -> Any:
         step = self.superstep
         self.superstep += 1
-        if step in self.kill_at:
+        fire = firing(self.faults, step)
+        if "kill" in fire:
             if self.hard_kill:
                 # Process backend: die for real.  The Supervisor observes
                 # the pipe close + exit code and raises RankDead.
@@ -777,13 +496,13 @@ class FaultyTransport:
                 f"({kind}; thread backend degrades SIGKILL to a crash)",
                 rank=self.rank,
             )
-        if step in self.crash_at:
+        if "crash" in fire:
             raise InjectedFault(
                 f"rank {self.rank}: injected crash at superstep {step} "
                 f"({kind})",
                 rank=self.rank,
             )
-        if step in self.hang_at:
+        if "hang" in fire:
             # Synthesised supervisor verdict: the straggler is declared
             # hung without a real wall-clock stall, so both backends see
             # the same deterministic transient failure.
@@ -792,17 +511,17 @@ class FaultyTransport:
                 f"({kind}; synthesised straggler verdict)",
                 rank=self.rank,
             )
-        delay = self.delay_at.get(step)
-        if delay is not None:
+        if "delay" in fire:
             # Straggle: charge extra simulated seconds to this rank's
             # pending segment (and its phase accrual, so attribution
             # stays consistent) before the superstep commit reads them.
+            delay = fire["delay"].arg
             self.clock._pending_segment[self.rank] += delay
             self.clock._phase_accrual[self.rank][
                 self.clock._phase[self.rank]
             ] += delay
         phase = self.clock._phase[self.rank]
-        factor = slow_factor(self.slow, phase)
+        factor = slow_factor(self.faults, phase)
         if factor != 1.0:
             # Multiply the segment the BSP commit is about to read;
             # Comm always marks the segment before calling the
@@ -810,10 +529,8 @@ class FaultyTransport:
             extra = (factor - 1.0) * self.clock._pending_segment[self.rank]
             self.clock._pending_segment[self.rank] += extra
             self.clock._phase_accrual[self.rank][phase] += extra
-        if not self.seal:
-            return self.inner.exchange(kind, payload, send_row, reader)
         sealed = _seal_payload(kind, payload, self.rank)
-        if step in self.corrupt_at:
+        if "corrupt" in fire:
             sealed = (
                 [None if lane is None else _flip_byte(lane) for lane in sealed]
                 if isinstance(sealed, list)

@@ -80,7 +80,7 @@ import numpy as np
 
 from repro.mpi import errors as mpi_errors
 from repro.mpi.errors import CorruptPayload, RankDead, classify_failure
-from repro.mpi.faults import ServeFaultPlan
+from repro.mpi.faults import FaultPlan, firing
 from repro.mpi.shm import SegmentArena, _attach, decode, encode, sweep_orphans
 from repro.olap.cache import ResultCache, result_nbytes
 from repro.olap.query import Query
@@ -172,7 +172,7 @@ def _worker_main(
     ack_q,
     heartbeats,
     heartbeat_interval: float,
-    serve_faults: ServeFaultPlan | None,
+    faults: FaultPlan | None,
     store_gens=None,
     current_poll_interval: float = 0.25,
 ) -> None:
@@ -222,11 +222,7 @@ def _worker_main(
             store_gens[worker_id] = store_gen
 
     arena = SegmentArena()
-    faults = (
-        serve_faults.schedule(worker_id, generation)
-        if serve_faults is not None
-        else None
-    )
+    mine = [] if faults is None else faults.for_worker(worker_id, generation)
     poll_s = max(heartbeat_interval / 2.0, 0.005)
     executed = 0
     try:
@@ -263,17 +259,16 @@ def _worker_main(
                 continue
             query_index = executed
             executed += 1
-            if faults is not None:
-                hang = faults.hang_seconds(query_index)
-                if hang is not None:
-                    time.sleep(hang)
-                if query_index in faults.kill_at:
-                    os.kill(os.getpid(), signal.SIGKILL)
+            fire = firing(mine, query_index)
+            if "hang" in fire:
+                time.sleep(fire["hang"].arg)
+            if "kill" in fire:
+                os.kill(os.getpid(), signal.SIGKILL)
             try:
                 result = engine.answer(query)
                 crc = _result_crc(result.dims, result.measure)
                 blob = encode((result.dims, result.measure), arena)
-                if faults is not None and query_index in faults.corrupt_at:
+                if "corrupt" in fire:
                     blob = _flip_result_blob(blob)
                 result_q.put(
                     (
@@ -351,10 +346,10 @@ class QueryService:
         The service's failure posture — supervision cadence, deadlines,
         retry/backoff bounds, queue depth, poison threshold, restart
         budget (see :class:`~repro.olap.supervise.ServicePolicy`).
-    serve_faults:
-        Optional :class:`~repro.mpi.faults.ServeFaultPlan` injected into
-        the workers (chaos testing; see the ``--serve-faults`` CLI
-        grammar).
+    faults:
+        Optional :class:`~repro.mpi.faults.FaultPlan` of serving-worker
+        faults (``w<worker>q<query>``; chaos testing).  A rank fault
+        raises ``ValueError``.
     """
 
     def __init__(
@@ -365,7 +360,7 @@ class QueryService:
         admit_fraction: float = 0.25,
         index: bool = True,
         policy: ServicePolicy | None = None,
-        serve_faults: ServeFaultPlan | None = None,
+        faults: FaultPlan | None = None,
     ):
         # Bookkeeping __del__ touches is initialised before anything can
         # raise, so a failed construction tears down silently.
@@ -373,6 +368,8 @@ class QueryService:
         self._sup: ServiceSupervisor | None = None
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
+        if faults is not None:
+            faults.check_space("w")
         # Validate the store before forking anything: a bad path should
         # fail the constructor, not crash-loop every worker through the
         # restart budget.  (Local import: store is a sibling serving
@@ -393,7 +390,6 @@ class QueryService:
         )
         self.generation_bumps = 0
         self.generations_removed = 0
-        self.serve_faults = serve_faults
         self._cache = (
             ResultCache(byte_budget, admit_fraction=admit_fraction)
             if byte_budget is not None
@@ -443,7 +439,7 @@ class QueryService:
                     ack_q,
                     heartbeats,
                     self.policy.heartbeat_interval,
-                    serve_faults,
+                    faults,
                     self._store_gens,
                     self.policy.current_poll_interval,
                 ),

@@ -39,7 +39,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable
 
-from repro.mpi.errors import RankDead, RankHung
+from repro.mpi.errors import RankDead, RankHung, exit_cause
 from repro.mpi.shm import release_heap, share_resource_tracker
 
 __all__ = [
@@ -369,23 +369,10 @@ class ServiceSupervisor:
 
     def post_mortem(self, handle: WorkerHandle) -> RankDead:
         """Describe a dead worker with its exit code / fatal signal."""
-        try:
-            handle.proc.join(timeout=0.5)  # let the exit code settle
-            code = handle.proc.exitcode
-        except Exception:  # pragma: no cover - defensive
-            code = None
-        if code is None:
-            cause = "exit status unknown"
-        elif code < 0:
-            try:
-                cause = f"killed by {_signal.Signals(-code).name}"
-            except ValueError:  # pragma: no cover - exotic signal
-                cause = f"killed by signal {-code}"
-        else:
-            cause = f"exit code {code}"
         return RankDead(
             f"serving worker {handle.slot} (generation "
             f"{handle.generation}, pid {handle.pid}) died with "
-            f"{len(handle.outstanding)} queries in flight ({cause})",
+            f"{len(handle.outstanding)} queries in flight "
+            f"({exit_cause(handle.proc)})",
             rank=handle.slot,
         )

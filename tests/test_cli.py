@@ -126,3 +126,16 @@ class TestCommands:
             main(["refresh", path, "--rows", "50", "--p", "4"])
         assert exc.value.code == 2
         assert CubeStore.current_generation(path) == 1
+
+    def test_serve_bench_faults(self, cube_dir, capsys):
+        assert main(
+            ["serve-bench", "--store", cube_dir, "--workers", "1",
+             "--qps", "40", "--duration", "0.25", "--faults", "kill@w0q3g0"]
+        ) == 0
+        out = capsys.readouterr().out
+        assert "injecting serve faults: kill@w0q3g0" in out
+        assert "survived 1 worker deaths" in out
+        # One flag name for both runtimes: the old serving-only one is gone.
+        with pytest.raises(SystemExit) as exc:
+            main(["serve-bench", "--serve-faults", "kill@w0q3"])
+        assert exc.value.code == 2

@@ -10,12 +10,15 @@ peers sit inside a collective.
 
 from __future__ import annotations
 
+import hashlib
 import multiprocessing
 import os
 import signal
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.config import MachineSpec
 from repro.mpi import faults as faults_mod
@@ -27,14 +30,9 @@ from repro.mpi.errors import (
     DiskFull,
     InjectedFault,
     MPIError,
+    RankHung,
 )
-from repro.mpi.faults import (
-    CorruptFault,
-    CrashFault,
-    DelayFault,
-    DiskFullFault,
-    FaultPlan,
-)
+from repro.mpi.faults import GRAMMAR, Fault, FaultPlan
 
 requires_fork = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
@@ -48,27 +46,57 @@ def det_spec(p, backend, **kw):
     return MachineSpec(p=p, backend=backend, compute_scale=0.0, **kw)
 
 
+@st.composite
+def fault_plans(draw):
+    """Valid plans over both address spaces, drawn from the grammar
+    table: every required field, any subset of the allowed ones."""
+    faults = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind, space = draw(st.sampled_from(sorted(GRAMMAR)))
+        required, allowed = GRAMMAR[kind, space]
+        letters = required + "".join(c for c in allowed if draw(st.booleans()))
+        fields = {
+            # x values print exactly under the grammar's %g
+            faults_mod._FIELD[c]: draw(st.integers(1, 10**5)) / 100
+            if c == "x"
+            else draw(st.integers(0, 10**6))
+            for c in letters
+        }
+        faults.append(Fault(kind, space, draw(st.integers(0, 63)), **fields))
+    return FaultPlan(tuple(faults))
+
+
 class TestFaultPlanGrammar:
     def test_parse_all_kinds(self):
         plan = FaultPlan.parse(
             "crash@r1s5; corrupt@r2s3, delay@r0s2x0.5; diskfull@r1b40"
         )
         assert plan.faults == (
-            CrashFault(1, 5),
-            CorruptFault(2, 3),
-            DelayFault(0, 2, 0.5),
-            DiskFullFault(1, 40),
+            Fault("crash", "r", 1, 5),
+            Fault("corrupt", "r", 2, 3),
+            Fault("delay", "r", 0, 2, 0.5),
+            Fault("diskfull", "r", 1, arg=40),
         )
 
     def test_parse_attempt_suffix(self):
         plan = FaultPlan.parse("crash@r0s1a2")
-        assert plan.faults == (CrashFault(0, 1, attempt=2),)
-        assert plan.for_rank(0, 2) == [CrashFault(0, 1, 2)]
+        assert plan.faults == (Fault("crash", "r", 0, 1, epoch=2),)
+        assert plan.for_rank(0, 2) == [Fault("crash", "r", 0, 1, epoch=2)]
         assert plan.for_rank(0, 0) == []
 
-    def test_describe_roundtrips(self):
-        text = "crash@r1s5; delay@r0s2x0.5; diskfull@r3b7a1"
-        plan = FaultPlan.parse(text)
+    def test_defaults(self):
+        plan = FaultPlan.parse("crash@r0s1;delay@r0s2;hang@w1q3;kill@w1q4g2")
+        crash, delay, hang, kill = plan.faults
+        assert delay.arg == 1.0 and hang.arg == 5.0
+        # a rank fault without a<attempt> fires on attempt 0 only
+        assert plan.for_rank(0, 0) == [crash, delay]
+        assert plan.for_rank(0, 1) == []
+        # a worker fault without g<generation> fires in every generation
+        assert plan.for_worker(1, 0) == [hang]
+        assert plan.for_worker(1, 2) == [hang, kill]
+
+    @given(fault_plans())
+    def test_describe_roundtrips(self, plan):
         assert FaultPlan.parse(plan.describe()) == plan
 
     @pytest.mark.parametrize(
@@ -79,13 +107,63 @@ class TestFaultPlanGrammar:
         with pytest.raises(ValueError):
             FaultPlan.parse(bad)
 
+    @pytest.mark.parametrize(
+        "spec, field",
+        [
+            ("crash@r1s5x2", "x"),
+            ("slow@r0s3x2", "s"),
+            ("diskfull@r1s3b40", "s"),
+            ("crash@r1s5i2", "i"),
+            ("kill@w0q5x3", "x"),
+            ("kill@w0q5a1", "a"),
+            ("crash@r1q5", "q"),
+        ],
+    )
+    def test_parse_names_a_field_the_kind_does_not_read(self, spec, field):
+        with pytest.raises(ValueError, match=f"takes no field {field}$"):
+            FaultPlan.parse(spec)
+
+    @pytest.mark.parametrize("kind", ["crash", "delay", "diskfull", "slow"])
+    def test_rank_kinds_reject_a_worker_address(self, kind):
+        with pytest.raises(ValueError, match="serving worker"):
+            FaultPlan.parse(f"{kind}@w0q1")
+
     def test_random_is_seed_deterministic(self):
         a = FaultPlan.random(seed=42, p=8)
         b = FaultPlan.random(seed=42, p=8)
         c = FaultPlan.random(seed=43, p=8)
         assert a == b
         assert a != c
-        assert all(f.rank < 8 for f in a.faults)
+        assert all(f.space == "r" and f.index < 8 for f in a.faults)
+
+    def test_random_plans_are_stable(self):
+        """Seeded chaos tests keep their plans: seeds 0-99 describe as
+        they did before the grammar was unified."""
+        text = "\n".join(
+            FaultPlan.random(seed=s, p=4).describe() for s in range(100)
+        )
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "7f4d2104cfdf3fc617dde6dccb3162987557133052d6f7b27661d6a2ff9aa22d"
+        )
+
+    @pytest.mark.parametrize(
+        "kind", sorted({k for k, space in GRAMMAR if space == "r"})
+    )
+    def test_random_draws_the_kind_asked_for(self, kind):
+        plan = FaultPlan.random(seed=1, p=4, kinds=(kind,))
+        assert [f.kind for f in plan.faults] == [kind, kind]
+
+    def test_random_rejects_unknown_kind(self):
+        with pytest.raises(ValueError, match="explode"):
+            FaultPlan.random(seed=1, p=4, kinds=("crash", "explode"))
+
+    def test_a_build_rejects_worker_faults(self):
+        with pytest.raises(ValueError, match="kill@w0q5"):
+            run_spmd(
+                lambda c: c.rank,
+                det_spec(2, "thread"),
+                faults=FaultPlan.parse("crash@r0s9; kill@w0q5"),
+            )
 
 
 class TestFaultyTransport:
@@ -104,6 +182,20 @@ class TestFaultyTransport:
                 det_spec(3, backend),
                 faults=FaultPlan.parse("crash@r1s1"),
             )
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_hang_raises_rank_hung(self, backend):
+        def prog(c):
+            c.barrier()
+            c.barrier()
+
+        with pytest.raises(RankHung, match="rank 1.*superstep 1") as exc:
+            run_spmd(
+                prog,
+                det_spec(2, backend),
+                faults=FaultPlan.parse("hang@r1s1"),
+            )
+        assert exc.value.rank == 1
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_corrupt_surfaces_crc_failure(self, backend):

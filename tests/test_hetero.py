@@ -22,7 +22,7 @@ from repro.core.cube import build_data_cube
 from repro.core.sample_sort import _select_pivots, relative_imbalance
 from repro.mpi.engine import Cluster
 from repro.mpi.errors import RankHung
-from repro.mpi.faults import FaultPlan, HangFault, SlowFault
+from repro.mpi.faults import FaultPlan
 from repro.mpi.speed import HeteroState, RankSpeedModel, clamped_shares
 from repro.mpi.stats import throughput_rates
 from repro.storage.table import Relation
@@ -235,17 +235,15 @@ class TestFaultGrammar:
     def test_parse_slow(self):
         plan = FaultPlan.parse("slow@r0x2")
         (f,) = plan.faults
-        assert isinstance(f, SlowFault)
-        assert (f.rank, f.factor, f.iteration) == (0, 2.0, None)
+        assert (f.kind, f.index, f.arg, f.iteration) == ("slow", 0, 2.0, None)
 
     def test_parse_slow_with_iteration_and_attempt(self):
         (f,) = FaultPlan.parse("slow@r2x1.5i3a1").faults
-        assert (f.rank, f.factor, f.iteration, f.attempt) == (2, 1.5, 3, 1)
+        assert (f.index, f.arg, f.iteration, f.epoch) == (2, 1.5, 3, 1)
 
     def test_parse_hang(self):
         (f,) = FaultPlan.parse("hang@r1s5").faults
-        assert isinstance(f, HangFault)
-        assert (f.rank, f.superstep) == (1, 5)
+        assert (f.kind, f.index, f.event) == ("hang", 1, 5)
 
     def test_describe_round_trips(self):
         spec = "slow@r0x2;hang@r1s5a1;slow@r2x1.5i3"
