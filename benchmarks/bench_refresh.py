@@ -217,9 +217,7 @@ def serving_lane(tmpdir: str, quick: bool) -> dict:
     ]
     n_queries = 80 if quick else 240
     refresh_every = n_queries // (n_batches + 1)
-    policy = ServicePolicy(
-        heartbeat_interval=0.05, current_poll_interval=0.05
-    )
+    policy = ServicePolicy(current_poll_interval=0.05)
     workload = [Query(group_by=(d,)) for d in range(len(CARDS))] + [
         Query(group_by=(0, 1), filters={0: (2, 19)})
     ]

@@ -82,7 +82,6 @@ def _leaked_segments(pids) -> list[str]:
 
 def _policy(deadline_s: float) -> ServicePolicy:
     return ServicePolicy(
-        heartbeat_interval=0.05,
         suspect_after=5.0,
         deadline_s=deadline_s,
         max_retries=4,
@@ -114,7 +113,7 @@ def run_rung(
             service, queries, expected, offered_qps, n_queries
         )
         stats = service.stats()
-        pids = list(service._sup.all_pids)
+        pids = list(service.pool.all_pids)
     finally:
         service.close()
     rung["stats"] = {
@@ -129,7 +128,7 @@ def run_rung(
             "corrupt_results",
         )
     }
-    restart_log = service._sup.restart_log
+    restart_log = service.pool.restart_log
     recovery_ms = [
         (entry["ready_at"] - entry["detected_at"]) * 1e3
         for entry in restart_log

@@ -91,11 +91,7 @@ def cmd_build(args: argparse.Namespace) -> int:
             min_ranks=args.min_ranks,
             speculate=args.speculate,
         )
-    machine = MachineSpec(
-        p=args.p,
-        backend=args.backend,
-        heartbeat_interval=args.heartbeat,
-    )
+    machine = MachineSpec(p=args.p, backend=args.backend)
     cube = build_data_cube(
         data,
         cards,
@@ -256,7 +252,6 @@ def cmd_serve_bench(args: argparse.Namespace) -> int:
 
     faults = FaultPlan.parse(args.faults) if args.faults else None
     policy = ServicePolicy(
-        heartbeat_interval=args.heartbeat,
         suspect_after=args.suspect_after,
         deadline_s=args.deadline if args.deadline > 0 else None,
         max_retries=args.max_retries,
@@ -435,9 +430,6 @@ def main(argv: list[str] | None = None) -> int:
     p_build.add_argument("--min-ranks", type=int, default=1,
                          help="lowest width --degrade may fall to before "
                               "giving up (default 1)")
-    p_build.add_argument("--heartbeat", type=float, default=0.25,
-                         help="supervisor liveness-poll interval in "
-                              "seconds (process backend)")
     p_build.add_argument("--hetero", action="store_true",
                          help="meter per-rank throughput during sampling "
                               "and size each rank's h-relation share to "
@@ -505,8 +497,6 @@ def main(argv: list[str] | None = None) -> int:
     p_serve.add_argument("--max-restarts", type=int, default=16,
                          help="replacement workers the supervisor may "
                               "spawn over the run")
-    p_serve.add_argument("--heartbeat", type=float, default=0.05,
-                         help="supervision interval in seconds")
     p_serve.add_argument("--suspect-after", type=float, default=5.0,
                          help="declare a silent worker hung after this "
                               "many seconds")

@@ -106,15 +106,10 @@ class MachineSpec:
     #: across ranks and retries — currently the recovery backoff's full
     #: jitter (see :meth:`RecoveryPolicy.backoff_for`).
     seed: int = 0
-    #: Supervision: how often (real seconds) the process backend's
-    #: coordinator probes a silent worker's liveness while waiting for its
-    #: next superstep message.  Protocol messages double as heartbeats, so
-    #: a healthy worker is never probed; the interval only bounds how fast
-    #: a SIGKILLed worker is detected.
-    heartbeat_interval: float = 0.25
     #: Supervision: real seconds of pipe silence after which a *live*
     #: worker is declared a hung straggler (:class:`~repro.mpi.errors.
-    #: RankHung`, a transient failure).  ``None`` falls back to the
+    #: RankHung`, a transient failure); a worker that exits is reported
+    #: dead at once, without a deadline.  ``None`` falls back to the
     #: resolved barrier timeout — long compute between collectives never
     #: false-triggers by default.
     suspect_after: float | None = None
@@ -154,8 +149,6 @@ class MachineSpec:
             )
         if self.bytes_per_row < 1:
             raise ValueError("bytes_per_row must be >= 1")
-        if self.heartbeat_interval <= 0:
-            raise ValueError("heartbeat_interval must be positive")
         if self.suspect_after is not None and self.suspect_after <= 0:
             raise ValueError("suspect_after must be positive (or None)")
         if self.barrier_timeout is not None and self.barrier_timeout <= 0:

@@ -16,10 +16,11 @@ real failure while breaking every peer with
     figure reproductions.
 
 ``process``
-    ``p`` forked worker processes coordinated by the parent.  Collectives
-    run over the :mod:`repro.mpi.shm` data plane: large numeric arrays
-    cross through pooled POSIX shared-memory segments, everything else
-    rides a small pickle blob on the worker's pipe.  The parent replays
+    ``p`` forked worker processes (one :class:`~repro.mpi.pool.WorkerPool`)
+    coordinated by the parent.  Collectives run over the
+    :mod:`repro.mpi.shm` data plane: large numeric arrays cross through
+    pooled POSIX shared-memory segments, everything else rides a small
+    pickle blob on the worker's pipe.  The parent replays
     the exact superstep commit of the thread backend from per-rank
     metering shipped with each collective, so ``simulated_seconds`` /
     ``comm_bytes`` / ``disk_blocks`` are identical between backends
@@ -67,19 +68,12 @@ import numpy as np
 
 from repro.mpi import shm
 from repro.mpi.comm import Comm, ThreadTransport
-from repro.mpi.errors import (
-    CollectiveMisuse,
-    MPIError,
-    RankDead,
-    RankFailure,
-    RankHung,
-    exit_cause,
-)
+from repro.mpi.errors import CollectiveMisuse, MPIError, RankFailure
+from repro.mpi.pool import WorkerPool
 
 __all__ = [
     "BACKENDS",
     "ProcessBackend",
-    "Supervisor",
     "ThreadBackend",
     "get_backend",
 ]
@@ -409,20 +403,14 @@ def _ship_exception(rank: int, exc: BaseException, disk=None):
 
 def _worker_main(
     rank: int,
+    _generation: int,
     conn,
-    stale_conns,
     cluster,
     rank_program: Callable[..., Any],
     args: Sequence[Any],
 ) -> None:
-    """Entry point of one forked rank process."""
-    # Forked children inherit every pipe end created before their fork;
-    # close the ones that aren't ours so EOF detection works in the parent.
-    for stale in stale_conns:
-        try:
-            stale.close()
-        except Exception:  # pragma: no cover - defensive
-            pass
+    """Entry point of one forked rank process (a :class:`WorkerPool`
+    slot)."""
     disk = cluster.disks[rank]
     clock = cluster.clock  # forked copy: authoritative only for this rank
     spec = cluster.spec
@@ -483,84 +471,6 @@ def _worker_main(
 # ---------------------------------------------------------------------------
 
 
-class Supervisor:
-    """Deadline-based liveness supervision of the process backend's workers.
-
-    Liveness has two signals, both piggybacked on the superstep protocol
-    rather than a separate ping channel:
-
-    * **Protocol messages as heartbeats** — any ``step``/``done``/``error``
-      message from a rank proves it alive; a healthy worker is never
-      probed and pays zero overhead.
-    * **OS-level probes while silent** — while a pipe is quiet the
-      supervisor polls in ``heartbeat_interval`` slices, checking the
-      worker process between slices.  A process that exited (or was
-      SIGKILLed) is reported as :class:`~repro.mpi.errors.RankDead` with
-      its exit code / signal — a *permanent* loss.  A process still alive
-      but silent past ``suspect_after`` is declared a hung straggler —
-      :class:`~repro.mpi.errors.RankHung`, a *transient* failure.
-
-    This replaces the old flat ``conn.poll(600)``: detection latency for
-    a dead rank drops from the barrier timeout to one heartbeat interval,
-    and the deadline for stragglers is a per-run knob instead of a
-    module constant.
-    """
-
-    def __init__(
-        self,
-        procs: Sequence,
-        heartbeat_interval: float = 0.25,
-        suspect_after: float = 600.0,
-        now: Callable[[], float] | None = None,
-    ):
-        self.procs = procs
-        self.heartbeat_interval = float(heartbeat_interval)
-        self.suspect_after = float(suspect_after)
-        # Injectable clock so the deadline boundary (exactly-at vs
-        # just-under) is testable without real sleeps.
-        self._now = time.monotonic if now is None else now
-
-    def await_message(self, conn, rank: int):
-        """Block until rank's next protocol message, supervising its
-        liveness; raises :class:`RankDead` / :class:`RankHung`."""
-        deadline = self._now() + self.suspect_after
-        while True:
-            budget = min(
-                self.heartbeat_interval,
-                max(0.0, deadline - self._now()),
-            )
-            try:
-                if conn.poll(budget):
-                    return conn.recv()
-            except (EOFError, OSError):
-                raise self.post_mortem(rank, "its pipe closed") from None
-            proc = self.procs[rank]
-            if not proc.is_alive():
-                # A worker that exited cleanly may have left a final
-                # message buffered; drain it before declaring death.
-                try:
-                    if conn.poll(0):
-                        continue
-                except (EOFError, OSError):
-                    pass
-                raise self.post_mortem(rank, "its process exited")
-            if self._now() >= deadline:
-                raise RankHung(
-                    f"rank {rank} exceeded its {self.suspect_after:.1f}s "
-                    "superstep deadline (process alive: straggler declared "
-                    "hung)",
-                    rank=rank,
-                )
-
-    def post_mortem(self, rank: int, detail: str) -> RankDead:
-        """Describe a dead worker (exit code / fatal signal attached)."""
-        return RankDead(
-            f"rank {rank} worker process died: {detail} "
-            f"({exit_cause(self.procs[rank])})",
-            rank=rank,
-        )
-
-
 class ProcessBackend:
     """Rank-per-process execution with shared-memory collectives."""
 
@@ -582,34 +492,17 @@ class ProcessBackend:
         # have learnt the names).  Segment names embed their creator pid,
         # so stale ones are identifiable and safe to reclaim here.
         shm.sweep_orphans()
-        ctx = multiprocessing.get_context("fork")
-        p = cluster.spec.p
-        pipes = [ctx.Pipe(duplex=True) for _ in range(p)]
-        parent_conns = [pc for pc, _ in pipes]
-        procs = []
-        for j in range(p):
-            stale = parent_conns + [cc for k, (_, cc) in enumerate(pipes) if k != j]
-            procs.append(
-                ctx.Process(
-                    target=_worker_main,
-                    args=(j, pipes[j][1], stale, cluster,
-                          rank_program, tuple(args)),
-                    name=f"rank-{j}",
-                    daemon=True,
-                )
-            )
-        # Each rank starts from the parent's resident set: trim the
-        # allocator's free pages first so no rank inherits them.
-        shm.release_heap()
-        for proc in procs:
-            proc.start()
-        for _, child_conn in pipes:
-            child_conn.close()
-        coordinator = _Coordinator(cluster, parent_conns, procs)
+        pool = WorkerPool(
+            cluster.spec.p,
+            _worker_main,
+            (cluster, rank_program, tuple(args)),
+            suspect_after=cluster.suspect_after,
+            label="rank",
+        )
         try:
-            return coordinator.run()
+            return _Coordinator(cluster, pool).run()
         finally:
-            coordinator.close()
+            pool.close(_ABORT_DRAIN_SEC)
 
 
 class _Abort(Exception):
@@ -629,35 +522,14 @@ class _Coordinator:
     ``deliver`` and the creator's arena may reuse it.
     """
 
-    def __init__(self, cluster, conns, procs):
+    def __init__(self, cluster, pool: WorkerPool):
         self.cluster = cluster
-        self.conns = conns
-        self.procs = procs
+        self.pool = pool
         self.p = cluster.spec.p
-        self.supervisor = Supervisor(
-            procs,
-            heartbeat_interval=cluster.spec.heartbeat_interval,
-            suspect_after=cluster.suspect_after,
-        )
         # segment name -> (owner rank, ranks yet to release it)
         self._ledger: dict[str, tuple[int, set[int]]] = {}
         # owner rank -> segment names cleared for reuse
         self._releasable: dict[int, list[str]] = {}
-
-    # -- plumbing ---------------------------------------------------------
-
-    def _recv(self, rank: int):
-        try:
-            return self.supervisor.await_message(self.conns[rank], rank)
-        except (RankDead, RankHung) as verdict:
-            raise _Abort(verdict) from None
-
-    def _broadcast(self, msg) -> None:
-        for conn in self.conns:
-            try:
-                conn.send(msg)
-            except (BrokenPipeError, OSError):
-                pass
 
     # -- main loop --------------------------------------------------------
 
@@ -686,7 +558,10 @@ class _Coordinator:
         """One message per rank: either all "step" or all "done"."""
         msgs: dict[int, tuple] = {}
         for j in range(self.p):
-            msg = self._recv(j)
+            try:
+                msg = self.pool.recv(j)
+            except MPIError as verdict:  # RankDead / RankHung
+                raise _Abort(verdict) from None
             if msg[0] == "error":
                 raise _Abort(self._absorb_error(j, msg))
             if msg[0] == "step":
@@ -753,14 +628,11 @@ class _Coordinator:
         for j in range(self.p):
             for name in _encoded_segments(entries[j]):
                 self._ledger[name] = (j, set(range(self.p)))
-        for j, conn in enumerate(self.conns):
+        for j in range(self.p):
             recycle = tuple(self._releasable.pop(j, ()))
-            try:
-                conn.send(
-                    ("deliver", _prune_entries(kind, entries, j), recycle)
-                )
-            except (BrokenPipeError, OSError):
-                pass
+            self.pool.send(
+                j, ("deliver", _prune_entries(kind, entries, j), recycle)
+            )
 
     def _finish(self, msgs: dict[int, tuple]) -> list:
         """All ranks exited together: collect results and fold tails.
@@ -788,9 +660,7 @@ class _Coordinator:
             else 0.0
         )
         self.cluster.shm_pool = pool_totals
-        self._broadcast(("release",))
-        for proc in self.procs:
-            proc.join(timeout=_ABORT_DRAIN_SEC)
+        self.pool.broadcast(("release",))
         clock.finish(finals)
         return results
 
@@ -820,11 +690,11 @@ class _Coordinator:
         worker tears down its own :class:`~repro.mpi.shm.DataPlane` in
         its ``finally`` (a worker that errors first waits for our abort,
         so it never yanks a segment from under a mid-read peer), and
-        SIGKILL'd workers are reaped by the targeted orphan sweep in
-        :meth:`close`."""
-        self._broadcast(("abort",))
+        SIGKILL'd workers are reaped by the pool's targeted orphan sweep
+        on close."""
+        self.pool.broadcast(("abort",))
         deadline = time.monotonic() + _ABORT_DRAIN_SEC
-        for j, conn in enumerate(self.conns):
+        for j, conn in enumerate(self.pool.conns):
             while True:
                 try:
                     budget = max(0.0, deadline - time.monotonic())
@@ -842,29 +712,8 @@ class _Coordinator:
                     # Workers hold their plane teardown until the parent
                     # acknowledges; the initial broadcast covered errors
                     # already in flight, late ones get a direct reply.
-                    try:
-                        conn.send(("abort",))
-                    except (BrokenPipeError, OSError):
-                        pass
+                    self.pool.send(j, ("abort",))
         return origin
-
-    def close(self) -> None:
-        for proc in self.procs:
-            proc.join(timeout=_ABORT_DRAIN_SEC)
-            if proc.is_alive():  # pragma: no cover - wedged worker
-                proc.terminate()
-                proc.join(timeout=1.0)
-        for conn in self.conns:
-            try:
-                conn.close()
-            except Exception:  # pragma: no cover - defensive
-                pass
-        # Reap segments of workers that died without unlinking (SIGKILL,
-        # hard crash): every worker is joined by now, so a targeted sweep
-        # of their pids cannot race a live creator.
-        pids = [proc.pid for proc in self.procs if proc.pid is not None]
-        if pids:
-            shm.sweep_orphans(pids=pids)
 
 
 BACKENDS: dict[str, type] = {

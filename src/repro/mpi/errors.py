@@ -87,8 +87,8 @@ class RankDead(MPIError):
     """A worker process is gone for good: its process exited (or was
     SIGKILLed) while the run still needed it.  Permanent by definition —
     retrying at the same width would wait on a corpse.  Raised by the
-    process backend's :class:`~repro.mpi.backends.Supervisor` with the
-    dead rank attached."""
+    :class:`~repro.mpi.pool.WorkerPool` (process-backend ranks and
+    serving workers) with the dead slot attached."""
 
 
 class RankHung(MPIError):

@@ -488,8 +488,8 @@ class FaultyTransport:
         fire = firing(self.faults, step)
         if "kill" in fire:
             if self.hard_kill:
-                # Process backend: die for real.  The Supervisor observes
-                # the pipe close + exit code and raises RankDead.
+                # Process backend: die for real.  The worker pool sees
+                # the process exit and raises RankDead with its cause.
                 os.kill(os.getpid(), signal.SIGKILL)
             raise InjectedFault(
                 f"rank {self.rank}: injected kill at superstep {step} "

@@ -27,10 +27,11 @@ surface:
 * :mod:`repro.olap.service` — a supervised pool of store-backed worker
   processes over the pooled shared-memory data plane, with retries,
   deadlines, load shedding, and a poison-query circuit breaker.
-* :mod:`repro.olap.supervise` — worker supervision (heartbeats,
-  dead/hung detection, restart budget) and the serving failure surface
-  (:class:`ServicePolicy`, :class:`QueryTimeout`,
-  :class:`ServiceOverloaded`, :class:`PoisonQuery`).
+* :mod:`repro.olap.supervise` — the serving failure surface
+  (:class:`QueryTimeout`, :class:`ServiceOverloaded`,
+  :class:`PoisonQuery`) and the posture that bounds it
+  (:class:`ServicePolicy`); the workers run on
+  :class:`repro.mpi.pool.WorkerPool`.
 * :mod:`repro.olap.advisor` — greedy view selection (the paper's
   reference [12], Harinarayan-Rajaraman-Ullman) that produces the
   ``selected`` set a partial cube build consumes.

@@ -10,15 +10,16 @@ the pooled shared-memory data plane of :mod:`repro.mpi.shm` — the same
 machinery the SPMD backend uses for collectives, so large results cross
 the process boundary without a pickle copy of their arrays.
 
-The pool runs under a :class:`~repro.olap.supervise.ServiceSupervisor`
-with the same failure taxonomy as the build engine's degraded-mode
-runtime (:func:`~repro.mpi.errors.classify_failure`):
+The workers are a :class:`~repro.mpi.pool.WorkerPool`, the one the
+process backend's ranks run on, with one pipe per worker and one
+message per query each way; failures follow the build engine's
+taxonomy (:func:`~repro.mpi.errors.classify_failure`):
 
-* a SIGKILLed or crashed worker is detected as
-  :class:`~repro.mpi.errors.RankDead` within about one heartbeat
-  interval, its in-flight queries are **reassigned** with bounded
-  retries and exponential backoff, and a replacement is spawned into
-  its slot up to the restart budget;
+* a SIGKILLed or crashed worker is reported
+  :class:`~repro.mpi.errors.RankDead` as soon as its process exits, its
+  in-flight queries are **reassigned** with bounded retries and
+  exponential backoff, and a replacement is spawned into its slot up to
+  the restart budget;
 * a worker silent past ``suspect_after`` while holding work is a
   straggler declared :class:`~repro.mpi.errors.RankHung`, killed, and
   replaced — slow workers are failures, not a special case;
@@ -29,17 +30,21 @@ runtime (:func:`~repro.mpi.errors.classify_failure`):
   felling the whole pool;
 * per-query **deadlines** are enforced on both sides (worker-side shed
   of already-expired tasks, coordinator-side
-  :class:`~repro.olap.supervise.QueryTimeout`), and a bounded task
-  queue sheds load explicitly
+  :class:`~repro.olap.supervise.QueryTimeout`), and a bounded in-flight
+  window sheds load explicitly
   (:class:`~repro.olap.supervise.ServiceOverloaded`).
+
+The coordinator is one event loop with no threads: it sleeps in the
+pool's ``wait`` until a message, a death or its next timer (a query
+deadline, a retry release, a ``CURRENT`` poll, a hang deadline).
 
 The coordinator keeps a byte-budgeted, admission-controlled
 :class:`~repro.olap.cache.ResultCache` in front of the pool and dedups
 identical in-flight queries, so a dashboard stampede on one hot query
-costs one worker execution.  Segment recycling is explicit: after the
-coordinator decodes a result it acks the segment names back to the
-owning worker, which returns them to its arena pool — steady-state
-serving creates no new segments.
+costs one worker execution.  Segment recycling is explicit: the names
+of the segments a decoded result used ride the next task to the same
+worker, which returns them to its arena pool before it answers —
+steady-state serving creates no new segments.
 
 The service is **refresh-aware**: the store directory may gain new
 generations while queries are flowing
@@ -65,10 +70,9 @@ from __future__ import annotations
 
 import builtins
 import heapq
+import math
 import multiprocessing as mp
-import multiprocessing.connection as mp_conn
 import os
-import queue as queue_mod
 import signal
 import time
 import zlib
@@ -81,7 +85,14 @@ import numpy as np
 from repro.mpi import errors as mpi_errors
 from repro.mpi.errors import CorruptPayload, RankDead, classify_failure
 from repro.mpi.faults import FaultPlan, firing
-from repro.mpi.shm import SegmentArena, _attach, decode, encode, sweep_orphans
+from repro.mpi.pool import WorkerPool
+from repro.mpi.shm import (
+    SegmentArena,
+    _attach,
+    decode,
+    encode,
+    share_resource_tracker,
+)
 from repro.olap.cache import ResultCache, result_nbytes
 from repro.olap.query import Query
 from repro.olap.supervise import (
@@ -89,8 +100,6 @@ from repro.olap.supervise import (
     QueryTimeout,
     ServiceOverloaded,
     ServicePolicy,
-    ServiceSupervisor,
-    WorkerHandle,
 )
 from repro.storage.table import Relation
 
@@ -102,8 +111,13 @@ __all__ = [
     "ServicePolicy",
 ]
 
-_SHUTDOWN = None  # task-queue sentinel
-_ACK_GRACE_SECONDS = 0.25
+_SHUTDOWN = None  # the task that stops a worker
+#: Dispatched, unanswered tasks per worker.  A hung worker reads no
+#: pipe: the cap keeps every coordinator send far below what a pipe
+#: buffers (a few hundred task messages), so a send never blocks; the
+#: rest wait in the dispatch queue, where a failure can still reassign
+#: them.
+_TASKS_PER_WORKER = 2
 
 
 def _result_crc(dims: np.ndarray, measure: np.ndarray) -> int:
@@ -151,56 +165,42 @@ def _rebuild_exception(type_name: str, message: str) -> Exception:
         return RuntimeError(message)
 
 
-def _drain_acks(ack_q, arena: SegmentArena) -> None:
-    """Recycle every segment the coordinator has released so far."""
-    while True:
-        try:
-            names = ack_q.get_nowait()
-        except (queue_mod.Empty, OSError, EOFError):
-            return
-        if names:
-            arena.recycle(names)
-
-
 def _worker_main(
-    worker_id: int,
+    slot: int,
     generation: int,
+    conn,
     store_path: str,
     index: bool,
-    task_q,
-    result_q,
-    ack_q,
-    heartbeats,
-    heartbeat_interval: float,
     faults: FaultPlan | None,
-    store_gens=None,
-    current_poll_interval: float = 0.25,
+    store_gens,
+    current_poll_interval: float,
 ) -> None:
-    """One serving worker: open the store, answer until the sentinel.
+    """One serving worker (a :class:`~repro.mpi.pool.WorkerPool` slot):
+    open the store, answer tasks until the shutdown sentinel.
 
-    The worker stamps its heartbeat slot every pass through the loop —
-    while idle it beats every poll slice; inside a query it goes silent,
-    which is the straggler signal the supervisor watches for.  Tasks
+    The worker blocks on its pipe until a task arrives or its next
+    ``CURRENT`` re-read is due.  A task is ``(seq, attempt, query,
+    deadline, acks)``: ``acks`` names the result segments the
+    coordinator has decoded since the last task, which go back to the
+    arena pool before the query runs.  Each task gets one reply.  Tasks
     whose deadline already passed are shed without execution (the soft,
     between-tasks half of deadline enforcement).
 
     Every query is answered entirely by the store generation the worker
     had open when it dequeued the task; *between* tasks the worker
-    re-reads ``CURRENT`` (time-gated by ``current_poll_interval``) and
-    reopens the store when a refresh published a new generation,
-    advertising the pinned generation through the shared ``store_gens``
-    slot so the coordinator's GC never deletes a directory a live
-    worker still serves from.  (POSIX keeps unlinked-but-mapped files
-    readable, so even a racing GC cannot break an open generation.)
+    re-reads ``CURRENT`` (every ``current_poll_interval``) and reopens
+    the store when a refresh published a new generation, advertising
+    the pinned generation through the shared ``store_gens`` slot so the
+    coordinator's GC never deletes a directory a live worker still
+    serves from.  (POSIX keeps unlinked-but-mapped files readable, so
+    even a racing GC cannot break an open generation.)
     """
     from repro.olap.store import CubeStore
 
     handle = CubeStore.open(store_path)
     # Workers keep mmap-only access: every view column opens read-only.
     engine = handle.query_engine(index=index)
-    store_gen = handle.generation
-    if store_gens is not None:
-        store_gens[worker_id] = store_gen
+    store_gen = store_gens[slot] = handle.generation
     gen_poll_at = time.monotonic() + current_poll_interval
 
     def _maybe_rotate() -> None:
@@ -217,49 +217,33 @@ def _worker_main(
             fresh_engine = fresh.query_engine(index=index)
         except (OSError, ValueError, KeyError):
             return  # mid-swap or torn state; retry next poll
-        handle, engine, store_gen = fresh, fresh_engine, fresh.generation
-        if store_gens is not None:
-            store_gens[worker_id] = store_gen
+        handle, engine = fresh, fresh_engine
+        store_gen = store_gens[slot] = fresh.generation
 
     arena = SegmentArena()
-    mine = [] if faults is None else faults.for_worker(worker_id, generation)
-    poll_s = max(heartbeat_interval / 2.0, 0.005)
+    mine = [] if faults is None else faults.for_worker(slot, generation)
     executed = 0
     try:
         while True:
-            heartbeats[worker_id] = time.monotonic()
             _maybe_rotate()
-            try:
-                task = task_q.get(timeout=poll_s)
-            except queue_mod.Empty:
-                _drain_acks(ack_q, arena)
+            if not conn.poll(max(gen_poll_at - time.monotonic(), 0.0)):
                 continue
-            _drain_acks(ack_q, arena)
+            task = conn.recv()
             if task is _SHUTDOWN:
                 break
-            seq, attempt, query, deadline = task
-            heartbeats[worker_id] = time.monotonic()
+            seq, attempt, query, deadline, acks = task
+            arena.recycle(acks)
+            blob, crc, err = None, 0, None
             if deadline is not None and time.monotonic() >= deadline:
-                result_q.put(
-                    (
-                        worker_id,
-                        generation,
-                        seq,
-                        attempt,
-                        store_gen,
-                        None,
-                        0,
-                        (
-                            "QueryTimeout",
-                            f"deadline already passed when worker "
-                            f"{worker_id} dequeued the task",
-                        ),
-                    )
+                err = (
+                    "QueryTimeout",
+                    f"deadline already passed when worker {slot} "
+                    "dequeued the task",
                 )
+                conn.send((seq, attempt, store_gen, blob, crc, err))
                 continue
-            query_index = executed
+            fire = firing(mine, executed)
             executed += 1
-            fire = firing(mine, query_index)
             if "hang" in fire:
                 time.sleep(fire["hang"].arg)
             if "kill" in fire:
@@ -270,41 +254,14 @@ def _worker_main(
                 blob = encode((result.dims, result.measure), arena)
                 if "corrupt" in fire:
                     blob = _flip_result_blob(blob)
-                result_q.put(
-                    (
-                        worker_id,
-                        generation,
-                        seq,
-                        attempt,
-                        store_gen,
-                        blob,
-                        crc,
-                        None,
-                    )
-                )
             except Exception as exc:  # noqa: BLE001 - relayed to caller
-                result_q.put(
-                    (
-                        worker_id,
-                        generation,
-                        seq,
-                        attempt,
-                        store_gen,
-                        None,
-                        0,
-                        (type(exc).__name__, str(exc)),
-                    )
-                )
-            heartbeats[worker_id] = time.monotonic()
+                err = (type(exc).__name__, str(exc))
+            conn.send((seq, attempt, store_gen, blob, crc, err))
+    except (EOFError, OSError):
+        pass  # the coordinator is gone
     finally:
-        # Give in-flight acks a moment to land, then drop the arena —
-        # close() unlinks anything never recycled, and the coordinator
-        # collects all pending results before sending the sentinel.
-        deadline = time.monotonic() + _ACK_GRACE_SECONDS
-        while arena._in_flight and time.monotonic() < deadline:
-            _drain_acks(ack_q, arena)
-            time.sleep(0.01)
-        _drain_acks(ack_q, arena)
+        # Unlinks every segment still pooled or in flight: the
+        # coordinator decodes a result (a copy) before it acks it.
         arena.close()
 
 
@@ -315,7 +272,8 @@ class _Flight:
     seq: int
     query: Query
     attempt: int = 0
-    assigned: WorkerHandle | None = None
+    #: The pool slot executing it (None while queued or backing off).
+    assigned: int | None = None
     submitted_at: float = 0.0
     deadline: float | None = None
     #: The ``(store generation, query)`` key its waiters registered
@@ -343,7 +301,7 @@ class QueryService:
         ``False`` pins every worker to the scan path — the A/B lever of
         the serving benchmark.
     policy:
-        The service's failure posture — supervision cadence, deadlines,
+        The service's failure posture — hang deadline, query deadlines,
         retry/backoff bounds, queue depth, poison threshold, restart
         budget (see :class:`~repro.olap.supervise.ServicePolicy`).
     faults:
@@ -365,7 +323,7 @@ class QueryService:
         # Bookkeeping __del__ touches is initialised before anything can
         # raise, so a failed construction tears down silently.
         self._closed = True
-        self._sup: ServiceSupervisor | None = None
+        self.pool: WorkerPool | None = None
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         if faults is not None:
@@ -395,13 +353,12 @@ class QueryService:
             if byte_budget is not None
             else None
         )
-        ctx = mp.get_context("fork")
         # One slot per worker advertising the generation it has pinned
         # (-1 until the worker opens the store); GC consults this so no
         # directory a live worker serves from is ever removed.
-        self._store_gens = ctx.Array("l", self.workers, lock=False)
-        for i in range(self.workers):
-            self._store_gens[i] = -1
+        self._store_gens = mp.get_context("fork").Array(
+            "l", [-1] * self.workers, lock=False
+        )
         self._seq = 0
         self._flights: dict[int, _Flight] = {}
         #: (store generation, query) -> tickets; the generation in the
@@ -425,37 +382,27 @@ class QueryService:
         self.worker_hangs = 0
         self.poisoned = 0
         self.corrupt_results = 0
-
-        def start_worker(slot, generation, task_q, ack_q, result_q, heartbeats):
-            return ctx.Process(
-                target=_worker_main,
-                args=(
-                    slot,
-                    generation,
-                    store_path,
-                    self.index,
-                    task_q,
-                    result_q,
-                    ack_q,
-                    heartbeats,
-                    self.policy.heartbeat_interval,
-                    faults,
-                    self._store_gens,
-                    self.policy.current_poll_interval,
-                ),
-                daemon=True,
-            )
-
-        self._sup = ServiceSupervisor(
-            ctx, self.workers, self.policy, start_worker
+        #: Per slot: dispatched sequence numbers -> attempt (the
+        #: reassignment set when the worker fails), and the decoded
+        #: result segments its next task hands back for reuse.
+        self._outstanding: list[dict[int, int]] = [
+            {} for _ in range(self.workers)
+        ]
+        self._acks: list[list[str]] = [[] for _ in range(self.workers)]
+        # Start the resource tracker before the first fork so every
+        # worker registers its segments with this one; the orphan sweep
+        # after a SIGKILL can then unregister them.
+        share_resource_tracker()
+        self.pool = WorkerPool(
+            self.workers,
+            _worker_main,
+            (store_path, self.index, faults, self._store_gens,
+             self.policy.current_poll_interval),
+            suspect_after=self.policy.suspect_after,
+            max_restarts=self.policy.max_restarts,
+            label="serving slot",
         )
         self._closed = False
-
-    @property
-    def _procs(self) -> list:
-        """Live worker processes (compatibility shim for callers that
-        enumerated the pool before supervision existed)."""
-        return [h.proc for h in self._sup.live()] if self._sup else []
 
     # -- submission --------------------------------------------------------
 
@@ -529,54 +476,48 @@ class QueryService:
     # -- the event loop ----------------------------------------------------
 
     def _pump(self, budget: float) -> None:
-        """One event-loop slice: collect results (blocking up to
-        ``budget``), supervise workers, enforce deadlines, release
+        """One event-loop pass: sleep until a worker message, a death, or
+        the next timer (at most ``budget`` seconds), then absorb results
+        and failures, declare hung workers, enforce deadlines, release
         backed-off retries, and dispatch ready work."""
-        self._drain_results(budget)
+        now = time.monotonic()
+        wake = min(budget, max(self._next_timer() - now, 0.0))
+        for slot, item in self.pool.wait(wake):
+            if isinstance(item, RankDead):
+                self._on_worker_failure(slot, item)
+            else:
+                self._on_result(slot, item)
         now = time.monotonic()
         self._poll_generation(now)
-        self._supervise(now)
+        for slot, exc in self.pool.hung(self._busy(), now):
+            self._on_worker_failure(slot, exc)
         self._enforce_deadlines(now)
         self._release_retries(now)
         self._dispatch()
 
-    def _drain_results(self, budget: float) -> None:
-        """Collect every available worker result; the first wait may
-        block up to ``budget`` seconds.
+    def _busy(self) -> list[int]:
+        return [s for s in self.pool.live() if self._outstanding[s]]
 
-        Each worker writes its own result queue, so a worker SIGKILLed
-        while its feeder thread holds the queue's write lock wedges only
-        that queue, which its retirement discards."""
-        timeout = budget
-        while True:
-            readers = {
-                h.result_q._reader: h.result_q
-                for h in self._sup.slots
-                if h is not None and not h.retired
-            }
-            ready = mp_conn.wait(list(readers), timeout=timeout)
-            if not ready:
-                return
-            timeout = 0.0
-            for reader in ready:
-                try:
-                    msg = readers[reader].get_nowait()
-                except queue_mod.Empty:
-                    continue
-                except (EOFError, OSError):  # pragma: no cover - torn pipe
-                    # A worker SIGKILLed mid-send can tear the stream;
-                    # the lost message is reconciled by the death path.
-                    return
-                self._on_result(msg)
-
-    def _on_result(self, msg) -> None:
-        slot, generation, seq, attempt, store_gen, blob, crc, err = msg
-        handle = self._sup.slots[slot]
-        current = (
-            handle is not None and handle.generation == generation
+    def _next_timer(self) -> float:
+        """The earliest of the ``CURRENT`` poll, a retry release, a
+        query deadline and a busy worker's hang deadline."""
+        timers = [self._gen_poll_at]
+        if self._retry_heap:
+            timers.append(self._retry_heap[0][0])
+        timers.extend(
+            f.deadline
+            for f in self._flights.values()
+            if f.deadline is not None and not f.zombie
         )
-        if current:
-            handle.outstanding.pop(seq, None)
+        timers.extend(
+            self.pool.heard[s] + self.policy.suspect_after
+            for s in self._busy()
+        )
+        return min(timers)
+
+    def _on_result(self, slot: int, msg) -> None:
+        seq, attempt, store_gen, blob, crc, err = msg
+        self._outstanding[slot].pop(seq, None)
         flight = self._flights.get(seq)
         stale = flight is None or flight.attempt != attempt
         if err is not None:
@@ -607,6 +548,8 @@ class QueryService:
                 ),
             )
             return
+        # The segments go back to the worker with its next task.
+        self._acks[slot].extend(blob.segments)
         outcome = None
         try:
             dims, measure = decode(blob)
@@ -621,8 +564,6 @@ class QueryService:
             # Decode blew up (corrupted stream, or segments that died
             # with their worker) or the CRC mismatched: the *transport*
             # failed, not the query — retry it elsewhere.
-            if blob.segments and current and handle.alive():
-                self._ack(handle, blob)
             if stale:
                 return
             self.corrupt_results += 1
@@ -637,8 +578,6 @@ class QueryService:
                 ),
             )
             return
-        if blob.segments and current and handle.alive():
-            self._ack(handle, blob)
         if stale or flight.zombie:
             if flight is not None and flight.zombie:
                 self._flights.pop(seq, None)
@@ -653,13 +592,6 @@ class QueryService:
                 (store_gen, flight.query), outcome, result_nbytes(outcome)
             )
         self._resolve(flight, outcome)
-
-    @staticmethod
-    def _ack(handle: WorkerHandle, blob) -> None:
-        try:
-            handle.ack_q.put(blob.segments)
-        except Exception:  # pragma: no cover - racing a fresh death
-            pass
 
     def _resolve(self, flight: _Flight, outcome) -> None:
         """Fulfil every waiter of a flight and forget it."""
@@ -692,33 +624,21 @@ class QueryService:
         ready = time.monotonic() + self.policy.backoff(flight.attempt)
         heapq.heappush(self._retry_heap, (ready, flight.seq))
 
-    def _supervise(self, now: float) -> None:
-        """Detect dead / hung workers and absorb the failures."""
-        if self._sup is None:
-            return
-        for handle, exc in self._sup.check(now):
-            self._on_worker_failure(handle, exc)
-
-    def _on_worker_failure(
-        self, handle: WorkerHandle, exc: Exception
-    ) -> None:
+    def _on_worker_failure(self, slot: int, exc: Exception) -> None:
         # RankHung classifies transient (the node is alive, merely
         # slow), RankDead permanent — the same taxonomy degraded-mode
-        # recovery uses.  Either way the worker is replaced; the labels
-        # feed the counters and the restart log.
+        # recovery uses.  Either way the worker is replaced (a hung one
+        # is SIGKILLed first); the labels feed the counters and the
+        # restart log.
         kind, _culprit = classify_failure(exc)
         hung = kind != mpi_errors.PERMANENT
         if hung:
             self.worker_hangs += 1
-            # A straggler past its deadline is replaced, not waited on.
-            self._sup.kill(handle)
         else:
             self.worker_deaths += 1
-        # Collect anything the worker managed to flush before dying so
-        # completed queries are not needlessly re-executed.
-        self._drain_results(0.0)
-        self._sup.retire(handle)
-        for seq, attempt in list(handle.outstanding.items()):
+        outstanding, self._outstanding[slot] = self._outstanding[slot], {}
+        self._acks[slot] = []
+        for seq, attempt in outstanding.items():
             flight = self._flights.get(seq)
             if flight is None or flight.attempt != attempt:
                 continue
@@ -743,33 +663,27 @@ class QueryService:
                 )
                 continue
             self._retry_or_fail(flight, exc)
-        handle.outstanding.clear()
-        if handle.pid is not None:
-            # Anything the dead worker never recycled.  Undecoded
-            # results referencing a swept segment fail decode and are
-            # retried — handled above.
-            sweep_orphans([handle.pid])
-        if not self._closed:
-            cause = "hung" if hung else "died"
-            if self._sup.respawn(handle.slot, cause) is None and not (
-                self._sup.live()
-            ):
-                # Pool extinct and the restart budget is spent: fail
-                # everything queued rather than stranding the waiters.
-                for seq in list(self._flights):
-                    flight = self._flights.get(seq)
-                    if flight is not None:
-                        self._fail_flight(
-                            flight,
-                            RankDead(
-                                "no live serving workers left and the "
-                                f"restart budget "
-                                f"({self.policy.max_restarts}) is "
-                                f"exhausted: {exc}"
-                            ),
-                        )
-                self._dispatchq.clear()
-                self._retry_heap.clear()
+        # Dropping the slot sweeps the segments the worker never
+        # recycled.
+        if self._closed:
+            self.pool.drop(slot)
+        elif (
+            not self.pool.respawn(slot, "hung" if hung else "died")
+            and not self.pool.live()
+        ):
+            # Pool extinct and the restart budget is spent: fail
+            # everything queued rather than stranding the waiters.
+            for flight in list(self._flights.values()):
+                self._fail_flight(
+                    flight,
+                    RankDead(
+                        "no live serving workers left and the restart "
+                        f"budget ({self.policy.max_restarts}) is "
+                        f"exhausted: {exc}"
+                    ),
+                )
+            self._dispatchq.clear()
+            self._retry_heap.clear()
 
     def _enforce_deadlines(self, now: float) -> None:
         """Coordinator-side hard deadline: fail the waiters, keep the
@@ -836,15 +750,9 @@ class QueryService:
     def _maybe_gc(self) -> None:
         """Remove superseded generations once every live worker has
         rotated up to (at least) the coordinator's generation."""
-        if (
-            not self.policy.gc_generations
-            or self._store_gen == 0
-            or self._sup is None
-        ):
+        if not self.policy.gc_generations or self._store_gen == 0:
             return
-        pinned = [
-            int(self._store_gens[h.slot]) for h in self._sup.live()
-        ]
+        pinned = [int(self._store_gens[s]) for s in self.pool.live()]
         if not pinned or min(pinned) < self._store_gen:
             # A worker still serves an older generation (or has not
             # advertised yet, slot -1): deleting now would race it.
@@ -866,9 +774,8 @@ class QueryService:
                 self._dispatchq.append(seq)
 
     def _dispatch(self) -> None:
-        """Assign queued flights to the least-loaded live workers."""
-        if self._sup is None:
-            return
+        """Assign queued flights to the least-loaded live workers, at
+        most ``_TASKS_PER_WORKER`` each."""
         while self._dispatchq:
             seq = self._dispatchq[0]
             flight = self._flights.get(seq)
@@ -879,22 +786,26 @@ class QueryService:
             ):
                 self._dispatchq.popleft()
                 continue
-            live = self._sup.live()
-            if not live:
-                # Wait for a respawn; extinction is handled by the
-                # failure path, which clears this queue.
+            free = [
+                s for s in self.pool.live()
+                if len(self._outstanding[s]) < _TASKS_PER_WORKER
+            ]
+            if not free:
+                # Every worker is full (or none is left: extinction is
+                # handled by the failure path, which clears this queue).
                 return
-            handle = min(live, key=lambda h: (len(h.outstanding), h.slot))
+            slot = min(free, key=lambda s: (len(self._outstanding[s]), s))
             self._dispatchq.popleft()
-            flight.assigned = handle
-            handle.outstanding[seq] = flight.attempt
-            try:
-                handle.task_q.put(
-                    (seq, flight.attempt, flight.query, flight.deadline)
-                )
-            except Exception:  # pragma: no cover - racing a fresh death
-                # The supervisor will observe the death and requeue.
-                pass
+            if not self._outstanding[slot]:
+                self.pool.watch(slot)
+            flight.assigned = slot
+            self._outstanding[slot][seq] = flight.attempt
+            acks, self._acks[slot] = self._acks[slot], []
+            # A failed send is a death the next pool wait reports.
+            self.pool.send(
+                slot,
+                (seq, flight.attempt, flight.query, flight.deadline, acks),
+            )
 
     # -- collection --------------------------------------------------------
 
@@ -917,10 +828,9 @@ class QueryService:
                     f"ticket {ticket} unresolved after {timeout:.3f}s "
                     f"({len(self._flights)} queries in flight)"
                 )
-            budget = self.policy.heartbeat_interval
-            if deadline is not None:
-                budget = min(budget, max(deadline - now, 0.001))
-            self._pump(budget)
+            self._pump(
+                math.inf if deadline is None else max(deadline - now, 0.001)
+            )
         outcome = self._results.pop(ticket)
         self.completed_at.pop(ticket, None)
         if isinstance(outcome, Exception):
@@ -953,7 +863,7 @@ class QueryService:
         handling effectiveness)."""
         out = {
             "workers": self.workers,
-            "live_workers": len(self._sup.live()) if self._sup else 0,
+            "live_workers": len(self.pool.live()),
             "index": self.index,
             "submitted": self.submitted,
             "executed": self.executed,
@@ -963,7 +873,7 @@ class QueryService:
             "timeouts": self.timeouts,
             "worker_deaths": self.worker_deaths,
             "worker_hangs": self.worker_hangs,
-            "restarts": self._sup.restarts if self._sup else 0,
+            "restarts": self.pool.restarts,
             "poisoned": self.poisoned,
             "corrupt_results": self.corrupt_results,
             "store_generation": self._store_gen,
@@ -990,46 +900,25 @@ class QueryService:
         deadline = time.monotonic() + timeout
         try:
             while self._flights and time.monotonic() < deadline:
-                self._pump(0.05)
-                if self._flights and not self._sup.live():
+                self._pump(max(deadline - time.monotonic(), 0.0))
+                if self._flights and not self.pool.live():
                     break  # nobody left to finish the work
         except Exception:  # pragma: no cover - teardown is best-effort
             pass
-        for seq in list(self._flights):
-            flight = self._flights.get(seq)
-            if flight is not None:
-                self._fail_flight(
-                    flight,
-                    RuntimeError(
-                        f"QueryService closed with "
-                        f"{flight.query.describe()} unfinished"
-                    ),
-                )
+        for flight in list(self._flights.values()):
+            self._fail_flight(
+                flight,
+                RuntimeError(
+                    f"QueryService closed with "
+                    f"{flight.query.describe()} unfinished"
+                ),
+            )
         self._dispatchq.clear()
         self._retry_heap.clear()
-        live = self._sup.live() if self._sup else []
-        for handle in live:
-            try:
-                handle.task_q.put(_SHUTDOWN)
-            except Exception:  # pragma: no cover - racing a death
-                pass
-        for handle in live:
-            handle.proc.join(max(deadline - time.monotonic(), 0.5))
-            if handle.proc.is_alive():  # pragma: no cover - stuck worker
-                handle.proc.terminate()
-                handle.proc.join(1.0)
-        # Anything any worker generation ever leaked.
-        if self._sup is not None:
-            sweep_orphans(self._sup.all_pids)
-        queues = []
-        for handle in live:
-            queues.extend([handle.task_q, handle.ack_q, handle.result_q])
-        for q in queues:
-            try:
-                q.close()
-                q.cancel_join_thread()
-            except Exception:  # pragma: no cover - already closed
-                pass
+        # A full pipe is impossible here: every worker holds at most
+        # _TASKS_PER_WORKER tasks, so the sentinel always fits.
+        self.pool.broadcast(_SHUTDOWN)
+        self.pool.close(max(deadline - time.monotonic(), 0.5))
 
     def __enter__(self) -> "QueryService":
         return self
@@ -1041,8 +930,8 @@ class QueryService:
         try:
             if getattr(self, "_closed", True):
                 return
-            sup = getattr(self, "_sup", None)
-            if sup is not None and sup.live():
+            pool = getattr(self, "pool", None)
+            if pool is not None and pool.live():
                 self.close(timeout=2.0)
         except Exception:
             pass

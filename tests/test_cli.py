@@ -127,6 +127,14 @@ class TestCommands:
         assert exc.value.code == 2
         assert CubeStore.current_generation(path) == 1
 
+    @pytest.mark.parametrize("command", ["build", "serve-bench"])
+    def test_heartbeat_flag_is_gone(self, command):
+        # Liveness needs no polling interval: a worker's death is seen
+        # through its process sentinel, so neither command takes one.
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--heartbeat", "0.1"])
+        assert exc.value.code == 2
+
     def test_serve_bench_faults(self, cube_dir, capsys):
         assert main(
             ["serve-bench", "--store", cube_dir, "--workers", "1",

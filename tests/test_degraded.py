@@ -10,7 +10,7 @@ boundaries).  Content identity requires an integer-valued measure —
 float SUM is not associative, so regrouped partial sums of arbitrary
 floats may drift in the last ulp.
 
-Also covered here: the Supervisor's failure detection (dead worker vs
+Also covered here: the worker pool's failure detection (dead worker vs
 straggler), transient-exhaustion promotion to degrade, the ``min_ranks``
 floor, checkpoint-chain damage tolerance (torn payloads, manifest tail
 garbage), the barrier-timeout env override, and the post-build audit.
@@ -64,8 +64,6 @@ def relation():
 
 def det_spec(backend, p=3, **kw):
     kw.setdefault("compute_scale", 0.0)
-    if backend == "process":
-        kw.setdefault("heartbeat_interval", 0.05)
     return MachineSpec(p=p, backend=backend, **kw)
 
 
@@ -574,90 +572,64 @@ class TestChainDamage:
 # ---------------------------------------------------------------------------
 
 
-def _exit_quietly(code):
+def _exit_quietly(_slot, _generation, _conn, code):
     os._exit(code)
 
 
-def _sleep_forever():
+def _sleep_forever(_slot, _generation, _conn):
     time.sleep(60)
+
+
+def _chatty(_slot, _generation, conn):
+    time.sleep(0.2)
+    conn.send("hello")
+    time.sleep(5)
 
 
 @requires_fork
 class TestSupervisor:
-    def _pair(self, target, *args):
-        from multiprocessing import Pipe, get_context
+    """Rank supervision: ``WorkerPool.recv``, the SPMD coordinator's
+    entry point, over one forked worker."""
 
-        ctx = get_context("fork")
-        parent, child = Pipe()
-        proc = ctx.Process(target=target, args=args, daemon=True)
-        proc.start()
-        child.close()
-        return proc, parent
+    def _pool(self, target, *args, suspect_after=30.0):
+        from repro.mpi.pool import WorkerPool
+
+        return WorkerPool(
+            1, target, args, suspect_after=suspect_after, label="rank"
+        )
 
     def test_dead_worker_detected_fast(self):
-        from repro.mpi.backends import Supervisor
-
-        proc, conn = self._pair(_exit_quietly, 3)
-        sup = Supervisor(
-            {0: proc}, heartbeat_interval=0.05, suspect_after=30.0
-        )
+        pool = self._pool(_exit_quietly, 3)
         start = time.monotonic()
         with pytest.raises(RankDead, match="exit code 3"):
-            sup.await_message(conn, 0)
-        # Detection is heartbeat-fast, nowhere near suspect_after.
+            pool.recv(0)
+        # Detection is sentinel-fast, nowhere near suspect_after.
         assert time.monotonic() - start < 5.0
-        proc.join()
+        pool.close()
 
     def test_sigkilled_worker_named(self):
         import signal
 
-        from repro.mpi.backends import Supervisor
-
-        proc, conn = self._pair(_sleep_forever)
-        os.kill(proc.pid, signal.SIGKILL)
-        sup = Supervisor(
-            {0: proc}, heartbeat_interval=0.05, suspect_after=30.0
-        )
+        pool = self._pool(_sleep_forever)
+        os.kill(pool.procs[0].pid, signal.SIGKILL)
         with pytest.raises(RankDead, match="SIGKILL"):
-            sup.await_message(conn, 0)
-        proc.join()
+            pool.recv(0)
+        pool.close()
 
     def test_straggler_flagged_as_hung(self):
-        from repro.mpi.backends import Supervisor
-
-        proc, conn = self._pair(_sleep_forever)
-        sup = Supervisor(
-            {0: proc}, heartbeat_interval=0.05, suspect_after=0.3
-        )
+        pool = self._pool(_sleep_forever, suspect_after=0.3)
         start = time.monotonic()
         with pytest.raises(RankHung, match="deadline"):
-            sup.await_message(conn, 0)
+            pool.recv(0)
         assert 0.2 < time.monotonic() - start < 5.0
-        proc.terminate()
-        proc.join()
+        pool.kill(0)
+        pool.close()
 
     def test_live_worker_message_delivered(self):
-        from multiprocessing import Pipe, get_context
-
-        from repro.mpi.backends import Supervisor
-
-        ctx = get_context("fork")
-        parent, child = Pipe()
-
-        def chatty(conn):
-            time.sleep(0.2)
-            conn.send("hello")
-            time.sleep(5)
-
-        proc = ctx.Process(target=chatty, args=(child,), daemon=True)
-        proc.start()
-        child.close()
-        sup = Supervisor(
-            {0: proc}, heartbeat_interval=0.05, suspect_after=10.0
-        )
-        assert sup.await_message(parent, 0) == "hello"
-        proc.terminate()
-        proc.join()
+        pool = self._pool(_chatty, suspect_after=10.0)
+        assert pool.recv(0) == "hello"
+        pool.kill(0)
+        pool.close()
 
 
 # ---------------------------------------------------------------------------

@@ -68,7 +68,7 @@ def store_path(tmp_path_factory):
 
 
 def worker_pid(service) -> int:
-    return service._sup.slots[0].pid
+    return service.pool.procs[0].pid
 
 
 def test_service_worker_and_respawn_start_below_the_freed_heap(store_path):

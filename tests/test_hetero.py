@@ -11,6 +11,7 @@ straggler discarding the duplicate vs the width-(p-1) clone winning).
 from __future__ import annotations
 
 import tempfile
+import time
 from types import SimpleNamespace
 
 import numpy as np
@@ -326,56 +327,52 @@ class TestSlowMetering:
 # ---------------------------------------------------------------------------
 
 
-class _FakeConn:
-    """Never delivers until ``deliver_on_poll`` polls have happened."""
-
-    def __init__(self, deliver_after=None):
-        self.polls = 0
-        self.deliver_after = deliver_after
-
-    def poll(self, timeout=0.0):
-        self.polls += 1
-        return (
-            self.deliver_after is not None
-            and self.polls > self.deliver_after
-        )
-
-    def recv(self):
-        return ("step", "payload")
+def _silent(_slot, _generation, _conn):
+    time.sleep(60)
 
 
-class _AliveProc:
-    @staticmethod
-    def is_alive():
-        return True
+def _send_late(_slot, _generation, conn):
+    time.sleep(0.2)
+    conn.send(("step", "payload"))
+    time.sleep(60)
 
 
+@requires_fork
 class TestSupervisorDeadlineBoundary:
-    def _supervisor(self, ticks):
-        from repro.mpi.backends import Supervisor
+    """``WorkerPool.recv`` over a real pipe, with its deadline read off an
+    injected clock: recv reads it once before each wait."""
+
+    def _pool(self, target, ticks):
+        from repro.mpi.pool import WorkerPool
 
         it = iter(ticks)
-        return Supervisor(
-            {0: _AliveProc()},
-            heartbeat_interval=10.0,
-            suspect_after=60.0,
+        return WorkerPool(
+            1, target, suspect_after=60.0, label="rank",
             now=lambda: next(it),
         )
 
     def test_exactly_at_deadline_declares_hung(self):
-        # now() calls: deadline anchor (0), budget, deadline check (60.0:
-        # exactly at the deadline must already count as hung).
-        sup = self._supervisor([0.0, 50.0, 60.0])
-        with pytest.raises(RankHung) as err:
-            sup.await_message(_FakeConn(), 0)
-        assert err.value.rank == 0
+        # The clock reads 60.0: exactly at the deadline must already
+        # count as hung (the zero-length wait finds nothing buffered).
+        pool = self._pool(_silent, [60.0])
+        try:
+            with pytest.raises(RankHung) as err:
+                pool.recv(0, deadline=60.0)
+            assert err.value.rank == 0
+        finally:
+            pool.kill(0)
+            pool.close()
 
     def test_just_under_deadline_still_delivers(self):
-        # Third now() lands epsilon under the deadline -> one more poll
-        # round runs and the buffered message is delivered, not dropped.
-        sup = self._supervisor([0.0, 50.0, 60.0 - 1e-6, 59.0])
-        msg = sup.await_message(_FakeConn(deliver_after=1), 0)
-        assert msg == ("step", "payload")
+        # The first reading lands epsilon under the deadline -> one more
+        # wait runs (the clock then leaves 10 s) and the message, sent
+        # 0.2 s after the fork, is delivered, not dropped.
+        pool = self._pool(_send_late, [60.0 - 1e-6, 50.0])
+        try:
+            assert pool.recv(0, deadline=60.0) == ("step", "payload")
+        finally:
+            pool.kill(0)
+            pool.close()
 
 
 # ---------------------------------------------------------------------------

@@ -40,6 +40,7 @@ MODULES = [
     "repro.mpi.engine",
     "repro.mpi.errors",
     "repro.mpi.faults",
+    "repro.mpi.pool",
     "repro.mpi.shm",
     "repro.mpi.stats",
     "repro.mpi.trace",

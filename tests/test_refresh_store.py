@@ -236,10 +236,7 @@ class TestRefreshAwareServing:
         first, extra = split(rel, 2400)
         store = save_store(first, tmp_path / "live")
         probe = Query(group_by=(0,))
-        policy = ServicePolicy(
-            heartbeat_interval=0.05,
-            current_poll_interval=0.05,
-        )
+        policy = ServicePolicy(current_poll_interval=0.05)
         with QueryService(
             store, workers=2, policy=policy, byte_budget=8 << 20
         ) as service:
@@ -284,7 +281,6 @@ class TestRefreshAwareServing:
         b, c = split(rest, 400)
         store = save_store(a, tmp_path / "live")
         policy = ServicePolicy(
-            heartbeat_interval=0.05,
             current_poll_interval=0.05,
             gc_generations=True,
         )
@@ -316,10 +312,7 @@ class TestRefreshAwareServing:
         first, extra = split(rel, 1600)
         store = save_store(first, tmp_path / "live")
         batches = [extra.slice(0, 200), extra.slice(200, 400)]
-        policy = ServicePolicy(
-            heartbeat_interval=0.05,
-            current_poll_interval=0.05,
-        )
+        policy = ServicePolicy(current_poll_interval=0.05)
         with QueryService(
             store, workers=2, policy=policy, byte_budget=8 << 20
         ) as service:

@@ -474,12 +474,36 @@ class TestQueryService:
         assert np.array_equal(want.dims, got.dims)
         assert np.array_equal(want.measure, got.measure)
 
+    def test_steady_state_serving_recycles_segments(self, store_path):
+        # A decoded result's segments ride the next task back to the
+        # worker, which reuses them: 40 sequential answers that each go
+        # through shared memory touch no more than a few segment names.
+        if not os.path.isdir("/dev/shm"):
+            pytest.skip("no /dev/shm on this host")
+        seen = set()
+        with QueryService(
+            store_path, workers=1, byte_budget=None
+        ) as service:
+            prefix = f"rp{service.pool.procs[0].pid}x"
+            for i in range(40):
+                query = Query(
+                    group_by=(0, 1),
+                    filters={2: (i % 16, i % 16), 3: (0, 7 - i // 16)},
+                )
+                got = service.answer(query, timeout=60)
+                assert got.dims.nbytes > 1024  # past the shm threshold
+                seen.update(
+                    name for name in os.listdir("/dev/shm")
+                    if name.startswith(prefix)
+                )
+        assert 1 <= len(seen) <= 4, sorted(seen)
+
     def test_no_leaked_segments_after_close(self, store_path):
         shm_dir = "/dev/shm"
         if not os.path.isdir(shm_dir):
             pytest.skip("no /dev/shm on this host")
         service = QueryService(store_path, workers=2)
-        pids = [proc.pid for proc in service._procs]
+        pids = list(service.pool.all_pids)
         service.answer_many(
             [Query(group_by=(d,)) for d in range(4)], timeout=90
         )

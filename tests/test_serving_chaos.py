@@ -10,7 +10,6 @@ overload is shed explicitly, and nothing leaks in ``/dev/shm``.
 """
 
 import importlib.util
-import multiprocessing
 import os
 import pathlib
 import time
@@ -18,7 +17,9 @@ import time
 import numpy as np
 import pytest
 
+from repro.mpi.errors import RankDead
 from repro.mpi.faults import Fault, FaultPlan
+from repro.mpi.pool import WorkerPool
 from repro.olap import (
     CubeStore,
     PoisonQuery,
@@ -30,7 +31,6 @@ from repro.olap import (
     ServicePolicy,
 )
 from repro.olap.servebench import synthetic_serving_cube
-from repro.olap.supervise import ServiceSupervisor
 
 CARDS = (16, 8, 8, 4)
 
@@ -128,20 +128,23 @@ class TestServeFaultGrammar:
 # ---------------------------------------------------------------------------
 
 
+def _sleep_in_slot(_slot, _generation, _conn):
+    time.sleep(60)
+
+
 class TestKillRecovery:
     def test_sigkilled_worker_named(self):
-        ctx = multiprocessing.get_context("fork")
-        sup = ServiceSupervisor(
-            ctx,
-            1,
-            ServicePolicy(),
-            lambda *_: ctx.Process(target=time.sleep, args=(60,), daemon=True),
+        pool = WorkerPool(
+            1, _sleep_in_slot,
+            suspect_after=ServicePolicy().suspect_after,
+            label="serving slot",
         )
-        (handle,) = sup.slots
-        sup.kill(handle)
-        ((dead, exc),) = sup.check(time.monotonic())
-        sup.retire(dead)
-        assert dead is handle
+        pool.kill(0)
+        ((dead, exc),) = pool.wait(10.0)
+        pool.drop(dead)
+        pool.close()
+        assert dead == 0
+        assert isinstance(exc, RankDead)
         assert "(killed by SIGKILL)" in str(exc)
 
     def test_sigkill_mid_query_is_retried_bit_identical(
@@ -177,7 +180,7 @@ class TestKillRecovery:
             faults=FaultPlan.parse("kill@w0q1g0"),
         )
         service.answer_many(WORKLOAD, timeout=60)
-        pids = list(service._sup.all_pids)
+        pids = list(service.pool.all_pids)
         service.close()
         assert len(pids) == 3  # 2 initial + 1 replacement
         assert leaked_segments(pids) == []
@@ -192,9 +195,7 @@ class TestHangRecovery:
             store_path,
             workers=1,
             byte_budget=None,
-            policy=ServicePolicy(
-                heartbeat_interval=0.05, suspect_after=0.5
-            ),
+            policy=ServicePolicy(suspect_after=0.5),
             faults=FaultPlan.parse("hang@w0q1x30g0"),
         )
         try:
@@ -211,6 +212,43 @@ class TestHangRecovery:
         assert stats["restarts"] == 1
         assert elapsed < 25.0  # did not sit out the 30s sleep
 
+    def test_hung_worker_cannot_freeze_the_coordinator(self, store_path):
+        # 400 distinct queries are more task messages than one pipe
+        # buffers, and the only worker sleeps 30 s on its first.  Each
+        # worker holds at most two tasks, so no submit blocks in a send
+        # to it: the hang is declared on schedule and the replacement
+        # answers everything.
+        queries = [
+            Query(group_by=(g,), filters={0: (lo, hi)})
+            for g in (1, 2, 3)
+            for lo in range(16)
+            for hi in range(lo, 16)
+        ][:400]
+        handle = CubeStore.open(store_path)
+        engine = QueryEngine(
+            handle.cube, sorted_views=handle.sorted_views, index=True
+        )
+        service = QueryService(
+            store_path,
+            workers=1,
+            byte_budget=None,
+            policy=ServicePolicy(suspect_after=1.0),
+            faults=FaultPlan.parse("hang@w0q0x30g0"),
+        )
+        try:
+            t0 = time.monotonic()
+            tickets = [service.submit(q) for q in queries]
+            results = [service.wait(t, timeout=60) for t in tickets]
+            stats = service.stats()
+            (entry,) = service.pool.restart_log
+        finally:
+            service.close()
+        assert entry["cause"] == "hung"
+        assert entry["detected_at"] - t0 < 3.0
+        assert stats["worker_hangs"] == 1 and stats["worker_deaths"] == 0
+        for query, got in zip(queries, results):
+            assert_identical(got, engine.answer(query), query)
+
     def test_deadline_fires_while_worker_hangs(self, store_path, inline):
         # coordinator-side hard deadline: the waiter gets QueryTimeout
         # long before hang detection (suspect_after) kicks in, and the
@@ -219,11 +257,7 @@ class TestHangRecovery:
             store_path,
             workers=1,
             byte_budget=None,
-            policy=ServicePolicy(
-                heartbeat_interval=0.05,
-                suspect_after=1.0,
-                deadline_s=0.3,
-            ),
+            policy=ServicePolicy(suspect_after=1.0, deadline_s=0.3),
             faults=FaultPlan.parse("hang@w0q0x30g0"),
         )
         try:
@@ -363,9 +397,7 @@ class TestWaitTimeoutIsTotal:
             store_path,
             workers=2,
             byte_budget=None,
-            policy=ServicePolicy(
-                heartbeat_interval=0.05, suspect_after=30.0
-            ),
+            policy=ServicePolicy(suspect_after=30.0),
             faults=FaultPlan.parse("hang@w0q0x2.0g0"),
         )
         try:
