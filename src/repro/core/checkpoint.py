@@ -40,8 +40,9 @@ permanently, its checkpoint *directory* survives (the shared-nothing
 model's disk outlives the process — disk-attached recovery), so the
 survivors re-partition the dead rank's saved rows among themselves and
 continue at reduced width.  Each degrade event starts a fresh *epoch*
-directory; the resharded chains are re-saved there, keeping every epoch's
-chains self-sufficient so multiple failures compose.
+directory; :func:`resume_point` re-saves the resharded chains there,
+keeping every epoch's chains self-sufficient so multiple failures
+compose.
 """
 
 from __future__ import annotations
@@ -51,14 +52,19 @@ import os
 import pickle
 import zlib
 from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
 import numpy as np
 
 from repro.core.viewdata import ViewData
+from repro.core.views import View
 from repro.mpi.errors import CheckpointError
+from repro.storage.scan import merge_runs
 
-__all__ = ["RankCheckpoint", "ReshardPlan", "share_bounds"]
+if TYPE_CHECKING:
+    from repro.mpi.comm import Comm
+
+__all__ = ["RankCheckpoint", "ReshardPlan", "resume_point", "share_bounds"]
 
 _MANIFEST = "manifest.json"
 _VERSION = 4  # 3 could carry a Di-root copy as one more piece
@@ -361,3 +367,120 @@ def share_bounds(
     lo = 0 if index == 0 else int(cuts[index - 1])
     hi = int(cuts[index])
     return lo, hi
+
+
+def resume_point(
+    comm: Comm, root: str | None, reshard: ReshardPlan | None
+) -> tuple[RankCheckpoint | None, int, dict[int, dict]]:
+    """One rank's checkpoint chain under ``root``, the resume ordinal and
+    the payloads a reshard wrote (``None, -1, {}`` without checkpoints).
+
+    All ranks agree on the last iteration *everyone* completed (min
+    across ranks): iterations up to it replay from local disk with zero
+    collectives, so the superstep schedule stays aligned.  A degraded
+    continuation first folds the dead ranks' chains into this
+    (new-numbering) rank's."""
+    if root is None:
+        return None, -1, {}
+    ckpt = RankCheckpoint(root, comm.rank)
+    comm.set_phase("recovery")
+    if reshard is not None:
+        return (ckpt, *_reshard_resume(comm, ckpt, reshard))
+    return ckpt, int(comm.allreduce(ckpt.last_complete(), "min")), {}
+
+
+def _reshard_resume(
+    comm: Comm, ckpt: RankCheckpoint, plan: ReshardPlan
+) -> tuple[int, dict[int, dict]]:
+    """Materialise this rank's resharded checkpoint prefix; return the
+    global resume ordinal and the payloads resharded here, by ordinal.
+
+    Every new rank adopts one survivor chain from the failed epoch and a
+    contiguous share of each dead rank's chain (the dead node's *disk*
+    survived — disk-attached recovery).  The combined payloads are
+    re-saved into this epoch's chain, so the next failure (of either
+    kind) reshards from *this* epoch without touching the old one, and
+    handed to the replay loop, which then need not read them back.
+    Idempotent: ordinals already present in the target chain are kept,
+    and re-running the prologue reproduces identical payloads (pure
+    slicing + deterministic merge).
+    """
+    own_src = RankCheckpoint(plan.source_root, plan.survivors[comm.rank])
+    dead_chains = [RankCheckpoint(plan.source_root, r) for r in plan.dead]
+    source_last = min(c.last_complete() for c in (own_src, *dead_chains))
+    own_last = ckpt.last_complete()
+    resume = int(comm.allreduce(max(own_last, source_last), "min"))
+    resharded = {}
+    for ordinal in range(own_last + 1, resume + 1):
+        resharded[ordinal] = _reshard_iteration(
+            comm, ckpt, own_src, dead_chains, plan, ordinal
+        )
+    return resume, resharded
+
+
+def _reshard_iteration(
+    comm: Comm,
+    ckpt: RankCheckpoint,
+    own_src: RankCheckpoint,
+    dead_chains: list[RankCheckpoint],
+    plan: ReshardPlan,
+    ordinal: int,
+) -> dict:
+    """Re-save one iteration: survivor payload + dead-rank shares.
+
+    All reads and the re-save are charged to this rank's disk meter —
+    recovering a dead node's state is real I/O, and the simulation pays
+    for it.  Reading a dead chain is charged in full (its disk was
+    re-attached to this rank for the read), matching the shared-nothing
+    model's recovery story.
+    """
+    payload, rows = own_src.load(ordinal)
+    comm.disk.charge_scan(rows)
+    comm.disk.work.charge_scan(rows)
+    views = dict(payload["views"])
+    extra: dict[View, list[ViewData]] = {}
+    for chain in dead_chains:
+        dead_payload, dead_rows = chain.load(ordinal)
+        comm.disk.charge_scan(dead_rows)
+        comm.disk.work.charge_scan(dead_rows)
+        for v, data in dead_payload["views"].items():
+            piece = _share_slice(
+                data, comm.rank, plan.new_width, plan.weights
+            )
+            if piece.nrows:
+                extra.setdefault(v, []).append(piece)
+    merged = {
+        v: _merge_sorted_pieces([data, *extra.get(v, [])])
+        for v, data in views.items()
+    }
+    entry = own_src.entry(ordinal)
+    dim = int(entry.get("dim", 0)) if entry else 0
+    payload = {**payload, "views": merged}
+    comm.disk.charge_store(
+        ckpt.save(ordinal, dim, payload, meters={"phase": f"reshard[{dim}]"})
+    )
+    return payload
+
+
+def _share_slice(
+    data: ViewData,
+    index: int,
+    parts: int,
+    weights: Sequence[float] | None = None,
+) -> ViewData:
+    """Contiguous share ``index`` of ``parts`` of one sorted piece
+    (speed-weighted when the reshard plan carries survivor weights)."""
+    lo, hi = share_bounds(data.nrows, parts, index, weights)
+    return ViewData(data.order, data.keys[lo:hi], data.measure[lo:hi])
+
+
+def _merge_sorted_pieces(pieces: list[ViewData]) -> ViewData:
+    """Merge sorted, key-disjoint pieces of one view into one sorted piece.
+
+    Pieces of a view held by different ranks after the Procedure-3 merge
+    never share a group key (each group lives on exactly one rank), so
+    the merge is a pure reorder — no aggregation — and is exact for every
+    aggregate function.
+    """
+    keys, measure = merge_runs([(p.keys, p.measure) for p in pieces])
+    return ViewData(pieces[0].order, keys, measure)

@@ -29,16 +29,23 @@ from __future__ import annotations
 
 from typing import Mapping, Sequence
 
+from repro.core.estimate import estimate_view_sizes
 from repro.core.lattice import Lattice
+from repro.core.partitions import partition_views
 from repro.core.pipesort import (
     ScheduleTree,
     build_schedule_tree,
     scan_cost,
     sort_cost,
 )
+from repro.core.viewdata import ViewData, codec_for_order
 from repro.core.views import View, canonical_view, view_name
 
-__all__ = ["build_partial_schedule_tree", "prune_full_tree"]
+__all__ = [
+    "build_partial_schedule_tree",
+    "partition_schedule_tree",
+    "prune_full_tree",
+]
 
 #: Safety bound on intermediate-insertion sweeps.
 _MAX_IMPROVEMENT_PASSES = 8
@@ -206,3 +213,55 @@ def prune_full_tree(
             pruned.add(node.view, node.parent, node.mode)
     pruned.assign_orders()
     return pruned
+
+
+def partition_schedule_tree(
+    root_data: ViewData,
+    cards: Sequence[int],
+    pviews: Sequence[View],
+    selected: set[View] | None,
+    p: int,
+    method: str,
+) -> ScheduleTree:
+    """Step 2a of the parallel build: one ``Di``-partition's schedule tree
+    from view-size estimates on one rank's root piece, extrapolated x
+    ``p``.  A full cube gets the Pipesort tree.  For a partial cube the
+    scheduler of [4] produces either a subtree of the full-cube Pipesort
+    tree or a tree built directly from the lattice: build both, keep the
+    cheaper under the same cost model."""
+    root = root_data.order
+    if selected is None:
+        estimates = _piece_estimates(root_data, cards, pviews, p, method)
+        return build_schedule_tree(pviews, root, estimates, root)
+    full_views = partition_views(root[0], root[-1] + 1)
+    estimates = _piece_estimates(root_data, cards, full_views, p, method)
+    wanted = [v for v in pviews if v != root]
+    direct = build_partial_schedule_tree(wanted, root, estimates, root)
+    full_tree = build_schedule_tree(full_views, root, estimates, root)
+    pruned = prune_full_tree(full_tree, wanted)
+    return min((direct, pruned), key=lambda t: t.estimated_cost(estimates))
+
+
+def _piece_estimates(
+    root_data: ViewData,
+    cards: Sequence[int],
+    pviews: Sequence[View],
+    p: int,
+    method: str,
+) -> dict[View, float]:
+    """View-size estimates from one rank's root piece, extrapolated x p."""
+    root_order = root_data.order
+    dims = codec_for_order(root_order, cards).unpack(root_data.keys)
+    offset = root_order[0] if root_order else 0
+    local_cards = [cards[i] for i in root_order]
+    translated = [tuple(i - offset for i in v) for v in pviews]
+    local = estimate_view_sizes(
+        dims,
+        local_cards,
+        translated,
+        total_rows=root_data.nrows * p,
+        method=method,
+    )
+    return {
+        tuple(i + offset for i in tv): size for tv, size in local.items()
+    }

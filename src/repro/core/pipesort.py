@@ -62,6 +62,7 @@ __all__ = [
     "scan_cost",
     "sort_cost",
     "stays_resident",
+    "to_canonical_order",
 ]
 
 
@@ -626,3 +627,35 @@ def _produce_sort(
         seg_divisor=seg_divisor,
     )
     return aggregate_sorted_keys(keys, measure, agg)
+
+
+def to_canonical_order(
+    data: ViewData, cardinalities: Sequence[int], disk: LocalDisk,
+    memory_budget: int,
+) -> ViewData:
+    """Re-sort one view piece into its canonical attribute order (the
+    local-schedule-tree strategy's merge precondition, Figure 7).
+
+    Keys stay unique (the piece was already aggregated), so no collapse is
+    needed — only a packed-key remap plus the external sort, whose disk
+    and CPU cost is precisely the local-tree penalty.  The remap reports
+    the shared-prefix length, and the sort is charged per prefix segment
+    on that clustering promise; a remap that comes out already sorted is
+    one run per segment and pays no sort term.
+    """
+    canon = data.view
+    if tuple(data.order) == canon:
+        return data
+    codec = codec_for_order(data.order, cardinalities)
+    canon_codec = codec_for_order(canon, cardinalities)
+    keys, shared = codec.remap(data.keys, tuple(data.order), canon)
+    seg_divisor = None
+    if 0 < shared < len(canon):
+        seg_divisor = int(canon_codec.weights[shared - 1])
+    disk.charge_scan(data.nrows)  # read the stored view back
+    disk.work.charge_scan(data.nrows)
+    keys, measure = external_sort(
+        keys, data.measure, disk, memory_budget, seg_divisor=seg_divisor
+    )
+    disk.charge_store(data.nrows)  # re-write in the common order
+    return ViewData(canon, keys, measure)

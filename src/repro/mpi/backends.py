@@ -58,7 +58,6 @@ broken barrier.
 from __future__ import annotations
 
 import multiprocessing
-import pickle
 import threading
 import time
 import traceback
@@ -68,7 +67,13 @@ import numpy as np
 
 from repro.mpi import shm
 from repro.mpi.comm import Comm, ThreadTransport
-from repro.mpi.errors import CollectiveMisuse, MPIError, RankFailure
+from repro.mpi.errors import (
+    CollectiveMisuse,
+    MPIError,
+    RankFailure,
+    rebuild,
+    ship,
+)
 from repro.mpi.pool import WorkerPool
 
 __all__ = [
@@ -373,32 +378,16 @@ class _ProcessTransport:
         return result
 
 
-def _ship_exception(rank: int, exc: BaseException, disk=None):
-    """Best-effort picklable form of a worker failure.
-
-    Carries the rank's disk/work counters so the parent can account the
-    failed attempt's local I/O (recovery folds it into run metrics)."""
-    tb = traceback.format_exc()
-    try:
-        pickle.dumps(exc)
-    except Exception:
-        exc = MPIError(
-            f"rank {rank} failed with unpicklable "
-            f"{type(exc).__name__}: {exc}"
-        )
-    disk_snap = work_snap = None
-    if disk is not None:
-        try:
-            disk_snap = disk.stats.snapshot()
-            work_snap = {
-                "seconds": disk.work.seconds,
-                "rows_sorted": disk.work.rows_sorted,
-                "rows_scanned": disk.work.rows_scanned,
-                "spill_counter": disk._counter,
-            }
-        except Exception:  # pragma: no cover - defensive
-            pass
-    return (exc, tb, disk_snap, work_snap)
+def _local_state(disk) -> tuple[dict, dict]:
+    """A rank's absolute disk and work counters, as the parent adopts
+    them (:meth:`ProcessBackend._apply_local_state`)."""
+    work = disk.work
+    return disk.stats.snapshot(), {
+        "seconds": work.seconds,
+        "rows_sorted": work.rows_sorted,
+        "rows_scanned": work.rows_scanned,
+        "spill_counter": disk._counter,
+    }
 
 
 def _worker_main(
@@ -429,25 +418,14 @@ def _worker_main(
         final = cluster.tail_segment(rank)
         blob = plane.encode(result)
         conn.send(
-            (
-                "done",
-                final,
-                clock._phase[rank],
-                blob,
-                disk.stats.snapshot(),
-                {
-                    "seconds": disk.work.seconds,
-                    "rows_sorted": disk.work.rows_sorted,
-                    "rows_scanned": disk.work.rows_scanned,
-                    "spill_counter": disk._counter,
-                },
-                plane.stats(),
-            )
+            ("done", final, clock._phase[rank], blob, *_local_state(disk),
+             plane.stats())
         )
         conn.recv()  # release (or abort) — parent mapped the result
     except BaseException as exc:  # noqa: BLE001 - ship, don't hang peers
         try:
-            conn.send(("error", _ship_exception(rank, exc, disk)))
+            shipped = ship(exc, f"rank {rank}", _local_state(disk))
+            conn.send(("error", shipped))
             # Peers may still be reading this rank's segments; wait for
             # the parent's abort before tearing the data plane down so a
             # mid-read attach never finds the name already gone.
@@ -591,13 +569,10 @@ class _Coordinator:
     def _absorb_error(self, rank: int, msg) -> BaseException:
         """Unpack a worker error, adopting its shipped disk/work counters
         so a failed attempt's local I/O stays visible to recovery."""
-        exc, _tb, disk_snap, work_snap = msg[1]
-        if disk_snap is not None and work_snap is not None:
-            try:
-                self._apply_local_state(rank, disk_snap, work_snap)
-            except Exception:  # pragma: no cover - defensive
-                pass
-        return exc
+        shipped = msg[1]
+        if shipped.counters is not None:
+            self._apply_local_state(rank, *shipped.counters)
+        return rebuild(shipped)
 
     def _superstep(self, msgs: dict[int, tuple]) -> None:
         """Meter + commit exactly like the thread backend's barrier

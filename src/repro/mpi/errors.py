@@ -17,7 +17,9 @@ never blacklist a bystander.
 
 from __future__ import annotations
 
+import pickle
 import signal
+from dataclasses import dataclass
 
 __all__ = [
     "MPIError",
@@ -29,8 +31,11 @@ __all__ = [
     "RankDead",
     "RankHung",
     "CheckpointError",
+    "Shipped",
     "classify_failure",
     "exit_cause",
+    "rebuild",
+    "ship",
 ]
 
 
@@ -175,3 +180,46 @@ def exit_cause(proc) -> str:
         return f"killed by {signal.Signals(-code).name}"
     except ValueError:  # pragma: no cover - exotic signal
         return f"killed by signal {-code}"
+
+
+# ---------------------------------------------------------------------------
+# failures crossing a worker pipe
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Shipped:
+    """A worker's failure as it crosses its pool pipe, from a build rank
+    and a serving worker alike: the exception, and for a rank its disk
+    and work counters at the failure, so that the coordinator banks the
+    failed attempt's local I/O."""
+
+    exc: BaseException
+    counters: tuple[dict, dict] | None = None
+
+
+def ship(exc: BaseException, who: str, counters=None) -> Shipped:
+    """The one way a worker sends its failure: the exception itself when
+    it survives a pickle round trip (a culprit ``rank`` included), else an
+    :class:`MPIError` naming it."""
+    try:
+        pickle.loads(pickle.dumps(exc))
+    except Exception:
+        exc = MPIError(
+            f"{who} failed with unpicklable {type(exc).__name__}: {exc}"
+        )
+    return Shipped(exc, counters)
+
+
+def rebuild(shipped: Shipped, context: str = "") -> BaseException:
+    """The one way a coordinator raises a shipped failure: the exception
+    itself, or with ``context`` one of its type whose message leads with
+    it, so that a caller can tell a ``KeyError`` in its query from an
+    engine bug (``RuntimeError`` if the type takes no single message)."""
+    exc = shipped.exc
+    if not context:
+        return exc
+    try:
+        return type(exc)(f"{context}{exc}")
+    except Exception:  # pragma: no cover - constructor-picky type
+        return RuntimeError(f"{context}{exc}")

@@ -68,7 +68,6 @@ is the synchronous round trip.
 
 from __future__ import annotations
 
-import builtins
 import heapq
 import math
 import multiprocessing as mp
@@ -83,7 +82,13 @@ from typing import Sequence
 import numpy as np
 
 from repro.mpi import errors as mpi_errors
-from repro.mpi.errors import CorruptPayload, RankDead, classify_failure
+from repro.mpi.errors import (
+    CorruptPayload,
+    RankDead,
+    classify_failure,
+    rebuild,
+    ship,
+)
 from repro.mpi.faults import FaultPlan, firing
 from repro.mpi.pool import WorkerPool
 from repro.mpi.shm import (
@@ -145,24 +150,6 @@ def _flip_result_blob(blob):
     if data:
         data[len(data) // 2] ^= 0xFF
     return replace(blob, data=bytes(data))
-
-
-def _rebuild_exception(type_name: str, message: str) -> Exception:
-    """Re-raise a worker-side failure as its original exception type.
-
-    Workers relay ``(type name, str(exc))``; the coordinator rebuilds
-    the matching class from builtins or the MPI error taxonomy so a
-    caller can distinguish a ``KeyError`` in its query from an engine
-    bug, falling back to ``RuntimeError`` for exotic types."""
-    cls = getattr(builtins, type_name, None)
-    if cls is None:
-        cls = getattr(mpi_errors, type_name, None)
-    if not (isinstance(cls, type) and issubclass(cls, Exception)):
-        cls = RuntimeError
-    try:
-        return cls(message)
-    except Exception:  # pragma: no cover - constructor-picky type
-        return RuntimeError(message)
 
 
 def _worker_main(
@@ -235,10 +222,12 @@ def _worker_main(
             arena.recycle(acks)
             blob, crc, err = None, 0, None
             if deadline is not None and time.monotonic() >= deadline:
-                err = (
-                    "QueryTimeout",
-                    f"deadline already passed when worker {slot} "
-                    "dequeued the task",
+                err = ship(
+                    QueryTimeout(
+                        f"deadline already passed when worker {slot} "
+                        "dequeued the task"
+                    ),
+                    f"worker {slot}",
                 )
                 conn.send((seq, attempt, store_gen, blob, crc, err))
                 continue
@@ -255,7 +244,7 @@ def _worker_main(
                 if "corrupt" in fire:
                     blob = _flip_result_blob(blob)
             except Exception as exc:  # noqa: BLE001 - relayed to caller
-                err = (type(exc).__name__, str(exc))
+                err = ship(exc, f"worker {slot}")
             conn.send((seq, attempt, store_gen, blob, crc, err))
     except (EOFError, OSError):
         pass  # the coordinator is gone
@@ -526,13 +515,13 @@ class QueryService:
             if flight.zombie:
                 self._flights.pop(seq, None)
                 return
-            if err[0] == "QueryTimeout":
+            if isinstance(err.exc, QueryTimeout):
                 # Worker-side shed: the deadline passed in queue.
                 self._fail_flight(
                     flight,
                     QueryTimeout(
                         f"{flight.query.describe()} shed by worker "
-                        f"{slot}: {err[1]}"
+                        f"{slot}: {err.exc}"
                     ),
                 )
                 self.timeouts += 1
@@ -541,10 +530,8 @@ class QueryService:
             # re-raise the original type to all waiters, no retry.
             self._fail_flight(
                 flight,
-                _rebuild_exception(
-                    err[0],
-                    f"worker {slot} failed on "
-                    f"{flight.query.describe()}: {err[1]}",
+                rebuild(
+                    err, f"worker {slot} failed on {flight.query.describe()}: "
                 ),
             )
             return
