@@ -335,9 +335,9 @@ def share_bounds(
     weights: Sequence[float] | None = None,
 ) -> tuple[int, int]:
     """Contiguous ``[lo, hi)`` bounds of share ``index`` of ``nrows`` rows
-    split into ``parts`` near-equal pieces — the same arithmetic as
-    :func:`repro.core.cube.split_even`, without materialising slices.
-    Used to deal a dead rank's sorted rows out to the survivors while
+    split into ``parts`` near-equal pieces — how
+    :func:`repro.core.cube.split_even` deals the input to the ranks, and
+    how a dead rank's sorted rows are dealt out to the survivors while
     preserving sortedness and key disjointness.
 
     With ``weights`` (positive per-part speed weights) the cut points

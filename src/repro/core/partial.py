@@ -216,12 +216,8 @@ def prune_full_tree(
 
 
 def partition_schedule_tree(
-    root_data: ViewData,
-    cards: Sequence[int],
-    pviews: Sequence[View],
-    selected: set[View] | None,
-    p: int,
-    method: str,
+    root_data: ViewData, cards: Sequence[int], pviews: Sequence[View],
+    selected: set[View] | None, p: int, method: str,
 ) -> ScheduleTree:
     """Step 2a of the parallel build: one ``Di``-partition's schedule tree
     from view-size estimates on one rank's root piece, extrapolated x
@@ -243,11 +239,8 @@ def partition_schedule_tree(
 
 
 def _piece_estimates(
-    root_data: ViewData,
-    cards: Sequence[int],
-    pviews: Sequence[View],
-    p: int,
-    method: str,
+    root_data: ViewData, cards: Sequence[int], pviews: Sequence[View],
+    p: int, method: str,
 ) -> dict[View, float]:
     """View-size estimates from one rank's root piece, extrapolated x p."""
     root_order = root_data.order
@@ -256,10 +249,7 @@ def _piece_estimates(
     local_cards = [cards[i] for i in root_order]
     translated = [tuple(i - offset for i in v) for v in pviews]
     local = estimate_view_sizes(
-        dims,
-        local_cards,
-        translated,
-        total_rows=root_data.nrows * p,
+        dims, local_cards, translated, total_rows=root_data.nrows * p,
         method=method,
     )
     return {

@@ -1,8 +1,5 @@
-"""The constructed data cube: per-rank view pieces plus run metering.
-
-:func:`repro.core.cube.build_data_cube` returns one; the OLAP layer, the
-store and the audits consume it.
-"""
+"""The constructed data cube: per-rank view pieces plus run metering,
+as :func:`repro.core.cube.build_data_cube` returns it."""
 
 from __future__ import annotations
 

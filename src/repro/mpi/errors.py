@@ -182,17 +182,11 @@ def exit_cause(proc) -> str:
         return f"killed by signal {-code}"
 
 
-# ---------------------------------------------------------------------------
-# failures crossing a worker pipe
-# ---------------------------------------------------------------------------
-
-
 @dataclass(frozen=True)
 class Shipped:
     """A worker's failure as it crosses its pool pipe, from a build rank
-    and a serving worker alike: the exception, and for a rank its disk
-    and work counters at the failure, so that the coordinator banks the
-    failed attempt's local I/O."""
+    and a serving worker alike: the exception and, for a rank, its disk
+    and work counters, so the coordinator banks the failed run's I/O."""
 
     exc: BaseException
     counters: tuple[dict, dict] | None = None
@@ -213,9 +207,8 @@ def ship(exc: BaseException, who: str, counters=None) -> Shipped:
 
 def rebuild(shipped: Shipped, context: str = "") -> BaseException:
     """The one way a coordinator raises a shipped failure: the exception
-    itself, or with ``context`` one of its type whose message leads with
-    it, so that a caller can tell a ``KeyError`` in its query from an
-    engine bug (``RuntimeError`` if the type takes no single message)."""
+    itself or, with ``context``, one of its type whose message leads with
+    it (``RuntimeError`` if the type takes no single message)."""
     exc = shipped.exc
     if not context:
         return exc

@@ -222,13 +222,11 @@ def _worker_main(
             arena.recycle(acks)
             blob, crc, err = None, 0, None
             if deadline is not None and time.monotonic() >= deadline:
-                err = ship(
-                    QueryTimeout(
-                        f"deadline already passed when worker {slot} "
-                        "dequeued the task"
-                    ),
-                    f"worker {slot}",
+                late = QueryTimeout(
+                    f"deadline already passed when worker {slot} "
+                    "dequeued the task"
                 )
+                err = ship(late, f"worker {slot}")
                 conn.send((seq, attempt, store_gen, blob, crc, err))
                 continue
             fire = firing(mine, executed)
@@ -515,25 +513,16 @@ class QueryService:
             if flight.zombie:
                 self._flights.pop(seq, None)
                 return
+            # A worker-side shed (the deadline passed in queue), or a
+            # query error from a healthy worker, which is deterministic:
+            # its original type goes to all waiters, no retry.
+            query = flight.query.describe()
             if isinstance(err.exc, QueryTimeout):
-                # Worker-side shed: the deadline passed in queue.
-                self._fail_flight(
-                    flight,
-                    QueryTimeout(
-                        f"{flight.query.describe()} shed by worker "
-                        f"{slot}: {err.exc}"
-                    ),
-                )
                 self.timeouts += 1
-                return
-            # A query error from a healthy worker is deterministic —
-            # re-raise the original type to all waiters, no retry.
-            self._fail_flight(
-                flight,
-                rebuild(
-                    err, f"worker {slot} failed on {flight.query.describe()}: "
-                ),
-            )
+                context = f"{query} shed by worker {slot}: "
+            else:
+                context = f"worker {slot} failed on {query}: "
+            self._fail_flight(flight, rebuild(err, context))
             return
         # The segments go back to the worker with its next task.
         self._acks[slot].extend(blob.segments)

@@ -34,7 +34,6 @@ from repro.core.cube import build_data_cube
 from repro.mpi.comm import BARRIER_TIMEOUT_SEC, resolve_barrier_timeout
 from repro.mpi.errors import (
     InjectedFault,
-    MPIError,
     RankDead,
     RankHung,
     classify_failure,
@@ -144,26 +143,6 @@ class TestClassifyFailure:
 
 
 class TestDegradeFresh:
-    def test_thread_crash_degrades_to_p_minus_1(self, relation):
-        clean = build(relation, "thread", p=2)
-        res = build(
-            relation,
-            "thread",
-            p=3,
-            faults=FaultPlan.parse("crash@r1s6"),
-            recovery=RecoveryPolicy(mode="degrade", max_retries=0),
-            audit=True,
-        )
-        assert res.metrics.final_width == 2
-        assert res.metrics.ranks_lost == [1]
-        assert res.metrics.attempts == 2
-        assert res.metrics.transient_retries == 0
-        assert res.metrics.audit["ok"]
-        # Without checkpoints the degraded build restarts from scratch at
-        # width 2 — identical inputs to a clean p=2 build, so even the
-        # per-rank layout matches.
-        assert content_fingerprint(res) == content_fingerprint(clean)
-
     def test_restart_mode_still_raises_on_permanent_loss(self, relation):
         with pytest.raises(InjectedFault):
             build(
@@ -175,35 +154,6 @@ class TestDegradeFresh:
                 ),
                 recovery=RecoveryPolicy(mode="restart", max_retries=2),
             )
-
-    def test_min_ranks_floor(self, relation):
-        with pytest.raises(MPIError, match="min_ranks"):
-            build(
-                relation,
-                "thread",
-                p=3,
-                faults=FaultPlan.parse("crash@r1s6a0;crash@r1s6a1"),
-                recovery=RecoveryPolicy(
-                    mode="degrade", max_retries=0, min_ranks=3
-                ),
-            )
-
-    def test_transient_exhaustion_promotes_to_degrade(self, relation):
-        # Rank 1's payloads corrupt on attempts 0 and 1; max_retries=1
-        # allows one same-width retry, then the repeat offender is
-        # blacklisted.  The promoting failure itself is not counted as a
-        # consumed retry.
-        res = build(
-            relation,
-            "thread",
-            p=3,
-            faults=FaultPlan.parse("corrupt@r1s6a0;corrupt@r1s6a1"),
-            recovery=RecoveryPolicy(mode="degrade", max_retries=1),
-        )
-        assert res.metrics.final_width == 2
-        assert res.metrics.ranks_lost == [1]
-        assert res.metrics.transient_retries == 1
-        assert res.metrics.attempts == 3
 
     def test_operator_interrupt_is_never_banked(self, relation, monkeypatch):
         """KeyboardInterrupt must re-raise before any recovery machinery

@@ -479,20 +479,6 @@ class TestSpeculativeRace:
         assert m.audit["ok"]
         assert content_fingerprint(cube) == content_fingerprint(clean)
 
-    def test_no_checkpoints_means_no_race(self, relation):
-        # Without a checkpoint root there is nothing to clone: the hang
-        # falls back to a plain transient retry.
-        cube = build(
-            relation, "thread", hetero=True,
-            faults=FaultPlan.parse("hang@r1s20a0"),
-            recovery=RecoveryPolicy(speculate=True), audit=True,
-        )
-        m = cube.metrics
-        assert m.speculations == 0
-        assert m.attempts == 2
-        assert m.final_width == 3
-        assert m.audit["ok"]
-
     @requires_fork
     def test_race_on_process_backend(self, relation):
         clean = build(relation, "thread", audit=True)

@@ -5,7 +5,8 @@ slice, so it is reported at once whatever ``suspect_after`` is: for an
 SPMD rank and for a serving worker alike.  Messages a worker sent
 before dying come before its death; a worker is hung only while it
 holds work; respawns stay within their budget; and no worker keeps a
-copy of another slot's pipe end.
+copy of another slot's pipe end.  A worker's failure crosses its pipe as
+one :class:`~repro.mpi.errors.Shipped` record in both runtimes.
 """
 
 import multiprocessing
@@ -18,7 +19,15 @@ import pytest
 
 from repro.config import MachineSpec
 from repro.mpi.engine import run_spmd
-from repro.mpi.errors import RankDead, RankHung
+from repro.mpi.errors import (
+    InjectedFault,
+    MPIError,
+    RankDead,
+    RankHung,
+    classify_failure,
+    rebuild,
+    ship,
+)
 from repro.mpi.pool import WorkerPool
 from repro.olap import CubeStore, Query, QueryService, ServicePolicy
 from repro.olap.servebench import synthetic_serving_cube
@@ -152,3 +161,37 @@ class TestPool:
         assert proc.exitcode == 7
         pool.kill(1)
         pool.close()
+
+
+class _Unpicklable(Exception):
+    def __reduce__(self):
+        raise TypeError("no pickling")
+
+
+class TestShipped:
+    def test_a_rank_failure_keeps_its_type_and_culprit(self):
+        shipped = ship(InjectedFault("boom", rank=2), "rank 2", ({}, {}))
+        exc = rebuild(shipped)
+        assert exc is shipped.exc
+        assert classify_failure(exc) == ("permanent", 2)
+        assert shipped.counters == ({}, {})
+
+    def test_an_unpicklable_failure_is_named(self):
+        exc = rebuild(ship(_Unpicklable("odd"), "rank 1"))
+        assert type(exc) is MPIError
+        assert str(exc) == "rank 1 failed with unpicklable _Unpicklable: odd"
+
+    @pytest.mark.parametrize("kind", [KeyError, ValueError, LookupError])
+    def test_context_leads_a_query_error_of_its_own_type(self, kind):
+        exc = rebuild(ship(kind("bad"), "worker 0"), "worker 0 failed on Q: ")
+        assert type(exc) is kind
+        assert exc.args == (f"worker 0 failed on Q: {kind('bad')}",)
+
+    def test_a_worker_query_error_reaches_the_caller(self, store_path):
+        # No materialised view covers dimension 7: the worker's engine
+        # raises, and the waiter gets the engine's own error type.
+        with QueryService(store_path, workers=1) as service:
+            with pytest.raises(
+                LookupError, match="^worker 0 failed on GROUP BY H: "
+            ):
+                service.answer(Query(group_by=(7,)), timeout=60)

@@ -227,10 +227,6 @@ class TestRecoveryWithoutCheckpoint:
         assert m.disk_blocks_read + m.disk_blocks_written == m.disk_blocks
         assert m.disk_blocks_read > base.metrics.disk_blocks_read > 0
 
-    def test_no_recovery_policy_raises(self, relation):
-        with pytest.raises(InjectedFault):
-            build(relation, "thread", faults=FaultPlan.parse("crash@r1s6"))
-
     def test_max_retries_exhausted(self, relation):
         # The fault fires on attempts 0 AND 1; one retry is not enough.
         plan = FaultPlan.parse("crash@r1s6a0;crash@r1s6a1")
@@ -495,6 +491,39 @@ class TestFailedAttemptIsReleased:
         # The failed attempt's cluster (and with it every rank frame its
         # traceback pinned) was collectable before the retry started.
         assert alive_at_retry == [False]
+
+    @pytest.mark.parametrize(
+        "plan", ["hang@r1s20a0", "hang@r1s20a0;hang@r1s2a1"],
+        ids=["primary-wins", "backup-wins"],
+    )
+    def test_race_lanes_run_without_earlier_clusters(
+        self, relation, monkeypatch, tmp_path, plan
+    ):
+        """A speculative race lets go of the hung attempt before either
+        lane starts, and of the primary lane's cluster (a failure's
+        traceback, or a result's run) before the backup runs."""
+        from repro.core import cube as cube_mod
+
+        born, alive_at_run = [], []
+
+        class SpyCluster(cube_mod.Cluster):
+            def run(self, *args, **kw):
+                gc.collect()
+                alive_at_run.extend(ref() is not None for ref in born)
+                born.append(weakref.ref(self))
+                return super().run(*args, **kw)
+
+        monkeypatch.setattr(cube_mod, "Cluster", SpyCluster)
+        res = build(
+            relation,
+            "thread",
+            faults=FaultPlan.parse(plan),
+            checkpoint_dir=str(tmp_path),
+            recovery=RecoveryPolicy(speculate=True),
+        )
+        assert res.metrics.speculations == 1
+        # Primary lane: the hung attempt is gone; backup lane: both are.
+        assert alive_at_run == [False, False, False]
 
 
 CHAOS_PLANS = {
