@@ -536,14 +536,14 @@ def _without(job: _Job, att: Attempt, lane: _Lane, target) -> Attempt:
     )
 
 
-#: The recovery driver's transition table: the row :func:`_classify`
-#: names for a failed run -> the state that handles it (DESIGN.md §9.3).
+#: The transition table: the row :func:`_classify` names for a failed run
+#: (rows in the order it tries them) -> its state (DESIGN.md §9.3).
 TRANSITIONS = {
     "fatal": _reraise,  # recovery off, an interrupt or a programming error
-    "exhausted": _reraise,  # the same-width streak is past max_retries
     "floor": _below_floor,  # a loss that would drop under min_ranks
     "lost": _degrade,  # degrade mode: a permanent loss or a repeat offender
     "straggler": _speculate,  # a named RankHung, checkpoints, room for p-1
+    "exhausted": _reraise,  # the same-width streak is past max_retries
     "transient": _retry,  # anything else retryable
 }
 

@@ -29,6 +29,7 @@ MODULES = [
     "repro.core.partial",
     "repro.core.partitions",
     "repro.core.pipesort",
+    "repro.core.result",
     "repro.core.sample_sort",
     "repro.core.sampling",
     "repro.core.validate",
