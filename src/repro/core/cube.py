@@ -539,7 +539,7 @@ def _without(job: _Job, att: Attempt, lane: _Lane, target) -> Attempt:
 #: The transition table: the row :func:`_classify` names for a failed run
 #: (rows in the order it tries them) -> its state (DESIGN.md §9.3).
 TRANSITIONS = {
-    "fatal": _reraise,  # recovery off, an interrupt or a programming error
+    "fatal": _reraise,  # recovery off, or a programming error
     "floor": _below_floor,  # a loss that would drop under min_ranks
     "lost": _degrade,  # degrade mode: a permanent loss or a repeat offender
     "straggler": _speculate,  # a named RankHung, checkpoints, room for p-1
