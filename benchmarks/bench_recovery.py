@@ -13,16 +13,12 @@ deterministic and the overhead ratios are exact.  The report asserts the
 recovery contract — every recovered cube matches the fault-free row
 count, recovery always costs simulated time, a from-scratch retry costs
 exactly one fault-free build, a fault-free checkpointed build writes at
-most one extra copy of the cube (each seal is a self-contained copy of
-its views, where a plain build writes back only the rows its merges
-rewrote; the premium is reported, not gated), a checkpointed retry costs
-*less* than a full checkpointed build (it skips the iterations the
-checkpoint already holds), and resuming never loses more against
-restarting than the seals of a whole build cost.  Whether the resume
-*wins* is reported per p (``resume_over_restart``), not gated: with the
-crash a third of the way in and derived ``Di``-roots making the redone
-iterations cheap, a restart redoes less than the full-copy seals of the
-whole build cost at small p.
+most one extra copy of the cube and costs at most 1.10x a plain one (a
+piece Pipesort leaves in memory is written once, after its merge, and
+that write is the seal; only a piece written before its merge is
+written again whole), a checkpointed retry costs *less* than a full
+checkpointed build (it skips the iterations the checkpoint already
+holds), and resuming never costs more than restarting.
 
 Writes ``BENCH_recovery.json`` at the repository root.  Runnable
 standalone (``python benchmarks/bench_recovery.py``) or under pytest.
@@ -151,20 +147,19 @@ def check_report(report: dict) -> None:
             f"p={row['p']}: checkpointing cost {extra} extra blocks, one "
             f"full write of the cube is {row['full_write_blocks']}"
         )
-        # Resuming may lose to restarting (the seals of the whole build
-        # against redoing a third of it), but never by more than those
-        # seals cost a fault-free build.
-        premium = (
-            row["checkpointed"]["simulated_seconds"]
-            - base["simulated_seconds"]
+        # The seal is the write a plain build makes after each merge, so
+        # checkpointing costs little more than the plain build ...
+        assert row["overhead"]["checkpointed"] <= 1.10, (
+            f"p={row['p']}: a checkpointed build cost "
+            f"{row['overhead']['checkpointed']}x a plain one (gate 1.10x)"
         )
-        lost = (
+        # ... and resuming the crashed build never loses to restarting it.
+        assert (
             row["crash_resume"]["simulated_seconds"]
-            - row["crash_restart"]["simulated_seconds"]
-        )
-        assert lost <= premium, (
-            f"p={row['p']}: resuming lost {lost:.3f} s to restarting, the "
-            f"seals cost only {premium:.3f} s"
+            <= row["crash_restart"]["simulated_seconds"]
+        ), (
+            f"p={row['p']}: resuming cost {row['resume_over_restart']}x "
+            "restarting"
         )
         # A recovered crash costs time, honestly accounted.
         for variant in ("crash_restart", "crash_resume"):

@@ -89,9 +89,11 @@ def _onedim_program(
         codec.unpack(keys), cards, views, method=estimate_method
     )
     tree = build_schedule_tree(views, root, estimates, root)
-    out = execute_schedule(
+    out, unwritten = execute_schedule(
         tree, root_data, cards, comm.disk, memory_budget, agg
     )
+    for view in unwritten:  # each local view is stored as it is made
+        comm.disk.charge_store(out[view].nrows)
 
     # Views without D0 overlap across ranks: merge by global sort.
     comm.set_phase("onedim-merge")

@@ -72,9 +72,11 @@ def _seq_program(
         )
 
     comm.set_phase("seq-compute")
-    out = execute_schedule(
+    out, unwritten = execute_schedule(
         tree, root_data, cards, comm.disk, memory_budget, config.agg
     )
+    for view in unwritten:  # the one node stores each view as it is made
+        comm.disk.charge_store(out[view].nrows)
     if selected is not None:
         out = {v: data for v, data in out.items() if v in set(selected)}
     return out, [], [tree]

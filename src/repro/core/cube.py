@@ -124,7 +124,7 @@ def _rank_program(
                 comm, chunks[comm.rank], out_views.get(prev_root), i, cards,
                 config, memory_budget, hetero,
             )
-            tree, wanted = _step2(
+            tree, wanted, unwritten = _step2(
                 comm, pviews, root_data, cards, config, selected_set,
                 estimate_method, memory_budget,
             )
@@ -132,8 +132,8 @@ def _rank_program(
             # consumes `wanted`, so no other name may hold the root here.
             del root_data
             payload = _step3(
-                comm, wanted, tree, ordinal, config, memory_budget, hetero,
-                ckpt,
+                comm, wanted, unwritten, tree, ordinal, config,
+                memory_budget, hetero, ckpt,
             )
         out_views.update(payload["views"])
         reports.append(payload["report"])
@@ -207,11 +207,12 @@ def _step2(
     comm: Comm, pviews: Sequence[View], root_data: ViewData,
     cards: tuple[int, ...], config: CubeConfig,
     selected_set: set[View] | None, estimate_method: str, memory_budget: int,
-) -> tuple[ScheduleTree, dict[View, ViewData]]:
+) -> tuple[ScheduleTree, dict[View, ViewData], set[View]]:
     """Step 2, local ``Di``-partition computation: the schedule tree
     (rank 0's, broadcast, under the global-tree strategy), then Pipesort
-    phase 2 on this rank's root piece.  Returns the tree and the pieces
-    of the selected views."""
+    phase 2 on this rank's root piece.  Returns the tree, the pieces of
+    the selected views and those of them Pipesort left unwritten; an
+    unselected piece it left unwritten is written as it is dropped."""
     root = root_data.order
     comm.set_phase(f"compute[{root[0]}]")
     tree = None
@@ -221,9 +222,10 @@ def _step2(
         )
     if config.global_schedule_tree:
         tree = comm.bcast(tree, root=0)
-    local = execute_schedule(
+    local, unwritten = execute_schedule(
         tree, root_data, cards, comm.disk, memory_budget, config.agg
     )
+    unwritten = set(unwritten)
     if not config.global_schedule_tree and comm.size > 1:
         # Local schedule trees differ per rank, so view pieces land in
         # rank-specific sort orders; the merge needs one common order,
@@ -232,19 +234,26 @@ def _step2(
         # single rank has nothing to merge, hence nothing to re-sort.)
         comm.set_phase(f"resort[{root[0]}]")
         local = {
-            v: to_canonical_order(data, cards, comm.disk, memory_budget)
+            v: to_canonical_order(
+                data, cards, comm.disk, memory_budget, v in unwritten
+            )
             for v, data in local.items()
         }
         tree = ScheduleTree(root, root)  # the merge reads only the root order
     if selected_set is not None:
+        for v, data in local.items():
+            if v in unwritten and v not in selected_set:
+                comm.disk.charge_store(data.nrows)
+        unwritten &= selected_set
         local = {v: d for v, d in local.items() if v in selected_set}
-    return tree, local
+    return tree, local, unwritten
 
 
 def _step3(
-    comm: Comm, wanted: dict[View, ViewData], tree: ScheduleTree,
-    ordinal: int, config: CubeConfig, memory_budget: int,
-    hetero: HeteroState | None, ckpt: RankCheckpoint | None,
+    comm: Comm, wanted: dict[View, ViewData], unwritten: set[View],
+    tree: ScheduleTree, ordinal: int, config: CubeConfig,
+    memory_budget: int, hetero: HeteroState | None,
+    ckpt: RankCheckpoint | None,
 ) -> dict:
     """Step 3, the merge of the local ``Di``-partitions (Procedure 3), its
     write-back and, with checkpoints, the seal of the iteration."""
@@ -255,10 +264,15 @@ def _step3(
         speed=None if hetero is None else hetero.model,
     )
     for v, data in merged.items():
-        # Write back what the merge rewrote.  Two pieces are written
-        # whole: the root (Pipesort writes only the children it makes)
-        # and, sealed in a checkpoint, a self-contained copy of any.
-        whole = v == tree.root or ckpt is not None
+        # A piece still in memory is written once, whole: the root
+        # (Pipesort writes only the children it makes) and the pieces
+        # Pipesort left unwritten.  A piece Pipesort wrote is read back
+        # for what the merge takes from it, and gets what it rewrote;
+        # a checkpoint's seal is a self-contained copy of every piece.
+        stored = v != tree.root and v not in unwritten
+        if stored:
+            comm.disk.charge_scan(report.read[v])
+        whole = not stored or ckpt is not None
         comm.disk.charge_store(data.nrows if whole else report.rewritten[v])
     payload = {"views": merged, "report": report, "tree": tree}
     if ckpt is not None:

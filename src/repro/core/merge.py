@@ -73,9 +73,22 @@ class MergeReport:
     #: view -> rows of *this rank's* piece the merge rewrote: the row that
     #: absorbed a straddling group, the spliced zone, the whole piece.
     rewritten: dict[View, int] = field(default_factory=dict)
+    #: view -> rows of *this rank's* local piece the merge took in: the
+    #: boundary rows of a straddling group, the shipped rows plus the
+    #: zone, the whole piece (what a piece on disk is read back for).
+    #: Step 3's input for this run only: not sealed, not shipped.
+    read: dict[View, int] = field(default_factory=dict)
 
     def count(self, case: str) -> int:
         return sum(1 for c in self.cases.values() if c == case)
+
+    def __getstate__(self) -> dict:
+        # A seal records what the merge made; what it read was charged
+        # when it ran, and a replayed iteration reads nothing.
+        return {k: v for k, v in self.__dict__.items() if k != "read"}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state, read={})
 
 
 def merge_partitions(
@@ -121,10 +134,11 @@ def merge_partitions(
     fixed = _batch_boundary_merge(
         comm, [local_views.pop(v) for v in prefix], config.agg
     )
-    for view, (data, rows) in zip(prefix, fixed):
+    for view, (data, rows, taken) in zip(prefix, fixed):
         merged[view] = data
         report.cases[view] = "case1"
         report.rewritten[view] = rows
+        report.read[view] = taken
     if not nonprefix:
         return merged, report
 
@@ -183,9 +197,10 @@ def merge_partitions(
         [boundaries[:, i] for i in case2_idx],
         config.agg,
     )
-    for idx, (data, rows) in zip(case2_idx, routed):
+    for idx, (data, rows, taken) in zip(case2_idx, routed):
         merged[nonprefix[idx]] = data
         report.rewritten[nonprefix[idx]] = rows
+        report.read[nonprefix[idx]] = taken
 
     # ---- Case 3 batch: one joint Adaptive-Sample-Sort --------------------
     if case3_idx:
@@ -203,6 +218,7 @@ def merge_partitions(
             view = nonprefix[idx]
             merged[view] = ViewData(piece.order, outcome.keys, outcome.measure)
             report.rewritten[view] = merged[view].nrows
+            report.read[view] = piece.nrows
     return merged, report
 
 
@@ -213,13 +229,15 @@ def merge_partitions(
 
 def _batch_boundary_merge(
     comm: Comm, datas: list[ViewData], agg: str
-) -> list[tuple[ViewData, int]]:
+) -> list[tuple[ViewData, int, int]]:
     """Agglomerate boundary-straddling keys of globally sorted views.
 
     One gather + one scatter covers all ``datas``; P0 resolves the straddle
     chains of every view independently.  Returns each piece with the rows
     it rewrote: 1 if its last row absorbed a straddling group (dropping a
-    first row or a whole piece moves a bound, not data).
+    first row or a whole piece moves a bound, not data), and the rows a
+    straddling group took from it: that last row, a dropped first row or
+    the dropped piece.
     """
     if not datas:
         # Every rank must still participate in the two collectives only if
@@ -266,7 +284,9 @@ def _batch_boundary_merge(
                 measure[-1] = set_last
             if drop_first:
                 keys, measure = keys[1:], measure[1:]
-        out.append((ViewData(data.order, keys, measure), int(set_last is not None)))
+        rewritten = int(set_last is not None)
+        taken = rewritten + int(drop_first or drop_all)
+        out.append((ViewData(data.order, keys, measure), rewritten, taken))
     return out
 
 
@@ -338,7 +358,7 @@ def _batch_route(
     datas: list[ViewData | None],
     boundaries: list[np.ndarray],
     agg: str,
-) -> list[tuple[ViewData, int]]:
+) -> list[tuple[ViewData, int, int]]:
     """Splice every case-2 view into its owners' pieces in one h-relation.
 
     Each lane carries one concatenated key array, one concatenated measure
@@ -347,7 +367,9 @@ def _batch_route(
     rank owns itself never leaves home (the self lane is empty), and only
     the zone at or after the smallest foreign key is merged and collapsed:
     own rows first, then sources by rank.  A piece that receives nothing is
-    a slice of its input.  Returns each piece with the rows of that zone.
+    a slice of its input.  Returns each piece with the rows of that zone,
+    and the rows taken from the input: those shipped plus its own rows in
+    the zone.
 
     Takes ``datas`` over: each entry is set to ``None`` once its view's
     spliced piece exists, and with it go the rows it received (a received
@@ -384,9 +406,11 @@ def _batch_route(
         keys = data.keys[cut[rank] : cut[rank + 1]]
         measure = data.measure[cut[rank] : cut[rank + 1]]
         order = data.order
+        taken = data.nrows - keys.shape[0]  # shipped
         del data
         if zone_keys.shape[0]:  # the zone takes in own rows from `start` on
             start = np.searchsorted(keys, zone_keys[0], side="left")
+            taken += keys.shape[0] - start
             scanned += keys.shape[0] - start + zone_keys.shape[0]
             zone_keys, zone_meas = aggregate_sorted_keys(
                 *merge_sorted(keys[start:], measure[start:], zone_keys, zone_meas),
@@ -394,7 +418,9 @@ def _batch_route(
             )
             keys = np.concatenate((keys[:start], zone_keys))
             measure = np.concatenate((measure[:start], zone_meas))
-        out.append((ViewData(order, keys, measure), zone_keys.shape[0]))
+        out.append(
+            (ViewData(order, keys, measure), zone_keys.shape[0], int(taken))
+        )
     comm.disk.work.charge_scan(scanned)
     return out
 

@@ -35,9 +35,10 @@ from the root's data, pipeline by pipeline: scan edges cascade a prefix
 aggregation down each pipeline in one pass (on packed keys this is an
 integer division plus a ``reduceat``), sort edges re-sort the parent
 through the external-memory sorter.  The owning rank's disk is charged a
-write per view made and a read per sort edge whose parent is not in the
-memory-budgeted resident set (Pipesort's *cache-results* beside the scan
-chains' *amortize-scans*).
+read per sort edge whose parent is not in the memory-budgeted resident
+set (Pipesort's *cache-results* beside the scan chains' *amortize-scans*)
+and one write per view made: at once, when the view is evicted from the
+set, or by the caller for a view the set still holds at the end.
 """
 
 from __future__ import annotations
@@ -496,26 +497,35 @@ def execute_schedule(
     disk: LocalDisk,
     memory_budget: int,
     agg: str = "sum",
-) -> dict[View, ViewData]:
+) -> tuple[dict[View, ViewData], list[View]]:
     """Pipesort phase 2: materialise every view of ``tree`` from the root.
 
     ``root_data.order`` must equal the tree's root order (the global sort
     order from the partitioning phase).  Returns a dict holding the root
-    itself plus every scheduled view, each sorted under its tree order.
+    itself plus every scheduled view, each sorted under its tree order,
+    and the views whose pieces it left unwritten, oldest first: the
+    caller writes each of those once, where its algorithm stores it.
 
     Pipelines run in DFS preorder of their heads, over one *resident set*
     counted against ``memory_budget`` (Pipesort's cache-results): a chain
     member with sort children stays in memory while it and one projection
-    of it being sorted fit beside what is already resident
-    (``resident + 2·rows <= memory_budget``), until its last sort child
+    of it being sorted fit beside the other sort parents resident
+    (``parents + 2·rows <= memory_budget``), until its last sort child
     is made.  A sort child of a resident parent reads nothing from disk;
     the root arrives from the caller's in-memory aggregation and is
     admitted by the same rule, so a resident root pays no pipeline-pass
-    read.  Every sort gets the budget the resident set leaves, and one
-    that would not fit in it evicts the newest residents first — a view
+    read.  Every sort gets the budget the sort parents leave, and one
+    that would not fit in it evicts the newest of them first — a view
     that is not resident (never admitted, or evicted) is read back once
     per remaining sort edge, so no budget charges more than one read per
     sort edge, the root pass and the sorts at the whole budget.
+
+    A piece made (the root excepted: the caller holds it) stays in the
+    set *unwritten* if it fits beside the sort parents and the pieces
+    already there; otherwise it is written at once.  A sort first makes
+    room for its working space, and any eviction takes unwritten pieces
+    before sort parents, newest first, writing each as it leaves: so the
+    pieces held never change what is read.
     """
     root_node = tree.nodes[tree.root]
     if tuple(root_data.order) != tuple(root_node.order):
@@ -528,16 +538,44 @@ def execute_schedule(
         view: sum(tree.nodes[c].mode == "sort" for c in node.children)
         for view, node in tree.nodes.items()
     }
-    resident: dict[View, int] = {}  # view -> rows, in admission order
-    held = 0  # rows of the resident set
+    resident: dict[View, int] = {}  # sort parents: view -> rows, oldest first
+    held = 0  # rows of the sort parents
+    unwritten: dict[View, int] = {}  # pieces not yet written, oldest first
+    loose = 0  # rows of the unwritten pieces that are no sort parent
+
+    def make_room(need: int) -> None:
+        """Write unwritten pieces out, newest first, until ``need`` rows
+        fit beside the resident set (or none is left to go)."""
+        nonlocal loose
+        for view in reversed(list(unwritten)):
+            if held + loose + need <= memory_budget:
+                return
+            if view not in resident:
+                rows = unwritten.pop(view)
+                disk.charge_store(rows)
+                loose -= rows
+
+    def admit(view: View) -> None:
+        """Keep a new piece unwritten if it fits, else write it now."""
+        nonlocal loose
+        rows = results[view].nrows
+        if held + loose + rows <= memory_budget:
+            unwritten[view] = rows
+            loose += rows
+        else:
+            disk.charge_store(rows)
 
     for chain in tree.pipelines():
         head = tree.nodes[chain[0]]
         if head.parent is not None:
             parent = tree.nodes[head.parent]
             parent_data = results[head.parent]
+            make_room(parent_data.nrows)  # the sort's working space
             while resident and parent_data.nrows > memory_budget - held:
-                held -= resident.popitem()[1]
+                view, rows = resident.popitem()
+                held -= rows
+                if unwritten.pop(view, None) is not None:
+                    disk.charge_store(rows)
             if head.parent not in resident:
                 disk.charge_scan(parent_data.nrows)
             disk.work.charge_scan(parent_data.nrows)  # project + re-pack
@@ -552,10 +590,13 @@ def execute_schedule(
                 agg,
             )
             results[head.view] = ViewData(head.order, keys, measure)
-            disk.charge_store(keys.shape[0])
+            admit(head.view)
             sorts_left[head.parent] -= 1
-            if not sorts_left[head.parent]:
-                held -= resident.pop(head.parent, 0)
+            if not sorts_left[head.parent] and head.parent in resident:
+                rows = resident.pop(head.parent)
+                held -= rows
+                if head.parent in unwritten:
+                    loose += rows
 
         # One pass over the head feeds its pipeline (scan chain).
         for parent_view, child_view in zip(chain, chain[1:]):
@@ -569,7 +610,7 @@ def execute_schedule(
                 agg,
             )
             results[child_view] = ViewData(child.order, keys, measure)
-            disk.charge_store(keys.shape[0])
+            admit(child_view)
 
         for view in chain:
             rows = results[view].nrows
@@ -579,7 +620,10 @@ def execute_schedule(
             if fits and sorts_left[view]:
                 resident[view] = rows
                 held += rows
-    return results
+                if view in unwritten:
+                    loose -= rows
+        make_room(0)
+    return results, list(unwritten)
 
 
 def _produce_scan(
@@ -631,17 +675,19 @@ def _produce_sort(
 
 def to_canonical_order(
     data: ViewData, cardinalities: Sequence[int], disk: LocalDisk,
-    memory_budget: int,
+    memory_budget: int, resident: bool = False,
 ) -> ViewData:
     """Re-sort one view piece into its canonical attribute order (the
     local-schedule-tree strategy's merge precondition, Figure 7).
 
     Keys stay unique (the piece was already aggregated), so no collapse is
-    needed — only a packed-key remap plus the external sort, whose disk
-    and CPU cost is precisely the local-tree penalty.  The remap reports
-    the shared-prefix length, and the sort is charged per prefix segment
-    on that clustering promise; a remap that comes out already sorted is
-    one run per segment and pays no sort term.
+    needed — only a packed-key remap plus the external sort, whose CPU
+    cost (and, for a piece already written, the read back and re-write)
+    is precisely the local-tree penalty.  A ``resident`` piece, one
+    Pipesort left unwritten, is re-sorted in memory: no read, no write.
+    The remap reports the shared-prefix length, and the sort is charged
+    per prefix segment on that clustering promise; a remap that comes out
+    already sorted is one run per segment and pays no sort term.
     """
     canon = data.view
     if tuple(data.order) == canon:
@@ -652,10 +698,12 @@ def to_canonical_order(
     seg_divisor = None
     if 0 < shared < len(canon):
         seg_divisor = int(canon_codec.weights[shared - 1])
-    disk.charge_scan(data.nrows)  # read the stored view back
+    if not resident:
+        disk.charge_scan(data.nrows)  # read the stored view back
     disk.work.charge_scan(data.nrows)
     keys, measure = external_sort(
         keys, data.measure, disk, memory_budget, seg_divisor=seg_divisor
     )
-    disk.charge_store(data.nrows)  # re-write in the common order
+    if not resident:
+        disk.charge_store(data.nrows)  # re-write in the common order
     return ViewData(canon, keys, measure)

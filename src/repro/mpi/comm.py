@@ -35,6 +35,7 @@ from repro.mpi.stats import payload_nbytes
 __all__ = [
     "BARRIER_TIMEOUT_SEC",
     "Comm",
+    "SuperstepBarrier",
     "ThreadTransport",
     "Transport",
     "resolve_barrier_timeout",
@@ -93,6 +94,37 @@ class Transport(Protocol):
     ) -> Any: ...
 
 
+class SuperstepBarrier(threading.Barrier):
+    """A barrier whose :meth:`abort` breaks only the waits it has not
+    released yet.
+
+    A plain :class:`threading.Barrier` also breaks the waits it released
+    but whose threads have not woken up, so a rank failing right after a
+    superstep stopped a random subset of its peers one superstep early.
+    Here a released rank runs on to its next collective and stops there,
+    as a forked rank does, so a failed attempt banks the same disk
+    blocks on both backends."""
+
+    def __init__(self, parties: int, action: Callable[[], None] | None = None):
+        super().__init__(parties, action=self._trip)
+        self._on_trip = action
+        self.trips = 0  # generations released
+
+    def _trip(self) -> None:
+        if self._on_trip is not None:
+            self._on_trip()  # raising breaks the barrier, released nothing
+        self.trips += 1
+
+    def wait(self, timeout: float | None = None) -> int:
+        trips = self.trips  # cannot move before this thread arrives
+        try:
+            return super().wait(timeout)
+        except threading.BrokenBarrierError:
+            if self.trips == trips:
+                raise
+            return -1  # released before the abort reached it
+
+
 class ThreadTransport:
     """Shared-mailbox transport of the thread backend.
 
@@ -109,8 +141,8 @@ class ThreadTransport:
         rank: int,
         size: int,
         slots: list,
-        enter: threading.Barrier,
-        leave: threading.Barrier,
+        enter: SuperstepBarrier,
+        leave: SuperstepBarrier,
         timeout: float | None = None,
     ):
         self.rank = rank
@@ -120,7 +152,7 @@ class ThreadTransport:
         self._leave = leave
         self._timeout = resolve_barrier_timeout(timeout)
 
-    def _wait(self, barrier: threading.Barrier) -> None:
+    def _wait(self, barrier: SuperstepBarrier) -> None:
         try:
             barrier.wait(timeout=self._timeout)
         except threading.BrokenBarrierError:

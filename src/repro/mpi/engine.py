@@ -20,7 +20,6 @@ re-raises the originating exception to the caller.
 from __future__ import annotations
 
 import os
-import threading
 import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
@@ -29,7 +28,12 @@ import numpy as np
 
 from repro.config import MachineSpec
 from repro.mpi.clock import BSPClock
-from repro.mpi.comm import Comm, ThreadTransport, resolve_barrier_timeout
+from repro.mpi.comm import (
+    Comm,
+    SuperstepBarrier,
+    ThreadTransport,
+    resolve_barrier_timeout,
+)
 from repro.mpi.errors import CollectiveMisuse, MPIError
 from repro.mpi.faults import slow_factor
 from repro.mpi.stats import CommStats
@@ -129,8 +133,8 @@ class Cluster:
         # process backend replays the same commit parent-side instead.
         self._slots: list = [None] * spec.p
         self._action_error: BaseException | None = None
-        self._enter = threading.Barrier(spec.p, action=self._safe_action)
-        self._leave = threading.Barrier(spec.p)
+        self._enter = SuperstepBarrier(spec.p, action=self._safe_action)
+        self._leave = SuperstepBarrier(spec.p)
         # Filled by the process backend's coordinator with the aggregated
         # data-plane counters of its workers; stays empty under threads.
         self.shm_pool: dict = {}

@@ -1,6 +1,7 @@
 """Tests for Procedure 3: Merge-Partitions (cases 1, 2 and 3)."""
 
 import gc
+import threading
 import weakref
 from collections import Counter
 
@@ -295,6 +296,26 @@ class TestMergePartitions:
         assert report.count("case3") == 1
 
 
+def rows_taken(
+    before: ViewData, after: ViewData, case: str, rewritten: int
+) -> int:
+    """Rows of ``before`` the merge took in: the whole piece (case 3), the
+    rows shipped plus its own rows in the zone (case 2), the row that
+    absorbed a straddling group plus a dropped first row or piece."""
+    if case == "case3":
+        return before.nrows
+    if case == "case1":
+        return rewritten + int(after.nrows < before.nrows)
+    if after.nrows == 0:
+        return before.nrows
+    skip = int(np.searchsorted(before.keys, after.keys[0], side="left"))
+    kept = before.nrows - skip
+    zone = rows_from_first_change(before, after)
+    # the zone's own rows are the kept rows from its first change on
+    own = kept - (after.nrows - zone) if zone else 0
+    return skip + own
+
+
 def rows_from_first_change(before: ViewData, after: ViewData) -> int:
     """Rows of ``after`` from the first one that is not the matching row
     of ``before``.  Rows of ``before`` below the first key of ``after``
@@ -402,7 +423,13 @@ class TestRewrittenRows:
         assert res.rank_results[0] == ("case2", 5, list(range(50)), False)
         assert res.rank_results[1] == ("case2", 0, list(range(50, 95)), True)
 
-    def test_step3_writes_what_each_case_rewrote(self, charged, merge_calls):
+    def test_step3_writes_each_resident_piece_once_whole(
+        self, charged, merge_calls
+    ):
+        """At the default budget every piece stays resident until its
+        merge: Pipesort writes none, the merge reads none back, and step 3
+        writes each merged piece once, whole.  ``rewritten`` and ``read``
+        still report what each case changed and took on this rank."""
         cards = (16, 12, 8, 6, 4)
         build_data_cube(
             make_relation(6000, cards, seed=1), cards, MachineSpec(p=3)
@@ -411,7 +438,6 @@ class TestRewrittenRows:
         written = Counter()
         for rank, before, after, report, rows_sorted in merge_calls:
             assert rows_sorted == 0
-            root = max(after, key=len)
             for view, out in after.items():
                 case = report.cases[view]
                 changed = (
@@ -420,14 +446,55 @@ class TestRewrittenRows:
                     else rows_from_first_change(before[view], out)
                 )
                 assert report.rewritten[view] == changed, (rank, view, case)
+                assert report.read[view] == rows_taken(
+                    before[view], out, case, changed
+                ), (rank, view, case)
                 seen[case] += changed > 0
-                # the root is written whole: Pipesort wrote only children
-                written[rank] += out.nrows if view == root else changed
-        # every case rewrote something somewhere, and far from everything
+                written[rank] += out.nrows
+        # every case rewrote something somewhere
         assert min(seen[c] for c in ("case1", "case2", "case3")) > 0
         for rank in range(3):
+            assert charged[rank, "compute", "w"] == 0
+            assert charged[rank, "merge", "r"] == 0
             assert charged[rank, "merge", "w"] == written[rank] > 0
-            assert written[rank] < sum(
-                out.nrows for r, _, after, _, _ in merge_calls if r == rank
-                for out in after.values()
+
+    def test_a_piece_written_before_its_merge_is_read_back(
+        self, charged, merge_calls, monkeypatch
+    ):
+        """Under a budget too tight to hold every piece, Pipesort writes
+        some at once; step 3 reads each of those back for the rows its
+        merge takes and writes what the merge rewrote, and writes every
+        piece still resident once, whole."""
+        from repro.core import cube as cube_mod
+
+        left = {}
+        real = cube_mod.execute_schedule
+
+        def spy(tree, *args, **kw):
+            results, unwritten = real(tree, *args, **kw)
+            rank = int(threading.current_thread().name.split("-")[1])
+            left[rank, tree.root] = set(unwritten) | {tree.root}
+            return results, unwritten
+
+        monkeypatch.setattr(cube_mod, "execute_schedule", spy)
+        cards = (16, 12, 8, 6, 4)
+        build_data_cube(
+            make_relation(6000, cards, seed=1), cards,
+            MachineSpec(p=3, memory_budget=1500, block_size=16),
+        )
+        read, written, stored = Counter(), Counter(), Counter()
+        for rank, before, after, report, _ in merge_calls:
+            resident = left[rank, max(after, key=len)]
+            for view, out in after.items():
+                if view in resident:
+                    written[rank] += out.nrows
+                    continue
+                stored[rank] += 1
+                read[rank] += report.read[view]
+                written[rank] += report.rewritten[view]
+        for rank in range(3):
+            assert 0 < stored[rank] < sum(
+                len(after) for r, _, after, _, _ in merge_calls if r == rank
             )
+            assert charged[rank, "merge", "r"] == read[rank] > 0
+            assert charged[rank, "merge", "w"] == written[rank] > 0

@@ -138,6 +138,25 @@ class TestFailures:
         with pytest.raises(RuntimeError, match="early"):
             run_spmd(prog, spec(3))
 
+    def test_a_released_rank_runs_on_to_its_next_collective(self):
+        """A rank failing right after a superstep stops no peer that
+        superstep released: each runs its local work up to its next
+        collective and fails there, as a forked rank does."""
+        reached = []
+
+        def prog(c):
+            c.barrier()
+            if c.rank == 0:
+                raise RuntimeError("right after the superstep")
+            reached.append(c.rank)
+            c.barrier()
+
+        for _ in range(20):
+            reached.clear()
+            with pytest.raises(RuntimeError, match="right after"):
+                run_spmd(prog, spec(3))
+            assert sorted(reached) == [1, 2]
+
     def test_too_many_ranks(self):
         with pytest.raises(MPIError):
             Cluster(spec(MAX_RANKS + 1))

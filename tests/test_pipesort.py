@@ -174,6 +174,14 @@ class TestScheduleTreeAPI:
         assert len(tree) == 1
 
 
+def write_back(disk, results, unwritten):
+    """Write the pieces phase 2 left unwritten at once, as the sequential
+    baseline does: phase 2 plus this write every view once."""
+    for view in unwritten:
+        disk.charge_store(results[view].nrows)
+    return results
+
+
 def run_phase2(relation, cards, tree=None, agg="sum"):
     d = len(cards)
     root = tuple(range(d))
@@ -187,7 +195,10 @@ def run_phase2(relation, cards, tree=None, agg="sum"):
     if tree is None:
         tree = build_full(d, uniform_estimates(all_views(d)))
     disk = LocalDisk(block_size=64)
-    return execute_schedule(tree, root_data, cards, disk, 1 << 20, agg), disk
+    results = write_back(
+        disk, *execute_schedule(tree, root_data, cards, disk, 1 << 20, agg)
+    )
+    return results, disk
 
 
 class TestPhase2:
@@ -438,9 +449,9 @@ class TestResidentSet:
         reference, seen = None, []
         for budget in BUDGETS:
             disk = LocalDisk(block_size=64)
-            results = execute_schedule(
+            results = write_back(disk, *execute_schedule(
                 tree, root_data, RS_CARDS, disk, budget
-            )
+            ))
             rows = {v: data.nrows for v, data in results.items()}
             want, peak, evicted = walk_reads(tree, rows, budget)
             # Besides those, only a sort that spills reads (its runs, once
@@ -497,7 +508,9 @@ class TestResidentSet:
         tree = random_tree(rnd, d)
         budget = max(1, round(share * root_data.nrows / block)) * block
         disk = LocalDisk(block_size=block)
-        results = execute_schedule(tree, root_data, cards, disk, budget)
+        results = write_back(
+            disk, *execute_schedule(tree, root_data, cards, disk, budget)
+        )
         rows = {v: data.nrows for v, data in results.items()}
         assert disk.stats.blocks_total <= closed_form_blocks(
             tree, rows, budget, block
@@ -507,6 +520,133 @@ class TestResidentSet:
         for view, data in results.items():
             assert np.array_equal(data.keys, roomy[view].keys)
             assert np.array_equal(data.measure, roomy[view].measure)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(2, 4),
+        st.integers(0, 600),
+        st.floats(0.05, 3.0),
+        st.sampled_from([1, 4, 16]),
+        st.randoms(use_true_random=False),
+    )
+    def test_held_pieces_never_change_the_reads(
+        self, d, n, share, block, rnd
+    ):
+        """Over random trees and budgets phase 2 reads exactly what the
+        sort parents' residency and the spilling sorts read, by a walk
+        that knows nothing of the pieces it holds unwritten."""
+        cards = tuple([7, 5, 3, 2][:d])
+        relation = make_relation(n, cards, seed=n + d)
+        root_data = root_piece(relation, cards, tuple(range(d)))
+        tree = random_tree(rnd, d)
+        budget = max(1, round(share * root_data.nrows / block)) * block
+        disk = LocalDisk(block_size=block)
+        results, unwritten = execute_schedule(
+            tree, root_data, cards, disk, budget
+        )
+        rows = {v: data.nrows for v, data in results.items()}
+        sorter = LocalDisk(block_size=block)
+        for node in tree.nodes.values():
+            if node.mode == "sort" and rows[node.parent] > budget:
+                m = rows[node.parent]
+                external_sort(np.arange(m)[::-1], np.zeros(m), sorter, budget)
+        assert disk.stats.rows_read == (
+            walk_reads(tree, rows, budget)[0] + sorter.stats.rows_read
+        )
+        assert disk.stats.files_created == sorter.stats.files_created
+        target(float(len(unwritten)), label="unwritten")
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(2, 4),
+        st.integers(0, 600),
+        st.floats(0.05, 3.0),
+        st.sampled_from([1, 4, 16]),
+        st.randoms(use_true_random=False),
+    )
+    def test_no_piece_is_written_twice(self, d, n, share, block, rnd):
+        """Phase 2 writes each piece it makes once, at once or when it is
+        evicted, unless it hands the piece back unwritten, and the pieces
+        it hands back fit the budget: with the caller's write every piece
+        is written exactly once."""
+        cards = tuple([7, 5, 3, 2][:d])
+        relation = make_relation(n, cards, seed=n + d)
+        root_data = root_piece(relation, cards, tuple(range(d)))
+        tree = random_tree(rnd, d)
+        budget = max(1, round(share * root_data.nrows / block)) * block
+        disk = LocalDisk(block_size=block)
+        writes = []
+        store = disk.charge_store
+        disk.charge_store = lambda rows: (writes.append(rows), store(rows))
+        results, unwritten = execute_schedule(
+            tree, root_data, cards, disk, budget
+        )
+        assert tree.root not in unwritten
+        assert len(set(unwritten)) == len(unwritten)
+        held = [results[v].nrows for v in unwritten]
+        assert sum(held) <= budget
+        assert sorted(writes + held) == sorted(
+            data.nrows for v, data in results.items() if v != tree.root
+        )
+        target(float(len(unwritten)), label="unwritten")
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        st.integers(0, 400),
+        st.sampled_from([64, 256, 1024, 1 << 16]),
+        st.booleans(),
+    )
+    def test_one_rank_charges_what_writing_at_once_charges(
+        self, n, budget, partial
+    ):
+        """At p = 1 no merge takes or rewrites a row, so holding pieces
+        until step 3 moves no charge: ``build_data_cube`` and
+        ``sequential_cube`` charge the blocks and seconds of a phase 2
+        that writes every piece as it is made."""
+        import repro.baselines.sequential as seq_mod
+        import repro.core.cube as cube_mod
+        from repro.baselines.sequential import sequential_cube
+        from repro.config import MachineSpec
+        from repro.core.cube import build_data_cube
+
+        def at_once(real):
+            def run(tree, root_data, cards, disk, *args, **kw):
+                results, unwritten = real(
+                    tree, root_data, cards, disk, *args, **kw
+                )
+                return write_back(disk, results, unwritten), []
+
+            return run
+
+        cards = (7, 5, 3, 2)
+        relation = make_relation(n, cards, seed=n)
+        spec = MachineSpec(
+            p=1, memory_budget=budget, block_size=16, compute_scale=0.0
+        )
+        selected = [(0, 2), (1,), (1, 3), ()] if partial else None
+
+        def charges():
+            return [
+                build_data_cube(relation, cards, spec, selected=selected),
+                sequential_cube(relation, cards, spec, selected=selected),
+            ]
+
+        held = charges()
+        with pytest.MonkeyPatch.context() as mp:
+            for mod in (cube_mod, seq_mod):
+                mp.setattr(
+                    mod, "execute_schedule", at_once(mod.execute_schedule)
+                )
+            at_made = charges()
+        for now, then in zip(held, at_made):
+            now, then = now.metrics, then.metrics
+            assert (now.disk_blocks, now.disk_blocks_read) == (
+                then.disk_blocks, then.disk_blocks_read
+            )
+            # a write may land one superstep later: the sum regroups
+            assert now.simulated_seconds == pytest.approx(
+                then.simulated_seconds, rel=1e-12, abs=0
+            )
 
     def eviction_case(self):
         """ABC -> {AC sort, AB scan -> {A scan, B sort}, BC sort}: AB is
@@ -528,7 +668,9 @@ class TestResidentSet:
     def test_a_sort_that_fits_the_budget_evicts_instead_of_spilling(self):
         tree, root_data, cards = self.eviction_case()
         disk = LocalDisk(block_size=64)
-        big = execute_schedule(tree, root_data, cards, LocalDisk(64), 1 << 20)
+        big, _ = execute_schedule(
+            tree, root_data, cards, LocalDisk(64), 1 << 20
+        )
         abc, ab = root_data.nrows, big[(0, 1)].nrows
         budget = abc + ab // 2
         # The root fits the budget but not twice; AB does, and is resident
@@ -541,7 +683,9 @@ class TestResidentSet:
         assert scratch.stats.files_created > 0
         # ...so AB is evicted first: no spill file, and B, made later,
         # reads AB back from disk like any non-resident parent.
-        results = execute_schedule(tree, root_data, cards, disk, budget)
+        results = write_back(
+            disk, *execute_schedule(tree, root_data, cards, disk, budget)
+        )
         assert disk.stats.files_created == 0
         assert disk.stats.rows_read == 3 * abc + ab
         rows = {v: data.nrows for v, data in results.items()}
@@ -567,7 +711,7 @@ class TestResidentSet:
 
         monkeypatch.setattr(pipesort, "external_sort", spy)
         disk = LocalDisk(block_size=64)
-        results = execute_schedule(
+        results, _ = execute_schedule(
             tree, root_data, cards, disk, 3 * root_data.nrows
         )
         abc, ab = root_data.nrows, results[(0, 1)].nrows

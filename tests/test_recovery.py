@@ -227,6 +227,25 @@ class TestRecoveryWithoutCheckpoint:
         assert m.disk_blocks_read + m.disk_blocks_written == m.disk_blocks
         assert m.disk_blocks_read > base.metrics.disk_blocks_read > 0
 
+    @requires_fork
+    def test_a_failed_attempt_banks_the_same_blocks_on_both_backends(
+        self, relation
+    ):
+        """Each rank of the failed attempt is banked as of the collective
+        at which the attempt failed: five thread runs bank one number of
+        blocks, the process backend's."""
+
+        def banked(backend):
+            m = build(
+                relation, backend, p=3, faults=FaultPlan.parse("crash@r1s6"),
+                recovery=RecoveryPolicy(max_retries=2),
+            ).metrics
+            return m.recovered_blocks, m.disk_blocks
+
+        process = banked("process")
+        assert process[0] > 0
+        assert {banked("thread") for _ in range(5)} == {process}
+
     def test_max_retries_exhausted(self, relation):
         # The fault fires on attempts 0 AND 1; one retry is not enough.
         plan = FaultPlan.parse("crash@r1s6a0;crash@r1s6a1")
@@ -306,27 +325,31 @@ class TestRecoveryWithCheckpoint:
     def test_checkpoint_io_is_metered(
         self, relation, tmp_path, charged, merge_calls
     ):
-        """A seal is a self-contained copy of every piece; a plain build
-        writes the partition's root whole and of any other piece only what
-        its merge rewrote.  So the checkpointed build writes exactly the
-        rows the plain one left in place, on top."""
+        """Every piece of this build stays resident until its merge, so a
+        plain build writes each merged piece once, whole, and nothing
+        else; a seal is that same self-contained copy.  So the
+        checkpointed build writes exactly the plain build's rows and
+        blocks, and reads no more."""
 
-        def rows_written():
-            return sum(n for (_, _, way), n in charged.items() if way == "w")
+        def rows(way):
+            return sum(n for (_, _, w), n in charged.items() if w == way)
 
         plain = build(relation, "thread")
-        plain_rows = rows_written()
-        left_in_place = sum(
-            data.nrows - report.rewritten[v]
-            for _, _, merged, report, _ in merge_calls
-            for v, data in merged.items()
-            if v != max(merged, key=len)  # the partition's root
-        )
+        plain_written, plain_read = rows("w"), rows("r")
+        assert plain_written == sum(
+            data.nrows
+            for _, _, merged, _, _ in merge_calls
+            for data in merged.values()
+        ) > 0
         charged.clear()
         ckpt = build(relation, "thread", checkpoint_dir=str(tmp_path))
         assert fingerprint(ckpt) == fingerprint(plain)
-        assert rows_written() - plain_rows == left_in_place > 0
-        assert ckpt.metrics.disk_blocks > plain.metrics.disk_blocks
+        assert (rows("w"), rows("r")) == (plain_written, plain_read)
+        assert ckpt.metrics.disk_blocks == plain.metrics.disk_blocks
+        assert (
+            ckpt.metrics.disk_blocks_read == plain.metrics.disk_blocks_read
+        )
+        # the resume point's allreduce is the one superstep it adds
         assert ckpt.metrics.simulated_seconds > plain.metrics.simulated_seconds
 
     def test_fresh_checkpointed_build_matches(self, relation, tmp_path):
@@ -559,6 +582,42 @@ class TestChaosMatrix:
             assert fingerprint(res) == fingerprint(base)
             expected_attempts = 1 if fault == "delay" else 2
             assert res.metrics.attempts == expected_attempts
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_diskfull_fires_before_the_last_superstep(
+        self, relation, backend, monkeypatch, tmp_path
+    ):
+        """The chaos cell's quota trips mid-build, with and without
+        checkpoints.  A piece left in memory is written after its merge,
+        so a quota trips later than when Pipesort wrote every piece; a
+        quota that only tripped in the last superstep, or never, would
+        leave the cell testing nothing."""
+        from repro.core import cube as cube_mod
+
+        steps = []
+
+        class SpyCluster(cube_mod.Cluster):
+            def run(self, *args, **kw):
+                try:
+                    return super().run(*args, **kw)
+                finally:
+                    steps.append(len(self.clock.log))
+
+        monkeypatch.setattr(cube_mod, "Cluster", SpyCluster)
+        for ckpt in (None, tmp_path):
+            steps.clear()
+            build(
+                relation, backend,
+                checkpoint_dir=None if ckpt is None else str(ckpt / "clean"),
+            )
+            build(
+                relation, backend,
+                faults=FaultPlan.parse(CHAOS_PLANS["diskfull"]),
+                checkpoint_dir=None if ckpt is None else str(ckpt / "chaos"),
+                recovery=RecoveryPolicy(max_retries=2),
+            )
+            clean, failed, _ = steps
+            assert 0 < failed < clean, (ckpt, failed, clean)
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_seeded_chaos_plan_runs(self, relation, backend):
