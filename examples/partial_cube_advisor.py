@@ -2,9 +2,10 @@
 """Partial cubes: materialise only the views a query workload needs.
 
 Section 3 of the paper: with d = 20 you would never build 2^20 views.
-This example takes a clickstream workload, derives the selected view set
-(queried views plus their roll-up closure), builds the partial cube, and
-compares its cost against the full cube and against the naive
+This example takes a clickstream workload, selects the views its queries
+group by (the paper takes a partial cube's selected views as given;
+choosing them is view selection, its reference [12]), builds the partial
+cube, and compares its cost against the full cube and against the naive
 one-sort-per-view strategy the paper recommends for tiny selections.
 
 Run with::
@@ -15,10 +16,8 @@ Run with::
 from repro import MachineSpec, build_data_cube, build_partial_cube
 from repro.baselines.naive import naive_sequential_cube
 from repro.baselines.sequential import sequential_cube
-from repro.core.estimate import estimate_view_sizes
-from repro.core.views import all_views, view_name
+from repro.core.views import view_name
 from repro.data.datasets import weblog_hits
-from repro.olap.advisor import select_views
 
 
 def workload_views(dataset):
@@ -46,18 +45,9 @@ def main() -> None:
         f"(2^{d} = {2**d} possible views)"
     )
 
-    # let the HRU greedy advisor pick what to materialise for the workload
-    sizes = estimate_view_sizes(
-        data.dims, dataset.cardinalities, all_views(d), method="sample"
-    )
-    advice = select_views(
-        [view for _, view in queries], sizes, max_views=10
-    )
-    print(advice.describe())
-    # materialise the advisor's picks plus the queried views themselves
+    # materialise exactly the views the workload groups by
     selected = sorted(
-        set(advice.selected) | {view for _, view in queries},
-        key=lambda v: (len(v), v),
+        {view for _, view in queries}, key=lambda v: (len(v), v)
     )
     print(f"materialising {len(selected)} views: "
           + ", ".join(view_name(v) for v in selected))

@@ -6,7 +6,7 @@ from typing import Sequence
 
 from repro.bench.harness import Series
 
-__all__ = ["format_series_table", "format_kv_block", "format_shm_pool"]
+__all__ = ["format_series_table", "format_kv_block"]
 
 
 def format_series_table(
@@ -65,28 +65,6 @@ def format_kv_block(title: str, pairs: Sequence[tuple[str, str]]) -> str:
     for key, value in pairs:
         lines.append(f"  {key.ljust(width)} : {value}")
     return "\n".join(lines)
-
-
-def format_shm_pool(title: str, pool: dict) -> str:
-    """Render the process backend's data-plane counters
-    (:attr:`repro.config.RunResult.shm_pool`) as a findings block.
-
-    Empty stats (thread backend) render as a one-line note so callers
-    can print unconditionally.
-    """
-    if not pool:
-        return f"{title}\n  (no shared-memory data plane: thread backend)"
-    pairs = [
-        ("segment leases", str(pool.get("leases", 0))),
-        ("segments created", str(pool.get("segments_created", 0))),
-        ("segments reused", str(pool.get("segments_reused", 0))),
-        ("pool hit rate", f"{pool.get('hit_rate', 0.0):.1%}"),
-        ("bytes created", f"{pool.get('bytes_created', 0) / 1e6:.2f} MB"),
-        ("bytes reused", f"{pool.get('bytes_reused', 0) / 1e6:.2f} MB"),
-        ("attaches", str(pool.get("attaches", 0))),
-        ("attach reuses", str(pool.get("attach_reuses", 0))),
-    ]
-    return format_kv_block(title, pairs)
 
 
 def _fmt(x: float) -> str:

@@ -74,11 +74,6 @@ class MachineSpec:
     #: Seconds charged per disk block transfer.  7200 RPM IDE streamed
     #: ~25 MB/s; one 1024-row (36 KB) block ≈ 1.4 ms.
     disk_sec_per_block: float = 1.4e-3
-    #: Independent local disks per processor (Section 2: the method
-    #: generalises via Vitter-Shriver striping; the paper's own nodes had
-    #: two IDE drives).  D disks move D blocks per I/O step, so the
-    #: per-block cost divides by D.
-    disks_per_node: int = 1
     #: Multiplier from measured Python CPU seconds to simulated seconds.
     #: Host CPU is a *minor* term of the model (see the work-charge
     #: constants below, which carry the deterministic per-row costs);
@@ -100,12 +95,6 @@ class MachineSpec:
     #: Modelled CPU cost of streaming work (scan-aggregate, merge, pack):
     #: seconds per row touched.
     scan_sec_per_row: float = 2.0e-7
-    #: Bytes per relation row, for cost conversions.
-    bytes_per_row: int = BYTES_PER_ROW_DEFAULT
-    #: Seed for randomised runtime behaviour that must stay reproducible
-    #: across ranks and retries — currently the recovery backoff's full
-    #: jitter (see :meth:`RecoveryPolicy.backoff_for`).
-    seed: int = 0
     #: Supervision: real seconds of pipe silence after which a *live*
     #: worker is declared a hung straggler (:class:`~repro.mpi.errors.
     #: RankHung`, a transient failure); a worker that exits is reported
@@ -138,8 +127,6 @@ class MachineSpec:
             raise ValueError("network cost parameters must be non-negative")
         if self.disk_sec_per_block < 0:
             raise ValueError("disk_sec_per_block must be non-negative")
-        if self.disks_per_node < 1:
-            raise ValueError("disks_per_node must be >= 1")
         if self.compute_scale < 0:
             raise ValueError("compute_scale must be non-negative")
         if self.backend not in ("thread", "process"):
@@ -147,8 +134,6 @@ class MachineSpec:
                 f"unknown execution backend: {self.backend!r} "
                 "(expected 'thread' or 'process')"
             )
-        if self.bytes_per_row < 1:
-            raise ValueError("bytes_per_row must be >= 1")
         if self.suspect_after is not None and self.suspect_after <= 0:
             raise ValueError("suspect_after must be positive (or None)")
         if self.barrier_timeout is not None and self.barrier_timeout <= 0:
@@ -163,13 +148,8 @@ class MachineSpec:
         return replace(self, backend=backend)
 
     def rows_to_mb(self, rows: int) -> float:
-        """Convert a row count to megabytes under this spec's row width."""
-        return rows * self.bytes_per_row / 1e6
-
-    @property
-    def effective_disk_sec_per_block(self) -> float:
-        """Per-block cost with Vitter-Shriver striping over D local disks."""
-        return self.disk_sec_per_block / self.disks_per_node
+        """Convert a row count to megabytes at the model's row width."""
+        return rows * BYTES_PER_ROW_DEFAULT / 1e6
 
     def comm_cost(self, max_rank_bytes: int) -> float:
         """BSP cost of one h-relation whose largest per-rank volume
@@ -185,9 +165,6 @@ class CubeConfig:
     gamma_partition: float = GAMMA_PARTITION_DEFAULT
     #: Balance threshold γ for Merge-Partitions case selection / re-sort.
     gamma_merge: float = GAMMA_MERGE_DEFAULT
-    #: Samples per processor used by the size-estimation array
-    #: (paper: "a sample of only 100 p equal spaced sample elements").
-    sample_factor: int = 100
     #: Use one global schedule tree per partition (paper's choice) or let
     #: every rank build its own local tree (the Figure 7 comparator).
     global_schedule_tree: bool = True
@@ -203,17 +180,9 @@ class CubeConfig:
     #: the sample-sort phase and size each rank's h-relation share
     #: proportional to its measured speed (Cérin-style non-uniform
     #: pivots) instead of uniform ``n/p``.  Content is unchanged — only
-    #: the distribution across ranks moves.
+    #: the distribution across ranks moves.  The share clamp and the
+    #: blend weight are constants of :mod:`repro.mpi.speed`.
     hetero: bool = False
-    #: Clamp on any rank's share of the data under ``hetero``: no rank
-    #: receives less than ``hetero_floor/p`` of the rows...
-    hetero_floor: float = 0.5
-    #: ...nor more than ``hetero_ceil/p``.
-    hetero_ceil: float = 2.0
-    #: EMA weight of each fresh throughput observation when updating the
-    #: speed model between cube iterations (1.0 = always trust the latest
-    #: probe, ignore the prior).
-    hetero_blend: float = 0.5
 
     def __post_init__(self) -> None:
         if not 0.0 < self.gamma_partition <= 1.0:
@@ -224,23 +193,12 @@ class CubeConfig:
             raise ValueError(
                 f"gamma_merge must be in (0, 1], got {self.gamma_merge}"
             )
-        if self.sample_factor < 1:
-            raise ValueError("sample_factor must be >= 1")
         if self.merge_policy not in ("adaptive", "always_resort", "never_resort"):
             raise ValueError(
                 f"unknown merge_policy: {self.merge_policy!r}"
             )
         if self.agg not in ("sum", "count", "min", "max"):
             raise ValueError(f"unsupported aggregate: {self.agg!r}")
-        if not 0.0 < self.hetero_floor <= 1.0 <= self.hetero_ceil:
-            raise ValueError(
-                "need 0 < hetero_floor <= 1 <= hetero_ceil, got "
-                f"floor={self.hetero_floor} ceil={self.hetero_ceil}"
-            )
-        if not 0.0 < self.hetero_blend <= 1.0:
-            raise ValueError(
-                f"hetero_blend must be in (0, 1], got {self.hetero_blend}"
-            )
 
 
 @dataclass(frozen=True)
@@ -261,21 +219,14 @@ class RecoveryPolicy:
     loss (see :func:`repro.mpi.errors.classify_failure`): the dead rank is
     blacklisted, its checkpointed state is resharded across the p' = p - k
     survivors, and the build continues at width p'.  Transient failures
-    still retry at the current width, with an exponential backoff and a
-    fresh retry budget after every width change; a rank that exhausts the
-    transient budget is promoted to a permanent loss.  ``min_ranks`` is
-    the floor below which degradation gives up and re-raises.
+    still retry at the current width, with a fresh retry budget after
+    every width change; a rank that exhausts the transient budget is
+    promoted to a permanent loss.  ``min_ranks`` is the floor below which
+    degradation gives up and re-raises.
     """
 
     #: Same-width restart attempts per width (0 = no transient retries).
     max_retries: int = 2
-    #: Base simulated seconds charged per restart (models failure
-    #: detection + respawn on the paper's cluster, e.g. an MPI job
-    #: re-launch).  Grows exponentially with the attempt number:
-    #: ``backoff_seconds * backoff_growth**(attempt - 1)``.
-    backoff_seconds: float = 0.0
-    #: Exponential growth factor of the restart backoff.
-    backoff_growth: float = 2.0
     #: ``"restart"`` retries every failure at full width (the PR-2
     #: behaviour); ``"degrade"`` drops permanently lost ranks and
     #: continues at reduced width.
@@ -291,23 +242,12 @@ class RecoveryPolicy:
     #: finisher (smaller simulated completion time) wins, the loser is
     #: cancelled, and both attempts' costs are banked in the metrics.
     speculate: bool = False
-    #: Add seeded *full jitter* to the exponential restart backoff —
-    #: each retry waits ``U(0, backoff_seconds * growth**(attempt-1))``
-    #: instead of the deterministic full value, so simultaneous transient
-    #: failures don't retry in lockstep.  Seeded (from
-    #: :attr:`MachineSpec.seed` via ``backoff_for``'s ``seed``), so runs
-    #: stay reproducible.
-    backoff_jitter: bool = False
 
     def __post_init__(self) -> None:
         if self.max_retries < 0:
             raise ValueError(
                 f"max_retries must be >= 0, got {self.max_retries}"
             )
-        if self.backoff_seconds < 0:
-            raise ValueError("backoff_seconds must be non-negative")
-        if self.backoff_growth < 1.0:
-            raise ValueError("backoff_growth must be >= 1")
         if self.mode not in ("restart", "degrade"):
             raise ValueError(
                 f"unknown recovery mode: {self.mode!r} "
@@ -315,27 +255,6 @@ class RecoveryPolicy:
             )
         if self.min_ranks < 1:
             raise ValueError(f"min_ranks must be >= 1, got {self.min_ranks}")
-
-    def backoff_for(self, attempt: int, seed: int | None = None) -> float:
-        """Simulated backoff charged before retry number ``attempt``
-        (exponential in the attempt index; attempt 1 pays the base).
-
-        With :attr:`backoff_jitter` the full exponential value becomes
-        the *upper bound* of a seeded uniform draw (AWS-style full
-        jitter); ``(seed, attempt)`` keys the RNG, so every attempt's
-        draw is independent yet reproducible.
-        """
-        if attempt < 1:
-            return 0.0
-        base = self.backoff_seconds * self.backoff_growth ** (attempt - 1)
-        if not self.backoff_jitter or base <= 0.0:
-            return base
-        import numpy as np
-
-        rng = np.random.default_rng(
-            (0 if seed is None else int(seed), int(attempt))
-        )
-        return float(rng.uniform(0.0, base))
 
     def is_retryable(self, exc: BaseException) -> bool:
         # Imported lazily: repro.mpi.__init__ pulls in the engine, which
@@ -376,8 +295,8 @@ class RunResult:
     superstep_log: list = field(default_factory=list)
     #: SPMD attempts executed (1 = no failures; >1 means recovery ran).
     attempts: int = 1
-    #: Simulated seconds consumed by *failed* attempts plus recovery
-    #: backoff — already included in :attr:`simulated_seconds`.
+    #: Simulated seconds consumed by *failed* and cancelled attempts —
+    #: already included in :attr:`simulated_seconds`.
     recovered_seconds: float = 0.0
     #: Network bytes of failed attempts — included in :attr:`comm_bytes`.
     recovered_bytes: int = 0

@@ -17,7 +17,6 @@ __all__ = [
     "SUPPORTED_AGGS",
     "INSERT_MAINTAINABLE_AGGS",
     "combine_scalar",
-    "combine_arrays",
     "prepare_measure",
     "require_insert_maintainable",
 ]
@@ -76,15 +75,4 @@ def combine_scalar(a: float, b: float, agg: str) -> float:
         return min(a, b)
     if agg == "max":
         return max(a, b)
-    raise ValueError(f"unsupported aggregate: {agg!r}")
-
-
-def combine_arrays(a: np.ndarray, b: np.ndarray, agg: str) -> np.ndarray:
-    """Element-wise partial-aggregate combination."""
-    if agg in ("sum", "count"):
-        return a + b
-    if agg == "min":
-        return np.minimum(a, b)
-    if agg == "max":
-        return np.maximum(a, b)
     raise ValueError(f"unsupported aggregate: {agg!r}")

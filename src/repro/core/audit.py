@@ -7,6 +7,11 @@ cube satisfies and reports which hold.  The checks are pure reads over
 the finished cube (no simulation state), so the audit can run after any
 build, clean or recovered:
 
+``piece-shape``
+    Every view has a piece on every rank, each piece's order covers its
+    view, and its keys lie inside the view's key space.  A view that
+    fails here is left out of the other checks, so a malformed cube
+    gives a failed check rather than an error.
 ``view-totals``
     Every SUM view aggregates *all* raw rows, so its measure total equals
     the raw relation's measure total.  COUNT cubes are stored as SUM over
@@ -98,8 +103,9 @@ def audit_cube(
     stands in for the raw total).
     """
     report = AuditReport()
-    views = cube.views
-    rows = {v: cube.view_rows(v) for v in views}
+    views, misshapen = _well_formed(cube)
+    report.checks.append(_check("piece-shape", misshapen))
+    rows = {v: sum(rv[v].nrows for rv in cube.rank_views) for v in views}
 
     # -- view totals ------------------------------------------------------
     if cube.agg == "sum":
@@ -112,21 +118,13 @@ def audit_cube(
         if relation is not None:
             expected = float(np.asarray(relation.measure).sum())
         else:
-            finest = max(views, key=len)
-            expected = totals[finest]
+            expected = totals[max(views, key=len)] if views else 0.0
         scale = max(abs(expected), 1.0)
-        bad = [
+        report.checks.append(_check("view-totals", [
             f"{view_name(v)}={totals[v]!r} (expected {expected!r})"
             for v in views
             if abs(totals[v] - expected) > _REL_TOL * scale
-        ]
-        report.checks.append(
-            AuditCheck(
-                "view-totals",
-                not bad,
-                "; ".join(bad[:4]) + ("..." if len(bad) > 4 else ""),
-            )
-        )
+        ]))
     else:
         report.checks.append(
             AuditCheck(
@@ -154,13 +152,7 @@ def audit_cube(
             for v in views
             if rows[v] > nraw
         )
-    report.checks.append(
-        AuditCheck(
-            "row-monotonicity",
-            not bad,
-            "; ".join(bad[:4]) + ("..." if len(bad) > 4 else ""),
-        )
-    )
+    report.checks.append(_check("row-monotonicity", bad))
 
     # -- no duplicate group keys across rank pieces -----------------------
     bad = []
@@ -172,29 +164,57 @@ def audit_cube(
                 f"{view_name(v)} has {dupes} duplicate group key(s) "
                 "across rank pieces"
             )
-    report.checks.append(
-        AuditCheck(
-            "key-uniqueness",
-            not bad,
-            "; ".join(bad[:4]) + ("..." if len(bad) > 4 else ""),
-        )
-    )
+    report.checks.append(_check("key-uniqueness", bad))
 
     # -- every piece sorted ----------------------------------------------
-    bad = [
+    report.checks.append(_check("piece-order", [
         f"rank {j} piece of {view_name(v)} is not sorted"
         for v in views
         for j, rv in enumerate(cube.rank_views)
         if not rv[v].is_sorted()
-    ]
-    report.checks.append(
-        AuditCheck(
-            "piece-order",
-            not bad,
-            "; ".join(bad[:4]) + ("..." if len(bad) > 4 else ""),
-        )
-    )
+    ]))
     return report
+
+
+def _check(name: str, bad: list[str]) -> AuditCheck:
+    """One invariant's outcome: it holds when ``bad`` is empty."""
+    return AuditCheck(
+        name, not bad, "; ".join(bad[:4]) + ("..." if len(bad) > 4 else "")
+    )
+
+
+def _well_formed(cube: "CubeResult") -> tuple[list, list[str]]:
+    """The views every rank holds a well-formed piece of (the ones the
+    other checks read), and what is wrong with each of the rest."""
+    d = len(cube.cardinalities)
+    every = sorted(
+        {v for rv in cube.rank_views for v in rv}, key=lambda v: (len(v), v)
+    )
+    good, bad = [], []
+    for view in every:
+        problem = _shape_problem(cube, view, d)
+        if problem:
+            bad.append(f"{view_name(view)} {problem}")
+        else:
+            good.append(view)
+    return good, bad
+
+
+def _shape_problem(cube: "CubeResult", view, d: int) -> str:
+    if tuple(sorted(set(view))) != tuple(view) or any(x >= d for x in view):
+        return "is not a view of this cube"
+    space = 1
+    for dim in view:
+        space *= cube.cardinalities[dim]
+    for j, rv in enumerate(cube.rank_views):
+        data = rv.get(view)
+        if data is None:
+            return f"is missing on rank {j}"
+        if set(data.order) != set(view):
+            return f"has a rank {j} order {data.order} that does not cover it"
+        if data.nrows and (data.keys.min() < 0 or data.keys.max() >= space):
+            return f"has rank {j} keys outside its key space {space}"
+    return ""
 
 
 def _canonical_keys(cube: "CubeResult", view) -> np.ndarray:

@@ -100,11 +100,9 @@ def _rank_program(
     # iteration's targets before any fresh measurement exists.
     hetero = None
     if config.hetero and comm.size > 1:
-        floor, ceil = config.hetero_floor, config.hetero_ceil
         hetero = HeteroState(
-            comm.size, floor=floor, ceil=ceil, blend=config.hetero_blend,
-            prior=None if speed_prior is None
-            else RankSpeedModel.from_rates(speed_prior, floor, ceil),
+            comm.size, prior=None if speed_prior is None
+            else RankSpeedModel.from_rates(speed_prior),
         )
     ckpt, resume, resharded = resume_point(comm, checkpoint_root, reshard)
     selected_set = None if selected is None else set(selected)
@@ -226,11 +224,17 @@ def _step2(
         tree, root_data, cards, comm.disk, memory_budget, config.agg
     )
     unwritten = set(unwritten)
+    if selected_set is not None:
+        for v, data in local.items():
+            if v in unwritten and v not in selected_set:
+                comm.disk.charge_store(data.nrows)
+        unwritten &= selected_set
+        local = {v: d for v, d in local.items() if v in selected_set}
     if not config.global_schedule_tree and comm.size > 1:
         # Local schedule trees differ per rank, so view pieces land in
         # rank-specific sort orders; the merge needs one common order,
-        # which forces a re-sort of every non-conforming view — the
-        # exact overhead Figure 7 charges against this strategy.  (A
+        # which forces a re-sort of every non-conforming view it merges —
+        # the exact overhead Figure 7 charges against this strategy.  (A
         # single rank has nothing to merge, hence nothing to re-sort.)
         comm.set_phase(f"resort[{root[0]}]")
         local = {
@@ -240,12 +244,6 @@ def _step2(
             for v, data in local.items()
         }
         tree = ScheduleTree(root, root)  # the merge reads only the root order
-    if selected_set is not None:
-        for v, data in local.items():
-            if v in unwritten and v not in selected_set:
-                comm.disk.charge_store(data.nrows)
-        unwritten &= selected_set
-        local = {v: d for v, d in local.items() if v in selected_set}
     return tree, local, unwritten
 
 
@@ -302,7 +300,7 @@ _SPECULATION_LANE = 1000
 @dataclass(frozen=True)
 class Cost:
     """Committed simulated seconds, traffic and disk blocks of one run,
-    or banked over the failed and cancelled runs and the backoffs."""
+    or banked over the failed and cancelled runs."""
 
     seconds: float = 0.0
     bytes: int = 0
@@ -420,12 +418,6 @@ def _bank(att: Attempt, cost: Cost) -> Attempt:
     return replace(att, index=att.index + 1, banked=att.banked + cost)
 
 
-def _backoff(job: _Job, att: Attempt) -> Attempt:
-    """Bank the simulated restart backoff before run ``att.index``."""
-    seconds = job.recovery.backoff_for(att.index, seed=job.spec.seed)
-    return replace(att, banked=att.banked + Cost(seconds))
-
-
 def _classify(policy, att: Attempt, exc: BaseException, may_race=True) -> str:
     """The :data:`TRANSITIONS` row of a failed run: the failure taxonomy
     (:func:`~repro.mpi.errors.classify_failure`) under the policy."""
@@ -466,7 +458,7 @@ def _below_floor(job: _Job, att: Attempt, lane: _Lane):
 
 
 def _retry(job: _Job, att: Attempt, lane: _Lane):
-    """State *retry*: the same width again, after the backoff."""
+    """State *retry*: the same width again."""
     att = replace(
         att, streak=att.streak + 1, transient_total=att.transient_total + 1
     )
@@ -485,7 +477,6 @@ def _degrade(job: _Job, att: Attempt, lane: _Lane):
 
 
 def _relaunch(job: _Job, att: Attempt, lane: _Lane):
-    att = _backoff(job, att)
     _release(job, lane)
     return att, _run(job, att)
 
@@ -523,7 +514,7 @@ def _speculate(job: _Job, att: Attempt, lane: _Lane):
         att = replace(clone, index=att.index, banked=att.banked)
     seconds = min(loser.cost.seconds, winner.cost.seconds)
     att = _bank(att, replace(loser.cost, seconds=seconds))
-    return _backoff(job, att), winner
+    return att, winner
 
 
 def _without(job: _Job, att: Attempt, lane: _Lane, target) -> Attempt:
@@ -534,9 +525,7 @@ def _without(job: _Job, att: Attempt, lane: _Lane, target) -> Attempt:
     survivors = [r for r in range(att.width) if r != culprit]
     model = reshard = None
     if lane.rates is not None:
-        floor, ceil = job.config.hetero_floor, job.config.hetero_ceil
-        model = RankSpeedModel.from_rates(lane.rates, floor, ceil)
-        model = model.restrict(survivors)
+        model = RankSpeedModel.from_rates(lane.rates).restrict(survivors)
     if att.run_root is not None:
         reshard = ReshardPlan.after_loss(
             att.width, [culprit], att.run_root, target,
@@ -682,8 +671,8 @@ def _plan(relation, cardinalities, spec, config, selected, backend, **rest):
 def _assemble(
     cluster: ClusterResult, att: Attempt, cards: tuple[int, ...], agg: str
 ) -> CubeResult:
-    """State *done*: the winning run's cube, every banked run and backoff
-    folded into its metrics."""
+    """State *done*: the winning run's cube, every banked run folded into
+    its metrics."""
     rank_views = [result[0] for result in cluster.rank_results]
     _, reports, trees, speed_model = cluster.rank_results[0]
     banked = att.banked

@@ -53,7 +53,9 @@ from repro.core.aggregate import combine_scalar
 from repro.core.pipesort import ScheduleTree
 from repro.core.sample_sort import batched_sample_sort, relative_imbalance
 from repro.mpi.speed import RankSpeedModel
-from repro.core.sampling import decimation_sample, estimate_range_count
+from repro.core.sampling import (
+    SAMPLES_PER_RANK, decimation_sample, estimate_range_count,
+)
 from repro.core.viewdata import ViewData
 from repro.core.views import View, is_prefix
 from repro.mpi.comm import Comm
@@ -145,7 +147,7 @@ def merge_partitions(
     # ---- Non-prefix metadata: last keys + size estimates ----------------
     p = comm.size
     nv = len(nonprefix)
-    capacity = config.sample_factor * p
+    capacity = SAMPLES_PER_RANK * p
     my_last = np.array(
         [
             int(local_views[v].keys[-1]) if local_views[v].nrows else -1

@@ -25,7 +25,14 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["DecimationSampler", "decimation_sample", "estimate_range_count"]
+__all__ = [
+    "SAMPLES_PER_RANK", "DecimationSampler", "decimation_sample",
+    "estimate_range_count",
+]
+
+#: Sample slots per processor: "a sample of only 100 p equal spaced
+#: sample elements" (Section 2.4).
+SAMPLES_PER_RANK = 100
 
 
 class DecimationSampler:

@@ -124,7 +124,7 @@ class BSPClock:
         and ``work_seconds`` of per-row CPU work: the modelled part of a
         segment.  Linear, so it prices counter totals and their deltas
         alike; the one place a segment's modelled terms are priced."""
-        return io_blocks * self.spec.effective_disk_sec_per_block + work_seconds
+        return io_blocks * self.spec.disk_sec_per_block + work_seconds
 
     def _bank_modelled(
         self, rank: int, io_blocks: int, work_seconds: float

@@ -10,15 +10,16 @@ strategy of Cérin et al. for sorting on heterogeneous clusters.
 :class:`RankSpeedModel` is the published model: relative per-rank speeds
 (normalised to mean 1) plus the *clamped* share vector derived from
 them.  The clamp keeps any single rank's share inside
-``[floor/p, ceil/p]`` (default ``[1/(2p), 2/p]``) so a mis-measured or
-briefly-idle rank can neither starve nor drown; :func:`clamped_shares`
+``[SHARE_FLOOR/p, SHARE_CEIL/p]`` = ``[1/(2p), 2/p]``, so a mis-measured
+or briefly-idle rank can neither starve nor drown; :func:`clamped_shares`
 solves for the unique scaling of the raw proportional shares whose
 clipped sum is 1 (monotone in the scale factor, found by bisection).
 
 :class:`HeteroState` is the per-run tracker: each cube iteration's
 partitioning phase observes fresh ``(work, busy-seconds)`` samples from
 every rank (allgathered, so all ranks derive an identical model) and
-blends them into the running model with an exponential moving average.
+blends them into the running model with an exponential moving average
+of weight :data:`BLEND`.
 """
 
 from __future__ import annotations
@@ -30,13 +31,26 @@ import numpy as np
 
 from repro.mpi.stats import throughput_rates
 
-__all__ = ["RankSpeedModel", "HeteroState", "clamped_shares"]
+__all__ = [
+    "BLEND", "SHARE_CEIL", "SHARE_FLOOR", "HeteroState", "RankSpeedModel",
+    "clamped_shares",
+]
 
 _EPS = 1e-12
 
+#: No rank receives less than ``SHARE_FLOOR/p`` of the rows...
+SHARE_FLOOR = 0.5
+#: ...nor more than ``SHARE_CEIL/p``.
+SHARE_CEIL = 2.0
+#: EMA weight of each fresh throughput observation when the speed model
+#: is updated between cube iterations (1.0 would trust the latest probe
+#: alone).
+BLEND = 0.5
+
 
 def clamped_shares(
-    speeds: Sequence[float], floor: float = 0.5, ceil: float = 2.0
+    speeds: Sequence[float], floor: float = SHARE_FLOOR,
+    ceil: float = SHARE_CEIL,
 ) -> np.ndarray:
     """Shares proportional to ``speeds``, clipped to ``[floor/p, ceil/p]``.
 
@@ -80,39 +94,28 @@ class RankSpeedModel:
     """Relative per-rank speeds and the clamped share targets they imply.
 
     ``speeds`` are normalised to mean 1 (a homogeneous cluster is all
-    ones); ``floor``/``ceil`` bound any rank's share of the data to
-    ``[floor/p, ceil/p]``.
+    ones); any rank's share of the data is clamped to
+    ``[SHARE_FLOOR/p, SHARE_CEIL/p]``.
     """
 
     speeds: tuple[float, ...]
-    floor: float = 0.5
-    ceil: float = 2.0
 
     def __post_init__(self) -> None:
         if not self.speeds:
             raise ValueError("RankSpeedModel needs at least one rank")
-        if not (0.0 < self.floor <= 1.0 <= self.ceil):
-            raise ValueError(
-                f"need 0 < floor <= 1 <= ceil, got "
-                f"floor={self.floor} ceil={self.ceil}"
-            )
 
     # -- construction -------------------------------------------------------
 
     @staticmethod
-    def uniform(
-        p: int, floor: float = 0.5, ceil: float = 2.0
-    ) -> "RankSpeedModel":
-        return RankSpeedModel((1.0,) * p, floor, ceil)
+    def uniform(p: int) -> "RankSpeedModel":
+        return RankSpeedModel((1.0,) * p)
 
     @staticmethod
-    def from_rates(
-        rates: Sequence[float], floor: float = 0.5, ceil: float = 2.0
-    ) -> "RankSpeedModel":
+    def from_rates(rates: Sequence[float]) -> "RankSpeedModel":
         """Normalise raw rows/sec rates to a mean-1 speed vector."""
         r = np.maximum(np.asarray(rates, dtype=np.float64), _EPS)
         speeds = r / r.mean()
-        return RankSpeedModel(tuple(float(x) for x in speeds), floor, ceil)
+        return RankSpeedModel(tuple(float(x) for x in speeds))
 
     # -- derived quantities -------------------------------------------------
 
@@ -123,9 +126,7 @@ class RankSpeedModel:
     @property
     def shares(self) -> tuple[float, ...]:
         """Clamped fraction of the data each rank should receive."""
-        return tuple(
-            float(x) for x in clamped_shares(self.speeds, self.floor, self.ceil)
-        )
+        return tuple(float(x) for x in clamped_shares(self.speeds))
 
     def counts(self, total: int) -> np.ndarray:
         """Integer row targets summing exactly to ``total``
@@ -146,11 +147,9 @@ class RankSpeedModel:
     ) -> "RankSpeedModel":
         """EMA-blend fresh measured rates into the model
         (``alpha`` = weight of the new observation)."""
-        fresh = np.asarray(
-            RankSpeedModel.from_rates(rates, self.floor, self.ceil).speeds
-        )
+        fresh = np.asarray(RankSpeedModel.from_rates(rates).speeds)
         mixed = alpha * fresh + (1.0 - alpha) * np.asarray(self.speeds)
-        return RankSpeedModel.from_rates(mixed, self.floor, self.ceil)
+        return RankSpeedModel.from_rates(mixed)
 
     def restrict(self, indices: Sequence[int]) -> "RankSpeedModel":
         """The model induced on a surviving subset of ranks (renormalised
@@ -159,7 +158,7 @@ class RankSpeedModel:
         picked = [self.speeds[i] for i in indices]
         if not picked:
             raise ValueError("restrict() needs at least one surviving rank")
-        return RankSpeedModel.from_rates(picked, self.floor, self.ceil)
+        return RankSpeedModel.from_rates(picked)
 
     # -- persistence --------------------------------------------------------
 
@@ -167,17 +166,13 @@ class RankSpeedModel:
         return {
             "speeds": list(self.speeds),
             "shares": list(self.shares),
-            "floor": self.floor,
-            "ceil": self.ceil,
+            "floor": SHARE_FLOOR,
+            "ceil": SHARE_CEIL,
         }
 
     @staticmethod
     def from_dict(data: dict) -> "RankSpeedModel":
-        return RankSpeedModel(
-            tuple(float(x) for x in data["speeds"]),
-            float(data.get("floor", 0.5)),
-            float(data.get("ceil", 2.0)),
-        )
+        return RankSpeedModel(tuple(float(x) for x in data["speeds"]))
 
 
 class HeteroState:
@@ -188,18 +183,8 @@ class HeteroState:
     identical across ranks without further coordination.
     """
 
-    def __init__(
-        self,
-        p: int,
-        floor: float = 0.5,
-        ceil: float = 2.0,
-        blend: float = 0.5,
-        prior: RankSpeedModel | None = None,
-    ):
+    def __init__(self, p: int, prior: RankSpeedModel | None = None):
         self.p = p
-        self.floor = floor
-        self.ceil = ceil
-        self.blend = blend
         self.model = prior
         self._probe: tuple[float, float] | None = None
 
@@ -243,11 +228,9 @@ class HeteroState:
         busy = np.asarray([s[1] for s in samples], dtype=np.float64)
         rates = throughput_rates(work, busy)
         if self.model is None:
-            self.model = RankSpeedModel.from_rates(
-                rates, self.floor, self.ceil
-            )
+            self.model = RankSpeedModel.from_rates(rates)
         else:
-            self.model = self.model.blend(rates, self.blend)
+            self.model = self.model.blend(rates, BLEND)
         return self.model
 
 

@@ -16,9 +16,9 @@ surface:
 * :mod:`repro.olap.store` — persist a built cube to disk and reopen it;
   every view is stored as one globally sorted run of memory-mapped key
   and measure columns the index path serves from.
-* :mod:`repro.olap.cache` — byte-budgeted, admission-controlled result
-  caching in front of an engine, keyed by (store generation, query) so
-  a refresh can never serve a stale hit.
+* :mod:`repro.olap.cache` — the byte-budgeted, admission-controlled
+  result cache the service keys by (store generation, query), so a
+  refresh can never serve a stale hit.
 * :mod:`repro.olap.refresh` — incremental maintenance: fold an
   insert-only delta into a stored cube as a new immutable generation
   (:func:`refresh_store`) instead of rebuilding from scratch, with a
@@ -32,13 +32,9 @@ surface:
   :class:`PoisonQuery`) and the posture that bounds it
   (:class:`ServicePolicy`); the workers run on
   :class:`repro.mpi.pool.WorkerPool`.
-* :mod:`repro.olap.advisor` — greedy view selection (the paper's
-  reference [12], Harinarayan-Rajaraman-Ullman) that produces the
-  ``selected`` set a partial cube build consumes.
 """
 
-from repro.olap.advisor import AdvisorResult, select_views
-from repro.olap.cache import CachedQueryEngine, ResultCache
+from repro.olap.cache import ResultCache
 from repro.olap.index import AccessPlan, FenceIndex, SortedView
 from repro.olap.query import Query, QueryEngine, QueryPlan, QueryPlanner
 from repro.olap.refresh import RefreshReport, refresh_cube, refresh_store
@@ -53,8 +49,6 @@ from repro.olap.supervise import (
 
 __all__ = [
     "AccessPlan",
-    "AdvisorResult",
-    "CachedQueryEngine",
     "CubeStore",
     "FenceIndex",
     "OpenCube",
@@ -72,5 +66,4 @@ __all__ = [
     "SortedView",
     "refresh_cube",
     "refresh_store",
-    "select_views",
 ]

@@ -1,8 +1,9 @@
 """Query-result caching for warehouse front-ends.
 
 A dashboard re-issues the same group-bys constantly; caching their
-results is the standard tier above any OLAP engine.  The cache keys on
-the :class:`~repro.olap.query.Query` itself (hashable since its filters
+results is the standard tier above any OLAP engine.
+:class:`~repro.olap.service.QueryService` keys its cache on the
+:class:`~repro.olap.query.Query` itself (hashable since its filters
 normalise to an immutable mapping) *plus the store generation that
 answered it* — cubes are immutable once built, but an incremental
 refresh (:func:`~repro.olap.refresh.refresh_store`) publishes a new
@@ -27,11 +28,9 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Hashable
 
-from repro.core.cube import CubeResult
-from repro.olap.query import Query, QueryEngine
 from repro.storage.table import Relation
 
-__all__ = ["CacheStats", "CachedQueryEngine", "ResultCache", "result_nbytes"]
+__all__ = ["CacheStats", "ResultCache", "result_nbytes"]
 
 
 def result_nbytes(result: Relation) -> int:
@@ -57,31 +56,23 @@ class ResultCache:
     """Byte-budgeted LRU with admission control.
 
     ``byte_budget`` bounds the total payload bytes held (``None`` means
-    unbounded); ``capacity`` additionally bounds the entry count
-    (``None`` means unbounded).  A value larger than ``admit_fraction *
-    byte_budget`` is never admitted — it would evict many small entries
-    to cache one result that is cheap to recompute relative to its
-    footprint.
+    unbounded).  A value larger than ``admit_fraction * byte_budget`` is
+    never admitted — it would evict many small entries to cache one
+    result that is cheap to recompute relative to its footprint.
     """
 
     def __init__(
-        self,
-        byte_budget: int | None = None,
-        capacity: int | None = None,
-        admit_fraction: float = 0.25,
+        self, byte_budget: int | None = None, admit_fraction: float = 0.25
     ):
         if byte_budget is not None and byte_budget < 1:
             raise ValueError(
                 f"byte_budget must be >= 1, got {byte_budget}"
             )
-        if capacity is not None and capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
         if not 0.0 < admit_fraction <= 1.0:
             raise ValueError(
                 f"admit_fraction must be in (0, 1], got {admit_fraction}"
             )
         self.byte_budget = byte_budget
-        self.capacity = capacity
         self.admit_fraction = float(admit_fraction)
         self.stats = CacheStats()
         self.bytes_held = 0
@@ -113,7 +104,7 @@ class ResultCache:
 
     def put(self, key: Hashable, value, nbytes: int) -> bool:
         """Insert (or refresh) an entry; returns False when denied
-        admission.  Evicts LRU entries until budget and capacity hold."""
+        admission.  Evicts LRU entries until the budget holds."""
         nbytes = int(nbytes)
         if not self.admits(nbytes):
             self.stats.rejected += 1
@@ -123,26 +114,13 @@ class ResultCache:
             self.bytes_held -= old[1]
         self._entries[key] = (value, nbytes)
         self.bytes_held += nbytes
-        while self._entries and (
-            (
-                self.byte_budget is not None
-                and self.bytes_held > self.byte_budget
-            )
-            or (
-                self.capacity is not None
-                and len(self._entries) > self.capacity
-            )
-        ):
-            evicted_key, (_, evicted_bytes) = self._entries.popitem(
-                last=False
-            )
+        # Admission caps an entry at ``admit_fraction`` <= 1 of the
+        # budget, so eviction stops before it reaches the new entry.
+        budget = self.byte_budget
+        while budget is not None and self.bytes_held > budget:
+            _, (_, evicted_bytes) = self._entries.popitem(last=False)
             self.bytes_held -= evicted_bytes
             self.stats.evictions += 1
-            if evicted_key == key:
-                # The new entry itself fell out (budget smaller than the
-                # entry but admission allowed it, e.g. unbounded budget
-                # with capacity pressure cannot reach here; keep safe).
-                return False
         return True
 
     def clear(self) -> None:
@@ -154,93 +132,9 @@ class ResultCache:
             "entries": len(self._entries),
             "bytes_held": self.bytes_held,
             "byte_budget": self.byte_budget,
-            "capacity": self.capacity,
             "hits": self.stats.hits,
             "misses": self.stats.misses,
             "evictions": self.stats.evictions,
             "rejected": self.stats.rejected,
             "hit_rate": self.stats.hit_rate,
         }
-
-
-class CachedQueryEngine:
-    """A result cache in front of :class:`~repro.olap.query.QueryEngine`.
-
-    ``capacity`` keeps the original entry-count bound; ``byte_budget``
-    adds size-aware eviction and admission control on top (both bounds
-    apply when both are given).
-    """
-
-    def __init__(
-        self,
-        cube: CubeResult,
-        capacity: int = 128,
-        byte_budget: int | None = None,
-        admit_fraction: float = 0.25,
-        generation: int = 0,
-    ):
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
-        self.capacity = capacity
-        self._cache = ResultCache(
-            byte_budget=byte_budget,
-            capacity=capacity,
-            admit_fraction=admit_fraction,
-        )
-        self._generation = int(generation)
-        self._engine = QueryEngine(cube)
-
-    def _cache_key(self, query: Query) -> tuple[int, Query]:
-        # Query is hashable (filters normalise to an immutable mapping);
-        # pairing it with the attached cube's generation makes an entry
-        # cached against a superseded cube unreachable, never stale.
-        return (self._generation, query)
-
-    @property
-    def engine(self) -> QueryEngine:
-        return self._engine
-
-    @property
-    def generation(self) -> int:
-        """The generation entries are currently keyed under."""
-        return self._generation
-
-    @property
-    def stats(self) -> CacheStats:
-        return self._cache.stats
-
-    @property
-    def bytes_held(self) -> int:
-        return self._cache.bytes_held
-
-    def attach(
-        self, cube: CubeResult, generation: int | None = None
-    ) -> None:
-        """Swap in a freshly built cube.
-
-        ``generation`` stamps the new cube's snapshot identity (e.g.
-        :attr:`~repro.olap.store.OpenCube.generation` for a reopened
-        store); omitted, the previous generation is bumped by one.
-        Either way old entries become unreachable immediately — the
-        cache is also cleared eagerly to release their bytes.
-        """
-        self._engine = QueryEngine(cube)
-        self._generation = (
-            self._generation + 1 if generation is None else int(generation)
-        )
-        self._cache.clear()
-
-    def answer(self, query: Query) -> Relation:
-        key = self._cache_key(query)
-        cached = self._cache.get(key)
-        if cached is not None:
-            return cached
-        result = self._engine.answer(query)
-        self._cache.put(key, result, result_nbytes(result))
-        return result
-
-    def explain(self, query: Query):
-        return self._engine.explain(query)
-
-    def __len__(self) -> int:
-        return len(self._cache)

@@ -193,7 +193,7 @@ def refresh_cube(
             rank_views[rank][view] = ViewData(
                 run.order, keys[lo:hi], measure[lo:hi]
             )
-    merge_seconds = io.blocks_total * spec.effective_disk_sec_per_block
+    merge_seconds = io.blocks_total * spec.disk_sec_per_block
     built = delta.metrics
     metrics = replace(
         built,

@@ -10,7 +10,7 @@ builds on (Vitter's two-level I/O model).
 from repro.storage.codec import KeyCodec
 from repro.storage.disk import DiskStats, LocalDisk
 from repro.storage.external_sort import external_sort
-from repro.storage.scan import aggregate_sorted_keys, collapse_adjacent
+from repro.storage.scan import aggregate_sorted_keys
 from repro.storage.sortkernels import is_sorted_int64, sort_pairs, stable_order
 from repro.storage.table import Relation
 
@@ -20,7 +20,6 @@ __all__ = [
     "LocalDisk",
     "Relation",
     "aggregate_sorted_keys",
-    "collapse_adjacent",
     "external_sort",
     "is_sorted_int64",
     "sort_pairs",

@@ -1,10 +1,10 @@
-"""Memory-mapped ``.npy`` columns with DiskArray-style read accounting.
+"""Memory-mapped ``.npy`` columns with metered reads.
 
 The serving tier (see :mod:`repro.olap.store` format 2) lays every view
 out as raw contiguous ``.npy`` arrays so a reader can ``np.load(...,
 mmap_mode="r")`` them and touch only the pages a query actually needs.
-The simulated-cluster disks (:mod:`repro.storage.disk`,
-:mod:`repro.storage.diskarray`) meter every access; this module gives
+The simulated-cluster disks (:mod:`repro.storage.disk`) meter every
+access; this module gives
 the *host* mmap path the same discipline: a :class:`MmapMeter` counts
 maps opened, range reads vs full scans, and rows/bytes actually
 materialised, so benchmarks can assert that the index path reads a tiny

@@ -13,7 +13,7 @@ import numpy as np
 from repro.storage.sortkernels import is_sorted_int64, stable_order
 
 __all__ = [
-    "aggregate_sorted_keys", "collapse_adjacent", "merge_runs", "merge_sorted",
+    "aggregate_sorted_keys", "merge_runs", "merge_sorted",
 ]
 
 _REDUCERS = {
@@ -64,15 +64,6 @@ def aggregate_sorted_keys(
     except KeyError:
         raise ValueError(f"unsupported aggregate: {agg!r}") from None
     return out_keys, reducer.reduceat(measure, idx)
-
-
-def collapse_adjacent(
-    keys: np.ndarray, measure: np.ndarray, agg: str = "sum"
-) -> tuple[np.ndarray, np.ndarray]:
-    """Alias of :func:`aggregate_sorted_keys` kept for call-site clarity
-    (used where the input is already aggregated per rank and only boundary
-    duplicates can occur)."""
-    return aggregate_sorted_keys(keys, measure, agg)
 
 
 def merge_sorted(

@@ -95,31 +95,6 @@ class TestFormatting:
         assert text.splitlines()[0] == "H"
         assert "key        : val" in text
 
-    def test_shm_pool_block(self):
-        from repro.bench.reporting import format_shm_pool
-
-        text = format_shm_pool(
-            "Pool",
-            {
-                "leases": 108,
-                "segments_created": 63,
-                "segments_reused": 45,
-                "hit_rate": 0.4167,
-                "bytes_created": 2_000_000,
-                "bytes_reused": 1_000_000,
-                "attaches": 139,
-                "attach_reuses": 105,
-            },
-        )
-        assert "segment leases" in text
-        assert "41.7%" in text
-        assert "2.00 MB" in text
-
-    def test_shm_pool_block_empty(self):
-        from repro.bench.reporting import format_shm_pool
-
-        assert "thread backend" in format_shm_pool("Pool", {})
-
     def test_series_accessors(self):
         s, = self.series()
         assert s.seconds() == [2.5, 1.25]

@@ -1,4 +1,4 @@
-"""Tests for the query cache and the series export."""
+"""Tests for the series export."""
 
 import csv
 import json
@@ -7,79 +7,6 @@ import pytest
 
 from repro.bench.export import series_to_csv, series_to_json
 from repro.bench.harness import Series, SeriesPoint
-from repro.config import MachineSpec
-from repro.core.cube import build_data_cube
-from repro.olap import Query
-from repro.olap.cache import CachedQueryEngine
-from tests.conftest import make_relation
-
-CARDS = (8, 5, 3)
-
-
-@pytest.fixture(scope="module")
-def cube():
-    rel = make_relation(1500, CARDS, seed=20)
-    return build_data_cube(rel, CARDS, MachineSpec(p=2))
-
-
-class TestCachedEngine:
-    def test_hit_returns_same_result(self, cube):
-        engine = CachedQueryEngine(cube)
-        q = Query(group_by=(0, 1))
-        first = engine.answer(q)
-        second = engine.answer(q)
-        assert second is first  # cached object
-        assert engine.stats.hits == 1
-        assert engine.stats.misses == 1
-        assert engine.stats.hit_rate == pytest.approx(0.5)
-
-    def test_distinct_queries_miss(self, cube):
-        engine = CachedQueryEngine(cube)
-        engine.answer(Query(group_by=(0,)))
-        engine.answer(Query(group_by=(1,)))
-        engine.answer(Query(group_by=(0,), filters={1: (0, 2)}))
-        engine.answer(Query(group_by=(0,), having=(">=", 1.0)))
-        assert engine.stats.misses == 4
-        assert engine.stats.hits == 0
-
-    def test_lru_eviction(self, cube):
-        engine = CachedQueryEngine(cube, capacity=2)
-        q1, q2, q3 = (Query(group_by=(i,)) for i in range(3))
-        engine.answer(q1)
-        engine.answer(q2)
-        engine.answer(q3)  # evicts q1
-        assert engine.stats.evictions == 1
-        assert len(engine) == 2
-        engine.answer(q1)  # miss again
-        assert engine.stats.misses == 4
-
-    def test_lru_recency(self, cube):
-        engine = CachedQueryEngine(cube, capacity=2)
-        q1, q2, q3 = (Query(group_by=(i,)) for i in range(3))
-        engine.answer(q1)
-        engine.answer(q2)
-        engine.answer(q1)  # refresh q1
-        engine.answer(q3)  # evicts q2, not q1
-        engine.answer(q1)
-        assert engine.stats.hits == 2
-
-    def test_attach_invalidates(self, cube):
-        engine = CachedQueryEngine(cube)
-        q = Query(group_by=(0,))
-        engine.answer(q)
-        engine.attach(cube)
-        engine.answer(q)
-        assert engine.stats.misses == 2
-        assert engine.stats.hits == 0
-
-    def test_rejects_bad_capacity(self, cube):
-        with pytest.raises(ValueError):
-            CachedQueryEngine(cube, capacity=0)
-
-    def test_explain_passthrough(self, cube):
-        engine = CachedQueryEngine(cube)
-        plan = engine.explain(Query(group_by=(0,)))
-        assert plan.view == (0,)
 
 
 def demo_series():

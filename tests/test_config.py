@@ -5,6 +5,7 @@ import math
 import pytest
 
 from repro.config import CubeConfig, MachineSpec, RunResult
+from repro.core.sampling import SAMPLES_PER_RANK
 
 
 class TestMachineSpec:
@@ -68,10 +69,6 @@ class TestMachineSpec:
         assert other.block_size == 128
         assert spec.backend == "thread"  # original untouched
 
-    def test_rejects_bad_bytes_per_row(self):
-        with pytest.raises(ValueError):
-            MachineSpec(bytes_per_row=0)
-
     def test_with_processors_copies(self):
         spec = MachineSpec(p=4, block_size=128)
         other = spec.with_processors(9)
@@ -85,8 +82,7 @@ class TestMachineSpec:
             spec.p = 10  # type: ignore[misc]
 
     def test_rows_to_mb(self):
-        spec = MachineSpec(bytes_per_row=36)
-        assert spec.rows_to_mb(1_000_000) == pytest.approx(36.0)
+        assert MachineSpec().rows_to_mb(1_000_000) == pytest.approx(36.0)
 
     def test_comm_cost_latency_only_for_empty(self):
         spec = MachineSpec(latency_sec=0.01, beta_sec_per_mb=0.1)
@@ -102,7 +98,7 @@ class TestCubeConfig:
         config = CubeConfig()
         assert config.gamma_partition == pytest.approx(0.01)
         assert config.gamma_merge == pytest.approx(0.03)
-        assert config.sample_factor == 100
+        assert SAMPLES_PER_RANK == 100  # "a sample of only 100 p"
         assert config.global_schedule_tree is True
 
     @pytest.mark.parametrize("gamma", [0.0, -0.5, 1.5])
@@ -114,10 +110,6 @@ class TestCubeConfig:
     def test_rejects_bad_gamma_merge(self, gamma):
         with pytest.raises(ValueError):
             CubeConfig(gamma_merge=gamma)
-
-    def test_rejects_bad_sample_factor(self):
-        with pytest.raises(ValueError):
-            CubeConfig(sample_factor=0)
 
     def test_rejects_unknown_aggregate(self):
         with pytest.raises(ValueError, match="aggregate"):

@@ -143,18 +143,6 @@ class TestClassifyFailure:
 
 
 class TestDegradeFresh:
-    def test_restart_mode_still_raises_on_permanent_loss(self, relation):
-        with pytest.raises(InjectedFault):
-            build(
-                relation,
-                "thread",
-                p=3,
-                faults=FaultPlan.parse(
-                    "crash@r1s6a0;crash@r1s6a1;crash@r1s6a2"
-                ),
-                recovery=RecoveryPolicy(mode="restart", max_retries=2),
-            )
-
     def test_operator_interrupt_is_never_banked(self, relation, monkeypatch):
         """KeyboardInterrupt must re-raise before any recovery machinery
         runs — not retried, not degraded, and the failed cluster's meters
@@ -632,6 +620,7 @@ class TestAudit:
         report = audit_cube(cube, relation=relation)
         assert report.ok
         assert {c.name for c in report.checks} == {
+            "piece-shape",
             "view-totals",
             "row-monotonicity",
             "key-uniqueness",

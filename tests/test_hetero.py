@@ -3,9 +3,9 @@
 Covers the rank speed model (clamped shares, apportionment, blending,
 serialisation), speed-weighted pivots and share bounds, the ``slow@`` /
 ``hang@`` fault grammar and deterministic metering under both backends,
-the supervisor's ``suspect_after`` deadline boundary, seeded backoff
-jitter, and the speculative re-execution race end to end (recovered
-straggler discarding the duplicate vs the width-(p-1) clone winning).
+the supervisor's ``suspect_after`` deadline boundary, and the
+speculative race on the process backend (its thread-backend legs are
+rows of ``tests/test_transitions.py``).
 """
 
 from __future__ import annotations
@@ -114,7 +114,7 @@ class TestRankSpeedModel:
         assert b.speeds[0] < 1.0 < b.speeds[1]
 
     def test_dict_round_trip(self):
-        m = RankSpeedModel.from_rates([0.7, 1.3], floor=0.6, ceil=1.8)
+        m = RankSpeedModel.from_rates([0.7, 1.3])
         d = m.to_dict()
         r = RankSpeedModel.from_dict(d)
         assert r == m
@@ -376,35 +376,6 @@ class TestSupervisorDeadlineBoundary:
 
 
 # ---------------------------------------------------------------------------
-# backoff jitter
-# ---------------------------------------------------------------------------
-
-
-class TestBackoffJitter:
-    def test_legacy_values_without_jitter(self):
-        pol = RecoveryPolicy(backoff_seconds=2.0, backoff_growth=3.0)
-        assert pol.backoff_for(0) == 0.0
-        assert pol.backoff_for(1) == 2.0
-        assert pol.backoff_for(2) == 6.0
-        assert pol.backoff_for(3) == 18.0
-
-    def test_jitter_bounded_and_seed_deterministic(self):
-        pol = RecoveryPolicy(
-            backoff_seconds=2.0, backoff_growth=3.0, backoff_jitter=True
-        )
-        for attempt in (1, 2, 3):
-            base = 2.0 * 3.0 ** (attempt - 1)
-            v = pol.backoff_for(attempt, seed=7)
-            assert 0.0 <= v <= base
-            assert v == pol.backoff_for(attempt, seed=7)
-
-    def test_jitter_varies_with_seed_and_attempt(self):
-        pol = RecoveryPolicy(backoff_seconds=10.0, backoff_jitter=True)
-        assert pol.backoff_for(1, seed=1) != pol.backoff_for(1, seed=2)
-        assert pol.backoff_for(1, seed=1) != pol.backoff_for(2, seed=1)
-
-
-# ---------------------------------------------------------------------------
 # hetero end-to-end + speculative races
 # ---------------------------------------------------------------------------
 
@@ -449,35 +420,6 @@ class TestSpeculativeRace:
                 faults=FaultPlan.parse(faults), checkpoint_dir=ck,
                 recovery=RecoveryPolicy(speculate=True), audit=True, **kw,
             )
-
-    def test_recovered_straggler_discards_duplicate_once(self, relation):
-        clean = build(relation, "thread", audit=True)
-        cube = self._race(relation, "thread", "hang@r1s20a0")
-        m = cube.metrics
-        # The straggler recovered: the full-width retry wins the race,
-        # the width-(p-1) clone's duplicate result is discarded exactly
-        # once, and both raced attempts' costs are banked.
-        assert m.speculations == 1
-        assert m.speculation_discards == 1
-        assert m.attempts == 3
-        assert m.final_width == 3
-        assert m.ranks_lost == []
-        assert m.recovered_seconds > 0
-        assert m.audit["ok"]
-        assert content_fingerprint(cube) == content_fingerprint(clean)
-        assert "speculated 1 race(s)" in m.summary()
-
-    def test_backup_wins_when_straggler_hangs_again(self, relation):
-        clean = build(relation, "thread", audit=True)
-        cube = self._race(relation, "thread", "hang@r1s20a0;hang@r1s2a1")
-        m = cube.metrics
-        assert m.speculations == 1
-        assert m.speculation_discards == 0
-        assert m.attempts == 3
-        assert m.final_width == 2
-        assert m.ranks_lost == [1]
-        assert m.audit["ok"]
-        assert content_fingerprint(cube) == content_fingerprint(clean)
 
     @requires_fork
     def test_race_on_process_backend(self, relation):

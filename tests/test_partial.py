@@ -1,5 +1,6 @@
 """Tests for partial-cube schedule trees (Section 3)."""
 
+import numpy as np
 import pytest
 
 from repro.core.partial import build_partial_schedule_tree, prune_full_tree
@@ -160,3 +161,70 @@ class TestCostSanity:
             [(0,), (1, 2), (0, 3)], root, est
         )
         assert partial.estimated_cost(est) < full.estimated_cost(est)
+
+
+class TestPartialLocalTrees:
+    """A partial cube on local schedule trees re-sorts into canonical
+    order only the views it merges; the intermediate views its trees
+    computed on the way are dropped first."""
+
+    CARDS = (12, 10, 8, 6, 4)
+
+    def _build(self, relation, selected):
+        from repro.config import CubeConfig, MachineSpec
+        from repro.core.cube import build_data_cube
+
+        return build_data_cube(
+            relation, self.CARDS, MachineSpec(p=4, compute_scale=0.0),
+            CubeConfig(global_schedule_tree=False), selected=selected,
+        )
+
+    def test_resorts_only_selected_views(self, monkeypatch):
+        from repro.bench.experiments import select_views
+        from repro.core import cube as cube_mod
+        from repro.core import pipesort
+        from tests.conftest import make_relation
+
+        relation = make_relation(6000, self.CARDS, seed=29)
+        selected = set(select_views(5, 50))  # Figure 6's 50% selection
+        canon = pipesort.to_canonical_order
+        resorted = []
+
+        def spy(data, *args):
+            resorted.append(data.view)
+            return canon(data, *args)
+
+        monkeypatch.setattr(cube_mod, "to_canonical_order", spy)
+        cube = self._build(relation, selected)
+        assert resorted and set(resorted) <= selected
+
+        # The same build re-sorting every piece Pipesort made, as it did
+        # before the drop moved first: each unselected piece pays its
+        # re-sort, then the store a dropped unwritten piece pays anyway.
+        real_execute = cube_mod.execute_schedule
+        dropped = []
+
+        def resort_all(tree, root, cards, disk, budget, agg):
+            local, unwritten = real_execute(
+                tree, root, cards, disk, budget, agg
+            )
+            for v in local:
+                if v not in selected:
+                    dropped.append(v)
+                    local[v] = canon(
+                        local[v], cards, disk, budget, v in unwritten
+                    )
+            return local, unwritten
+
+        monkeypatch.setattr(cube_mod, "execute_schedule", resort_all)
+        before = self._build(relation, selected)
+        assert dropped, "the trees computed no intermediate view"
+        mine, theirs = cube.metrics, before.metrics
+        assert mine.simulated_seconds < theirs.simulated_seconds
+        assert mine.disk_blocks <= theirs.disk_blocks
+        for mine, theirs in zip(cube.rank_views, before.rank_views):
+            assert mine.keys() == theirs.keys()
+            for v, piece in mine.items():
+                assert piece.order == theirs[v].order
+                assert np.array_equal(piece.keys, theirs[v].keys)
+                assert np.array_equal(piece.measure, theirs[v].measure)

@@ -32,7 +32,6 @@ MODULES = [
     "repro.core.result",
     "repro.core.sample_sort",
     "repro.core.sampling",
-    "repro.core.validate",
     "repro.core.viewdata",
     "repro.core.views",
     "repro.mpi.backends",
@@ -48,12 +47,10 @@ MODULES = [
     "repro.mpi.whatif",
     "repro.storage.codec",
     "repro.storage.disk",
-    "repro.storage.diskarray",
     "repro.storage.external_sort",
     "repro.storage.relio",
     "repro.storage.scan",
     "repro.storage.table",
-    "repro.olap.advisor",
     "repro.olap.cache",
     "repro.olap.query",
     "repro.olap.refresh",

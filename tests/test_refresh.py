@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from repro.baselines.reference import reference_cube
 from repro.config import CubeConfig, MachineSpec, RecoveryPolicy
+from repro.core.audit import audit_cube
 from repro.core.cube import build_data_cube, build_partial_cube
-from repro.core.validate import validate_cube
 from repro.core.viewdata import global_run
 from repro.mpi.faults import FaultPlan
 from repro.olap.refresh import refresh_cube
@@ -38,8 +38,8 @@ class TestRefresh:
         first, extra = split(rel, 1500)
         cube = build_data_cube(first, CARDS, MachineSpec(p=4))
         refreshed = refresh_cube(cube, extra)
-        report = validate_cube(refreshed)
-        assert report.ok, report.describe()
+        report = audit_cube(refreshed, relation=rel)
+        assert report.ok, report.summary()
 
     def test_original_cube_untouched(self):
         rel = make_relation(2000, CARDS, seed=42)
@@ -145,7 +145,7 @@ class TestRefresh:
         ), "the fault left no interleaved view"
         refreshed = refresh_cube(cube, extra)
         assert len(refreshed.rank_views) == 3
-        assert validate_cube(refreshed).ok
+        assert audit_cube(refreshed).ok
         for view, rel_want in reference_cube(rel, cards).items():
             assert refreshed.view_relation(view).same_content(rel_want), view
 
@@ -155,7 +155,7 @@ class TestRefresh:
         config = CubeConfig(global_schedule_tree=False)
         cube = build_data_cube(first, CARDS, MachineSpec(p=3), config)
         refreshed = refresh_cube(cube, extra, config=config)
-        assert validate_cube(refreshed).ok
+        assert audit_cube(refreshed).ok
         for view, rel_want in reference_cube(rel, CARDS).items():
             assert refreshed.view_relation(view).same_content(rel_want), view
 

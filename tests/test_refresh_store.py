@@ -12,7 +12,6 @@ from repro.config import CubeConfig, MachineSpec, RecoveryPolicy
 from repro.core.audit import audit_cube
 from repro.core.cube import build_data_cube
 from repro.mpi.faults import FaultPlan
-from repro.olap.cache import CachedQueryEngine
 from repro.olap.query import Query
 from repro.olap.refresh import refresh_store
 from repro.olap.service import QueryService
@@ -331,40 +330,3 @@ class TestRefreshAwareServing:
         assert rung["generation_end"] == 2
         assert rung["availability"] >= 0.99
         assert rung["probe_fresh"] is True
-
-
-class TestCacheGenerationKeying:
-    def test_attach_bumps_generation_and_invalidates(self):
-        rel = int_relation(1500, seed=90)
-        first, extra = split(rel, 1000)
-        cube = build_data_cube(first, CARDS, SPEC)
-        engine = CachedQueryEngine(cube, capacity=16)
-        assert engine.generation == 0
-        probe = Query(group_by=(0,))
-        engine.answer(probe)
-        engine.answer(probe)
-        assert engine.stats.hits == 1
-        full = build_data_cube(rel, CARDS, SPEC)
-        engine.attach(full, generation=5)
-        assert engine.generation == 5
-        result = engine.answer(probe)
-        assert engine.stats.misses == 2  # old entry unreachable
-        want = build_data_cube(rel, CARDS, SPEC)
-        from repro.olap.query import QueryEngine
-
-        expect = QueryEngine(want).answer(probe)
-        da, ma = canon(result)
-        dw, mw = canon(expect)
-        assert np.array_equal(da, dw)
-        assert np.array_equal(ma, mw)
-
-    def test_attach_without_generation_still_invalidates(self):
-        rel = int_relation(900, seed=91)
-        cube = build_data_cube(rel, CARDS, SPEC)
-        engine = CachedQueryEngine(cube)
-        probe = Query(group_by=(1,))
-        engine.answer(probe)
-        engine.attach(cube)
-        assert engine.generation == 1
-        engine.answer(probe)
-        assert engine.stats.hits == 0

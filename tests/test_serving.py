@@ -13,7 +13,6 @@ from repro.config import MachineSpec, RunResult
 from repro.core.cube import CubeResult, build_data_cube
 from repro.core.viewdata import ViewData
 from repro.olap import (
-    CachedQueryEngine,
     CubeStore,
     FenceIndex,
     Query,
@@ -22,6 +21,7 @@ from repro.olap import (
     QueryService,
     ResultCache,
 )
+from repro.olap.cache import result_nbytes
 from repro.olap.index import classify_access, key_bounds
 from repro.olap.servebench import (
     run_at_rate,
@@ -345,6 +345,41 @@ class TestResultCache:
         assert cache.stats.evictions == 1
         assert cache.bytes_held == 80
 
+    @staticmethod
+    def _answer_through(cache, engine, q):
+        """Answer ``q`` through ``cache`` as the service does: a miss
+        computes the result and puts it."""
+        hit = cache.get(q)
+        if hit is not None:
+            return hit
+        result = engine.answer(q)
+        cache.put(q, result, 1)
+        return result
+
+    def test_lru_eviction(self, cube):
+        cache = ResultCache(byte_budget=2, admit_fraction=1.0)
+        engine = QueryEngine(cube)
+        q1, q2, q3 = (Query(group_by=(i,)) for i in range(3))
+        self._answer_through(cache, engine, q1)
+        self._answer_through(cache, engine, q2)
+        self._answer_through(cache, engine, q3)  # evicts q1
+        assert cache.stats.evictions == 1
+        assert len(cache) == 2
+        self._answer_through(cache, engine, q1)  # miss again
+        assert cache.stats.misses == 4
+
+    def test_lru_recency(self, cube):
+        cache = ResultCache(byte_budget=2, admit_fraction=1.0)
+        engine = QueryEngine(cube)
+        q1, q2, q3 = (Query(group_by=(i,)) for i in range(3))
+        self._answer_through(cache, engine, q1)
+        self._answer_through(cache, engine, q2)
+        self._answer_through(cache, engine, q1)  # refresh q1
+        self._answer_through(cache, engine, q3)  # evicts q2, not q1
+        self._answer_through(cache, engine, q1)
+        assert cache.stats.hits == 2
+        assert q2 not in cache
+
     def test_admission_threshold_rejects_huge(self):
         cache = ResultCache(byte_budget=100, admit_fraction=0.25)
         assert not cache.put("big", "X", 26)
@@ -356,28 +391,20 @@ class TestResultCache:
         with pytest.raises(ValueError):
             ResultCache(byte_budget=0)
         with pytest.raises(ValueError):
-            ResultCache(capacity=0)
-        with pytest.raises(ValueError):
             ResultCache(admit_fraction=0.0)
 
-    def test_cached_engine_uses_query_as_key(self, cube):
-        engine = CachedQueryEngine(cube, capacity=8, byte_budget=1 << 20)
+    def test_query_is_the_key(self, cube):
+        """Two spellings of one query hit one entry: the service keys its
+        cache by ``(generation, query)``."""
+        cache = ResultCache(byte_budget=1 << 20)
         q1 = Query(group_by=(0, 1), filters={2: (1, 3)})
         q2 = Query(group_by=(1, 0), filters={2: (1, 3)})  # same query
-        r1 = engine.answer(q1)
-        r2 = engine.answer(q2)
-        assert r1 is r2
-        assert engine.stats.hits == 1 and engine.stats.misses == 1
-        assert engine.bytes_held > 0
-
-    def test_capacity_still_enforced(self, cube):
-        with pytest.raises(ValueError):
-            CachedQueryEngine(cube, capacity=0)
-        engine = CachedQueryEngine(cube, capacity=2)
-        for dim in range(3):
-            engine.answer(Query(group_by=(dim,)))
-        assert len(engine) == 2
-        assert engine.stats.evictions == 1
+        result = QueryEngine(cube).answer(q1)
+        assert cache.put((0, q1), result, result_nbytes(result))
+        assert cache.get((0, q2)) is result
+        assert cache.get((1, q2)) is None  # another generation misses
+        assert cache.stats.hits == 1 and cache.stats.misses == 1
+        assert cache.bytes_held == result_nbytes(result) > 0
 
 
 # ---------------------------------------------------------------------------

@@ -127,27 +127,3 @@ class TestOverlapAnalysis:
         cube = build_data_cube(rel, (8, 5, 3), MachineSpec(p=2))
         text = analyze_overlap(cube).describe()
         assert "overlap analysis" in text and "maskable" in text
-
-
-class TestMultiDisk:
-    def test_striping_reduces_disk_time(self):
-        rel = make_relation(10_000, (16, 10, 6), seed=4)
-        one = build_data_cube(
-            rel, (16, 10, 6),
-            MachineSpec(p=4, disks_per_node=1),
-        )
-        two = build_data_cube(
-            rel, (16, 10, 6),
-            MachineSpec(p=4, disks_per_node=2),
-        )
-        # identical computation; strictly less simulated time with 2 disks
-        assert two.metrics.simulated_seconds < one.metrics.simulated_seconds
-        assert two.metrics.disk_blocks == one.metrics.disk_blocks
-
-    def test_effective_cost(self):
-        spec = MachineSpec(disk_sec_per_block=0.01, disks_per_node=4)
-        assert spec.effective_disk_sec_per_block == pytest.approx(0.0025)
-
-    def test_rejects_zero_disks(self):
-        with pytest.raises(ValueError):
-            MachineSpec(disks_per_node=0)

@@ -1,11 +1,12 @@
-"""Tests for the cube validator."""
+"""Validating a cube with :func:`repro.core.audit.audit_cube`: every
+broken invariant gives a failed check, never an exception."""
 
 import numpy as np
 import pytest
 
 from repro.config import CubeConfig, MachineSpec
+from repro.core.audit import audit_cube
 from repro.core.cube import build_data_cube
-from repro.core.validate import validate_cube
 from repro.core.viewdata import ViewData
 from tests.conftest import make_relation
 
@@ -18,74 +19,78 @@ def cube():
     return build_data_cube(rel, CARDS, MachineSpec(p=3))
 
 
+def failed(report, check):
+    """The detail of the named failed check (asserting that it failed)."""
+    assert not report.ok
+    details = [c.detail for c in report.checks if c.name == check and not c.ok]
+    assert details, report.summary()
+    return details[0]
+
+
 class TestValidateCube:
     def test_fresh_cube_valid(self, cube):
-        report = validate_cube(cube)
-        assert report.ok, report.describe()
-        assert report.views_checked == 8
-
-    def test_shallow_mode(self, cube):
-        assert validate_cube(cube, deep=False).ok
+        report = audit_cube(cube)
+        assert report.ok, report.summary()
+        assert "piece-shape" in {c.name for c in report.checks}
 
     def test_detects_unsorted_piece(self, cube):
         data = cube.rank_views[0][(0,)]
-        if data.nrows >= 2:
-            corrupted = ViewData(
-                data.order, data.keys[::-1].copy(), data.measure[::-1].copy()
-            )
-            cube.rank_views[0][(0,)] = corrupted
-            report = validate_cube(cube)
-            assert not report.ok
-            assert any("not sorted" in e for e in report.errors)
+        assert data.nrows >= 2
+        cube.rank_views[0][(0,)] = ViewData(
+            data.order, data.keys[::-1].copy(), data.measure[::-1].copy()
+        )
+        assert "not sorted" in failed(audit_cube(cube), "piece-order")
 
     def test_detects_duplicate_keys_across_ranks(self, cube):
         a = cube.rank_views[0][(0, 1)]
         b = cube.rank_views[1][(0, 1)]
-        if a.nrows and b.nrows:
-            stolen = ViewData(
-                b.order,
-                np.concatenate(([a.keys[0]], b.keys)),
-                np.concatenate(([1.0], b.measure)),
-            )
-            cube.rank_views[1][(0, 1)] = stolen
-            report = validate_cube(cube)
-            assert not report.ok
-            assert any("duplicate" in e for e in report.errors)
+        assert a.nrows and b.nrows
+        cube.rank_views[1][(0, 1)] = ViewData(
+            b.order,
+            np.concatenate(([a.keys[0]], b.keys)),
+            np.concatenate(([1.0], b.measure)),
+        )
+        assert "duplicate" in failed(audit_cube(cube), "key-uniqueness")
 
     def test_detects_total_mismatch(self, cube):
         data = cube.rank_views[0][(1,)]
-        if data.nrows:
-            tweaked = ViewData(
-                data.order, data.keys, data.measure + 100.0
-            )
-            cube.rank_views[0][(1,)] = tweaked
-            report = validate_cube(cube)
-            assert not report.ok
-            assert any("grand total" in e for e in report.errors)
+        assert data.nrows
+        cube.rank_views[0][(1,)] = ViewData(
+            data.order, data.keys, data.measure + 100.0
+        )
+        assert "expected" in failed(audit_cube(cube), "view-totals")
 
     def test_detects_out_of_space_keys(self, cube):
         data = cube.rank_views[2][(2,)]
-        bad = ViewData(
+        cube.rank_views[2][(2,)] = ViewData(
             data.order,
             np.append(data.keys, np.int64(10**6)),
             np.append(data.measure, 0.0),
         )
-        cube.rank_views[2][(2,)] = bad
-        report = validate_cube(cube)
-        assert not report.ok
-        assert any("key space" in e for e in report.errors)
+        assert "key space" in failed(audit_cube(cube), "piece-shape")
+
+    @pytest.mark.parametrize("rank", [0, 2])
+    def test_detects_missing_piece(self, cube, rank):
+        cube.rank_views[rank].pop((0,))
+        detail = failed(audit_cube(cube), "piece-shape")
+        assert f"missing on rank {rank}" in detail
+
+    def test_detects_order_that_misses_the_view(self, cube):
+        data = cube.rank_views[1][(0, 2)]
+        cube.rank_views[1][(0, 2)] = ViewData((0, 1), data.keys, data.measure)
+        assert "does not cover" in failed(audit_cube(cube), "piece-shape")
 
     def test_describe_formats(self, cube):
-        good = validate_cube(cube)
-        assert "cube valid" in good.describe()
-        cube.rank_views[0].pop((0,))
-        bad = validate_cube(cube)
-        assert "INVALID" in bad.describe()
-        assert any("missing on rank" in e for e in bad.errors)
+        assert audit_cube(cube).summary().startswith("audit: OK")
+        cube.rank_views[1].pop((0,))
+        assert "FAILED (piece-shape" in audit_cube(cube).summary()
 
     def test_non_sum_cubes_skip_total_check(self):
         rel = make_relation(1500, CARDS, seed=2)
         cube = build_data_cube(
             rel, CARDS, MachineSpec(p=2), CubeConfig(agg="min")
         )
-        assert validate_cube(cube).ok
+        report = audit_cube(cube)
+        assert report.ok
+        totals = next(c for c in report.checks if c.name == "view-totals")
+        assert totals.detail.startswith("skipped")
