@@ -18,7 +18,7 @@ availability.  Three lanes:
   and the index path (integer-valued measures keep float SUMs exact),
   and ``audit_cube`` must pass against the full relation.
 * **serving** — a :class:`~repro.olap.service.QueryService` kept under
-  closed-loop load while delta batches are folded in live
+  open-loop load while delta batches are folded in live
   (:func:`~repro.olap.servebench.run_with_refresh`).  Gates:
   availability >= {AVAILABILITY_TARGET} (no query blocked on a
   refresh), the store generation advances once per batch, and the
@@ -49,6 +49,7 @@ from repro.core.audit import audit_cube
 from repro.core.cube import build_data_cube
 from repro.olap.query import Query
 from repro.olap.refresh import refresh_store
+from repro.olap.servebench import integer_delta
 from repro.olap.store import CubeStore
 from repro.storage.table import Relation
 
@@ -77,17 +78,6 @@ QUERIES = [
 
 def _quick() -> bool:
     return bool(os.environ.get("REPRO_BENCH_QUICK"))
-
-
-def int_relation(n: int, cards=CARDS, seed: int = 0) -> Relation:
-    """Integer-valued float64 measures keep every SUM exact (< 2^53),
-    so refresh-vs-rebuild comparisons can demand bit-identity."""
-    rng = np.random.default_rng(seed)
-    dims = np.column_stack(
-        [rng.integers(0, c, size=n, dtype=np.int64) for c in cards]
-    )
-    measure = rng.integers(1, 100, size=n).astype(np.float64)
-    return Relation(dims, measure)
 
 
 def concat(a: Relation, b: Relation) -> Relation:
@@ -128,7 +118,8 @@ def timing_lane(tmpdir: str, quick: bool) -> dict:
     n = QUICK_N if quick else FULL_N
     fractions = FRACTIONS_QUICK if quick else FRACTIONS_FULL
     spec = MachineSpec(p=P)
-    pool = int_relation(int(n * (1 + max(fractions))) + 1, seed=11)
+    rng = np.random.default_rng(11)
+    pool = integer_delta(rng, int(n * (1 + max(fractions))) + 1, CARDS)
     base = pool.slice(0, n)
     extra_pool = pool.slice(n, pool.nrows)
     base_store = os.path.join(tmpdir, "timing-base")
@@ -176,7 +167,7 @@ def identity_lane(tmpdir: str, quick: bool) -> dict:
     n = 20_000 if quick else 60_000
     dn = max(n // 20, 1)  # the 5% acceptance point
     spec = MachineSpec(p=P)
-    rel = int_relation(n + dn, seed=21)
+    rel = integer_delta(np.random.default_rng(21), n + dn, CARDS)
     base, delta = rel.slice(0, n), rel.slice(n, n + dn)
     live = os.path.join(tmpdir, "identity-live")
     CubeStore.save(build_data_cube(base, CARDS, spec), live)
@@ -197,23 +188,14 @@ def serving_lane(tmpdir: str, quick: bool) -> dict:
 
     spec = MachineSpec(p=P)
     n = 20_000 if quick else 60_000
-    rel = int_relation(n, seed=41)
+    rel = integer_delta(np.random.default_rng(41), n, CARDS)
     store = os.path.join(tmpdir, "serving-live")
     CubeStore.save(build_data_cube(rel, CARDS, spec), store)
     n_batches = 2 if quick else 3
     batch_rows = 1_000 if quick else 3_000
     rng = np.random.default_rng(42)
     batches = [
-        Relation(
-            np.column_stack(
-                [
-                    rng.integers(0, c, size=batch_rows, dtype=np.int64)
-                    for c in CARDS
-                ]
-            ),
-            rng.integers(1, 100, size=batch_rows).astype(np.float64),
-        )
-        for _ in range(n_batches)
+        integer_delta(rng, batch_rows, CARDS) for _ in range(n_batches)
     ]
     n_queries = 80 if quick else 240
     refresh_every = n_queries // (n_batches + 1)
@@ -232,7 +214,6 @@ def serving_lane(tmpdir: str, quick: bool) -> dict:
             n_queries=n_queries,
             refresh_every=refresh_every,
             probe=Query(group_by=(0,)),
-            spec=spec,
         )
     return rung
 

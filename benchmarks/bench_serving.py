@@ -1,4 +1,4 @@
-"""Closed-loop benchmark of the OLAP serving tier.
+"""Benchmark of the OLAP serving tier.
 
 Four lanes over one synthetic serving cube (a ≥1M-row base view plus
 its roll-ups, stored in :mod:`repro.olap.store` format 2):
@@ -10,13 +10,13 @@ its roll-ups, stored in :mod:`repro.olap.store` format 2):
   the ≥{SPEEDUP_TARGET}x p50 speedup in full mode and bit-identical
   results in every mode, with the mmap meter showing how few rows the
   index path touched;
-* **service** — an offered-QPS ladder through :class:`QueryService`
-  at 1 and {MULTI_WORKERS} workers (mixed point/roll-up/slice
-  workload, result cache off), reporting p50/p95/p99 per rung and the
-  max sustained QPS (highest rung with achieved ≥ 0.9x offered).  The
-  multi>single assertion only gates on hosts with ≥2 cores — on a
-  single core the workers time-slice and the numbers are recorded
-  honestly;
+* **service** — an open-loop offered-QPS ladder through
+  :class:`QueryService` at 1 and {MULTI_WORKERS} workers (mixed
+  point/roll-up/slice workload, result cache off), reporting
+  p50/p95/p99 per rung and the max sustained QPS (highest rung with
+  achieved ≥ 0.9x offered).  The multi>single assertion only gates on
+  hosts with ≥2 cores — on a single core the workers time-slice and the
+  numbers are recorded honestly;
 * **parity** — every result served through the process pool compared
   bit-for-bit against ``QueryEngine.answer`` on the same queries
   (asserted in every mode).

@@ -85,7 +85,6 @@ def _policy(deadline_s: float) -> ServicePolicy:
         suspect_after=5.0,
         deadline_s=deadline_s,
         max_retries=4,
-        backoff_base=0.02,
         max_queue_depth=100_000,  # availability run: shed nothing
         poison_threshold=8,  # random kills must not quarantine hot spots
         max_restarts=512,

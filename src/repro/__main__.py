@@ -193,7 +193,7 @@ def cmd_query(args: argparse.Namespace) -> int:
 def cmd_refresh(args: argparse.Namespace) -> int:
     from repro.olap import CubeStore
     from repro.olap.refresh import refresh_store
-    from repro.storage.table import Relation
+    from repro.olap.servebench import integer_delta
 
     handle = CubeStore.open(args.path)
     cards = handle.cardinalities
@@ -209,15 +209,9 @@ def cmd_refresh(args: argparse.Namespace) -> int:
         delta = ds.relation
         print(f"loaded {delta.nrows:,} delta rows from {args.from_csv}")
     else:
-        rng = np.random.default_rng(args.seed)
-        dims = np.column_stack(
-            [
-                rng.integers(0, c, size=args.rows, dtype=np.int64)
-                for c in cards
-            ]
+        delta = integer_delta(
+            np.random.default_rng(args.seed), args.rows, cards
         )
-        measure = rng.integers(1, 100, size=args.rows).astype(np.float64)
-        delta = Relation(dims, measure)
         print(f"generated {delta.nrows:,} synthetic delta rows")
     report = refresh_store(args.path, delta, gc=args.gc)
     print(
@@ -244,6 +238,7 @@ def cmd_serve_bench(args: argparse.Namespace) -> int:
     from repro.mpi.faults import FaultPlan
     from repro.olap import CubeStore, QueryService, ServicePolicy
     from repro.olap.servebench import (
+        integer_delta,
         run_at_rate,
         run_with_refresh,
         serving_workload,
@@ -288,7 +283,6 @@ def cmd_serve_bench(args: argparse.Namespace) -> int:
             service.answer_many(workload[:8])  # warm the pool
             if args.refresh_every:
                 from repro.olap import Query
-                from repro.storage.table import Relation
 
                 rng = np.random.default_rng(args.seed + 1)
                 offered = args.qps[0]
@@ -296,21 +290,10 @@ def cmd_serve_bench(args: argparse.Namespace) -> int:
                     int(offered * args.duration), args.refresh_every + 1
                 )
                 n_batches = max(n_total // args.refresh_every, 1)
-                batches = []
-                for _ in range(n_batches):
-                    dims = np.column_stack(
-                        [
-                            rng.integers(
-                                0, c, size=args.delta_rows,
-                                dtype=np.int64,
-                            )
-                            for c in cards
-                        ]
-                    )
-                    measure = rng.integers(
-                        1, 100, size=args.delta_rows
-                    ).astype(np.float64)
-                    batches.append(Relation(dims, measure))
+                batches = [
+                    integer_delta(rng, args.delta_rows, cards)
+                    for _ in range(n_batches)
+                ]
                 print(
                     f"live refresh: {n_batches} delta batches x "
                     f"{args.delta_rows:,} rows, one every "

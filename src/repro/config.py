@@ -27,11 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 
-#: Row width used to convert row counts to bytes in the network/disk cost
-#: model.  The paper's 2,000,000-row input is 72 MB, i.e. ~36 bytes/row
-#: (8 dims + measure at 4 bytes each).
-BYTES_PER_ROW_DEFAULT = 36
-
 #: Balance threshold used by the data-partitioning global sort (Procedure 1,
 #: step 1b): "In our implementation we use a threshold value of γ = 1%."
 GAMMA_PARTITION_DEFAULT = 0.01
@@ -146,10 +141,6 @@ class MachineSpec:
     def with_backend(self, backend: str) -> "MachineSpec":
         """Return a copy of this spec with a different execution backend."""
         return replace(self, backend=backend)
-
-    def rows_to_mb(self, rows: int) -> float:
-        """Convert a row count to megabytes at the model's row width."""
-        return rows * BYTES_PER_ROW_DEFAULT / 1e6
 
     def comm_cost(self, max_rank_bytes: int) -> float:
         """BSP cost of one h-relation whose largest per-rank volume

@@ -45,7 +45,7 @@ Lane batching (:meth:`DataPlane.encode_lanes`)
     instead of one per lane — while each lane stays independently
     decodable, so receivers still only pay for lanes addressed to them.
 
-Small arrays (under :data:`SHM_MIN_BYTES`), object-dtype arrays and
+Small arrays (under :data:`SHM_MIN_BYTES_POOLED`), object-dtype arrays and
 non-array values ride the pickle stream unchanged — the mpi4py object
 path, with the buffer-protocol fast path reserved for payloads where it
 pays.  Traffic metering (:func:`repro.mpi.stats.payload_nbytes`) happens
@@ -59,11 +59,6 @@ mapping is closed, so a consumer's read-only views outlive the creator's
 unlink.  The only operation that must wait for consumers is *reuse*
 (writing new data into a pooled segment), which is exactly what the
 coordinator's release accounting gates.
-
-Lifecycle without an arena (the module-level :func:`encode` /
-:func:`decode` convenience API): the creator owns the blob's segment and
-must call :func:`unlink_segments` once every consumer has decoded.
-Unlinking is idempotent so cleanup paths can always sweep.
 """
 
 from __future__ import annotations
@@ -97,21 +92,16 @@ __all__ = [
     "release_heap",
     "share_resource_tracker",
     "sweep_orphans",
-    "unlink_segments",
 ]
 
-#: Arrays smaller than one page are cheaper inline than as a segment
-#: (``shm_open`` + ``mmap`` + ``unlink`` cost more than pickling 4 KB).
-#: This is the divert threshold of the arena-less module-level
-#: :func:`encode`, where every divert pays the full segment-lifecycle
-#: syscalls.
+#: The smallest segment an arena creates: one page.
 SHM_MIN_BYTES = 1 << 12
 
-#: Divert threshold under an arena.  Leasing from the pool reduces
-#: the marginal cost of a divert to a memcpy into an already-mapped
-#: segment, so much smaller arrays are worth keeping out of the pickle
-#: stream (inline bytes cross the pipe twice per hop; diverted bytes are
-#: written once and read zero-copy).
+#: Divert threshold: arrays this large leave the pickle stream.  Leasing
+#: from the pool reduces the marginal cost of a divert to a memcpy into
+#: an already-mapped segment, so arrays well under a page are worth
+#: keeping out of the pickle stream (inline bytes cross the pipe twice
+#: per hop; diverted bytes are written once and read zero-copy).
 SHM_MIN_BYTES_POOLED = 1 << 9
 
 #: NumPy dtype kinds eligible for the shared-memory fast path
@@ -336,9 +326,8 @@ class _CollectingPickler(pickle.Pickler):
     into one shared segment after the dump.
     """
 
-    def __init__(self, file: io.BytesIO, min_bytes: int = SHM_MIN_BYTES):
+    def __init__(self, file: io.BytesIO):
         super().__init__(file, protocol=pickle.HIGHEST_PROTOCOL)
-        self._min_bytes = min_bytes
         self.arrays: list[np.ndarray] = []
         # pickle consults persistent_id before its memo, so an array
         # referenced twice would otherwise be copied twice.  The map pins
@@ -352,7 +341,7 @@ class _CollectingPickler(pickle.Pickler):
             return None
         if (
             obj.dtype.kind not in _SHM_DTYPE_KINDS
-            or obj.nbytes < self._min_bytes
+            or obj.nbytes < SHM_MIN_BYTES_POOLED
         ):
             return None
         entry = self._seen.get(id(obj))
@@ -364,18 +353,11 @@ class _CollectingPickler(pickle.Pickler):
         return (_PID_TAG, index)
 
 
-def _collect_dump(
-    obj: Any, min_bytes: int = SHM_MIN_BYTES
-) -> tuple[bytes, list[np.ndarray]]:
+def _collect_dump(obj: Any) -> tuple[bytes, list[np.ndarray]]:
     buf = io.BytesIO()
-    pickler = _CollectingPickler(buf, min_bytes)
+    pickler = _CollectingPickler(buf)
     pickler.dump(obj)
     return buf.getvalue(), pickler.arrays
-
-
-def _divert_threshold(arena: "SegmentArena | None") -> int:
-    """The arena's economics decide how small a divert still pays."""
-    return SHM_MIN_BYTES if arena is None else SHM_MIN_BYTES_POOLED
 
 
 def _aligned_layout(
@@ -644,38 +626,26 @@ class LeaseTracker:
 
 
 def _encode_packed(
-    data: bytes, arrays: list[np.ndarray], arena: SegmentArena | None
+    data: bytes, arrays: list[np.ndarray], arena: SegmentArena
 ) -> ShmBlob:
-    """Pack every diverted array into one segment."""
+    """Pack every diverted array into one leased segment."""
     offsets, total = _aligned_layout(arrays)
-    if arena is not None:
-        seg = arena.lease(total)
-        return ShmBlob(data, (seg.name,), _pack_arrays(seg, arrays, offsets))
-    seg = _create_segment(total)
-    try:
-        table = _pack_arrays(seg, arrays, offsets)
-    except Exception:
-        _destroy(seg)  # don't leak partial encodings
-        raise
-    seg.close()  # the mapping; the segment lives until unlink
-    return ShmBlob(data, (seg.name,), table)
+    seg = arena.lease(total)
+    return ShmBlob(data, (seg.name,), _pack_arrays(seg, arrays, offsets))
 
 
-def encode(obj: Any, arena: SegmentArena | None = None) -> ShmBlob:
-    """Encode one payload; large numeric arrays land in shared memory.
-
-    With an ``arena`` every array is packed into one leased segment;
-    without one a dedicated packed segment is created and the caller
-    owns it (:func:`unlink_segments`).
-    """
-    data, arrays = _collect_dump(obj, _divert_threshold(arena))
+def encode(obj: Any, arena: SegmentArena) -> ShmBlob:
+    """Encode one payload; large numeric arrays are packed into one
+    segment leased from ``arena``, which owns it until recycled or
+    closed."""
+    data, arrays = _collect_dump(obj)
     if not arrays:
         return ShmBlob(data)
     return _encode_packed(data, arrays, arena)
 
 
 def encode_lanes(
-    lanes: Sequence[Any], arena: SegmentArena | None = None
+    lanes: Sequence[Any], arena: SegmentArena
 ) -> list[ShmBlob | None]:
     """Encode a per-destination lane list of one scatter/alltoall.
 
@@ -685,10 +655,8 @@ def encode_lanes(
     segment per collective instead of one per lane; the returned blobs
     alias that segment.  ``None`` lanes stay ``None``.
     """
-    min_bytes = _divert_threshold(arena)
     dumped: list[tuple[bytes, list[np.ndarray]] | None] = [
-        None if lane is None else _collect_dump(lane, min_bytes)
-        for lane in lanes
+        None if lane is None else _collect_dump(lane) for lane in lanes
     ]
     all_arrays: list[np.ndarray] = []
     for item in dumped:
@@ -788,21 +756,6 @@ def _map_readonly(name: str) -> mmap.mmap:
         os.close(fd)
 
 
-def unlink_segments(names: Iterable[str]) -> None:
-    """Free segments by name; missing segments are ignored (idempotent)."""
-    for name in names:
-        try:
-            seg = _attach(name)
-        except FileNotFoundError:
-            continue
-        try:
-            seg.unlink()
-        except FileNotFoundError:  # pragma: no cover - raced cleanup
-            pass
-        finally:
-            seg.close()
-
-
 # ---------------------------------------------------------------------------
 # the data plane (one per worker process)
 # ---------------------------------------------------------------------------
@@ -822,10 +775,10 @@ class DataPlane:
         self.tracker = LeaseTracker()
 
     def encode(self, obj: Any) -> ShmBlob:
-        return encode(obj, arena=self.arena)
+        return encode(obj, self.arena)
 
     def encode_lanes(self, lanes: Sequence[Any]) -> list[ShmBlob | None]:
-        return encode_lanes(lanes, arena=self.arena)
+        return encode_lanes(lanes, self.arena)
 
     def decode(self, blob: ShmBlob) -> Any:
         return decode(blob, tracker=self.tracker)

@@ -48,29 +48,23 @@ SHARE_CEIL = 2.0
 BLEND = 0.5
 
 
-def clamped_shares(
-    speeds: Sequence[float], floor: float = SHARE_FLOOR,
-    ceil: float = SHARE_CEIL,
-) -> np.ndarray:
-    """Shares proportional to ``speeds``, clipped to ``[floor/p, ceil/p]``.
+def clamped_shares(speeds: Sequence[float]) -> np.ndarray:
+    """Shares proportional to ``speeds``, clipped to
+    ``[SHARE_FLOOR/p, SHARE_CEIL/p]``.
 
-    Solves ``sum_j clip(t * s_j / sum(s), floor/p, ceil/p) == 1`` for the
-    scale ``t`` by bisection (the sum is continuous and nondecreasing in
-    ``t``, ranging from ``floor`` to ``ceil``, and ``floor <= 1 <= ceil``
-    guarantees a solution).  Deterministic, and exactly uniform for equal
-    speeds.
+    Solves ``sum_j clip(t * s_j / sum(s), SHARE_FLOOR/p, SHARE_CEIL/p)
+    == 1`` for the scale ``t`` by bisection (the sum is continuous and
+    nondecreasing in ``t``, ranging from ``SHARE_FLOOR`` to
+    ``SHARE_CEIL``, and ``SHARE_FLOOR <= 1 <= SHARE_CEIL`` guarantees a
+    solution).  Deterministic, and exactly uniform for equal speeds.
     """
     s = np.maximum(np.asarray(speeds, dtype=np.float64), _EPS)
     p = s.size
     if p == 0:
         raise ValueError("clamped_shares needs at least one rank")
-    if not (0.0 < floor <= 1.0 <= ceil):
-        raise ValueError(
-            f"need 0 < floor <= 1 <= ceil, got floor={floor} ceil={ceil}"
-        )
     if p == 1:
         return np.ones(1)
-    lo, hi = floor / p, ceil / p
+    lo, hi = SHARE_FLOOR / p, SHARE_CEIL / p
     base = s / s.sum()
 
     def total(t: float) -> float:

@@ -17,9 +17,9 @@ Eviction is *byte-budgeted*: every entry is charged its actual array
 payload and the cache evicts least-recently-used entries until it fits
 the budget, so a thousand point lookups and three giant roll-ups are
 costed honestly against the same memory.  An **admission threshold**
-keeps any single result larger than ``admit_fraction`` of the budget
-out entirely — one huge slice scan must not flush the whole working set
-of small hot results (the classic scan-resistance rule).
+keeps any single result larger than :data:`ADMIT_FRACTION` of the
+budget out entirely — one huge slice scan must not flush the whole
+working set of small hot results (the classic scan-resistance rule).
 """
 
 from __future__ import annotations
@@ -30,7 +30,10 @@ from typing import Hashable
 
 from repro.storage.table import Relation
 
-__all__ = ["CacheStats", "ResultCache", "result_nbytes"]
+__all__ = ["ADMIT_FRACTION", "CacheStats", "ResultCache", "result_nbytes"]
+
+#: The largest share of the byte budget one result may take.
+ADMIT_FRACTION = 0.25
 
 
 def result_nbytes(result: Relation) -> int:
@@ -55,25 +58,18 @@ class CacheStats:
 class ResultCache:
     """Byte-budgeted LRU with admission control.
 
-    ``byte_budget`` bounds the total payload bytes held (``None`` means
-    unbounded).  A value larger than ``admit_fraction * byte_budget`` is
-    never admitted — it would evict many small entries to cache one
-    result that is cheap to recompute relative to its footprint.
+    ``byte_budget`` bounds the total payload bytes held.  A value larger
+    than ``ADMIT_FRACTION * byte_budget`` is never admitted — it would
+    evict many small entries to cache one result that is cheap to
+    recompute relative to its footprint.
     """
 
-    def __init__(
-        self, byte_budget: int | None = None, admit_fraction: float = 0.25
-    ):
-        if byte_budget is not None and byte_budget < 1:
+    def __init__(self, byte_budget: int):
+        if byte_budget < 1:
             raise ValueError(
                 f"byte_budget must be >= 1, got {byte_budget}"
             )
-        if not 0.0 < admit_fraction <= 1.0:
-            raise ValueError(
-                f"admit_fraction must be in (0, 1], got {admit_fraction}"
-            )
         self.byte_budget = byte_budget
-        self.admit_fraction = float(admit_fraction)
         self.stats = CacheStats()
         self.bytes_held = 0
         self._entries: OrderedDict[Hashable, tuple[object, int]] = (
@@ -96,17 +92,11 @@ class ResultCache:
         self.stats.hits += 1
         return entry[0]
 
-    def admits(self, nbytes: int) -> bool:
-        """Would a value of this size be admitted at all?"""
-        if self.byte_budget is None:
-            return True
-        return nbytes <= self.byte_budget * self.admit_fraction
-
     def put(self, key: Hashable, value, nbytes: int) -> bool:
         """Insert (or refresh) an entry; returns False when denied
         admission.  Evicts LRU entries until the budget holds."""
         nbytes = int(nbytes)
-        if not self.admits(nbytes):
+        if nbytes > self.byte_budget * ADMIT_FRACTION:
             self.stats.rejected += 1
             return False
         old = self._entries.pop(key, None)
@@ -114,18 +104,13 @@ class ResultCache:
             self.bytes_held -= old[1]
         self._entries[key] = (value, nbytes)
         self.bytes_held += nbytes
-        # Admission caps an entry at ``admit_fraction`` <= 1 of the
-        # budget, so eviction stops before it reaches the new entry.
-        budget = self.byte_budget
-        while budget is not None and self.bytes_held > budget:
+        # Admission caps an entry at ADMIT_FRACTION < 1 of the budget,
+        # so eviction stops before it reaches the new entry.
+        while self.bytes_held > self.byte_budget:
             _, (_, evicted_bytes) = self._entries.popitem(last=False)
             self.bytes_held -= evicted_bytes
             self.stats.evictions += 1
         return True
-
-    def clear(self) -> None:
-        self._entries.clear()
-        self.bytes_held = 0
 
     def snapshot(self) -> dict:
         return {

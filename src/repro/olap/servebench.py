@@ -1,7 +1,8 @@
-"""Workload synthesis and closed-loop measurement for the serving tier.
+"""Workload synthesis and open-loop measurement for the serving tier.
 
-Shared by ``benchmarks/bench_serving.py`` and the ``serve-bench`` CLI
-subcommand.  Three pieces:
+Shared by ``benchmarks/bench_serving.py``, ``bench_serving_chaos.py``,
+``bench_refresh.py`` and the ``serve-bench`` CLI subcommand.  Four
+pieces:
 
 * :func:`synthetic_serving_cube` — a serving-scale cube built directly
   (sorted unique packed keys + codec-remap roll-ups), so a ≥1M-row view
@@ -9,31 +10,41 @@ subcommand.  Three pieces:
 * :func:`serving_workload` — a seeded mixed workload of point lookups,
   roll-ups, and slice scans, the three access shapes the index path
   treats differently;
-* :func:`run_at_rate` — one rung of a closed-loop offered-QPS ladder
-  against a :class:`~repro.olap.service.QueryService`: queries are
-  submitted on a fixed arrival schedule, latency is measured from the
-  *scheduled* arrival to completion (so queueing delay under overload
-  is charged, not hidden), and the rung reports achieved QPS plus
-  p50/p95/p99.
+* :func:`integer_delta` — a seeded insert-only delta batch with
+  integer-valued measures (float SUMs stay exact);
+* one open-loop load driver against a
+  :class:`~repro.olap.service.QueryService`: query *i* is submitted at
+  ``t0 + i/qps`` whatever the service is doing, latency is measured
+  from the *scheduled* arrival to completion (so queueing delay under
+  overload is charged, not hidden), and every offered query ends in
+  exactly one outcome.  :func:`run_at_rate` (one rung of an offered-QPS
+  ladder), :func:`run_with_refresh` (live refresh underneath) and
+  :func:`run_chaos` (answers checked against an oracle) are scorers
+  over that one outcome list.
 """
 
 from __future__ import annotations
 
+import threading
 import time
-from typing import Sequence
+from collections import Counter
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from repro.config import RunResult
 from repro.core.cube import CubeResult
 from repro.core.viewdata import ViewData, codec_for_order
-from repro.core.views import View, canonical_view
+from repro.core.views import View
 from repro.olap.query import Query
 from repro.olap.service import QueryService
+from repro.olap.supervise import PoisonQuery, QueryTimeout, ServiceOverloaded
 from repro.storage.scan import aggregate_sorted_keys
 from repro.storage.sortkernels import sort_pairs
+from repro.storage.table import Relation
 
 __all__ = [
+    "integer_delta",
     "latency_percentiles",
     "run_at_rate",
     "run_chaos",
@@ -48,17 +59,17 @@ def synthetic_serving_cube(
     cardinalities: Sequence[int],
     p: int = 4,
     seed: int = 0,
-    views: Sequence[View] | None = None,
 ) -> CubeResult:
     """A serving-scale cube built arithmetically, not via the engine.
 
     The base view gets ``n_rows`` sorted *unique* packed keys (random
-    gaps over the full key capacity) with random positive measures;
-    every other view is the exact roll-up of the base (codec remap +
-    sort + aggregate).  Each view splits contiguously into ``p`` rank
-    pieces, so the store's sorted-concatenation invariant holds by
-    construction and query answers are identical to what a real build
-    of the same relation would serve.
+    gaps over the full key capacity) with random positive measures.
+    The other views are every single dimension and every adjacent pair,
+    each the exact roll-up of the base (codec remap + sort + aggregate).
+    Each view splits contiguously into ``p`` rank pieces, so the store's
+    sorted-concatenation invariant holds by construction and query
+    answers are identical to what a real build of the same relation
+    would serve.
     """
     cards = tuple(int(c) for c in cardinalities)
     d = len(cards)
@@ -68,11 +79,9 @@ def synthetic_serving_cube(
         raise ValueError(
             f"n_rows {n_rows} exceeds key capacity {capacity}"
         )
-    if views is None:
-        views = [base]
-        views += [(i,) for i in range(d)]
-        views += [(i, i + 1) for i in range(d - 1)]
-    views = [canonical_view(v) for v in views]
+    views: list[View] = [base]
+    views += [(i,) for i in range(d)]
+    views += [(i, i + 1) for i in range(d - 1)]
 
     rng = np.random.default_rng(seed)
     gap = max(capacity // n_rows, 1)
@@ -160,6 +169,23 @@ def serving_workload(
     return out
 
 
+def integer_delta(
+    rng: np.random.Generator, n_rows: int, cardinalities: Sequence[int]
+) -> Relation:
+    """``n_rows`` uniform rows over ``cardinalities`` with measures drawn
+    from 1..99: integer-valued float64 keeps every SUM exact (< 2^53),
+    so refreshed and rebuilt stores can be compared bit for bit.  The
+    columns are drawn first, then the measures, all from ``rng``."""
+    dims = np.column_stack(
+        [
+            rng.integers(0, c, size=n_rows, dtype=np.int64)
+            for c in cardinalities
+        ]
+    )
+    measure = rng.integers(1, 100, size=n_rows).astype(np.float64)
+    return Relation(dims, measure)
+
+
 def latency_percentiles(samples: Sequence[float]) -> dict[str, float]:
     """p50/p95/p99 of latency samples, in milliseconds."""
     arr = np.asarray(samples, dtype=np.float64) * 1e3
@@ -172,114 +198,171 @@ def latency_percentiles(samples: Sequence[float]) -> dict[str, float]:
     }
 
 
+#: How long the driver waits for stragglers after the last submission.
+DRAIN_S = 120.0
+#: How long :func:`run_with_refresh` waits for every worker to rotate
+#: onto the final generation before it asks the staleness probe.
+ROTATE_S = 30.0
+
+
+class _Offer(NamedTuple):
+    """One offered query: its outcome (``answered``, ``mismatched``,
+    ``shed``, ``timeout``, ``poisoned``, ``error`` or ``undrained``),
+    its scheduled arrival and its completion (``None`` when shed or
+    undrained)."""
+
+    outcome: str
+    scheduled: float
+    done: float | None
+
+
+def _same(a: Relation, b: Relation) -> bool:
+    return bool(
+        np.array_equal(a.dims, b.dims)
+        and np.array_equal(a.measure, b.measure)
+    )
+
+
+def _offer_load(
+    service: QueryService,
+    queries: Sequence[Query],
+    offered_qps: float,
+    n_queries: int,
+    expected: dict | None = None,
+    on_tick: Callable[[int], None] | None = None,
+) -> tuple[float, float, list[_Offer]]:
+    """Offer ``n_queries`` queries (cycling ``queries``) open loop: the
+    one load driver the three scorers below share.
+
+    Query *i* is submitted at ``t0 + i/qps`` and never skipped, so
+    falling behind shows up as queueing latency, not as a silently
+    lowered offered rate.  Between submissions the loop harvests
+    finished tickets; after the last one it drains for at most
+    :data:`DRAIN_S`.  A ticket that fails ends ``timeout``
+    (:class:`~repro.olap.supervise.QueryTimeout`), ``poisoned``
+    (:class:`~repro.olap.supervise.PoisonQuery`) or ``error``; a refused
+    submission ends ``shed``, an unresolved ticket after the drain
+    ``undrained``, and an answer ``mismatched`` when it differs from
+    ``expected[query]`` (if given), else ``answered``.
+
+    ``on_tick(submitted)`` runs once per loop pass while submissions
+    remain, before the next arrival is due or sent.  Returns ``(t0,
+    end, offers)`` with one :class:`_Offer` per offered query.
+    """
+    interval = 1.0 / float(offered_qps)
+    flying: dict[int, tuple[float, Query]] = {}
+    offers: list[_Offer] = []
+
+    def harvest() -> None:
+        for ticket in service.poll():
+            entry = flying.pop(ticket, None)
+            if entry is None:
+                continue
+            scheduled, query = entry
+            done = service.completed_at.get(ticket, time.monotonic())
+            try:
+                got = service.wait(ticket)
+            except QueryTimeout:
+                outcome = "timeout"
+            except PoisonQuery:
+                outcome = "poisoned"
+            except Exception:  # noqa: BLE001 - scored, not fatal
+                outcome = "error"
+            else:
+                outcome = (
+                    "answered"
+                    if expected is None or _same(expected[query], got)
+                    else "mismatched"
+                )
+            offers.append(_Offer(outcome, scheduled, done))
+
+    t0 = time.monotonic()
+    submitted = 0
+    while submitted < n_queries:
+        if on_tick is not None:
+            on_tick(submitted)
+        scheduled = t0 + submitted * interval
+        now = time.monotonic()
+        if now < scheduled:
+            harvest()
+            time.sleep(min(scheduled - now, 0.002))
+            continue
+        query = queries[submitted % len(queries)]
+        try:
+            flying[service.submit(query)] = (scheduled, query)
+        except ServiceOverloaded:
+            offers.append(_Offer("shed", scheduled, None))
+        submitted += 1
+        harvest()
+    deadline = time.monotonic() + DRAIN_S
+    while flying and time.monotonic() < deadline:
+        harvest()
+        time.sleep(0.001)
+    offers.extend(_Offer("undrained", t, None) for t, _ in flying.values())
+    return t0, time.monotonic(), offers
+
+
+def _answered(offers: Sequence[_Offer]) -> list[_Offer]:
+    return [o for o in offers if o.outcome == "answered"]
+
+
+def _latencies(offers: Sequence[_Offer]) -> dict[str, float]:
+    return latency_percentiles([o.done - o.scheduled for o in offers])
+
+
 def run_at_rate(
     service: QueryService,
     queries: Sequence[Query],
     offered_qps: float,
     duration_s: float,
-    drain_timeout_s: float = 60.0,
 ) -> dict:
-    """Drive one rung of the offered-QPS ladder (closed loop).
+    """One rung of the offered-QPS ladder: ``offered_qps`` for
+    ``duration_s`` seconds.
 
-    Submissions follow the fixed arrival schedule ``t0 + i/qps`` (we
-    never skip an arrival, so falling behind shows up as queueing
-    latency, not as a silently lowered offered rate).  Latency is
-    scheduled-arrival → completion.  ``achieved_qps`` counts completions
-    over the span from ``t0`` to the last completion.
-
-    Failure outcomes are split the way the supervised service splits
-    them: ``shed`` counts submissions refused by load shedding
-    (:class:`~repro.olap.supervise.ServiceOverloaded` — an arrival was
-    offered but never enqueued), ``deadline_timeouts`` counts tickets
-    failed with :class:`~repro.olap.supervise.QueryTimeout`, and
-    ``errors`` everything else.
+    ``achieved_qps`` counts completions over the span from ``t0`` to the
+    last completion.  ``errors`` counts every failed ticket that is not
+    a deadline miss (``deadline_timeouts``); ``shed`` counts refused
+    submissions and ``timed_out`` tickets still unresolved after the
+    drain.
     """
-    from repro.olap.supervise import QueryTimeout, ServiceOverloaded
-
     n_offered = max(int(offered_qps * duration_s), 1)
-    interval = 1.0 / float(offered_qps)
-    tickets: dict[int, float] = {}
-    latencies: list[float] = []
-    errors = 0
-    shed = 0
-    deadline_timeouts = 0
-    last_done = t0 = time.monotonic()
-
-    def harvest() -> None:
-        nonlocal errors, deadline_timeouts, last_done
-        for ticket in service.poll():
-            sched = tickets.pop(ticket, None)
-            if sched is None:
-                continue
-            done = service.completed_at.get(ticket, time.monotonic())
-            try:
-                service.wait(ticket)
-            except QueryTimeout:
-                deadline_timeouts += 1
-                continue
-            except Exception:
-                errors += 1
-                continue
-            latencies.append(done - sched)
-            last_done = max(last_done, done)
-
-    submitted = 0
-    while submitted < n_offered:
-        sched = t0 + submitted * interval
-        now = time.monotonic()
-        if now < sched:
-            harvest()
-            time.sleep(min(sched - now, 0.002))
-            continue
-        query = queries[submitted % len(queries)]
-        try:
-            tickets[service.submit(query)] = sched
-        except ServiceOverloaded:
-            shed += 1
-        submitted += 1
-        harvest()
-    deadline = time.monotonic() + drain_timeout_s
-    while tickets and time.monotonic() < deadline:
-        harvest()
-        time.sleep(0.001)
-    span = max(last_done - t0, 1e-9)
-    completed = len(latencies)
+    t0, _, offers = _offer_load(service, queries, offered_qps, n_offered)
+    count = Counter(o.outcome for o in offers)
+    answered = _answered(offers)
+    last_done = max((o.done for o in answered), default=t0)
     result = {
         "offered_qps": float(offered_qps),
         "duration_s": float(duration_s),
-        "submitted": submitted,
-        "completed": completed,
-        "errors": errors,
-        "shed": shed,
-        "deadline_timeouts": deadline_timeouts,
-        "timed_out": len(tickets),
-        "achieved_qps": completed / span,
+        "submitted": len(offers),
+        "completed": len(answered),
+        "errors": count["error"] + count["poisoned"],
+        "shed": count["shed"],
+        "deadline_timeouts": count["timeout"],
+        "timed_out": count["undrained"],
+        "achieved_qps": len(answered) / max(last_done - t0, 1e-9),
     }
-    result.update(latency_percentiles(latencies))
+    result.update(_latencies(answered))
     return result
 
 
 def run_with_refresh(
     service: QueryService,
     queries: Sequence[Query],
-    delta_batches: Sequence,
+    delta_batches: Sequence[Relation],
     offered_qps: float,
     n_queries: int,
     refresh_every: int,
     probe: Query | None = None,
-    spec=None,
-    config=None,
-    drain_timeout_s: float = 120.0,
-    rotate_timeout_s: float = 30.0,
 ) -> dict:
     """Serve a workload while the store is refreshed *live* underneath.
 
     Every ``refresh_every`` submissions the next batch from
     ``delta_batches`` is folded into the store by
     :func:`~repro.olap.refresh.refresh_store` **in a background
-    thread** — queries keep flowing while the new generation is built,
-    exactly the deployment the non-blocking snapshot swap exists for.
-    When a refresh publishes, the coordinator is told immediately
+    thread** (when the previous one has finished) — queries keep
+    flowing while the new generation is built, exactly the deployment
+    the non-blocking snapshot swap exists for.  When a refresh
+    publishes, the coordinator is told at the next loop pass
     (:meth:`~repro.olap.service.QueryService.check_generation`) so its
     cache keying bumps without waiting out the poll interval; workers
     rotate on their own cadence.
@@ -298,58 +381,49 @@ def run_with_refresh(
     generation.  A stale cache hit or a worker stuck on an old
     generation makes ``probe_fresh`` false.
     """
-    import threading
-
-    from repro.olap.supervise import QueryTimeout, ServiceOverloaded
+    from repro.olap.refresh import refresh_store
+    from repro.olap.store import CubeStore
 
     if refresh_every < 1:
         raise ValueError(
             f"refresh_every must be >= 1, got {refresh_every}"
         )
-    interval = 1.0 / float(offered_qps)
-    tickets: dict[int, float] = {}
-    completions: list[tuple[float, float]] = []  # (scheduled, done)
-    errors = shed = deadline_timeouts = 0
     windows: list[tuple[float, float]] = []
     window_lock = threading.Lock()
     reports: list = []
     refresh_failures: list[str] = []
-    bump_pending = threading.Event()
+    published = threading.Event()
     generation_start = service.check_generation()
 
-    def _refresh(delta) -> None:
-        from repro.olap.refresh import refresh_store
-
+    def refresh(delta: Relation) -> None:
         start = time.monotonic()
         try:
-            reports.append(
-                refresh_store(
-                    service.store_path, delta, spec=spec, config=config
-                )
-            )
+            reports.append(refresh_store(service.store_path, delta))
         except Exception as exc:  # noqa: BLE001 - scored, not fatal
             refresh_failures.append(f"{type(exc).__name__}: {exc}")
         finally:
             with window_lock:
                 windows.append((start, time.monotonic()))
-            bump_pending.set()
+            published.set()
 
-    def harvest() -> None:
-        nonlocal errors, deadline_timeouts
-        for ticket in service.poll():
-            sched = tickets.pop(ticket, None)
-            if sched is None:
-                continue
-            done = service.completed_at.get(ticket, time.monotonic())
-            try:
-                service.wait(ticket)
-            except QueryTimeout:
-                deadline_timeouts += 1
-                continue
-            except Exception:
-                errors += 1
-                continue
-            completions.append((sched, done))
+    refresher: threading.Thread | None = None
+    started = 0
+
+    def refresh_lane(submitted: int) -> None:
+        nonlocal refresher, started
+        if published.is_set():
+            published.clear()
+            service.check_generation()
+        if (
+            submitted >= refresh_every * (started + 1)
+            and started < len(delta_batches)
+            and (refresher is None or not refresher.is_alive())
+        ):
+            refresher = threading.Thread(
+                target=refresh, args=(delta_batches[started],), daemon=True
+            )
+            refresher.start()
+            started += 1
 
     probe_before = None
     if probe is not None:
@@ -359,54 +433,16 @@ def run_with_refresh(
         except Exception:  # pragma: no cover - probe best-effort
             probe_before = None
 
-    refresh_thread: threading.Thread | None = None
-    next_batch = 0
-    next_refresh_at = refresh_every
-    submitted = 0
-    t0 = time.monotonic()
-    while submitted < n_queries:
-        if bump_pending.is_set():
-            bump_pending.clear()
-            service.check_generation()
-        if (
-            submitted >= next_refresh_at
-            and next_batch < len(delta_batches)
-            and (refresh_thread is None or not refresh_thread.is_alive())
-        ):
-            refresh_thread = threading.Thread(
-                target=_refresh,
-                args=(delta_batches[next_batch],),
-                daemon=True,
-            )
-            refresh_thread.start()
-            next_batch += 1
-            next_refresh_at += refresh_every
-        sched = t0 + submitted * interval
-        now = time.monotonic()
-        if now < sched:
-            harvest()
-            time.sleep(min(sched - now, 0.002))
-            continue
-        query = queries[submitted % len(queries)]
-        try:
-            tickets[service.submit(query)] = sched
-        except ServiceOverloaded:
-            shed += 1
-        submitted += 1
-        harvest()
-    if refresh_thread is not None:
-        refresh_thread.join(drain_timeout_s)
-    if bump_pending.is_set():
-        bump_pending.clear()
-    drain_deadline = time.monotonic() + drain_timeout_s
-    while tickets and time.monotonic() < drain_deadline:
-        harvest()
-        time.sleep(0.001)
+    _, _, offers = _offer_load(
+        service, queries, offered_qps, n_queries, on_tick=refresh_lane
+    )
+    if refresher is not None:
+        refresher.join(DRAIN_S)
 
     # Force the final generation pickup, then wait for every advertised
     # worker slot to rotate up before judging freshness.
     generation_end = service.check_generation()
-    rotate_deadline = time.monotonic() + rotate_timeout_s
+    rotate_deadline = time.monotonic() + ROTATE_S
     while time.monotonic() < rotate_deadline:
         gens = [
             g
@@ -419,36 +455,27 @@ def run_with_refresh(
         time.sleep(0.01)
     probe_fresh = None
     if probe is not None and probe_before is not None:
-        from repro.olap.store import CubeStore
-
-        want = (
-            CubeStore.open(service.store_path)
-            .query_engine(index=service.index)
-            .answer(probe)
-        )
+        want = CubeStore.open(service.store_path).query_engine().answer(probe)
         try:
-            got = service.answer(probe)
-            probe_fresh = bool(
-                np.array_equal(want.dims, got.dims)
-                and np.array_equal(want.measure, got.measure)
-            )
+            probe_fresh = _same(want, service.answer(probe))
         except Exception:  # pragma: no cover - probe best-effort
             probe_fresh = False
 
-    overall = [done - sched for sched, done in completions]
+    count = Counter(o.outcome for o in offers)
+    answered = _answered(offers)
     in_window = [
-        done - sched
-        for sched, done in completions
-        if any(sched <= e and s <= done for s, e in windows)
+        o
+        for o in answered
+        if any(o.scheduled <= e and s <= o.done for s, e in windows)
     ]
     result = {
-        "offered": submitted,
-        "completed": len(completions),
-        "errors": errors,
-        "shed": shed,
-        "deadline_timeouts": deadline_timeouts,
-        "undrained": len(tickets),
-        "availability": len(completions) / max(submitted, 1),
+        "offered": len(offers),
+        "completed": len(answered),
+        "errors": count["error"] + count["poisoned"],
+        "shed": count["shed"],
+        "deadline_timeouts": count["timeout"],
+        "undrained": count["undrained"],
+        "availability": len(answered) / max(len(offers), 1),
         "refreshes": len(reports),
         "refresh_failures": refresh_failures,
         "refresh_seconds": [round(e - s, 4) for s, e in windows],
@@ -457,9 +484,9 @@ def run_with_refresh(
         "generation_end": generation_end,
         "probe_fresh": probe_fresh,
     }
-    result.update(latency_percentiles(overall))
+    result.update(_latencies(answered))
     window_stats = {"completed": len(in_window)}
-    window_stats.update(latency_percentiles(in_window))
+    window_stats.update(_latencies(in_window))
     result["refresh_window"] = window_stats
     return result
 
@@ -470,7 +497,6 @@ def run_chaos(
     expected: dict,
     offered_qps: float,
     n_queries: int,
-    drain_timeout_s: float = 120.0,
 ) -> dict:
     """Drive a seeded workload against a (fault-injected) service and
     score **availability**: the fraction of offered queries answered
@@ -483,78 +509,22 @@ def run_chaos(
     misses, and errors are all unavailability — the denominator is
     everything offered.
     """
-    from repro.olap.supervise import (
-        PoisonQuery,
-        QueryTimeout,
-        ServiceOverloaded,
+    t0, end, offers = _offer_load(
+        service, queries, offered_qps, n_queries, expected=expected
     )
-
-    interval = 1.0 / float(offered_qps)
-    tickets: dict[int, tuple[float, Query]] = {}
-    latencies: list[float] = []
-    correct = mismatched = errors = shed = 0
-    deadline_timeouts = poisoned = 0
-    t0 = time.monotonic()
-
-    def harvest() -> None:
-        nonlocal correct, mismatched, errors, deadline_timeouts, poisoned
-        for ticket in service.poll():
-            entry = tickets.pop(ticket, None)
-            if entry is None:
-                continue
-            sched, query = entry
-            done = service.completed_at.get(ticket, time.monotonic())
-            try:
-                got = service.wait(ticket)
-            except QueryTimeout:
-                deadline_timeouts += 1
-                continue
-            except PoisonQuery:
-                poisoned += 1
-                continue
-            except Exception:
-                errors += 1
-                continue
-            want = expected[query]
-            if np.array_equal(want.dims, got.dims) and np.array_equal(
-                want.measure, got.measure
-            ):
-                correct += 1
-                latencies.append(done - sched)
-            else:
-                mismatched += 1
-
-    submitted = 0
-    while submitted < n_queries:
-        sched = t0 + submitted * interval
-        now = time.monotonic()
-        if now < sched:
-            harvest()
-            time.sleep(min(sched - now, 0.002))
-            continue
-        query = queries[submitted % len(queries)]
-        try:
-            tickets[service.submit(query)] = (sched, query)
-        except ServiceOverloaded:
-            shed += 1
-        submitted += 1
-        harvest()
-    drain_deadline = time.monotonic() + drain_timeout_s
-    while tickets and time.monotonic() < drain_deadline:
-        harvest()
-        time.sleep(0.001)
-    wall_s = time.monotonic() - t0
+    count = Counter(o.outcome for o in offers)
+    answered = _answered(offers)
     result = {
-        "offered": submitted,
-        "correct_within_deadline": correct,
-        "mismatched": mismatched,
-        "errors": errors,
-        "shed": shed,
-        "deadline_timeouts": deadline_timeouts,
-        "poisoned": poisoned,
-        "undrained": len(tickets),
-        "availability": correct / max(submitted, 1),
-        "wall_seconds": round(wall_s, 3),
+        "offered": len(offers),
+        "correct_within_deadline": len(answered),
+        "mismatched": count["mismatched"],
+        "errors": count["error"],
+        "shed": count["shed"],
+        "deadline_timeouts": count["timeout"],
+        "poisoned": count["poisoned"],
+        "undrained": count["undrained"],
+        "availability": len(answered) / max(len(offers), 1),
+        "wall_seconds": round(end - t0, 3),
     }
-    result.update(latency_percentiles(latencies))
+    result.update(_latencies(answered))
     return result

@@ -57,11 +57,11 @@ reader ever blocks on a refresh because the old generation's files
 stay mapped until the swap.  Result-cache entries are keyed by
 ``(store generation, query)`` so a result computed against generation
 N can never satisfy a query once the coordinator has observed N+1.
-Superseded generation directories are garbage-collected once no live
-worker still has them pinned (``policy.gc_generations``).
+Superseded generation directories are always garbage-collected once no
+live worker still has them pinned.
 
-The API is deliberately queue-shaped for closed-loop benchmarking
-(``benchmarks/bench_serving.py``, ``benchmarks/bench_serving_chaos.py``):
+The API is deliberately queue-shaped for open-loop load generation
+(:mod:`repro.olap.servebench`):
 ``submit`` enqueues and returns a ticket, ``wait`` collects, ``answer``
 is the synchronous round trip.
 """
@@ -105,6 +105,7 @@ from repro.olap.supervise import (
     QueryTimeout,
     ServiceOverloaded,
     ServicePolicy,
+    retry_backoff,
 )
 from repro.storage.table import Relation
 
@@ -157,7 +158,6 @@ def _worker_main(
     generation: int,
     conn,
     store_path: str,
-    index: bool,
     faults: FaultPlan | None,
     store_gens,
     current_poll_interval: float,
@@ -186,7 +186,7 @@ def _worker_main(
 
     handle = CubeStore.open(store_path)
     # Workers keep mmap-only access: every view column opens read-only.
-    engine = handle.query_engine(index=index)
+    engine = handle.query_engine()
     store_gen = store_gens[slot] = handle.generation
     gen_poll_at = time.monotonic() + current_poll_interval
 
@@ -201,7 +201,7 @@ def _worker_main(
             if CubeStore.current_generation(store_path) == store_gen:
                 return
             fresh = CubeStore.open(store_path)
-            fresh_engine = fresh.query_engine(index=index)
+            fresh_engine = fresh.query_engine()
         except (OSError, ValueError, KeyError):
             return  # mid-swap or torn state; retry next poll
         handle, engine = fresh, fresh_engine
@@ -281,16 +281,14 @@ class QueryService:
         format); every worker opens it independently.
     workers:
         Pool size (>= 1).
-    byte_budget / admit_fraction:
-        Result-cache sizing (see :class:`~repro.olap.cache.ResultCache`);
-        ``byte_budget=None`` disables caching entirely.
-    index:
-        ``False`` pins every worker to the scan path — the A/B lever of
-        the serving benchmark.
+    byte_budget:
+        Result-cache size in bytes (see
+        :class:`~repro.olap.cache.ResultCache`); ``None`` disables
+        caching entirely.
     policy:
         The service's failure posture — hang deadline, query deadlines,
-        retry/backoff bounds, queue depth, poison threshold, restart
-        budget (see :class:`~repro.olap.supervise.ServicePolicy`).
+        retry bound, queue depth, poison threshold, restart budget
+        (see :class:`~repro.olap.supervise.ServicePolicy`).
     faults:
         Optional :class:`~repro.mpi.faults.FaultPlan` of serving-worker
         faults (``w<worker>q<query>``; chaos testing).  A rank fault
@@ -302,8 +300,6 @@ class QueryService:
         store_path: str,
         workers: int = 2,
         byte_budget: int | None = 64 << 20,
-        admit_fraction: float = 0.25,
-        index: bool = True,
         policy: ServicePolicy | None = None,
         faults: FaultPlan | None = None,
     ):
@@ -324,7 +320,6 @@ class QueryService:
         CubeStore._read_manifest(CubeStore.resolve(store_path)[0])
         self.store_path = store_path
         self.workers = int(workers)
-        self.index = bool(index)
         self.policy = policy if policy is not None else ServicePolicy()
         #: The store generation the coordinator currently believes is
         #: CURRENT; cache lookups key on it, so one observed bump makes
@@ -336,9 +331,7 @@ class QueryService:
         self.generation_bumps = 0
         self.generations_removed = 0
         self._cache = (
-            ResultCache(byte_budget, admit_fraction=admit_fraction)
-            if byte_budget is not None
-            else None
+            None if byte_budget is None else ResultCache(byte_budget)
         )
         # One slot per worker advertising the generation it has pinned
         # (-1 until the worker opens the store); GC consults this so no
@@ -346,7 +339,8 @@ class QueryService:
         self._store_gens = mp.get_context("fork").Array(
             "l", [-1] * self.workers, lock=False
         )
-        self._seq = 0
+        #: Issued tickets :meth:`wait` has not collected yet.
+        self._uncollected: set[int] = set()
         self._flights: dict[int, _Flight] = {}
         #: (store generation, query) -> tickets; the generation in the
         #: key keeps a waiter joined before a refresh from being fed a
@@ -358,7 +352,7 @@ class QueryService:
         self._death_counts: dict[Query, int] = {}
         self._quarantined: set[Query] = set()
         #: Monotonic completion time per resolved ticket (for latency
-        #: measurement by the closed-loop benchmark; popped with wait).
+        #: measurement by the open-loop load driver; popped with wait).
         self.completed_at: dict[int, float] = {}
         self.submitted = 0
         self.executed = 0
@@ -383,7 +377,7 @@ class QueryService:
         self.pool = WorkerPool(
             self.workers,
             _worker_main,
-            (store_path, self.index, faults, self._store_gens,
+            (store_path, faults, self._store_gens,
              self.policy.current_poll_interval),
             suspect_after=self.policy.suspect_after,
             max_restarts=self.policy.max_restarts,
@@ -408,9 +402,7 @@ class QueryService:
             raise RuntimeError("QueryService is closed")
         self._poll_generation(time.monotonic())
         if query in self._quarantined:
-            self._seq += 1
-            ticket = self._seq
-            self.submitted += 1
+            ticket = self._issue()
             self._results[ticket] = PoisonQuery(
                 f"{query.describe()} is quarantined: it killed "
                 f"{self._death_counts.get(query, 0)} workers"
@@ -421,17 +413,13 @@ class QueryService:
         if self._cache is not None:
             cached = self._cache.get(wkey)
             if cached is not None:
-                self._seq += 1
-                ticket = self._seq
-                self.submitted += 1
+                ticket = self._issue()
                 self._results[ticket] = cached
                 self.completed_at[ticket] = time.monotonic()
                 return ticket
         waiters = self._waiters.get(wkey)
         if waiters is not None:
-            self._seq += 1
-            ticket = self._seq
-            self.submitted += 1
+            ticket = self._issue()
             waiters.append(ticket)
             return ticket
         if len(self._flights) >= self.policy.max_queue_depth:
@@ -441,9 +429,7 @@ class QueryService:
                 f"max_queue_depth {self.policy.max_queue_depth}; "
                 "back off and retry"
             )
-        self._seq += 1
-        ticket = self._seq
-        self.submitted += 1
+        ticket = self._issue()
         now = time.monotonic()
         if deadline_s is None:
             deadline_s = self.policy.deadline_s
@@ -459,6 +445,12 @@ class QueryService:
         self._dispatchq.append(ticket)
         self._dispatch()
         return ticket
+
+    def _issue(self) -> int:
+        """The next ticket: tickets count submissions from 1."""
+        self.submitted += 1
+        self._uncollected.add(self.submitted)
+        return self.submitted
 
     # -- the event loop ----------------------------------------------------
 
@@ -597,7 +589,7 @@ class QueryService:
             return
         flight.attempt += 1
         self.retries += 1
-        ready = time.monotonic() + self.policy.backoff(flight.attempt)
+        ready = time.monotonic() + retry_backoff(flight.attempt)
         heapq.heappush(self._retry_heap, (ready, flight.seq))
 
     def _on_worker_failure(self, slot: int, exc: Exception) -> None:
@@ -726,7 +718,7 @@ class QueryService:
     def _maybe_gc(self) -> None:
         """Remove superseded generations once every live worker has
         rotated up to (at least) the coordinator's generation."""
-        if not self.policy.gc_generations or self._store_gen == 0:
+        if self._store_gen == 0:
             return
         pinned = [int(self._store_gens[s]) for s in self.pool.live()]
         if not pinned or min(pinned) < self._store_gen:
@@ -790,14 +782,15 @@ class QueryService:
 
         ``timeout`` bounds the **total** wait: even while other tickets'
         results keep arriving, ``TimeoutError`` is raised once the
-        deadline passes.
+        deadline passes.  A ticket never issued, or already collected,
+        raises ``KeyError``.
         """
+        if ticket not in self._uncollected:
+            raise KeyError(f"unknown or already collected ticket {ticket}")
         deadline = (
             None if timeout is None else time.monotonic() + timeout
         )
         while ticket not in self._results:
-            if ticket > self._seq:
-                raise KeyError(f"unknown ticket {ticket}")
             now = time.monotonic()
             if deadline is not None and now >= deadline:
                 raise TimeoutError(
@@ -808,6 +801,7 @@ class QueryService:
                 math.inf if deadline is None else max(deadline - now, 0.001)
             )
         outcome = self._results.pop(ticket)
+        self._uncollected.discard(ticket)
         self.completed_at.pop(ticket, None)
         if isinstance(outcome, Exception):
             raise outcome
@@ -840,7 +834,6 @@ class QueryService:
         out = {
             "workers": self.workers,
             "live_workers": len(self.pool.live()),
-            "index": self.index,
             "submitted": self.submitted,
             "executed": self.executed,
             "in_flight": len(self._flights),

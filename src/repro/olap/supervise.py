@@ -9,8 +9,9 @@ so a worker fails the way a rank does: an exited process is
 failed slot (generation + 1) until ``max_restarts`` is spent.  This
 module holds what a caller of the service sees of that: the exceptions
 a query can fail with, and :class:`ServicePolicy`, the one object that
-configures deadlines, retry/backoff bounds, queue depth, the poison
-threshold and the restart budget.
+configures deadlines, the retry bound, queue depth, the poison
+threshold and the restart budget.  The retry backoff is a fixed
+exponential (:func:`retry_backoff`).
 """
 
 from __future__ import annotations
@@ -22,7 +23,19 @@ __all__ = [
     "QueryTimeout",
     "ServiceOverloaded",
     "ServicePolicy",
+    "retry_backoff",
 ]
+
+#: Delay before the first re-dispatch of a failed query...
+BACKOFF_BASE_S = 0.02
+#: ...multiplied by this for each further attempt.
+BACKOFF_GROWTH = 2.0
+
+
+def retry_backoff(attempt: int) -> float:
+    """Delay before dispatching retry ``attempt`` (1-based):
+    ``BACKOFF_BASE_S * BACKOFF_GROWTH**(attempt - 1)``."""
+    return BACKOFF_BASE_S * BACKOFF_GROWTH ** max(attempt - 1, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -81,11 +94,9 @@ class ServicePolicy:
         :class:`QueryTimeout` once the deadline passes.
     max_retries:
         Re-executions allowed per query after worker failures (death,
-        hang, corrupt or lost result).  Query *errors* relayed from a
-        healthy worker are deterministic and never retried.
-    backoff_base / backoff_growth:
-        Exponential backoff before re-dispatching a failed query:
-        attempt ``n`` waits ``backoff_base * backoff_growth**(n-1)``.
+        hang, corrupt or lost result), each after
+        :func:`retry_backoff`.  Query *errors* relayed from a healthy
+        worker are deterministic and never retried.
     max_queue_depth:
         In-flight query cap; ``submit`` past it raises
         :class:`ServiceOverloaded`.
@@ -101,23 +112,15 @@ class ServicePolicy:
         pointer to pick up a freshly refreshed generation.  Workers
         never switch mid-query — each query is answered entirely by the
         generation its worker had open when it dequeued the task.
-    gc_generations:
-        When True the coordinator deletes superseded generation
-        directories once no live worker still has them open (pinned
-        generations are never removed; the flat generation-0 layout is
-        never removed either).
     """
 
     suspect_after: float = 5.0
     deadline_s: float | None = None
     max_retries: int = 3
-    backoff_base: float = 0.02
-    backoff_growth: float = 2.0
     max_queue_depth: int = 1024
     poison_threshold: int = 3
     max_restarts: int = 16
     current_poll_interval: float = 0.25
-    gc_generations: bool = True
 
     def __post_init__(self) -> None:
         if self.current_poll_interval <= 0:
@@ -132,9 +135,3 @@ class ServicePolicy:
             raise ValueError("max_queue_depth must be >= 1")
         if self.poison_threshold < 1:
             raise ValueError("poison_threshold must be >= 1")
-
-    def backoff(self, attempt: int) -> float:
-        """Delay before dispatching retry ``attempt`` (1-based)."""
-        return self.backoff_base * self.backoff_growth ** max(
-            attempt - 1, 0
-        )

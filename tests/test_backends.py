@@ -253,78 +253,62 @@ class TestBackendEquivalence:
 
 
 class TestShmCodec:
-    def test_roundtrip_nested(self):
+    @pytest.fixture
+    def arena(self):
+        arena = shm.SegmentArena()
+        yield arena
+        arena.close()
+
+    def test_roundtrip_nested(self, arena):
         big = np.arange(4096, dtype=np.int64)
         obj = {
             "big": big,
             "small": np.arange(3, dtype=np.float64),
             "shell": [("x", 1.5), None, {"y": big[:10].copy()}],
         }
-        blob = shm.encode(obj)
-        try:
-            out = shm.decode(blob)
-        finally:
-            shm.unlink_segments(blob.segments)
+        out = shm.decode(shm.encode(obj, arena))
         np.testing.assert_array_equal(out["big"], obj["big"])
         np.testing.assert_array_equal(out["small"], obj["small"])
         assert out["shell"][0] == ("x", 1.5)
         assert out["shell"][1] is None
 
-    def test_large_arrays_spill_small_stay_inline(self):
+    def test_large_arrays_spill_small_stay_inline(self, arena):
         big = np.zeros(shm.SHM_MIN_BYTES // 8, dtype=np.float64)
         small = np.zeros(4, dtype=np.float64)
-        blob_big = shm.encode(big)
-        try:
-            assert len(blob_big.segments) == 1
-            assert blob_big.nbytes < big.nbytes  # descriptor, not the data
-        finally:
-            shm.unlink_segments(blob_big.segments)
-        blob_small = shm.encode(small)
+        blob_big = shm.encode(big, arena)
+        assert len(blob_big.segments) == 1
+        assert blob_big.nbytes < big.nbytes  # descriptor, not the data
+        blob_small = shm.encode(small, arena)
         assert blob_small.segments == ()
         np.testing.assert_array_equal(shm.decode(blob_small), small)
 
-    def test_shared_array_encoded_once(self):
+    def test_shared_array_encoded_once(self, arena):
         arr = np.arange(2048, dtype=np.int64)
-        blob = shm.encode([arr, arr, {"again": arr}])
-        try:
-            assert len(blob.segments) == 1
-            out = shm.decode(blob)
-        finally:
-            shm.unlink_segments(blob.segments)
+        blob = shm.encode([arr, arr, {"again": arr}], arena)
+        assert len(blob.segments) == 1
+        out = shm.decode(blob)
         np.testing.assert_array_equal(out[0], arr)
         np.testing.assert_array_equal(out[2]["again"], arr)
 
-    def test_non_contiguous_array(self):
+    def test_non_contiguous_array(self, arena):
         base = np.arange(8192, dtype=np.int64).reshape(64, 128)
         view = base[::2, ::4]
-        blob = shm.encode(view)
-        try:
-            out = shm.decode(blob)
-        finally:
-            shm.unlink_segments(blob.segments)
+        out = shm.decode(shm.encode(view, arena))
         np.testing.assert_array_equal(out, view)
 
-    def test_object_dtype_stays_inline(self):
+    def test_object_dtype_stays_inline(self, arena):
         arr = np.array([{"a": 1}, None, "s"] * 800, dtype=object)
-        blob = shm.encode(arr)
+        blob = shm.encode(arr, arena)
         assert blob.segments == ()
         out = shm.decode(blob)
         assert out[0] == {"a": 1}
 
-    def test_decoded_arrays_are_private_copies(self):
+    def test_decoded_arrays_are_private_copies(self, arena):
         arr = np.arange(1024, dtype=np.int64)
-        blob = shm.encode(arr)
-        try:
-            out = shm.decode(blob)
-        finally:
-            shm.unlink_segments(blob.segments)
-        out[0] = -1  # segment already unlinked; copy must survive
+        out = shm.decode(shm.encode(arr, arena))
+        arena.close()  # segment unlinked; the copy must survive
+        out[0] = -1
         assert out[0] == -1 and arr[0] == 0
-
-    def test_unlink_idempotent(self):
-        blob = shm.encode(np.zeros(1024, dtype=np.int64))
-        shm.unlink_segments(blob.segments)
-        shm.unlink_segments(blob.segments)  # second pass: no-op
 
 
 # ---------------------------------------------------------------------------

@@ -127,6 +127,23 @@ class TestCommands:
         assert exc.value.code == 2
         assert CubeStore.current_generation(path) == 1
 
+    def test_serve_bench_live_refresh(self, tmp_path, capsys):
+        # A store of its own: the refreshes advance its generation.
+        path = str(tmp_path / "cube")
+        assert main(
+            ["build", "--rows", "800", "--p", "2", "--dims", "4",
+             "--out", path]
+        ) == 0
+        assert main(
+            ["serve-bench", "--store", path, "--workers", "1",
+             "--qps", "20", "--duration", "1", "--refresh-every", "8",
+             "--delta-rows", "50"]
+        ) == 0
+        out = capsys.readouterr().out
+        assert "live refresh: 2 delta batches x 50 rows" in out
+        assert "  availability " in out
+        assert "probe fresh: True" in out
+
     @pytest.mark.parametrize("command", ["build", "serve-bench"])
     def test_heartbeat_flag_is_gone(self, command):
         # Liveness needs no polling interval: a worker's death is seen

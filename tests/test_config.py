@@ -81,9 +81,6 @@ class TestMachineSpec:
         with pytest.raises(Exception):
             spec.p = 10  # type: ignore[misc]
 
-    def test_rows_to_mb(self):
-        assert MachineSpec().rows_to_mb(1_000_000) == pytest.approx(36.0)
-
     def test_comm_cost_latency_only_for_empty(self):
         spec = MachineSpec(latency_sec=0.01, beta_sec_per_mb=0.1)
         assert spec.comm_cost(0) == pytest.approx(0.01)

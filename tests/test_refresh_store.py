@@ -279,10 +279,7 @@ class TestRefreshAwareServing:
         a, rest = split(rel, 1600)
         b, c = split(rest, 400)
         store = save_store(a, tmp_path / "live")
-        policy = ServicePolicy(
-            current_poll_interval=0.05,
-            gc_generations=True,
-        )
+        policy = ServicePolicy(current_poll_interval=0.05)
         with QueryService(
             store, workers=2, policy=policy
         ) as service:
@@ -323,7 +320,6 @@ class TestRefreshAwareServing:
                 n_queries=60,
                 refresh_every=15,
                 probe=Query(group_by=(0,)),
-                spec=SPEC,
             )
         assert rung["refreshes"] == 2
         assert rung["refresh_failures"] == []

@@ -25,6 +25,7 @@ from repro.olap.cache import result_nbytes
 from repro.olap.index import classify_access, key_bounds
 from repro.olap.servebench import (
     run_at_rate,
+    run_chaos,
     serving_workload,
     synthetic_serving_cube,
 )
@@ -335,15 +336,15 @@ class TestStoreV2:
 
 class TestResultCache:
     def test_byte_budget_evicts_lru(self):
-        cache = ResultCache(byte_budget=100, admit_fraction=0.5)
-        assert cache.put("a", "A", 40)
-        assert cache.put("b", "B", 40)
+        cache = ResultCache(byte_budget=100)
+        for key in "abcd":
+            assert cache.put(key, key.upper(), 25)
         assert cache.get("a") == "A"  # refresh a
-        assert cache.put("c", "C", 40)  # evicts b (LRU)
+        assert cache.put("e", "E", 25)  # evicts b (LRU)
         assert cache.get("b") is None
-        assert cache.get("a") == "A" and cache.get("c") == "C"
+        assert cache.get("a") == "A" and cache.get("e") == "E"
         assert cache.stats.evictions == 1
-        assert cache.bytes_held == 80
+        assert cache.bytes_held == 100
 
     @staticmethod
     def _answer_through(cache, engine, q):
@@ -356,32 +357,34 @@ class TestResultCache:
         cache.put(q, result, 1)
         return result
 
+    #: Five queries; a budget of 4 one-byte entries holds four of them.
+    QUERIES = [Query(group_by=(i,)) for i in range(4)] + [
+        Query(group_by=(0, 1))
+    ]
+
     def test_lru_eviction(self, cube):
-        cache = ResultCache(byte_budget=2, admit_fraction=1.0)
+        cache = ResultCache(byte_budget=4)
         engine = QueryEngine(cube)
-        q1, q2, q3 = (Query(group_by=(i,)) for i in range(3))
-        self._answer_through(cache, engine, q1)
-        self._answer_through(cache, engine, q2)
-        self._answer_through(cache, engine, q3)  # evicts q1
+        for q in self.QUERIES:  # the fifth evicts the first
+            self._answer_through(cache, engine, q)
         assert cache.stats.evictions == 1
-        assert len(cache) == 2
-        self._answer_through(cache, engine, q1)  # miss again
-        assert cache.stats.misses == 4
+        assert len(cache) == 4
+        self._answer_through(cache, engine, self.QUERIES[0])  # miss again
+        assert cache.stats.misses == 6
 
     def test_lru_recency(self, cube):
-        cache = ResultCache(byte_budget=2, admit_fraction=1.0)
+        cache = ResultCache(byte_budget=4)
         engine = QueryEngine(cube)
-        q1, q2, q3 = (Query(group_by=(i,)) for i in range(3))
-        self._answer_through(cache, engine, q1)
-        self._answer_through(cache, engine, q2)
-        self._answer_through(cache, engine, q1)  # refresh q1
-        self._answer_through(cache, engine, q3)  # evicts q2, not q1
+        q1, q2, q3, q4, q5 = self.QUERIES
+        for q in (q1, q2, q3, q4, q1):  # the second q1 refreshes it
+            self._answer_through(cache, engine, q)
+        self._answer_through(cache, engine, q5)  # evicts q2, not q1
         self._answer_through(cache, engine, q1)
         assert cache.stats.hits == 2
         assert q2 not in cache
 
     def test_admission_threshold_rejects_huge(self):
-        cache = ResultCache(byte_budget=100, admit_fraction=0.25)
+        cache = ResultCache(byte_budget=100)
         assert not cache.put("big", "X", 26)
         assert cache.stats.rejected == 1
         assert len(cache) == 0
@@ -390,8 +393,6 @@ class TestResultCache:
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
             ResultCache(byte_budget=0)
-        with pytest.raises(ValueError):
-            ResultCache(admit_fraction=0.0)
 
     def test_query_is_the_key(self, cube):
         """Two spellings of one query hit one entry: the service keys its
@@ -492,14 +493,19 @@ class TestQueryService:
         assert rung["errors"] == 0 and rung["timed_out"] == 0
         assert rung["p50_ms"] is not None and rung["p50_ms"] > 0
 
-    def test_scan_pinned_service(self, store_path):
-        query = Query(group_by=(), filters={0: (3, 3)})
-        handle = CubeStore.open(store_path)
-        want = QueryEngine(handle.cube, index=False).answer(query)
-        with QueryService(store_path, workers=1, index=False) as service:
-            got = service.answer(query, timeout=60)
-        assert np.array_equal(want.dims, got.dims)
-        assert np.array_equal(want.measure, got.measure)
+    def test_chaos_scorer_counts_mismatches(self, store_path):
+        # Every offered query ends in one outcome: answers checked
+        # against a wrong expectation are mismatched, not available.
+        engine = CubeStore.open(store_path).query_engine()
+        good, bad = Query(group_by=(0,)), Query(group_by=(1,))
+        expected = {good: engine.answer(good), bad: engine.answer(good)}
+        with QueryService(
+            store_path, workers=1, byte_budget=None
+        ) as service:
+            rung = run_chaos(service, [good, bad], expected, 40.0, 10)
+        assert rung["offered"] == 10
+        assert rung["correct_within_deadline"] == rung["mismatched"] == 5
+        assert rung["availability"] == 0.5
 
     def test_steady_state_serving_recycles_segments(self, store_path):
         # A decoded result's segments ride the next task back to the

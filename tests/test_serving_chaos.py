@@ -417,6 +417,11 @@ class TestWaitTimeoutIsTotal:
         with QueryService(store_path, workers=1) as service:
             with pytest.raises(KeyError):
                 service.wait(10_000, timeout=1.0)
+            ticket = service.submit(Query(group_by=(0,)))
+            service.wait(ticket, timeout=60)
+            # Collected once: a second wait must not pump to its timeout.
+            with pytest.raises(KeyError):
+                service.wait(ticket, timeout=2.0)
 
 
 # ---------------------------------------------------------------------------

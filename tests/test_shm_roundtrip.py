@@ -104,13 +104,11 @@ class TestRoundtripMatrix:
         out[1][0] = 99.0
 
     def test_pooled_divert_threshold(self, plane):
-        """Arrays between the two thresholds divert only into an arena
-        (a lease is a memcpy; a dedicated segment is not worth it at
-        that size)."""
+        """Arrays under a page but over the divert threshold leave the
+        pickle stream (a lease is a memcpy)."""
         mid = np.zeros(shm.SHM_MIN_BYTES // 4, dtype=np.uint8)
         assert shm.SHM_MIN_BYTES_POOLED <= mid.nbytes < shm.SHM_MIN_BYTES
         assert len(plane.encode(mid).segments) == 1
-        assert shm.encode(mid).segments == ()
 
 
 class TestPackedLayout:
@@ -237,13 +235,11 @@ class TestPageRelease:
 
 @pytest.mark.skipif(not os.path.isdir("/dev/shm"), reason="no /dev/shm")
 class TestAdopt:
-    def test_arrays_are_read_only_views_of_one_map(self):
+    def test_arrays_are_read_only_views_of_one_map(self, plane):
         arr = np.arange(4 * shm.SHM_MIN_BYTES, dtype=np.int64)
-        blob = shm.encode({"a": arr, "b": arr[::2], "tag": 3})
-        try:
-            out = shm.adopt(blob)
-        finally:
-            shm.unlink_segments(blob.segments)
+        blob = plane.encode({"a": arr, "b": arr[::2], "tag": 3})
+        out = shm.adopt(blob)
+        plane.close()  # unlinks the segment; the map keeps the pages
         assert _live(blob.segments) == set()
         for got, want in ((out["a"], arr), (out["b"], arr[::2])):
             np.testing.assert_array_equal(got, want)
@@ -252,9 +248,9 @@ class TestAdopt:
         assert mmap_of(out["a"]) is mmap_of(out["b"])
         assert out["tag"] == 3
 
-    def test_inline_payloads_decode_as_before(self):
+    def test_inline_payloads_decode_as_before(self, plane):
         tiny = np.arange(4, dtype=np.float64)
-        blob = shm.encode(("ctl", tiny))
+        blob = plane.encode(("ctl", tiny))
         assert blob.segments == ()
         out = shm.adopt(blob)
         np.testing.assert_array_equal(out[1], tiny)
@@ -264,11 +260,12 @@ class TestAdopt:
     )
     def test_the_map_and_its_descriptor_live_as_long_as_the_views(self):
         arr = np.arange(4 * shm.SHM_MIN_BYTES, dtype=np.int64)
+        arena = shm.SegmentArena()
         gc.collect()
         baseline = open_fds()
-        blob = shm.encode(arr)
+        blob = shm.encode(arr, arena)
         out = shm.adopt(blob)
-        shm.unlink_segments(blob.segments)
+        arena.close()  # unlinks the segment and closes the arena's fd
         assert open_fds() == baseline + 1
         part = out[10:20]
         del out
