@@ -10,7 +10,7 @@ the claim is physically possible — asserts the >=1.5x host-seconds
 speedup at p >= 4.
 
 The shared-memory data plane under the process backend has one mode
-(pooled, zero-copy); its segment economy is guarded by the yardstick's
+(pooled, copy on receipt); its segment economy is guarded by the yardstick's
 exact counters on ``build_skew_process`` (``mpi.shm_segments_created``,
 ``mpi.shm_leases``, ``mpi.shm_reuse_ratio``), not here.
 

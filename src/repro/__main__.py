@@ -317,6 +317,11 @@ def cmd_serve_bench(args: argparse.Namespace) -> int:
                     f"{rung['probe_fresh']}"
                 )
                 print(
+                    f"  applied {rung['refreshes']} of {n_batches} delta "
+                    f"batches ({rung['skipped']} never started, "
+                    f"{len(rung['refresh_failures'])} failed)"
+                )
+                print(
                     f"  overall p50 {rung['p50_ms']:.2f} ms  p99 "
                     f"{rung['p99_ms']:.2f} ms; during refresh windows "
                     f"({window['completed']} queries) p99 "

@@ -94,15 +94,9 @@ class MachineSpec:
     #: worker is declared a hung straggler (:class:`~repro.mpi.errors.
     #: RankHung`, a transient failure); a worker that exits is reported
     #: dead at once, without a deadline.  ``None`` falls back to the
-    #: resolved barrier timeout — long compute between collectives never
-    #: false-triggers by default.
+    #: barrier timeout (:data:`repro.mpi.comm.BARRIER_TIMEOUT_SEC`) —
+    #: long compute between collectives never false-triggers by default.
     suspect_after: float | None = None
-    #: Upper bound (real seconds) on how long one rank waits for its peers
-    #: before the run is declared wedged, on both backends.  ``None`` uses
-    #: the module default (600 s); the ``REPRO_BARRIER_TIMEOUT`` env var
-    #: overrides everything (see
-    #: :func:`repro.mpi.comm.resolve_barrier_timeout`).
-    barrier_timeout: float | None = None
 
     def __post_init__(self) -> None:
         if self.p < 1:
@@ -131,8 +125,6 @@ class MachineSpec:
             )
         if self.suspect_after is not None and self.suspect_after <= 0:
             raise ValueError("suspect_after must be positive (or None)")
-        if self.barrier_timeout is not None and self.barrier_timeout <= 0:
-            raise ValueError("barrier_timeout must be positive (or None)")
 
     def with_processors(self, p: int) -> "MachineSpec":
         """Return a copy of this spec with a different processor count."""
@@ -296,7 +288,7 @@ class RunResult:
     recovered_blocks: int = 0
     #: Shared-memory data-plane counters of the process backend (segment
     #: leases, pool hit rate, bytes reused — see
-    #: :meth:`repro.mpi.shm.DataPlane.stats`), aggregated over all worker
+    #: :meth:`repro.mpi.shm.SegmentArena.stats`), aggregated over all worker
     #: ranks and attempts.  Empty for the thread backend.
     shm_pool: dict = field(default_factory=dict)
     #: Ranks permanently lost (blacklisted) during a degraded-mode run,

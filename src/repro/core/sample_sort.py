@@ -23,6 +23,7 @@ as the paper's pipeline does.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -119,8 +120,6 @@ class SortOutcome:
     imbalance: float
     #: Whether the global shift (second h-relation) ran.
     shifted: bool
-    #: The speed model the call used/updated (``None`` when hetero off).
-    speed: RankSpeedModel | None = None
 
 
 def adaptive_sample_sort(
@@ -159,60 +158,11 @@ def adaptive_sample_sort(
     global pivots / balance targets shift to that model's clamped
     speed-proportional shares instead of uniform ``n/p``.
     """
-    p = comm.size
-    keys, measure, local_pivots = _sorted_run(
-        comm, keys, measure, "adaptive_sample_sort: the input"
+    (outcome,) = _sample_sort(
+        comm, [(keys, measure)], gamma, pivot_offset,
+        what="adaptive_sample_sort: the input", hetero=hetero,
     )
-    n_local = keys.shape[0]
-    gathered = comm.gather(local_pivots, root=0)
-
-    # Throughput probe: the pivot gather's superstep commit has folded
-    # the caller's local-sort segment into rank_busy.  One extra cheap
-    # allgather publishes every rank's sample; all ranks fold them into
-    # the same model, so the pivot targets below agree everywhere without
-    # further coordination.
-    speed: RankSpeedModel | None = None
-    if hetero is not None:
-        speed = hetero.observe(comm.allgather(hetero.close_probe(comm)))
-    shares = None if speed is None else np.asarray(speed.shares)
-
-    # Step 2: P0 sorts the <= p^2 pivots and picks p-1 regularly spaced
-    # global pivots (ranks p + p/2, 2p + p/2, ...), or the clamped
-    # speed-share quantiles when a speed model is active.
-    rho = p // 2 if pivot_offset is None else int(pivot_offset)
-    if comm.rank == 0:
-        pool = np.sort(np.concatenate(gathered)) if gathered else keys[:0]
-        global_pivots = _select_pivots(pool, p, rho, shares)
-    else:
-        global_pivots = None
-    global_pivots = comm.bcast(global_pivots, root=0)
-
-    # Step 3: bucket local rows by the global pivots.  side="right" sends a
-    # key equal to pivot k into bucket k, identically on every rank.
-    cuts = np.searchsorted(keys, global_pivots, side="right")
-    bounds = np.concatenate(([0], cuts, [n_local]))
-
-    # Step 4: one h-relation.
-    lanes = [
-        (keys[bounds[k] : bounds[k + 1]], measure[bounds[k] : bounds[k + 1]])
-        for k in range(p)
-    ]
-    received = comm.alltoall(lanes)
-
-    # Step 5: local p-way merge of the received sorted pieces.
-    comm.disk.work.charge_scan(sum(rk.shape[0] for rk, _ in received))
-    keys, measure = merge_runs(received)
-
-    # Step 6: imbalance check (against uniform or speed-proportional
-    # targets) and optional global shift.
-    sizes = np.asarray(comm.allgather(keys.shape[0]), dtype=np.int64)
-    targets = None if speed is None else speed.counts(int(sizes.sum()))
-    imbalance = relative_imbalance(sizes, targets)
-    shifted = False
-    if imbalance > gamma:
-        keys, measure = _global_shift(comm, keys, measure, sizes, targets)
-        shifted = True
-    return SortOutcome(keys, measure, imbalance, shifted, speed)
+    return outcome
 
 
 def batched_sample_sort(
@@ -253,24 +203,53 @@ def batched_sample_sort(
     balance targets (no probing here: the batched call rides inside the
     merge phase, whose model was measured during partitioning).
     """
+    if not items:
+        return []
+    return _sample_sort(
+        comm, items, gamma, pivot_offset,
+        what="batched_sample_sort: item {}", agg=agg, speed=speed,
+    )
+
+
+def _sample_sort(
+    comm: Comm,
+    items: Sequence[tuple[np.ndarray, np.ndarray]],
+    gamma: float,
+    pivot_offset: int | None,
+    what: str,
+    agg: str | None = None,
+    speed: RankSpeedModel | None = None,
+    hetero: HeteroState | None = None,
+) -> list[SortOutcome]:
+    """Procedure 2 steps 2-6 over one or more items at once (both public
+    calls); ``what.format(item)`` names an unsorted item.  Lists meter as
+    the sum of their items, so one item costs what a bare run would."""
     p = comm.size
     n_items = len(items)
-    if n_items == 0:
-        return []
-    shares = None if speed is None else np.asarray(speed.shares)
 
     # Step 1 is the caller's: verify each sorted run, read its pivots.
     sorted_items: list[tuple[np.ndarray, np.ndarray]] = []
     pivot_lists: list[np.ndarray] = []
     for item, (keys, measure) in enumerate(items):
         keys, measure, pivots = _sorted_run(
-            comm, keys, measure, f"batched_sample_sort: item {item}"
+            comm, keys, measure, what.format(item)
         )
         sorted_items.append((keys, measure))
         pivot_lists.append(pivots)
     gathered = comm.gather(pivot_lists, root=0)
 
-    # Step 2: per-item global pivots at P0, one broadcast.
+    # Throughput probe: the pivot gather's superstep commit has folded
+    # the caller's local-sort segment into rank_busy.  One extra cheap
+    # allgather publishes every rank's sample; all ranks fold them into
+    # the same model, so the pivot targets below agree everywhere without
+    # further coordination.
+    if hetero is not None:
+        speed = hetero.observe(comm.allgather(hetero.close_probe(comm)))
+    shares = None if speed is None else np.asarray(speed.shares)
+
+    # Step 2: P0 sorts each item's <= p^2 pivots and picks p-1 regularly
+    # spaced global pivots (ranks p + p/2, 2p + p/2, ...), or the clamped
+    # speed-share quantiles when a speed model is active; one broadcast.
     rho = p // 2 if pivot_offset is None else int(pivot_offset)
     if comm.rank == 0:
         all_pivots = []
@@ -284,6 +263,8 @@ def batched_sample_sort(
     all_pivots = comm.bcast(all_pivots, root=0)
 
     # Steps 3+4: bucket every item, ship all buckets in one h-relation.
+    # side="right" sends a key equal to pivot k into bucket k, identically
+    # on every rank.
     lanes: list[list[tuple[np.ndarray, np.ndarray]]] = [[] for _ in range(p)]
     for (keys, measure), pivots in zip(sorted_items, all_pivots):
         cuts = np.searchsorted(keys, pivots, side="right")
@@ -295,7 +276,7 @@ def batched_sample_sort(
             )
     received = comm.alltoall(lanes)
 
-    # Step 5: per-item local merge; one allgather of all sizes.
+    # Step 5: per-item local p-way merge; one allgather of all sizes.
     merged: list[tuple[np.ndarray, np.ndarray]] = []
     for item in range(n_items):
         pieces = [received[j][item] for j in range(p)]
@@ -307,7 +288,8 @@ def batched_sample_sort(
     my_sizes = np.array([k.shape[0] for k, _ in merged], dtype=np.int64)
     all_sizes = np.vstack(comm.allgather(my_sizes))  # (p, n_items)
 
-    # Step 6: joint global shift for every item over its threshold.
+    # Step 6: imbalance check (against uniform or speed-proportional
+    # targets) and one joint global shift for every item over γ.
     item_targets: list[np.ndarray | None]
     if speed is None:
         item_targets = [None] * n_items
@@ -322,79 +304,38 @@ def batched_sample_sort(
     ]
     need_shift = [item for item in range(n_items) if imbalances[item] > gamma]
     if need_shift:
+        # Rows occupy global positions offset_j .. offset_j + y_j on rank
+        # j; each goes to the rank whose target range holds its position
+        # (total/p each, remainder on the lowest ranks, unless a speed
+        # model sets the counts).  Received pieces concatenate in
+        # source-rank order, which *is* global order.
         shift_lanes: list[list[tuple[np.ndarray, np.ndarray]]] = [
             [] for _ in range(p)
         ]
-        plans = []
         for item in need_shift:
             keys, measure = merged[item]
             sizes = all_sizes[:, item]
-            total = int(sizes.sum())
-            if item_targets[item] is None:
-                base, rem = divmod(total, p)
+            target_counts = item_targets[item]
+            if target_counts is None:
+                base, rem = divmod(int(sizes.sum()), p)
                 target_counts = np.full(p, base, dtype=np.int64)
                 target_counts[:rem] += 1
-            else:
-                target_counts = item_targets[item]
             target_ends = np.cumsum(target_counts)
             target_starts = target_ends - target_counts
             my_start = int(sizes[: comm.rank].sum())
             global_pos = my_start + np.arange(keys.shape[0], dtype=np.int64)
-            plans.append((item, target_starts, target_ends, global_pos))
             for k in range(p):
                 lo = np.searchsorted(global_pos, target_starts[k], "left")
                 hi = np.searchsorted(global_pos, target_ends[k], "left")
                 shift_lanes[k].append((keys[lo:hi], measure[lo:hi]))
         shifted_in = comm.alltoall(shift_lanes)
-        for slot, (item, _, _, _) in enumerate(plans):
-            keys = np.concatenate(
-                [shifted_in[j][slot][0] for j in range(p)]
+        for slot, item in enumerate(need_shift):
+            merged[item] = (
+                np.concatenate([shifted_in[j][slot][0] for j in range(p)]),
+                np.concatenate([shifted_in[j][slot][1] for j in range(p)]),
             )
-            measure = np.concatenate(
-                [shifted_in[j][slot][1] for j in range(p)]
-            )
-            merged[item] = (keys, measure)
     shifted = set(need_shift)
     return [
         SortOutcome(keys, measure, imbalances[item], item in shifted)
         for item, (keys, measure) in enumerate(merged)
     ]
-
-
-def _global_shift(
-    comm: Comm,
-    keys: np.ndarray,
-    measure: np.ndarray,
-    sizes: np.ndarray,
-    target_counts: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Rebalance a globally sorted distribution to the target counts.
-
-    Rows occupy global positions ``offset_j .. offset_j + y_j`` on rank
-    ``j``; the default target layout gives each rank ``total/p`` rows
-    (remainder on the lowest ranks), while a speed model passes its
-    clamped proportional ``target_counts`` instead.  One h-relation routes
-    every row to the rank owning its global position; received pieces
-    concatenate in source-rank order, which *is* global order.
-    """
-    p = comm.size
-    total = int(sizes.sum())
-    if target_counts is None:
-        base, rem = divmod(total, p)
-        target_counts = np.full(p, base, dtype=np.int64)
-        target_counts[:rem] += 1
-    target_ends = np.cumsum(target_counts)
-    target_starts = target_ends - target_counts
-
-    my_start = int(sizes[: comm.rank].sum())
-    n_local = keys.shape[0]
-    global_pos = my_start + np.arange(n_local, dtype=np.int64)
-    lanes = []
-    for k in range(p):
-        lo = np.searchsorted(global_pos, target_starts[k], side="left")
-        hi = np.searchsorted(global_pos, target_ends[k], side="left")
-        lanes.append((keys[lo:hi], measure[lo:hi]))
-    received = comm.alltoall(lanes)
-    out_k = np.concatenate([rk for rk, _ in received])
-    out_m = np.concatenate([rm for _, rm in received])
-    return out_k, out_m

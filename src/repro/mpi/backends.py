@@ -20,33 +20,15 @@ real failure while breaking every peer with
     coordinated by the parent.  Collectives run over the
     :mod:`repro.mpi.shm` data plane: large numeric arrays cross through
     pooled POSIX shared-memory segments, everything else rides a small
-    pickle blob on the worker's pipe.  The parent replays
-    the exact superstep commit of the thread backend from per-rank
+    pickle blob on the worker's pipe.  A receiver copies what it reads
+    into private arrays, and each rank recycles the segments it leased
+    one superstep later (:meth:`_ProcessTransport.exchange`).  The parent
+    replays the exact superstep commit of the thread backend from per-rank
     metering shipped with each collective, so ``simulated_seconds`` /
     ``comm_bytes`` / ``disk_blocks`` are identical between backends
     whenever the clock's measured-CPU term is disabled
     (``compute_scale=0``) — and statistically equal otherwise.
     ``host_seconds`` now scales with real cores.
-
-Superstep wire protocol (process backend), one round per collective::
-
-    worker j -> parent : ("step", kind, send_row, segment_j, phase_j,
-                          accrual_0 if j == 0, encoded_payload, held_j)
-    parent             : meters + commits exactly like the barrier action
-    parent -> worker j : ("deliver", [encoded payloads by source rank],
-                          recycle_j)
-
-``held_j`` lists the foreign segments rank ``j`` still aliases through
-live zero-copy views; ``recycle_j`` hands rank ``j`` back its *own*
-segments once every rank has stopped aliasing them.  Sending ``step``
-N+1 doubles as rank ``j``'s release notification for superstep N: its
-reader has returned by then, so any superstep-N segment absent from
-``held_j`` can never be touched by rank ``j`` again.  The parent tracks
-each in-flight segment in a ledger and recycles it to its creator only
-after all ``p`` ranks have released it — the owner never overwrites
-bytes a consumer can still observe.  Unlinking under live consumer views
-is safe: POSIX keeps the backing memory until the last mapping closes;
-only *reuse* needs the ledger.
 
 On any failure the parent broadcasts ``("abort",)`` and drains the pipes;
 a worker that errors waits for that abort before tearing down its data
@@ -66,7 +48,7 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from repro.mpi import shm
-from repro.mpi.comm import Comm, ThreadTransport
+from repro.mpi.comm import BARRIER_TIMEOUT_SEC, Comm, ThreadTransport
 from repro.mpi.errors import (
     CollectiveMisuse,
     MPIError,
@@ -230,7 +212,7 @@ class _LazySlots:
             yield self[i]
 
 
-def _encode_payload(kind: str, payload: Any, plane: shm.DataPlane):
+def _encode_payload(kind: str, payload: Any, arena: shm.SegmentArena):
     """Encode one rank's payload for the wire.
 
     Scatter/alltoall payloads are lane lists: each lane is its own blob
@@ -240,8 +222,8 @@ def _encode_payload(kind: str, payload: Any, plane: shm.DataPlane):
     if payload is None:
         return None
     if kind in ("scatter", "alltoall") and isinstance(payload, list):
-        return ("lanes", plane.encode_lanes(payload))
-    return ("obj", plane.encode(payload))
+        return ("lanes", shm.encode_lanes(payload, arena))
+    return ("obj", shm.encode(payload, arena))
 
 
 def _decode_entry(entry, decode: Callable[[Any], Any]):
@@ -278,39 +260,16 @@ def _prune_entries(kind: str, entries: list, dest: int) -> list:
     return pruned
 
 
-def _encoded_segments(entry) -> list[str]:
-    """Deduped shared-memory segment names of one encoded payload."""
-    if entry is None:
-        return []
-    tag, body = entry
-    if tag == "obj":
-        names = body.segments
-    else:
-        names = tuple(
-            name
-            for blob in body
-            if blob is not None
-            for name in blob.segments
-        )
-    return list(dict.fromkeys(names))
-
-
 class _ProcessTransport:
     """Pipe+shared-memory transport of one worker process."""
 
-    def __init__(
-        self, rank: int, size: int, conn, clock, disk, plane,
-        timeout: float | None = None,
-    ):
+    def __init__(self, rank: int, size: int, conn, clock, disk, plane):
         self.rank = rank
         self.size = size
         self._conn = conn
         self._clock = clock
         self._disk = disk
         self._plane = plane
-        from repro.mpi.comm import resolve_barrier_timeout
-
-        self._timeout = resolve_barrier_timeout(timeout)
 
     def _send(self, msg) -> None:
         try:
@@ -322,7 +281,7 @@ class _ProcessTransport:
 
     def _recv(self):
         try:
-            if not self._conn.poll(self._timeout):
+            if not self._conn.poll(BARRIER_TIMEOUT_SEC):
                 raise RankFailure(
                     f"rank {self.rank}: timed out waiting for peers"
                 )
@@ -346,6 +305,8 @@ class _ProcessTransport:
         segment = clock._pending_segment[rank]
         phase = clock._phase[rank]
         accrual = dict(clock._phase_accrual[rank]) if rank == 0 else None
+        # Everything in flight now was leased in the previous superstep.
+        last_round = plane.arena.in_flight()
         self._send(
             (
                 "step",
@@ -354,8 +315,7 @@ class _ProcessTransport:
                 segment,
                 phase,
                 accrual,
-                _encode_payload(kind, payload, plane),
-                plane.held(),
+                _encode_payload(kind, payload, plane.arena),
             )
         )
         msg = self._recv()
@@ -363,11 +323,14 @@ class _ProcessTransport:
             raise RankFailure(
                 f"rank {rank}: a peer rank aborted the computation"
             )
-        # The parent only returns segments every rank released;
-        # recycling before the read is safe because this round's own
-        # segments are still in flight, not in the list.
-        plane.recycle(msg[2])
-        result = reader(_LazySlots(msg[1], plane.decode))
+        # Readers copy everything they return before returning, so a rank
+        # that sent this superstep's step is done with the last one; the
+        # parent delivers only after all p steps, so no rank can still
+        # read last round's segments.
+        plane.arena.recycle(last_round)
+        result = reader(
+            _LazySlots(msg[1], lambda blob: shm.decode(blob, plane.mapped))
+        )
         # Mirror the superstep commit clearing the rank's local accrual.
         # The worker's forked clock never runs commit_superstep, so fold
         # the shipped segment into its own rank_busy entry here to keep
@@ -406,20 +369,17 @@ def _worker_main(
     plane = shm.DataPlane()
     transport = cluster.transport_for(
         rank,
-        _ProcessTransport(
-            rank, spec.p, conn, clock, disk, plane,
-            timeout=cluster.barrier_timeout,
-        ),
+        _ProcessTransport(rank, spec.p, conn, clock, disk, plane),
     )
     comm = Comm(rank, spec.p, transport, clock, cluster.stats, disk)
     clock.rank_start(rank, disk.stats.blocks_total, disk.work.seconds)
     try:
         result = rank_program(comm, *args)
         final = cluster.tail_segment(rank)
-        blob = plane.encode(result)
+        blob = shm.encode(result, plane.arena)
         conn.send(
             ("done", final, clock._phase[rank], blob, *_local_state(disk),
-             plane.stats())
+             plane.arena.stats())
         )
         conn.recv()  # release (or abort) — parent mapped the result
     except BaseException as exc:  # noqa: BLE001 - ship, don't hang peers
@@ -436,7 +396,7 @@ def _worker_main(
     finally:
         # Unlinks every segment this worker created — pooled, in flight,
         # or holding the result blob (the parent's map keeps the result's
-        # pages) — and closes foreign attachments.
+        # pages) — and closes its maps of peer segments.
         plane.close()
         try:
             conn.close()
@@ -491,23 +451,12 @@ class _Abort(Exception):
 
 
 class _Coordinator:
-    """Parent-side replay of the thread backend's barrier action.
-
-    The coordinator additionally keeps the segment *ledger*: every
-    shared segment delivered in a superstep is in flight until all ``p``
-    ranks have released it (reported via the ``held`` list on their next
-    message), at which point its name is queued for the creator's next
-    ``deliver`` and the creator's arena may reuse it.
-    """
+    """Parent-side replay of the thread backend's barrier action."""
 
     def __init__(self, cluster, pool: WorkerPool):
         self.cluster = cluster
         self.pool = pool
         self.p = cluster.spec.p
-        # segment name -> (owner rank, ranks yet to release it)
-        self._ledger: dict[str, tuple[int, set[int]]] = {}
-        # owner rank -> segment names cleared for reuse
-        self._releasable: dict[int, list[str]] = {}
 
     # -- main loop --------------------------------------------------------
 
@@ -542,29 +491,8 @@ class _Coordinator:
                 raise _Abort(verdict) from None
             if msg[0] == "error":
                 raise _Abort(self._absorb_error(j, msg))
-            if msg[0] == "step":
-                self._release(j, msg[7])
             msgs[j] = msg
         return msgs
-
-    def _release(self, rank: int, held: list[str]) -> None:
-        """Process one rank's release notification.
-
-        ``rank`` sending its next step message means its reader for the
-        previous superstep has returned; any in-flight segment it does
-        not report as held can never be touched by it again.  A segment
-        released by all ranks moves to its owner's releasable queue.
-        """
-        held_set = set(held)
-        freed = []
-        for name, (owner, waiting) in self._ledger.items():
-            if rank in waiting and name not in held_set:
-                waiting.discard(rank)
-                if not waiting:
-                    freed.append((name, owner))
-        for name, owner in freed:
-            del self._ledger[name]
-            self._releasable.setdefault(owner, []).append(name)
 
     def _absorb_error(self, rank: int, msg) -> BaseException:
         """Unpack a worker error, adopting its shipped disk/work counters
@@ -576,13 +504,12 @@ class _Coordinator:
 
     def _superstep(self, msgs: dict[int, tuple]) -> None:
         """Meter + commit exactly like the thread backend's barrier
-        action, then deliver payloads with each creator's recycled
-        segments."""
+        action, then deliver the payloads."""
         clock = self.cluster.clock
         kind = msgs[0][1]
         rows = []
         for j in range(self.p):
-            _, _, row, segment, phase, accrual, _, _ = msgs[j]
+            _, _, row, segment, phase, accrual, _ = msgs[j]
             rows.append(np.asarray(row, dtype=np.int64))
             clock._pending_segment[j] = segment
             clock._phase[j] = phase
@@ -598,16 +525,8 @@ class _Coordinator:
         clock.commit_superstep(kind, total, max_rank)
 
         entries = [msgs[j][6] for j in range(self.p)]
-        # Register this round's segments before handing anything out:
-        # all p ranks must release a segment before it is reused.
         for j in range(self.p):
-            for name in _encoded_segments(entries[j]):
-                self._ledger[name] = (j, set(range(self.p)))
-        for j in range(self.p):
-            recycle = tuple(self._releasable.pop(j, ()))
-            self.pool.send(
-                j, ("deliver", _prune_entries(kind, entries, j), recycle)
-            )
+            self.pool.send(j, ("deliver", _prune_entries(kind, entries, j)))
 
     def _finish(self, msgs: dict[int, tuple]) -> list:
         """All ranks exited together: collect results and fold tails.

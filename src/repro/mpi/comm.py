@@ -12,18 +12,16 @@ time and the traffic meters.
 metering runs over the in-process mailbox transport of the thread backend
 (:class:`ThreadTransport`, payloads travel by reference) and over the
 shared-memory transport of the process backend (payloads cross address
-spaces; see :mod:`repro.mpi.backends`).  Under both backends rank code
-must treat received arrays as read-only or copy them, exactly as after a
-real ``MPI_Recv``: the thread backend delivers them by reference, the
-process backend as read-only views aliasing the sender's shared segment
-(:func:`repro.mpi.shm.materialize` yields a writable copy when mutation
-is genuinely needed).  Payloads are metered at their buffer size either
-way, matching the buffer-protocol fast path of mpi4py.
+spaces; see :mod:`repro.mpi.backends`).  Rank code must not write into
+a received array: the thread backend delivers it by reference, so the
+write would reach the sender's array.  The process backend copies every
+received array into a private, writable one, as a real ``MPI_Recv``
+fills the receiver's own buffer.  Payloads are metered at their buffer
+size either way, matching the buffer-protocol fast path of mpi4py.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 from typing import Any, Callable, Protocol, Sequence
 
@@ -38,39 +36,13 @@ __all__ = [
     "SuperstepBarrier",
     "ThreadTransport",
     "Transport",
-    "resolve_barrier_timeout",
 ]
 
-#: Default upper bound on how long one rank waits for its peers before the
-#: run is declared wedged.  Generous: the whole benchmark suite runs in
-#: minutes.  Configurable per run via ``MachineSpec.barrier_timeout`` and
-#: overridable everywhere with the ``REPRO_BARRIER_TIMEOUT`` environment
-#: variable (chaos tests use a short deadline instead of risking 600 s
-#: hangs) — see :func:`resolve_barrier_timeout`.
+#: Upper bound on how long one rank waits for its peers before the run is
+#: declared wedged, on both backends; also the supervision deadline when
+#: ``MachineSpec.suspect_after`` is unset.  Generous: the whole benchmark
+#: suite runs in minutes.
 BARRIER_TIMEOUT_SEC = 600.0
-
-#: Environment override for the barrier timeout (seconds).  Wins over both
-#: the module default and ``MachineSpec.barrier_timeout``.
-_TIMEOUT_ENV = "REPRO_BARRIER_TIMEOUT"
-
-
-def resolve_barrier_timeout(value: float | None = None) -> float:
-    """Resolve the effective peer-wait deadline in seconds.
-
-    Priority: ``REPRO_BARRIER_TIMEOUT`` env var > ``value`` (normally
-    ``MachineSpec.barrier_timeout``) > :data:`BARRIER_TIMEOUT_SEC`.
-    """
-    env = os.environ.get(_TIMEOUT_ENV)
-    if env:
-        try:
-            parsed = float(env)
-        except ValueError:
-            parsed = -1.0
-        if parsed > 0:
-            return parsed
-    if value is not None:
-        return float(value)
-    return BARRIER_TIMEOUT_SEC
 
 
 class Transport(Protocol):
@@ -143,18 +115,16 @@ class ThreadTransport:
         slots: list,
         enter: SuperstepBarrier,
         leave: SuperstepBarrier,
-        timeout: float | None = None,
     ):
         self.rank = rank
         self.size = size
         self._slots = slots
         self._enter = enter
         self._leave = leave
-        self._timeout = resolve_barrier_timeout(timeout)
 
     def _wait(self, barrier: SuperstepBarrier) -> None:
         try:
-            barrier.wait(timeout=self._timeout)
+            barrier.wait(timeout=BARRIER_TIMEOUT_SEC)
         except threading.BrokenBarrierError:
             raise RankFailure(
                 f"rank {self.rank}: a peer rank aborted the computation"

@@ -29,10 +29,10 @@ import numpy as np
 from repro.config import MachineSpec
 from repro.mpi.clock import BSPClock
 from repro.mpi.comm import (
+    BARRIER_TIMEOUT_SEC,
     Comm,
     SuperstepBarrier,
     ThreadTransport,
-    resolve_barrier_timeout,
 )
 from repro.mpi.errors import CollectiveMisuse, MPIError
 from repro.mpi.faults import slow_factor
@@ -61,8 +61,8 @@ class ClusterResult:
     #: Real host seconds the simulation took.
     host_seconds: float = 0.0
     #: Shared-memory data-plane counters (process backend only): segment
-    #: leases, pool hits, bytes reused, attach reuse — summed over worker
-    #: ranks (see :meth:`repro.mpi.shm.DataPlane.stats`).  Empty for the
+    #: leases, pool hits, bytes reused — summed over worker ranks (see
+    #: :meth:`repro.mpi.shm.SegmentArena.stats`).  Empty for the
     #: thread backend, whose payloads never leave the address space.
     shm_pool: dict = field(default_factory=dict)
 
@@ -106,14 +106,10 @@ class Cluster:
         self.spec = spec
         self.faults = faults
         self.attempt = attempt
-        # Supervision deadlines, resolved once in the parent: forked
-        # process-backend workers inherit the resolved values, so an env
-        # override set before the run applies uniformly.
-        self.barrier_timeout = resolve_barrier_timeout(spec.barrier_timeout)
         self.suspect_after = (
             spec.suspect_after
             if spec.suspect_after is not None
-            else self.barrier_timeout
+            else BARRIER_TIMEOUT_SEC
         )
         self.clock = BSPClock(spec)
         self.stats = CommStats()
@@ -205,8 +201,7 @@ class Cluster:
             self.transport_for(
                 rank,
                 ThreadTransport(
-                    rank, self.spec.p, self._slots, self._enter, self._leave,
-                    timeout=self.barrier_timeout,
+                    rank, self.spec.p, self._slots, self._enter, self._leave
                 ),
             ),
             self.clock,

@@ -98,12 +98,12 @@ class WorkerPool:
         for slot, (mine, _) in pipes.items():
             self.conns[slot] = mine
         theirs = [child for _, child in pipes.values()]
-        held = [conn for conn in self.conns if conn is not None]
+        ours = [conn for conn in self.conns if conn is not None]
         procs = {
             slot: ctx.Process(
                 target=_child,
                 args=(self._target, self._args, slot, self.generation[slot],
-                      child, held + [c for c in theirs if c is not child]),
+                      child, ours + [c for c in theirs if c is not child]),
                 name=f"{self.label}-{slot}",
                 daemon=True,
             )

@@ -1,4 +1,4 @@
-"""Pooled, zero-copy shared-memory data plane for the process backend.
+"""Pooled shared-memory data plane for the process backend.
 
 Collective payloads in this code base are NumPy-heavy (packed key arrays,
 measures, :class:`~repro.storage.table.Relation` /
@@ -11,35 +11,30 @@ every large numeric array into a POSIX ``multiprocessing.shared_memory``
 segment; what crosses the pipe is a small pickle blob holding segment
 descriptors.
 
-This module provides three coordinated pieces (the MPI analogy for each
-in parentheses — cf. the registered buffer pools and zero-copy rendezvous
-of mpi4py's buffer-protocol path):
+This module provides (the MPI analogy for each in parentheses):
 
 :class:`SegmentArena` (registered buffer pool)
     A per-process pool of size-classed segments reused across supersteps.
     ``lease`` hands out a segment (creating one only on a pool miss),
-    ``recycle`` returns it once every consumer has dropped its lease, and
+    ``recycle`` returns it once no reader can still need it, and
     ``close`` unlinks everything at backend shutdown, so steady-state
     supersteps pay no ``shm_open``/``mmap``/``unlink`` syscalls.  A
     pooled segment holds no pages: ``recycle`` punches them out, so an
     idle pool costs a name and a mapping, not memory.
 
-:class:`LeaseTracker` + zero-copy :meth:`DataPlane.decode` (rendezvous)
-    Decoding through a tracker returns ndarrays that *alias* the segment
-    — read-only views pinned by a lease that is dropped automatically
-    when the last view is garbage collected.  The superstep protocol in
-    :mod:`repro.mpi.backends` reports still-held segments to the
-    coordinator, which recycles a creator's segment only after every
-    consumer rank has released it.  Callers that need to mutate a
-    received array use :func:`materialize`.
+:func:`decode` (copy on receipt, as after ``MPI_Recv``)
+    Every diverted array is copied out of the sender's segment into a
+    private, writable array: a receiver owns what it received and never
+    aliases a peer's memory.  A :class:`DataPlane` keeps its peer
+    mappings open by name, so a pooled segment is mapped once.
 
 :func:`adopt` (result hand-off)
     The coordinator maps a rank's finished result segment read-only and
     builds the result's arrays over that map instead of copying them:
-    each result byte is held once, by the map, for as long as any array
+    each result byte is kept once, by the map, for as long as any array
     over it lives.
 
-Lane batching (:meth:`DataPlane.encode_lanes`)
+Lane batching (:func:`encode_lanes`)
     ``alltoall``/``scatter`` payloads encode all ``p`` lanes into **one**
     arena segment with an offset table — one segment per collective
     instead of one per lane — while each lane stays independently
@@ -52,13 +47,6 @@ pays.  Traffic metering (:func:`repro.mpi.stats.payload_nbytes`) happens
 on the raw payloads *before* encoding and is unaffected by any of this;
 so is :class:`~repro.mpi.faults.FaultyTransport` sealing, which wraps the
 payload before the transport sees it.
-
-Zero-copy safety rests on POSIX unlink semantics: unlinking a segment
-only removes its *name* — the backing memory survives until the last
-mapping is closed, so a consumer's read-only views outlive the creator's
-unlink.  The only operation that must wait for consumers is *reuse*
-(writing new data into a pooled segment), which is exactly what the
-coordinator's release accounting gates.
 """
 
 from __future__ import annotations
@@ -70,7 +58,6 @@ import mmap
 import os
 import pickle
 import re
-import weakref
 from dataclasses import dataclass
 from multiprocessing import shared_memory
 from typing import Any, Iterable, Sequence
@@ -81,14 +68,12 @@ __all__ = [
     "SHM_MIN_BYTES",
     "SHM_MIN_BYTES_POOLED",
     "DataPlane",
-    "LeaseTracker",
     "SegmentArena",
     "ShmBlob",
     "adopt",
     "decode",
     "encode",
     "encode_lanes",
-    "materialize",
     "release_heap",
     "share_resource_tracker",
     "sweep_orphans",
@@ -101,7 +86,7 @@ SHM_MIN_BYTES = 1 << 12
 #: from the pool reduces the marginal cost of a divert to a memcpy into
 #: an already-mapped segment, so arrays well under a page are worth
 #: keeping out of the pickle stream (inline bytes cross the pipe twice
-#: per hop; diverted bytes are written once and read zero-copy).
+#: per hop; diverted bytes are written once and copied out once).
 SHM_MIN_BYTES_POOLED = 1 << 9
 
 #: NumPy dtype kinds eligible for the shared-memory fast path
@@ -276,20 +261,6 @@ def _attach(name: str) -> shared_memory.SharedMemory:
         resource_tracker.register = real_register
 
 
-def materialize(arr: Any) -> Any:
-    """Writable private copy of a possibly segment-aliasing array.
-
-    The escape hatch for rank code that must mutate a received payload:
-    zero-copy decode hands out read-only views pinned to the sender's
-    segment; ``materialize`` detaches them (and drops the lease as soon
-    as the view is garbage collected).  Writable arrays — including
-    everything the thread backend delivers — pass through untouched.
-    """
-    if isinstance(arr, np.ndarray) and not arr.flags.writeable:
-        return arr.copy()
-    return arr
-
-
 # ---------------------------------------------------------------------------
 # blob format
 # ---------------------------------------------------------------------------
@@ -393,9 +364,9 @@ class _ShmUnpickler(pickle.Unpickler):
     """Unpickler resolving ``(tag, index)`` ids against a blob's table.
 
     ``view_of(seg_index, shape, dtype, offset)`` maps a table entry to
-    an ndarray over the attached segment — a private copy or a pinned
-    read-only view, the caller's choice.  Repeated references to the
-    same index return the same object.
+    an ndarray over the attached segment — a private copy
+    (:func:`decode`) or a read-only view over a map (:func:`adopt`).
+    Repeated references to the same index return the same object.
     """
 
     def __init__(self, blob: ShmBlob, view_of):
@@ -427,9 +398,9 @@ class SegmentArena:
     ``lease`` returns an open segment of at least the requested size,
     reusing a pooled one when available (sizes are rounded to powers of
     two, so steady-state supersteps hit the pool).  A leased segment is
-    *in flight* until :meth:`recycle` is called with its name — which the
-    backend does only once the coordinator has confirmed every consumer
-    rank released it.  :meth:`close` unlinks every segment,
+    *in flight* until :meth:`recycle` is called with its name — which a
+    rank does one superstep later, once every reader is done with it
+    (:mod:`repro.mpi.backends`).  :meth:`close` unlinks every segment,
     pooled or in flight — the backend-shutdown path; segments a crashed
     worker never closed are reclaimed by :func:`sweep_orphans` instead.
     """
@@ -465,11 +436,14 @@ class SegmentArena:
         self._class_of[seg.name] = size
         return seg
 
+    def in_flight(self) -> list[str]:
+        """Names of the segments leased and not yet recycled."""
+        return list(self._in_flight)
+
     def recycle(self, names: Iterable[str]) -> None:
-        """Return released segments to the pool (unlinking any beyond
-        the per-class retention cap).  A pooled segment's pages are
-        released as it enters the pool: every consumer has released it,
-        so no reader can see the zeroed bytes."""
+        """Return segments no reader needs any more to the pool
+        (unlinking any beyond the per-class retention cap).  A pooled
+        segment's pages are released as it enters the pool."""
         for name in names:
             seg = self._in_flight.pop(name, None)
             if seg is None:
@@ -538,89 +512,6 @@ def _destroy(seg: shared_memory.SharedMemory) -> None:
 
 
 # ---------------------------------------------------------------------------
-# lease tracker (consumer side)
-# ---------------------------------------------------------------------------
-
-
-class _Attachment:
-    """One consumer-side mapping of a foreign segment, with pinned views.
-
-    ``pins`` counts the live zero-copy views aliasing the mapping; each
-    view carries a weakref finalizer that unpins it on garbage
-    collection, so "no pins" means no rank code can still observe the
-    segment's bytes.
-    """
-
-    def __init__(self, name: str):
-        self.name = name
-        self.shm = _attach(name)
-        self.pins = 0
-        self.closed = False
-
-    def view(
-        self, shape: tuple[int, ...], dtype: np.dtype, offset: int
-    ) -> np.ndarray:
-        arr = np.ndarray(shape, dtype=dtype, buffer=self.shm.buf, offset=offset)
-        arr.flags.writeable = False
-        self.pins += 1
-        weakref.finalize(arr, _Attachment._unpin, self)
-        return arr
-
-    @staticmethod
-    def _unpin(att: "_Attachment") -> None:
-        att.pins -= 1
-
-    def close(self) -> None:
-        if self.closed:
-            return
-        self.closed = True
-        try:
-            self.shm.close()
-        except BufferError:  # pragma: no cover - views still exported
-            self.closed = False
-
-
-class LeaseTracker:
-    """Consumer-side registry of segment attachments and their leases.
-
-    Attachments stay open across supersteps — segment names are stable
-    under pooling, so the next superstep's decode reuses the mapping
-    without another ``shm_open``.
-    """
-
-    def __init__(self):
-        self._attachments: dict[str, _Attachment] = {}
-        self.attaches = 0
-        self.attach_reuses = 0
-
-    def attachment(self, name: str) -> _Attachment:
-        att = self._attachments.get(name)
-        if att is not None and not att.closed:
-            self.attach_reuses += 1
-            return att
-        att = _Attachment(name)
-        self._attachments[name] = att
-        self.attaches += 1
-        return att
-
-    def held(self) -> list[str]:
-        """Names of segments still pinned by live zero-copy views."""
-        return [
-            name
-            for name, att in self._attachments.items()
-            if not att.closed and att.pins > 0
-        ]
-
-    def stats(self) -> dict[str, int]:
-        return {"attaches": self.attaches, "attach_reuses": self.attach_reuses}
-
-    def close(self) -> None:
-        for att in self._attachments.values():
-            att.close()
-        self._attachments.clear()
-
-
-# ---------------------------------------------------------------------------
 # encode / decode
 # ---------------------------------------------------------------------------
 
@@ -682,44 +573,35 @@ def encode_lanes(
     return blobs
 
 
-def decode(blob: ShmBlob, tracker: LeaseTracker | None = None) -> Any:
-    """Decode a blob.
+def decode(
+    blob: ShmBlob,
+    mapped: dict[str, shared_memory.SharedMemory] | None = None,
+) -> Any:
+    """Decode a blob; every diverted array is a private, writable copy.
 
-    Without a tracker every array is a private writable copy and the
-    one-shot attachments are closed before returning.  With a
-    ``tracker`` arrays are read-only views aliasing the segments, pinned
-    on the tracker's attachments until garbage collected (see
-    :func:`materialize`).
+    ``mapped`` caches segment mappings by name across calls: a rank
+    passes its :attr:`DataPlane.mapped`, so a pooled peer segment is
+    mapped once.  Without it each segment is mapped for this call only.
     """
     if not blob.segments:
         return _ShmUnpickler(blob, None).load()
-    if tracker is not None:
-        atts: dict[int, _Attachment] = {}
+    cache = {} if mapped is None else mapped
 
-        def view_of(seg_idx, shape, dtype, offset):
-            att = atts.get(seg_idx)
-            if att is None:
-                att = atts[seg_idx] = tracker.attachment(
-                    blob.segments[seg_idx]
-                )
-            return att.view(shape, dtype, offset)
+    def view_of(seg_idx, shape, dtype, offset):
+        name = blob.segments[seg_idx]
+        seg = cache.get(name)
+        if seg is None:
+            seg = cache[name] = _attach(name)
+        return np.ndarray(
+            shape, dtype=dtype, buffer=seg.buf, offset=offset
+        ).copy()
 
-        return _ShmUnpickler(blob, view_of).load()
-    segs: dict[int, shared_memory.SharedMemory] = {}
     try:
-
-        def view_of(seg_idx, shape, dtype, offset):
-            seg = segs.get(seg_idx)
-            if seg is None:
-                seg = segs[seg_idx] = _attach(blob.segments[seg_idx])
-            return np.ndarray(
-                shape, dtype=dtype, buffer=seg.buf, offset=offset
-            ).copy()
-
         return _ShmUnpickler(blob, view_of).load()
     finally:
-        for seg in segs.values():
-            seg.close()
+        if mapped is None:
+            for seg in cache.values():
+                seg.close()
 
 
 def adopt(blob: ShmBlob) -> Any:
@@ -762,38 +644,22 @@ def _map_readonly(name: str) -> mmap.mmap:
 
 
 class DataPlane:
-    """One worker's view of the shared-memory data plane.
+    """One rank's end of the data plane: the :class:`SegmentArena` its
+    payloads are leased from, and the peer segments it has mapped, kept
+    open by name (segment names are stable under pooling, so the next
+    superstep's decode reuses the mapping without another ``shm_open``).
 
-    Bundles the creator-side :class:`SegmentArena` and the consumer-side
-    :class:`LeaseTracker`.  The process backend constructs one per
-    worker; the superstep release protocol is described in
-    :mod:`repro.mpi.backends`.
+    When a rank recycles its segments is the process backend's business
+    (:mod:`repro.mpi.backends`): one superstep after it leased them.
     """
 
     def __init__(self):
         self.arena = SegmentArena()
-        self.tracker = LeaseTracker()
-
-    def encode(self, obj: Any) -> ShmBlob:
-        return encode(obj, self.arena)
-
-    def encode_lanes(self, lanes: Sequence[Any]) -> list[ShmBlob | None]:
-        return encode_lanes(lanes, self.arena)
-
-    def decode(self, blob: ShmBlob) -> Any:
-        return decode(blob, tracker=self.tracker)
-
-    def held(self) -> list[str]:
-        """Foreign segments still pinned by this worker's live views."""
-        return self.tracker.held()
-
-    def recycle(self, names: Iterable[str]) -> None:
-        """Coordinator confirmed release: pool own segments."""
-        self.arena.recycle(names)
-
-    def stats(self) -> dict[str, int | float]:
-        return {**self.arena.stats(), **self.tracker.stats()}
+        #: ``decode``'s name-to-mapping cache for this rank.
+        self.mapped: dict[str, shared_memory.SharedMemory] = {}
 
     def close(self) -> None:
-        self.tracker.close()
+        for seg in self.mapped.values():
+            seg.close()
+        self.mapped.clear()
         self.arena.close()

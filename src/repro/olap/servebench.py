@@ -361,7 +361,10 @@ def run_with_refresh(
     :func:`~repro.olap.refresh.refresh_store` **in a background
     thread** (when the previous one has finished) — queries keep
     flowing while the new generation is built, exactly the deployment
-    the non-blocking snapshot swap exists for.  When a refresh
+    the non-blocking snapshot swap exists for.  A batch whose turn comes
+    while a refresh is still running waits for the next pass; batches
+    still waiting when the submissions run out are never started and
+    reported as ``skipped``.  When a refresh
     publishes, the coordinator is told at the next loop pass
     (:meth:`~repro.olap.service.QueryService.check_generation`) so its
     cache keying bumps without waiting out the poll interval; workers
@@ -477,6 +480,7 @@ def run_with_refresh(
         "undrained": count["undrained"],
         "availability": len(answered) / max(len(offers), 1),
         "refreshes": len(reports),
+        "skipped": len(delta_batches) - started,
         "refresh_failures": refresh_failures,
         "refresh_seconds": [round(e - s, 4) for s, e in windows],
         "rows_refreshed": int(sum(r.delta_rows for r in reports)),

@@ -406,7 +406,7 @@ class TestResultAdoption:
         self, monkeypatch
     ):
         """The rank's result is already in its segment when it fails."""
-        real = shm.DataPlane.stats
+        real = shm.SegmentArena.stats
 
         def stats_then_fail(self):
             if os.getpid() == victim.value:
@@ -422,7 +422,7 @@ class TestResultAdoption:
             lanes = [np.arange(2048, dtype=np.int64) + j for j in range(c.size)]
             return c.alltoall(lanes)[0] * 2
 
-        monkeypatch.setattr(shm.DataPlane, "stats", stats_then_fail)
+        monkeypatch.setattr(shm.SegmentArena, "stats", stats_then_fail)
         before = _rp_names()
         with pytest.raises(RuntimeError, match="after encoding the result"):
             run_spmd(prog, det_spec(3, "process"))

@@ -1,5 +1,7 @@
 """Tests for the command-line interface (python -m repro)."""
 
+import re
+
 import pytest
 
 from repro.__main__ import _parse_filter, _parse_view, main
@@ -143,6 +145,29 @@ class TestCommands:
         assert "live refresh: 2 delta batches x 50 rows" in out
         assert "  availability " in out
         assert "probe fresh: True" in out
+
+    def test_serve_bench_counts_batches_it_never_started(
+        self, tmp_path, capsys
+    ):
+        # A batch waits while the previous refresh runs; the ones still
+        # waiting when the submissions run out are reported, not dropped.
+        path = str(tmp_path / "cube")
+        assert main(["build", "--rows", "3000", "--p", "2", "--out", path]) == 0
+        assert main(
+            ["serve-bench", "--store", path, "--qps", "100", "--duration",
+             "1", "--refresh-every", "10", "--delta-rows", "2000"]
+        ) == 0
+        out = capsys.readouterr().out
+        assert "live refresh: 10 delta batches x 2,000 rows" in out
+        found = re.search(
+            r"applied (\d+) of (\d+) delta batches "
+            r"\((\d+) never started, (\d+) failed\)",
+            out,
+        )
+        assert found is not None, out
+        refreshes, batches, skipped, failed = map(int, found.groups())
+        assert (batches, failed) == (10, 0)
+        assert refreshes + skipped == batches
 
     @pytest.mark.parametrize("command", ["build", "serve-bench"])
     def test_heartbeat_flag_is_gone(self, command):

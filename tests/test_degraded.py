@@ -31,7 +31,7 @@ from repro.config import CubeConfig, MachineSpec, RecoveryPolicy
 from repro.core.audit import audit_cube
 from repro.core.checkpoint import RankCheckpoint, ReshardPlan, share_bounds
 from repro.core.cube import build_data_cube
-from repro.mpi.comm import BARRIER_TIMEOUT_SEC, resolve_barrier_timeout
+from repro.mpi.comm import BARRIER_TIMEOUT_SEC
 from repro.mpi.errors import (
     InjectedFault,
     RankDead,
@@ -571,41 +571,21 @@ class TestSupervisor:
 
 
 # ---------------------------------------------------------------------------
-# barrier-timeout resolution
+# supervision deadline
 # ---------------------------------------------------------------------------
 
 
 class TestBarrierTimeout:
-    def test_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BARRIER_TIMEOUT", raising=False)
-        assert resolve_barrier_timeout() == BARRIER_TIMEOUT_SEC
-
-    def test_spec_value_wins_over_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BARRIER_TIMEOUT", raising=False)
-        assert resolve_barrier_timeout(12.5) == 12.5
-
-    def test_env_outranks_spec(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BARRIER_TIMEOUT", "7.5")
-        assert resolve_barrier_timeout(12.5) == 7.5
-
-    def test_bad_env_ignored(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BARRIER_TIMEOUT", "not-a-number")
-        assert resolve_barrier_timeout(12.5) == 12.5
-        monkeypatch.setenv("REPRO_BARRIER_TIMEOUT", "-3")
-        assert resolve_barrier_timeout(12.5) == 12.5
-
     def test_cluster_resolves_spec(self):
         from repro.mpi.engine import Cluster
 
-        spec = MachineSpec(p=2, barrier_timeout=42.0)
-        cluster = Cluster(spec)
-        assert cluster.barrier_timeout == 42.0
-        assert cluster.suspect_after == 42.0
+        # Unset, the supervision deadline is the one barrier timeout.
+        assert Cluster(MachineSpec(p=2)).suspect_after == BARRIER_TIMEOUT_SEC
 
     def test_suspect_after_overrides(self):
         from repro.mpi.engine import Cluster
 
-        spec = MachineSpec(p=2, barrier_timeout=42.0, suspect_after=5.0)
+        spec = MachineSpec(p=2, suspect_after=5.0)
         assert Cluster(spec).suspect_after == 5.0
 
 

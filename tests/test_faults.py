@@ -466,15 +466,14 @@ class TestSigkillMidCollective:
 
 def _sigkill_mid_lease_prog(c, path):
     big = np.arange(shm.SHM_MIN_BYTES // 8 + 7, dtype=np.int64)
-    # These decoded slots are views pinning leases on the peers'
-    # pooled segments.
+    # Every rank's copy of `big` sits in a pooled segment of its arena,
+    # in flight until the next superstep.
     slots = c.allgather(big)
     if c.rank == 1:
         with open(path, "w") as fh:
             fh.write(str(os.getpid()))
-        # Die while the leases are live: own arena segments still in
-        # flight, foreign attachments still pinned, release round for
-        # this superstep never sent.
+        # Die with the segment in flight and the peers' segments still
+        # mapped; the next superstep's step is never sent.
         os.kill(os.getpid(), signal.SIGKILL)
     total = int(np.asarray(slots[0], dtype=np.int64).sum())
     c.allgather(np.array([total]))  # peers block here; rank 1 is gone
@@ -483,10 +482,9 @@ def _sigkill_mid_lease_prog(c, path):
 
 @requires_fork
 class TestSigkillMidLease:
-    """Chaos cell for the zero-copy data plane: a worker SIGKILL'd while
-    holding live leases must not wedge its peers, and no shared-memory
-    segment — its own arena's or the pooled segments its death left
-    unreleased — may outlive the run."""
+    """Chaos cell for the data plane: a worker SIGKILL'd with segments in
+    flight must not wedge its peers, and no shared-memory segment — its
+    own arena's or the peers' pooled ones — may outlive the run."""
 
     def test_no_leaked_segments(self, tmp_path):
         before = {

@@ -168,8 +168,9 @@ class TestAdaptiveSampleSort:
     def test_unsorted_input_raises_naming_the_rank(self, backend):
         """Rank 1's run is unsorted: that rank raises, nobody gets a
         silently sorted result, and nothing is charged as a sort.  Under
-        the process backend the runs are read-only zero-copy views of the
-        sender's shm segment."""
+        the process backend the received run, a private copy, is made
+        read-only first: input a caller may not write passes verification
+        untouched."""
         good = np.arange(64, dtype=np.int64)
         bad = good[::-1].copy()
 
@@ -179,7 +180,8 @@ class TestAdaptiveSampleSort:
             # transport: each rank keeps the lane it sent to itself.
             keys = comm.alltoall([mine] * comm.size)[comm.rank]
             if backend == "process":
-                assert not keys.flags.writeable
+                assert keys.flags.writeable  # a private copy
+                keys.flags.writeable = False
             try:
                 return adaptive_sample_sort(comm, keys, keys.astype(float), 0.03)
             finally:
@@ -287,7 +289,8 @@ class TestBatchedSampleSort:
     def test_unsorted_item_raises_naming_item_and_rank(self, backend):
         """Item 1 is unsorted on rank 1 only: that rank raises, nobody
         gets a silently sorted result.  Under the process backend the
-        items are read-only zero-copy views of the sender's shm segment."""
+        received items, private copies, are made read-only first: input a
+        caller may not write passes verification untouched."""
         good = np.arange(64, dtype=np.int64)
         bad = good[::-1].copy()
 
@@ -300,7 +303,9 @@ class TestBatchedSampleSort:
                 for keys in comm.alltoall([mine] * comm.size)[comm.rank]
             ]
             if backend == "process":
-                assert not items[1][0].flags.writeable
+                assert items[1][0].flags.writeable  # a private copy
+                for keys, _ in items:
+                    keys.flags.writeable = False
             return batched_sample_sort(comm, items, 0.03, pivot_offset=0)
 
         with pytest.raises(ValueError, match=r"item 1 on rank 1 .*key-sorted"):

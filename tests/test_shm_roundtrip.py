@@ -1,13 +1,12 @@
-"""Encode/decode matrix for the shared-memory data plane (PR: zero-copy
-pooled arenas).
+"""Encode/decode matrix for the pooled shared-memory data plane.
 
 Exercises :mod:`repro.mpi.shm` across array layouts and dtypes: empty
 arrays, non-contiguous slices, Fortran order,
 float32/int64/bool, an array referenced twice encoding to one segment,
 sub-threshold payloads staying inline, the arena divert threshold, lane
-batching into a single segment, the zero-copy lease/materialize
-contract, pooled segments releasing their pages and result adoption —
-plus an end-to-end pass on both execution backends.
+batching into a single segment, copy on receipt, recycling by round,
+pooled segments releasing their pages and result adoption — plus an
+end-to-end pass on both execution backends.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ requires_fork = pytest.mark.skipif(
 )
 
 #: The one plane there is; the ids keep these rows' names from when the
-#: matrix also had copy-mode and unpooled planes.
+#: matrix also had copy-mode and unpooled planes, and decode did not copy.
 PLANE = pytest.mark.parametrize("plane", ["pooled-zerocopy"], indirect=True)
 BACKENDS = [
     pytest.param("thread", id="pooled-zerocopy-thread"),
@@ -47,8 +46,8 @@ def plane():
 
 
 def _roundtrip(plane: shm.DataPlane, obj):
-    blob = plane.encode(obj)
-    return blob, plane.decode(blob)
+    blob = shm.encode(obj, plane.arena)
+    return blob, shm.decode(blob, plane.mapped)
 
 
 ARRAY_CASES = [
@@ -89,7 +88,7 @@ class TestRoundtripMatrix:
         assert len(blob.segments) == 1
         np.testing.assert_array_equal(out[0], arr)
         np.testing.assert_array_equal(out[1]["again"], arr)
-        # All three references decode to the *same* view object.
+        # All three references decode to the *same* array object.
         assert out[0] is out[2]
 
     @PLANE
@@ -108,7 +107,7 @@ class TestRoundtripMatrix:
         pickle stream (a lease is a memcpy)."""
         mid = np.zeros(shm.SHM_MIN_BYTES // 4, dtype=np.uint8)
         assert shm.SHM_MIN_BYTES_POOLED <= mid.nbytes < shm.SHM_MIN_BYTES
-        assert len(plane.encode(mid).segments) == 1
+        assert len(shm.encode(mid, plane.arena).segments) == 1
 
 
 class TestPackedLayout:
@@ -118,52 +117,69 @@ class TestPackedLayout:
             for j in range(4)
         ]
         lanes[2] = None
-        blobs = plane.encode_lanes(lanes)
+        blobs = shm.encode_lanes(lanes, plane.arena)
         assert blobs[2] is None
         names = {b.segments[0] for b in blobs if b is not None}
         assert len(names) == 1  # one segment for the whole collective
         for j, lane in enumerate(lanes):
             if lane is None:
                 continue
-            np.testing.assert_array_equal(plane.decode(blobs[j]), lane)
+            np.testing.assert_array_equal(shm.decode(blobs[j], plane.mapped), lane)
 
     def test_pool_reuses_after_recycle(self, plane):
         arr = np.arange(shm.SHM_MIN_BYTES, dtype=np.int64)
-        first = plane.encode(arr)
-        plane.recycle(first.segments)
-        second = plane.encode(arr)
+        first = shm.encode(arr, plane.arena)
+        plane.arena.recycle(first.segments)
+        second = shm.encode(arr, plane.arena)
         assert second.segments == first.segments  # same pooled segment
-        stats = plane.stats()
+        stats = plane.arena.stats()
         assert stats["segments_reused"] == 1
         assert stats["segments_created"] == 1
 
 
-class TestZeroCopyContract:
-    def test_views_are_readonly_and_alias(self, plane):
+class TestCopyOnReceipt:
+    def test_received_arrays_are_writable_private_copies(self, plane):
         arr = np.arange(shm.SHM_MIN_BYTES, dtype=np.int64)
         blob, out = _roundtrip(plane, arr)
-        assert not out.flags.writeable
-        with pytest.raises(ValueError):
-            out[0] = 1
-        # The view aliases the segment the creator wrote.
-        assert blob.segments[0] in plane.held()
+        assert out.flags.writeable
+        out[:] = -1
+        # The write reached neither the sender's array nor its segment.
+        np.testing.assert_array_equal(arr, np.arange(shm.SHM_MIN_BYTES))
+        np.testing.assert_array_equal(shm.decode(blob, plane.mapped), arr)
 
-    def test_materialize_detaches(self, plane):
+    def test_a_pooled_segment_is_mapped_once(self, plane):
         arr = np.arange(shm.SHM_MIN_BYTES, dtype=np.int64)
-        _, out = _roundtrip(plane, arr)
-        owned = shm.materialize(out)
-        assert owned.flags.writeable
-        owned[0] = -1
-        np.testing.assert_array_equal(out[1:], owned[1:])
+        first = shm.encode(arr, plane.arena)
+        shm.decode(first, plane.mapped)
+        plane.arena.recycle(first.segments)
+        second = shm.encode(arr[::-1].copy(), plane.arena)
+        assert second.segments == first.segments
+        np.testing.assert_array_equal(
+            shm.decode(second, plane.mapped), arr[::-1]
+        )
+        assert list(plane.mapped) == list(first.segments)
 
-    def test_release_tracks_garbage_collection(self, plane):
-        arr = np.arange(shm.SHM_MIN_BYTES, dtype=np.int64)
-        blob = plane.encode(arr)
-        out = plane.decode(blob)
-        name = blob.segments[0]
-        assert name in plane.held()
-        del out
-        assert name not in plane.held()
+    @requires_fork
+    def test_process_ranks_own_what_they_receive(self):
+        outcome = run_spmd(
+            _mutate_received_prog,
+            MachineSpec(p=3, backend="process", compute_scale=0.0),
+            args=(None,),
+        )
+        want = int(np.arange(4096).sum())
+        sent, got = zip(*outcome.rank_results)
+        assert sent == (want, want, want)
+        assert got == (want, -4096, want)
+
+
+def _mutate_received_prog(c, _):
+    sent = np.arange(4096, dtype=np.int64)
+    got = c.bcast(sent if c.rank == 0 else None)
+    assert got.flags.writeable
+    if c.rank == 1:
+        got[:] = -1
+    c.barrier()  # rank 1 has written before anyone looks again
+    return int(sent.sum()), int(got.sum())
 
 
 def _mixed_payload_prog(c, _):
@@ -191,6 +207,42 @@ class TestEndToEnd:
             assert got > 0
 
 
+def _equal_alltoalls_prog(c, rounds):
+    lanes = [np.arange(1024, dtype=np.int64) + j for j in range(c.size)]
+    for _ in range(rounds):
+        c.alltoall(lanes)
+
+
+def _orphans() -> set[str]:
+    """Segments whose creator is dead: a finished run's leaks, whatever
+    other runs on the host have in flight."""
+    return {
+        n
+        for n in os.listdir("/dev/shm")
+        if (m := shm._SEGMENT_RE.match(n))
+        and not shm._pid_alive(int(m.group(1)))
+    }
+
+
+@requires_fork
+@pytest.mark.skipif(not os.path.isdir("/dev/shm"), reason="no /dev/shm")
+class TestRecycleByRound:
+    def test_segments_do_not_grow_with_supersteps(self):
+        before = _orphans()
+        created = []
+        for rounds in (10, 40):
+            outcome = run_spmd(
+                _equal_alltoalls_prog,
+                MachineSpec(p=3, backend="process", compute_scale=0.0),
+                args=(rounds,),
+            )
+            created.append(outcome.shm_pool["segments_created"])
+        # Each rank alternates between the segment it leased last round
+        # and a pooled one: 40 rounds create what 10 do.
+        assert created[0] == created[1]
+        assert _orphans() <= before
+
+
 def _live(names):
     return {n for n in names if os.path.exists(os.path.join("/dev/shm", n))}
 
@@ -199,36 +251,33 @@ def _live(names):
 class TestPageRelease:
     def test_a_pooled_segment_holds_no_pages(self, plane):
         arr = np.arange(64 * shm.SHM_MIN_BYTES, dtype=np.int64)
-        name = plane.encode(arr).segments[0]
+        name = shm.encode(arr, plane.arena).segments[0]
         path = os.path.join("/dev/shm", name)
         assert os.stat(path).st_blocks > 0
-        plane.recycle([name])
+        plane.arena.recycle([name])
         assert os.stat(path).st_blocks == 0
         # The name and the mapping stay pooled: the next lease of the
         # class is a pool hit, and its bytes round-trip.
-        reused = plane.stats()["segments_reused"]
+        reused = plane.arena.stats()["segments_reused"]
         blob, out = _roundtrip(plane, {"again": arr[::-1]})
         assert blob.segments == (name,)
-        assert plane.stats()["segments_reused"] == reused + 1
+        assert plane.arena.stats()["segments_reused"] == reused + 1
         np.testing.assert_array_equal(out["again"], arr[::-1])
 
     def test_the_release_reaches_a_consumers_idle_map(self, plane):
         arr = np.arange(16 * shm.SHM_MIN_BYTES, dtype=np.int64)
         other = shm.DataPlane()
         try:
-            blob = plane.encode(arr)
-            view = other.decode(blob)
-            np.testing.assert_array_equal(view, arr)
-            del view
-            assert other.held() == []
-            plane.recycle(blob.segments)
+            blob = shm.encode(arr, plane.arena)
+            got = shm.decode(blob, other.mapped)
+            plane.arena.recycle(blob.segments)
             path = os.path.join("/dev/shm", blob.segments[0])
             assert os.stat(path).st_blocks == 0
-            # The consumer's attachment is still open over the punched
-            # hole: what it could read now is zeros, which is why only
-            # a segment every consumer released is recycled.
-            att = other.tracker.attachment(blob.segments[0])
-            assert not any(att.shm.buf[: arr.nbytes])
+            # The consumer's map stays open over the punched hole and now
+            # reads zeros; what it received is its own copy, untouched.
+            seg = other.mapped[blob.segments[0]]
+            assert not any(seg.buf[: arr.nbytes])
+            np.testing.assert_array_equal(got, arr)
         finally:
             other.close()
 
@@ -237,7 +286,7 @@ class TestPageRelease:
 class TestAdopt:
     def test_arrays_are_read_only_views_of_one_map(self, plane):
         arr = np.arange(4 * shm.SHM_MIN_BYTES, dtype=np.int64)
-        blob = plane.encode({"a": arr, "b": arr[::2], "tag": 3})
+        blob = shm.encode({"a": arr, "b": arr[::2], "tag": 3}, plane.arena)
         out = shm.adopt(blob)
         plane.close()  # unlinks the segment; the map keeps the pages
         assert _live(blob.segments) == set()
@@ -250,7 +299,7 @@ class TestAdopt:
 
     def test_inline_payloads_decode_as_before(self, plane):
         tiny = np.arange(4, dtype=np.float64)
-        blob = plane.encode(("ctl", tiny))
+        blob = shm.encode(("ctl", tiny), plane.arena)
         assert blob.segments == ()
         out = shm.adopt(blob)
         np.testing.assert_array_equal(out[1], tiny)
