@@ -9,10 +9,11 @@ the repository root, and — only on hosts with at least 4 cores, where
 the claim is physically possible — asserts the >=1.5x host-seconds
 speedup at p >= 4.
 
-The shared-memory data plane under the process backend has one mode
-(pooled, copy on receipt); its segment economy is guarded by the yardstick's
-exact counters on ``build_skew_process`` (``mpi.shm_segments_created``,
-``mpi.shm_leases``, ``mpi.shm_reuse_ratio``), not here.
+The process backend relays collective payloads over the worker pool's
+pipes and keeps one shared-memory segment per rank result; those
+segments are counted by the yardstick's exact counters on
+``build_skew_process`` (``mpi.shm_segments_created``, ``mpi.shm_leases``,
+``mpi.shm_reuse_ratio``), not here.
 
 Runnable standalone (``python benchmarks/bench_backend_scaling.py``) or
 under pytest.  Scale knobs: ``REPRO_BENCH_N`` (rows, default 8,000) and

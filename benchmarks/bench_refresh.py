@@ -273,6 +273,10 @@ def check_report(report: dict) -> None:
     assert serving["generation_end"] == serving["refreshes"], (
         "store generation did not advance once per delta batch"
     )
+    # `refreshes` counts the batches started; a dropped one is skipped.
+    assert serving["skipped"] == 0, (
+        f"{serving['skipped']} delta batches never started"
+    )
     assert serving["probe_fresh"] is True, (
         "stale answer served across the generation bump"
     )

@@ -286,10 +286,10 @@ class RunResult:
     #: Disk block transfers of failed attempts — included in
     #: :attr:`disk_blocks`.
     recovered_blocks: int = 0
-    #: Shared-memory data-plane counters of the process backend (segment
-    #: leases, pool hit rate, bytes reused — see
-    #: :meth:`repro.mpi.shm.SegmentArena.stats`), aggregated over all worker
-    #: ranks and attempts.  Empty for the thread backend.
+    #: Result-segment counters of the process backend
+    #: (``segments_created``, ``leases``, ``segments_reused``: one segment
+    #: per rank result, see :func:`repro.mpi.shm.write_result`), of the
+    #: attempt that produced the cube.  Empty for the thread backend.
     shm_pool: dict = field(default_factory=dict)
     #: Ranks permanently lost (blacklisted) during a degraded-mode run,
     #: in loss order, numbered in the width they died at.  Empty unless

@@ -17,29 +17,28 @@ real failure while breaking every peer with
 
 ``process``
     ``p`` forked worker processes (one :class:`~repro.mpi.pool.WorkerPool`)
-    coordinated by the parent.  Collectives run over the
-    :mod:`repro.mpi.shm` data plane: large numeric arrays cross through
-    pooled POSIX shared-memory segments, everything else rides a small
-    pickle blob on the worker's pipe.  A receiver copies what it reads
-    into private arrays, and each rank recycles the segments it leased
-    one superstep later (:meth:`_ProcessTransport.exchange`).  The parent
-    replays the exact superstep commit of the thread backend from per-rank
-    metering shipped with each collective, so ``simulated_seconds`` /
-    ``comm_bytes`` / ``disk_blocks`` are identical between backends
-    whenever the clock's measured-CPU term is disabled
-    (``compute_scale=0``) — and statistically equal otherwise.
-    ``host_seconds`` now scales with real cores.
+    coordinated by the parent.  Collectives ride the pool's pipes: a
+    rank's ``step`` carries only what its peers will read, pickled
+    in-band, and the coordinator relays to each rank one ``deliver``
+    holding just the slots its reader indexes.  A rank's own slot never
+    leaves it.  The parent replays the exact superstep commit of the
+    thread backend from per-rank metering shipped with each collective,
+    so ``simulated_seconds`` / ``comm_bytes`` / ``disk_blocks`` are
+    identical between backends whenever the clock's measured-CPU term is
+    disabled (``compute_scale=0``) — and statistically equal otherwise.
+    ``host_seconds`` scales with real cores.  Each rank's finished result
+    is written to one shared-memory segment that the parent maps instead
+    of copying (:mod:`repro.mpi.shm`).
 
-On any failure the parent broadcasts ``("abort",)`` and drains the pipes;
-a worker that errors waits for that abort before tearing down its data
-plane, so its segments outlive every peer still inside a reader.  Peers
-blocked in a collective observe :class:`RankFailure`, exactly like a
-broken barrier.
+On any failure the parent broadcasts ``("abort",)`` and drains the pipes.
+Peers blocked in a collective observe :class:`RankFailure`, exactly like
+a broken barrier.
 """
 
 from __future__ import annotations
 
 import multiprocessing
+import pickle
 import threading
 import time
 import traceback
@@ -48,7 +47,7 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from repro.mpi import shm
-from repro.mpi.comm import BARRIER_TIMEOUT_SEC, Comm, ThreadTransport
+from repro.mpi.comm import BARRIER_TIMEOUT_SEC, Comm
 from repro.mpi.errors import (
     CollectiveMisuse,
     MPIError,
@@ -156,128 +155,65 @@ class ThreadBackend:
 # ---------------------------------------------------------------------------
 
 
-_MISSING = object()
+_LANES = ("scatter", "alltoall")
 
 
-class _LazyLanes:
-    """Per-source lane list of a scatter/alltoall slot, decoded on access.
+def _outbound(kind: str, root: int, rank: int, payload: Any) -> Any:
+    """What this rank's step carries: only what other ranks will read.
 
-    Keeps the h-relation O(own traffic): a rank only pays the decode for
-    lanes actually addressed to it, even though every rank receives the
-    full descriptor table.
+    A scatter/alltoall carries every lane but the rank's own; a bcast
+    the root's payload; a gather a non-root's payload; an allgather or
+    allreduce the payload.  The rank's own slot never leaves it.
     """
-
-    def __init__(self, blobs: list, decode: Callable[[Any], Any]):
-        self._blobs = blobs
-        self._decode = decode
-        self._cache: list = [_MISSING] * len(blobs)
-
-    def __len__(self) -> int:
-        return len(self._blobs)
-
-    def __getitem__(self, idx: int):
-        val = self._cache[idx]
-        if val is _MISSING:
-            blob = self._blobs[idx]
-            val = None if blob is None else self._decode(blob)
-            self._cache[idx] = val
-        return val
-
-    def __iter__(self):
-        for i in range(len(self)):
-            yield self[i]
+    if kind in _LANES:
+        if kind == "scatter" and rank != root:
+            return None
+        lanes = list(payload)
+        lanes[rank] = None
+        return lanes
+    if kind == "bcast":
+        return payload if rank == root else None
+    if kind == "gather":
+        return None if rank == root else payload
+    return None if kind == "barrier" else payload
 
 
-class _LazySlots:
-    """The per-rank payload table a collective's reader indexes into."""
-
-    def __init__(self, entries: list, decode: Callable[[Any], Any]):
-        self._entries = entries
-        self._decode = decode
-        self._cache: list = [_MISSING] * len(entries)
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __getitem__(self, idx: int):
-        val = self._cache[idx]
-        if val is _MISSING:
-            val = self._cache[idx] = _decode_entry(
-                self._entries[idx], self._decode
-            )
-        return val
-
-    def __iter__(self):
-        for i in range(len(self)):
-            yield self[i]
+def _send(conn, msg) -> bool:
+    """Send ``msg`` pickled at the highest protocol, which writes array
+    buffers in-band without the extra copy of multiprocessing's default
+    protocol; False if the pipe is gone."""
+    try:
+        conn.send_bytes(pickle.dumps(msg, pickle.HIGHEST_PROTOCOL))
+        return True
+    except OSError:  # BrokenPipeError, ConnectionResetError
+        return False
 
 
-def _encode_payload(kind: str, payload: Any, arena: shm.SegmentArena):
-    """Encode one rank's payload for the wire.
-
-    Scatter/alltoall payloads are lane lists: each lane is its own blob
-    (receivers decode only the lanes addressed to them) but all lanes of
-    the collective share one arena segment (`encode_lanes`).
-    """
-    if payload is None:
-        return None
-    if kind in ("scatter", "alltoall") and isinstance(payload, list):
-        return ("lanes", shm.encode_lanes(payload, arena))
-    return ("obj", shm.encode(payload, arena))
-
-
-def _decode_entry(entry, decode: Callable[[Any], Any]):
-    if entry is None:
-        return None
-    tag, body = entry
-    if tag == "obj":
-        return decode(body)
-    return _LazyLanes(body, decode)
-
-
-def _prune_entries(kind: str, entries: list, dest: int) -> list:
-    """Strip a deliver table down to what rank ``dest`` can actually read.
-
-    :class:`~repro.mpi.comm.Comm` fixes the access pattern per collective:
-    scatter/alltoall readers index only lane ``[dest]`` of each source's
-    lane list.  Pruning the other lanes keeps the
-    per-rank deliver pickle O(own traffic) instead of O(p^2) — the bytes
-    never cross the pipe at all.  Sealed lane lists (fault injection)
-    are sealed lane by lane and prune the same way, and metering happened
-    before encoding, so neither is affected.
-    """
-    if kind not in ("scatter", "alltoall"):
-        return entries
-    pruned = []
-    for entry in entries:
-        if entry is None or entry[0] != "lanes":
-            pruned.append(entry)
-            continue
-        blobs = entry[1]
-        lane = [None] * len(blobs)
-        lane[dest] = blobs[dest]
-        pruned.append(("lanes", lane))
-    return pruned
+def _route(kind: str, root: int, sent: list, dest: int) -> list:
+    """The slots rank ``dest``'s reader indexes, by source rank: lane
+    ``dest`` of each scatter/alltoall lane list, a gather's payloads at
+    its root only, anything else whole.  ``dest``'s own slot and every
+    slot it does not read are None."""
+    if kind == "gather" and dest != root:
+        return [None] * len(sent)
+    lanes = kind in _LANES
+    return [
+        None if j == dest or out is None else (out[dest] if lanes else out)
+        for j, out in enumerate(sent)
+    ]
 
 
 class _ProcessTransport:
-    """Pipe+shared-memory transport of one worker process."""
+    """Pipe transport of one forked rank: its step carries what its peers
+    read, the coordinator's deliver what it reads; its own slot stays
+    local, aliased as :class:`~repro.mpi.comm.ThreadTransport` hands it
+    over."""
 
-    def __init__(self, rank: int, size: int, conn, clock, disk, plane):
+    def __init__(self, rank: int, size: int, conn, clock):
         self.rank = rank
         self.size = size
         self._conn = conn
         self._clock = clock
-        self._disk = disk
-        self._plane = plane
-
-    def _send(self, msg) -> None:
-        try:
-            self._conn.send(msg)
-        except (BrokenPipeError, EOFError, OSError):
-            raise RankFailure(
-                f"rank {self.rank}: the coordinator vanished"
-            ) from None
 
     def _recv(self):
         try:
@@ -297,40 +233,41 @@ class _ProcessTransport:
         payload: Any,
         send_row: np.ndarray,
         reader: Callable[[Sequence[Any]], Any],
+        root: int = 0,
     ) -> Any:
-        clock, rank, plane = self._clock, self.rank, self._plane
+        clock, rank = self._clock, self.rank
         # Ship the same quantities the barrier action reads in-process:
         # this rank's pending segment, its phase label, and (from rank 0)
         # the phase accrual used to apportion the superstep's compute.
         segment = clock._pending_segment[rank]
         phase = clock._phase[rank]
         accrual = dict(clock._phase_accrual[rank]) if rank == 0 else None
-        # Everything in flight now was leased in the previous superstep.
-        last_round = plane.arena.in_flight()
-        self._send(
-            (
-                "step",
-                kind,
-                np.asarray(send_row, dtype=np.int64),
-                segment,
-                phase,
-                accrual,
-                _encode_payload(kind, payload, plane.arena),
-            )
+        step = (
+            "step",
+            kind,
+            root,
+            np.asarray(send_row, dtype=np.int64),
+            segment,
+            phase,
+            accrual,
+            _outbound(kind, root, rank, payload),
         )
+        if not _send(self._conn, step):
+            raise RankFailure(f"rank {rank}: the coordinator vanished")
         msg = self._recv()
         if msg[0] != "deliver":
             raise RankFailure(
                 f"rank {rank}: a peer rank aborted the computation"
             )
-        # Readers copy everything they return before returning, so a rank
-        # that sent this superstep's step is done with the last one; the
-        # parent delivers only after all p steps, so no rank can still
-        # read last round's segments.
-        plane.arena.recycle(last_round)
-        result = reader(
-            _LazySlots(msg[1], lambda blob: shm.decode(blob, plane.mapped))
-        )
+        slots = msg[1]
+        if kind in _LANES:
+            # Readers index lane [rank] of each source's lane list.
+            slots = [
+                [lane if k == rank else None for k in range(self.size)]
+                for lane in slots
+            ]
+        slots[rank] = payload
+        result = reader(slots)
         # Mirror the superstep commit clearing the rank's local accrual.
         # The worker's forked clock never runs commit_superstep, so fold
         # the shipped segment into its own rank_busy entry here to keep
@@ -366,38 +303,31 @@ def _worker_main(
     disk = cluster.disks[rank]
     clock = cluster.clock  # forked copy: authoritative only for this rank
     spec = cluster.spec
-    plane = shm.DataPlane()
     transport = cluster.transport_for(
-        rank,
-        _ProcessTransport(rank, spec.p, conn, clock, disk, plane),
+        rank, _ProcessTransport(rank, spec.p, conn, clock)
     )
     comm = Comm(rank, spec.p, transport, clock, cluster.stats, disk)
     clock.rank_start(rank, disk.stats.blocks_total, disk.work.seconds)
+    written = None
     try:
         result = rank_program(comm, *args)
         final = cluster.tail_segment(rank)
-        blob = shm.encode(result, plane.arena)
+        written = shm.write_result(result)
         conn.send(
-            ("done", final, clock._phase[rank], blob, *_local_state(disk),
-             plane.arena.stats())
+            ("done", final, clock._phase[rank], written, *_local_state(disk))
         )
-        conn.recv()  # release (or abort) — parent mapped the result
+        conn.recv()  # release (or abort): the parent mapped the result
     except BaseException as exc:  # noqa: BLE001 - ship, don't hang peers
         try:
             shipped = ship(exc, f"rank {rank}", _local_state(disk))
             conn.send(("error", shipped))
-            # Peers may still be reading this rank's segments; wait for
-            # the parent's abort before tearing the data plane down so a
-            # mid-read attach never finds the name already gone.
-            if conn.poll(_ABORT_DRAIN_SEC):
-                conn.recv()
         except Exception:
             pass
     finally:
-        # Unlinks every segment this worker created — pooled, in flight,
-        # or holding the result blob (the parent's map keeps the result's
-        # pages) — and closes its maps of peer segments.
-        plane.close()
+        # The parent's map keeps the result's pages; a SIGKILLed rank's
+        # segment is left to the pool's orphan sweep.
+        if written is not None and written.segment is not None:
+            shm.unlink(written.segment)
         try:
             conn.close()
         except Exception:  # pragma: no cover - defensive
@@ -410,7 +340,7 @@ def _worker_main(
 
 
 class ProcessBackend:
-    """Rank-per-process execution with shared-memory collectives."""
+    """Rank-per-process execution with collectives relayed over pipes."""
 
     name = "process"
 
@@ -425,10 +355,9 @@ class ProcessBackend:
                 "the process backend needs the fork start method "
                 "(unavailable on this platform); use backend='thread'"
             )
-        # A SIGKILL'd worker from an earlier run leaks its arena segments
-        # (it never reaches plane.close() and the coordinator may never
-        # have learnt the names).  Segment names embed their creator pid,
-        # so stale ones are identifiable and safe to reclaim here.
+        # A rank SIGKILLed in an earlier run leaks its result segment.
+        # Segment names embed their creator pid, so stale ones are
+        # identifiable and safe to reclaim here.
         shm.sweep_orphans()
         pool = WorkerPool(
             cluster.spec.p,
@@ -504,12 +433,12 @@ class _Coordinator:
 
     def _superstep(self, msgs: dict[int, tuple]) -> None:
         """Meter + commit exactly like the thread backend's barrier
-        action, then deliver the payloads."""
+        action, then relay to each rank the slots its reader indexes."""
         clock = self.cluster.clock
-        kind = msgs[0][1]
+        kind, root = msgs[0][1], msgs[0][2]
         rows = []
         for j in range(self.p):
-            _, _, row, segment, phase, accrual, _ = msgs[j]
+            _, _, _, row, segment, phase, accrual, _ = msgs[j]
             rows.append(np.asarray(row, dtype=np.int64))
             clock._pending_segment[j] = segment
             clock._phase[j] = phase
@@ -524,9 +453,10 @@ class _Coordinator:
         )
         clock.commit_superstep(kind, total, max_rank)
 
-        entries = [msgs[j][6] for j in range(self.p)]
-        for j in range(self.p):
-            self.pool.send(j, ("deliver", _prune_entries(kind, entries, j)))
+        # A failed send is a death the next round's recv reports.
+        sent = [msgs[j][7] for j in range(self.p)]
+        for j, conn in enumerate(self.pool.conns):
+            _send(conn, ("deliver", _route(kind, root, sent, j)))
 
     def _finish(self, msgs: dict[int, tuple]) -> list:
         """All ranks exited together: collect results and fold tails.
@@ -537,23 +467,18 @@ class _Coordinator:
         clock = self.cluster.clock
         results: list = [None] * self.p
         finals: list[float] = [0.0] * self.p
-        pool_totals: dict[str, float] = {}
         for j in range(self.p):
-            _, final, phase, blob, disk_snap, work_snap, plane_stats = msgs[j]
+            _, final, phase, written, disk_snap, work_snap = msgs[j]
             finals[j] = final
             clock._phase[j] = phase
-            results[j] = shm.adopt(blob)
+            results[j] = shm.adopt(written)
             self._apply_local_state(j, disk_snap, work_snap)
-            for key, val in plane_stats.items():
-                if key != "hit_rate":
-                    pool_totals[key] = pool_totals.get(key, 0) + val
-        leases = pool_totals.get("leases", 0)
-        pool_totals["hit_rate"] = (
-            round(pool_totals.get("segments_reused", 0) / leases, 4)
-            if leases
-            else 0.0
-        )
-        self.cluster.shm_pool = pool_totals
+        created = sum(msgs[j][3].segment is not None for j in range(self.p))
+        self.cluster.shm_pool = {
+            "segments_created": created,
+            "leases": created,
+            "segments_reused": 0,
+        }
         self.pool.broadcast(("release",))
         clock.finish(finals)
         return results
@@ -580,12 +505,9 @@ class _Coordinator:
         """Abort every worker and pick the best origin (a real error
         beats a secondary RankFailure, like the thread engine's triage).
 
-        Segment cleanup needs no parent-side unlinking any more: every
-        worker tears down its own :class:`~repro.mpi.shm.DataPlane` in
-        its ``finally`` (a worker that errors first waits for our abort,
-        so it never yanks a segment from under a mid-read peer), and
-        SIGKILL'd workers are reaped by the pool's targeted orphan sweep
-        on close."""
+        A failed rank unlinks its own result segment, if it wrote one;
+        what a SIGKILLed rank leaves goes in the pool's targeted orphan
+        sweep on close."""
         self.pool.broadcast(("abort",))
         deadline = time.monotonic() + _ABORT_DRAIN_SEC
         for j, conn in enumerate(self.pool.conns):
@@ -603,10 +525,6 @@ class _Coordinator:
                         exc, RankFailure
                     ):
                         origin = exc
-                    # Workers hold their plane teardown until the parent
-                    # acknowledges; the initial broadcast covered errors
-                    # already in flight, late ones get a direct reply.
-                    self.pool.send(j, ("abort",))
         return origin
 
 

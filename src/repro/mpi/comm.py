@@ -11,12 +11,13 @@ time and the traffic meters.
 :class:`Comm` is transport-agnostic: the same collective algebra and
 metering runs over the in-process mailbox transport of the thread backend
 (:class:`ThreadTransport`, payloads travel by reference) and over the
-shared-memory transport of the process backend (payloads cross address
-spaces; see :mod:`repro.mpi.backends`).  Rank code must not write into
-a received array: the thread backend delivers it by reference, so the
-write would reach the sender's array.  The process backend copies every
-received array into a private, writable one, as a real ``MPI_Recv``
-fills the receiver's own buffer.  Payloads are metered at their buffer
+pipe transport of the process backend (payloads cross address spaces;
+see :mod:`repro.mpi.backends`).  Rank code must not write into a
+received array: the thread backend delivers it by reference, so the
+write would reach the sender's array.  The process backend unpickles
+every array a peer sent into a private, writable one, as a real
+``MPI_Recv`` fills the receiver's own buffer; a rank's own slot never
+leaves it and is aliased on both backends.  Payloads are metered at their buffer
 size either way, matching the buffer-protocol fast path of mpi4py.
 """
 
@@ -51,7 +52,8 @@ class Transport(Protocol):
     ``exchange`` blocks until every rank has entered the same collective,
     hands the metering row to the superstep commit, applies ``reader`` to
     the per-rank payload slots (index = source rank), and returns its
-    result.  Implementations must also guarantee the commit protocol of
+    result.  ``root`` is the root rank of a bcast/gather/scatter (0 for
+    the other kinds), so a transport can route only what is read.  Implementations must also guarantee the commit protocol of
     :meth:`repro.mpi.clock.BSPClock.commit_superstep` +
     :meth:`repro.mpi.stats.CommStats.record` runs exactly once per
     superstep.
@@ -63,6 +65,7 @@ class Transport(Protocol):
         payload: Any,
         send_row: np.ndarray,
         reader: Callable[[Sequence[Any]], Any],
+        root: int = 0,
     ) -> Any: ...
 
 
@@ -136,6 +139,7 @@ class ThreadTransport:
         payload: Any,
         send_row: np.ndarray,
         reader: Callable[[Sequence[Any]], Any],
+        root: int = 0,
     ) -> Any:
         self._slots[self.rank] = (payload, send_row, kind)
         self._wait(self._enter)  # barrier action meters + advances the clock
@@ -185,12 +189,13 @@ class Comm:
         payload: Any,
         send_row: np.ndarray,
         reader: Callable[[list], Any],
+        root: int = 0,
     ) -> Any:
         """Run one collective superstep and return this rank's result."""
         self.clock.mark_segment(
             self.rank, self.disk.stats.blocks_total, self.disk.work.seconds
         )
-        return self._transport.exchange(kind, payload, send_row, reader)
+        return self._transport.exchange(kind, payload, send_row, reader, root)
 
     def _zeros(self) -> np.ndarray:
         return np.zeros(self.size, dtype=np.int64)
@@ -220,7 +225,9 @@ class Comm:
             nbytes = payload_nbytes(obj)
             row[:] = nbytes
             row[root] = 0
-        return self._exchange("bcast", payload, row, lambda slots: slots[root])
+        return self._exchange(
+            "bcast", payload, row, lambda slots: slots[root], root
+        )
 
     def gather(self, obj: Any, root: int = 0) -> list | None:
         """Gather one value per rank at ``root`` (others get ``None``)."""
@@ -233,7 +240,7 @@ class Comm:
             if self.rank == root
             else (lambda slots: None)
         )
-        return self._exchange("gather", obj, row, reader)
+        return self._exchange("gather", obj, row, reader, root)
 
     def allgather(self, obj: Any) -> list:
         """Gather one value per rank at every rank."""
@@ -265,7 +272,7 @@ class Comm:
                     row[k] = payload_nbytes(val)
         rank = self.rank
         return self._exchange(
-            "scatter", payload, row, lambda slots: slots[root][rank]
+            "scatter", payload, row, lambda slots: slots[root][rank], root
         )
 
     def alltoall(self, lanes: Sequence[Any]) -> list:

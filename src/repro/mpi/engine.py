@@ -60,10 +60,10 @@ class ClusterResult:
     disks: list[LocalDisk]
     #: Real host seconds the simulation took.
     host_seconds: float = 0.0
-    #: Shared-memory data-plane counters (process backend only): segment
-    #: leases, pool hits, bytes reused — summed over worker ranks (see
-    #: :meth:`repro.mpi.shm.SegmentArena.stats`).  Empty for the
-    #: thread backend, whose payloads never leave the address space.
+    #: Result-segment counters (process backend only): ``segments_created``,
+    #: ``leases`` and ``segments_reused`` of the ranks' result segments
+    #: (see :func:`repro.mpi.shm.write_result`).  Empty for the thread
+    #: backend, whose results never leave the address space.
     shm_pool: dict = field(default_factory=dict)
 
     @property

@@ -482,6 +482,7 @@ class FaultyTransport:
         payload: Any,
         send_row: np.ndarray,
         reader: Callable[[Sequence[Any]], Any],
+        root: int = 0,
     ) -> Any:
         step = self.superstep
         self.superstep += 1
@@ -542,4 +543,5 @@ class FaultyTransport:
             sealed,
             send_row,
             lambda slots: reader(_UnsealingSlots(slots, rank)),
+            root,
         )

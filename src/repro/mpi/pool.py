@@ -2,9 +2,10 @@
 
 Both runtimes that fork run on it: the process backend's SPMD ranks
 (:mod:`repro.mpi.backends`) and the serving workers of
-:class:`~repro.olap.service.QueryService`.  The pool spawns, watches,
-kills and replaces workers; what their messages mean is the caller's
-business.
+:class:`~repro.olap.service.QueryService`.  Their payloads ride these
+pipes: collective lanes relayed by the coordinator, and query results.
+The pool spawns, watches, kills and replaces workers; what their
+messages mean is the caller's business.
 
 * **Spawn.**  A slot's worker is forked after
   :func:`~repro.mpi.shm.release_heap` (it starts from a trimmed heap)
@@ -132,7 +133,7 @@ class WorkerPool:
 
     def drop(self, slot: int) -> None:
         """Empty a slot: kill its worker if still alive, close its pipe
-        and sweep the shared-memory segments it leaked."""
+        and sweep any shared-memory segment it leaked."""
         pid = self.procs[slot].pid
         self._release(slot)
         sweep_orphans([pid])

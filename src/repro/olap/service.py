@@ -4,11 +4,8 @@
 directory with a pool of **worker processes**.  Each worker mmap-opens
 the store read-only (the OS page cache shares the bytes between
 workers), answers queries through the index-accelerated
-:class:`~repro.olap.query.QueryEngine`, and ships results back through
-the pooled shared-memory data plane of :mod:`repro.mpi.shm` — the same
-:class:`~repro.mpi.shm.SegmentArena` / :func:`~repro.mpi.shm.encode`
-machinery the SPMD backend uses for collectives, so large results cross
-the process boundary without a pickle copy of their arrays.
+:class:`~repro.olap.query.QueryEngine`, and sends each result's
+``(dims, measure)`` arrays back pickled on its pipe.
 
 The workers are a :class:`~repro.mpi.pool.WorkerPool`, the one the
 process backend's ranks run on, with one pipe per worker and one
@@ -23,8 +20,8 @@ taxonomy (:func:`~repro.mpi.errors.classify_failure`):
 * a worker silent past ``suspect_after`` while holding work is a
   straggler declared :class:`~repro.mpi.errors.RankHung`, killed, and
   replaced — slow workers are failures, not a special case;
-* every result blob carries a CRC over its arrays; a corrupt blob (or
-  one whose segments died with its worker) is re-executed elsewhere;
+* every result carries a CRC over its arrays; a corrupt result is
+  re-executed elsewhere;
 * queries that repeatedly kill workers trip a **poison circuit
   breaker** (:class:`~repro.olap.supervise.PoisonQuery`) instead of
   felling the whole pool;
@@ -41,10 +38,7 @@ deadline, a retry release, a ``CURRENT`` poll, a hang deadline).
 The coordinator keeps a byte-budgeted, admission-controlled
 :class:`~repro.olap.cache.ResultCache` in front of the pool and dedups
 identical in-flight queries, so a dashboard stampede on one hot query
-costs one worker execution.  Segment recycling is explicit: the names
-of the segments a decoded result used ride the next task to the same
-worker, which returns them to its arena pool before it answers —
-steady-state serving creates no new segments.
+costs one worker execution.
 
 The service is **refresh-aware**: the store directory may gain new
 generations while queries are flowing
@@ -76,7 +70,7 @@ import signal
 import time
 import zlib
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -91,13 +85,6 @@ from repro.mpi.errors import (
 )
 from repro.mpi.faults import FaultPlan, firing
 from repro.mpi.pool import WorkerPool
-from repro.mpi.shm import (
-    SegmentArena,
-    _attach,
-    decode,
-    encode,
-    share_resource_tracker,
-)
 from repro.olap.cache import ResultCache, result_nbytes
 from repro.olap.query import Query
 from repro.olap.supervise import (
@@ -127,30 +114,22 @@ _TASKS_PER_WORKER = 2
 
 
 def _result_crc(dims: np.ndarray, measure: np.ndarray) -> int:
-    """Integrity stamp over a result's canonical bytes."""
+    """Integrity stamp over a result's canonical bytes, read in place."""
     crc = zlib.crc32(repr((dims.shape, measure.shape)).encode())
-    crc = zlib.crc32(np.ascontiguousarray(dims).tobytes(), crc)
-    return zlib.crc32(np.ascontiguousarray(measure).tobytes(), crc)
+    crc = zlib.crc32(np.ascontiguousarray(dims), crc)
+    return zlib.crc32(np.ascontiguousarray(measure), crc)
 
 
-def _flip_result_blob(blob):
-    """Corrupt an encoded result after its CRC was stamped.
-
-    Packed blobs get one byte flipped inside the shared segment (decode
-    succeeds, the CRC check catches it); inline blobs get a byte flipped
-    in the pickle stream (decode itself fails — also caught)."""
-    if blob.segments and blob.arrays:
-        _, offset, _, _ = blob.arrays[0]
-        seg = _attach(blob.segments[0])
-        try:
-            seg.buf[offset] ^= 0xFF
-        finally:
-            seg.close()
-        return blob
-    data = bytearray(blob.data)
-    if data:
-        data[len(data) // 2] ^= 0xFF
-    return replace(blob, data=bytes(data))
+def _corrupt(dims: np.ndarray, measure: np.ndarray, crc: int):
+    """A result corrupted after its CRC was stamped: one byte flipped in
+    a copy of its first non-empty array (an empty result keeps its
+    arrays and gets a flipped stamp instead)."""
+    arrays = [dims.copy(), measure.copy()]
+    for arr in arrays:
+        if arr.nbytes:
+            arr.reshape(-1).view(np.uint8)[0] ^= 0xFF
+            return tuple(arrays), crc
+    return tuple(arrays), crc ^ 0xFFFFFFFF
 
 
 def _worker_main(
@@ -167,11 +146,10 @@ def _worker_main(
 
     The worker blocks on its pipe until a task arrives or its next
     ``CURRENT`` re-read is due.  A task is ``(seq, attempt, query,
-    deadline, acks)``: ``acks`` names the result segments the
-    coordinator has decoded since the last task, which go back to the
-    arena pool before the query runs.  Each task gets one reply.  Tasks
-    whose deadline already passed are shed without execution (the soft,
-    between-tasks half of deadline enforcement).
+    deadline)`` and gets one reply, carrying the result's ``(dims,
+    measure)`` and its CRC.  Tasks whose deadline already passed are shed
+    without execution (the soft, between-tasks half of deadline
+    enforcement).
 
     Every query is answered entirely by the store generation the worker
     had open when it dequeued the task; *between* tasks the worker
@@ -207,7 +185,6 @@ def _worker_main(
         handle, engine = fresh, fresh_engine
         store_gen = store_gens[slot] = fresh.generation
 
-    arena = SegmentArena()
     mine = [] if faults is None else faults.for_worker(slot, generation)
     executed = 0
     try:
@@ -218,16 +195,15 @@ def _worker_main(
             task = conn.recv()
             if task is _SHUTDOWN:
                 break
-            seq, attempt, query, deadline, acks = task
-            arena.recycle(acks)
-            blob, crc, err = None, 0, None
+            seq, attempt, query, deadline = task
+            arrays, crc, err = None, 0, None
             if deadline is not None and time.monotonic() >= deadline:
                 late = QueryTimeout(
                     f"deadline already passed when worker {slot} "
                     "dequeued the task"
                 )
                 err = ship(late, f"worker {slot}")
-                conn.send((seq, attempt, store_gen, blob, crc, err))
+                conn.send((seq, attempt, store_gen, arrays, crc, err))
                 continue
             fire = firing(mine, executed)
             executed += 1
@@ -237,19 +213,15 @@ def _worker_main(
                 os.kill(os.getpid(), signal.SIGKILL)
             try:
                 result = engine.answer(query)
-                crc = _result_crc(result.dims, result.measure)
-                blob = encode((result.dims, result.measure), arena)
+                arrays = (result.dims, result.measure)
+                crc = _result_crc(*arrays)
                 if "corrupt" in fire:
-                    blob = _flip_result_blob(blob)
+                    arrays, crc = _corrupt(*arrays, crc)
             except Exception as exc:  # noqa: BLE001 - relayed to caller
                 err = ship(exc, f"worker {slot}")
-            conn.send((seq, attempt, store_gen, blob, crc, err))
+            conn.send((seq, attempt, store_gen, arrays, crc, err))
     except (EOFError, OSError):
         pass  # the coordinator is gone
-    finally:
-        # Unlinks every segment still pooled or in flight: the
-        # coordinator decodes a result (a copy) before it acks it.
-        arena.close()
 
 
 @dataclass
@@ -364,16 +336,10 @@ class QueryService:
         self.poisoned = 0
         self.corrupt_results = 0
         #: Per slot: dispatched sequence numbers -> attempt (the
-        #: reassignment set when the worker fails), and the decoded
-        #: result segments its next task hands back for reuse.
+        #: reassignment set when the worker fails).
         self._outstanding: list[dict[int, int]] = [
             {} for _ in range(self.workers)
         ]
-        self._acks: list[list[str]] = [[] for _ in range(self.workers)]
-        # Start the resource tracker before the first fork so every
-        # worker registers its segments with this one; the orphan sweep
-        # after a SIGKILL can then unregister them.
-        share_resource_tracker()
         self.pool = WorkerPool(
             self.workers,
             _worker_main,
@@ -495,7 +461,7 @@ class QueryService:
         return min(timers)
 
     def _on_result(self, slot: int, msg) -> None:
-        seq, attempt, store_gen, blob, crc, err = msg
+        seq, attempt, store_gen, arrays, crc, err = msg
         self._outstanding[slot].pop(seq, None)
         flight = self._flights.get(seq)
         stale = flight is None or flight.attempt != attempt
@@ -516,36 +482,21 @@ class QueryService:
                 context = f"worker {slot} failed on {query}: "
             self._fail_flight(flight, rebuild(err, context))
             return
-        # The segments go back to the worker with its next task.
-        self._acks[slot].extend(blob.segments)
-        outcome = None
-        try:
-            dims, measure = decode(blob)
-            if _result_crc(dims, measure) != crc:
-                raise CorruptPayload(
-                    f"result blob from worker {slot} failed its CRC "
-                    f"check (stamped {crc:#010x})",
-                    rank=slot,
-                )
-            outcome = Relation(dims, measure)
-        except Exception as exc:
-            # Decode blew up (corrupted stream, or segments that died
-            # with their worker) or the CRC mismatched: the *transport*
-            # failed, not the query — retry it elsewhere.
+        if _result_crc(*arrays) != crc:
+            # The *transport* failed, not the query: retry it elsewhere.
             if stale:
                 return
             self.corrupt_results += 1
             self._retry_or_fail(
                 flight,
-                exc
-                if isinstance(exc, CorruptPayload)
-                else CorruptPayload(
-                    f"result blob from worker {slot} unreadable: "
-                    f"{type(exc).__name__}: {exc}",
+                CorruptPayload(
+                    f"result from worker {slot} failed its CRC check "
+                    f"(stamped {crc:#010x})",
                     rank=slot,
                 ),
             )
             return
+        outcome = Relation(*arrays)
         if stale or flight.zombie:
             if flight is not None and flight.zombie:
                 self._flights.pop(seq, None)
@@ -605,7 +556,6 @@ class QueryService:
         else:
             self.worker_deaths += 1
         outstanding, self._outstanding[slot] = self._outstanding[slot], {}
-        self._acks[slot] = []
         for seq, attempt in outstanding.items():
             flight = self._flights.get(seq)
             if flight is None or flight.attempt != attempt:
@@ -631,8 +581,6 @@ class QueryService:
                 )
                 continue
             self._retry_or_fail(flight, exc)
-        # Dropping the slot sweeps the segments the worker never
-        # recycled.
         if self._closed:
             self.pool.drop(slot)
         elif (
@@ -768,11 +716,9 @@ class QueryService:
                 self.pool.watch(slot)
             flight.assigned = slot
             self._outstanding[slot][seq] = flight.attempt
-            acks, self._acks[slot] = self._acks[slot], []
             # A failed send is a death the next pool wait reports.
             self.pool.send(
-                slot,
-                (seq, flight.attempt, flight.query, flight.deadline, acks),
+                slot, (seq, flight.attempt, flight.query, flight.deadline)
             )
 
     # -- collection --------------------------------------------------------
@@ -857,7 +803,7 @@ class QueryService:
         return out
 
     def close(self, timeout: float = 10.0) -> None:
-        """Drain in-flight work, stop the pool, sweep leaked segments.
+        """Drain in-flight work and stop the pool.
 
         Outstanding queries that cannot finish before ``timeout`` — or
         at all, because every worker is gone — fail their waiters with

@@ -4,7 +4,7 @@ The process backend must be *observationally identical* to the thread
 backend: same rank results, same simulated clock, same byte metering,
 same disk accounting — only ``host_seconds`` may differ.  These tests
 pin that equivalence down on end-to-end cube builds and on the raw
-collectives, plus the shared-memory payload codec underneath.
+collectives, plus the result segments the coordinator adopts.
 
 All equivalence runs use ``compute_scale=0.0`` so the clock carries no
 measured host CPU and the comparison can demand exact equality.
@@ -22,7 +22,7 @@ import pytest
 from repro.config import CubeConfig, MachineSpec, RecoveryPolicy
 from repro.core.audit import audit_cube
 from repro.core.cube import build_data_cube
-from repro.mpi import shm
+from repro.mpi import backends, shm
 from repro.mpi.backends import ProcessBackend, ThreadBackend, get_backend
 from repro.mpi.engine import run_spmd
 from repro.mpi.errors import CollectiveMisuse, MPIError
@@ -58,8 +58,8 @@ class TestProcessCollectives:
     """The raw collectives under the process backend (cf. test_mpi.py)."""
 
     def test_allgather_large_arrays(self):
-        # Arrays above SHM_MIN_BYTES travel through shared memory.
-        n = shm.SHM_MIN_BYTES // 8 + 10
+        # Multi-page arrays are relayed through the coordinator's pipes.
+        n = 1 << 16
 
         def prog(c):
             got = c.allgather(np.full(n, c.rank, dtype=np.int64))
@@ -116,6 +116,39 @@ class TestProcessCollectives:
         res = run_spmd(prog, det_spec(4, "process"))
         assert res.rank_results == [(6.0, 3.0)] * 4
 
+    def test_own_lane_stays_home(self, monkeypatch):
+        delivered = _spy_delivers(monkeypatch)
+        big = 1 << 18
+
+        def prog(c):
+            lanes = [
+                np.full(big if k == c.rank else 100, c.rank * 10 + k)
+                for k in range(c.size)
+            ]
+            got = c.alltoall(lanes)
+            return got[c.rank] is lanes[c.rank], [int(g[0]) for g in got]
+
+        res = run_spmd(prog, det_spec(3, "process"))
+        for k, (aliased, firsts) in enumerate(res.rank_results):
+            assert aliased  # the own lane arrives as the rank sent it
+            assert firsts == [j * 10 + k for j in range(3)]
+        # Only the 100-element lanes crossed the coordinator.
+        assert len(delivered) == 3
+        for slots in delivered:
+            assert sum(s.nbytes for s in slots if s is not None) < big
+
+    def test_gather_delivers_nothing_to_non_roots(self, monkeypatch):
+        delivered = _spy_delivers(monkeypatch)
+
+        def prog(c):
+            return c.gather(np.full(1000, c.rank), root=2)
+
+        res = run_spmd(prog, det_spec(4, "process"))
+        assert [int(a[0]) for a in res.rank_results[2]] == [0, 1, 2, 3]
+        assert res.rank_results[:2] + res.rank_results[3:] == [None] * 3
+        nothing = [all(s is None for s in slots) for slots in delivered]
+        assert nothing == [True, True, False, True]
+
     def test_rank_failure_propagates_original(self):
         def prog(c):
             if c.rank == 1:
@@ -144,6 +177,21 @@ class TestProcessCollectives:
 
         with pytest.raises(CollectiveMisuse):
             run_spmd(prog, det_spec(2, "process"))
+
+
+def _spy_delivers(monkeypatch) -> list:
+    """Record the slot list of every deliver the coordinator sends, in
+    send order (rank 0 first in each superstep)."""
+    delivered = []
+    real = backends._send
+
+    def spy(conn, msg):
+        if msg[0] == "deliver":
+            delivered.append(msg[1])
+        return real(conn, msg)
+
+    monkeypatch.setattr(backends, "_send", spy)
+    return delivered
 
 
 class TestAllreduceMetering:
@@ -252,65 +300,6 @@ class TestBackendEquivalence:
         assert errors["thread"] == errors["process"]
 
 
-class TestShmCodec:
-    @pytest.fixture
-    def arena(self):
-        arena = shm.SegmentArena()
-        yield arena
-        arena.close()
-
-    def test_roundtrip_nested(self, arena):
-        big = np.arange(4096, dtype=np.int64)
-        obj = {
-            "big": big,
-            "small": np.arange(3, dtype=np.float64),
-            "shell": [("x", 1.5), None, {"y": big[:10].copy()}],
-        }
-        out = shm.decode(shm.encode(obj, arena))
-        np.testing.assert_array_equal(out["big"], obj["big"])
-        np.testing.assert_array_equal(out["small"], obj["small"])
-        assert out["shell"][0] == ("x", 1.5)
-        assert out["shell"][1] is None
-
-    def test_large_arrays_spill_small_stay_inline(self, arena):
-        big = np.zeros(shm.SHM_MIN_BYTES // 8, dtype=np.float64)
-        small = np.zeros(4, dtype=np.float64)
-        blob_big = shm.encode(big, arena)
-        assert len(blob_big.segments) == 1
-        assert blob_big.nbytes < big.nbytes  # descriptor, not the data
-        blob_small = shm.encode(small, arena)
-        assert blob_small.segments == ()
-        np.testing.assert_array_equal(shm.decode(blob_small), small)
-
-    def test_shared_array_encoded_once(self, arena):
-        arr = np.arange(2048, dtype=np.int64)
-        blob = shm.encode([arr, arr, {"again": arr}], arena)
-        assert len(blob.segments) == 1
-        out = shm.decode(blob)
-        np.testing.assert_array_equal(out[0], arr)
-        np.testing.assert_array_equal(out[2]["again"], arr)
-
-    def test_non_contiguous_array(self, arena):
-        base = np.arange(8192, dtype=np.int64).reshape(64, 128)
-        view = base[::2, ::4]
-        out = shm.decode(shm.encode(view, arena))
-        np.testing.assert_array_equal(out, view)
-
-    def test_object_dtype_stays_inline(self, arena):
-        arr = np.array([{"a": 1}, None, "s"] * 800, dtype=object)
-        blob = shm.encode(arr, arena)
-        assert blob.segments == ()
-        out = shm.decode(blob)
-        assert out[0] == {"a": 1}
-
-    def test_decoded_arrays_are_private_copies(self, arena):
-        arr = np.arange(1024, dtype=np.int64)
-        out = shm.decode(shm.encode(arr, arena))
-        arena.close()  # segment unlinked; the copy must survive
-        out[0] = -1
-        assert out[0] == -1 and arr[0] == 0
-
-
 # ---------------------------------------------------------------------------
 # the coordinator adopts each rank's result segment
 # ---------------------------------------------------------------------------
@@ -351,8 +340,15 @@ def _columns(cube):
             yield piece.measure
 
 
-def _rp_names() -> set[str]:
-    return {n for n in os.listdir("/dev/shm") if shm._SEGMENT_RE.match(n)}
+def _orphans() -> set[str]:
+    """Segments whose creator is dead: a finished run's leaks, whatever
+    other runs on the host have in flight."""
+    return {
+        n
+        for n in os.listdir("/dev/shm")
+        if (m := shm._SEGMENT_RE.match(n))
+        and not shm._pid_alive(int(m.group(1)))
+    }
 
 
 def _rp_maps() -> int:
@@ -379,7 +375,7 @@ class TestResultAdoption:
         cube = _adopt_build(adopt_relation, "process")
         shared = [
             col for col in _columns(cube)
-            if col.nbytes >= shm.SHM_MIN_BYTES_POOLED
+            if col.nbytes >= shm.SHM_MIN_BYTES
         ]
         assert shared
         for col in shared:
@@ -391,11 +387,11 @@ class TestResultAdoption:
     def test_maps_and_descriptors_rise_by_at_most_p_and_return(
         self, adopt_relation
     ):
-        _adopt_build(adopt_relation, "process")  # start the resource tracker
+        _adopt_build(adopt_relation, "process")  # warm lazy imports
         gc.collect()
-        names, maps, fds = _rp_names(), _rp_maps(), open_fds()
+        names, maps, fds = _orphans(), _rp_maps(), open_fds()
         cube = _adopt_build(adopt_relation, "process")
-        assert _rp_names() <= names
+        assert _orphans() <= names
         assert 0 < _rp_maps() - maps <= 3
         assert 0 < open_fds() - fds <= 3
         del cube
@@ -406,12 +402,13 @@ class TestResultAdoption:
         self, monkeypatch
     ):
         """The rank's result is already in its segment when it fails."""
-        real = shm.SegmentArena.stats
+        real = shm.write_result
 
-        def stats_then_fail(self):
+        def write_then_fail(obj):
+            written = real(obj)
             if os.getpid() == victim.value:
-                raise RuntimeError("failed after encoding the result")
-            return real(self)
+                raise RuntimeError("failed after writing the result")
+            return written
 
         victim = multiprocessing.Value("i", 0)
 
@@ -422,11 +419,11 @@ class TestResultAdoption:
             lanes = [np.arange(2048, dtype=np.int64) + j for j in range(c.size)]
             return c.alltoall(lanes)[0] * 2
 
-        monkeypatch.setattr(shm.SegmentArena, "stats", stats_then_fail)
-        before = _rp_names()
-        with pytest.raises(RuntimeError, match="after encoding the result"):
+        monkeypatch.setattr(shm, "write_result", write_then_fail)
+        before = _orphans()
+        with pytest.raises(RuntimeError, match="after writing the result"):
             run_spmd(prog, det_spec(3, "process"))
-        assert _rp_names() <= before
+        assert _orphans() <= before
 
 
 @requires_fork

@@ -14,6 +14,7 @@ import hashlib
 import multiprocessing
 import os
 import signal
+import time
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.config import MachineSpec
+from repro.mpi import backends
 from repro.mpi import faults as faults_mod
 from repro.mpi import shm
 from repro.mpi.engine import run_spmd
@@ -421,25 +423,25 @@ class TestOrphanSweep:
                     pass
 
     def test_segment_names_carry_creator_pid(self):
-        seg = shm._create_segment(64)
+        name, fd = shm._create_segment()
+        os.close(fd)
         try:
-            m = shm._SEGMENT_RE.match(seg.name)
+            m = shm._SEGMENT_RE.match(name)
             assert m is not None
             assert int(m.group(1)) == os.getpid()
         finally:
-            seg.close()
-            seg.unlink()
+            shm.unlink(name)
 
 
 def _sigkill_prog(c, path):
     big = np.arange(shm.SHM_MIN_BYTES // 8 + 7, dtype=np.int64)
     c.allgather(big)
     if c.rank == 1:
-        # Leave an in-flight segment behind, then die without cleanup —
-        # exactly what a SIGKILL mid-collective does to a real worker.
-        seg = shm._create_segment(4096)
+        # Leave a segment behind, then die without cleanup: what a
+        # SIGKILL does to a rank writing its result.
+        name, _ = shm._create_segment()
         with open(path, "w") as fh:
-            fh.write(f"{os.getpid()} {seg.name}")
+            fh.write(f"{os.getpid()} {name}")
         os.kill(os.getpid(), signal.SIGKILL)
     c.allgather(big)  # peers block here; rank 1 never arrives
     return c.rank
@@ -464,39 +466,50 @@ class TestSigkillMidCollective:
         assert leftovers == []
 
 
-def _sigkill_mid_lease_prog(c, path):
-    big = np.arange(shm.SHM_MIN_BYTES // 8 + 7, dtype=np.int64)
-    # Every rank's copy of `big` sits in a pooled segment of its arena,
-    # in flight until the next superstep.
-    slots = c.allgather(big)
-    if c.rank == 1:
-        with open(path, "w") as fh:
-            fh.write(str(os.getpid()))
-        # Die with the segment in flight and the peers' segments still
-        # mapped; the next superstep's step is never sent.
-        os.kill(os.getpid(), signal.SIGKILL)
-    total = int(np.asarray(slots[0], dtype=np.int64).sum())
-    c.allgather(np.array([total]))  # peers block here; rank 1 is gone
+def _sigkill_mid_deliver_prog(c):
+    lanes = [np.full(1 << 20, c.rank, dtype=np.int64) for _ in range(c.size)]
+    c.alltoall(lanes)  # rank 1 dies with its 16 MB deliver in flight
+    c.allgather(np.array([c.rank]))  # peers block here; rank 1 is gone
     return c.rank
 
 
 @requires_fork
 class TestSigkillMidLease:
-    """Chaos cell for the data plane: a worker SIGKILL'd with segments in
-    flight must not wedge its peers, and no shared-memory segment — its
-    own arena's or the peers' pooled ones — may outlive the run."""
+    """Chaos cell for the pipe transport: a rank SIGKILLed while the
+    coordinator is sending it a multi-MB deliver must not wedge the
+    coordinator or its peers, and no segment may outlive the run."""
 
-    def test_no_leaked_segments(self, tmp_path):
-        before = {
-            n for n in os.listdir("/dev/shm") if shm._SEGMENT_RE.match(n)
-        }
+    def test_no_leaked_segments(self, tmp_path, monkeypatch):
         path = str(tmp_path / "victim")
-        spec = det_spec(3, "process")
+        real = backends._ProcessTransport._recv
+
+        def die_before_reading(self):
+            if self.rank == 1:
+                with open(path, "w") as fh:
+                    fh.write(str(os.getpid()))
+                time.sleep(0.3)  # the coordinator blocks mid-deliver
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real(self)
+
+        monkeypatch.setattr(
+            backends._ProcessTransport, "_recv", die_before_reading
+        )
+        before = _orphans()
         with pytest.raises(MPIError, match="rank 1 worker process died"):
-            run_spmd(_sigkill_mid_lease_prog, spec, args=(path,))
+            run_spmd(_sigkill_mid_deliver_prog, det_spec(3, "process"))
         pid_text = open(path).read().strip()
-        after = {
-            n for n in os.listdir("/dev/shm") if shm._SEGMENT_RE.match(n)
-        }
-        assert after <= before, f"leaked segments: {sorted(after - before)}"
-        assert not [n for n in after if n.startswith(f"rp{pid_text}x")]
+        leaked = _orphans() - before
+        assert not leaked, f"leaked segments: {sorted(leaked)}"
+        assert not [
+            n for n in os.listdir("/dev/shm") if n.startswith(f"rp{pid_text}x")
+        ]
+
+
+def _orphans() -> set[str]:
+    """Segments whose creator is dead, whatever else runs on the host."""
+    return {
+        n
+        for n in os.listdir("/dev/shm")
+        if (m := shm._SEGMENT_RE.match(n))
+        and not shm._pid_alive(int(m.group(1)))
+    }
