@@ -59,10 +59,7 @@ def run_scaling(n: int | None = None, processors=None) -> dict:
     results = []
     for backend in _backends():
         for p in processors:
-            # compute_scale=0 keeps the simulated clock deterministic so
-            # the cross-backend equality below can be exact; host_seconds
-            # measures real execution either way.
-            machine = MachineSpec(p=p, backend=backend, compute_scale=0.0)
+            machine = MachineSpec(p=p, backend=backend)
             t0 = time.perf_counter()
             cube = build_data_cube(data, spec_ds.cardinalities, machine)
             host = time.perf_counter() - t0

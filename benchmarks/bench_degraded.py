@@ -11,16 +11,15 @@ permanently mid-build and finishes the cube four ways:
 * degraded resume: reshard the dead rank's checkpointed iterations
   across the survivors and continue at ``p - 1``.
 
-All runs use ``compute_scale=0.0`` so the simulated clock is
-deterministic.  The report asserts the degraded-mode contract — every
-degraded cube matches the clean row count, finishes at width ``p - 1``
-with rank 1 on the blacklist and a clean audit, a restart's final
-attempt costs exactly one clean ``p - 1`` build, and the resumed final
-attempt (reshard + recomputed tail) undercuts the clean checkpointed
-``p - 1`` build.  Whole runs are reported, not gated: a resume pays for a
-sealed second copy of every iteration (a plain build writes back only
-the rows its merges rewrote), so resume against restart is a break-even
-in ``p`` (``resume_over_restart`` per row), not an invariant.
+The report asserts the degraded-mode contract — every degraded cube
+matches the clean row count, finishes at width ``p - 1`` with rank 1 on
+the blacklist and a clean audit, a restart's final attempt costs exactly
+one clean ``p - 1`` build, and the resumed final attempt (reshard +
+recomputed tail) undercuts the clean checkpointed ``p - 1`` build.  Whole
+runs are reported, not gated: a resume pays for a sealed second copy of
+every iteration (a plain build writes back only the rows its merges
+rewrote), so resume against restart is a break-even in ``p``
+(``resume_over_restart`` per row), not an invariant.
 
 Writes ``BENCH_degraded.json`` at the repository root.  Runnable
 standalone (``python benchmarks/bench_degraded.py``) or under pytest.
@@ -56,7 +55,7 @@ CRASH = "crash@r1s80"
 
 
 def _one(data, cards, p, faults=None, ckpt=None, degrade=False) -> dict:
-    machine = MachineSpec(p=p, backend="thread", compute_scale=0.0)
+    machine = MachineSpec(p=p, backend="thread")
     recovery = None
     if faults:
         recovery = RecoveryPolicy(

@@ -24,7 +24,7 @@ def _emit_rank_spread(scale) -> None:
     metrics = build_data_cube(
         data,
         spec.cardinalities,
-        MachineSpec(p=p, compute_scale=0.0),
+        MachineSpec(p=p),
         CubeConfig(),
     ).metrics
     busy = metrics.rank_busy_seconds

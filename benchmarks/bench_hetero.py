@@ -17,16 +17,14 @@ Two questions, one report:
   straggler's checkpoints; the winning cube must be bit-identical to a
   clean build, pass the audit, and bank both raced attempts' costs.
 
-All runs use ``compute_scale=0.0`` so the simulated clock is
-deterministic (segments are the modelled per-row sort/scan work plus
-block I/O, which the slow fault inflates multiplicatively).  The
-machine uses a 64-row block at the same per-row disk cost as the
-default 1024-row block: at bench scale a uniform partition is only
-1-2 default blocks, so any share skew would be dominated by block
-ceil-quantisation instead of the work it models.  Measures are floored
-to integers so regrouped rows aggregate bit-identically regardless of
-partition boundaries (float summation order would otherwise differ
-between layouts).  Writes
+A segment is the modelled per-row sort/scan work plus block I/O, which
+the slow fault inflates multiplicatively.  The machine uses a 64-row
+block at the same per-row disk cost as the default 1024-row block: at
+bench scale a uniform partition is only 1-2 default blocks, so any
+share skew would be dominated by block ceil-quantisation instead of the
+work it models.  Measures are floored to integers so regrouped rows
+aggregate bit-identically regardless of partition boundaries (float
+summation order would otherwise differ between layouts).  Writes
 ``BENCH_hetero.json`` at the repository root; ``bench_fig11_balance``
 appends its per-rank finish-time spread to the same file.  Runnable
 standalone (``python benchmarks/bench_hetero.py``) or under pytest.
@@ -96,7 +94,6 @@ def _one(
     machine = MachineSpec(
         p=p,
         backend="thread",
-        compute_scale=0.0,
         block_size=64,
         disk_sec_per_block=1.4e-3 * 64 / 1024,
     )

@@ -11,8 +11,9 @@ bench builds two cubes from skewed data — the paper's adaptive merge vs
 ``merge_policy="never_resort"`` (ownership routing only, no re-balancing)
 — and compares (a) the stored per-rank distribution of the views the
 adaptive rule chose to re-sort and (b) parallel group-by latency over
-them.  Also records the Section 4.1 overlap estimate for the standard
-build (the paper claims 40-60% of communication overhead is maskable).
+them.  Also records the Section 4.1 overlap estimate for a build of the
+paper's uniform P8 input (the paper claims 40-60% of communication
+overhead is maskable).
 """
 
 import json
@@ -65,7 +66,12 @@ def test_query_latency_vs_balance(benchmark, scale, results_dir):
             assert r1.same_content(r2)  # same answers, different layout
             t_bal += s1
             t_loose += s2
-        overlap = analyze_overlap(balanced)
+        uniform = paper_preset(scale.n_base)
+        overlap = analyze_overlap(
+            build_data_cube(
+                dataset_for(uniform), uniform.cardinalities, machine
+            )
+        )
         return imb_balanced, imb_loose, t_bal, t_loose, overlap
 
     imb_balanced, imb_loose, t_bal, t_loose, overlap = benchmark.pedantic(

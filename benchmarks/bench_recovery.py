@@ -8,17 +8,16 @@ four ways:
 * a mid-build rank crash recovered by restarting from scratch,
 * the same crash recovered by resuming from the last checkpoint.
 
-All runs use ``compute_scale=0.0`` so the simulated clock is
-deterministic and the overhead ratios are exact.  The report asserts the
-recovery contract — every recovered cube matches the fault-free row
-count, recovery always costs simulated time, a from-scratch retry costs
-exactly one fault-free build, a fault-free checkpointed build writes at
-most one extra copy of the cube and costs at most 1.10x a plain one (a
-piece Pipesort leaves in memory is written once, after its merge, and
-that write is the seal; only a piece written before its merge is
-written again whole), a checkpointed retry costs *less* than a full
-checkpointed build (it skips the iterations the checkpoint already
-holds), and resuming never costs more than restarting.
+The report asserts the recovery contract — every recovered cube matches
+the fault-free row count, recovery always costs simulated time, a
+from-scratch retry costs exactly one fault-free build, a fault-free
+checkpointed build writes at most one extra copy of the cube and costs
+at most 1.10x a plain one (a piece Pipesort leaves in memory is written
+once, after its merge, and that write is the seal; only a piece written
+before its merge is written again whole), a checkpointed retry costs
+*less* than a full checkpointed build (it skips the iterations the
+checkpoint already holds), and resuming never costs more than
+restarting.
 
 Writes ``BENCH_recovery.json`` at the repository root.  Runnable
 standalone (``python benchmarks/bench_recovery.py``) or under pytest.
@@ -51,7 +50,7 @@ CRASH = "crash@r1s25"
 
 
 def _one(data, cards, p, faults=None, ckpt=None) -> dict:
-    machine = MachineSpec(p=p, backend="thread", compute_scale=0.0)
+    machine = MachineSpec(p=p, backend="thread")
     recovery = RecoveryPolicy(max_retries=2) if faults else None
     t0 = time.perf_counter()
     cube = build_data_cube(

@@ -14,8 +14,11 @@ quantity the paper's analysis reasons about is modelled explicitly here:
 * ``latency_sec``      -- per-collective latency (the ``λ`` of a BSP
                           superstep),
 * ``disk_sec_per_block`` -- cost charged per block transfer,
-* ``compute_scale``    -- multiplier applied to measured per-rank CPU time
-                          before it enters the simulated clock.
+* ``sort_sec_per_row_level`` / ``scan_sec_per_row`` -- per-row CPU work
+                          charged for sorting and streaming.
+
+Simulated time is built from these charges alone (``repro.mpi.clock``):
+no host measurement enters it, so it is exact and repeats bit for bit.
 
 Defaults are calibrated to the paper's regime: "communication speed is
 extremely slow in comparison to computation speed" (100 Mbit switch vs Xeon
@@ -69,13 +72,6 @@ class MachineSpec:
     #: Seconds charged per disk block transfer.  7200 RPM IDE streamed
     #: ~25 MB/s; one 1024-row (36 KB) block ≈ 1.4 ms.
     disk_sec_per_block: float = 1.4e-3
-    #: Multiplier from measured Python CPU seconds to simulated seconds.
-    #: Host CPU is a *minor* term of the model (see the work-charge
-    #: constants below, which carry the deterministic per-row costs);
-    #: measured CPU mainly keeps genuinely unmodelled Python work visible.
-    #: Set to 0 to drop the measured term entirely, making the simulated
-    #: clock fully deterministic (used by the backend-equivalence tests).
-    compute_scale: float = 1.0
     #: Modelled CPU cost of sorting: seconds per row per log2-level.  A
     #: sort that fits in memory merges the ascending runs its input
     #: already holds, ``a · Σ n_s · log2 r_s`` over its segments (one run
@@ -116,8 +112,6 @@ class MachineSpec:
             raise ValueError("network cost parameters must be non-negative")
         if self.disk_sec_per_block < 0:
             raise ValueError("disk_sec_per_block must be non-negative")
-        if self.compute_scale < 0:
-            raise ValueError("compute_scale must be non-negative")
         if self.backend not in ("thread", "process"):
             raise ValueError(
                 f"unknown execution backend: {self.backend!r} "

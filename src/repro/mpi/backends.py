@@ -11,9 +11,9 @@ real failure while breaking every peer with
     ``p`` rank threads over shared mailboxes.  Deterministic, cheap to
     spawn, zero-copy payload delivery — but the GIL serialises all
     Python-level rank code, so ``host_seconds`` does not shrink with
-    ``p``.  Simulated time is unaffected (per-rank CPU is measured with
-    ``thread_time``), which is why this stays the default for tests and
-    figure reproductions.
+    ``p``.  Simulated time is unaffected (it is charged, not measured),
+    which is why this stays the default for tests and figure
+    reproductions.
 
 ``process``
     ``p`` forked worker processes (one :class:`~repro.mpi.pool.WorkerPool`)
@@ -24,8 +24,7 @@ real failure while breaking every peer with
     leaves it.  The parent replays the exact superstep commit of the
     thread backend from per-rank metering shipped with each collective,
     so ``simulated_seconds`` / ``comm_bytes`` / ``disk_blocks`` are
-    identical between backends whenever the clock's measured-CPU term is
-    disabled (``compute_scale=0``) — and statistically equal otherwise.
+    identical between backends, bit for bit.
     ``host_seconds`` scales with real cores.  Each rank's finished result
     is written to one shared-memory segment that the parent maps instead
     of copying (:mod:`repro.mpi.shm`).

@@ -3,26 +3,25 @@
 Model
 -----
 Execution is a sequence of *supersteps* separated by collectives.  In
-superstep ``s`` every rank ``j`` performs local work (CPU + disk I/O) and
-then enters the collective.  Simulated time advances by::
+superstep ``s`` every rank ``j`` performs local work (disk I/O and per-row
+CPU work, both modelled) and then enters the collective.  Simulated time
+advances by::
 
-    T_s = max_j (cpu_j * compute_scale + blocks_j * disk_sec_per_block)
+    T_s = max_j (blocks_j * disk_sec_per_block + work_j)
           + latency + beta * h_s / 1e6
 
-where ``h_s`` is the busiest rank's in+out byte volume of the collective
-(the h-relation measure the paper's analysis uses).  Total simulated time
-is ``sum_s T_s``.
+where ``work_j`` is the rank's charged sort and scan seconds and ``h_s``
+is the busiest rank's in+out byte volume of the collective (the
+h-relation measure the paper's analysis uses).  Total simulated time is
+``sum_s T_s``.
 
-Per-rank CPU is measured with :func:`time.thread_time`, which charges each
-rank thread only the CPU it actually consumed — the GIL serialises the
-threads but does not distort the per-thread totals, so ``max_j`` is a
-faithful critical-path estimate of what the same SPMD program would cost
-with ranks on separate machines.
+Every term is a charged counter, never a host measurement, so simulated
+time is an exact function of the run's input and spec: identical between
+runs and between the thread and process backends.
 """
 
 from __future__ import annotations
 
-import time
 from collections import defaultdict
 from dataclasses import dataclass
 
@@ -61,7 +60,6 @@ class BSPClock:
         # Per-rank bookkeeping, touched only by the owning rank thread
         # (except inside the barrier action, where all rank threads are
         # parked).
-        self._cpu_mark = [0.0] * p
         self._io_mark = [0] * p
         self._work_mark = [0.0] * p
         self._pending_segment = [0.0] * p
@@ -84,7 +82,6 @@ class BSPClock:
         self, rank: int, io_blocks: int, work_seconds: float = 0.0
     ) -> None:
         """Called by each rank thread as it begins executing."""
-        self._cpu_mark[rank] = time.thread_time()
         self._io_mark[rank] = io_blocks
         self._work_mark[rank] = work_seconds
 
@@ -96,12 +93,10 @@ class BSPClock:
         work_seconds: float | None = None,
     ) -> None:
         """Label subsequent work; SPMD code keeps ranks in lockstep, so the
-        labels agree across ranks whenever a superstep completes.  Work done
-        since the previous label (measured CPU always; modelled disk/work
-        when the caller passes the counters) is banked against the old
-        phase so that phases without their own collectives still show up
-        in the breakdown."""
-        self._accrue(rank)
+        labels agree across ranks whenever a superstep completes.  Work
+        charged since the previous label (when the caller passes the
+        counters) is banked against the old phase so that phases without
+        their own collectives still show up in the breakdown."""
         if io_blocks is None:
             io_blocks = self._io_mark[rank]
         if work_seconds is None:
@@ -109,21 +104,11 @@ class BSPClock:
         self._bank_modelled(rank, io_blocks, work_seconds)
         self._phase[rank] = phase
 
-    def _accrue(self, rank: int) -> float:
-        """Bank local work since the last mark under the current phase."""
-        now = time.thread_time()
-        cpu = (now - self._cpu_mark[rank]) * self.spec.compute_scale
-        self._cpu_mark[rank] = now
-        # io/work marks are only advanced in mark_segment (they need the
-        # caller-supplied counters); cpu is the only live-measured piece.
-        self._phase_accrual[rank][self._phase[rank]] += cpu
-        return cpu
-
     def modelled_seconds(self, io_blocks: int, work_seconds: float) -> float:
         """What the cost model charges for ``io_blocks`` block transfers
-        and ``work_seconds`` of per-row CPU work: the modelled part of a
-        segment.  Linear, so it prices counter totals and their deltas
-        alike; the one place a segment's modelled terms are priced."""
+        and ``work_seconds`` of per-row CPU work: a segment's whole local
+        cost.  Linear, so it prices counter totals and their deltas alike;
+        the one place a segment is priced."""
         return io_blocks * self.spec.disk_sec_per_block + work_seconds
 
     def _bank_modelled(
@@ -144,10 +129,9 @@ class BSPClock:
         """Snapshot the rank's local work since the previous superstep.
 
         Must be called immediately before entering a collective.  The
-        segment cost is measured host CPU (scaled) + modelled disk block
-        time + modelled per-row CPU work.
+        segment cost is modelled disk block time + modelled per-row CPU
+        work.
         """
-        self._accrue(rank)
         # Modelled disk + work join the accrual under the *current* phase
         # (they are not split across a mid-segment phase change; phases
         # that matter set their label before doing their work).

@@ -36,9 +36,9 @@ class WorkMeter:
     """Deterministic modelled-CPU accumulator for one processor.
 
     The BSP clock charges each rank's local work from this meter instead
-    of relying purely on host CPU measurements, whose per-op Python
-    constants are wildly unlike the modelled 2003-era machine.  Kernels
-    charge the classic sort/scan work terms at their call sites:
+    of host CPU measurements, whose per-op Python constants are wildly
+    unlike the modelled 2003-era machine.  Kernels charge the classic
+    sort/scan work terms at their call sites:
 
     * ``charge_sort(n, runs)``  →  ``a · Σ n_s · log2 r_s`` seconds for
       segments of ``n_s`` rows that each hold ``r_s`` ascending runs (a

@@ -4,10 +4,9 @@ The process backend must be *observationally identical* to the thread
 backend: same rank results, same simulated clock, same byte metering,
 same disk accounting — only ``host_seconds`` may differ.  These tests
 pin that equivalence down on end-to-end cube builds and on the raw
-collectives, plus the result segments the coordinator adopts.
-
-All equivalence runs use ``compute_scale=0.0`` so the clock carries no
-measured host CPU and the comparison can demand exact equality.
+collectives, plus the result segments the coordinator adopts.  The
+clock is charged, never measured, so the comparison demands exact
+equality.
 """
 
 from __future__ import annotations
@@ -38,11 +37,6 @@ requires_fork = pytest.mark.skipif(
 )
 
 
-def det_spec(p, backend, **kw):
-    """Deterministic machine: no measured-CPU term in the clock."""
-    return MachineSpec(p=p, backend=backend, compute_scale=0.0, **kw)
-
-
 class TestBackendRegistry:
     def test_get_backend(self):
         assert isinstance(get_backend("thread"), ThreadBackend)
@@ -65,7 +59,7 @@ class TestProcessCollectives:
             got = c.allgather(np.full(n, c.rank, dtype=np.int64))
             return [int(g[0]) for g in got]
 
-        res = run_spmd(prog, det_spec(3, "process"))
+        res = run_spmd(prog, MachineSpec(p=3, backend="process"))
         assert res.rank_results == [[0, 1, 2]] * 3
 
     def test_bcast_gather_roundtrip(self):
@@ -73,7 +67,7 @@ class TestProcessCollectives:
             seed = c.bcast({"base": 7} if c.rank == 1 else None, root=1)
             return c.gather(seed["base"] * c.rank, root=0)
 
-        res = run_spmd(prog, det_spec(4, "process"))
+        res = run_spmd(prog, MachineSpec(p=4, backend="process"))
         assert res.rank_results[0] == [0, 7, 14, 21]
         assert res.rank_results[1:] == [None, None, None]
 
@@ -86,7 +80,7 @@ class TestProcessCollectives:
             )
             return float(c.scatter(lanes, root=2)[0])
 
-        res = run_spmd(prog, det_spec(4, "process"))
+        res = run_spmd(prog, MachineSpec(p=4, backend="process"))
         assert res.rank_results == [0.0, 1.0, 2.0, 3.0]
 
     def test_alltoall(self):
@@ -97,7 +91,7 @@ class TestProcessCollectives:
             ]
             return [int(g[0]) for g in c.alltoall(lanes)]
 
-        res = run_spmd(prog, det_spec(3, "process"))
+        res = run_spmd(prog, MachineSpec(p=3, backend="process"))
         for k, got in enumerate(res.rank_results):
             assert got == [j * 10 + k for j in range(3)]
 
@@ -106,14 +100,14 @@ class TestProcessCollectives:
             c.barrier()
             return c.sendrecv_left(("tok", c.rank))
 
-        res = run_spmd(prog, det_spec(4, "process"))
+        res = run_spmd(prog, MachineSpec(p=4, backend="process"))
         assert res.rank_results == [("tok", 1), ("tok", 2), ("tok", 3), None]
 
     def test_allreduce(self):
         def prog(c):
             return (c.allreduce(c.rank, "sum"), c.allreduce(c.rank, "max"))
 
-        res = run_spmd(prog, det_spec(4, "process"))
+        res = run_spmd(prog, MachineSpec(p=4, backend="process"))
         assert res.rank_results == [(6.0, 3.0)] * 4
 
     def test_own_lane_stays_home(self, monkeypatch):
@@ -128,7 +122,7 @@ class TestProcessCollectives:
             got = c.alltoall(lanes)
             return got[c.rank] is lanes[c.rank], [int(g[0]) for g in got]
 
-        res = run_spmd(prog, det_spec(3, "process"))
+        res = run_spmd(prog, MachineSpec(p=3, backend="process"))
         for k, (aliased, firsts) in enumerate(res.rank_results):
             assert aliased  # the own lane arrives as the rank sent it
             assert firsts == [j * 10 + k for j in range(3)]
@@ -143,7 +137,7 @@ class TestProcessCollectives:
         def prog(c):
             return c.gather(np.full(1000, c.rank), root=2)
 
-        res = run_spmd(prog, det_spec(4, "process"))
+        res = run_spmd(prog, MachineSpec(p=4, backend="process"))
         assert [int(a[0]) for a in res.rank_results[2]] == [0, 1, 2, 3]
         assert res.rank_results[:2] + res.rank_results[3:] == [None] * 3
         nothing = [all(s is None for s in slots) for slots in delivered]
@@ -157,7 +151,7 @@ class TestProcessCollectives:
             c.allgather(c.rank)
 
         with pytest.raises(KeyError, match="worker blew up"):
-            run_spmd(prog, det_spec(3, "process"))
+            run_spmd(prog, MachineSpec(p=3, backend="process"))
 
     def test_mismatched_collectives_rejected(self):
         def prog(c):
@@ -167,7 +161,7 @@ class TestProcessCollectives:
                 c.gather(1, root=0)
 
         with pytest.raises(CollectiveMisuse, match="disagree"):
-            run_spmd(prog, det_spec(2, "process"))
+            run_spmd(prog, MachineSpec(p=2, backend="process"))
 
     def test_early_exit_vs_collective_rejected(self):
         def prog(c):
@@ -176,7 +170,7 @@ class TestProcessCollectives:
             c.barrier()
 
         with pytest.raises(CollectiveMisuse):
-            run_spmd(prog, det_spec(2, "process"))
+            run_spmd(prog, MachineSpec(p=2, backend="process"))
 
 
 def _spy_delivers(monkeypatch) -> list:
@@ -206,17 +200,16 @@ class TestAllreduceMetering:
         p = 4
         res = run_spmd(
             lambda c: c.allreduce(c.rank * 1.5, "sum"),
-            det_spec(p, backend),
+            MachineSpec(p=p, backend=backend),
         )
         assert res.stats.total_bytes == p * (p - 1) * 8
         assert set(res.stats.bytes_by_kind) == {"allreduce"}
 
     def test_value_independent(self):
         # Metering must not depend on the Python repr of the floats.
-        a = run_spmd(lambda c: c.allreduce(0.0), det_spec(3, "thread"))
-        b = run_spmd(
-            lambda c: c.allreduce(1.23456789e300), det_spec(3, "thread")
-        )
+        spec = MachineSpec(p=3, backend="thread")
+        a = run_spmd(lambda c: c.allreduce(0.0), spec)
+        b = run_spmd(lambda c: c.allreduce(1.23456789e300), spec)
         assert a.stats.total_bytes == b.stats.total_bytes == 3 * 2 * 8
 
 
@@ -272,14 +265,14 @@ class TestBackendEquivalence:
         fingerprints = {}
         for backend in ("thread", "process"):
             cube = build_data_cube(
-                data, cards, det_spec(p, backend, **mkw), config
+                data, cards, MachineSpec(p=p, backend=backend, **mkw), config
             )
             fingerprints[backend] = _cube_fingerprint(cube)
         assert fingerprints["thread"] == fingerprints["process"]
 
     def test_backend_override_argument(self):
         data = make_relation(400, (6, 4), seed=9)
-        base = det_spec(2, "thread")
+        base = MachineSpec(p=2, backend="thread")
         a = build_data_cube(data, (6, 4), base)
         b = build_data_cube(data, (6, 4), base, backend="process")
         assert _cube_fingerprint(a) == _cube_fingerprint(b)
@@ -295,7 +288,7 @@ class TestBackendEquivalence:
         errors = {}
         for backend in ("thread", "process"):
             with pytest.raises(ValueError, match="injected fault") as exc:
-                run_spmd(prog, det_spec(3, backend))
+                run_spmd(prog, MachineSpec(p=3, backend=backend))
             errors[backend] = str(exc.value)
         assert errors["thread"] == errors["process"]
 
@@ -329,7 +322,8 @@ def adopt_relation():
 
 def _adopt_build(relation, backend, **kw):
     return build_data_cube(
-        relation, ADOPT_CARDS, det_spec(3, backend), CubeConfig(), **kw
+        relation, ADOPT_CARDS, MachineSpec(p=3, backend=backend),
+        CubeConfig(), **kw,
     )
 
 
@@ -422,7 +416,7 @@ class TestResultAdoption:
         monkeypatch.setattr(shm, "write_result", write_then_fail)
         before = _orphans()
         with pytest.raises(RuntimeError, match="after writing the result"):
-            run_spmd(prog, det_spec(3, "process"))
+            run_spmd(prog, MachineSpec(p=3, backend="process"))
         assert _orphans() <= before
 
 

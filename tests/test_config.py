@@ -44,15 +44,6 @@ class TestMachineSpec:
         with pytest.raises(ValueError):
             MachineSpec(disk_sec_per_block=-1.0)
 
-    def test_rejects_negative_compute_scale(self):
-        with pytest.raises(ValueError):
-            MachineSpec(compute_scale=-0.5)
-
-    def test_zero_compute_scale_is_deterministic_mode(self):
-        # 0.0 disables the measured-CPU term entirely (bit-identical
-        # simulated time across runs and backends).
-        assert MachineSpec(compute_scale=0.0).compute_scale == 0.0
-
     def test_rejects_unknown_backend(self):
         with pytest.raises(ValueError, match="backend"):
             MachineSpec(backend="mpi")

@@ -61,14 +61,9 @@ def relation():
     return Relation(raw.dims, np.floor(raw.measure))
 
 
-def det_spec(backend, p=3, **kw):
-    kw.setdefault("compute_scale", 0.0)
-    return MachineSpec(p=p, backend=backend, **kw)
-
-
 def build(relation, backend, p=3, **kw):
     return build_data_cube(
-        relation, CARDS, det_spec(backend, p), CubeConfig(), **kw
+        relation, CARDS, MachineSpec(p=p, backend=backend), CubeConfig(), **kw
     )
 
 
@@ -638,7 +633,7 @@ class TestAudit:
         cube = build_data_cube(
             relation,
             CARDS,
-            det_spec("thread", 2),
+            MachineSpec(p=2, backend="thread"),
             CubeConfig(agg="count"),
             audit=True,
         )

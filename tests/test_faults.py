@@ -44,10 +44,6 @@ requires_fork = pytest.mark.skipif(
 BACKENDS = ["thread", pytest.param("process", marks=requires_fork)]
 
 
-def det_spec(p, backend, **kw):
-    return MachineSpec(p=p, backend=backend, compute_scale=0.0, **kw)
-
-
 @st.composite
 def fault_plans(draw):
     """Valid plans over both address spaces, drawn from the grammar
@@ -163,7 +159,7 @@ class TestFaultPlanGrammar:
         with pytest.raises(ValueError, match="kill@w0q5"):
             run_spmd(
                 lambda c: c.rank,
-                det_spec(2, "thread"),
+                MachineSpec(p=2, backend="thread"),
                 faults=FaultPlan.parse("crash@r0s9; kill@w0q5"),
             )
 
@@ -181,7 +177,7 @@ class TestFaultyTransport:
         with pytest.raises(InjectedFault, match="rank 1.*superstep 1"):
             run_spmd(
                 prog,
-                det_spec(3, backend),
+                MachineSpec(p=3, backend=backend),
                 faults=FaultPlan.parse("crash@r1s1"),
             )
 
@@ -194,7 +190,7 @@ class TestFaultyTransport:
         with pytest.raises(RankHung, match="rank 1.*superstep 1") as exc:
             run_spmd(
                 prog,
-                det_spec(2, backend),
+                MachineSpec(p=2, backend=backend),
                 faults=FaultPlan.parse("hang@r1s1"),
             )
         assert exc.value.rank == 1
@@ -207,7 +203,7 @@ class TestFaultyTransport:
         with pytest.raises(CorruptPayload, match="from rank 1.*CRC"):
             run_spmd(
                 prog,
-                det_spec(3, backend),
+                MachineSpec(p=3, backend=backend),
                 faults=FaultPlan.parse("corrupt@r1s0"),
             )
 
@@ -217,10 +213,10 @@ class TestFaultyTransport:
             c.barrier()
             c.barrier()
 
-        base = run_spmd(prog, det_spec(2, backend))
+        base = run_spmd(prog, MachineSpec(p=2, backend=backend))
         slow = run_spmd(
             prog,
-            det_spec(2, backend),
+            MachineSpec(p=2, backend=backend),
             faults=FaultPlan.parse("delay@r1s1x0.75"),
         )
         assert slow.clock.sim_time == pytest.approx(
@@ -237,7 +233,7 @@ class TestFaultyTransport:
         with pytest.raises(DiskFull, match="rank 1.*quota 3"):
             run_spmd(
                 prog,
-                det_spec(2, backend),
+                MachineSpec(p=2, backend=backend),
                 faults=FaultPlan.parse("diskfull@r1b3"),
             )
 
@@ -250,10 +246,11 @@ class TestFaultyTransport:
             return c.rank
 
         plan = FaultPlan.parse("crash@r0s0a1")
-        ok = run_spmd(prog, det_spec(2, backend), faults=plan, attempt=0)
+        spec = MachineSpec(p=2, backend=backend)
+        ok = run_spmd(prog, spec, faults=plan, attempt=0)
         assert ok.rank_results == [0, 1]
         with pytest.raises(InjectedFault):
-            run_spmd(prog, det_spec(2, backend), faults=plan, attempt=1)
+            run_spmd(prog, spec, faults=plan, attempt=1)
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_sealing_does_not_change_metering(self, backend):
@@ -265,8 +262,9 @@ class TestFaultyTransport:
             c.alltoall([np.arange(40, dtype=np.float64)] * c.size)
             c.allreduce(float(c.rank))
 
-        plain = run_spmd(prog, det_spec(3, backend))
-        sealed = run_spmd(prog, det_spec(3, backend), faults=FaultPlan())
+        spec = MachineSpec(p=3, backend=backend)
+        plain = run_spmd(prog, spec)
+        sealed = run_spmd(prog, spec, faults=FaultPlan())
         assert sealed.stats.total_bytes == plain.stats.total_bytes
         assert sealed.stats.bytes_by_kind == plain.stats.bytes_by_kind
         assert sealed.clock.sim_time == pytest.approx(plain.clock.sim_time)
@@ -283,8 +281,9 @@ class TestFaultyTransport:
             )
             return ([int(g[0]) for g in got], split, lanes)
 
-        plain = run_spmd(prog, det_spec(3, backend))
-        sealed = run_spmd(prog, det_spec(3, backend), faults=FaultPlan())
+        spec = MachineSpec(p=3, backend=backend)
+        plain = run_spmd(prog, spec)
+        sealed = run_spmd(prog, spec, faults=FaultPlan())
         assert plain.rank_results == sealed.rank_results
 
     @pytest.mark.parametrize("backend", BACKENDS)
@@ -297,7 +296,7 @@ class TestFaultyTransport:
         with pytest.raises(CorruptPayload, match="from rank 1.*CRC"):
             run_spmd(
                 prog,
-                det_spec(3, backend),
+                MachineSpec(p=3, backend=backend),
                 faults=FaultPlan.parse("corrupt@r1s0"),
             )
 
@@ -325,7 +324,7 @@ class TestFaultyTransport:
                 [np.arange(512, dtype=np.int64) + k for k in range(c.size)]
             )
 
-        run_spmd(prog, det_spec(3, "thread"), faults=FaultPlan())
+        run_spmd(prog, MachineSpec(p=3, backend="thread"), faults=FaultPlan())
         assert len(sealed) == len(unsealed) == 9
         assert sum(unsealed) == sum(sealed)
 
@@ -347,14 +346,14 @@ class TestCollectiveValidation:
         with pytest.raises(
             CollectiveMisuse, match=r"rank 1 \[phase shuffle\].*scatter"
         ):
-            run_spmd(prog, det_spec(3, "thread"))
+            run_spmd(prog, MachineSpec(p=3, backend="thread"))
 
     def test_scatter_root_none(self):
         def prog(c):
             return c.scatter(None, root=0)
 
         with pytest.raises(CollectiveMisuse, match=r"rank 0 \[phase"):
-            run_spmd(prog, det_spec(2, "thread"))
+            run_spmd(prog, MachineSpec(p=2, backend="thread"))
 
     def test_alltoall_wrong_lane_count(self):
         def prog(c):
@@ -365,14 +364,14 @@ class TestCollectiveValidation:
         with pytest.raises(
             CollectiveMisuse, match=r"rank 2 \[phase partition\].*lanes"
         ):
-            run_spmd(prog, det_spec(3, "thread"))
+            run_spmd(prog, MachineSpec(p=3, backend="thread"))
 
     def test_allreduce_bad_op(self):
         def prog(c):
             return c.allreduce(1.0, op="median")
 
         with pytest.raises(CollectiveMisuse, match=r"rank \d \[phase"):
-            run_spmd(prog, det_spec(2, "thread"))
+            run_spmd(prog, MachineSpec(p=2, backend="thread"))
 
 
 class TestOrphanSweep:
@@ -455,7 +454,9 @@ class TestSigkillMidCollective:
     def test_peers_unblock_segments_swept(self, tmp_path):
         path = str(tmp_path / "victim")
         with pytest.raises(MPIError, match="rank 1 worker process died"):
-            run_spmd(_sigkill_prog, det_spec(3, "process"), args=(path,))
+            run_spmd(
+                _sigkill_prog, MachineSpec(p=3, backend="process"), args=(path,)
+            )
         pid_text, seg = open(path).read().split()
         assert not os.path.exists(os.path.join("/dev/shm", seg))
         leftovers = [
@@ -496,7 +497,9 @@ class TestSigkillMidLease:
         )
         before = _orphans()
         with pytest.raises(MPIError, match="rank 1 worker process died"):
-            run_spmd(_sigkill_mid_deliver_prog, det_spec(3, "process"))
+            run_spmd(
+                _sigkill_mid_deliver_prog, MachineSpec(p=3, backend="process")
+            )
         pid_text = open(path).read().strip()
         leaked = _orphans() - before
         assert not leaked, f"leaked segments: {sorted(leaked)}"

@@ -29,7 +29,7 @@ from repro.mpi.stats import throughput_rates
 from repro.storage.table import Relation
 
 from .conftest import make_relation
-from .test_degraded import content_fingerprint, det_spec, requires_fork
+from .test_degraded import content_fingerprint, requires_fork
 
 CARDS = (8, 6, 5)
 
@@ -44,8 +44,8 @@ def relation():
 
 def build(relation, backend, p=3, *, hetero=False, **kw):
     return build_data_cube(
-        relation, CARDS, det_spec(backend, p), CubeConfig(hetero=hetero),
-        **kw,
+        relation, CARDS, MachineSpec(p=p, backend=backend),
+        CubeConfig(hetero=hetero), **kw,
     )
 
 
@@ -289,7 +289,9 @@ class TestSlowMetering:
     ):
         # The work after the last collective (the final iteration's
         # write-back) never passes through a transport.
-        cluster = Cluster(det_spec("thread", 2), faults=FaultPlan.parse(plan))
+        cluster = Cluster(
+            MachineSpec(p=2, backend="thread"), faults=FaultPlan.parse(plan)
+        )
         cluster.clock.set_phase(0, "merge[2]")
         cluster.disks[0].charge_store(1000)
         unslowed = cluster.clock.modelled_seconds(

@@ -155,9 +155,7 @@ RR_PARTIAL = [(0, 1, 2, 3, 4), (0, 2), (1, 3), (2, 3, 4), (3,), ()]
 
 
 def rr_spec(budget, p=2):
-    return MachineSpec(
-        p=p, memory_budget=budget, block_size=64, compute_scale=0.0
-    )
+    return MachineSpec(p=p, memory_budget=budget, block_size=64)
 
 
 def expected_source_reads(cube, chunk_rows, selected, budget):

@@ -44,8 +44,7 @@ class TestPaperPresetEndToEnd:
 
 
 class TestDeterminism:
-    """The modelled quantities must be bit-identical across runs; only the
-    (minor) measured host-CPU term may vary."""
+    """Every metered and clocked quantity is bit-identical across runs."""
 
     def test_modelled_meters_deterministic(self):
         rel = make_relation(4000, (12, 8, 5), seed=6)
@@ -53,9 +52,13 @@ class TestDeterminism:
             build_data_cube(rel, (12, 8, 5), MachineSpec(p=4))
             for _ in range(2)
         ]
-        assert runs[0].metrics.comm_bytes == runs[1].metrics.comm_bytes
-        assert runs[0].metrics.disk_blocks == runs[1].metrics.disk_blocks
-        assert runs[0].metrics.output_rows == runs[1].metrics.output_rows
+        a, b = runs[0].metrics, runs[1].metrics
+        assert a.comm_bytes == b.comm_bytes
+        assert a.disk_blocks == b.disk_blocks
+        assert a.output_rows == b.output_rows
+        assert a.simulated_seconds == b.simulated_seconds
+        assert a.phase_seconds == b.phase_seconds
+        assert a.superstep_log == b.superstep_log
         for view in runs[0].views:
             assert np.array_equal(
                 runs[0].distribution(view), runs[1].distribution(view)

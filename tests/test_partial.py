@@ -175,7 +175,7 @@ class TestPartialLocalTrees:
         from repro.core.cube import build_data_cube
 
         return build_data_cube(
-            relation, self.CARDS, MachineSpec(p=4, compute_scale=0.0),
+            relation, self.CARDS, MachineSpec(p=4),
             CubeConfig(global_schedule_tree=False), selected=selected,
         )
 

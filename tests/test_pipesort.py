@@ -620,9 +620,7 @@ class TestResidentSet:
 
         cards = (7, 5, 3, 2)
         relation = make_relation(n, cards, seed=n)
-        spec = MachineSpec(
-            p=1, memory_budget=budget, block_size=16, compute_scale=0.0
-        )
+        spec = MachineSpec(p=1, memory_budget=budget, block_size=16)
         selected = [(0, 2), (1,), (1, 3), ()] if partial else None
 
         def charges():

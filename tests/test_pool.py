@@ -75,9 +75,7 @@ class TestDeathIsImmediate:
                 os.kill(os.getpid(), signal.SIGKILL)
             comm.barrier()
 
-        spec = MachineSpec(
-            p=2, backend="process", suspect_after=30.0, compute_scale=0.0
-        )
+        spec = MachineSpec(p=2, backend="process", suspect_after=30.0)
         with pytest.raises(RankDead, match="rank 1 .*SIGKILL"):
             run_spmd(program, spec)
         assert 0 < time.monotonic() - killed_at.value < 0.5

@@ -54,13 +54,9 @@ def relation():
     return make_relation(N_ROWS, CARDS, seed=17)
 
 
-def det_spec(backend, p=2):
-    return MachineSpec(p=p, backend=backend, compute_scale=0.0)
-
-
 def build(relation, backend, p=2, **kw):
     return build_data_cube(
-        relation, CARDS, det_spec(backend, p), CubeConfig(), **kw
+        relation, CARDS, MachineSpec(p=p, backend=backend), CubeConfig(), **kw
     )
 
 

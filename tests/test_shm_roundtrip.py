@@ -117,7 +117,7 @@ class TestCopyOnReceipt:
     def test_received_arrays_are_writable_private_copies(self):
         outcome = run_spmd(
             _mutate_allgathered_prog,
-            MachineSpec(p=3, backend="process", compute_scale=0.0),
+            MachineSpec(p=3, backend="process"),
             args=(None,),
         )
         # Every rank wrote into what its peers sent; no sender saw it.
@@ -127,7 +127,7 @@ class TestCopyOnReceipt:
     def test_process_ranks_own_what_they_receive(self):
         outcome = run_spmd(
             _mutate_received_prog,
-            MachineSpec(p=3, backend="process", compute_scale=0.0),
+            MachineSpec(p=3, backend="process"),
             args=(None,),
         )
         want = int(np.arange(4096).sum())
@@ -173,7 +173,7 @@ def _mixed_payload_prog(c, _):
 class TestEndToEnd:
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_collectives_roundtrip(self, backend):
-        spec = MachineSpec(p=3, backend=backend, compute_scale=0.0)
+        spec = MachineSpec(p=3, backend=backend)
         outcome = run_spmd(_mixed_payload_prog, spec, args=(None,))
         totals = {t for t, _, _ in outcome.rank_results}
         assert len(totals) == 1  # every rank saw the same global sum
@@ -232,9 +232,7 @@ class TestAdopt:
 def _build(backend):
     cards = (9, 7, 5, 4)
     data = make_relation(3000, cards, seed=5)
-    cube = build_data_cube(
-        data, cards, MachineSpec(p=3, backend=backend, compute_scale=0.0)
-    )
+    cube = build_data_cube(data, cards, MachineSpec(p=3, backend=backend))
     views = {
         (j, view): (vd.order, vd.keys.tobytes(), vd.measure.tobytes())
         for j, rv in enumerate(cube.rank_views)

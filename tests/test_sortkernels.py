@@ -356,7 +356,7 @@ def test_count_equals_sum_of_ones_bitwise(dataset):
     ones = dataset.__class__(
         dataset.dims, np.ones(dataset.nrows, dtype=np.float64)
     )
-    spec = MachineSpec(p=4, compute_scale=0.0)
+    spec = MachineSpec(p=4)
     count_cube = build_data_cube(
         dataset, CARDS, spec, CubeConfig(agg="count")
     )

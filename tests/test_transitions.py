@@ -37,7 +37,7 @@ def relation():
 
 
 def build(relation, p=3, hetero=False, **kw):
-    spec = MachineSpec(p=p, backend="thread", compute_scale=0.0)
+    spec = MachineSpec(p=p, backend="thread")
     return build_data_cube(
         relation, CARDS, spec, CubeConfig(hetero=hetero), **kw
     )
