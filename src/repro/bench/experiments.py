@@ -342,10 +342,12 @@ def ablation_merge_cases(scale: BenchScale) -> tuple[str, list[Series], str]:
             )
         )
     notes = (
-        "Always re-sorting pays sample-sort traffic for every non-prefix "
-        "view; never re-sorting leaves skew-lopsided views (slower OLAP "
-        "scans later) but builds fastest.  The adaptive rule buys balance "
-        "at a small premium."
+        "Always rebalancing sends every non-prefix view through case 3: "
+        "after the route, its overflow rides a positional shift (or a "
+        "sample-merge re-sort where that is predicted cheaper); never "
+        "rebalancing leaves skew-lopsided views (slower OLAP scans later) "
+        "but builds fastest.  The adaptive rule buys balance at a small "
+        "premium."
     )
     return "Ablation: merge case policy", series, notes
 

@@ -147,9 +147,9 @@ class CubeConfig:
     global_schedule_tree: bool = True
     #: Merge-phase policy for non-prefix views: "adaptive" (the paper's
     #: γ-driven case-2/case-3 choice), "always_resort" (every non-prefix
-    #: view through the case-3 global sort) or "never_resort" (ownership
-    #: routing regardless of imbalance) — the latter two exist for the
-    #: ablation benchmarks.
+    #: view rebalanced by case 3, whichever mechanism it prices cheaper)
+    #: or "never_resort" (none: ownership routing regardless of
+    #: imbalance) — the latter two exist for the ablation benchmarks.
     merge_policy: str = "adaptive"
     #: Aggregate function applied to the measure column.
     agg: str = "sum"

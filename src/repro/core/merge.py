@@ -26,20 +26,32 @@ view spread evenly across ranks:
   what it receives into the tail zone of the slice it already owns.
 
 * **Case 3 — non-prefix views, imbalanced.**  Routing by last-key
-  boundaries would leave the distribution lopsided, so the view is
-  globally re-sorted with Adaptive-Sample-Sort (γ = 3%) and aggregated.
-  The pieces are key-sorted Pipesort output, so Procedure 2 runs from
-  step 2 (a sample-*merge*): no rank sorts anything in this phase.
+  boundaries alone would leave the distribution lopsided, so the view is
+  rebalanced to within γ (3%) of its targets: uniform, or the speed
+  model's counts under ``hetero``.  The paper re-sorts it with
+  Adaptive-Sample-Sort.  Here it normally joins case 2's routing
+  h-relation (own slice at home, only the zone merged) and then
+  Procedure 2's step-6 positional shift moves only the overflow: one
+  exact-size allgather, one h-relation, received blocks concatenated in
+  source order (the post-route layout is already in global order, so
+  the shift never interleaves rows).  Where one rank owns most of a
+  view a routed row would move twice, so each view is priced both ways
+  from the per-source estimates (:func:`_rebalance_seconds`), and the
+  views for which the sample-merge re-sort is predicted cheaper take it
+  instead (:func:`_resort_plan`).  The pieces are key-sorted Pipesort
+  output, so that re-sort runs Procedure 2 from step 2: no rank sorts
+  anything in this phase.
 
 Batching: collectives are shared across all views of the partition — one
 boundary gather/scatter covers every case-1 view, one metadata allgather
 pair classifies every non-prefix view, one h-relation routes every case-2
-view and one batched Adaptive-Sample-Sort re-sorts every case-3 view.
+and routed case-3 view, one allgather and one shift rebalance the routed
+case-3 views and one batched Adaptive-Sample-Sort re-sorts the rest.
 Per-view latency would otherwise dominate the BSP clock at 2^d views; the
 per-view semantics (own pivots, own imbalance test, own γ contract) are
-unchanged.  The case decision is made identically on every rank from the
-same allgathered metadata, keeping ranks in lockstep without an extra
-broadcast.
+unchanged.  The case and mechanism decisions are made identically on
+every rank from the same allgathered metadata, keeping ranks in lockstep
+without an extra broadcast.
 """
 
 from __future__ import annotations
@@ -48,10 +60,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.config import CubeConfig
+from repro.config import CubeConfig, MachineSpec
 from repro.core.aggregate import combine_scalar
 from repro.core.pipesort import ScheduleTree
-from repro.core.sample_sort import batched_sample_sort, relative_imbalance
+from repro.core.sample_sort import (
+    batched_sample_sort, global_shift, relative_imbalance,
+)
 from repro.mpi.speed import RankSpeedModel
 from repro.core.sampling import (
     SAMPLES_PER_RANK, decimation_sample, estimate_range_count,
@@ -63,6 +77,9 @@ from repro.storage.scan import aggregate_sorted_keys, merge_runs, merge_sorted
 
 __all__ = ["MergeReport", "merge_partitions"]
 
+#: Wire bytes of one row: a packed int64 key and a float64 measure.
+ROW_BYTES = 16
+
 
 @dataclass
 class MergeReport:
@@ -72,12 +89,17 @@ class MergeReport:
     cases: dict[View, str] = field(default_factory=dict)
     #: view -> estimated post-overlap imbalance (non-prefix views only)
     imbalance: dict[View, float] = field(default_factory=dict)
+    #: case-3 views rebalanced by the sample-merge re-sort; the other
+    #: case-3 views were routed and shifted.
+    resorted: set[View] = field(default_factory=set)
     #: view -> rows of *this rank's* piece the merge rewrote: the row that
-    #: absorbed a straddling group, the spliced zone, the whole piece.
+    #: absorbed a straddling group, the spliced zone, or the whole piece
+    #: (re-sorted, or its bounds moved by a shift).
     rewritten: dict[View, int] = field(default_factory=dict)
     #: view -> rows of *this rank's* local piece the merge took in: the
-    #: boundary rows of a straddling group, the shipped rows plus the
-    #: zone, the whole piece (what a piece on disk is read back for).
+    #: boundary rows of a straddling group, the rows routed away plus the
+    #: zone plus the rows a shift ships from before the zone, or the whole
+    #: re-sorted piece (what a piece on disk is read back for).
     #: Step 3's input for this run only: not sealed, not shipped.
     read: dict[View, int] = field(default_factory=dict)
 
@@ -118,8 +140,9 @@ def merge_partitions(
     speed-proportional layout as balanced (a deliberately skewed
     heterogeneity-aware layout is not misread as imbalance, and a
     uniform layout left by a case-1/case-2 merge is not forced through
-    a re-sort just to match the speed targets), and steers the case-3
-    re-sort pivots to the clamped speed-proportional shares.
+    case 3 just to match the speed targets), and makes the case-3
+    targets (shift counts, re-sort pivots) the clamped
+    speed-proportional shares.
     """
     root_order = tree.nodes[tree.root].order
     merged: dict[View, ViewData] = {}
@@ -167,7 +190,9 @@ def merge_partitions(
             my_counts[idx] = estimate_range_count(
                 sample, data.nrows, boundaries[:, idx]
             )
-    est = np.sum(comm.allgather(my_counts), axis=0)  # (nv, p)
+    # (source, view, owner): what each rank's piece would route where.
+    per_source = np.stack(comm.allgather(my_counts))
+    est = per_source.sum(axis=0)  # (nv, p)
 
     case2_idx, case3_idx = [], []
     shares = None if speed is None else np.asarray(speed.shares)
@@ -180,23 +205,26 @@ def merge_partitions(
             )
         report.imbalance[view] = imbalance
         if config.merge_policy == "always_resort":
-            resort = True
+            rebalance = True
         elif config.merge_policy == "never_resort":
-            resort = False
+            rebalance = False
         else:
-            resort = imbalance > config.gamma_merge
-        if resort:
-            case3_idx.append(idx)
-            report.cases[view] = "case3"
-        else:
-            case2_idx.append(idx)
-            report.cases[view] = "case2"
+            rebalance = imbalance > config.gamma_merge
+        report.cases[view] = "case3" if rebalance else "case2"
+        (case3_idx if rebalance else case2_idx).append(idx)
+    resort = _resort_plan(
+        [per_source[:, idx] for idx in case3_idx], shares,
+        comm.clock.spec, routed=bool(case2_idx),
+    )
+    shift_idx = [i for i, r in zip(case3_idx, resort) if not r]
+    resort_idx = [i for i, r in zip(case3_idx, resort) if r]
 
-    # ---- Case 2 batch: one routing h-relation ----------------------------
+    # ---- Cases 2 and 3: one routing h-relation ---------------------------
+    routed_idx = case2_idx + shift_idx
     routed = _batch_route(
         comm,
-        [local_views.pop(nonprefix[i]) for i in case2_idx],
-        [boundaries[:, i] for i in case2_idx],
+        [local_views.pop(nonprefix[i]) for i in routed_idx],
+        [boundaries[:, i] for i in routed_idx],
         config.agg,
     )
     for idx, (data, rows, taken) in zip(case2_idx, routed):
@@ -204,9 +232,37 @@ def merge_partitions(
         report.rewritten[nonprefix[idx]] = rows
         report.read[nonprefix[idx]] = taken
 
-    # ---- Case 3 batch: one joint Adaptive-Sample-Sort --------------------
-    if case3_idx:
-        pieces = [local_views.pop(nonprefix[i]) for i in case3_idx]
+    # ---- Case 3 by route + shift: one positional shift -------------------
+    if shift_idx:
+        shifting = routed[len(case2_idx):]
+        outcomes = global_shift(
+            comm, [(data.keys, data.measure) for data, _, _ in shifting],
+            config.gamma_merge, speed=speed,
+        )
+        arrived_total = 0
+        for idx, (data, zone, taken), outcome in zip(
+            shift_idx, shifting, outcomes
+        ):
+            view = nonprefix[idx]
+            kept = outcome.kept.stop - outcome.kept.start
+            arrived = outcome.keys.shape[0] - kept
+            # The route left the rows before the zone untouched; what the
+            # shift ships of those is read from the piece as well.
+            untouched = data.nrows - zone
+            shipped = untouched - max(
+                0, min(outcome.kept.stop, untouched) - outcome.kept.start
+            )
+            merged[view] = ViewData(data.order, outcome.keys, outcome.measure)
+            moved = arrived > 0 or kept < data.nrows
+            report.rewritten[view] = merged[view].nrows if moved else zone
+            report.read[view] = taken + shipped
+            arrived_total += arrived
+        comm.disk.work.charge_scan(arrived_total)
+        del routed, shifting  # the post-route pieces a shift replaced
+
+    # ---- Case 3 by re-sort: one joint Adaptive-Sample-Sort ---------------
+    if resort_idx:
+        pieces = [local_views.pop(nonprefix[i]) for i in resort_idx]
         # pivot_offset=0: the pieces are nearly globally sorted already,
         # so alignment-preserving pivots avoid the half-bucket shift of the
         # generic PSRS offset.  agg=...: collapse before the balance test,
@@ -216,12 +272,104 @@ def merge_partitions(
             comm, [(piece.keys, piece.measure) for piece in pieces],
             config.gamma_merge, pivot_offset=0, agg=config.agg, speed=speed,
         )
-        for idx, piece, outcome in zip(case3_idx, pieces, outcomes):
+        for idx, piece, outcome in zip(resort_idx, pieces, outcomes):
             view = nonprefix[idx]
             merged[view] = ViewData(piece.order, outcome.keys, outcome.measure)
+            report.resorted.add(view)
             report.rewritten[view] = merged[view].nrows
             report.read[view] = piece.nrows
     return merged, report
+
+
+def _resort_plan(
+    counts: list[np.ndarray],
+    shares: np.ndarray | None,
+    spec: MachineSpec,
+    routed: bool,
+) -> list[bool]:
+    """Which case-3 views re-sort (``True``) rather than route and shift.
+
+    Takes the cheapest of three plans: every view by its cheaper
+    mechanism (:func:`_rebalance_seconds`), all by route + shift, all by
+    re-sort.  A plan pays its views' predicted seconds plus the latency of
+    the collectives it adds: the shift's size allgather and h-relation,
+    and the route's h-relation when no case-2 view runs it anyway
+    (``routed`` false); the re-sort's pivot gather, pivot broadcast,
+    h-relation and size allgather.
+    """
+    priced = np.array(
+        [_rebalance_seconds(c, shares, spec) for c in counts]
+    ).reshape(-1, 2)
+    shift_latency = spec.latency_sec * (2 if routed else 3)
+    resort_latency = spec.latency_sec * 4
+
+    def seconds(plan: np.ndarray) -> float:
+        return float(
+            priced[~plan, 0].sum() + priced[plan, 1].sum()
+            + shift_latency * (~plan).any() + resort_latency * plan.any()
+        )
+
+    n = len(counts)
+    plans = (
+        priced[:, 1] < priced[:, 0], np.zeros(n, bool), np.ones(n, bool)
+    )
+    return min(plans, key=seconds).tolist()
+
+
+def _rebalance_seconds(
+    counts: np.ndarray, shares: np.ndarray | None, spec: MachineSpec
+) -> tuple[float, float]:
+    """Predicted seconds of rebalancing one case-3 view by route + shift
+    and by the sample-merge re-sort, in that order.
+
+    ``counts[s, k]`` estimates the rows of rank ``s``'s piece whose keys
+    rank ``k`` owns (the per-source estimates of the case test);
+    ``shares`` are the balance targets' fractions, uniform when ``None``.
+    Each mechanism is priced on its busiest rank: rows in + out of each
+    h-relation at ``beta_sec_per_mb`` (``ROW_BYTES`` a row) plus the rows
+    it scans at ``scan_sec_per_row``.
+
+    * Route + shift ships every row to its owner, merges the owner's zone
+      (at most its own rows plus what it received), then shifts each
+      row of the post-route layout to the rank whose target positions
+      hold it and concatenates what arrives.
+    * The re-sort scans every piece to verify it, ships each row to the
+      rank whose target positions hold it and merges what arrives.  With
+      no finer estimate, the sources' rows are taken to interleave evenly
+      within each owner's key range.
+
+    Route + shift loses where one rank owns most of a view: it receives
+    nearly every row and ships most of them out again.
+    """
+    counts = np.asarray(counts, dtype=np.float64)
+    p = counts.shape[0]
+    held, owned = counts.sum(axis=1), counts.sum(axis=0)
+    fractions = np.full(p, 1.0 / p) if shares is None else np.asarray(shares)
+    targets = owned.sum() * fractions
+    # overlap[k, j]: positions of owner k's range that balance puts on j.
+    ends, target_ends = np.cumsum(owned), np.cumsum(targets)
+    overlap = np.clip(
+        np.minimum.outer(ends, target_ends)
+        - np.maximum.outer(ends - owned, target_ends - targets),
+        0.0, None,
+    )
+    home = np.diag(counts)
+    routed_in = owned - home
+    shift_stay = np.diag(overlap)
+    route_rows = (held - home + routed_in).max() + (
+        owned + targets - 2 * shift_stay
+    ).max()
+    route_scan = (
+        routed_in + np.where(routed_in > 0, home, 0.0) + targets - shift_stay
+    ).max()
+    spread = counts @ (overlap / np.maximum(owned, 1.0)[:, None])
+    resort_rows = (held + targets - 2 * np.diag(spread)).max()
+    resort_scan = (held + targets).max()
+    row_sec = spec.beta_sec_per_mb * ROW_BYTES / 1e6
+    return (
+        float(row_sec * route_rows + spec.scan_sec_per_row * route_scan),
+        float(row_sec * resort_rows + spec.scan_sec_per_row * resort_scan),
+    )
 
 
 # ---------------------------------------------------------------------------

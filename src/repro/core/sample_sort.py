@@ -32,7 +32,10 @@ from repro.mpi.speed import HeteroState, RankSpeedModel
 from repro.storage.scan import aggregate_sorted_keys, merge_runs
 from repro.storage.sortkernels import is_sorted_int64
 
-__all__ = ["SortOutcome", "adaptive_sample_sort", "relative_imbalance"]
+__all__ = [
+    "SortOutcome", "adaptive_sample_sort", "batched_sample_sort",
+    "global_shift", "relative_imbalance",
+]
 
 
 def relative_imbalance(
@@ -120,6 +123,9 @@ class SortOutcome:
     imbalance: float
     #: Whether the global shift (second h-relation) ran.
     shifted: bool
+    #: The rows of this rank's step-6 input run that stayed on this rank:
+    #: the whole run unless the shift ran.
+    kept: slice
 
 
 def adaptive_sample_sort(
@@ -276,7 +282,8 @@ def _sample_sort(
             )
     received = comm.alltoall(lanes)
 
-    # Step 5: per-item local p-way merge; one allgather of all sizes.
+    # Step 5: per-item local p-way merge; the size allgather that ends
+    # it and step 6 are global_shift's.
     merged: list[tuple[np.ndarray, np.ndarray]] = []
     for item in range(n_items):
         pieces = [received[j][item] for j in range(p)]
@@ -285,57 +292,69 @@ def _sample_sort(
         if agg is not None:
             keys, measure = aggregate_sorted_keys(keys, measure, agg)
         merged.append((keys, measure))
-    my_sizes = np.array([k.shape[0] for k, _ in merged], dtype=np.int64)
-    all_sizes = np.vstack(comm.allgather(my_sizes))  # (p, n_items)
+    return global_shift(comm, merged, gamma, speed)
 
-    # Step 6: imbalance check (against uniform or speed-proportional
-    # targets) and one joint global shift for every item over γ.
-    item_targets: list[np.ndarray | None]
-    if speed is None:
-        item_targets = [None] * n_items
-    else:
-        item_targets = [
-            speed.counts(int(all_sizes[:, item].sum()))
-            for item in range(n_items)
-        ]
-    imbalances = [
-        relative_imbalance(all_sizes[:, item], item_targets[item])
-        for item in range(n_items)
+
+def global_shift(
+    comm: Comm,
+    runs: Sequence[tuple[np.ndarray, np.ndarray]],
+    gamma: float,
+    speed: RankSpeedModel | None = None,
+) -> list[SortOutcome]:
+    """Procedure 2's step-5 size allgather and step-6 global shift.
+
+    The runs must already be in global order across ranks: every key of
+    rank ``j``'s run sorts before every key of rank ``j + 1``'s.  One
+    allgather publishes every run's size; each run whose imbalance
+    against its targets (``total/p`` each, the remainder on the lowest
+    ranks, or ``speed.counts`` under a speed model) exceeds ``γ`` then
+    joins one positional-shift h-relation.  Rows occupy global positions
+    ``offset_j .. offset_j + y_j`` on rank ``j`` and each goes to the rank
+    whose target range holds its position, so the shift never interleaves
+    rows: a rank keeps its own slice at home and concatenates what it
+    receives in source-rank order, which *is* global order.  Nothing is
+    charged here; a caller charges what its copies cost.
+    """
+    p, rank = comm.size, comm.rank
+    sizes = np.array([keys.shape[0] for keys, _ in runs], dtype=np.int64)
+    all_sizes = np.vstack(comm.allgather(sizes))  # (p, len(runs))
+    outcomes: list[SortOutcome] = []
+    lanes: list[list[tuple[np.ndarray, np.ndarray]] | None] = [
+        [] for _ in range(p)
     ]
-    need_shift = [item for item in range(n_items) if imbalances[item] > gamma]
-    if need_shift:
-        # Rows occupy global positions offset_j .. offset_j + y_j on rank
-        # j; each goes to the rank whose target range holds its position
-        # (total/p each, remainder on the lowest ranks, unless a speed
-        # model sets the counts).  Received pieces concatenate in
-        # source-rank order, which *is* global order.
-        shift_lanes: list[list[tuple[np.ndarray, np.ndarray]]] = [
-            [] for _ in range(p)
-        ]
-        for item in need_shift:
-            keys, measure = merged[item]
-            sizes = all_sizes[:, item]
-            target_counts = item_targets[item]
-            if target_counts is None:
-                base, rem = divmod(int(sizes.sum()), p)
-                target_counts = np.full(p, base, dtype=np.int64)
-                target_counts[:rem] += 1
-            target_ends = np.cumsum(target_counts)
-            target_starts = target_ends - target_counts
-            my_start = int(sizes[: comm.rank].sum())
-            global_pos = my_start + np.arange(keys.shape[0], dtype=np.int64)
+    shifting: list[int] = []
+    for item, (keys, measure) in enumerate(runs):
+        column = all_sizes[:, item]
+        targets = None if speed is None else speed.counts(int(column.sum()))
+        imbalance = relative_imbalance(column, targets)
+        kept = slice(0, keys.shape[0])
+        if imbalance > gamma:
+            if targets is None:
+                base, rem = divmod(int(column.sum()), p)
+                targets = np.full(p, base, dtype=np.int64)
+                targets[:rem] += 1
+            # Rank k's target positions, relative to this run's first row.
+            bounds = np.concatenate(([0], np.cumsum(targets)))
+            cuts = np.clip(bounds - int(column[:rank].sum()), 0, keys.shape[0])
             for k in range(p):
-                lo = np.searchsorted(global_pos, target_starts[k], "left")
-                hi = np.searchsorted(global_pos, target_ends[k], "left")
-                shift_lanes[k].append((keys[lo:hi], measure[lo:hi]))
-        shifted_in = comm.alltoall(shift_lanes)
-        for slot, item in enumerate(need_shift):
-            merged[item] = (
-                np.concatenate([shifted_in[j][slot][0] for j in range(p)]),
-                np.concatenate([shifted_in[j][slot][1] for j in range(p)]),
-            )
-    shifted = set(need_shift)
-    return [
-        SortOutcome(keys, measure, imbalances[item], item in shifted)
-        for item, (keys, measure) in enumerate(merged)
-    ]
+                if k != rank:
+                    lo, hi = cuts[k], cuts[k + 1]
+                    lanes[k].append((keys[lo:hi], measure[lo:hi]))
+            kept = slice(int(cuts[rank]), int(cuts[rank + 1]))
+            shifting.append(item)
+        outcomes.append(
+            SortOutcome(keys, measure, imbalance, imbalance > gamma, kept)
+        )
+    if shifting:
+        lanes[rank] = None
+        received = comm.alltoall(lanes)
+        for slot, item in enumerate(shifting):
+            outcome = outcomes[item]
+            parts = [
+                (outcome.keys[outcome.kept], outcome.measure[outcome.kept])
+                if j == rank else received[j][slot]
+                for j in range(p)
+            ]
+            outcome.keys = np.concatenate([keys for keys, _ in parts])
+            outcome.measure = np.concatenate([meas for _, meas in parts])
+    return outcomes

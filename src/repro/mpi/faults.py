@@ -100,6 +100,10 @@ _SPEC_RE = re.compile(
 )
 #: The ``x`` range :meth:`FaultPlan.random` draws per kind.
 _RANDOM_X = {"delay": (0.1, 2.0), "slow": (1.25, 3.0)}
+#: The ``b`` range (blocks, upper bound exclusive) it draws a diskfull
+#: quota from: a rank of a small seeded-chaos build (1,500 rows, p = 2)
+#: writes about 7 blocks, and a quota it never reaches tests nothing.
+_RANDOM_BLOCKS = (1, 7)
 
 
 @dataclass(frozen=True)
@@ -248,7 +252,7 @@ class FaultPlan:
             if "s" in required:
                 event = int(rng.integers(max_superstep))
             if "b" in required:
-                arg = int(rng.integers(1, 200))
+                arg = int(rng.integers(*_RANDOM_BLOCKS))
             elif kind in _RANDOM_X:
                 arg = float(rng.uniform(*_RANDOM_X[kind]))
             else:

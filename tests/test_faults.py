@@ -135,14 +135,52 @@ class TestFaultPlanGrammar:
         assert all(f.space == "r" and f.index < 8 for f in a.faults)
 
     def test_random_plans_are_stable(self):
-        """Seeded chaos tests keep their plans: seeds 0-99 describe as
-        they did before the grammar was unified."""
+        """Seeded chaos tests keep their plans: seeds 0-99 draw the kinds,
+        ranks, events and attempts they drew before the grammar was
+        unified, and diskfull quotas of 1-6 blocks."""
         text = "\n".join(
             FaultPlan.random(seed=s, p=4).describe() for s in range(100)
         )
         assert hashlib.sha256(text.encode()).hexdigest() == (
-            "7f4d2104cfdf3fc617dde6dccb3162987557133052d6f7b27661d6a2ff9aa22d"
+            "029a6d243132882749c0ee9b876c9432887f889c0fcd3cc78d911b34a2ece65c"
         )
+
+    def test_seeded_plans_fill_a_chaos_build_disk(self, monkeypatch):
+        """Some seed in 0-29 of the chaos plans (p = 2, two attempts, no
+        delay) fills a rank's disk in the chaos tests' 1,500-row build:
+        the drawn quotas are ones that build reaches."""
+        from repro.config import RecoveryPolicy
+        from repro.core import cube as cube_mod
+
+        from .conftest import make_relation
+
+        cards = (8, 6, 5)
+        relation = make_relation(1500, cards, seed=17)
+        failures = []
+        fail = cube_mod._fail
+
+        def spy(job, att, lane, *args):
+            failures.append(type(lane.exc))
+            return fail(job, att, lane, *args)
+
+        monkeypatch.setattr(cube_mod, "_fail", spy)
+        for seed in range(30):
+            plan = FaultPlan.random(
+                seed=seed, p=2, n_faults=2, attempts=2,
+                kinds=("crash", "corrupt", "diskfull"),
+            )
+            if all(f.kind != "diskfull" for f in plan.faults):
+                continue
+            try:
+                cube_mod.build_data_cube(
+                    relation, cards, MachineSpec(p=2), faults=plan,
+                    recovery=RecoveryPolicy(max_retries=3),
+                )
+            except MPIError:
+                pass
+            if DiskFull in failures:
+                return
+        pytest.fail("no seeded plan in 0-29 filled a disk")
 
     @pytest.mark.parametrize(
         "kind", sorted({k for k, space in GRAMMAR if space == "r"})

@@ -10,9 +10,12 @@ import pytest
 
 from repro.config import CubeConfig, MachineSpec
 from repro.core.cube import build_data_cube
+import repro.core.merge as merge_mod
 from repro.core.merge import (
     MergeReport,
+    _rebalance_seconds,
     _resolve_boundary_chains,
+    _resort_plan,
     merge_partitions,
 )
 from repro.core.pipesort import ScheduleTree
@@ -126,20 +129,30 @@ def run_merge(pieces_per_rank, orders, root_order, gamma=0.03, agg="sum"):
     return res
 
 
+#: Rows per rank of the re-sorted case-3 view below: enough that
+#: routing them all to rank 0 and shifting half back costs more than the
+#: re-sort's extra collectives.
+RESORT_ROWS = 5000
+
+
 class TestMergePartitions:
     #: Per rank, three views over root order (0, 1, 2) that take the three
     #: cases at gamma 0.3: (0,) is a prefix, (1,) overlaps mildly and (2,)
-    #: has huge last keys, so owning by last keys would be lopsided.
+    #: has huge last keys, so owning by last keys would be lopsided; the
+    #: pieces are already in global order, so (2,) re-sorts.
     PIECES_ALL_CASES = [
         [
             ([1, 5], [1.0, 2.0]),
             (list(range(0, 50)), [1.0] * 50),
-            (list(range(0, 100)) + [10**6], [1.0] * 101),
+            (list(range(RESORT_ROWS)) + [10**6], [1.0] * (RESORT_ROWS + 1)),
         ],
         [
             ([5, 9], [3.0, 4.0]),
             (list(range(45, 95)), [1.0] * 50),
-            (list(range(100, 200)) + [10**6 + 1], [1.0] * 101),
+            (
+                list(range(RESORT_ROWS, 2 * RESORT_ROWS)) + [10**6 + 1],
+                [1.0] * (RESORT_ROWS + 1),
+            ),
         ],
     ]
 
@@ -238,56 +251,97 @@ class TestMergePartitions:
         assert merged0[(1,)].nrows == 0
         assert len(report.cases) == 2
 
-    def test_merge_phase_sorts_nothing(self, monkeypatch):
-        """One call through all three cases: no rank is charged a sort,
-        and the case-3 path is charged one scan of the rows it verifies
-        plus one of the rows it receives."""
-        import repro.core.merge as merge_mod
+    #: Per rank, one view (3,) that takes case 3 at gamma 0.3 by route +
+    #: shift: rank 1 routes keys 65..69 to rank 0, which then holds 70 of
+    #: the 100 rows and shifts keys 50..69 on to rank 1.
+    PIECES_SHIFTED = [
+        (list(range(0, 70)), [1.0] * 70),
+        (list(range(65, 100)), [1.0] * 35),
+    ]
 
-        real = merge_mod.batched_sample_sort
-        case3_scans = {}
+    def test_merge_phase_sorts_nothing(self):
+        """One call through all three cases, once per case-3 mechanism: no
+        rank is charged a sort.  Case 2 scans its zone; case 3 scans its
+        verified and received rows when it re-sorts, its zone plus the
+        rows shifted in when it routes and shifts."""
+        for mechanism in ("resort", "shift"):
+            self._sorts_nothing(mechanism)
 
-        def metered(comm, items, *args, **kwargs):
-            work = comm.disk.work
-            before = work.rows_scanned
-            outcomes = real(comm, items, *args, **kwargs)
-            # keys are distinct across ranks and nothing shifts, so the
-            # rows a rank ends up with are the rows it received
-            assert not any(o.shifted for o in outcomes)
-            case3_scans[comm.rank] = (
-                work.rows_scanned - before,
-                sum(k.shape[0] for k, _ in items),
-                sum(o.keys.shape[0] for o in outcomes),
+    def _sorts_nothing(self, mechanism: str) -> None:
+        orders = [(0,), (1,), (2,) if mechanism == "resort" else (3,)]
+        pieces = [
+            ranks[:2] + [ranks[2] if mechanism == "resort" else shifted]
+            for ranks, shifted in zip(
+                self.PIECES_ALL_CASES, self.PIECES_SHIFTED
             )
-            return outcomes
-
-        monkeypatch.setattr(merge_mod, "batched_sample_sort", metered)
-        pieces = self.PIECES_ALL_CASES
-        orders = [(0,), (1,), (2,)]
+        ]
 
         def prog(comm):
             local = {
                 order: ViewData(order, *map(np.asarray, piece))
                 for order, piece in zip(orders, pieces[comm.rank])
             }
-            before = comm.disk.work.rows_sorted
+            work = comm.disk.work
+            sorted_before, scanned_before = work.rows_sorted, work.rows_scanned
             _, report = merge_partitions(
-                comm, local, ScheduleTree((0, 1, 2), (0, 1, 2)),
+                comm, local, ScheduleTree((0, 1, 2, 3), (0, 1, 2, 3)),
                 CubeConfig(gamma_merge=0.3), 1 << 16,
             )
-            return report, comm.disk.work.rows_sorted - before
+            return (
+                report, work.rows_sorted - sorted_before,
+                work.rows_scanned - scanned_before,
+            )
 
         res = run_spmd(prog, MachineSpec(p=2))
-        for report, rows_sorted in res.rank_results:
-            assert report.cases == {
-                (0,): "case1", (1,): "case2", (2,): "case3"
-            }
+        for report, rows_sorted, _ in res.rank_results:
+            assert report.cases == dict(
+                zip(orders, ("case1", "case2", "case3"))
+            )
+            assert report.resorted == (
+                {orders[2]} if mechanism == "resort" else set()
+            )
             assert rows_sorted == 0
-        assert sorted(case3_scans) == [0, 1]
-        for scanned, verified, received in case3_scans.values():
-            assert verified == 101
-            assert scanned == verified + received
-        assert sum(r for _, _, r in case3_scans.values()) == 202
+        # case 2: rank 0 merges its keys 45..49 with the 5 it receives
+        if mechanism == "resort":
+            # every row verified; keys RESORT_ROWS and 10**6 swap ranks
+            case3 = [2 * (RESORT_ROWS + 1)] * 2
+        else:
+            # rank 0's zone is its keys 65..69 and the 5 it receives;
+            # rank 1 takes in the 20 rows shifted to it
+            case3 = [5 + 5, 20]
+        assert [s for _, _, s in res.rank_results] == [10 + case3[0], case3[1]]
+
+    def test_case3_route_and_shift_rows(self):
+        """Route + shift: the output is the uniform cut of the merged
+        view, ``read`` is what the route and the shift take from each
+        piece and ``rewritten`` the whole piece once the shift moves its
+        bounds."""
+
+        def prog(comm):
+            keys, vals = self.PIECES_SHIFTED[comm.rank]
+            data = ViewData((1,), np.array(keys), np.array(vals))
+            merged, report = merge_partitions(
+                comm, {(1,): data}, ScheduleTree((0, 1), (0, 1)),
+                CubeConfig(gamma_merge=0.3), 1 << 16,
+            )
+            out = merged[(1,)]
+            return (
+                report.cases[(1,)], report.resorted, out.keys.tolist(),
+                out.measure.tolist(), report.read[(1,)],
+                report.rewritten[(1,)],
+            )
+
+        (case0, re0, keys0, vals0, read0, wrote0), (
+            case1, re1, keys1, vals1, read1, wrote1
+        ) = run_spmd(prog, MachineSpec(p=2)).rank_results
+        assert case0 == case1 == "case3" and re0 == re1 == set()
+        assert keys0 == list(range(50)) and keys1 == list(range(50, 100))
+        assert vals0 + vals1 == [1.0] * 65 + [2.0] * 5 + [1.0] * 30
+        # rank 0: its zone 65..69, then 50..64 from before the zone
+        # leave with the shift; rank 1: 65..69 routed away, nothing
+        # shifted from its piece
+        assert (read0, read1) == (5 + 15, 5)
+        assert wrote0 == wrote1 == 50
 
     def test_report_counts(self):
         report = MergeReport(cases={(0,): "case1", (1,): "case3"})
@@ -296,14 +350,62 @@ class TestMergePartitions:
         assert report.count("case3") == 1
 
 
+class TestRebalanceChoice:
+    """How a case-3 view is rebalanced is a pure function of the
+    per-source estimates ``counts[source, owner]`` and the spec's prices."""
+
+    SPEC = MachineSpec(p=16)
+
+    @staticmethod
+    def one_owner() -> np.ndarray:
+        # rank 0's last key is the view's largest, so it owns every row
+        counts = np.zeros((16, 16))
+        counts[:, 0] = 1000
+        return counts
+
+    @staticmethod
+    def near_range_partitioned() -> np.ndarray:
+        # rank j owns most of its own rows, 20 spill to rank j - 1, and
+        # the pieces grow with the rank, so the view is imbalanced
+        counts = np.diag(1000.0 + 40 * np.arange(16))
+        counts[np.arange(1, 16), np.arange(15)] = 20
+        return counts
+
+    def test_one_owner_re_sorts(self):
+        shift, resort = _rebalance_seconds(self.one_owner(), None, self.SPEC)
+        assert resort < shift
+        assert _resort_plan([self.one_owner()], None, self.SPEC, True) == [
+            True
+        ]
+
+    def test_near_range_partitioned_routes_and_shifts(self):
+        counts = self.near_range_partitioned()
+        shift, resort = _rebalance_seconds(counts, None, self.SPEC)
+        assert shift < resort
+        assert _resort_plan([counts], None, self.SPEC, True) == [False]
+        speeds = np.linspace(0.5, 1.5, 16)
+        assert _resort_plan(
+            [counts], speeds / speeds.sum(), self.SPEC, True
+        ) == [False]
+
+    def test_a_mechanism_pays_for_its_collectives(self):
+        # A view that saves less than the shift's two collectives cost
+        # joins the re-sort batch the other view opens anyway.
+        tiny = self.near_range_partitioned() / 100
+        shift, resort = _rebalance_seconds(tiny, None, self.SPEC)
+        assert 0 < resort - shift < 2 * self.SPEC.latency_sec
+        assert _resort_plan(
+            [self.one_owner(), tiny], None, self.SPEC, True
+        ) == [True, True]
+        assert _resort_plan([tiny], None, self.SPEC, True) == [False]
+
+
 def rows_taken(
     before: ViewData, after: ViewData, case: str, rewritten: int
 ) -> int:
-    """Rows of ``before`` the merge took in: the whole piece (case 3), the
-    rows shipped plus its own rows in the zone (case 2), the row that
-    absorbed a straddling group plus a dropped first row or piece."""
-    if case == "case3":
-        return before.nrows
+    """Rows of ``before`` the merge took in: the rows shipped plus its own
+    rows in the zone (case 2), the row that absorbed a straddling group
+    plus a dropped first row or piece (case 1)."""
     if case == "case1":
         return rewritten + int(after.nrows < before.nrows)
     if after.nrows == 0:
@@ -314,6 +416,48 @@ def rows_taken(
     # the zone's own rows are the kept rows from its first change on
     own = kept - (after.nrows - zone) if zone else 0
     return skip + own
+
+
+def route_and_shift_rows(
+    befores: list[ViewData], afters: list[ViewData], rank: int
+) -> tuple[int, int]:
+    """``(rewritten, read)`` of ``rank``'s piece of a case-3 view that was
+    routed and shifted, from every rank's piece before and after.
+
+    Ownership cuts each piece by the running maximum of the ranks' last
+    keys; the owner's zone starts at the smallest key it receives.  The
+    piece reads the rows it routes away, its own rows in the zone and
+    the rows before the zone that the shift sends on, and rewrites its
+    zone, or all of itself once the shift has moved its bounds."""
+    p = len(befores)
+    last = [int(b.keys[-1]) if b.nrows else -1 for b in befores]
+    bounds = np.maximum.accumulate(last)[:-1]
+
+    def owned(piece: ViewData) -> np.ndarray:
+        lo = 0 if rank == 0 else np.searchsorted(
+            piece.keys, bounds[rank - 1], side="right"
+        )
+        hi = piece.nrows if rank == p - 1 else np.searchsorted(
+            piece.keys, bounds[rank], side="right"
+        )
+        return piece.keys[lo:hi]
+
+    mine = owned(befores[rank])
+    foreign = np.concatenate(
+        [owned(b) for j, b in enumerate(befores) if j != rank]
+    )
+    start = foreign.min() if foreign.size else np.iinfo(np.int64).max
+    zone = np.union1d(mine[mine >= start], foreign)
+    untouched = mine[mine < start]
+    routed_view = np.union1d(mine, foreign)
+    out = afters[rank].keys
+    moved = not np.array_equal(out, routed_view)
+    read = (
+        befores[rank].nrows - mine.size          # routed away
+        + int((mine >= start).sum())             # own rows in the zone
+        + int((~np.isin(untouched, out)).sum())  # shifted on from before it
+    )
+    return (out.size if moved else zone.size), read
 
 
 def rows_from_first_change(before: ViewData, after: ViewData) -> int:
@@ -429,30 +573,57 @@ class TestRewrittenRows:
         """At the default budget every piece stays resident until its
         merge: Pipesort writes none, the merge reads none back, and step 3
         writes each merged piece once, whole.  ``rewritten`` and ``read``
-        still report what each case changed and took on this rank."""
+        still report what each case changed and took on this rank; this
+        input rebalances every case-3 view by route + shift."""
+        self._writes_once_whole(charged, merge_calls, "case3")
+
+    def test_step3_accounts_for_resorted_pieces(
+        self, charged, merge_calls, monkeypatch
+    ):
+        """The same build with every case-3 view re-sorted: each reads
+        and rewrites its whole piece."""
+        monkeypatch.setattr(
+            merge_mod, "_resort_plan",
+            lambda counts, *args, **kw: [True] * len(counts),
+        )
+        self._writes_once_whole(charged, merge_calls, "resort")
+
+    @staticmethod
+    def _writes_once_whole(charged, merge_calls, mechanism: str) -> None:
         cards = (16, 12, 8, 6, 4)
         build_data_cube(
             make_relation(6000, cards, seed=1), cards, MachineSpec(p=3)
         )
         seen = Counter()
         written = Counter()
+        calls = {
+            (rank, max(after, key=len)): (before, after)
+            for rank, before, after, _, _ in merge_calls
+        }
         for rank, before, after, report, rows_sorted in merge_calls:
             assert rows_sorted == 0
+            root = max(after, key=len)
             for view, out in after.items():
                 case = report.cases[view]
-                changed = (
-                    out.nrows
-                    if case == "case3"
-                    else rows_from_first_change(before[view], out)
-                )
+                if view in report.resorted:
+                    case = "resort"
+                    changed, taken = out.nrows, before[view].nrows
+                elif case == "case3":
+                    changed, taken = route_and_shift_rows(
+                        [calls[r, root][0][view] for r in range(3)],
+                        [calls[r, root][1][view] for r in range(3)],
+                        rank,
+                    )
+                else:
+                    changed = rows_from_first_change(before[view], out)
+                    taken = rows_taken(before[view], out, case, changed)
                 assert report.rewritten[view] == changed, (rank, view, case)
-                assert report.read[view] == rows_taken(
-                    before[view], out, case, changed
-                ), (rank, view, case)
+                assert report.read[view] == taken, (rank, view, case)
                 seen[case] += changed > 0
                 written[rank] += out.nrows
-        # every case rewrote something somewhere
-        assert min(seen[c] for c in ("case1", "case2", "case3")) > 0
+        # every case rewrote something somewhere, by one case-3 mechanism
+        assert min(seen[c] for c in ("case1", "case2", mechanism)) > 0
+        assert seen.keys() <= {"case1", "case2", mechanism}
         for rank in range(3):
             assert charged[rank, "compute", "w"] == 0
             assert charged[rank, "merge", "r"] == 0

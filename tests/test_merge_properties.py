@@ -240,3 +240,70 @@ class TestSpliceEqualsOracle:
             assert got.keys.tobytes() == keys.tobytes()
             assert got.measure.tobytes() == vals.tobytes()
             assert 0 <= report.rewritten[order] <= got.nrows
+
+
+AGGS = ("sum", "count", "min", "max")
+# Every p x alpha cell; agg and hetero cycle so each pair occurs.
+CASE3_CELLS = [
+    (p, alpha, AGGS[(i // 2) % 4], i % 2 == 1, "thread")
+    for i, (p, alpha) in enumerate(
+        (p, alpha) for p in (2, 3, 5, 8) for alpha in (0.0, 1.0, 2.0)
+    )
+] + [(3, 2.0, "sum", False, "process")]
+
+
+class TestCase3Layout:
+    """Whichever mechanism rebalances it, a case-3 view leaves the merge
+    as one globally sorted, key-unique run cut within γ of its targets
+    (uniform, or the speed model's counts under ``hetero``), equal to the
+    reference aggregation."""
+
+    @pytest.mark.parametrize("p,alpha,agg,hetero,backend", CASE3_CELLS)
+    def test_case3_views_sorted_unique_balanced_exact(
+        self, monkeypatch, p, alpha, agg, hetero, backend
+    ):
+        from repro import build_data_cube, generate_dataset, paper_preset
+        from repro.baselines.reference import reference_view
+        from repro.core import cube as cube_mod
+        from repro.core.sample_sort import relative_imbalance
+
+        speeds = {}
+        real = cube_mod.merge_partitions
+
+        def spy(comm, local_views, tree, *args, speed=None, **kw):
+            speeds[tree.root] = speed
+            return real(comm, local_views, tree, *args, speed=speed, **kw)
+
+        monkeypatch.setattr(cube_mod, "merge_partitions", spy)
+        dspec = paper_preset(3000, alpha=alpha, d=6, seed=5)
+        relation = generate_dataset(dspec)
+        config = CubeConfig(agg=agg, hetero=hetero)
+        cube = build_data_cube(
+            relation, dspec.cardinalities,
+            MachineSpec(p=p, backend=backend), config,
+        )
+        case3 = {
+            view: tree.root
+            for report, tree in zip(cube.merge_reports, cube.schedule_trees)
+            for view, case in report.cases.items() if case == "case3"
+        }
+        if alpha > 0:
+            assert case3
+        for view, root in case3.items():
+            pieces = [rv[view] for rv in cube.rank_views]
+            keys = np.concatenate([piece.keys for piece in pieces])
+            assert np.all(np.diff(keys) > 0), view  # sorted, key-unique
+            sizes = np.array([piece.nrows for piece in pieces])
+            # The thread backend's spy saw every merge; the process
+            # backend's ran in the ranks, so its targets are uniform.
+            speed = speeds.get(root)
+            targets = None if speed is None else speed.counts(sizes.sum())
+            assert relative_imbalance(sizes, targets) <= config.gamma_merge
+            got = cube.view_relation(view)
+            want = reference_view(relation, dspec.cardinalities, view, agg)
+            got_order = np.lexsort(got.dims.T[::-1])
+            want_order = np.lexsort(want.dims.T[::-1])
+            assert np.array_equal(got.dims[got_order], want.dims[want_order])
+            assert np.allclose(
+                got.measure[got_order], want.measure[want_order]
+            )

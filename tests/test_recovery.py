@@ -582,10 +582,9 @@ class TestChaosMatrix:
         """A seeded random plan either recovers or surfaces its own
         fault type — exercised end-to-end as the CI chaos job does — and
         every fault of it fires: each fails the attempt it addresses with
-        its own error.  Seed 72 is the first seed whose plan draws one
-        fault per attempt, a disk-full among them, and whose quota trips
-        in this build (rank 1 writes 7 blocks; most drawn quotas never
-        trip)."""
+        its own error.  Seed 72's plan draws one fault per attempt, a
+        disk-full among them, whose quota trips in this build (rank 1
+        writes 7 blocks)."""
         from repro.core import cube as cube_mod
 
         plan = FaultPlan.random(
