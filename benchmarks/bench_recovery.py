@@ -16,8 +16,10 @@ at most 1.10x a plain one (a piece Pipesort leaves in memory is written
 once, after its merge, and that write is the seal; only a piece written
 before its merge is written again whole), a checkpointed retry costs
 *less* than a full checkpointed build (it skips the iterations the
-checkpoint already holds), and resuming never costs more than
-restarting.
+checkpoint already holds), and resuming costs at most the resume /
+restart ratio measured at the default size plus :data:`MARGIN` (a
+resume reads only the root piece its next step 1a derives from, so it
+skips the replay's read as well).
 
 Writes ``BENCH_recovery.json`` at the repository root.  Runnable
 standalone (``python benchmarks/bench_recovery.py``) or under pytest.
@@ -48,6 +50,13 @@ JSON_PATH = REPO_ROOT / "BENCH_recovery.json"
 #: so a checkpointed retry has something to resume from.
 CRASH = "crash@r1s25"
 
+#: Resume / restart simulated seconds measured at the default n = 8,000
+#: (BENCH_recovery.json), by p.  The gate allows ``MARGIN`` above them;
+#: another n or p keeps the looser "never more than restarting".
+RESUME_OVER_RESTART = {2: 0.567, 4: 0.584, 8: 0.717}
+MARGIN = 0.05
+DEFAULT_N = 8_000
+
 
 def _one(data, cards, p, faults=None, ckpt=None) -> dict:
     machine = MachineSpec(p=p, backend="thread")
@@ -76,7 +85,7 @@ def _one(data, cards, p, faults=None, ckpt=None) -> dict:
 
 
 def run_recovery(n: int | None = None, processors=None) -> dict:
-    n = n or int(os.environ.get("REPRO_BENCH_N", 8_000))
+    n = n or int(os.environ.get("REPRO_BENCH_N", DEFAULT_N))
     if processors is None:
         max_p = int(os.environ.get("REPRO_BENCH_MAXP", 8))
         processors = tuple(p for p in (2, 4, 8) if p <= max_p) or (2,)
@@ -152,13 +161,14 @@ def check_report(report: dict) -> None:
             f"p={row['p']}: a checkpointed build cost "
             f"{row['overhead']['checkpointed']}x a plain one (gate 1.10x)"
         )
-        # ... and resuming the crashed build never loses to restarting it.
-        assert (
-            row["crash_resume"]["simulated_seconds"]
-            <= row["crash_restart"]["simulated_seconds"]
-        ), (
+        # ... and resuming the crashed build beats restarting it by what
+        # it measured, within the margin.
+        ceiling = 1.0
+        if report["n"] == DEFAULT_N and row["p"] in RESUME_OVER_RESTART:
+            ceiling = RESUME_OVER_RESTART[row["p"]] + MARGIN
+        assert row["resume_over_restart"] <= ceiling, (
             f"p={row['p']}: resuming cost {row['resume_over_restart']}x "
-            "restarting"
+            f"restarting (gate {ceiling:.3f}x)"
         )
         # A recovered crash costs time, honestly accounted.
         for variant in ("crash_restart", "crash_resume"):

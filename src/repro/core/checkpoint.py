@@ -13,27 +13,40 @@ Layout (one sub-directory per rank, mirroring the shared-nothing model —
 a rank checkpoints to *its own* local disk)::
 
     <checkpoint_dir>/rank03/
-        manifest.json   {"version": 4}, then one appended JSON line per
-                        save: {ordinal, dim, file, crc, rows, meters}
-        iter000.seal    u64 header length | pickled header (piece orders
-        ...             and row counts, rank 0's merge report and
-                        schedule tree) | pad to 8 | every piece's
-                        int64 keys | every piece's float64 measures
+        manifest.json   {"version": 5}, then one appended JSON line per
+                        save: {ordinal, dim, file, head_crc, size, rows,
+                        meters}
+        iter000.seal    u64 header length | pickled header (per piece:
+        ...             order, rows and CRC-32; rank 0's merge report and
+                        schedule tree) | pad to 8 | every piece's int64
+                        keys | every piece's float64 measures
 
 The pieces are the iteration's merged views and nothing else: the next
 iteration derives its ``Di``-root from the merged root view among them.
-Arrays stream to the file as they are under an incremental CRC-32; the
-file is fsynced and renamed into place *before* the manifest line naming
-it is appended, so the manifest never runs ahead of durable data.  The
-manifest is read tolerantly: unparseable lines are skipped (records are
-written newline-first, so a torn tail cannot swallow the next append), a
-line for ordinal ``k`` supersedes ``k`` and everything after it (a retry
-redoing the iteration it crashed in), and any other format is an empty
-chain.  A file failing its CRC truncates the usable chain:
-:meth:`RankCheckpoint.last_complete` never returns an ordinal whose
-predecessors are not all loadable.  The recovery driver then agrees a
-*global* resume point via an ``allreduce(min)`` across ranks, so every
-rank skips the same prefix and the collective schedule stays aligned.
+The file is fsynced and renamed into place, and the rename made durable
+by an fsync of the rank directory, *before* the manifest line naming it
+is appended, so the manifest never runs ahead of durable data.  The line
+carries the CRC-32 of all bytes before the first key (length prefix,
+header, pad) and the size of the whole file; the header carries one CRC-32 per piece (its keys,
+then its measures).  So each reader verifies exactly what it reads:
+:meth:`RankCheckpoint.last_complete` checks sizes and headers and reads
+no piece body; a replay reads and checks only the root piece the next
+step 1a derives from and hands every other piece on as a
+:class:`SealedPiece` reference, which :func:`hand_over` maps into the
+finished cube after checking its CRC.  A piece failing its CRC
+quarantines its seal (renamed aside, so the chain truncates there) and
+raises :class:`~repro.mpi.errors.CheckpointError`.
+
+The manifest is read tolerantly: unparseable lines are skipped (records
+are written newline-first, so a torn tail cannot swallow the next
+append), a line for ordinal ``k`` supersedes ``k`` and everything after
+it (a retry redoing the iteration it crashed in), and any other format
+is an empty chain.  A missing, torn or header-damaged seal truncates the
+usable chain: :meth:`RankCheckpoint.last_complete` never returns an
+ordinal whose predecessors are not all present.  The recovery driver
+then agrees a *global* resume point via an ``allreduce(min)`` across
+ranks, so every rank skips the same prefix and the collective schedule
+stays aligned.
 
 Degraded-mode recovery adds :class:`ReshardPlan`: when a rank is lost
 permanently, its checkpoint *directory* survives (the shared-nothing
@@ -48,26 +61,131 @@ compose.
 from __future__ import annotations
 
 import json
+import mmap
 import os
 import pickle
 import zlib
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Sequence
+from typing import TYPE_CHECKING, Any, Collection, Sequence
 
 import numpy as np
 
 from repro.core.viewdata import ViewData
-from repro.core.views import View
+from repro.core.views import View, canonical_view, view_name
 from repro.mpi.errors import CheckpointError
 from repro.storage.scan import merge_runs
 
 if TYPE_CHECKING:
     from repro.mpi.comm import Comm
 
-__all__ = ["RankCheckpoint", "ReshardPlan", "resume_point", "share_bounds"]
+__all__ = [
+    "RankCheckpoint",
+    "ReshardPlan",
+    "SealedPiece",
+    "hand_over",
+    "resume_point",
+    "share_bounds",
+]
 
 _MANIFEST = "manifest.json"
-_VERSION = 4  # 3 could carry a Di-root copy as one more piece
+_VERSION = 5  # 4 had one CRC over the whole file and no per-piece CRCs
+
+
+def _crc(keys: np.ndarray, measure: np.ndarray) -> int:
+    """A piece's CRC-32: its keys, then its measures."""
+    return zlib.crc32(measure, zlib.crc32(keys))
+
+
+def _fsync_dir(path: str) -> None:
+    """Make the directory's entries (a rename, a new file) durable."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
+def _quarantine(path: str) -> None:
+    """Rename a damaged seal aside: its manifest line then names a
+    missing file, so the chain truncates before it."""
+    try:
+        os.replace(path, path + ".quarantined")
+    except FileNotFoundError:  # already quarantined
+        pass
+
+
+@dataclass(frozen=True)
+class SealedPiece:
+    """A replayed view piece left in its seal: the file, the byte offsets
+    of its keys and measures, its rows and their CRC-32.  It leaves a
+    rank as these few numbers, not as its bytes."""
+
+    path: str
+    order: tuple[int, ...]
+    rows: int
+    keys_at: int
+    measure_at: int
+    crc: int
+
+    @property
+    def view(self) -> View:
+        return canonical_view(self.order)
+
+    def read(self) -> ViewData:
+        """Read and CRC-check the piece (writable arrays)."""
+        try:
+            with open(self.path, "rb") as fh:
+                fh.seek(self.keys_at)
+                keys = np.fromfile(fh, np.int64, self.rows)
+                fh.seek(self.measure_at)
+                measure = np.fromfile(fh, np.float64, self.rows)
+        except OSError:
+            raise CheckpointError(
+                f"checkpoint file {self.path!r} unreadable"
+            ) from None
+        return self._checked(keys, measure)
+
+    def _checked(self, keys: np.ndarray, measure: np.ndarray) -> ViewData:
+        if (
+            keys.shape[0] != self.rows or measure.shape[0] != self.rows
+            or _crc(keys, measure) != self.crc
+        ):
+            _quarantine(self.path)
+            raise CheckpointError(
+                f"checkpoint file {self.path!r}: piece "
+                f"{view_name(self.view)} failed its CRC check"
+            )
+        return ViewData(self.order, keys, measure)
+
+
+def hand_over(rank_views: Sequence[dict[View, Any]]) -> None:
+    """Put every :class:`SealedPiece` among the ranks' views in its place
+    as a read-only view over a map of its seal, CRC-checked first (one
+    map per seal; a map outlives the file's name).  Raises
+    :class:`CheckpointError` after quarantining a seal that fails."""
+    maps: dict[str, mmap.mmap] = {}
+    for views in rank_views:
+        for v, piece in views.items():
+            if not isinstance(piece, SealedPiece):
+                continue
+            buf = maps.get(piece.path)
+            if buf is None:
+                try:
+                    with open(piece.path, "rb") as fh:
+                        buf = mmap.mmap(fh.fileno(), 0, prot=mmap.PROT_READ)
+                except (OSError, ValueError):
+                    raise CheckpointError(
+                        f"checkpoint file {piece.path!r} unreadable"
+                    ) from None
+                maps[piece.path] = buf
+            try:
+                keys = np.frombuffer(buf, np.int64, piece.rows, piece.keys_at)
+                measure = np.frombuffer(
+                    buf, np.float64, piece.rows, piece.measure_at
+                )
+            except ValueError:  # the seal shrank since its header check
+                keys = measure = np.empty(0)
+            views[v] = piece._checked(keys, measure)
 
 
 class RankCheckpoint:
@@ -79,9 +197,6 @@ class RankCheckpoint:
         os.makedirs(self.dir, exist_ok=True)
         #: Manifest entries by ordinal: parsed on demand, dropped by save.
         self._entries: list[dict[str, Any]] | None = None
-        #: Payloads :meth:`last_complete` verified, handed over by
-        #: :meth:`load` so a resume reads and CRCs each file once.
-        self._verified: dict[int, dict[str, Any]] = {}
 
     # -- manifest ----------------------------------------------------------
 
@@ -113,15 +228,16 @@ class RankCheckpoint:
     # -- chain state -------------------------------------------------------
 
     def last_complete(self) -> int:
-        """Highest ordinal ``k`` such that iterations ``0..k`` are all
-        present and pass their CRC checks; ``-1`` for an empty/damaged
-        chain.  Damage mid-chain truncates (later entries are unusable —
-        the build could not have produced them without the earlier state)."""
+        """Highest ordinal ``k`` such that the seals of iterations
+        ``0..k`` are all present, of their recorded size and with intact
+        headers; ``-1`` for an empty/damaged chain.  Damage mid-chain
+        truncates (later entries are unusable — the build could not have
+        produced them without the earlier state).  No piece body is read:
+        each piece is checked where it is read or handed over."""
         self._entries = self._read_manifest()
-        self._verified = {}
         for ordinal, entry in enumerate(self._entries):
             try:
-                self._verified[ordinal] = self._read_payload(entry)
+                self._open(entry)
             except CheckpointError:
                 return ordinal - 1
         return len(self._entries) - 1
@@ -150,32 +266,34 @@ class RankCheckpoint:
         crashed in) supersedes the entry and everything after it.
         """
         pieces = list(payload["views"].values())
+        keys = [np.ascontiguousarray(p.keys) for p in pieces]
+        measures = [np.ascontiguousarray(p.measure) for p in pieces]
         meta = {k: payload.get(k) for k in ("report", "tree")}
-        meta["pieces"] = [(p.order, p.nrows) for p in pieces]
+        meta["pieces"] = [
+            (p.order, p.nrows, _crc(k, m))
+            for p, k, m in zip(pieces, keys, measures)
+        ]
         head = pickle.dumps(meta, protocol=pickle.HIGHEST_PROTOCOL)
+        # The header CRC covers everything before the first key.
+        head = len(head).to_bytes(8, "little") + head + bytes(-len(head) % 8)
         fname = f"iter{ordinal:03d}.seal"
         tmp = os.path.join(self.dir, fname + ".tmp")
-        crc = 0
         with open(tmp, "wb") as fh:
-            for chunk in (
-                len(head).to_bytes(8, "little"),
-                head,
-                bytes(-len(head) % 8),
-                *(np.ascontiguousarray(p.keys) for p in pieces),
-                *(np.ascontiguousarray(p.measure) for p in pieces),
-            ):
+            for chunk in (head, *keys, *measures):
                 fh.write(chunk)
-                crc = zlib.crc32(chunk, crc)
             fh.flush()
             os.fsync(fh.fileno())
+            size = fh.tell()
         os.replace(tmp, os.path.join(self.dir, fname))
+        _fsync_dir(self.dir)
         rows = sum(p.nrows for p in pieces)
         self._append_manifest(
             {
                 "ordinal": ordinal,
                 "dim": dim,
                 "file": fname,
-                "crc": crc,
+                "head_crc": zlib.crc32(head),
+                "size": size,
                 "rows": rows,
                 "meters": meters or {},
             }
@@ -193,53 +311,78 @@ class RankCheckpoint:
             fh.write("\n" + json.dumps(entry) + "\n")
             fh.flush()
             os.fsync(fh.fileno())
+        if fresh:
+            _fsync_dir(self.dir)
         self._entries = None
-        self._verified.clear()
 
-    def load(self, ordinal: int) -> tuple[dict[str, Any], int]:
-        """Load one iteration's payload; returns ``(payload, rows)``.
+    def load(
+        self, ordinal: int, read: Collection[View] | None = None
+    ) -> tuple[dict[str, Any], int]:
+        """Load one iteration's payload; returns ``(payload, rows read)``.
 
-        Raises :class:`CheckpointError` on a missing or corrupt entry —
-        callers resolve the resume point with :meth:`last_complete`
-        *before* loading, so this only fires on filesystem races."""
+        The pieces of the views in ``read`` (every piece when ``None``)
+        are read and CRC-checked; every other piece stays in the seal as a
+        :class:`SealedPiece`.  Raises :class:`CheckpointError` on a
+        missing or damaged entry or piece — callers resolve the resume
+        point with :meth:`last_complete` *before* loading, so a header
+        check only fails here on filesystem races."""
         entry = self.entry(ordinal)
         if entry is None:
             raise CheckpointError(
                 f"rank {self.rank}: no checkpoint for iteration {ordinal}"
             )
-        payload = self._verified.pop(ordinal, None)
-        if payload is None:
-            payload = self._read_payload(entry)
-        return payload, int(entry.get("rows", 0))
+        head, pieces = self._open(entry)
+        views: dict[View, Any] = {}
+        rows = 0
+        for piece in pieces:
+            if read is None or piece.view in read:
+                views[piece.view] = piece.read()
+                rows += piece.rows
+            else:
+                views[piece.view] = piece
+        return {**head, "views": views}, rows
 
-    def _read_payload(self, entry: dict[str, Any]) -> dict[str, Any]:
-        """Read one chain file in a single pass, check its CRC and wrap
-        the arrays where they were read (no unpickle copy)."""
+    def _open(
+        self, entry: dict[str, Any]
+    ) -> tuple[dict[str, Any], list[SealedPiece]]:
+        """One seal's header and pieces, after checking the file's size
+        and the header's CRC (before anything is unpickled)."""
         fname = str(entry.get("file", ""))
+        path = os.path.join(self.dir, fname)
         try:
-            buf = np.fromfile(os.path.join(self.dir, fname), np.uint8)
+            with open(path, "rb") as fh:
+                size = os.fstat(fh.fileno()).st_size
+                head = fh.read(8)
+                length = int.from_bytes(head, "little")
+                head += fh.read(min(length + -length % 8, size))
         except OSError:
             raise CheckpointError(
                 f"rank {self.rank}: checkpoint file {fname!r} unreadable"
             ) from None
-        if zlib.crc32(buf) != entry.get("crc"):
+        if size != entry.get("size"):
             raise CheckpointError(
-                f"rank {self.rank}: checkpoint file {fname!r} "
+                f"rank {self.rank}: checkpoint file {fname!r} is "
+                f"{size} bytes, its manifest line says {entry.get('size')}"
+            )
+        if zlib.crc32(head) != entry.get("head_crc"):
+            raise CheckpointError(
+                f"rank {self.rank}: checkpoint file {fname!r} header "
                 "failed its CRC check"
             )
-        start = 8 + int.from_bytes(buf[:8].tobytes(), "little")
-        head = pickle.loads(buf[8:start].tobytes())
-        start += -start % 8
-        specs = head.pop("pieces")
-        total = sum(rows for _, rows in specs)
-        keys = np.frombuffer(buf, np.int64, total, start)
-        measure = np.frombuffer(buf, np.float64, total, start + 8 * total)
+        meta = pickle.loads(head[8 : 8 + length])
+        specs = meta.pop("pieces")
+        start = len(head)
+        total = sum(rows for _, rows, _ in specs)
         pieces, lo = [], 0
-        for order, rows in specs:
-            hi = lo + rows
-            pieces.append(ViewData(order, keys[lo:hi], measure[lo:hi]))
-            lo = hi
-        return {**head, "views": {p.view: p for p in pieces}}
+        for order, rows, crc in specs:
+            pieces.append(
+                SealedPiece(
+                    path, tuple(order), rows, start + 8 * lo,
+                    start + 8 * (total + lo), crc,
+                )
+            )
+            lo += rows
+        return meta, pieces
 
 
 # ---------------------------------------------------------------------------

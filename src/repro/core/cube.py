@@ -41,6 +41,7 @@ from repro.core.aggregate import prepare_measure
 from repro.core.checkpoint import (
     RankCheckpoint,
     ReshardPlan,
+    hand_over,
     resume_point,
     share_bounds,
 )
@@ -113,7 +114,11 @@ def _rank_program(
     partitions = partition_all(len(cards), selected)
     for ordinal, (i, root, pviews) in enumerate(partitions):
         if ordinal <= resume:
-            payload = _replay(comm, ckpt, ordinal, resharded)
+            # Only the root a later step 1a derives from leaves its seal.
+            feeds = ordinal == resume and ordinal + 1 < len(partitions)
+            payload = _replay(
+                comm, ckpt, ordinal, resharded, (root,) if feeds else ()
+            )
         else:
             # out_views holds exactly the selected views of the iterations
             # done, computed or replayed, so step 1a's source depends on
@@ -142,12 +147,16 @@ def _rank_program(
     return out_views, reports, trees, speed
 
 
-def _replay(comm: Comm, ckpt, ordinal: int, resharded: dict) -> dict:
+def _replay(
+    comm: Comm, ckpt, ordinal: int, resharded: dict, read: Sequence[View]
+) -> dict:
     """One iteration up to the resume point: from memory what the reshard
-    just wrote, else a local-disk read charged to simulated time."""
+    just wrote, else from this rank's seal, where the pieces of ``read``
+    are read and charged to simulated time and every other piece stays,
+    for the driver to map (:func:`~repro.core.checkpoint.hand_over`)."""
     payload = resharded.pop(ordinal, None)
     if payload is None:
-        payload, rows = ckpt.load(ordinal)
+        payload, rows = ckpt.load(ordinal, read)
         comm.disk.charge_scan(rows)
         comm.disk.work.charge_scan(rows)
     return payload
@@ -367,7 +376,8 @@ class _Job:
 
 def _run(job: _Job, att: Attempt) -> _Lane:
     """State *run*: one SPMD execution on a fresh cluster at the record's
-    width.  Operator interrupts are no rank failures: they propagate."""
+    width, its replayed pieces mapped from their seals.  Operator
+    interrupts are no rank failures: they propagate."""
     spec = job.spec
     if att.width != spec.p:
         spec = spec.with_processors(att.width)
@@ -381,9 +391,12 @@ def _run(job: _Job, att: Attempt) -> _Lane:
     )
     try:
         result = cluster.run(_rank_program, args)
+        # Replayed pieces come back as references into their seals.
+        hand_over([views for views, *_ in result.rank_results])
     except (KeyboardInterrupt, SystemExit):
         raise
     except BaseException as exc:
+        cluster.clock.abandon()
         # Per-rank busy seconds are a free speed observation under
         # near-equal work (speed ∝ 1/busy): a prior the clamp bounds and
         # the next fresh measurement blends away.

@@ -277,15 +277,17 @@ class _ProcessTransport:
         return result
 
 
-def _local_state(disk) -> tuple[dict, dict]:
-    """A rank's absolute disk and work counters, as the parent adopts
-    them (:meth:`ProcessBackend._apply_local_state`)."""
+def _local_state(disk, segment: float = 0.0) -> tuple[dict, dict]:
+    """A rank's absolute disk and work counters, and the segment it had
+    pending when it stopped, as the parent adopts them
+    (:meth:`ProcessBackend._apply_local_state`)."""
     work = disk.work
     return disk.stats.snapshot(), {
         "seconds": work.seconds,
         "rows_sorted": work.rows_sorted,
         "rows_scanned": work.rows_scanned,
         "spill_counter": disk._counter,
+        "pending_segment": segment,
     }
 
 
@@ -318,7 +320,10 @@ def _worker_main(
         conn.recv()  # release (or abort): the parent mapped the result
     except BaseException as exc:  # noqa: BLE001 - ship, don't hang peers
         try:
-            shipped = ship(exc, f"rank {rank}", _local_state(disk))
+            shipped = ship(
+                exc, f"rank {rank}",
+                _local_state(disk, clock._pending_segment[rank]),
+            )
             conn.send(("error", shipped))
         except Exception:
             pass
@@ -483,9 +488,10 @@ class _Coordinator:
         return results
 
     def _apply_local_state(self, rank: int, disk_snap, work_snap) -> None:
-        """Adopt the worker's absolute disk/work counters into the parent
-        cluster (workers start from a fork of the parent state, so the
-        shipped totals are directly assignable — cluster reuse included)."""
+        """Adopt the worker's absolute disk/work counters and its pending
+        segment into the parent cluster (workers start from a fork of the
+        parent state, so the shipped totals are directly assignable —
+        cluster reuse included)."""
         disk = self.cluster.disks[rank]
         stats = disk.stats
         stats.blocks_read = disk_snap["blocks_read"]
@@ -497,6 +503,7 @@ class _Coordinator:
         disk.work.rows_sorted = work_snap["rows_sorted"]
         disk.work.rows_scanned = work_snap["rows_scanned"]
         disk._counter = work_snap["spill_counter"]
+        self.cluster.clock._pending_segment[rank] = work_snap["pending_segment"]
 
     # -- failure / shutdown ------------------------------------------------
 

@@ -196,6 +196,13 @@ class BSPClock:
         self.phase_seconds[self._phase[0]] += compute
         self.phase_compute_seconds[self._phase[0]] += compute
 
+    def abandon(self) -> None:
+        """Fold a failed run's in-flight segments, the local work each
+        rank did before the collective the run failed in, as its last:
+        that work was done, and a retry that skips it resumes after it."""
+        self.finish(self._pending_segment)
+        self._pending_segment = [0.0] * len(self._pending_segment)
+
     # -- reading ---------------------------------------------------------------
 
     def phase_breakdown(self) -> dict[str, float]:

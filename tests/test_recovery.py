@@ -16,13 +16,16 @@ import hashlib
 import json
 import multiprocessing
 import os
+import stat
 import weakref
 
 import numpy as np
 import pytest
 
 from repro.config import CubeConfig, MachineSpec, RecoveryPolicy
-from repro.core.checkpoint import RankCheckpoint
+from repro.core import checkpoint as checkpoint_mod
+from repro.core import cube as cube_mod
+from repro.core.checkpoint import RankCheckpoint, SealedPiece, hand_over
 from repro.core.cube import build_data_cube
 from repro.mpi.errors import (
     CheckpointError,
@@ -36,7 +39,7 @@ from repro.mpi.errors import (
 from repro.mpi.faults import FaultPlan
 from repro.storage.disk import LocalDisk
 
-from .conftest import make_relation
+from .conftest import make_relation, mmap_of
 
 requires_fork = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
@@ -97,30 +100,116 @@ class TestRankCheckpoint:
         np.testing.assert_array_equal(
             payload["views"][(0,)].keys, np.arange(4)
         )
-        # Arrays come back in place over the read buffer, still writable.
-        payload["views"][(0,)].measure[0] = 7.0
+        # A piece not asked for stays in its seal; handed over, it is a
+        # read-only map, like an adopted process-backend result.
+        payload, loaded_rows = ck.load(1, read=())
+        assert loaded_rows == 0
+        assert isinstance(payload["views"][(0,)], SealedPiece)
+        hand_over([payload["views"]])
+        mapped = payload["views"][(0,)]
+        np.testing.assert_array_equal(mapped.measure, np.full(4, 2.0))
+        with pytest.raises(ValueError, match="read-only"):
+            mapped.measure[0] = 7.0
 
-    def test_last_complete_hands_verified_payloads_to_load(
+    def test_last_complete_reads_headers_load_reads_what_is_asked(
         self, tmp_path, monkeypatch
     ):
         ck = RankCheckpoint(str(tmp_path), rank=0)
         for ordinal in range(3):
             ck.save(ordinal, ordinal, self._payload(ordinal))
         reads = []
-        original = RankCheckpoint._read_payload
+        original = SealedPiece.read
 
-        def counting(self, entry):
-            reads.append(entry["file"])
-            return original(self, entry)
+        def counting(piece):
+            reads.append(os.path.basename(piece.path))
+            return original(piece)
 
-        monkeypatch.setattr(RankCheckpoint, "_read_payload", counting)
+        monkeypatch.setattr(SealedPiece, "read", counting)
         fresh = RankCheckpoint(str(tmp_path), rank=0)
         assert fresh.last_complete() == 2
+        assert reads == []  # sizes and headers only
         for ordinal in range(3):
-            payload, _ = fresh.load(ordinal)
-            assert payload["views"][(0,)].measure[0] == float(ordinal)
-        # A resume reads and CRCs each chain file exactly once.
-        assert sorted(reads) == ["iter000.seal", "iter001.seal", "iter002.seal"]
+            payload, rows = fresh.load(ordinal, read=[(0,)] if ordinal else [])
+            piece = payload["views"][(0,)]
+            assert rows == (4 if ordinal else 0)
+            assert isinstance(piece, SealedPiece) == (ordinal == 0)
+        # Only the pieces asked for leave their seals as bytes.
+        assert reads == ["iter001.seal", "iter002.seal"]
+
+    def test_seal_rename_is_durable_before_its_manifest_line(
+        self, tmp_path, monkeypatch
+    ):
+        """The seal is fsynced, renamed into place and the rename made
+        durable by a directory fsync before the manifest line naming it
+        is made durable; the manifest's own creation is made durable too."""
+        ck = RankCheckpoint(str(tmp_path), rank=0)
+        events = []
+        fsync, replace = os.fsync, os.replace
+
+        def recording_fsync(fd):
+            st = os.fstat(fd)
+            kind = "fsync-dir" if stat.S_ISDIR(st.st_mode) else "fsync"
+            events.append((kind, st.st_ino))
+            return fsync(fd)
+
+        def recording_replace(src, dst):
+            replace(src, dst)
+            events.append(("replace", os.stat(dst).st_ino))
+
+        monkeypatch.setattr(os, "fsync", recording_fsync)
+        monkeypatch.setattr(os, "replace", recording_replace)
+        ck.save(0, 0, self._payload(0))
+        ck.save(1, 1, self._payload(1))
+        ino = {
+            name: os.stat(os.path.join(ck.dir, name)).st_ino
+            for name in ("iter000.seal", "iter001.seal", "manifest.json")
+        }
+        folder = os.stat(ck.dir).st_ino
+        manifest = ("fsync", ino["manifest.json"])
+        assert events == [
+            ("fsync", ino["iter000.seal"]), ("replace", ino["iter000.seal"]),
+            ("fsync-dir", folder), manifest, ("fsync-dir", folder),
+            ("fsync", ino["iter001.seal"]), ("replace", ino["iter001.seal"]),
+            ("fsync-dir", folder), manifest,
+        ]
+
+    @pytest.mark.parametrize("damage", ["torn-body", "flipped-header"])
+    def test_corrupt_seal_truncates_without_reading_a_piece_body(
+        self, tmp_path, monkeypatch, damage
+    ):
+        ck = RankCheckpoint(str(tmp_path), rank=0)
+        for ordinal in range(3):
+            ck.save(ordinal, ordinal, self._payload(ordinal))
+        _, pieces = ck._open(ck.entry(1))
+        body_at = pieces[0].keys_at
+        _damage_seal(os.path.join(ck.dir, "iter001.seal"), damage, body_at)
+        bytes_read = {}
+
+        class Counting:
+            def __init__(self, path, *args, **kw):
+                self.name = os.path.basename(path)
+                self.fh = open(path, *args, **kw)
+
+            def read(self, n=-1):
+                data = self.fh.read(n)
+                bytes_read[self.name] = bytes_read.get(self.name, 0) + len(data)
+                return data
+
+            def __getattr__(self, attr):
+                return getattr(self.fh, attr)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return self.fh.__exit__(*exc)
+
+        monkeypatch.setattr(checkpoint_mod, "open", Counting, raising=False)
+        monkeypatch.setattr(SealedPiece, "read", None)
+        assert ck.last_complete() == 0
+        seals = {k: v for k, v in bytes_read.items() if k.endswith(".seal")}
+        assert set(seals) == {"iter000.seal", "iter001.seal"}
+        assert max(seals.values()) <= body_at
 
     def test_manifest_is_append_only(self, tmp_path):
         ck = RankCheckpoint(str(tmp_path), rank=0)
@@ -132,7 +221,7 @@ class TestRankCheckpoint:
         ck.save(1, 1, self._payload(9))  # a re-save appends too
         raw = open(ck._manifest_path(), "rb").read()
         assert raw[: sizes[0]] == head and len(raw) > sizes[2]
-        assert json.loads(raw.splitlines()[0]) == {"version": 4}
+        assert json.loads(raw.splitlines()[0]) == {"version": 5}
 
     def test_resave_truncates_suffix(self, tmp_path):
         ck = RankCheckpoint(str(tmp_path), rank=0)
@@ -214,20 +303,38 @@ class TestRecoveryWithoutCheckpoint:
         assert m.disk_blocks_read + m.disk_blocks_written == m.disk_blocks
         assert m.disk_blocks_read > base.metrics.disk_blocks_read > 0
 
+    def test_a_failed_attempt_banks_the_segment_it_was_entering(
+        self, relation
+    ):
+        """Rank 1 dies at superstep 6: the attempt banks supersteps 0-5
+        and the local work every rank did towards superstep 6, as the
+        fault-free build's clock prices them."""
+        log = build(relation, "thread").metrics.superstep_log
+        m = build(
+            relation, "thread", faults=FaultPlan.parse("crash@r1s6"),
+            recovery=RecoveryPolicy(max_retries=2),
+        ).metrics
+        done = sum(r.compute_seconds + r.comm_seconds for r in log[:6])
+        assert m.recovered_seconds == pytest.approx(
+            done + log[6].compute_seconds, rel=1e-12
+        )
+        assert log[6].compute_seconds > 0
+
     @requires_fork
     def test_a_failed_attempt_banks_the_same_blocks_on_both_backends(
         self, relation
     ):
         """Each rank of the failed attempt is banked as of the collective
-        at which the attempt failed: five thread runs bank one number of
-        blocks, the process backend's."""
+        at which the attempt failed, the segment it was entering included:
+        five thread runs bank one number of blocks and seconds, the
+        process backend's."""
 
         def banked(backend):
             m = build(
                 relation, backend, p=3, faults=FaultPlan.parse("crash@r1s6"),
                 recovery=RecoveryPolicy(max_retries=2),
             ).metrics
-            return m.recovered_blocks, m.disk_blocks
+            return m.recovered_blocks, m.disk_blocks, m.recovered_seconds
 
         process = banked("process")
         assert process[0] > 0
@@ -259,8 +366,9 @@ class TestRecoveryWithCheckpoint:
         iteration 0 derives step 1a from its piece of the sealed D0-root
         view (then from its piece of the D1-root view it merges), never
         the raw chunk, and ends bit-identical to the build that sealed it.
-        The replayed seal is the only read: both root pieces fit the
-        budget and stay resident into the next step 1a."""
+        The sealed D0-root piece is the only read: the rest of the seal
+        is handed over unread, and both root pieces fit the budget and
+        stay resident into the next step 1a."""
         first = build(relation, "thread", checkpoint_dir=str(tmp_path))
         for rank in range(2):
             path = RankCheckpoint(str(tmp_path), rank)._manifest_path()
@@ -277,7 +385,7 @@ class TestRecoveryWithCheckpoint:
                 data.nrows for view, data in pieces.items() if 0 in view
             )
             assert 0 < pieces[0, 1, 2].nrows < sealed
-            assert charged[rank, "recovery", "r"] == sealed
+            assert charged[rank, "recovery", "r"] == pieces[0, 1, 2].nrows
             assert charged[rank, "partition-sort", "r"] == 0
 
     def test_checkpoint_io_is_metered(
@@ -309,6 +417,22 @@ class TestRecoveryWithCheckpoint:
         )
         # the resume point's allreduce is the one superstep it adds
         assert ckpt.metrics.simulated_seconds > plain.metrics.simulated_seconds
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_a_replayed_chain_is_handed_over_as_maps_of_its_seals(
+        self, relation, backend, tmp_path
+    ):
+        """A build over a finished chain replays every iteration and
+        reads none: its ranks return references, so no result segment is
+        written, and the cube's pieces are read-only maps of the seals."""
+        first = build(relation, backend, checkpoint_dir=str(tmp_path))
+        again = build(relation, backend, checkpoint_dir=str(tmp_path))
+        assert fingerprint(again) == fingerprint(first)
+        assert again.metrics.shm_pool.get("segments_created", 0) == 0
+        for views in again.rank_views:
+            for data in views.values():
+                assert mmap_of(data.keys) is not None
+                assert not data.measure.flags.writeable
 
     def test_fresh_checkpointed_build_matches(self, relation, tmp_path):
         """A fault-free build with checkpointing produces the same cube
@@ -363,8 +487,10 @@ class TestWriteOnceAccounting:
         again = build(relation, "thread", checkpoint_dir=str(tmp_path))
         assert fingerprint(again) == fingerprint(first)
         for rank in range(2):
-            # The whole chain replays: read once, nothing rewritten.
-            assert charged[rank, "recovery", "r"] == on_disk[rank]
+            # The whole chain replays and no step 1a follows it: every
+            # piece is handed over from its seal, unread and unrewritten.
+            assert on_disk[rank] > 0
+            assert charged[rank, "recovery", "r"] == 0
             assert charged[rank, "recovery", "w"] == 0
             assert charged[rank, "merge", "w"] == 0
 
@@ -446,6 +572,116 @@ class TestSealCrashPoints:
         assert fingerprint(res) == fingerprint(base)
         # The retry appended after the torn line and the chain healed.
         assert RankCheckpoint(str(tmp_path), 1).last_complete() == len(CARDS) - 1
+
+
+def _damage_seal(path, damage, body_at, at=None):
+    """Tear a seal's body off, or flip one byte: in its header, or at
+    ``at`` (a piece's bytes)."""
+    blob = bytearray(open(path, "rb").read())
+    if damage == "torn-body":
+        blob = blob[: (body_at + len(blob)) // 2]
+    else:
+        blob[body_at // 2 if at is None else at] ^= 0xFF
+    with open(path, "wb") as fh:
+        fh.write(bytes(blob))
+
+
+def _keep_ordinals(root, rank, n):
+    """Cut one rank's manifest back to its first ``n`` seals."""
+    path = RankCheckpoint(str(root), rank)._manifest_path()
+    with open(path, encoding="utf-8") as fh:
+        lines = [line for line in fh if line.strip()]
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("".join(lines[: n + 1]))
+
+
+def _flip_piece(root, rank, ordinal, pick):
+    """Flip the first measure byte of the piece ``pick`` chooses among
+    one seal's pieces; returns the seal's path."""
+    ck = RankCheckpoint(str(root), rank)
+    _, pieces = ck._open(ck.entry(ordinal))
+    piece = pick(pieces)
+    assert piece.rows > 0
+    _damage_seal(piece.path, "flip", piece.keys_at, at=piece.measure_at)
+    return piece.path
+
+
+class TestSealCorruption:
+    """A damaged seal byte never reaches a caller: a header or size fault
+    truncates the chain before the run, a piece fault fails the run where
+    the piece is read or handed over, quarantines its seal and takes the
+    transient row, so the retry resumes from the ordinal before it."""
+
+    @pytest.fixture
+    def failures(self, monkeypatch):
+        seen = []
+        fail = cube_mod._fail
+
+        def spy(job, att, lane, *args):
+            seen.append(type(lane.exc))
+            return fail(job, att, lane, *args)
+
+        monkeypatch.setattr(cube_mod, "_fail", spy)
+        return seen
+
+    def _retried(self, relation, backend, root, failures, path):
+        base = build(relation, backend)
+        res = build(
+            relation, backend, checkpoint_dir=str(root),
+            recovery=RecoveryPolicy(max_retries=2),
+        )
+        assert fingerprint(res) == fingerprint(base)
+        assert res.metrics.attempts == 2
+        assert failures == [CheckpointError]
+        assert os.path.exists(path + ".quarantined")
+        # The retry resumed before the quarantined seal and sealed anew.
+        assert RankCheckpoint(str(root), 1).last_complete() == len(CARDS) - 1
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_corrupt_handed_over_piece_fails_the_run(
+        self, relation, backend, tmp_path, failures
+    ):
+        """A finished chain replays without a read; the flipped byte in a
+        non-root piece is caught when the driver maps it."""
+        build(relation, backend, checkpoint_dir=str(tmp_path))
+        path = _flip_piece(
+            tmp_path, 1, 1,
+            lambda pieces: max(pieces[1:], key=lambda piece: piece.rows),
+        )
+        self._retried(relation, backend, tmp_path, failures, path)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_corrupt_root_piece_fails_the_replay(
+        self, relation, backend, tmp_path, failures
+    ):
+        """A chain cut back to ordinal 1 replays it and reads its root
+        piece for the next step 1a; the flipped byte fails that read."""
+        build(relation, backend, checkpoint_dir=str(tmp_path))
+        for rank in range(2):
+            _keep_ordinals(tmp_path, rank, 2)
+        path = _flip_piece(
+            tmp_path, 1, 1,
+            lambda pieces: next(p for p in pieces if p.view == (1, 2)),
+        )
+        self._retried(relation, backend, tmp_path, failures, path)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("damage", ["torn-body", "flipped-header"])
+    def test_corrupt_seal_header_or_size_truncates_before_the_run(
+        self, relation, backend, damage, tmp_path, failures
+    ):
+        base = build(relation, backend, checkpoint_dir=str(tmp_path))
+        ck = RankCheckpoint(str(tmp_path), 1)
+        _, pieces = ck._open(ck.entry(1))
+        _damage_seal(pieces[0].path, damage, pieces[0].keys_at)
+        assert ck.last_complete() == 0
+        res = build(
+            relation, backend, checkpoint_dir=str(tmp_path),
+            recovery=RecoveryPolicy(max_retries=2),
+        )
+        assert fingerprint(res) == fingerprint(base)
+        assert res.metrics.attempts == 1 and failures == []
+        assert ck.last_complete() == len(CARDS) - 1
 
 
 class TestFailedAttemptIsReleased:
