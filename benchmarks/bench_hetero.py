@@ -1,21 +1,12 @@
-"""Heterogeneity-aware partitioning and speculative straggler races.
+"""Heterogeneity-aware partitioning: does it pay on a skewed cluster?
 
-Two questions, one report:
-
-* **Does speed-proportional partitioning pay on a skewed cluster?**
-  With rank 0 running at half speed (``slow@r0x2``), a uniform
-  sample-sort keys every superstep to the slow rank's critical path.
-  The hetero build meters per-rank throughput during sampling, sizes
-  each rank's h-relation share to its measured speed (clamped to
-  ``[1/2p, 2/p]``), and must finish at least **1.3x** faster than the
-  uniform build under the same fault.  On a *homogeneous* cluster the
-  same machinery must cost at most **1.05x** (the profiler's extra
-  allgather and near-uniform shares are noise).
-
-* **Is a speculative straggler race safe?**  A hung rank triggers a
-  race between a full-width retry and a width-(p-1) clone of the
-  straggler's checkpoints; the winning cube must be bit-identical to a
-  clean build, pass the audit, and bank both raced attempts' costs.
+With rank 0 running at half speed (``slow@r0x2``), a uniform sample-sort
+keys every superstep to the slow rank's critical path.  The hetero build
+meters per-rank throughput during sampling, sizes each rank's h-relation
+share to its measured speed (clamped to ``[1/2p, 2/p]``), and must finish
+at least **1.3x** faster than the uniform build under the same fault.  On
+a *homogeneous* cluster the same machinery must cost at most **1.05x**
+(the profiler's extra allgather and near-uniform shares are noise).
 
 A segment is the modelled per-row sort/scan work plus block I/O, which
 the slow fault inflates multiplicatively.  The machine uses a 64-row
@@ -40,12 +31,11 @@ import os
 import pathlib
 import platform
 import sys
-import tempfile
 import time
 
 import numpy as np
 
-from repro.config import CubeConfig, MachineSpec, RecoveryPolicy
+from repro.config import CubeConfig, MachineSpec
 from repro.core.cube import build_data_cube
 from repro.data.generator import generate_dataset, paper_preset
 from repro.mpi.faults import FaultPlan
@@ -57,9 +47,6 @@ JSON_PATH = REPO_ROOT / "BENCH_hetero.json"
 #: Rank 0 at half speed for the whole build -- the paper's shared-nothing
 #: cost model with one degraded node.
 SLOW = "slow@r0x2"
-#: Rank 1 hangs at its 20th collective on the first attempt only (the
-#: straggler recovers by the time the race's full-width retry runs).
-HANG = "hang@r1s20a0"
 
 SPEEDUP_GATE = 1.3
 OVERHEAD_GATE = 1.05
@@ -82,24 +69,13 @@ def _fingerprint(cube) -> str:
     return h.hexdigest()
 
 
-def _one(
-    data,
-    cards,
-    p,
-    hetero=False,
-    faults=None,
-    ckpt=None,
-    speculate=False,
-) -> dict:
+def _one(data, cards, p, hetero=False, faults=None) -> dict:
     machine = MachineSpec(
         p=p,
         backend="thread",
         block_size=64,
         disk_sec_per_block=1.4e-3 * 64 / 1024,
     )
-    recovery = None
-    if speculate:
-        recovery = RecoveryPolicy(speculate=True)
     t0 = time.perf_counter()
     cube = build_data_cube(
         data,
@@ -107,19 +83,12 @@ def _one(
         machine,
         CubeConfig(hetero=hetero),
         faults=FaultPlan.parse(faults) if faults else None,
-        checkpoint_dir=ckpt,
-        recovery=recovery,
         audit=True,
     )
     host = time.perf_counter() - t0
     m = cube.metrics
     return {
         "simulated_seconds": m.simulated_seconds,
-        "recovered_seconds": m.recovered_seconds,
-        "attempts": m.attempts,
-        "final_width": m.final_width,
-        "speculations": m.speculations,
-        "speculation_discards": m.speculation_discards,
         "speed_model": m.speed_model,
         "rank_busy_seconds": [round(b, 6) for b in m.rank_busy_seconds],
         "audit_ok": bool(m.audit and m.audit["ok"]),
@@ -143,11 +112,6 @@ def run_hetero(n: int | None = None, p: int | None = None) -> dict:
     row["hetero_clean"] = _one(data, cards, p, hetero=True)
     row["uniform_slow"] = _one(data, cards, p, faults=SLOW)
     row["hetero_slow"] = _one(data, cards, p, hetero=True, faults=SLOW)
-    with tempfile.TemporaryDirectory() as ck:
-        row["speculative_race"] = _one(
-            data, cards, p, hetero=True, faults=HANG, ckpt=ck,
-            speculate=True,
-        )
     row["slow_speedup"] = round(
         row["uniform_slow"]["simulated_seconds"]
         / row["hetero_slow"]["simulated_seconds"],
@@ -163,18 +127,11 @@ def run_hetero(n: int | None = None, p: int | None = None) -> dict:
         f"(gate >= {SPEEDUP_GATE})   clean overhead "
         f"x{row['clean_overhead']:.3f} (gate <= {OVERHEAD_GATE})"
     )
-    race = row["speculative_race"]
-    print(
-        f"  race: attempts={race['attempts']} "
-        f"speculations={race['speculations']} "
-        f"discards={race['speculation_discards']}"
-    )
     report = {
         "bench": "hetero",
         "n": n,
         "p": p,
         "slow": SLOW,
-        "hang": HANG,
         "speedup_gate": SPEEDUP_GATE,
         "overhead_gate": OVERHEAD_GATE,
         "python": platform.python_version(),
@@ -192,10 +149,7 @@ def run_hetero(n: int | None = None, p: int | None = None) -> dict:
 def check_report(report: dict) -> None:
     for row in report["results"]:
         clean = row["uniform_clean"]
-        for variant in (
-            "hetero_clean", "uniform_slow", "hetero_slow",
-            "speculative_race",
-        ):
+        for variant in ("hetero_clean", "uniform_slow", "hetero_slow"):
             run = row[variant]
             assert run["audit_ok"], f"{variant}: audit failed"
             assert run["output_rows"] == clean["output_rows"], (
@@ -230,16 +184,6 @@ def check_report(report: dict) -> None:
         assert speeds[0] < min(speeds[1:]), (
             f"slow rank not detected: speeds {speeds}"
         )
-        # Gate 3: the speculative race kept the recovered straggler,
-        # discarded the duplicate exactly once, and banked both raced
-        # attempts (recovered_seconds covers the hung attempt plus the
-        # cancelled loser).
-        race = row["speculative_race"]
-        assert race["speculations"] == 1, race
-        assert race["speculation_discards"] == 1, race
-        assert race["attempts"] == 3, race
-        assert race["final_width"] == row["p"], race
-        assert race["recovered_seconds"] > 0, race
 
 
 def test_hetero_speedup():

@@ -81,15 +81,13 @@ def cmd_build(args: argparse.Namespace) -> int:
             faults = FaultPlan.parse(args.faults)
         print(f"fault plan: {faults.describe()}")
     recovery = None
-    if (faults is not None or args.max_retries is not None or args.degrade
-            or args.speculate):
+    if faults is not None or args.max_retries is not None or args.degrade:
         from repro import RecoveryPolicy
 
         recovery = RecoveryPolicy(
             max_retries=2 if args.max_retries is None else args.max_retries,
             mode="degrade" if args.degrade else "restart",
             min_ranks=args.min_ranks,
-            speculate=args.speculate,
         )
     machine = MachineSpec(p=args.p, backend=args.backend)
     cube = build_data_cube(
@@ -110,12 +108,6 @@ def cmd_build(args: argparse.Namespace) -> int:
             f"{s:.2f}" for s in metrics.speed_model["speeds"]
         )
         print(f"rank speed model (mean 1.0): [{speeds}]")
-    if metrics.speculations:
-        print(
-            f"speculated: {metrics.speculations} straggler race(s), "
-            f"{metrics.speculation_discards} duplicate result(s) "
-            f"discarded"
-        )
     if metrics.attempts > 1:
         print(
             f"recovered: {metrics.attempts - 1} failed attempt(s) "
@@ -423,11 +415,6 @@ def main(argv: list[str] | None = None) -> int:
                               "and size each rank's h-relation share to "
                               "its measured speed (clamped to "
                               "[1/2p, 2/p])")
-    p_build.add_argument("--speculate", action="store_true",
-                         help="on a hung rank, race a full-width retry "
-                              "against a width-(p-1) clone of the "
-                              "straggler's checkpoints and keep the "
-                              "first finisher")
     p_build.add_argument("--audit", action="store_true",
                          help="run the post-build integrity audit; a "
                               "failed audit exits non-zero")

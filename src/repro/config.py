@@ -211,14 +211,6 @@ class RecoveryPolicy:
     #: Smallest width degrade mode may shrink to; losing a rank that
     #: would drop below this floor re-raises the failure instead.
     min_ranks: int = 1
-    #: Speculative straggler re-execution: when a *transient* hang
-    #: (:class:`~repro.mpi.errors.RankHung`) names a culprit rank and
-    #: checkpoints are configured, race a full-width retry (the straggler
-    #: may have recovered) against a width-(p-1) continuation that clones
-    #: the straggler's checkpoint chain onto the survivors; the first
-    #: finisher (smaller simulated completion time) wins, the loser is
-    #: cancelled, and both attempts' costs are banked in the metrics.
-    speculate: bool = False
 
     def __post_init__(self) -> None:
         if self.max_retries < 0:
@@ -272,7 +264,7 @@ class RunResult:
     superstep_log: list = field(default_factory=list)
     #: SPMD attempts executed (1 = no failures; >1 means recovery ran).
     attempts: int = 1
-    #: Simulated seconds consumed by *failed* and cancelled attempts —
+    #: Simulated seconds consumed by *failed* attempts —
     #: already included in :attr:`simulated_seconds`.
     recovered_seconds: float = 0.0
     #: Network bytes of failed attempts — included in :attr:`comm_bytes`.
@@ -304,11 +296,6 @@ class RunResult:
     #: (:meth:`repro.mpi.speed.RankSpeedModel.to_dict`); ``None`` unless
     #: ``CubeConfig.hetero`` was on.
     speed_model: dict | None = None
-    #: Speculative straggler races run (``RecoveryPolicy.speculate``).
-    speculations: int = 0
-    #: Races where the losing attempt also completed and its duplicate
-    #: result was discarded (exactly once per race).
-    speculation_discards: int = 0
     #: Per-rank cumulative local-work seconds of the winning attempt —
     #: the finish-time spread across ranks (empty for baselines).
     rank_busy_seconds: list[float] = field(default_factory=list)
@@ -338,11 +325,6 @@ class RunResult:
             text += (
                 f" [degraded: lost rank(s) {lost}, "
                 f"finished at p={self.final_width}]"
-            )
-        if self.speculations:
-            text += (
-                f" [speculated {self.speculations} race(s), "
-                f"{self.speculation_discards} duplicate(s) discarded]"
             )
         if self.audit is not None:
             text += " [audit: OK]" if self.audit.get("ok") else " [audit: FAILED]"

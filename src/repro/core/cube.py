@@ -60,7 +60,7 @@ from repro.core.viewdata import ViewData, codec_for_order
 from repro.core.views import View, canonical_view, view_name
 from repro.mpi.comm import Comm
 from repro.mpi.engine import Cluster, ClusterResult
-from repro.mpi.errors import PERMANENT, MPIError, RankHung, classify_failure
+from repro.mpi.errors import PERMANENT, MPIError, classify_failure
 from repro.mpi.shm import release_heap, sweep_orphans
 from repro.mpi.speed import HeteroState, RankSpeedModel
 from repro.mpi.stats import throughput_rates
@@ -300,16 +300,10 @@ def _step3(
 # the recovery driver and the public entry points
 # ---------------------------------------------------------------------------
 
-# Attempt-index offset of a speculative race's backup lane: fault specs
-# address attempts with ``a<attempt>``, so plans aimed at the primary
-# retry never strike the speculated copy as well.
-_SPECULATION_LANE = 1000
-
-
 @dataclass(frozen=True)
 class Cost:
     """Committed simulated seconds, traffic and disk blocks of one run,
-    or banked over the failed and cancelled runs."""
+    or banked over the failed runs."""
 
     seconds: float = 0.0
     bytes: int = 0
@@ -342,8 +336,6 @@ class Attempt:
     ranks_lost: tuple[int, ...] = ()
     streak: int = 0  # same-width failures since the last width change
     transient_total: int = 0
-    speculations: int = 0
-    speculation_discards: int = 0
     banked: Cost = Cost()
 
 
@@ -409,29 +401,13 @@ def _run(job: _Job, att: Attempt) -> _Lane:
     return _Lane(result, None, Cost.of(result))
 
 
-def _release(job: _Job, *lanes: _Lane) -> None:
-    """Let go of finished runs before the next one: a failure's traceback
-    pins its rank frames' view pieces and (their functions' closures) the
-    cluster, a SIGKILLed worker leaks shm segments, and freed pages stay
-    the allocator's until handed back."""
-    for lane in lanes:
-        exc = lane.exc
-        while exc is not None:
-            traceback.clear_frames(exc.__traceback__)
-            exc.__traceback__ = None
-            exc = exc.__context__
-    if job.spec.backend == "process":
-        sweep_orphans()
-    release_heap()
-
-
 def _bank(att: Attempt, cost: Cost) -> Attempt:
-    """State *bank*: fold a failed or cancelled run into the record, so
-    the simulation honestly pays for re-execution."""
+    """State *bank*: fold a failed run into the record, so the simulation
+    honestly pays for re-execution."""
     return replace(att, index=att.index + 1, banked=att.banked + cost)
 
 
-def _classify(policy, att: Attempt, exc: BaseException, may_race=True) -> str:
+def _classify(policy, att: Attempt, exc: BaseException) -> str:
     """The :data:`TRANSITIONS` row of a failed run: the failure taxonomy
     (:func:`~repro.mpi.errors.classify_failure`) under the policy."""
     if policy is None or not policy.is_retryable(exc):
@@ -442,18 +418,13 @@ def _classify(policy, att: Attempt, exc: BaseException, may_race=True) -> str:
     exhausted = att.streak >= policy.max_retries
     if policy.mode == "degrade" and named and (kind == PERMANENT or exhausted):
         return "lost" if room else "floor"
-    if (
-        may_race and policy.speculate and named and room
-        and isinstance(exc, RankHung) and att.run_root is not None
-    ):
-        return "straggler"
     return "exhausted" if exhausted else "transient"
 
 
-def _fail(job: _Job, att: Attempt, lane: _Lane, may_race: bool = True):
+def _fail(job: _Job, att: Attempt, lane: _Lane):
     """Take the transition the table names for a failed, banked run; the
     speeds it measured become the next run's prior."""
-    event = _classify(job.recovery, att, lane.exc, may_race)
+    event = _classify(job.recovery, att, lane.exc)
     if lane.rates is not None:
         att = replace(att, speed_prior=lane.rates)
     return TRANSITIONS[event](job, att, lane)
@@ -490,44 +461,19 @@ def _degrade(job: _Job, att: Attempt, lane: _Lane):
 
 
 def _relaunch(job: _Job, att: Attempt, lane: _Lane):
-    _release(job, lane)
+    """Let go of the failed run, then run the record: the failure's
+    traceback pins its rank frames' view pieces and (their functions'
+    closures) the cluster, a SIGKILLed worker leaks shm segments, and
+    freed pages stay the allocator's until handed back."""
+    exc = lane.exc
+    while exc is not None:
+        traceback.clear_frames(exc.__traceback__)
+        exc.__traceback__ = None
+        exc = exc.__context__
+    if job.spec.backend == "process":
+        sweep_orphans()
+    release_heap()
     return att, _run(job, att)
-
-
-def _speculate(job: _Job, att: Attempt, lane: _Lane):
-    """State *speculate*: race a full-width retry (the straggler may have
-    recovered) against a width-(p-1) clone of its chain onto the
-    survivors.  If the primary completes it wins; the loser is billed up
-    to the winner's finish, when it would have been cancelled.  If both
-    fail, the primary's failure takes the retry or degrade transition."""
-    target = os.path.join(
-        job.checkpoint_dir, f"epoch{att.epoch + 1:02d}-spec{att.index:02d}"
-    )
-    att = replace(att, speculations=att.speculations + 1)
-    clone = replace(
-        _without(job, att, lane, target),
-        index=att.index + _SPECULATION_LANE, epoch=att.epoch + 1,
-    )
-    _release(job, lane)
-    primary = _run(job, att)
-    _release(job, primary)
-    backup = _run(job, clone)
-    if primary.exc is not None and backup.exc is not None:
-        _release(job, backup)
-        att = _bank(_bank(att, primary.cost), backup.cost)
-        return _fail(job, att, primary, may_race=False)
-    if primary.exc is None:
-        # A recovered straggler: of two bit-identical results, the
-        # duplicate is discarded.
-        winner, loser = primary, backup
-        discards = att.speculation_discards + (backup.exc is None)
-        att = replace(att, speculation_discards=discards)
-    else:
-        winner, loser = backup, primary
-        att = replace(clone, index=att.index, banked=att.banked)
-    seconds = min(loser.cost.seconds, winner.cost.seconds)
-    att = _bank(att, replace(loser.cost, seconds=seconds))
-    return att, winner
 
 
 def _without(job: _Job, att: Attempt, lane: _Lane, target) -> Attempt:
@@ -558,7 +504,6 @@ TRANSITIONS = {
     "fatal": _reraise,  # recovery off, or a programming error
     "floor": _below_floor,  # a loss that would drop under min_ranks
     "lost": _degrade,  # degrade mode: a permanent loss or a repeat offender
-    "straggler": _speculate,  # a named RankHung, checkpoints, room for p-1
     "exhausted": _reraise,  # the same-width streak is past max_retries
     "transient": _retry,  # anything else retryable
 }
@@ -606,8 +551,8 @@ def build_data_cube(
         resumes from the last iteration all ranks completed.
     recovery:
         :class:`~repro.config.RecoveryPolicy`; ``None`` propagates the
-        first failure.  Which failure retries, degrades to p - k or races
-        a clone is :data:`TRANSITIONS` (DESIGN.md §9.3); failed attempts'
+        first failure.  Which failure retries or degrades to p - k is
+        :data:`TRANSITIONS` (DESIGN.md §9.3); failed attempts'
         simulated time, traffic and disk blocks are folded into the
         returned metrics.
     audit:
@@ -709,8 +654,6 @@ def _assemble(
         final_width=att.width,
         transient_retries=att.transient_total,
         speed_model=speed_model,
-        speculations=att.speculations,
-        speculation_discards=att.speculation_discards,
         rank_busy_seconds=list(cluster.clock.rank_busy),
     )
     return CubeResult(rank_views, cards, metrics, reports, trees, agg)

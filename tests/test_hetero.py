@@ -1,11 +1,11 @@
-"""Heterogeneity-aware partitioning and speculative straggler races.
+"""Heterogeneity-aware partitioning and hang recovery.
 
 Covers the rank speed model (clamped shares, apportionment, blending,
 serialisation), speed-weighted pivots and share bounds, the ``slow@`` /
 ``hang@`` fault grammar and deterministic metering under both backends,
-the supervisor's ``suspect_after`` deadline boundary, and the
-speculative race on the process backend (its thread-backend legs are
-rows of ``tests/test_transitions.py``).
+the supervisor's ``suspect_after`` deadline boundary, and a hung rank's
+retry on the process backend (its thread-backend legs are rows of
+``tests/test_transitions.py``).
 """
 
 from __future__ import annotations
@@ -376,7 +376,7 @@ class TestSupervisorDeadlineBoundary:
 
 
 # ---------------------------------------------------------------------------
-# hetero end-to-end + speculative races
+# hetero end-to-end + hang recovery
 # ---------------------------------------------------------------------------
 
 
@@ -412,22 +412,20 @@ class TestHeteroBuild:
         assert hetero.metrics.speed_model is not None
 
 
-class TestSpeculativeRace:
-    def _race(self, relation, backend, faults, **kw):
-        with tempfile.TemporaryDirectory() as ck:
-            return build(
-                relation, backend, hetero=True,
-                faults=FaultPlan.parse(faults), checkpoint_dir=ck,
-                recovery=RecoveryPolicy(speculate=True), audit=True, **kw,
-            )
-
+class TestHangRecovery:
     @requires_fork
-    def test_race_on_process_backend(self, relation):
+    def test_hang_retries_on_process_backend(self, relation):
+        """A RankHung raised in a forked rank is an ordinary transient
+        failure: one full-width retry resumes from the checkpoints."""
         clean = build(relation, "thread", audit=True)
-        cube = self._race(relation, "process", "hang@r1s20a0")
+        with tempfile.TemporaryDirectory() as ck:
+            cube = build(
+                relation, "process", hetero=True,
+                faults=FaultPlan.parse("hang@r1s20a0"), checkpoint_dir=ck,
+                recovery=RecoveryPolicy(), audit=True,
+            )
         m = cube.metrics
-        assert m.speculations == 1
-        assert m.speculation_discards == 1
+        assert m.attempts == 2
         assert m.final_width == 3
         assert m.audit["ok"]
         assert content_fingerprint(cube) == content_fingerprint(clean)

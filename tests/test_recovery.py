@@ -685,40 +685,11 @@ class TestSealCorruption:
 
 
 class TestFailedAttemptIsReleased:
-    def test_retry_runs_without_the_failed_cluster(self, relation, monkeypatch):
-        from repro.core import cube as cube_mod
+    """Both relaunching states, the retry and the degrade, let go of the
+    failed attempt's cluster (and with it every rank frame its traceback
+    pinned) before the next run starts."""
 
-        born, alive_at_retry = [], []
-
-        class SpyCluster(cube_mod.Cluster):
-            def run(self, *args, **kw):
-                gc.collect()
-                alive_at_retry.extend(ref() is not None for ref in born)
-                born.append(weakref.ref(self))
-                return super().run(*args, **kw)
-
-        monkeypatch.setattr(cube_mod, "Cluster", SpyCluster)
-        res = build(
-            relation,
-            "thread",
-            faults=FaultPlan.parse("crash@r1s6"),
-            recovery=RecoveryPolicy(max_retries=2),
-        )
-        assert res.metrics.attempts == 2
-        # The failed attempt's cluster (and with it every rank frame its
-        # traceback pinned) was collectable before the retry started.
-        assert alive_at_retry == [False]
-
-    @pytest.mark.parametrize(
-        "plan", ["hang@r1s20a0", "hang@r1s20a0;hang@r1s2a1"],
-        ids=["primary-wins", "backup-wins"],
-    )
-    def test_race_lanes_run_without_earlier_clusters(
-        self, relation, monkeypatch, tmp_path, plan
-    ):
-        """A speculative race lets go of the hung attempt before either
-        lane starts, and of the primary lane's cluster (a failure's
-        traceback, or a result's run) before the backup runs."""
+    def _check_released(self, relation, monkeypatch, **policy):
         from repro.core import cube as cube_mod
 
         born, alive_at_run = [], []
@@ -734,13 +705,21 @@ class TestFailedAttemptIsReleased:
         res = build(
             relation,
             "thread",
-            faults=FaultPlan.parse(plan),
-            checkpoint_dir=str(tmp_path),
-            recovery=RecoveryPolicy(speculate=True),
+            faults=FaultPlan.parse("crash@r1s6"),
+            recovery=RecoveryPolicy(**policy),
         )
-        assert res.metrics.speculations == 1
-        # Primary lane: the hung attempt is gone; backup lane: both are.
-        assert alive_at_run == [False, False, False]
+        assert res.metrics.attempts == 2
+        assert alive_at_run == [False]
+
+    def test_retry_runs_without_the_failed_cluster(self, relation, monkeypatch):
+        self._check_released(relation, monkeypatch, max_retries=2)
+
+    def test_degrade_runs_without_the_failed_cluster(
+        self, relation, monkeypatch
+    ):
+        self._check_released(
+            relation, monkeypatch, mode="degrade", max_retries=0
+        )
 
 
 CHAOS_PLANS = {

@@ -126,41 +126,23 @@ ROWS = {
         events=("floor",),
         raises=(MPIError, "min_ranks"),
     ),
-    "race-won-by-primary": Row(
-        # The straggler recovered: the full-width retry wins and the
-        # width-(p-1) clone's duplicate is discarded exactly once.
-        plan="hang@r1s20a0", policy=dict(speculate=True),
-        events=("straggler",), checkpoints=True, hetero=True,
+    "recurring-hang-degrades": Row(
+        # A rank that hangs again on its retry is a repeat offender: one
+        # retry, then its checkpoint chain is resharded onto the others.
+        plan="hang@r1s20a0;hang@r1s2a1",
+        policy=dict(mode="degrade", max_retries=1),
+        events=("transient", "lost"), checkpoints=True, hetero=True,
         metrics=dict(
-            attempts=3, final_width=3, ranks_lost=[], speculations=1,
-            speculation_discards=1, transient_retries=0,
+            attempts=3, final_width=2, ranks_lost=[1], transient_retries=1
         ),
     ),
-    "race-won-by-backup": Row(
-        plan="hang@r1s20a0;hang@r1s2a1", policy=dict(speculate=True),
-        events=("straggler",), checkpoints=True, hetero=True,
+    "hang-retries": Row(
+        # A hang is an ordinary transient failure: a full-width retry
+        # resumes from the checkpoints.
+        plan="hang@r1s20a0", policy=dict(),
+        events=("transient",), checkpoints=True, hetero=True,
         metrics=dict(
-            attempts=3, final_width=2, ranks_lost=[1], speculations=1,
-            speculation_discards=0, transient_retries=0,
-        ),
-    ),
-    "race-double-failure": Row(
-        # Both lanes crash: the primary's failure takes the ordinary
-        # transition, within the retry budget, and the build recovers.
-        plan="hang@r1s20a0;crash@r0s2a1;crash@r0s2a1001",
-        policy=dict(speculate=True, max_retries=2),
-        events=("straggler", "transient"), checkpoints=True,
-        metrics=dict(
-            attempts=4, final_width=3, ranks_lost=[], speculations=1,
-            speculation_discards=0, transient_retries=1,
-        ),
-    ),
-    "no-checkpoint-root-no-race": Row(
-        # Nothing to clone: the hang is a plain transient retry.
-        plan="hang@r1s20a0", policy=dict(speculate=True),
-        events=("transient",), hetero=True,
-        metrics=dict(
-            attempts=2, final_width=3, speculations=0, transient_retries=1
+            attempts=2, final_width=3, ranks_lost=[], transient_retries=1
         ),
     ),
 }
@@ -214,8 +196,6 @@ def test_transition_row(name, relation, dispatched, monkeypatch, tmp_path):
     assert m.simulated_seconds > m.recovered_seconds
     clean = build(relation, p=m.final_width)
     assert content(cube) == content(clean)
-    if m.speculations:
-        assert f"speculated {m.speculations} race(s)" in m.summary()
 
 
 def test_every_row_is_tested():
