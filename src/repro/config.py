@@ -194,8 +194,8 @@ class RecoveryPolicy:
 
     ``mode="degrade"`` adds elastic width reduction on *permanent* rank
     loss (see :func:`repro.mpi.errors.classify_failure`): the dead rank is
-    blacklisted, its checkpointed state is resharded across the p' = p - k
-    survivors, and the build continues at width p'.  Transient failures
+    blacklisted, the survivor below it adopts its checkpointed seals, and
+    the build continues at width p' = p - k.  Transient failures
     still retry at the current width, with a fresh retry budget after
     every width change; a rank that exhausts the transient budget is
     promoted to a permanent loss.  ``min_ranks`` is the floor below which

@@ -1,8 +1,8 @@
 """Post-build integrity audit of a constructed data cube.
 
-Recovery — and especially *degraded-mode* recovery, which reshards a dead
-rank's checkpointed rows across the survivors mid-build — must never be
-taken on faith: :func:`audit_cube` re-derives invariants every correct
+Recovery — and especially *degraded-mode* recovery, whose survivors adopt
+a dead rank's checkpointed pieces mid-build — must never be taken on
+faith: :func:`audit_cube` re-derives invariants every correct
 cube satisfies and reports which hold.  The checks are pure reads over
 the finished cube (no simulation state), so the audit can run after any
 build, clean or recovered:
@@ -22,13 +22,14 @@ build, clean or recovered:
     Dropping a dimension can only merge groups: a child view (one fewer
     dimension) never has more rows than its parent, and no view has more
     rows than the raw relation.
-``key-uniqueness``
-    After the Procedure-3 merge each group key of a view lives on exactly
-    one rank; duplicate keys across rank pieces mean a broken merge or a
-    bad reshard split.
-``piece-order``
-    Every rank piece is sorted non-decreasing in its packed keys — the
-    invariant all downstream scans and merges rely on.
+``rank-run``
+    A view's rank pieces share one sort order and, laid end to end in
+    rank order, their packed keys are strictly increasing: Procedure 3
+    leaves each view range-partitioned in rank order with every group
+    key on exactly one rank, a degraded resume adopts a lost rank's
+    pieces by position, and every store, scan and refresh reads the
+    concatenation as one sorted run.  A duplicate key, an unsorted piece
+    or pieces that interleave across ranks fail here.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.core.viewdata import codec_for_order
 from repro.core.views import view_name
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -154,25 +154,19 @@ def audit_cube(
         )
     report.checks.append(_check("row-monotonicity", bad))
 
-    # -- no duplicate group keys across rank pieces -----------------------
+    # -- the rank pieces laid end to end are one strictly increasing run --
     bad = []
     for v in views:
-        keys = _canonical_keys(cube, v)
-        if keys.size != np.unique(keys).size:
-            dupes = keys.size - np.unique(keys).size
+        pieces = [rv[v] for rv in cube.rank_views]
+        keys = np.concatenate([piece.keys for piece in pieces])
+        if len({piece.order for piece in pieces}) > 1:
+            bad.append(f"{view_name(v)}'s rank pieces disagree on the order")
+        elif not (keys[1:] > keys[:-1]).all():
             bad.append(
-                f"{view_name(v)} has {dupes} duplicate group key(s) "
-                "across rank pieces"
+                f"{view_name(v)}'s rank pieces in rank order are not "
+                "strictly increasing"
             )
-    report.checks.append(_check("key-uniqueness", bad))
-
-    # -- every piece sorted ----------------------------------------------
-    report.checks.append(_check("piece-order", [
-        f"rank {j} piece of {view_name(v)} is not sorted"
-        for v in views
-        for j, rv in enumerate(cube.rank_views)
-        if not rv[v].is_sorted()
-    ]))
+    report.checks.append(_check("rank-run", bad))
     return report
 
 
@@ -216,20 +210,3 @@ def _shape_problem(cube: "CubeResult", view, d: int) -> str:
             return f"has rank {j} keys outside its key space {space}"
     return ""
 
-
-def _canonical_keys(cube: "CubeResult", view) -> np.ndarray:
-    """All ranks' packed keys of one view, remapped to canonical order."""
-    parts = []
-    for rv in cube.rank_views:
-        data = rv[view]
-        if not data.nrows:
-            continue
-        if tuple(data.order) == tuple(view):
-            parts.append(data.keys)
-        else:
-            codec = codec_for_order(data.order, cube.cardinalities)
-            keys, _ = codec.remap(data.keys, tuple(data.order), tuple(view))
-            parts.append(keys)
-    if not parts:
-        return np.empty(0, dtype=np.int64)
-    return np.concatenate(parts)

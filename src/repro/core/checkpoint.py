@@ -13,11 +13,11 @@ Layout (one sub-directory per rank, mirroring the shared-nothing model —
 a rank checkpoints to *its own* local disk)::
 
     <checkpoint_dir>/rank03/
-        manifest.json   {"version": 5}, then one appended JSON line per
-                        save: {ordinal, dim, file, head_crc, size, rows,
-                        meters}
+        manifest.json   {"version": 6}, then one appended JSON line per
+                        iteration: {ordinal, dim, rows, seals}, where
+                        seals lists {file, head_crc, size} in rank order
         iter000.seal    u64 header length | pickled header (per piece:
-        ...             order, rows and CRC-32; rank 0's merge report and
+        ...             order, rows and CRC-32; the merge report and
                         schedule tree) | pad to 8 | every piece's int64
                         keys | every piece's float64 measures
 
@@ -50,16 +50,18 @@ stays aligned.
 
 Degraded-mode recovery adds :class:`ReshardPlan`: when a rank is lost
 permanently, its checkpoint *directory* survives (the shared-nothing
-model's disk outlives the process — disk-attached recovery), so the
-survivors re-partition the dead rank's saved rows among themselves and
-continue at reduced width.  Each degrade event starts a fresh *epoch*
-directory; :func:`resume_point` re-saves the resharded chains there,
-keeping every epoch's chains self-sufficient so multiple failures
-compose.
+model's disk outlives the process — disk-attached recovery).  Procedure
+3 leaves every view range-partitioned in rank order, so the old ranks
+split into contiguous groups with one survivor each, and new rank ``j``
+adopts its group's seals by position: each line of its chain in the new
+*epoch* directory lists hard links to them (:meth:`RankCheckpoint.adopt`).
+Nothing is read, merged or re-saved; a second loss adopts the new
+epoch's lines the same way, so multiple failures compose.
 """
 
 from __future__ import annotations
 
+import bisect
 import json
 import mmap
 import os
@@ -73,7 +75,6 @@ import numpy as np
 from repro.core.viewdata import ViewData
 from repro.core.views import View, canonical_view, view_name
 from repro.mpi.errors import CheckpointError
-from repro.storage.scan import merge_runs
 
 if TYPE_CHECKING:
     from repro.mpi.comm import Comm
@@ -88,7 +89,7 @@ __all__ = [
 ]
 
 _MANIFEST = "manifest.json"
-_VERSION = 5  # 4 had one CRC over the whole file and no per-piece CRCs
+_VERSION = 6  # 5 named one seal per line and carried meters
 
 
 def _crc(keys: np.ndarray, measure: np.ndarray) -> int:
@@ -158,34 +159,49 @@ class SealedPiece:
         return ViewData(self.order, keys, measure)
 
 
+def _join(parts: Sequence[ViewData]) -> ViewData:
+    """One view's pieces from consecutive seals, laid end to end."""
+    if len(parts) == 1:
+        return parts[0]
+    return ViewData(
+        parts[0].order,
+        np.concatenate([p.keys for p in parts]),
+        np.concatenate([p.measure for p in parts]),
+    )
+
+
 def hand_over(rank_views: Sequence[dict[View, Any]]) -> None:
-    """Put every :class:`SealedPiece` among the ranks' views in its place
-    as a read-only view over a map of its seal, CRC-checked first (one
-    map per seal; a map outlives the file's name).  Raises
+    """Put every tuple of :class:`SealedPiece` among the ranks' views in
+    its place: each piece a read-only view over a map of its seal,
+    CRC-checked first (one map per seal; a map outlives the file's
+    name), and the pieces of an adopted run joined.  Raises
     :class:`CheckpointError` after quarantining a seal that fails."""
     maps: dict[str, mmap.mmap] = {}
-    for views in rank_views:
-        for v, piece in views.items():
-            if not isinstance(piece, SealedPiece):
-                continue
-            buf = maps.get(piece.path)
-            if buf is None:
-                try:
-                    with open(piece.path, "rb") as fh:
-                        buf = mmap.mmap(fh.fileno(), 0, prot=mmap.PROT_READ)
-                except (OSError, ValueError):
-                    raise CheckpointError(
-                        f"checkpoint file {piece.path!r} unreadable"
-                    ) from None
-                maps[piece.path] = buf
+
+    def mapped(piece: SealedPiece) -> ViewData:
+        buf = maps.get(piece.path)
+        if buf is None:
             try:
-                keys = np.frombuffer(buf, np.int64, piece.rows, piece.keys_at)
-                measure = np.frombuffer(
-                    buf, np.float64, piece.rows, piece.measure_at
-                )
-            except ValueError:  # the seal shrank since its header check
-                keys = measure = np.empty(0)
-            views[v] = piece._checked(keys, measure)
+                with open(piece.path, "rb") as fh:
+                    buf = mmap.mmap(fh.fileno(), 0, prot=mmap.PROT_READ)
+            except (OSError, ValueError):
+                raise CheckpointError(
+                    f"checkpoint file {piece.path!r} unreadable"
+                ) from None
+            maps[piece.path] = buf
+        try:
+            keys = np.frombuffer(buf, np.int64, piece.rows, piece.keys_at)
+            measure = np.frombuffer(
+                buf, np.float64, piece.rows, piece.measure_at
+            )
+        except ValueError:  # the seal shrank since its header check
+            keys = measure = np.empty(0)
+        return piece._checked(keys, measure)
+
+    for views in rank_views:
+        for v, run in views.items():
+            if isinstance(run, tuple):
+                views[v] = _join([mapped(piece) for piece in run])
 
 
 class RankCheckpoint:
@@ -243,7 +259,7 @@ class RankCheckpoint:
         return len(self._entries) - 1
 
     def entry(self, ordinal: int) -> dict[str, Any] | None:
-        """The manifest entry for one iteration (meters included)."""
+        """The manifest entry for one iteration."""
         if self._entries is None:
             self._entries = self._read_manifest()
         chain = self._entries
@@ -251,13 +267,7 @@ class RankCheckpoint:
 
     # -- save / load -------------------------------------------------------
 
-    def save(
-        self,
-        ordinal: int,
-        dim: int,
-        payload: dict[str, Any],
-        meters: dict[str, Any] | None = None,
-    ) -> int:
+    def save(self, ordinal: int, dim: int, payload: dict[str, Any]) -> int:
         """Persist one completed iteration; returns the rows written (of
         which the caller charges to its disk meter those the build has not
         already charged as step 3's final materialisation).
@@ -287,18 +297,40 @@ class RankCheckpoint:
         os.replace(tmp, os.path.join(self.dir, fname))
         _fsync_dir(self.dir)
         rows = sum(p.nrows for p in pieces)
+        seal = {"file": fname, "head_crc": zlib.crc32(head), "size": size}
+        self._append_manifest(
+            {"ordinal": ordinal, "dim": dim, "rows": rows, "seals": [seal]}
+        )
+        return rows
+
+    def adopt(self, ordinal: int, sources: Sequence[RankCheckpoint]) -> None:
+        """Make iteration ``ordinal`` of the ``sources``' chains (rank
+        order) this chain's: hard-link their seals here, make the links
+        durable, then append one line listing them.  Nothing is read or
+        written but directory entries and the line.  A link already in
+        place (a re-run after a crash) is kept."""
+        entries = [source.entry(ordinal) for source in sources]
+        seals = []
+        for source, entry in zip(sources, entries):
+            for seal in entry["seals"]:
+                name = f"iter{ordinal:03d}.s{len(seals):02d}.seal"
+                try:
+                    os.link(
+                        os.path.join(source.dir, seal["file"]),
+                        os.path.join(self.dir, name),
+                    )
+                except FileExistsError:
+                    pass
+                seals.append({**seal, "file": name})
+        _fsync_dir(self.dir)
         self._append_manifest(
             {
                 "ordinal": ordinal,
-                "dim": dim,
-                "file": fname,
-                "head_crc": zlib.crc32(head),
-                "size": size,
-                "rows": rows,
-                "meters": meters or {},
+                "dim": entries[0]["dim"],
+                "rows": sum(entry["rows"] for entry in entries),
+                "seals": seals,
             }
         )
-        return rows
 
     def _append_manifest(self, entry: dict[str, Any]) -> None:
         """Append one entry; ordinal 0 starts the manifest afresh."""
@@ -320,34 +352,55 @@ class RankCheckpoint:
     ) -> tuple[dict[str, Any], int]:
         """Load one iteration's payload; returns ``(payload, rows read)``.
 
-        The pieces of the views in ``read`` (every piece when ``None``)
-        are read and CRC-checked; every other piece stays in the seal as a
-        :class:`SealedPiece`.  Raises :class:`CheckpointError` on a
-        missing or damaged entry or piece — callers resolve the resume
-        point with :meth:`last_complete` *before* loading, so a header
-        check only fails here on filesystem races."""
+        A view's pieces in the entry's seals, laid end to end, are its
+        piece on this rank.  Those of the views in ``read`` (every view
+        when ``None``) are read, CRC-checked and joined; every other
+        view stays in its seals as a tuple of :class:`SealedPiece`.
+        Raises :class:`CheckpointError` on a missing or damaged entry or
+        piece — callers resolve the resume point with
+        :meth:`last_complete` *before* loading, so a header check only
+        fails here on filesystem races."""
         entry = self.entry(ordinal)
         if entry is None:
             raise CheckpointError(
                 f"rank {self.rank}: no checkpoint for iteration {ordinal}"
             )
         head, pieces = self._open(entry)
+        runs: dict[View, list[SealedPiece]] = {}
+        for piece in pieces:
+            runs.setdefault(piece.view, []).append(piece)
         views: dict[View, Any] = {}
         rows = 0
-        for piece in pieces:
-            if read is None or piece.view in read:
-                views[piece.view] = piece.read()
-                rows += piece.rows
+        for v, run in runs.items():
+            if read is None or v in read:
+                views[v] = _join([piece.read() for piece in run])
+                rows += views[v].nrows
             else:
-                views[piece.view] = piece
+                views[v] = tuple(run)
         return {**head, "views": views}, rows
 
     def _open(
         self, entry: dict[str, Any]
     ) -> tuple[dict[str, Any], list[SealedPiece]]:
-        """One seal's header and pieces, after checking the file's size
-        and the header's CRC (before anything is unpickled)."""
-        fname = str(entry.get("file", ""))
+        """The first seal's header and every seal's pieces, in order,
+        after checking each file's size and header CRC (before anything
+        is unpickled)."""
+        head: dict[str, Any] = {}
+        pieces: list[SealedPiece] = []
+        seals = entry.get("seals")
+        if not isinstance(seals, list) or not seals:
+            raise CheckpointError(f"rank {self.rank}: a line names no seal")
+        for seal in seals:
+            meta, found = self._open_seal(seal)
+            head = head or meta
+            pieces += found
+        return head, pieces
+
+    def _open_seal(
+        self, seal: dict[str, Any]
+    ) -> tuple[dict[str, Any], list[SealedPiece]]:
+        """One seal's header and pieces."""
+        fname = str(seal.get("file", ""))
         path = os.path.join(self.dir, fname)
         try:
             with open(path, "rb") as fh:
@@ -359,12 +412,12 @@ class RankCheckpoint:
             raise CheckpointError(
                 f"rank {self.rank}: checkpoint file {fname!r} unreadable"
             ) from None
-        if size != entry.get("size"):
+        if size != seal.get("size"):
             raise CheckpointError(
                 f"rank {self.rank}: checkpoint file {fname!r} is "
-                f"{size} bytes, its manifest line says {entry.get('size')}"
+                f"{size} bytes, its manifest line says {seal.get('size')}"
             )
-        if zlib.crc32(head) != entry.get("head_crc"):
+        if zlib.crc32(head) != seal.get("head_crc"):
             raise CheckpointError(
                 f"rank {self.rank}: checkpoint file {fname!r} header "
                 "failed its CRC check"
@@ -392,16 +445,14 @@ class RankCheckpoint:
 
 @dataclass(frozen=True)
 class ReshardPlan:
-    """How the survivors of a permanent rank loss re-partition state.
+    """Which old ranks' seals each survivor of a permanent loss adopts.
 
     After losing ``k`` ranks at width ``old_width``, the build restarts
-    at ``new_width = old_width - k``.  Every *new* rank ``j`` adopts the
-    checkpoint chain of old rank ``survivors[j]`` and additionally takes
-    a contiguous 1/new_width share (see :func:`share_bounds`) of every
-    dead rank's saved rows.  The merged prefix is re-saved under
-    ``target_root`` (a fresh epoch directory), so the new epoch's chains
-    are self-sufficient: a second loss reshards from the new epoch
-    without ever touching the old one again.
+    at ``new_width = old_width - k``.  The old ranks split into
+    contiguous :attr:`groups`, one survivor each, and new rank ``j``
+    adopts group ``j``'s chains by position: its chain under
+    ``target_root`` (a fresh epoch directory) lists their seals in rank
+    order, so every view stays range-partitioned in rank order.
 
     Reading a dead rank's chain models *disk-attached recovery*: in the
     paper's shared-nothing cluster the node died but its disk did not.
@@ -413,17 +464,12 @@ class ReshardPlan:
     new_width: int
     #: Old-numbering ranks lost permanently this epoch.
     dead: tuple[int, ...]
-    #: ``survivors[j]`` = the old rank whose chain new rank ``j`` adopts.
+    #: ``survivors[j]`` = the old rank new rank ``j`` continues.
     survivors: tuple[int, ...]
     #: Checkpoint root of the failed epoch (source chains, dead included).
     source_root: str
-    #: Checkpoint root of the new epoch (resharded chains land here).
+    #: Checkpoint root of the new epoch (the adopting chains land here).
     target_root: str
-    #: Optional per-new-rank share weights (length ``new_width``): the
-    #: surviving ranks' measured relative speeds, so a fast survivor
-    #: adopts a larger slice of the dead ranks' rows.  ``None`` keeps the
-    #: uniform 1/new_width split.
-    weights: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
         if self.new_width != self.old_width - len(self.dead):
@@ -437,22 +483,21 @@ class ReshardPlan:
             )
         if set(self.survivors) & set(self.dead):
             raise ValueError("a rank cannot be both survivor and dead")
-        if self.weights is not None:
-            if len(self.weights) != self.new_width:
-                raise ValueError(
-                    f"need {self.new_width} share weights, "
-                    f"got {len(self.weights)}"
-                )
-            if any(w <= 0 for w in self.weights):
-                raise ValueError("share weights must all be positive")
+
+    @property
+    def groups(self) -> tuple[tuple[int, ...], ...]:
+        """``groups[j]``: the old ranks whose seals new rank ``j`` adopts,
+        in rank order — ``survivors[j]`` and every dead rank between it
+        and the next survivor (dead ranks below the first survivor join
+        the first)."""
+        groups = [[s] for s in self.survivors]
+        for r in self.dead:
+            groups[max(bisect.bisect(self.survivors, r) - 1, 0)].append(r)
+        return tuple(tuple(sorted(group)) for group in groups)
 
     @staticmethod
     def after_loss(
-        width: int,
-        dead: Sequence[int],
-        source_root: str,
-        target_root: str,
-        weights: Sequence[float] | None = None,
+        width: int, dead: Sequence[int], source_root: str, target_root: str
     ) -> "ReshardPlan":
         """Plan the reshard after losing ``dead`` ranks at ``width``."""
         dead_t = tuple(sorted(set(int(r) for r in dead)))
@@ -467,163 +512,49 @@ class ReshardPlan:
             survivors=survivors,
             source_root=source_root,
             target_root=target_root,
-            weights=tuple(float(w) for w in weights) if weights else None,
         )
 
 
-def share_bounds(
-    nrows: int,
-    parts: int,
-    index: int,
-    weights: Sequence[float] | None = None,
-) -> tuple[int, int]:
+def share_bounds(nrows: int, parts: int, index: int) -> tuple[int, int]:
     """Contiguous ``[lo, hi)`` bounds of share ``index`` of ``nrows`` rows
     split into ``parts`` near-equal pieces — how
-    :func:`repro.core.cube.split_even` deals the input to the ranks, and
-    how a dead rank's sorted rows are dealt out to the survivors while
-    preserving sortedness and key disjointness.
-
-    With ``weights`` (positive per-part speed weights) the cut points
-    move to the rounded cumulative weight fractions instead — shares stay
-    contiguous, disjoint and covering, but part ``index`` receives
-    ``~weights[index]/sum(weights)`` of the rows."""
+    :func:`repro.core.cube.split_even` deals the input to the ranks."""
     if parts < 1:
         raise ValueError(f"parts must be >= 1, got {parts}")
     if not 0 <= index < parts:
         raise ValueError(f"share index {index} outside 0..{parts - 1}")
-    if weights is None:
-        base, rem = divmod(int(nrows), parts)
-        lo = index * base + min(index, rem)
-        hi = lo + base + (1 if index < rem else 0)
-        return lo, hi
-    w = np.asarray(weights, dtype=np.float64)
-    if w.size != parts:
-        raise ValueError(f"need {parts} weights, got {w.size}")
-    if (w <= 0).any():
-        raise ValueError("share weights must all be positive")
-    # Rounded cumulative cuts: monotone (cumsum of positives), last cut
-    # pinned to nrows, so shares partition [0, nrows) exactly.
-    cuts = np.floor(np.cumsum(w) / w.sum() * int(nrows) + 0.5).astype(
-        np.int64
-    )
-    cuts[-1] = int(nrows)
-    lo = 0 if index == 0 else int(cuts[index - 1])
-    hi = int(cuts[index])
-    return lo, hi
+    base, rem = divmod(int(nrows), parts)
+    lo = index * base + min(index, rem)
+    return lo, lo + base + (1 if index < rem else 0)
 
 
 def resume_point(
     comm: Comm, root: str | None, reshard: ReshardPlan | None
-) -> tuple[RankCheckpoint | None, int, dict[int, dict]]:
-    """One rank's checkpoint chain under ``root``, the resume ordinal and
-    the payloads a reshard wrote (``None, -1, {}`` without checkpoints).
+) -> tuple[RankCheckpoint | None, int]:
+    """One rank's checkpoint chain under ``root`` and the resume ordinal
+    (``None, -1`` without checkpoints).
 
     All ranks agree on the last iteration *everyone* completed (min
     across ranks): iterations up to it replay from local disk with zero
     collectives, so the superstep schedule stays aligned.  A degraded
-    continuation first folds the dead ranks' chains into this
-    (new-numbering) rank's."""
+    continuation first adopts, for every ordinal its own chain lacks up
+    to that point, the seals of its group of old ranks
+    (:attr:`ReshardPlan.groups`)."""
     if root is None:
-        return None, -1, {}
+        return None, -1
     ckpt = RankCheckpoint(root, comm.rank)
     comm.set_phase("recovery")
-    if reshard is not None:
-        return (ckpt, *_reshard_resume(comm, ckpt, reshard))
-    return ckpt, int(comm.allreduce(ckpt.last_complete(), "min")), {}
-
-
-def _reshard_resume(
-    comm: Comm, ckpt: RankCheckpoint, plan: ReshardPlan
-) -> tuple[int, dict[int, dict]]:
-    """Materialise this rank's resharded checkpoint prefix; return the
-    global resume ordinal and the payloads resharded here, by ordinal.
-
-    Every new rank adopts one survivor chain from the failed epoch and a
-    contiguous share of each dead rank's chain (the dead node's *disk*
-    survived — disk-attached recovery).  The combined payloads are
-    re-saved into this epoch's chain, so the next failure (of either
-    kind) reshards from *this* epoch without touching the old one, and
-    handed to the replay loop, which then need not read them back.
-    Idempotent: ordinals already present in the target chain are kept,
-    and re-running the prologue reproduces identical payloads (pure
-    slicing + deterministic merge).
-    """
-    own_src = RankCheckpoint(plan.source_root, plan.survivors[comm.rank])
-    dead_chains = [RankCheckpoint(plan.source_root, r) for r in plan.dead]
-    source_last = min(c.last_complete() for c in (own_src, *dead_chains))
-    own_last = ckpt.last_complete()
-    resume = int(comm.allreduce(max(own_last, source_last), "min"))
-    resharded = {}
-    for ordinal in range(own_last + 1, resume + 1):
-        resharded[ordinal] = _reshard_iteration(
-            comm, ckpt, own_src, dead_chains, plan, ordinal
-        )
-    return resume, resharded
-
-
-def _reshard_iteration(
-    comm: Comm,
-    ckpt: RankCheckpoint,
-    own_src: RankCheckpoint,
-    dead_chains: list[RankCheckpoint],
-    plan: ReshardPlan,
-    ordinal: int,
-) -> dict:
-    """Re-save one iteration: survivor payload + dead-rank shares.
-
-    All reads and the re-save are charged to this rank's disk meter —
-    recovering a dead node's state is real I/O, and the simulation pays
-    for it.  Reading a dead chain is charged in full (its disk was
-    re-attached to this rank for the read), matching the shared-nothing
-    model's recovery story.
-    """
-    payload, rows = own_src.load(ordinal)
-    comm.disk.charge_scan(rows)
-    comm.disk.work.charge_scan(rows)
-    views = dict(payload["views"])
-    extra: dict[View, list[ViewData]] = {}
-    for chain in dead_chains:
-        dead_payload, dead_rows = chain.load(ordinal)
-        comm.disk.charge_scan(dead_rows)
-        comm.disk.work.charge_scan(dead_rows)
-        for v, data in dead_payload["views"].items():
-            piece = _share_slice(
-                data, comm.rank, plan.new_width, plan.weights
-            )
-            if piece.nrows:
-                extra.setdefault(v, []).append(piece)
-    merged = {
-        v: _merge_sorted_pieces([data, *extra.get(v, [])])
-        for v, data in views.items()
-    }
-    entry = own_src.entry(ordinal)
-    dim = int(entry.get("dim", 0)) if entry else 0
-    payload = {**payload, "views": merged}
-    comm.disk.charge_store(
-        ckpt.save(ordinal, dim, payload, meters={"phase": f"reshard[{dim}]"})
-    )
-    return payload
-
-
-def _share_slice(
-    data: ViewData,
-    index: int,
-    parts: int,
-    weights: Sequence[float] | None = None,
-) -> ViewData:
-    """Contiguous share ``index`` of ``parts`` of one sorted piece
-    (speed-weighted when the reshard plan carries survivor weights)."""
-    lo, hi = share_bounds(data.nrows, parts, index, weights)
-    return ViewData(data.order, data.keys[lo:hi], data.measure[lo:hi])
-
-
-def _merge_sorted_pieces(pieces: list[ViewData]) -> ViewData:
-    """Merge sorted, key-disjoint pieces of one view into one sorted piece.
-
-    Pieces of a view held by different ranks after the Procedure-3 merge
-    never share a group key (each group lives on exactly one rank), so
-    the merge is a pure reorder — no aggregation — and is exact for every
-    aggregate function.
-    """
-    keys, measure = merge_runs([(p.keys, p.measure) for p in pieces])
-    return ViewData(pieces[0].order, keys, measure)
+    last = ckpt.last_complete()
+    if reshard is None:
+        return ckpt, int(comm.allreduce(last, "min"))
+    group = [
+        RankCheckpoint(reshard.source_root, r)
+        for r in reshard.groups[comm.rank]
+    ]
+    reach = last
+    if ckpt.entry(last + 1) is None:  # a damaged line is not adopted again
+        reach = max(last, min(c.last_complete() for c in group))
+    resume = int(comm.allreduce(reach, "min"))
+    for ordinal in range(last + 1, resume + 1):
+        ckpt.adopt(ordinal, group)
+    return ckpt, resume

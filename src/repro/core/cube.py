@@ -105,7 +105,7 @@ def _rank_program(
             comm.size, prior=None if speed_prior is None
             else RankSpeedModel.from_rates(speed_prior),
         )
-    ckpt, resume, resharded = resume_point(comm, checkpoint_root, reshard)
+    ckpt, resume = resume_point(comm, checkpoint_root, reshard)
     selected_set = None if selected is None else set(selected)
     out_views: dict[View, ViewData] = {}
     reports: list[MergeReport] = []
@@ -116,9 +116,7 @@ def _rank_program(
         if ordinal <= resume:
             # Only the root a later step 1a derives from leaves its seal.
             feeds = ordinal == resume and ordinal + 1 < len(partitions)
-            payload = _replay(
-                comm, ckpt, ordinal, resharded, (root,) if feeds else ()
-            )
+            payload = _replay(comm, ckpt, ordinal, (root,) if feeds else ())
         else:
             # out_views holds exactly the selected views of the iterations
             # done, computed or replayed, so step 1a's source depends on
@@ -147,18 +145,14 @@ def _rank_program(
     return out_views, reports, trees, speed
 
 
-def _replay(
-    comm: Comm, ckpt, ordinal: int, resharded: dict, read: Sequence[View]
-) -> dict:
-    """One iteration up to the resume point: from memory what the reshard
-    just wrote, else from this rank's seal, where the pieces of ``read``
-    are read and charged to simulated time and every other piece stays,
-    for the driver to map (:func:`~repro.core.checkpoint.hand_over`)."""
-    payload = resharded.pop(ordinal, None)
-    if payload is None:
-        payload, rows = ckpt.load(ordinal, read)
-        comm.disk.charge_scan(rows)
-        comm.disk.work.charge_scan(rows)
+def _replay(comm: Comm, ckpt, ordinal: int, read: Sequence[View]) -> dict:
+    """One iteration up to the resume point, from this rank's seals: the
+    pieces of ``read`` are read and charged to simulated time and every
+    other piece stays, for the driver to map
+    (:func:`~repro.core.checkpoint.hand_over`)."""
+    payload, rows = ckpt.load(ordinal, read)
+    comm.disk.charge_scan(rows)
+    comm.disk.work.charge_scan(rows)
     return payload
 
 
@@ -287,12 +281,7 @@ def _step3(
         # pipes run, Procedure-3 merge done.  Sealing it performs the
         # materialisation charged just above.
         comm.set_phase(f"checkpoint[{i}]")
-        meters = {
-            "disk": comm.disk.stats.snapshot(),
-            "work_seconds": comm.disk.work.seconds,
-            "phase": f"checkpoint[{i}]",
-        }
-        ckpt.save(ordinal, i, payload, meters=meters)
+        ckpt.save(ordinal, i, payload)
     return payload
 
 
@@ -478,8 +467,8 @@ def _relaunch(job: _Job, att: Attempt, lane: _Lane):
 
 def _without(job: _Job, att: Attempt, lane: _Lane, target) -> Attempt:
     """The record of a width-(p-1) continuation without the failed run's
-    culprit: with checkpoints, its chain resharded into ``target``
-    (speed-weighted when the run measured speeds)."""
+    culprit: with checkpoints, its seals adopted by position into
+    ``target``; the survivors' measured speeds become the prior."""
     culprit = classify_failure(lane.exc)[1]
     survivors = [r for r in range(att.width) if r != culprit]
     model = reshard = None
@@ -487,8 +476,7 @@ def _without(job: _Job, att: Attempt, lane: _Lane, target) -> Attempt:
         model = RankSpeedModel.from_rates(lane.rates).restrict(survivors)
     if att.run_root is not None:
         reshard = ReshardPlan.after_loss(
-            att.width, [culprit], att.run_root, target,
-            weights=None if model is None else model.shares,
+            att.width, [culprit], att.run_root, target
         )
     return replace(
         att, width=att.width - 1, reshard=reshard,

@@ -22,7 +22,6 @@ import numpy as np
 
 from repro.core.views import View, canonical_view, view_name
 from repro.storage.codec import KeyCodec
-from repro.storage.scan import merge_runs
 from repro.storage.sortkernels import is_sorted_int64
 from repro.storage.table import Relation
 
@@ -121,19 +120,16 @@ class ViewData:
 
 @dataclass(frozen=True)
 class GlobalRun:
-    """One view's rank pieces as one globally sorted, key-disjoint run."""
+    """One view's rank pieces laid end to end: one globally sorted,
+    key-disjoint run."""
 
     #: The sort order the pieces and the run share.
     order: tuple[int, ...]
     #: Cumulative piece sizes: slicing the run at them gives back each
-    #: rank's row count.
+    #: rank's piece.
     offsets: np.ndarray
-    #: The run as consecutive ``(keys, measure)`` parts: the rank pieces
-    #: themselves when the run is their concatenation, else one merged run.
+    #: The rank pieces' ``(keys, measure)``, rank 0 first.
     parts: tuple[tuple[np.ndarray, np.ndarray], ...]
-    #: True when part ``j`` is rank ``j``'s piece: the run sliced at
-    #: ``offsets`` *is* the pieces, row for row.
-    concatenated: bool
 
     @property
     def keys(self) -> np.ndarray:
@@ -153,16 +149,12 @@ def global_run(pieces: Sequence[ViewData]) -> GlobalRun:
 
     This is the only place that decides how a cube's pieces become the
     layout every stored or served view has.  Procedure 3 leaves a view
-    range-partitioned in rank order, and then the run *is* the
-    concatenation (rank 0 first): the result's parts are the pieces
-    themselves and nothing is copied.  A degraded build merges a share of
-    the dead rank's piece into every survivor, so the pieces of an
-    iteration finished before the loss stay sorted and key-disjoint but
-    interleave across ranks; those take one
-    :func:`~repro.storage.scan.merge_runs`, whose output is the one part.
-    Pieces under different sort orders, unsorted pieces or a key held by
-    two ranks are a broken cube (``audit_cube`` rejects it too) and raise
-    ``ValueError``.
+    range-partitioned in rank order, and a degraded build adopts the
+    lost rank's pieces by position, so the run *is* the concatenation
+    (rank 0 first) and nothing is copied.  Pieces under different sort
+    orders, an unsorted piece or pieces that do not follow each other
+    in key order are a broken cube (``audit_cube``'s ``rank-run`` check
+    rejects it too) and raise ``ValueError``.
     """
     name = view_name(pieces[0].view)
     orders = {piece.order for piece in pieces}
@@ -171,31 +163,21 @@ def global_run(pieces: Sequence[ViewData]) -> GlobalRun:
             f"view {name}: rank pieces disagree on the sort order "
             f"({sorted(orders)})"
         )
+    # Sorted pieces are the run laid end to end when each one's last key
+    # is below the next one's first.
+    edges = [piece.keys[[0, -1]] for piece in pieces if piece.nrows]
+    if not (
+        all(piece.is_sorted() for piece in pieces)
+        and all(a[1] < b[0] for a, b in zip(edges, edges[1:]))
+    ):
+        raise ValueError(
+            f"view {name}: rank pieces are not sorted, key-disjoint runs "
+            "in rank order"
+        )
     offsets = np.zeros(len(pieces) + 1, dtype=np.int64)
     np.cumsum([piece.nrows for piece in pieces], out=offsets[1:])
-    if all(piece.is_sorted() for piece in pieces):
-        # Sorted pieces are the run laid end to end when each one's last
-        # key is below the next one's first.
-        edges = [piece.keys[[0, -1]] for piece in pieces if piece.nrows]
-        if all(a[1] < b[0] for a, b in zip(edges, edges[1:])):
-            return GlobalRun(
-                pieces[0].order,
-                offsets,
-                tuple((piece.keys, piece.measure) for piece in pieces),
-                concatenated=True,
-            )
-    try:
-        keys, measure = merge_runs(
-            [(piece.keys, piece.measure) for piece in pieces]
-        )
-    except ValueError:  # a piece that is not sorted
-        disjoint = False
-    else:
-        disjoint = bool(np.all(keys[1:] > keys[:-1]))
-    if not disjoint:
-        raise ValueError(
-            f"view {name}: rank pieces are not sorted, key-disjoint runs"
-        )
     return GlobalRun(
-        pieces[0].order, offsets, ((keys, measure),), concatenated=False
+        pieces[0].order,
+        offsets,
+        tuple((piece.keys, piece.measure) for piece in pieces),
     )

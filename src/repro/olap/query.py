@@ -315,9 +315,9 @@ class QueryEngine:
     open`) supplies mmap-backed sorted view handles for the index path;
     without them the engine builds an in-memory handle per view on first
     use with :func:`~repro.core.viewdata.global_run` — the rule the
-    store saves by: a concatenation after a fault-free build, one merge
-    for a degraded build's resharded views, ``ValueError`` for a cube
-    whose pieces are not sorted key-disjoint runs under one order.
+    store saves by: the rank pieces laid end to end, ``ValueError`` for
+    a cube whose pieces are not sorted key-disjoint runs in rank order
+    under one order.
     ``index=False`` pins every query to the scan path — the A/B lever
     the serving benchmark uses.
     """

@@ -5,13 +5,13 @@ key-disjoint run* of packed int64 keys plus the parallel measure, and
 the rank boundaries are kept as offsets into it.
 :func:`repro.core.viewdata.global_run` is the one place that turns a
 cube's rank pieces into that run, and :meth:`CubeStore.save` calls it
-once per view: a fault-free build leaves every view range-partitioned
-in rank order (the γ-balanced sample-sort merge guarantees it), so the
-run is the plain concatenation and costs no extra pass; a degraded
-build's resharded views interleave across ranks and take one k-way
-merge, here, at save time.  A cube whose pieces are not sorted,
-key-disjoint runs under one order is rejected with ``ValueError``, not
-stored in a slower layout.
+once per view: every build, degraded or not, leaves every view
+range-partitioned in rank order (the γ-balanced sample-sort merge
+guarantees it, and a degraded resume adopts a lost rank's pieces by
+position), so the run is the plain concatenation and costs no extra
+pass.  A cube whose pieces are not sorted, key-disjoint runs in rank
+order under one order is rejected with ``ValueError``, not stored in a
+slower layout.
 
 **Format 2**, the one on-disk encoding, writes that run's two columns
 as raw contiguous ``.npy`` files::
@@ -22,10 +22,9 @@ as raw contiguous ``.npy`` files::
     <path>/views/v_<name>.measure.npy
 
 :meth:`CubeStore.load` rebuilds the distributed cube as zero-copy
-slices of the memory-mapped columns at the rank offsets (for a
-resharded view that is the same content and per-rank row counts,
-range-partitioned), and :meth:`CubeStore.save` leaves the cube it wrote
-holding those same slices wherever they are its pieces (the seal), while
+slices of the memory-mapped columns at the rank offsets, and
+:meth:`CubeStore.save` leaves the cube it wrote holding those same
+slices (the seal), while
 :meth:`CubeStore.open` hands the serving tier
 :class:`~repro.olap.index.SortedView` handles whose fence index (every
 Nth key, persisted in the manifest) lets a reader touch only the pages
@@ -146,10 +145,9 @@ class CubeStore:
 
         ``format`` must be 2, the only encoding; any other value raises
         ``ValueError``.  Each view's rank pieces stream into its column
-        files and then the cube is *sealed*: every view whose stored run
-        is its pieces laid end to end (every view of a fault-free build)
-        has its heap pieces replaced by read-only, zero-copy slices of
-        the mapped files — the arrays :meth:`load` returns — so the cube
+        files and then the cube is *sealed*: every view has its heap
+        pieces replaced by read-only, zero-copy slices of the mapped
+        files — the arrays :meth:`load` returns — so the cube
         is held once, by the store.  A sealed view holds two open file
         descriptors (one per mapped column) until the cube lets go of
         it, as an :meth:`open` store does: 128 for a 64-view cube.  Under
@@ -157,14 +155,13 @@ class CubeStore:
         store once beside the cube, takes at most half of the rest and
         seals the largest views first; the others keep their heap pieces
         (under a limit of 1024 a 256-view cube seals about 120 views, a
-        1024-view cube none).  A degraded build's interleaved views keep
-        their heap pieces too; their files are not the pieces' run.
+        1024-view cube none).
         """
         if format != 2:
             raise ValueError(f"unknown cube store format: {format!r}")
         os.makedirs(path, exist_ok=True)
         stride = int(fence_stride or DEFAULT_STRIDE)
-        #: (view, file stem, order, rank offsets) of every view to seal
+        #: (view, file stem, order, rank offsets) of every view
         sealable: list[tuple[View, str, tuple[int, ...], np.ndarray]] = []
 
         def write_view(view: View) -> dict:
@@ -176,8 +173,7 @@ class CubeStore:
             write_npy_parts(
                 stem + ".measure.npy", [measure for _, measure in run.parts]
             )
-            if run.concatenated:
-                sealable.append((view, stem, run.order, run.offsets))
+            sealable.append((view, stem, run.order, run.offsets))
             fence = FenceIndex.over_parts(key_parts, stride)
             return {
                 "dims": list(view),

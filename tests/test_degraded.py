@@ -2,11 +2,12 @@
 
 The degraded-mode contract: under ``RecoveryPolicy(mode="degrade")`` a
 *permanent* rank loss does not abort the build — the culprit rank is
-blacklisted, its checkpointed state is resharded across the survivors,
-and the build finishes at width ``p - k`` with a cube whose *content* is
-bit-identical to a clean build at that width (the per-rank row layout
-may differ: resharded rows keep their original epoch's partition
-boundaries).  Content identity requires an integer-valued measure —
+blacklisted, its checkpointed seals are adopted by position (a dead
+rank's by the survivor below it), and the build finishes at width
+``p - k`` with a cube whose *content* is bit-identical to a clean build
+at that width (the per-rank row layout may differ: adopted pieces keep
+their original epoch's partition boundaries, so the adopting rank holds
+more rows).  Content identity requires an integer-valued measure —
 float SUM is not associative, so regrouped partial sums of arbitrary
 floats may drift in the last ulp.
 
@@ -22,18 +23,23 @@ import hashlib
 import multiprocessing
 import os
 import sys
+import threading
 import time
 
 import numpy as np
 import pytest
 
 from repro.config import CubeConfig, MachineSpec, RecoveryPolicy
+from repro.core import checkpoint as checkpoint_mod
+from repro.core import cube as cube_mod
 from repro.core.audit import audit_cube
 from repro.core.checkpoint import RankCheckpoint, ReshardPlan, share_bounds
 from repro.core.cube import build_data_cube
+from repro.core.viewdata import ViewData
 from repro.mpi.comm import BARRIER_TIMEOUT_SEC
 from repro.mpi.errors import (
     InjectedFault,
+    MPIError,
     RankDead,
     RankHung,
     classify_failure,
@@ -242,8 +248,9 @@ class TestDegradeReshard:
         assert res.metrics.final_width == 2
         assert res.metrics.ranks_lost == [1]
 
-    def test_double_loss_composes(self, relation, tmp_path):
+    def test_double_loss_composes(self, relation, tmp_path, monkeypatch):
         """Two permanent losses: two epochs, width 4 -> 3 -> 2."""
+        prologue_saves = _saves_in_prologue(monkeypatch)
         clean = build(relation, "thread", p=2)
         res = build(
             relation,
@@ -263,6 +270,190 @@ class TestDegradeReshard:
         assert content_fingerprint(res) == content_fingerprint(clean)
         assert (tmp_path / "epoch01").is_dir()
         assert (tmp_path / "epoch02").is_dir()
+        # Every seal an adopted line of epoch02 names (the lines before
+        # its own computed ones) is an earlier epoch's inode, and the
+        # prologues wrote no seal: adoption only links.
+        earlier = {
+            os.stat(path).st_ino
+            for pattern in ("rank*/*.seal", "epoch01/rank*/*.seal")
+            for path in tmp_path.glob(pattern)
+        }
+        adopted = [
+            p for p in _named_seals(tmp_path / "epoch02")
+            if p.match("iter*.s*.seal")
+        ]
+        assert adopted and {os.stat(p).st_ino for p in adopted} <= earlier
+        assert prologue_saves == []
+
+
+def _named_seals(epoch):
+    """Every seal file the chains under ``epoch`` name."""
+    named = []
+    for rank_dir in sorted(epoch.glob("rank*")):
+        ckpt = RankCheckpoint(str(epoch), int(rank_dir.name[4:]))
+        for ordinal in range(ckpt.last_complete() + 1):
+            named += [
+                rank_dir / seal["file"] for seal in ckpt.entry(ordinal)["seals"]
+            ]
+    return named
+
+
+def _saves_in_prologue(monkeypatch):
+    """Record the rows of every seal saved inside a ``resume_point``."""
+    inside = threading.local()
+    saves = []
+    resume_point, save = cube_mod.resume_point, RankCheckpoint.save
+
+    def recording_resume_point(*args):
+        inside.on = True
+        try:
+            return resume_point(*args)
+        finally:
+            inside.on = False
+
+    def recording_save(self, *args):
+        rows = save(self, *args)
+        if getattr(inside, "on", False):
+            saves.append(rows)
+        return rows
+
+    monkeypatch.setattr(cube_mod, "resume_point", recording_resume_point)
+    monkeypatch.setattr(RankCheckpoint, "save", recording_save)
+    return saves
+
+
+class TestReshardCrashPoints:
+    """Fail new rank 0 after each durable call of its reshard prologue
+    (a link, the directory fsync, the manifest append): the retry runs
+    the prologue again in the same epoch."""
+
+    @staticmethod
+    def _arm(monkeypatch, epoch, fail_after):
+        """Make new rank 0's ``fail_after``-th prologue call raise after
+        it returns; returns the calls made and, once it fired, how many
+        lines were durable and where the chain ended at that moment."""
+        target = str(epoch / "rank00")
+        state = threading.local()
+        calls, fired = [], []
+        link, fsync_dir = os.link, checkpoint_mod._fsync_dir
+        adopt, append = RankCheckpoint.adopt, RankCheckpoint._append_manifest
+
+        def step(kind, where):
+            if fired or not getattr(state, "adopting", False):
+                return
+            if getattr(state, "appending", False):
+                return
+            if not str(where).startswith(target):
+                return
+            calls.append(kind)
+            if len(calls) == fail_after:
+                chain = RankCheckpoint(str(epoch), 0)
+                fired.append((calls.count("append"), chain.last_complete()))
+                raise MPIError(f"failed after {kind} #{fail_after}")
+
+        def patched_adopt(self, *args):
+            state.adopting = True
+            try:
+                return adopt(self, *args)
+            finally:
+                state.adopting = False
+
+        def patched_append(self, entry):
+            state.appending = True
+            try:
+                append(self, entry)
+            finally:
+                state.appending = False
+            step("append", self.dir)
+
+        def patched_link(src, dst):
+            link(src, dst)
+            step("link", dst)
+
+        def patched_fsync_dir(path):
+            fsync_dir(path)
+            step("fsync_dir", path)
+
+        monkeypatch.setattr(RankCheckpoint, "adopt", patched_adopt)
+        monkeypatch.setattr(RankCheckpoint, "_append_manifest", patched_append)
+        monkeypatch.setattr(os, "link", patched_link)
+        monkeypatch.setattr(checkpoint_mod, "_fsync_dir", patched_fsync_dir)
+        return calls, fired
+
+    @pytest.mark.parametrize("fail_after", range(1, 9))
+    def test_prologue_crash_resumes_from_durable_lines(
+        self, relation, tmp_path, monkeypatch, fail_after
+    ):
+        clean = build(relation, "thread", p=2)
+        calls, fired = self._arm(monkeypatch, tmp_path / "epoch01", fail_after)
+        res = build(
+            relation,
+            "thread",
+            p=3,
+            faults=FaultPlan.parse("crash@r1s22"),
+            recovery=RecoveryPolicy(mode="degrade", max_retries=1),
+            checkpoint_dir=str(tmp_path),
+            audit=True,
+        )
+        # Rank 0 adopts ranks 0 and 1 (two links a line): the crash came
+        # on its first prologue, with the chain ending at the last line
+        # appended — never ahead of what is durable.
+        assert calls == (["link", "link", "fsync_dir", "append"] * 2)[
+            :fail_after
+        ]
+        ((appended, last),) = fired
+        assert last == appended - 1
+        assert res.metrics.attempts == 3 and res.metrics.final_width == 2
+        assert res.metrics.audit["ok"]
+        assert content_fingerprint(res) == content_fingerprint(clean)
+        # The re-run kept the links it found: every adopted line names
+        # the dead epoch's inodes, and no link is left over or doubled.
+        rank00 = tmp_path / "epoch01" / "rank00"
+        links = sorted(rank00.glob("iter*.s*.seal"))
+        named = _named_seals(tmp_path / "epoch01")
+        assert [p for p in named if p.match("rank00/iter*.s*.seal")] == links
+        sources = {
+            os.stat(p).st_ino for p in tmp_path.glob("rank0[01]/*.seal")
+        }
+        assert links and {os.stat(p).st_ino for p in links} <= sources
+
+
+def test_corrupt_adopted_piece_is_not_adopted_again(
+    relation, tmp_path, monkeypatch
+):
+    """A piece the dead rank sealed fails its CRC when the driver maps
+    it: the adopted link is quarantined and the retry recomputes from
+    the chain before it instead of linking the same bytes again."""
+    clean = build(relation, "thread", p=2)
+    adopt = RankCheckpoint.adopt
+    flipped = []
+
+    def flipping_adopt(self, ordinal, sources):
+        if not flipped and ordinal == 0 and len(sources) == 2:
+            _, pieces = sources[1]._open(sources[1].entry(0))
+            piece = max(pieces, key=lambda piece: piece.rows)
+            with open(piece.path, "r+b") as fh:
+                fh.seek(piece.measure_at)
+                byte = fh.read(1)
+                fh.seek(piece.measure_at)
+                fh.write(bytes([byte[0] ^ 0xFF]))
+            flipped.append(piece.path)
+        return adopt(self, ordinal, sources)
+
+    monkeypatch.setattr(RankCheckpoint, "adopt", flipping_adopt)
+    res = build(
+        relation,
+        "thread",
+        p=3,
+        faults=FaultPlan.parse("crash@r1s22"),
+        recovery=RecoveryPolicy(mode="degrade", max_retries=1),
+        checkpoint_dir=str(tmp_path),
+        audit=True,
+    )
+    assert flipped and res.metrics.attempts == 3
+    assert res.metrics.final_width == 2 and res.metrics.audit["ok"]
+    assert content_fingerprint(res) == content_fingerprint(clean)
+    assert list((tmp_path / "epoch01" / "rank00").glob("*.quarantined"))
 
 
 # ---------------------------------------------------------------------------
@@ -273,9 +464,8 @@ class TestDegradeReshard:
 @pytest.fixture(scope="module")
 def degraded_and_clean(relation, tmp_path_factory):
     """A p=4 build that lost rank 1 after two iterations, and the clean
-    p=3 build of the same input.  The reshard merged a share of the dead
-    rank's pieces into every survivor, so the finished iterations' views
-    interleave across ranks."""
+    p=3 build of the same input.  Rank 0 adopted the dead rank's pieces
+    of the finished iterations, so it holds more rows of those views."""
     degraded = build(
         relation,
         "thread",
@@ -311,18 +501,21 @@ class TestDegradedStore:
             assert np.array_equal(got.dims, ref.dims), query
             assert np.array_equal(got.measure, ref.measure), query
 
-    def test_fixture_has_interleaved_views(self, degraded_and_clean):
+    def test_fixture_views_are_rank_runs(self, degraded_and_clean):
         degraded, clean = degraded_and_clean
-        interleaved = [
-            view
-            for view in degraded.views
-            if not is_sorted_int64(
+        assert all(
+            is_sorted_int64(
                 np.concatenate(
                     [rv[view].keys for rv in degraded.rank_views]
                 )
             )
-        ]
-        assert interleaved  # else these tests exercise nothing
+            for view in degraded.views
+        )
+        # The adopted pieces leave rank 0 heavier than at a clean p=3.
+        assert any(
+            degraded.distribution(view)[0] > clean.distribution(view)[0]
+            for view in degraded.views
+        )
         # Same sort orders, so the clean plans are the plans to expect.
         for view in clean.views:
             assert (
@@ -383,6 +576,21 @@ class TestReshardPlan:
             ReshardPlan.after_loss(3, [7], "src", "dst")
         with pytest.raises(ValueError):
             ReshardPlan(3, 2, (0,), (0, 1), "src", "dst")
+
+    @pytest.mark.parametrize(
+        "width, dead, groups",
+        [
+            (4, [1], ((0, 1), (2,), (3,))),
+            (4, [0], ((0, 1), (2,), (3,))),
+            (4, [3], ((0,), (1,), (2, 3))),
+            (5, [0, 2, 3], ((0, 1, 2, 3), (4,))),
+        ],
+    )
+    def test_groups_are_contiguous_with_one_survivor(
+        self, width, dead, groups
+    ):
+        plan = ReshardPlan.after_loss(width, dead, "src", "dst")
+        assert plan.groups == groups
 
     def test_share_bounds_partition(self):
         for nrows in (0, 1, 7, 100):
@@ -598,8 +806,7 @@ class TestAudit:
             "piece-shape",
             "view-totals",
             "row-monotonicity",
-            "key-uniqueness",
-            "piece-order",
+            "rank-run",
         }
         assert "OK" in report.summary()
 
@@ -618,7 +825,7 @@ class TestAudit:
         cube.rank_views[1][dense] = cube.rank_views[0][dense]
         report = audit_cube(cube)
         assert not report.ok
-        assert any("key-uniqueness" in issue for issue in report.issues)
+        assert any("rank-run" in issue for issue in report.issues)
 
     def test_unsorted_piece_flagged(self, relation):
         cube = build(relation, "thread", p=2)
@@ -628,6 +835,21 @@ class TestAudit:
             piece.keys[:2] = piece.keys[:2][::-1]
         report = audit_cube(cube)
         assert not report.ok
+        assert any("rank-run" in issue for issue in report.issues)
+
+    def test_interleaved_pieces_flagged(self, relation):
+        """Sorted, key-disjoint pieces that are not in rank order: the
+        layout every store and scan reads as one run is broken."""
+        cube = build(relation, "thread", p=2)
+        dense = max(cube.views, key=lambda v: cube.view_rows(v))
+        rv0, rv1 = (rv[dense] for rv in cube.rank_views)
+        keys = np.concatenate([rv0.keys, rv1.keys])
+        measure = np.concatenate([rv0.measure, rv1.measure])
+        for rank, rv in enumerate(cube.rank_views):
+            rv[dense] = ViewData(rv0.order, keys[rank::2], measure[rank::2])
+        report = audit_cube(cube)
+        assert not report.ok
+        assert [c.name for c in report.checks if not c.ok] == ["rank-run"]
 
     def test_count_cube_totals_equal_row_count(self, relation):
         cube = build_data_cube(

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from repro.config import CubeConfig, MachineSpec, RecoveryPolicy
-from repro.core.checkpoint import ReshardPlan, share_bounds
+from repro.core.checkpoint import share_bounds
 from repro.core.cube import build_data_cube
 from repro.core.sample_sort import _select_pivots, relative_imbalance
 from repro.mpi.engine import Cluster
@@ -187,42 +187,10 @@ class TestWeightedSelection:
 
 class TestWeightedShareBounds:
     def test_uniform_path_unchanged(self):
-        # weights=None must keep the historical layout (remainder on the
-        # lowest-index shares).
-        assert share_bounds(10, 3, 0) == share_bounds(10, 3, 0, None)
-        lo, hi = share_bounds(10, 3, 0)
-        assert (lo, hi) == (0, 4)
-
-    @pytest.mark.parametrize("nrows", [0, 1, 7, 1000])
-    def test_weighted_shares_partition_the_range(self, nrows):
-        weights = [0.5, 1.0, 2.0, 1.0]
-        bounds = [
-            share_bounds(nrows, 4, i, weights) for i in range(4)
-        ]
-        assert bounds[0][0] == 0
-        assert bounds[-1][1] == nrows
-        for (_, hi), (lo, _) in zip(bounds, bounds[1:]):
-            assert hi == lo  # contiguous, disjoint, ordered
-
-    def test_weighted_shares_track_proportions(self):
-        weights = [1.0, 3.0]
-        lo, hi = share_bounds(1000, 2, 0, weights)
-        assert hi - lo == 250
-
-    def test_reshard_plan_carries_weights(self):
-        plan = ReshardPlan.after_loss(
-            4, [1], "/a", "/b", weights=[0.2, 0.5, 0.3]
-        )
-        assert plan.weights == (0.2, 0.5, 0.3)
-        assert plan.new_width == 3
-
-    def test_reshard_plan_validates_weights(self):
-        with pytest.raises(ValueError):
-            ReshardPlan.after_loss(4, [1], "/a", "/b", weights=[1.0, 2.0])
-        with pytest.raises(ValueError):
-            ReshardPlan.after_loss(
-                4, [1], "/a", "/b", weights=[1.0, -1.0, 1.0]
-            )
+        # The input deal keeps its layout (remainder on the lowest-index
+        # shares); a degraded resume no longer cuts weighted shares.
+        assert share_bounds(10, 3, 0) == (0, 4)
+        assert [share_bounds(10, 3, j) for j in (1, 2)] == [(4, 7), (7, 10)]
 
 
 # ---------------------------------------------------------------------------

@@ -87,7 +87,7 @@ class TestRankCheckpoint:
     def test_roundtrip(self, tmp_path):
         ck = RankCheckpoint(str(tmp_path), rank=3)
         assert ck.last_complete() == -1
-        rows = ck.save(0, 2, self._payload(1), meters={"phase": "x"})
+        rows = ck.save(0, 2, self._payload(1))
         assert rows == 4  # the views' rows and nothing else
         ck.save(1, 1, self._payload(2))
         assert ck.last_complete() == 1
@@ -96,7 +96,11 @@ class TestRankCheckpoint:
         np.testing.assert_array_equal(
             payload["views"][(0,)].measure, np.full(4, 2.0)
         )
-        assert ck.entry(0)["meters"] == {"phase": "x"}
+        entry = dict(ck.entry(0))
+        (seal,) = entry.pop("seals")
+        assert entry == {"ordinal": 0, "dim": 2, "rows": 4}
+        assert set(seal) == {"file", "head_crc", "size"}
+        assert seal["file"] == "iter000.seal"
         np.testing.assert_array_equal(
             payload["views"][(0,)].keys, np.arange(4)
         )
@@ -104,7 +108,8 @@ class TestRankCheckpoint:
         # read-only map, like an adopted process-backend result.
         payload, loaded_rows = ck.load(1, read=())
         assert loaded_rows == 0
-        assert isinstance(payload["views"][(0,)], SealedPiece)
+        (piece,) = payload["views"][(0,)]
+        assert isinstance(piece, SealedPiece)
         hand_over([payload["views"]])
         mapped = payload["views"][(0,)]
         np.testing.assert_array_equal(mapped.measure, np.full(4, 2.0))
@@ -132,7 +137,7 @@ class TestRankCheckpoint:
             payload, rows = fresh.load(ordinal, read=[(0,)] if ordinal else [])
             piece = payload["views"][(0,)]
             assert rows == (4 if ordinal else 0)
-            assert isinstance(piece, SealedPiece) == (ordinal == 0)
+            assert isinstance(piece, tuple) == (ordinal == 0)
         # Only the pieces asked for leave their seals as bytes.
         assert reads == ["iter001.seal", "iter002.seal"]
 
@@ -221,7 +226,7 @@ class TestRankCheckpoint:
         ck.save(1, 1, self._payload(9))  # a re-save appends too
         raw = open(ck._manifest_path(), "rb").read()
         assert raw[: sizes[0]] == head and len(raw) > sizes[2]
-        assert json.loads(raw.splitlines()[0]) == {"version": 5}
+        assert json.loads(raw.splitlines()[0]) == {"version": 6}
 
     def test_resave_truncates_suffix(self, tmp_path):
         ck = RankCheckpoint(str(tmp_path), rank=0)
@@ -497,21 +502,21 @@ class TestWriteOnceAccounting:
 
 def test_numpy_row_counts_do_not_poison_the_manifest(tmp_path):
     """Row counts that are differences of ``searchsorted`` results reach
-    the charge hooks as NumPy integers; the counters a seal snapshots into
-    its JSON manifest line must stay plain numbers all the same."""
+    the charge hooks as NumPy integers; the counters must stay plain
+    numbers all the same, and so must the row count a seal writes into
+    its JSON manifest line."""
     disk = LocalDisk(block_size=4)
     disk.charge_scan(np.int64(9))
     disk.charge_store(np.int64(5))
     disk.work.charge_scan(np.int64(9))
     disk.work.charge_sort(np.int64(9), np.int64(3))
-    meters = {"disk": disk.stats.snapshot(), "work_seconds": disk.work.seconds}
-    assert {type(v) for v in meters["disk"].values()} == {int}
+    assert {type(v) for v in disk.stats.snapshot().values()} == {int}
     assert type(disk.work.rows_scanned) is type(disk.work.rows_sorted) is int
     assert type(disk.work.seconds) is float
     ck = RankCheckpoint(str(tmp_path), rank=0)
-    payload = {"views": {}, "report": None, "tree": None}
-    ck.save(0, 0, payload, meters=meters)
-    assert RankCheckpoint(str(tmp_path), rank=0).entry(0)["meters"] == meters
+    ck.save(0, 0, TestRankCheckpoint()._payload(1))
+    rows = RankCheckpoint(str(tmp_path), rank=0).entry(0)["rows"]
+    assert type(rows) is int and rows == 4
 
 
 def _kill_while_sealing(marker, rank, ordinal, before_dying):
@@ -526,7 +531,7 @@ def _kill_while_sealing(marker, rank, ordinal, before_dying):
         if not mine or os.path.exists(marker):
             return append(self, entry)
         before_dying(self, entry)
-        assert os.path.exists(os.path.join(self.dir, entry["file"]))
+        assert os.path.exists(os.path.join(self.dir, entry["seals"][0]["file"]))
         chain = RankCheckpoint(os.path.dirname(self.dir), rank)
         with open(marker, "w") as fh:
             fh.write(str(chain.last_complete()))

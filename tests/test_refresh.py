@@ -125,8 +125,8 @@ class TestRefresh:
 
 
     def test_degraded_cube(self, tmp_path):
-        # Losing rank 1 reshards its views over the survivors, whose
-        # pieces then interleave across ranks.
+        # Losing rank 1 hands its pieces to rank 0 by position: every
+        # view stays one run in rank order, as after a clean build.
         cards = (12, 8, 5, 3)
         rel = make_relation(4000, cards, seed=52)
         first, extra = split(rel, 3200)
@@ -139,10 +139,9 @@ class TestRefresh:
             checkpoint_dir=str(tmp_path / "ckpt"),
         )
         assert len(cube.rank_views) == 3
-        assert not all(
-            global_run([rv[v] for rv in cube.rank_views]).concatenated
-            for v in cube.views
-        ), "the fault left no interleaved view"
+        assert audit_cube(cube).ok
+        for v in cube.views:
+            global_run([rv[v] for rv in cube.rank_views])  # raises if not
         refreshed = refresh_cube(cube, extra)
         assert len(refreshed.rank_views) == 3
         assert audit_cube(refreshed).ok

@@ -1,11 +1,9 @@
 """A format-2 save seals the cube: its pieces become the store's files.
 
-After :meth:`CubeStore.save` the cube's pieces of every view whose stored
-run is the pieces laid end to end are read-only slices of the mapped
-column files (the arrays :meth:`CubeStore.load` returns), so a saved
-cube is held once, by the store.  A degraded build's interleaved views
-keep their heap pieces.  Saving over a store never
-rewrites a file a reader has mapped.
+After :meth:`CubeStore.save` the cube's pieces of every view (a degraded
+build's too) are read-only slices of the mapped column files (the arrays
+:meth:`CubeStore.load` returns), so a saved cube is held once, by the
+store.  Saving over a store never rewrites a file a reader has mapped.
 """
 
 from __future__ import annotations
@@ -25,7 +23,6 @@ import repro
 from repro.config import CubeConfig, MachineSpec, RecoveryPolicy
 from repro.core.audit import audit_cube
 from repro.core.cube import build_data_cube
-from repro.core.viewdata import global_run
 from repro.mpi.faults import FaultPlan
 from repro.olap import CubeStore, Query, QueryEngine
 from repro.storage.mmapio import write_npy_parts
@@ -117,7 +114,7 @@ class TestSeal:
             assert np.array_equal(got.dims, ref.dims), query
             assert got.measure.tobytes() == ref.measure.tobytes(), query
 
-    def test_degraded_interleaved_views_keep_heap_pieces(
+    def test_degraded_views_are_sealed_like_any_other(
         self, relation, tmp_path
     ):
         cube = build(
@@ -128,20 +125,11 @@ class TestSeal:
             checkpoint_dir=str(tmp_path / "ckpt"),
         )
         assert cube.metrics.final_width == 3
-        interleaved = {
-            view
-            for view in cube.views
-            if not global_run([rv[view] for rv in cube.rank_views]).concatenated
-        }
-        assert interleaved and interleaved != set(cube.views)
+        assert audit_cube(cube, relation=relation).ok
         before = fingerprint(cube)
-        held = pieces(cube)
         CubeStore.save(cube, str(tmp_path / "store"))
-        for (_, view, old), (_, _, now) in zip(held, pieces(cube)):
-            if view in interleaved:
-                assert now is old and not mapped(now.keys)
-            else:
-                assert mapped(now.keys) and mapped(now.measure)
+        for _, _, now in pieces(cube):
+            assert mapped(now.keys) and mapped(now.measure)
         assert fingerprint(cube) == before
 
     @pytest.mark.skipif(

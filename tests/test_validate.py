@@ -39,7 +39,7 @@ class TestValidateCube:
         cube.rank_views[0][(0,)] = ViewData(
             data.order, data.keys[::-1].copy(), data.measure[::-1].copy()
         )
-        assert "not sorted" in failed(audit_cube(cube), "piece-order")
+        assert "not strictly increasing" in failed(audit_cube(cube), "rank-run")
 
     def test_detects_duplicate_keys_across_ranks(self, cube):
         a = cube.rank_views[0][(0, 1)]
@@ -50,7 +50,7 @@ class TestValidateCube:
             np.concatenate(([a.keys[0]], b.keys)),
             np.concatenate(([1.0], b.measure)),
         )
-        assert "duplicate" in failed(audit_cube(cube), "key-uniqueness")
+        assert "not strictly increasing" in failed(audit_cube(cube), "rank-run")
 
     def test_detects_total_mismatch(self, cube):
         data = cube.rank_views[0][(1,)]

@@ -123,11 +123,15 @@ class TestGlobalRun:
     )
     def test_property(self, keyset, p, rnd, interleave):
         keys = np.array(sorted(keyset), dtype=np.int64)
-        if interleave:  # a reshard: any rank may own any key
+        if interleave:  # any rank may own any key
             owner = [rnd.randrange(p) for _ in keys]
         else:  # Procedure 3: contiguous key ranges in rank order
             owner = sorted(rnd.randrange(p) for _ in keys)
         pieces = self.pieces_from(keys, owner, p)  # empty pieces included
+        if list(owner) != sorted(owner):
+            with pytest.raises(ValueError, match="key-disjoint"):
+                global_run(pieces)
+            return
         run = global_run(pieces)
         assert run.order == (0, 1)
         assert np.array_equal(run.keys, keys)  # the sorted union
@@ -135,10 +139,6 @@ class TestGlobalRun:
         assert run.offsets.tolist() == [0] + np.cumsum(
             [piece.nrows for piece in pieces]
         ).tolist()
-        if not interleave:
-            assert np.array_equal(
-                run.measure, np.concatenate([pc.measure for pc in pieces])
-            )
 
     def test_range_partitioned_is_the_concatenation(self):
         pieces = self.pieces_from([1, 4, 6, 9, 12], [0, 0, 2, 2, 2], 3)
@@ -146,19 +146,17 @@ class TestGlobalRun:
         assert run.keys.tolist() == [1, 4, 6, 9, 12]
         assert run.offsets.tolist() == [0, 2, 2, 5]
         # the parts are the pieces themselves: nothing was copied
-        assert run.concatenated
         assert all(
             keys is piece.keys and measure is piece.measure
             for (keys, measure), piece in zip(run.parts, pieces)
         )
 
-    def test_interleaved_is_merged_offsets_keep_row_counts(self):
+    def test_interleaved_pieces_raise(self):
+        # Sorted and key-disjoint, but not in rank order: no layout
+        # merges them any more.
         pieces = self.pieces_from([1, 4, 6, 9, 12], [1, 0, 1, 0, 1], 2)
-        run = global_run(pieces)
-        assert run.keys.tolist() == [1, 4, 6, 9, 12]
-        assert run.measure.tolist() == [1.0, 4.0, 6.0, 9.0, 12.0]
-        assert run.offsets.tolist() == [0, 2, 5]
-        assert not run.concatenated and len(run.parts) == 1
+        with pytest.raises(ValueError, match="view AB.*rank order"):
+            global_run(pieces)
 
     def test_mixed_orders_raise_naming_the_view(self):
         k = np.array([1, 5, 9], dtype=np.int64)
